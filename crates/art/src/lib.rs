@@ -644,6 +644,23 @@ impl<V> Art<V> {
         keep_going
     }
 
+    /// In-order walk of a subtree: `(key, value)` of every leaf (a node's
+    /// terminator leaf sorts before its children).
+    fn walk(&self, ptr: Ptr, f: &mut dyn FnMut(&[u8], &V)) {
+        if let Some(leaf) = ptr.as_leaf() {
+            let l = &self.leaves[leaf];
+            return f(&l.key, &l.value);
+        }
+        let node = &self.nodes[ptr.as_node().expect("valid ptr")];
+        if !node.term.is_none() {
+            self.walk(node.term, f);
+        }
+        node.children.for_each_from(0, |_, child| {
+            self.walk(child, f);
+            true
+        });
+    }
+
     /// Average leaf depth in node steps (tree-height diagnostic).
     pub fn avg_depth(&self) -> f64 {
         if self.leaves.is_empty() {
@@ -680,12 +697,14 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
         Art::insert(self, key, value)
     }
 
-    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>) {
-        Art::scan_into(self, start, count, out)
-    }
-
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         Art::range_into(self, low, high, limit, out)
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        if let Some(root) = self.root {
+            self.walk(root, f);
+        }
     }
 
     fn len(&self) -> usize {

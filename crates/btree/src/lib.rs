@@ -459,12 +459,28 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         BPlusTree::insert(self, key, value)
     }
 
-    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>) {
-        BPlusTree::scan_into(self, start, count, out)
-    }
-
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         BPlusTree::range_into(self, low, high, limit, out)
+    }
+
+    /// Leaf-chain walk from the leftmost leaf. Full keys (node prefix +
+    /// suffix; the prefix is empty in a plain tree) are rebuilt into one
+    /// reused buffer.
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        let mut at = self.root;
+        while let Node::Inner(inner) = &self.nodes[at as usize] {
+            at = inner.children[0];
+        }
+        let mut key = Vec::new();
+        while let Some(Node::Leaf(leaf)) = self.nodes.get(at as usize) {
+            for (suffix, value) in leaf.keys.suffixes.iter().zip(&leaf.values) {
+                key.clear();
+                key.extend_from_slice(&leaf.keys.prefix);
+                key.extend_from_slice(suffix);
+                f(&key, value);
+            }
+            at = leaf.next; // NO_NODE is out of bounds: ends the walk
+        }
     }
 
     fn len(&self) -> usize {

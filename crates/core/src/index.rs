@@ -12,9 +12,9 @@
 //! Since the v1 API the trait is **generic over its value payload**
 //! `V: `[`Value`] (any `Clone + Send + Sync + Debug + 'static` type), with
 //! `u64` as the default parameter so `dyn OrderedIndex` keeps meaning the
-//! classic id-valued index. The required scan surface is the
-//! allocation-free `*_into` form; the `Vec`-returning [`OrderedIndex::range`]
-//! is a deprecated shim kept for migration.
+//! classic id-valued index. The scan surface is the allocation-free
+//! [`OrderedIndex::range_into`] (bounded, values only) plus the keyed
+//! in-order visitor [`OrderedIndex::for_each`] (everything, keys included).
 //!
 //! Keys are plain byte slices: callers index either raw keys or the padded
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
@@ -49,10 +49,6 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// Insert or update; returns the previous value if the key existed.
     fn insert(&mut self, key: &[u8], value: V) -> Option<V>;
 
-    /// Append clones of the values of up to `count` keys `>= start` to
-    /// `out`, in key order — the allocation-free scan primitive.
-    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>);
-
     /// Append clones of the values of up to `limit` keys in `low..=high`
     /// to `out`, in key order — the allocation-free form scan loops reuse
     /// a buffer with. For a fixed index state and fixed bounds, growing
@@ -62,40 +58,25 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// (`low > high`) must emit nothing.
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>);
 
-    /// Values of up to `count` keys `>= start`, in key order (allocating
-    /// convenience over [`OrderedIndex::scan_into`]).
-    fn scan(&self, start: &[u8], count: usize) -> Vec<V> {
-        let mut out = Vec::with_capacity(count.min(64));
-        self.scan_into(start, count, &mut out);
-        out
-    }
-
-    /// Values of up to `limit` keys in `low..=high`, in key order.
+    /// Visit every `(key, value)` pair in key order — the one way to get
+    /// *keys* back out of an index. The key slice is valid only for the
+    /// duration of the call (a prefix-truncating tree rebuilds it in a
+    /// reused buffer). `hope_store` rebuilds a shard from this walk: the
+    /// index is the only holder of the encoded bytes.
     ///
     /// ```
     /// use hope::OrderedIndex;
     /// use std::collections::BTreeMap;
     ///
     /// let mut ix: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    /// ix.insert(b"a".to_vec(), 1);
-    /// ix.insert(b"b".to_vec(), 2);
-    /// // The deprecated shim agrees with the `range_into` it wraps.
-    /// #[allow(deprecated)]
-    /// let hits = OrderedIndex::range(&ix, b"a", b"b", 10);
-    /// let mut out = Vec::new();
-    /// OrderedIndex::range_into(&ix, b"a", b"b", 10, &mut out);
-    /// assert_eq!(hits, out);
+    /// OrderedIndex::insert(&mut ix, b"b", 2);
+    /// OrderedIndex::insert(&mut ix, b"a", 1);
+    /// OrderedIndex::insert(&mut ix, b"ab", 3);
+    /// let mut seen = Vec::new();
+    /// OrderedIndex::for_each(&ix, &mut |k, v| seen.push((k.to_vec(), *v)));
+    /// assert_eq!(seen, vec![(b"a".to_vec(), 1), (b"ab".to_vec(), 3), (b"b".to_vec(), 2)]);
     /// ```
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates a fresh Vec per call; use `range_into` with a reused buffer \
-                (or a `hope_store` RangeCursor at the store level)"
-    )]
-    fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<V> {
-        let mut out = Vec::with_capacity(limit.min(64));
-        self.range_into(low, high, limit, &mut out);
-        out
-    }
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V));
 
     /// Number of stored keys.
     fn len(&self) -> usize;
@@ -120,15 +101,15 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
         std::collections::BTreeMap::insert(self, key.to_vec(), value)
     }
 
-    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>) {
-        out.extend(self.range(start.to_vec()..).take(count).map(|(_, v)| v.clone()));
-    }
-
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         if low > high {
             return;
         }
         out.extend(self.range(low.to_vec()..=high.to_vec()).take(limit).map(|(_, v)| v.clone()));
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        self.iter().for_each(|(k, v)| f(k, v));
     }
 
     fn len(&self) -> usize {
@@ -154,21 +135,35 @@ mod tests {
         assert_eq!(ix.len(), 3);
         assert_eq!(ix.get(b"ab"), Some(&3));
         assert_eq!(ix.get(b"zz"), None);
-        assert_eq!(ix.scan(b"a", 2), vec![10, 3]);
-        // range_into appends to a reused buffer; the deprecated shim
-        // must agree with it.
+        // range_into appends to a reused buffer.
         let mut buf = vec![99u64];
         ix.range_into(b"a", b"ab", 10, &mut buf);
         assert_eq!(buf, vec![99, 10, 3]);
-        #[allow(deprecated)]
-        {
-            assert_eq!(ix.range(b"a", b"ab", 10), vec![10, 3]);
-            assert_eq!(ix.range(b"b", b"a", 10), Vec::<u64>::new());
-        }
         buf.clear();
         ix.range_into(b"b", b"a", 10, &mut buf);
         assert!(buf.is_empty());
         assert!(ix.memory_bytes() > 0);
+        // for_each yields exactly the stored pairs, in byte order: the
+        // empty key, a prefix chain, and 0x00 / 0xFF runs included.
+        let hostile: [&[u8]; 6] = [b"", b"abc", b"\0", b"\0\0", b"\xff", b"\xff\xff\xff"];
+        for (i, k) in hostile.iter().enumerate() {
+            assert_eq!(ix.insert(k, 100 + i as u64), None);
+        }
+        let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
+        ix.for_each(&mut |k, v| seen.push((k.to_vec(), *v)));
+        let want: Vec<(&[u8], u64)> = vec![
+            (b"", 100),
+            (b"\0", 102),
+            (b"\0\0", 103),
+            (b"a", 10),
+            (b"ab", 3),
+            (b"abc", 101),
+            (b"b", 2),
+            (b"\xff", 104),
+            (b"\xff\xff\xff", 105),
+        ];
+        assert_eq!(seen.len(), ix.len());
+        assert!(seen.iter().map(|(k, v)| (k.as_slice(), *v)).eq(want));
     }
 
     #[test]

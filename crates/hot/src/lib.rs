@@ -422,6 +422,19 @@ impl<V> Hot<V> {
         }
     }
 
+    /// In-order walk of a subtree: `(key, value)` of every record.
+    fn walk(&self, at: u32, f: &mut dyn FnMut(&[u8], &V)) {
+        match &self.nodes[at as usize] {
+            Node::Leaf { recs } => {
+                for &r in recs {
+                    let (key, value) = &self.records[r as usize];
+                    f(key, value);
+                }
+            }
+            Node::Inner { children, .. } => children.iter().for_each(|&c| self.walk(c, f)),
+        }
+    }
+
     /// Average leaf depth (compound-node steps) — height diagnostic.
     pub fn avg_depth(&self) -> f64 {
         if self.records.is_empty() {
@@ -460,12 +473,12 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
         Hot::insert(self, key, value)
     }
 
-    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>) {
-        Hot::scan_into(self, start, count, out)
-    }
-
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         Hot::range_into(self, low, high, limit, out)
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        self.walk(self.root, f);
     }
 
     fn len(&self) -> usize {

@@ -6,19 +6,21 @@
 //! being built; when the swap lands, stale readers simply drain and the
 //! old generation is dropped with its last `Arc`.
 //!
-//! ## Exactness under padded-byte ties
+//! ## One record table, exact under padded-byte ties
 //!
-//! Trees index the *padded bytes* of an encoding. Padded-byte comparison
-//! preserves source order except that two distinct keys can **tie** (the
-//! zero-extension corner, see DESIGN.md "Encoded-key comparison"). A
-//! generation therefore never maps encoded bytes straight to a value:
-//! index values are ids into a slot table, and each slot holds the entries
-//! of every live key sharing that byte string, ordered by source key.
-//! Point lookups re-check the source key inside the slot and range scans
-//! re-check the source bounds, so the store is exact for arbitrary byte
-//! keys — not just keys where ties cannot occur. The index is always
-//! slot-id-valued ([`SlotId`](crate::SlotId)) regardless of the payload
-//! type `V`; the payload lives in the entry log.
+//! A generation holds each record once, in the **entry log** (source key,
+//! value, two `u32` links). Trees index the *padded bytes* of an
+//! encoding, which live only inside the index — a merge rebuild reads
+//! them back through [`OrderedIndex::for_each`] — and the index maps them
+//! straight to a log id ([`SlotId`](crate::SlotId)). Padded-byte
+//! comparison preserves source order except that two distinct keys can
+//! **tie** (the zero-extension corner, see DESIGN.md "Encoded-key
+//! comparison"), so that id names a **tie group's head**: the live entry
+//! with the smallest source key among those sharing the byte string.
+//! Further members (rare) hang off it through [`Entry::tie`], in
+//! ascending source-key order. Point lookups compare source keys along
+//! that chain and range scans re-check the source bounds, so the store is
+//! exact for arbitrary byte keys — not just keys where ties cannot occur.
 //!
 //! ## Lock discipline
 //!
@@ -29,62 +31,68 @@
 //! serving layer should keep serving.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
 
 use hope::{EncodeScratch, Hope, OrderedIndex, Value};
 
 use crate::error::StoreError;
-use crate::telemetry::ProbeSpans;
+use crate::telemetry::SpanRecorder;
 use crate::SlotId;
 
-thread_local! {
-    /// Per-thread encode buffers for the probe hot paths (`get`, `insert`,
-    /// and the zero-copy `range_with` push scan): every probe reuses the
-    /// same writer and byte buffers instead of allocating an `EncodedKey`
-    /// per call. Thread-local rather than per-generation so readers on
-    /// many threads never contend. (Pull-mode cursors own their buffers
-    /// instead — a lending cursor outlives any single borrow window.)
-    static SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::new());
-
-    /// Per-thread slot-id buffer for the push scan path: the index fills
-    /// it in place (`OrderedIndex::range_into`), so a scan of N hits
-    /// performs no heap allocation once the buffer is warm.
-    static SCAN: RefCell<Vec<SlotId>> = const { RefCell::new(Vec::new()) };
+/// Per-thread probe buffers: every `get`, `insert` and scan reuses the
+/// same encode scratch instead of allocating an `EncodedKey` per call, and
+/// the index fills `heads` in place (`OrderedIndex::range_into`), so a
+/// scan of N hits performs no heap allocation once the buffers are warm.
+/// Thread-local rather than per-generation so readers on many threads
+/// never contend.
+#[derive(Default)]
+struct ProbeBuffers {
+    scratch: EncodeScratch,
+    heads: Vec<SlotId>,
 }
 
-/// `prev` sentinel: this entry superseded nothing (first version of its
-/// key in this log). Safe as a sentinel because the capacity guard in
-/// `apply_insert` rejects the insert that would *create* index
+thread_local! {
+    static PROBE: RefCell<ProbeBuffers> = RefCell::default();
+}
+
+/// Link sentinel: end of a version chain ([`Entry::prev`]: this entry
+/// superseded nothing) or of a tie chain ([`Entry::tie`]: last member).
+/// Safe as a sentinel because the capacity guard in
+/// [`Generation::insert`] rejects the insert that would *create* log id
 /// `u32::MAX` before it happens.
 pub(crate) const NO_PREV: u32 = u32::MAX;
 
-/// One stored record: the original (uncompressed) key and its value.
-///
-/// The source key must be retained anyway to re-encode the shard under a
-/// new dictionary at swap time; keeping it per entry also gives the slot
-/// table something authoritative to compare against.
+/// One stored record: the original (uncompressed) key — retained anyway
+/// to re-encode the shard at swap time, and what tie groups compare
+/// against — its value, and the two links that thread the log.
 ///
 /// `prev` threads the per-key **version chain** through the append-only
-/// log: an update's entry records the log index it superseded
-/// ([`NO_PREV`] for a first version). Because slots point at the newest
-/// entry and every link strictly decreases the index, "the value of key
-/// K at log watermark W" is: follow the chain from the slot's entry
-/// until the index drops below W (that version was live at W), or the
-/// chain ends (K did not exist at W). This is what gives store-wide
-/// snapshots point-in-time reads over a generation that keeps mutating.
+/// log: an update's entry records the log id it superseded. Every link
+/// strictly decreases the id, so "the value of key K at log watermark W"
+/// is: follow `prev` from K's live entry until the id drops below W (that
+/// version was live at W), or the chain ends (K did not exist at W). This
+/// is what gives store-wide snapshots point-in-time reads over a
+/// generation that keeps mutating.
+///
+/// `tie` threads the **tie chain**: the next live entry (greater source
+/// key) sharing this entry's encoded padded bytes. It is meaningful on
+/// live entries only: a superseded entry keeps a stale copy that nothing
+/// follows.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry<V> {
     pub key: Box<[u8]>,
     pub value: V,
-    /// Log index this entry superseded, or [`NO_PREV`].
+    /// Log id this entry superseded, or [`NO_PREV`].
     pub prev: u32,
+    /// Log id of the next live member of the tie group, or [`NO_PREV`].
+    pub tie: u32,
 }
 
 impl<V> Entry<V> {
-    /// A first-version entry (no predecessor in the chain).
+    /// A first-version entry outside any chain.
     pub(crate) fn new(key: Box<[u8]>, value: V) -> Entry<V> {
-        Entry { key, value, prev: NO_PREV }
+        Entry { key, value, prev: NO_PREV, tie: NO_PREV }
     }
 }
 
@@ -104,26 +112,44 @@ fn visible_at<V>(entries: &[Entry<V>], mut ei: u32, at: Option<usize>) -> Option
     }
 }
 
+/// Log ids of the tie group headed by `head`, in ascending source-key
+/// order — the one place [`Entry::tie`] is followed.
+fn chain<V>(entries: &[Entry<V>], head: SlotId) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors(Some(head as u32), |&id| {
+        let next = entries[id as usize].tie;
+        (next != NO_PREV).then_some(next)
+    })
+}
+
+/// The live entry for `key` in the tie group headed by `head`, comparing
+/// source keys (members ascend, so a greater key is a miss). Every point
+/// read resolves through this.
+fn find<V>(entries: &[Entry<V>], head: SlotId, key: &[u8]) -> Option<u32> {
+    for id in chain(entries, head) {
+        match entries[id as usize].key.as_ref().cmp(key) {
+            Ordering::Equal => return Some(id),
+            Ordering::Greater => return None,
+            Ordering::Less => {}
+        }
+    }
+    None
+}
+
 /// The mutable interior of a generation.
 ///
 /// `entries` is an **append-only log**: updates append a fresh entry and
-/// re-point the slot at it rather than overwriting in place. That makes
-/// the swap protocol trivial — everything a writer did after the rebuild
-/// snapshot is exactly `entries[watermark..]`, replayable in order — at
-/// the cost of dead log entries that the next rebuild compacts away.
+/// re-point the live chain at it rather than overwriting in place. That
+/// makes the swap protocol trivial — everything a writer did after the
+/// rebuild snapshot is exactly `entries[watermark..]`, replayable in
+/// order — at the cost of dead log entries that the next rebuild
+/// compacts away.
 #[derive(Debug)]
 pub(crate) struct GenData<V> {
-    /// Ordered index over encoded padded bytes; values are slot ids.
+    /// Ordered index over encoded padded bytes; values are the log ids of
+    /// tie-group heads.
     pub index: Box<dyn OrderedIndex<SlotId>>,
     /// Append-only entry log (live and superseded).
     pub entries: Vec<Entry<V>>,
-    /// Slot id → live entry indices, ordered by source key.
-    pub slots: Vec<Vec<u32>>,
-    /// Slot id → the encoded padded byte string the slot indexes under.
-    /// The `OrderedIndex` contract yields values only, never keys, so
-    /// the generation keeps its own copy — this is what lets a merge
-    /// rebuild reuse already-encoded runs without re-deriving them.
-    pub encs: Vec<Box<[u8]>>,
     /// Number of live keys.
     pub live: usize,
 }
@@ -137,20 +163,20 @@ pub struct Generation<V: Value = u64> {
     baseline_cpr: f64,
     /// Shard this generation serves (error attribution only).
     shard: usize,
-    /// Write-log entry cap: `apply_insert` returns
+    /// Write-log entry cap: `insert` returns
     /// [`StoreError::WriteLogFull`] instead of growing past it.
     log_capacity: u32,
     data: RwLock<GenData<V>>,
 }
 
-/// Byte accounting of one merge build ([`Generation::build_merged`]):
-/// how much encoded output was spliced from the old generation verbatim
-/// vs produced by running the new dictionary.
+/// Byte accounting of one build: how much encoded output was spliced
+/// from the old generation verbatim vs produced by running the new
+/// dictionary. Both count per live entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MergeStats {
-    /// Encoded bytes reused from the old generation (per live entry).
+    /// Encoded bytes reused from the old generation.
     pub reused_bytes: u64,
-    /// Encoded bytes re-encoded under the new dictionary.
+    /// Encoded bytes (re-)encoded under the new dictionary.
     pub reencoded_bytes: u64,
 }
 
@@ -167,8 +193,8 @@ pub(crate) struct MergeSource<V: Value> {
     /// Sorted live entries to load.
     pub pairs: Vec<Entry<V>>,
     /// Entry `i`'s encoding under the previous dictionary.
-    pub old_encs: Vec<Box<[u8]>>,
-    /// True when `old_encs[i]` is provably identical under the new
+    pub old_encoded: Vec<Box<[u8]>>,
+    /// True when `old_encoded[i]` is provably identical under the new
     /// dictionary and can be spliced without re-encoding.
     pub reuse: Vec<bool>,
 }
@@ -185,62 +211,33 @@ pub(crate) struct EncodeFootprint {
 
 impl<V: Value> Generation<V> {
     /// Build a generation from **sorted, deduplicated** `(key, value)`
-    /// pairs, batch-encoding the keys with the sorted-batch prefix-reuse
-    /// optimization (Appendix B) in blocks of `batch_block`.
+    /// pairs: a merge build with nothing to reuse, so everything counts
+    /// as re-encoded in the returned stats.
     pub(crate) fn build(
         epoch: u64,
         hope: Hope,
         baseline_cpr: f64,
-        mut index: Box<dyn OrderedIndex<SlotId>>,
-        mut pairs: Vec<Entry<V>>,
+        index: Box<dyn OrderedIndex<SlotId>>,
+        pairs: Vec<Entry<V>>,
         batch_block: usize,
-    ) -> Generation<V> {
-        debug_assert!(pairs.windows(2).all(|w| w[0].key < w[1].key), "bulk load must be sorted");
-        // Loaded entries start fresh chains: a clone out of another
-        // generation's log carries `prev` indices that mean nothing here.
-        for e in &mut pairs {
-            e.prev = NO_PREV;
-        }
-        let keys: Vec<&[u8]> = pairs.iter().map(|e| e.key.as_ref()).collect();
-        let encoded = hope.encode_batch(&keys, batch_block.max(1));
-        let live = pairs.len();
-        // Sorted input keeps equal encodings adjacent: open a new slot on
-        // every change of byte string, append to the current one on a tie.
-        let mut slots: Vec<Vec<u32>> = Vec::new();
-        let mut encs: Vec<Box<[u8]>> = Vec::new();
-        let mut prev: Option<Vec<u8>> = None;
-        for (i, enc) in encoded.into_iter().enumerate() {
-            let bytes = enc.into_bytes();
-            if prev.as_deref() == Some(bytes.as_slice()) {
-                slots.last_mut().expect("tie follows an opened slot").push(i as u32);
-            } else {
-                slots.push(vec![i as u32]);
-                index.insert(&bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.clone().into_boxed_slice());
-                prev = Some(bytes);
-            }
-        }
-        let data = GenData { index, entries: pairs, slots, encs, live };
-        Generation {
-            epoch,
-            hope,
-            baseline_cpr,
-            shard: 0,
-            log_capacity: NO_PREV,
-            data: RwLock::new(data),
-        }
+    ) -> (Generation<V>, MergeStats) {
+        let n = pairs.len();
+        let source =
+            MergeSource { pairs, old_encoded: vec![Box::default(); n], reuse: vec![false; n] };
+        Self::build_merged(epoch, hope, baseline_cpr, index, source, batch_block)
     }
 
-    /// [`Generation::build`], but **merge-style**: entry `i` whose
-    /// `reuse[i]` is set splices `old_encs[i]` — its encoding under the
-    /// *previous* dictionary — verbatim instead of re-encoding, which is
-    /// exact because the dictionary diff already proved the new
-    /// dictionary emits those very bytes (see
-    /// [`hope::diff::EncodingDiff`]). Only the changed keys run the
-    /// encoder (still batch-encoded: they are a sorted subsequence, so
-    /// the prefix-reuse optimization applies). Slot construction is
-    /// identical to the bulk build's — reused and re-encoded runs
-    /// interleave into one sorted encoded stream.
+    /// The one bulk loader, **merge-style**: entry `i` whose `reuse[i]` is
+    /// set splices `old_encoded[i]` — its encoding under the *previous*
+    /// dictionary — verbatim instead of re-encoding, which is exact
+    /// because the dictionary diff already proved the new dictionary
+    /// emits those very bytes (see [`hope::diff::EncodingDiff`]). The
+    /// other keys are batch-encoded with the sorted-batch prefix-reuse
+    /// optimization (Appendix B; a subsequence of sorted keys is sorted)
+    /// in blocks of `batch_block`, and both kinds interleave into one
+    /// sorted encoded stream. Sorted input keeps equal encodings adjacent,
+    /// so a byte string that repeats the previous one extends that tie
+    /// chain at its tail; any other opens a new group in the index.
     pub(crate) fn build_merged(
         epoch: u64,
         hope: Hope,
@@ -249,51 +246,37 @@ impl<V: Value> Generation<V> {
         source: MergeSource<V>,
         batch_block: usize,
     ) -> (Generation<V>, MergeStats) {
-        let MergeSource { mut pairs, old_encs, reuse } = source;
-        debug_assert!(pairs.windows(2).all(|w| w[0].key < w[1].key), "merge load must be sorted");
-        debug_assert_eq!(pairs.len(), old_encs.len());
-        debug_assert_eq!(pairs.len(), reuse.len());
-        for e in &mut pairs {
-            e.prev = NO_PREV;
-        }
+        let MergeSource { pairs: mut entries, old_encoded, reuse } = source;
+        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key), "bulk load must be sorted");
+        debug_assert!(entries.len() == old_encoded.len() && entries.len() == reuse.len());
         let changed: Vec<&[u8]> =
-            pairs.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(e, _)| e.key.as_ref()).collect();
-        let reencoded = hope.encode_batch(&changed, batch_block.max(1));
-        let mut reencoded_iter = reencoded.into_iter();
+            entries.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(e, _)| e.key.as_ref()).collect();
+        let mut reencoded = hope.encode_batch(&changed, batch_block.max(1)).into_iter();
         let mut stats = MergeStats::default();
-        let live = pairs.len();
-        let mut slots: Vec<Vec<u32>> = Vec::new();
-        let mut encs: Vec<Box<[u8]>> = Vec::new();
-        let mut prev: Option<Vec<u8>> = None;
-        for (i, old_enc) in old_encs.into_iter().enumerate() {
-            let bytes: Vec<u8> = if reuse[i] {
+        let mut last: Vec<u8> = Vec::new();
+        for (i, (old_enc, reused)) in old_encoded.into_iter().zip(reuse).enumerate() {
+            let bytes = if reused {
                 stats.reused_bytes += old_enc.len() as u64;
                 old_enc.into_vec()
             } else {
-                let enc = reencoded_iter.next().expect("one batch encoding per changed key");
-                let b = enc.into_bytes();
-                stats.reencoded_bytes += b.len() as u64;
-                b
+                let enc = reencoded.next().expect("one batch encoding per changed key");
+                stats.reencoded_bytes += enc.as_bytes().len() as u64;
+                enc.into_bytes()
             };
-            if prev.as_deref() == Some(bytes.as_slice()) {
-                slots.last_mut().expect("tie follows an opened slot").push(i as u32);
+            // Loaded entries start fresh chains: a clone out of another
+            // generation's log carries links that mean nothing here.
+            entries[i].prev = NO_PREV;
+            entries[i].tie = NO_PREV;
+            if i > 0 && bytes == last {
+                entries[i - 1].tie = i as u32;
             } else {
-                slots.push(vec![i as u32]);
-                index.insert(&bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.clone().into_boxed_slice());
-                prev = Some(bytes);
+                index.insert(&bytes, i as SlotId);
+                last = bytes;
             }
         }
-        let data = GenData { index, entries: pairs, slots, encs, live };
-        let generation = Generation {
-            epoch,
-            hope,
-            baseline_cpr,
-            shard: 0,
-            log_capacity: NO_PREV,
-            data: RwLock::new(data),
-        };
-        (generation, stats)
+        let live = entries.len();
+        let data = RwLock::new(GenData { index, entries, live });
+        (Generation { epoch, hope, baseline_cpr, shard: 0, log_capacity: NO_PREV, data }, stats)
     }
 
     /// Attach the owning shard id (error attribution) and the write-log
@@ -340,19 +323,17 @@ impl<V: Value> Generation<V> {
         self.len() == 0
     }
 
-    /// Memory footprint: index structure + entry log + slot table +
-    /// retained per-slot encodings.
+    /// Memory footprint: index structure + the entry log as allocated
+    /// (growth slack included) + the source-key bytes it owns.
     pub fn memory_bytes(&self) -> usize {
         let d = self.read();
         d.index.memory_bytes()
-            + d.entries.iter().map(|e| e.key.len() + std::mem::size_of::<Entry<V>>()).sum::<usize>()
-            + d.slots.iter().map(|s| s.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum::<usize>()
-            + d.encs.iter().map(|e| e.len() + std::mem::size_of::<Box<[u8]>>()).sum::<usize>()
+            + d.entries.capacity() * std::mem::size_of::<Entry<V>>()
+            + d.entries.iter().map(|e| e.key.len()).sum::<usize>()
     }
 
     /// Point lookup by source key, cloning the value out (a copy for
-    /// `u64` ids). The probe key is encoded into a thread-local scratch —
-    /// no allocation on this path.
+    /// `u64` ids). No allocation on this path.
     ///
     /// # Errors
     ///
@@ -374,203 +355,140 @@ impl<V: Value> Generation<V> {
         key: &[u8],
         f: impl FnOnce(&V) -> R,
     ) -> Result<Option<R>, StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let enc = self.hope.encode_to(key, scratch)?;
-            let d = self.read();
-            let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            let slot = &d.slots[slot as usize];
-            Ok(slot
-                .iter()
-                .map(|&ei| &d.entries[ei as usize])
-                .find(|e| e.key.as_ref() == key)
-                .map(|e| f(&e.value)))
-        })
+        let (found, ()) = self.lookup(key, None, f)?;
+        Ok(found)
     }
 
-    /// Point-in-time point lookup: the value `key` had when the log
-    /// stood at `watermark` entries — the read primitive behind
-    /// [`Snapshot`](crate::versioned::Snapshot). Resolves the slot's
-    /// entry through its version chain (see [`Entry::prev`]): entries
+    /// The point read behind every `get` form: encode, descend the index,
+    /// walk the tie chain to `key`'s live entry ([`find`]) and resolve it
+    /// at log watermark `at` — `None` reads the live value; `Some(w)` the
+    /// value `key` had when the log stood at `w` entries, the read
+    /// primitive behind [`Snapshot`](crate::versioned::Snapshot) (entries
     /// appended at or after the watermark are invisible, and a key whose
-    /// whole chain postdates the watermark did not exist then.
+    /// whole version chain postdates it did not exist then; see
+    /// [`Entry::prev`]). `S` times the encode and probe stages for the
+    /// serving layer's sampled tracing, or is `()` and costs nothing.
     ///
     /// # Errors
     ///
     /// [`StoreError::Codec`] when the probe key fails codec validation.
-    pub(crate) fn get_at(&self, key: &[u8], watermark: usize) -> Result<Option<V>, StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let enc = self.hope.encode_to(key, scratch)?;
+    pub(crate) fn lookup<S: SpanRecorder, R>(
+        &self,
+        key: &[u8],
+        at: Option<usize>,
+        f: impl FnOnce(&V) -> R,
+    ) -> Result<(Option<R>, S), StoreError> {
+        PROBE.with_borrow_mut(|probe| {
+            let mut spans = S::start();
+            let enc = self.hope.encode_to(key, &mut probe.scratch)?;
+            spans.encoded();
             let d = self.read();
-            let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            Ok(d.slots[slot as usize]
-                .iter()
-                .copied()
-                .find(|&ei| d.entries[ei as usize].key.as_ref() == key)
-                .and_then(|ei| visible_at(&d.entries, ei, Some(watermark)))
-                .map(|e| e.value.clone()))
+            let found = d
+                .index
+                .get(enc)
+                .and_then(|&head| find(&d.entries, head, key))
+                .and_then(|id| visible_at(&d.entries, id, at))
+                .map(|e| f(&e.value));
+            spans.probed();
+            Ok((found, spans))
         })
     }
 
-    /// [`Generation::get`] with per-stage span timing (encode vs probe),
-    /// for the serving layer's sampled request tracing. Identical
-    /// semantics; the extra `Instant` reads are why the untraced path
-    /// stays a separate function.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the probe key fails codec validation.
-    pub(crate) fn get_spanned(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let t0 = Instant::now();
-            let enc = self.hope.encode_to(key, scratch)?;
-            let encode_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            let d = self.read();
-            let found = d.index.get(enc).and_then(|&slot| {
-                d.slots[slot as usize]
-                    .iter()
-                    .map(|&ei| &d.entries[ei as usize])
-                    .find(|e| e.key.as_ref() == key)
-                    .map(|e| e.value.clone())
-            });
-            let probe_ns = t1.elapsed().as_nanos() as u64;
-            Ok((found, ProbeSpans { encode_ns, probe_ns, decode_ns: 0 }))
-        })
-    }
-
-    /// Insert or update; returns the previous value (if any) and the
-    /// encode footprint for drift accounting. Encoding happens into a
-    /// thread-local scratch before the data lock is taken; the index's own
-    /// `insert` copies the bytes it keeps.
+    /// Insert or update; returns the previous value (if any), the encode
+    /// footprint for drift accounting, and the stage spans (`S`, see
+    /// [`Generation::lookup`]; the index/log mutation is the probe span).
+    /// Encoding happens before the data lock is taken. The new entry is
+    /// appended, then one `index.insert` both publishes it and reports
+    /// what the byte string pointed at before: nothing (a new key — the
+    /// common case, one descent), or the head of a tie group the entry is
+    /// then linked into by source-key order.
     ///
     /// # Errors
     ///
     /// [`StoreError::Codec`] when the key fails codec validation, or
-    /// [`StoreError::WriteLogFull`] when the log is at capacity; the
-    /// generation is unchanged in either case.
-    pub(crate) fn insert(
-        &self,
-        key: &[u8],
-        value: V,
-    ) -> Result<(Option<V>, EncodeFootprint), StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let bytes = self.hope.encode_to(key, scratch)?;
-            self.apply_insert(key, value, bytes)
-        })
-    }
-
-    /// [`Generation::insert`] with per-stage span timing (encode vs the
-    /// index/log mutation, reported as the probe span).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the key fails codec validation, or
-    /// [`StoreError::WriteLogFull`] when the log is at capacity.
-    pub(crate) fn insert_spanned(
-        &self,
-        key: &[u8],
-        value: V,
-    ) -> Result<(Option<V>, EncodeFootprint, ProbeSpans), StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let t0 = Instant::now();
-            let bytes = self.hope.encode_to(key, scratch)?;
-            let encode_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            let (old, footprint) = self.apply_insert(key, value, bytes)?;
-            let probe_ns = t1.elapsed().as_nanos() as u64;
-            Ok((old, footprint, ProbeSpans { encode_ns, probe_ns, decode_ns: 0 }))
-        })
-    }
-
-    /// The mutation half of an insert, over already-encoded padded bytes.
-    ///
-    /// # Errors
-    ///
     /// [`StoreError::WriteLogFull`] when the log is at its configured
-    /// capacity (and always before it could reach `u32::MAX` entries,
-    /// where slot indices and the [`NO_PREV`] sentinel would break): the
-    /// insert is **not** applied, the generation stays fully serviceable,
-    /// and a rebuild compacts the log so the caller can retry.
-    fn apply_insert(
+    /// capacity (always before it could reach `u32::MAX` entries, where
+    /// log ids and [`NO_PREV`] would collide). Either way the insert is
+    /// **not** applied and the generation stays fully serviceable; a
+    /// rebuild compacts the log so the caller can retry.
+    pub(crate) fn insert<S: SpanRecorder>(
         &self,
         key: &[u8],
         value: V,
-        bytes: &[u8],
-    ) -> Result<(Option<V>, EncodeFootprint), StoreError> {
-        let footprint =
-            EncodeFootprint { src_bytes: key.len() as u64, enc_bytes: bytes.len() as u64 };
-        let mut d = self.write();
-        if d.entries.len() >= self.log_capacity as usize {
-            return Err(StoreError::WriteLogFull {
-                shard: self.shard,
-                capacity: self.log_capacity,
-            });
-        }
-        // In range: the capacity guard bounds the log at u32::MAX.
-        let new_idx = d.entries.len() as u32;
-        d.entries.push(Entry::new(key.into(), value));
-        let existing = d.index.get(bytes).copied();
-        let GenData { index, entries, slots, encs, live } = &mut *d;
-        let old = match existing {
-            Some(slot_id) => {
-                let slot = &mut slots[slot_id as usize];
-                match slot.iter().position(|&ei| entries[ei as usize].key.as_ref() >= key) {
-                    Some(pos) if entries[slot[pos] as usize].key.as_ref() == key => {
-                        // Update: chain the new entry to the one it
-                        // supersedes (snapshot reads walk this), then
-                        // re-point the slot; the old log entry stays as
-                        // garbage for the swap replay to supersede.
-                        let old = entries[slot[pos] as usize].value.clone();
-                        entries[new_idx as usize].prev = slot[pos];
-                        slot[pos] = new_idx;
-                        Some(old)
-                    }
-                    Some(pos) => {
-                        slot.insert(pos, new_idx);
-                        *live += 1;
-                        None
-                    }
-                    None => {
-                        slot.push(new_idx);
-                        *live += 1;
-                        None
+    ) -> Result<(Option<V>, EncodeFootprint, S), StoreError> {
+        PROBE.with_borrow_mut(|probe| {
+            let mut spans = S::start();
+            let bytes = self.hope.encode_to(key, &mut probe.scratch)?;
+            spans.encoded();
+            let footprint =
+                EncodeFootprint { src_bytes: key.len() as u64, enc_bytes: bytes.len() as u64 };
+            let mut d = self.write();
+            if d.entries.len() >= self.log_capacity as usize {
+                return Err(StoreError::WriteLogFull {
+                    shard: self.shard,
+                    capacity: self.log_capacity,
+                });
+            }
+            // In range: the capacity guard bounds the log at u32::MAX.
+            let new = d.entries.len() as u32;
+            d.entries.push(Entry::new(key.into(), value));
+            let GenData { index, entries, live } = &mut *d;
+            let superseded = match index.insert(bytes, SlotId::from(new)) {
+                None => None,
+                Some(head) => {
+                    let head = head as u32;
+                    match entries[head as usize].key.as_ref().cmp(key) {
+                        Ordering::Equal => Some(head),
+                        Ordering::Greater => {
+                            entries[new as usize].tie = head;
+                            None
+                        }
+                        Ordering::Less => {
+                            // The group keeps its head: point the index
+                            // back at it and link the entry in behind the
+                            // last member with a smaller key.
+                            index.insert(bytes, SlotId::from(head));
+                            let mut pred = head;
+                            let mut next = entries[head as usize].tie;
+                            while next != NO_PREV && entries[next as usize].key.as_ref() < key {
+                                pred = next;
+                                next = entries[next as usize].tie;
+                            }
+                            entries[pred as usize].tie = new;
+                            if next != NO_PREV && entries[next as usize].key.as_ref() == key {
+                                Some(next)
+                            } else {
+                                entries[new as usize].tie = next;
+                                None
+                            }
+                        }
                     }
                 }
-            }
-            None => {
-                slots.push(vec![new_idx]);
-                index.insert(bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.into());
+            };
+            // Update: chain the new entry to the one it supersedes
+            // (snapshot reads walk this) and take over its place in the
+            // tie chain; the old log entry stays as garbage for the swap
+            // replay to supersede.
+            let old = superseded.map(|old| {
+                entries[new as usize].prev = old;
+                entries[new as usize].tie = entries[old as usize].tie;
+                entries[old as usize].value.clone()
+            });
+            if old.is_none() {
                 *live += 1;
-                None
             }
-        };
-        Ok((old, footprint))
-    }
-
-    /// Bounded range query by source keys, inclusive on both ends:
-    /// `(key, value)` pairs in source order, at most `limit`. Unlike the
-    /// pre-v1 method this shim replaces, bounds longer than
-    /// [`hope::MAX_KEY_BYTES`] yield an empty result (the fallible
-    /// [`Generation::range_with`] surfaces the error instead).
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates every hit; scan through a store-level RangeCursor \
-                (or this generation's `range_with`) instead"
-    )]
-    pub fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<(Vec<u8>, V)> {
-        let mut out = Vec::new();
-        let _ = self.range_with(low, high, limit, |k, v| out.push((k.to_vec(), v.clone())));
-        out
+            drop(d);
+            spans.probed();
+            Ok((old, footprint, spans))
+        })
     }
 
     /// Visitor-form range scan: call `f(key, value)` for up to `limit`
     /// hits in source order and return the hit count. The two bounds are
     /// pair-encoded (one dictionary traversal for their common prefix)
-    /// into a thread-local scratch and the index fills a thread-local
-    /// slot buffer in place, so a scan of N hits performs **zero heap
-    /// allocations** after warm-up — the keys and values handed to `f`
-    /// are borrowed from the generation.
+    /// and everything runs on the per-thread probe buffers, so a scan of
+    /// N hits performs **zero heap allocations** after warm-up — the keys
+    /// and values handed to `f` are borrowed from the generation.
     ///
     /// `f` runs under the generation's data read lock: keep it short and
     /// never call back into this store from inside it.
@@ -594,12 +512,22 @@ impl<V: Value> Generation<V> {
         self.range_with_from(None, low, high, limit, None, f)
     }
 
-    /// [`Generation::range_with`] with an exclusive resume point — visit
-    /// hits strictly greater than `after` (a key previously emitted by
-    /// the same scan) — and an optional point-in-time watermark (`at`;
-    /// see [`Generation::get_at`]). Runs on the probe thread-locals —
-    /// the cursor's push adapter continues a partially pulled scan
-    /// through this.
+    /// The scan engine behind the push ([`Generation::range_with`]) and
+    /// pull (cursor chunk) paths: visit up to `limit` hits within
+    /// `low..=high` and strictly greater than `after` (when set: the
+    /// cursor's resume point, a key the scan already emitted). With `at`,
+    /// every live entry resolves through its version chain first
+    /// ([`Generation::lookup`]), so the scan observes exactly the state
+    /// at that log watermark — keys and versions born later are
+    /// invisible. (Index and chain growth happen under the data lock this
+    /// scan reads under, so the watermark is never torn.)
+    ///
+    /// Boundary tie groups may mix keys inside and outside the source
+    /// range, so a head-limited query can come up short after filtering;
+    /// the engine grows the head budget until satisfied or the encoded
+    /// range is exhausted. The index state is frozen under the read lock
+    /// and `range_into` results are a stable prefix under a growing
+    /// limit, so the retry only needs to process the newly returned tail.
     pub(crate) fn range_with_from<F>(
         &self,
         after: Option<&[u8]>,
@@ -607,129 +535,75 @@ impl<V: Value> Generation<V> {
         high: &[u8],
         limit: usize,
         at: Option<usize>,
-        f: F,
-    ) -> Result<usize, StoreError>
-    where
-        F: FnMut(&[u8], &V),
-    {
-        SCRATCH.with_borrow_mut(|scratch| {
-            SCAN.with_borrow_mut(|slot_ids| {
-                self.range_visit(after, low, high, limit, at, scratch, slot_ids, f)
-            })
-        })
-    }
-
-    /// The scan engine behind both the push ([`Generation::range_with`])
-    /// and pull (cursor chunk) paths: visit up to `limit` hits with
-    /// source key strictly greater than `after` (when set; the cursor's
-    /// resume point) and within `low..=high`, using *caller-provided*
-    /// scratch buffers. With `at` set, every candidate entry resolves
-    /// through its version chain first ([`Generation::get_at`]), so the
-    /// scan observes exactly the state at that log watermark — slots and
-    /// versions born later are invisible. (Index and slot growth happen
-    /// under the data lock this scan reads under, so the watermark is
-    /// never torn.)
-    ///
-    /// Boundary slots may mix keys inside and outside the source range
-    /// (padded-byte ties), so a slot-limited query can come up short after
-    /// filtering; the engine grows the slot budget until satisfied or the
-    /// encoded range is exhausted. The index state is frozen under the
-    /// read lock and `range_into` results are a stable prefix under a
-    /// growing limit, so the retry only needs to process the newly
-    /// returned tail.
-    #[allow(clippy::too_many_arguments)] // the engine takes both scratch buffers explicitly
-    pub(crate) fn range_visit<F>(
-        &self,
-        after: Option<&[u8]>,
-        low: &[u8],
-        high: &[u8],
-        limit: usize,
-        at: Option<usize>,
-        scratch: &mut EncodeScratch,
-        slot_ids: &mut Vec<SlotId>,
         mut f: F,
     ) -> Result<usize, StoreError>
     where
         F: FnMut(&[u8], &V),
     {
         debug_assert!(after.is_none_or(|a| a >= low));
-        let enc_from = after.unwrap_or(low);
-        let (enc_low, enc_high) = self.hope.encode_range_bounds_to(enc_from, high, scratch)?;
-        let d = self.read();
-        let mut want = limit.saturating_add(2);
-        let mut done = 0usize;
-        let mut emitted = 0usize;
-        loop {
-            slot_ids.clear();
-            d.index.range_into(enc_low, enc_high, want, slot_ids);
-            let exhausted = slot_ids.len() < want;
-            for (j, sid) in slot_ids[done..].iter().enumerate() {
-                // Source-bound re-checks are needed only on *boundary*
-                // slots: distinct slots hold distinct padded byte
-                // strings, so at most the scan's first returned slot can
-                // tie with the low bound's encoding and at most the
-                // fetch's last with the high bound's. Strict padded-byte
-                // inequality implies the same strict source order (order
-                // preservation; see DESIGN.md "Encoded-key comparison"),
-                // so every interior slot lies strictly inside the source
-                // range and its keys are emitted without a compare. A
-                // non-final fetch's last slot is checked conservatively.
-                let abs = done + j;
-                let boundary = abs == 0 || abs + 1 == slot_ids.len();
-                for &ei in &d.slots[*sid as usize] {
-                    let Some(e) = visible_at(&d.entries, ei, at) else { continue };
-                    if boundary {
-                        let past_resume = match after {
-                            Some(a) => e.key.as_ref() > a,
-                            None => e.key.as_ref() >= low,
-                        };
-                        if !past_resume || e.key.as_ref() > high {
+        PROBE.with_borrow_mut(|ProbeBuffers { scratch, heads }| {
+            let (enc_low, enc_high) =
+                self.hope.encode_range_bounds_to(after.unwrap_or(low), high, scratch)?;
+            let d = self.read();
+            let mut want = limit.saturating_add(2);
+            let mut done = 0usize;
+            let mut emitted = 0usize;
+            loop {
+                heads.clear();
+                d.index.range_into(enc_low, enc_high, want, heads);
+                let exhausted = heads.len() < want;
+                for (j, &head) in heads[done..].iter().enumerate() {
+                    // Source bounds are re-checked on *boundary* groups
+                    // only: distinct heads index distinct byte strings, so
+                    // at most the scan's first group can tie with the low
+                    // bound's encoding and at most the fetch's last with
+                    // the high bound's. Strict padded-byte inequality
+                    // implies the same strict source order (DESIGN.md
+                    // "Encoded-key comparison"), so interior groups are
+                    // emitted without a compare. A non-final fetch's last
+                    // group is checked conservatively.
+                    let boundary = done + j == 0 || done + j + 1 == heads.len();
+                    for member in chain(&d.entries, head) {
+                        let Some(e) = visible_at(&d.entries, member, at) else { continue };
+                        let key = e.key.as_ref();
+                        if boundary
+                            && (key > high || after.map_or(key < low, |resume| key <= resume))
+                        {
                             continue;
                         }
-                    }
-                    f(&e.key, &e.value);
-                    emitted += 1;
-                    if emitted == limit {
-                        return Ok(emitted);
+                        f(key, &e.value);
+                        emitted += 1;
+                        if emitted == limit {
+                            return Ok(emitted);
+                        }
                     }
                 }
+                if exhausted {
+                    return Ok(emitted);
+                }
+                done = heads.len();
+                want = want.saturating_mul(2);
             }
-            if exhausted {
-                return Ok(emitted);
-            }
-            done = slot_ids.len();
-            want = want.saturating_mul(2);
-        }
+        })
     }
 
     /// Snapshot the live entries in source order, the log watermark
     /// (everything appended after it is what the swap must replay), and,
-    /// per live entry, the encoded padded byte string it is indexed under
-    /// (entries in the same slot share bytes) — the input of a merge
-    /// rebuild, which splices these encodings verbatim for keys the
-    /// dictionary diff proved unchanged.
+    /// per live entry, the encoded padded bytes it is indexed under
+    /// (members of a tie group share them) — the input of a merge
+    /// rebuild. One in-order walk of the index, the only holder of the
+    /// encoded bytes.
     pub(crate) fn snapshot_live_encoded(&self) -> LiveEncoded<V> {
         let d = self.read();
-        let mut slot_ids: Vec<SlotId> = Vec::with_capacity(d.slots.len());
-        d.index.scan_into(&[], usize::MAX, &mut slot_ids);
         let mut live = Vec::with_capacity(d.live);
-        let mut encs = Vec::with_capacity(d.live);
-        for sid in slot_ids {
-            for &ei in &d.slots[sid as usize] {
-                live.push(d.entries[ei as usize].clone());
-                encs.push(d.encs[sid as usize].clone());
+        let mut encoded = Vec::with_capacity(d.live);
+        d.index.for_each(&mut |enc, &head| {
+            for id in chain(&d.entries, head) {
+                live.push(d.entries[id as usize].clone());
+                encoded.push(enc.into());
             }
-        }
-        (live, encs, d.entries.len())
-    }
-
-    /// Total encoded bytes across the live entries (entries in the same
-    /// slot each count its bytes) — the full-rebuild counterpart of
-    /// [`MergeStats::reencoded_bytes`], so the two paths report on the
-    /// same scale.
-    pub(crate) fn encoded_live_bytes(&self) -> u64 {
-        let d = self.read();
-        d.slots.iter().zip(&d.encs).map(|(slot, enc)| slot.len() as u64 * enc.len() as u64).sum()
+        });
+        (live, encoded, d.entries.len())
     }
 
     /// Clone of the log entries appended after `watermark`, in order.
@@ -758,7 +632,7 @@ mod tests {
             pairs.iter().map(|(k, v)| Entry::new(k.as_bytes().into(), *v)).collect();
         sorted.sort_by(|a, b| a.key.cmp(&b.key));
         let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
-        Generation::build(7, hope, 1.5, index, sorted, 8)
+        Generation::build(7, hope, 1.5, index, sorted, 8).0
     }
 
     #[test]
@@ -780,8 +654,8 @@ mod tests {
     fn insert_update_and_log_replay_watermark() {
         let g = build_gen(&[("com.gmail@a", 1)]);
         let (_, _, w0) = g.snapshot_live_encoded();
-        assert_eq!(g.insert(b"com.gmail@b", 2).unwrap().0, None);
-        assert_eq!(g.insert(b"com.gmail@a", 9).unwrap().0, Some(1));
+        assert_eq!(g.insert::<()>(b"com.gmail@b", 2).unwrap().0, None);
+        assert_eq!(g.insert::<()>(b"com.gmail@a", 9).unwrap().0, Some(1));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(9));
         assert_eq!(g.len(), 2);
         // The log after the watermark replays both mutations in order.
@@ -812,23 +686,14 @@ mod tests {
         assert!(collect(b"x", b"a", 10).is_empty());
         assert!(collect(b"zz", b"zzz", 10).is_empty());
         assert!(collect(b"a", b"b", 0).is_empty());
-        // The deprecated allocating shim agrees with the visitor.
-        #[allow(deprecated)]
-        {
-            assert_eq!(g.range(b"com.gmail@a", b"com.gmail@c", 10), got);
-        }
     }
 
     #[test]
     fn range_visit_resumes_strictly_after_a_key() {
         let g = build_gen(&[("a", 1), ("ab", 2), ("abc", 3), ("b", 4)]);
-        let mut scratch = EncodeScratch::new();
-        let mut slot_ids = Vec::new();
         let mut seen: Vec<Vec<u8>> = Vec::new();
         let n = g
-            .range_visit(Some(b"ab"), b"a", b"b", 10, None, &mut scratch, &mut slot_ids, |k, _| {
-                seen.push(k.to_vec())
-            })
+            .range_with_from(Some(b"ab"), b"a", b"b", 10, None, |k, _| seen.push(k.to_vec()))
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(seen, vec![b"abc".to_vec(), b"b".to_vec()]);
@@ -837,8 +702,8 @@ mod tests {
     #[test]
     fn snapshot_live_is_sorted_and_deduplicated() {
         let g = build_gen(&[("b", 2), ("a", 1)]);
-        g.insert(b"c", 3).unwrap();
-        g.insert(b"a", 10).unwrap();
+        g.insert::<()>(b"c", 3).unwrap();
+        g.insert::<()>(b"a", 10).unwrap();
         let (live, _, _) = g.snapshot_live_encoded();
         let keys: Vec<&[u8]> = live.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
@@ -849,31 +714,32 @@ mod tests {
     fn write_log_capacity_back_pressures_instead_of_panicking() {
         let g = build_gen(&[("com.gmail@a", 1)]).with_context(3, 3);
         // Entry 0 is the bulk load; two appends fit under the cap of 3.
-        assert!(g.insert(b"com.gmail@b", 2).is_ok());
-        assert!(g.insert(b"com.gmail@c", 3).is_ok());
-        let err = g.insert(b"com.gmail@d", 4).unwrap_err();
+        assert!(g.insert::<()>(b"com.gmail@b", 2).is_ok());
+        assert!(g.insert::<()>(b"com.gmail@c", 3).is_ok());
+        let err = g.insert::<()>(b"com.gmail@d", 4).unwrap_err();
         assert!(matches!(err, StoreError::WriteLogFull { shard: 3, capacity: 3 }), "got {err:?}");
         // The rejected insert left the generation fully serviceable.
         assert_eq!(g.len(), 3);
         assert_eq!(g.get(b"com.gmail@c").unwrap(), Some(3));
         assert_eq!(g.get(b"com.gmail@d").unwrap(), None);
         // Updates are appends too: same back-pressure.
-        assert!(matches!(g.insert(b"com.gmail@a", 9), Err(StoreError::WriteLogFull { .. })));
+        assert!(matches!(g.insert::<()>(b"com.gmail@a", 9), Err(StoreError::WriteLogFull { .. })));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(1));
     }
 
     #[test]
     fn watermark_reads_observe_the_point_in_time_state() {
         let g = build_gen(&[("a", 1), ("c", 3)]);
-        g.insert(b"a", 10).unwrap();
+        g.insert::<()>(b"a", 10).unwrap();
         let (_, _, w) = g.snapshot_live_encoded();
         // Post-watermark: update a again, add a new key between a and c.
-        g.insert(b"a", 100).unwrap();
-        g.insert(b"b", 2).unwrap();
+        g.insert::<()>(b"a", 100).unwrap();
+        g.insert::<()>(b"b", 2).unwrap();
 
-        assert_eq!(g.get_at(b"a", w).unwrap(), Some(10), "chain resolves to the pre-W version");
-        assert_eq!(g.get_at(b"b", w).unwrap(), None, "key born after W is invisible");
-        assert_eq!(g.get_at(b"c", w).unwrap(), Some(3));
+        let get_at = |k: &[u8]| g.lookup::<(), _>(k, Some(w), u64::clone).unwrap().0;
+        assert_eq!(get_at(b"a"), Some(10), "chain resolves to the pre-W version");
+        assert_eq!(get_at(b"b"), None, "key born after W is invisible");
+        assert_eq!(get_at(b"c"), Some(3));
         // And the live view still sees everything.
         assert_eq!(g.get(b"a").unwrap(), Some(100));
         assert_eq!(g.get(b"b").unwrap(), Some(2));
@@ -888,10 +754,11 @@ mod tests {
     fn build_merged_splices_reused_runs_exactly() {
         let pairs = &[("com.gmail@a", 1u64), ("com.gmail@b", 2), ("org.acm@c", 3)];
         let g = build_gen(pairs);
-        let (live, old_encs, _) = g.snapshot_live_encoded();
+        let (live, old_encoded, _) = g.snapshot_live_encoded();
         assert_eq!(live.len(), 3);
-        assert_eq!(old_encs.len(), 3);
-        assert!(g.encoded_live_bytes() > 0);
+        assert_eq!(old_encoded.len(), 3);
+        let live_bytes: u64 = old_encoded.iter().map(|e| e.len() as u64).sum();
+        assert!(live_bytes > 0);
 
         // Same dictionary (deterministic Hu-Tucker on the same sample) ⇒
         // every key reusable; reuse two of three and force one re-encode.
@@ -899,13 +766,14 @@ mod tests {
         let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample).unwrap();
         let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
         let reuse = vec![true, false, true];
-        let source = MergeSource { pairs: live, old_encs, reuse };
+        let source = MergeSource { pairs: live, old_encoded, reuse };
         let (merged, stats) = Generation::build_merged(8, hope, 1.5, index, source, 8);
         assert_eq!(merged.epoch(), 8);
         assert_eq!(merged.len(), 3);
         assert!(stats.reused_bytes > 0);
         assert!(stats.reencoded_bytes > 0);
-        assert_eq!(stats.reused_bytes + stats.reencoded_bytes, merged.encoded_live_bytes());
+        // Same dictionary ⇒ same bytes, whichever path produced them.
+        assert_eq!(stats.reused_bytes + stats.reencoded_bytes, live_bytes);
         for (k, v) in pairs {
             assert_eq!(merged.get(k.as_bytes()).unwrap(), Some(*v), "{k}");
         }
@@ -923,9 +791,9 @@ mod tests {
             Entry::new(b"k1".as_slice().into(), b"one".to_vec()),
             Entry::new(b"k2".as_slice().into(), b"two".to_vec()),
         ];
-        let g: Generation<Vec<u8>> = Generation::build(1, hope, 1.0, index, pairs, 4);
+        let g: Generation<Vec<u8>> = Generation::build(1, hope, 1.0, index, pairs, 4).0;
         assert_eq!(g.get(b"k2").unwrap(), Some(b"two".to_vec()));
-        assert_eq!(g.insert(b"k1", b"uno".to_vec()).unwrap().0, Some(b"one".to_vec()));
+        assert_eq!(g.insert::<()>(b"k1", b"uno".to_vec()).unwrap().0, Some(b"one".to_vec()));
         assert_eq!(g.get_with(b"k1", |v| v.len()).unwrap(), Some(3));
     }
 }

@@ -88,13 +88,15 @@ pub use versioned::Snapshot;
 use error::validate_key;
 use generation::Entry;
 use shard::{Shard, ShardTelemetry};
-use telemetry::{Event, EventKind, ProbeSpans, Telemetry, TelemetrySnapshot};
+use telemetry::{Event, EventKind, ProbeSpans, Stopwatch, Telemetry, TelemetrySnapshot};
 
-/// The value type every shard *index* stores: an id into the shard's slot
-/// table. The index is always slot-id-valued regardless of the store's
-/// payload type `V` — exactness under padded-byte ties requires the
-/// indirection (see DESIGN.md, "The serving layer") — so a
-/// custom [`Backend`] factory produces `OrderedIndex<SlotId>` instances.
+/// The value type every shard *index* stores: the log id of a tie
+/// group's head entry — the first of the (almost always one) live
+/// entries whose keys encode to the indexed padded bytes (see DESIGN.md,
+/// "The serving layer"). The index is always id-valued regardless of the
+/// store's payload type `V`, which lives in the generation's entry log,
+/// so a custom [`Backend`] factory produces `OrderedIndex<SlotId>`
+/// instances.
 pub type SlotId = u64;
 
 /// Factory for a user-supplied shard index ([`Backend::Custom`]).
@@ -179,9 +181,9 @@ pub struct StoreConfig {
     pub event_capacity: usize,
     /// Maximum entries in one generation's append-only write log. Writes
     /// past this back-pressure with [`StoreError::WriteLogFull`] instead
-    /// of corrupting the slot table (slot ids are `u32`; the default
-    /// leaves the capacity effectively unbounded while still refusing the
-    /// one index reserved as the version-chain sentinel).
+    /// of overflowing the log's `u32` ids (the default leaves the capacity
+    /// effectively unbounded while still refusing the one id reserved as
+    /// the version- and tie-chain sentinel).
     pub write_log_capacity: u32,
     /// Minimum fraction of a shard's live **encoded bytes** the retrained
     /// dictionary must leave byte-identical for a rebuild to take the
@@ -374,15 +376,15 @@ impl<V: Value> HopeStore<V> {
                 stats::measure(&hope, &sample).cpr()
             };
             let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
-            let generation = Generation::build(
+            let (generation, _) = Generation::build(
                 epoch,
                 hope,
                 baseline_cpr,
                 cfg.backend.new_index(),
                 slice,
                 cfg.batch_block,
-            )
-            .with_context(s, cfg.write_log_capacity);
+            );
+            let generation = generation.with_context(s, cfg.write_log_capacity);
             telemetry.events().record(Event {
                 kind: EventKind::GenerationBuilt,
                 shard: s as u32,
@@ -443,7 +445,7 @@ impl<V: Value> HopeStore<V> {
     ///
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
-        self.shards[self.route(key)].get(key)
+        self.get_with(key, V::clone)
     }
 
     /// Zero-clone point lookup: run `f` on a borrow of the stored value
@@ -457,7 +459,8 @@ impl<V: Value> HopeStore<V> {
         key: &[u8],
         f: impl FnOnce(&V) -> R,
     ) -> Result<Option<R>, StoreError> {
-        self.shards[self.route(key)].get_with(key, f)
+        let (found, ()) = self.shards[self.route(key)].get_with(key, f)?;
+        Ok(found)
     }
 
     /// Insert or update; returns the previous value if the key existed.
@@ -469,7 +472,8 @@ impl<V: Value> HopeStore<V> {
     pub fn insert(&self, key: Vec<u8>, value: V) -> Result<Option<V>, StoreError> {
         // No up-front validation: the generation's `encode_to` call
         // validates the key before anything is mutated.
-        self.shards[self.route(&key)].insert(&key, value)
+        let (old, ()) = self.shards[self.route(&key)].insert(&key, value)?;
+        Ok(old)
     }
 
     /// Open a lazy [`RangeCursor`] over `low..=high` (inclusive), capped
@@ -534,40 +538,6 @@ impl<V: Value> HopeStore<V> {
         out: &mut Vec<(Vec<u8>, V)>,
     ) -> Result<usize, StoreError> {
         self.range_with(low, high, limit, |k, v| out.push((k.to_vec(), v.clone())))
-    }
-
-    /// Bounded range query, inclusive on both ends: up to `limit`
-    /// `(key, value)` pairs in source-key order, possibly spanning shards.
-    ///
-    /// One deliberate deviation from the pre-v1 method this shim
-    /// replaces: bounds longer than [`hope::MAX_KEY_BYTES`] now yield an
-    /// **empty result** (v1 validates bounds; the shim's signature has
-    /// nowhere to surface the error). Migrate to `range_into`, which
-    /// returns it.
-    ///
-    /// ```
-    /// use hope_store::prelude::*;
-    ///
-    /// let pairs = (0..100u64).map(|i| (format!("user{i:03}").into_bytes(), i));
-    /// let store = HopeStore::build(StoreConfig::default(), pairs)?;
-    /// // The shim returns exactly what the cursor collects.
-    /// #[allow(deprecated)]
-    /// let hits = store.range(b"user010", b"user012", 10);
-    /// let mut out = Vec::new();
-    /// store.range_into(b"user010", b"user012", 10, &mut out)?;
-    /// assert_eq!(hits, out);
-    /// assert_eq!(hits.len(), 3);
-    /// # Ok::<(), StoreError>(())
-    /// ```
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates every hit and swallows errors; use `cursor()` (lazy), \
-                `range_with` (visitor) or `range_into` (collect)"
-    )]
-    pub fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<(Vec<u8>, V)> {
-        let mut out = Vec::new();
-        let _ = self.range_into(low, high, limit, &mut out);
-        out
     }
 
     /// Total live keys across shards.
@@ -774,15 +744,17 @@ impl<V: Value> HopeStore<V> {
     }
 
     /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —
-    /// the serving layer's sampled tracing path. Semantically identical
-    /// to `get`; the spans cost two extra `Instant` reads, which is why
-    /// the untraced path stays separate.
+    /// the serving layer's sampled tracing path. The same code as `get`,
+    /// instantiated with a stopwatch where `get` passes the no-op span
+    /// recorder; the spans cost three `Instant` reads.
     ///
     /// # Errors
     ///
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get_traced(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.shards[self.route(key)].get_traced(key)
+        let (found, watch): (_, Stopwatch) =
+            self.shards[self.route(key)].get_with(key, V::clone)?;
+        Ok((found, watch.spans))
     }
 
     /// [`HopeStore::insert`] with per-stage span timing (encode vs the
@@ -797,7 +769,8 @@ impl<V: Value> HopeStore<V> {
         key: Vec<u8>,
         value: V,
     ) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.shards[self.route(&key)].insert_traced(&key, value)
+        let (old, watch): (_, Stopwatch) = self.shards[self.route(&key)].insert(&key, value)?;
+        Ok((old, watch.spans))
     }
 
     /// Per-shard health snapshot.
@@ -946,11 +919,6 @@ mod tests {
         assert_eq!(all.len(), 2000);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "range not sorted");
         assert_eq!(collect(&store, b"com.gmail@user00500", b"com.gmail@user00504", 3).len(), 3);
-        // The deprecated shim returns the same pairs.
-        #[allow(deprecated)]
-        {
-            assert_eq!(store.range(b"com.gmail@user00500", b"com.gmail@user00504", 3).len(), 3);
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use hope::{CodecStats, Value};
 use crate::error::StoreError;
 use crate::generation::{Entry, Generation, MergeSource};
 use crate::serving::FaultPlan;
-use crate::telemetry::{Counter, Event, EventKind, ProbeSpans, Telemetry};
+use crate::telemetry::{Counter, Event, EventKind, SpanRecorder, Telemetry};
 use crate::{StoreConfig, SwapReport};
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -205,43 +205,26 @@ impl<V: Value> Shard<V> {
         lock(&self.writer)
     }
 
-    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
-        self.current().get(key)
-    }
-
-    pub(crate) fn get_with<R>(
+    /// Point read through the current generation (`S`: see
+    /// [`Shard::insert`]).
+    pub(crate) fn get_with<S: SpanRecorder, R>(
         &self,
         key: &[u8],
         f: impl FnOnce(&V) -> R,
-    ) -> Result<Option<R>, StoreError> {
-        self.current().get_with(key, f)
+    ) -> Result<(Option<R>, S), StoreError> {
+        self.current().lookup(key, None, f)
     }
 
-    pub(crate) fn insert(&self, key: &[u8], value: V) -> Result<Option<V>, StoreError> {
-        let _w = lock(&self.writer);
-        let generation = self.current();
-        let (old, footprint) = generation.insert(key, value)?;
-        self.obs_src.fetch_add(footprint.src_bytes, Ordering::Relaxed);
-        self.obs_enc.fetch_add(footprint.enc_bytes, Ordering::Relaxed);
-        lock(&self.reservoir).offer(key);
-        Ok(old)
-    }
-
-    /// [`Shard::get`] with per-stage span timing (sampled tracing path).
-    pub(crate) fn get_traced(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.current().get_spanned(key)
-    }
-
-    /// [`Shard::insert`] with per-stage span timing (sampled tracing
-    /// path); drift accounting is identical to the untraced insert.
-    pub(crate) fn insert_traced(
+    /// Insert or update through the current generation, feeding the drift
+    /// statistics and the reservoir. `S` is the span recorder: `()` for
+    /// the plain path, a stopwatch for the sampled tracing path.
+    pub(crate) fn insert<S: SpanRecorder>(
         &self,
         key: &[u8],
         value: V,
-    ) -> Result<(Option<V>, ProbeSpans), StoreError> {
+    ) -> Result<(Option<V>, S), StoreError> {
         let _w = lock(&self.writer);
-        let generation = self.current();
-        let (old, footprint, spans) = generation.insert_spanned(key, value)?;
+        let (old, footprint, spans) = self.current().insert(key, value)?;
         self.obs_src.fetch_add(footprint.src_bytes, Ordering::Relaxed);
         self.obs_enc.fetch_add(footprint.enc_bytes, Ordering::Relaxed);
         lock(&self.reservoir).offer(key);
@@ -421,7 +404,7 @@ impl<V: Value> Shard<V> {
             return Err(e);
         }
         let old = self.current();
-        let (live, old_encs, watermark) = old.snapshot_live_encoded();
+        let (live, old_encoded, watermark) = old.snapshot_live_encoded();
 
         // Sample = reservoir (recent traffic), topped up with resident
         // keys when traffic alone is too thin to train a dictionary.
@@ -448,7 +431,7 @@ impl<V: Value> Shard<V> {
         let mut live_bytes = 0u64;
         if let Some(diff) = old.hope().encoding_diff(&hope) {
             reuse.reserve(live.len());
-            for (e, enc) in live.iter().zip(&old_encs) {
+            for (e, enc) in live.iter().zip(&old_encoded) {
                 let unchanged = diff.key_unchanged(&e.key);
                 live_bytes += enc.len() as u64;
                 if unchanged {
@@ -461,31 +444,25 @@ impl<V: Value> Shard<V> {
             && reusable_bytes as f64 >= cfg.incremental_min_reuse * live_bytes as f64;
 
         let (next, merge_stats) = if incremental {
-            let (g, stats) = Generation::build_merged(
+            Generation::build_merged(
                 epoch,
                 hope,
                 baseline_cpr,
                 cfg.backend.new_index(),
-                MergeSource { pairs: live, old_encs, reuse },
+                MergeSource { pairs: live, old_encoded, reuse },
                 cfg.batch_block,
-            );
-            (g, Some(stats))
+            )
         } else {
-            let g = Generation::build(
+            Generation::build(
                 epoch,
                 hope,
                 baseline_cpr,
                 cfg.backend.new_index(),
                 live,
                 cfg.batch_block,
-            );
-            (g, None)
+            )
         };
         let next = next.with_context(shard_id, cfg.write_log_capacity);
-        let (reused_bytes, reencoded_bytes) = match merge_stats {
-            Some(s) => (s.reused_bytes, s.reencoded_bytes),
-            None => (0, next.encoded_live_bytes()),
-        };
 
         // Splice: block writers, replay their log tail, flip the epoch.
         // Replay inserts re-encode keys that already passed validation at
@@ -496,7 +473,7 @@ impl<V: Value> Shard<V> {
         let delta = old.entries_since(watermark);
         let replayed = delta.len();
         for Entry { key, value, .. } in delta {
-            next.insert(&key, value)?;
+            next.insert::<()>(&key, value)?;
         }
         let report = SwapReport {
             shard: shard_id,
@@ -508,8 +485,8 @@ impl<V: Value> Shard<V> {
             live_keys,
             replayed,
             incremental,
-            reused_bytes,
-            reencoded_bytes,
+            reused_bytes: merge_stats.reused_bytes,
+            reencoded_bytes: merge_stats.reencoded_bytes,
         };
         let dict_bytes = next.hope().dict_memory_bytes();
         // The old generation's codec counters die with its `Arc`; fold

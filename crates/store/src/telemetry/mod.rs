@@ -45,6 +45,7 @@ mod trace;
 pub use event::{Event, EventKind, EventLog};
 pub use hist::LatencyHistogram;
 pub use trace::{ProbeSpans, TraceSampler};
+pub(crate) use trace::{SpanRecorder, Stopwatch};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

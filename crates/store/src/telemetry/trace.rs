@@ -6,6 +6,8 @@
 //! The `telemetry_overhead` gate in `perf_baseline` holds the total at
 //! ≤ 2% over the untraced path at the default 1-in-64 rate.
 
+use std::time::Instant;
+
 /// Deterministic 1-in-N sampler (`every == 0` disables sampling).
 ///
 /// Counting, not random: over any window of `every` requests exactly one
@@ -56,8 +58,8 @@ impl TraceSampler {
 /// Per-stage wall-clock spans of one traced request, in nanoseconds.
 ///
 /// Stages mirror the probe pipeline: dictionary **encode** of the probe
-/// key, index **probe** (descent + slot check, or the whole mutation for
-/// an insert), and **decode** (a scan's pull loop; point ops never
+/// key, index **probe** (descent + tie-chain check, or the whole mutation
+/// for an insert), and **decode** (a scan's pull loop; point ops never
 /// decode — keys are kept in source form). Queue wait is recorded
 /// separately by the serving worker (it is a property of the envelope,
 /// not of the store call).
@@ -65,7 +67,7 @@ impl TraceSampler {
 pub struct ProbeSpans {
     /// Probe-key (or scan-bound) encode time.
     pub encode_ns: u64,
-    /// Index descent + slot resolution (scans: time to first hit).
+    /// Index descent + entry resolution (scans: time to first hit).
     pub probe_ns: u64,
     /// Result decode / scan pull-loop time (0 for point ops).
     pub decode_ns: u64,
@@ -75,6 +77,54 @@ impl ProbeSpans {
     /// Sum of all stages.
     pub fn total_ns(&self) -> u64 {
         self.encode_ns.saturating_add(self.probe_ns).saturating_add(self.decode_ns)
+    }
+}
+
+/// Stage-boundary hook the probe paths are generic over, so the traced
+/// and untraced forms of `get` / `insert` are one function: `()` records
+/// nothing and compiles away, [`Stopwatch`] reads the clock at each
+/// boundary.
+pub(crate) trait SpanRecorder {
+    /// Begin timing (called right before the encode stage).
+    fn start() -> Self;
+    /// The probe key is encoded.
+    fn encoded(&mut self) {}
+    /// The index probe (or the whole mutation, for an insert) is done.
+    fn probed(&mut self) {}
+}
+
+impl SpanRecorder for () {
+    fn start() {}
+}
+
+/// The recording [`SpanRecorder`]: fills a [`ProbeSpans`].
+#[derive(Debug)]
+pub(crate) struct Stopwatch {
+    lap: Instant,
+    pub(crate) spans: ProbeSpans,
+}
+
+impl Stopwatch {
+    /// Nanoseconds since the previous stage boundary; restarts the lap.
+    fn lap_ns(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.lap).as_nanos() as u64;
+        self.lap = now;
+        ns
+    }
+}
+
+impl SpanRecorder for Stopwatch {
+    fn start() -> Stopwatch {
+        Stopwatch { lap: Instant::now(), spans: ProbeSpans::default() }
+    }
+
+    fn encoded(&mut self) {
+        self.spans.encode_ns = self.lap_ns();
+    }
+
+    fn probed(&mut self) {
+        self.spans.probe_ns = self.lap_ns();
     }
 }
 

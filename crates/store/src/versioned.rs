@@ -8,12 +8,15 @@
 //!   the `Arc` pins the generation against reclamation, exactly as an
 //!   in-flight [`RangeCursor`] does across a hot-swap;
 //! * each generation's write log is **append-only** between swaps, so
-//!   "the state when the log held `w` entries" is fully recoverable: an
-//!   entry's slot position never changes after it is appended, and every
-//!   update links to the entry it superseded
-//!   (`Entry::prev`). Reads resolve a slot's
-//!   head entry through that version chain until they reach an entry
-//!   older than the watermark.
+//!   "the state when the log held `w` entries" is fully recoverable.
+//!   There are no deletes, so a key alive at `w` is still a member of
+//!   its tie group's live chain (`Entry::tie`, which links live entries
+//!   only), and every update links to the entry it superseded
+//!   (`Entry::prev`). Reads find the key's *live* entry exactly as a
+//!   live read does, then follow `prev` until they reach an entry older
+//!   than the watermark; a key born after `w` runs out of chain first
+//!   and resolves to nothing. Only `prev` is ever followed out of a
+//!   superseded entry — its `tie` is a stale copy nothing reads.
 //!
 //! A snapshot is therefore `shards × (Arc clone + usize)` — O(shard
 //! count), independent of key count — and costs nothing to maintain:
@@ -135,7 +138,8 @@ impl<V: Value> Snapshot<V> {
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
         let p = &self.pins[self.route(key)];
-        p.generation.get_at(key, p.watermark)
+        let (found, ()) = p.generation.lookup(key, Some(p.watermark), V::clone)?;
+        Ok(found)
     }
 
     /// Visitor-form range scan over the snapshot: call `f(key, value)`

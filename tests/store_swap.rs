@@ -89,8 +89,7 @@ fn swap_preserves_gets_and_ranges_exactly() {
 }
 
 /// The satellite edge cases, all through the cursor: empty range,
-/// inverted bounds, equal bounds, limit 0 — plus the deprecated shim
-/// agreeing with the cursor it wraps.
+/// inverted bounds, equal bounds, limit 0.
 #[test]
 fn cursor_edge_cases() {
     let store =
@@ -118,13 +117,138 @@ fn cursor_edge_cases() {
     assert_eq!(cur.remaining(), 5);
     assert!(cur.next_hit().is_some());
     assert_eq!(cur.remaining(), 4);
-    // The deprecated shim returns what the cursor returns.
-    #[allow(deprecated)]
+}
+
+/// `stem` followed by `zeros` 0x00 bytes.
+fn zero_padded(stem: &[u8], zeros: usize) -> Vec<u8> {
+    let mut k = stem.to_vec();
+    k.resize(stem.len() + zeros, 0);
+    k
+}
+
+/// Keys that tie with another key of `keys` under the store's current
+/// dictionaries: same shard, same encoded padded bytes.
+fn tied_keys(store: &HopeStore<u64>, keys: &[Vec<u8>]) -> usize {
+    let mut groups: BTreeMap<(usize, Vec<u8>), usize> = BTreeMap::new();
+    for k in keys {
+        let shard = store.shard_of(k);
+        let enc = store.generation(shard).unwrap().hope().encode(k);
+        *groups.entry((shard, enc.as_bytes().to_vec())).or_default() += 1;
+    }
+    groups.values().filter(|&&n| n > 1).sum()
+}
+
+/// Padded-byte ties, deterministically: a Single-Char dictionary trained
+/// on a 0x00-dominated sample gives 0x00 a one-bit all-zeros code, so
+/// `a`, `a\0`, `a\0\0`, … differ only in bits the zero padding supplies
+/// anyway and index under the *same* byte string. Every backend must
+/// keep such tie groups exact through inserts in either key order,
+/// updates of head and non-head members, a snapshot, and a rebuild.
+#[test]
+fn padded_byte_ties_stay_exact_on_every_backend() {
+    let stems: [&[u8]; 6] = [b"a", b"ab", b"b", b"m", b"mz", b"z"];
+    // Loaded up front: long 0x00 runs (they dominate the training
+    // sample) and, per stem, the odd members of its tie group.
+    let mut loaded: Vec<Vec<u8>> = (1..=40).map(|n| zero_padded(b"", n)).collect();
+    let mut fresh: Vec<Vec<u8>> = Vec::new();
+    for stem in stems {
+        for zeros in 0..8 {
+            if zeros % 2 == 1 { &mut loaded } else { &mut fresh }.push(zero_padded(stem, zeros));
+        }
+    }
+    loaded.sort();
+    let all: Vec<Vec<u8>> = loaded.iter().chain(&fresh).cloned().collect();
+
+    for backend in
+        [Backend::BTree, Backend::PrefixBTree, Backend::Art, Backend::Hot, Backend::BTreeMap]
     {
-        assert_eq!(
-            store.range(b"com.gmail@user000000", b"com.gmail@user000004", 3),
-            range(&store, b"com.gmail@user000000", b"com.gmail@user000004", 3)
+        let cfg = StoreConfig {
+            shards: 2,
+            scheme: Scheme::SingleChar,
+            backend,
+            ..StoreConfig::default()
+        };
+        let pairs = loaded.iter().enumerate().map(|(i, k)| (k.clone(), i as u64));
+        let store = HopeStore::build(cfg, pairs.clone()).unwrap();
+        let mut model: BTreeMap<Vec<u8>, u64> = pairs.collect();
+        assert!(tied_keys(&store, &loaded) > 0, "{backend:?}: the load itself must contain ties");
+        assert!(
+            tied_keys(&store, &all) > tied_keys(&store, &loaded),
+            "{backend:?}: the inserts must land in tie groups"
         );
+
+        let snap = store.snapshot();
+        let frozen = model.clone();
+
+        // Fresh members: descending key order for half the stems (each
+        // insert becomes its group's new head or splices in front of
+        // loaded members), ascending for the rest (each appends or
+        // splices behind).
+        let (descending, ascending) = fresh.split_at(fresh.len() / 2);
+        for (i, k) in descending.iter().rev().chain(ascending).enumerate() {
+            let v = 1_000 + i as u64;
+            assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v), "{k:?}");
+        }
+        // Updates: every stem's head (`stem`) and a non-head member.
+        for (i, stem) in stems.iter().enumerate() {
+            for k in [stem.to_vec(), zero_padded(stem, 3)] {
+                let v = 2_000 + i as u64;
+                assert_eq!(
+                    store.insert(k.clone(), v).unwrap(),
+                    model.insert(k.clone(), v),
+                    "{k:?}"
+                );
+            }
+        }
+
+        let check_live = |when: &str| {
+            for k in &all {
+                assert_eq!(
+                    store.get(k).unwrap(),
+                    model.get(k).copied(),
+                    "{backend:?} {when} {k:?}"
+                );
+            }
+            let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            assert_eq!(range(&store, b"", b"\xff", usize::MAX), want, "{backend:?} {when}");
+            // Bounds that cut tie groups open: only part of a group is
+            // inside the source range.
+            for low in all.iter().step_by(5) {
+                for high in all.iter().step_by(7).filter(|h| *h >= low) {
+                    let want: Vec<(Vec<u8>, u64)> = model
+                        .range(low.clone()..=high.clone())
+                        .take(4)
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect();
+                    assert_eq!(
+                        range(&store, low, high, 4),
+                        want,
+                        "{backend:?} {when} {low:?}..={high:?}"
+                    );
+                }
+            }
+        };
+        let check_snapshot = |when: &str| {
+            for k in &all {
+                assert_eq!(
+                    snap.get(k).unwrap(),
+                    frozen.get(k).copied(),
+                    "{backend:?} {when} {k:?}"
+                );
+            }
+            let mut got = Vec::new();
+            snap.range_into(b"", b"\xff", usize::MAX, &mut got).unwrap();
+            let want: Vec<(Vec<u8>, u64)> = frozen.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            assert_eq!(got, want, "{backend:?} {when}: snapshot moved");
+        };
+        check_live("before rebuild");
+        check_snapshot("before rebuild");
+        for shard in 0..store.config().shards {
+            store.force_rebuild(shard).unwrap();
+        }
+        assert!(tied_keys(&store, &all) > 0, "{backend:?}: the rebuilt dictionaries still tie");
+        check_live("after rebuild");
+        check_snapshot("after rebuild");
     }
 }
 
