@@ -175,13 +175,12 @@ fn main() {
 
     let traced = snap.histogram("serving.trace.probe").map_or(0, |h| h.count)
         + snap.histogram("serving.trace.decode").map_or(0, |h| h.count);
-    let encoded = snap.gauge("store.codec.fast_encode_keys").unwrap_or(0)
-        + snap.gauge("store.codec.generic_encode_keys").unwrap_or(0);
+    let encoded = snap.gauge("store.codec.encode_keys").unwrap_or(0);
 
     let prom = snap.to_prometheus();
     let prom_ok = prom.contains("# TYPE store_shard_0_epoch gauge")
         && prom.contains("serving_trace_probe_count")
-        && prom.contains("# TYPE store_codec_fast_encode_keys gauge");
+        && prom.contains("# TYPE store_codec_encode_keys gauge");
 
     let completed = report.total_ops();
     let errors: u64 = report.phases.iter().map(|p| p.errors).sum();

@@ -1,19 +1,9 @@
-//! `perf_baseline` — the repo's recorded encode/decode-performance
-//! trajectory.
+//! `perf_baseline` — the repo's recorded decode/scan/telemetry
+//! performance trajectory.
 //!
 //! Runs the fig8-style microbench across all six schemes on the Email
 //! corpus and times the hot paths of three subsystems:
 //!
-//! * **encode** (`BENCH_encode.json`) — three implementations of the
-//!   per-key encode loop:
-//!   - *generic-alloc* — the hot path as it existed before the fast
-//!     paths: generic dictionary walk plus a fresh `EncodedKey`
-//!     allocation per call ([`hope::Encoder::encode_generic`]);
-//!   - *generic-reuse* — the generic walk into a reused writer (isolates
-//!     the dictionary-lookup cost from the allocation cost);
-//!   - *fast* — the shipped hot path: [`hope::Hope::encode_to`] with a
-//!     reused scratch, taking the fused code table (array schemes) or
-//!     the prefix automaton (trie schemes).
 //! * **decode** (`BENCH_decode.json`, `"schemes"`) — the bit-walk
 //!   reference decoder, allocating and scratch-reusing
 //!   ([`hope::Decoder::decode`] / `decode_to`), against the byte-table
@@ -26,17 +16,22 @@
 //!   (`next_hit`) forms. The cursor is gated at ≥ 1.0× the visitor
 //!   path — the v1 range redesign must not cost scan throughput — and
 //!   pull mode at ≥ 0.85× push mode (the chunk path must stay lean).
+//! * **telemetry** (`BENCH_decode.json`, `"telemetry_overhead"`) — the
+//!   sampled-tracing get loop against the plain one.
 //!
-//! Output paths default to `BENCH_encode.json` / `BENCH_decode.json`
-//! (override with `--out PATH` / `--out-decode PATH`); see DESIGN.md
-//! "Reading BENCH_*.json". The binary exits non-zero when a headline
-//! target fails:
+//! Encode has one implementation (`Dict::encode_into`), so there is no
+//! trajectory of alternatives to record here: its cost is the whole-store
+//! benchmark's `hope.encode_ns` / `hope.encode_pair_ns` /
+//! `hope.batch_encode_key_ns` / `hope.build_s` / `hope.dict_bytes`
+//! (`benchmark/`, DESIGN.md "Reading `BENCH_*.json`").
 //!
-//! * Single-Char fast encode ≥ 2× generic-alloc;
-//! * 3-Grams and 4-Grams fast encode ≥ 1.5× generic-alloc (the trie
-//!   prefix automaton against the bitmap-trie walk);
+//! The output path defaults to `BENCH_decode.json` (override with
+//! `--out-decode PATH`). The binary exits non-zero when a headline target
+//! fails:
+//!
 //! * Single-Char batch decode (the scan shape) ≥ 1.5× the allocating
 //!   bit walk;
+//! * the cursor gates above;
 //! * sampled tracing (1 request in [`TRACE_SAMPLE_EVERY`] through
 //!   [`hope_store::HopeStore::get_traced`]) keeps ≥
 //!   [`TARGET_TELEMETRY_RATIO`] of the untraced point-lookup
@@ -46,25 +41,16 @@
 //! logs show exactly which metric regressed and by how much.
 //!
 //! Usage: `cargo run --release -p hope_bench --bin perf_baseline
-//!         [-- --keys N --quick --out BENCH_encode.json --out-decode
-//!         BENCH_decode.json]`
+//!         [-- --keys N --quick --out-decode BENCH_decode.json]`
 
 use std::hint::black_box;
 use std::time::Duration;
 
-use hope::{DecodeScratch, EncodeScratch, EncodedKey, Hope, Scheme};
+use hope::{DecodeScratch, EncodedKey, Hope, Scheme};
 use hope_bench::{build_hope, load_dataset, ns_per_op, time, BenchConfig};
 use hope_store::telemetry::TraceSampler;
 use hope_store::{HopeStore, StoreConfig};
 use hope_workloads::Dataset;
-
-/// Headline target: fast-path Single-Char encode throughput vs the
-/// generic allocating walk.
-const TARGET_SPEEDUP: f64 = 2.0;
-
-/// Headline target for the trie schemes (3/4-Grams): prefix-automaton
-/// encode throughput vs the generic allocating walk.
-const TARGET_TRIE_SPEEDUP: f64 = 1.5;
 
 /// Headline target: Single-Char byte-table **batch** decode (the scan
 /// shape) vs the allocating bit walk.
@@ -103,18 +89,6 @@ fn measure(chars: usize, mut run: impl FnMut() -> usize) -> f64 {
         .collect();
     runs.sort_by(f64::total_cmp);
     runs[2]
-}
-
-struct SchemeRow {
-    scheme: &'static str,
-    dict_entries: usize,
-    fast_path: bool,
-    fast_kind: &'static str,
-    cpr: f64,
-    generic_alloc: f64,
-    generic_reuse: f64,
-    fast: f64,
-    dict_kb: f64,
 }
 
 struct DecodeRow {
@@ -186,37 +160,6 @@ fn report_gates(gates: &[Gate]) -> bool {
         }
     }
     pass
-}
-
-fn bench_scheme(hope: &Hope, keys: &[Vec<u8>]) -> (f64, f64, f64) {
-    let chars: usize = keys.iter().map(|k| k.len()).sum();
-    let enc = hope.encoder();
-
-    let generic_alloc =
-        measure(chars, || keys.iter().map(|k| enc.encode_generic(k).bit_len()).sum());
-
-    let mut w = hope::bitpack::BitWriter::new();
-    let mut buf = Vec::new();
-    let generic_reuse = measure(chars, || {
-        let mut bits = 0usize;
-        for k in keys {
-            enc.encode_generic_into(k, &mut w);
-            bits += w.finish_into(&mut buf);
-        }
-        bits
-    });
-
-    let mut scratch = EncodeScratch::new();
-    let fast = measure(chars, || {
-        let mut bits = 0usize;
-        for k in keys {
-            hope.encode_to(k, &mut scratch).expect("bench keys within MAX_KEY_BYTES");
-            bits += scratch.bit_len();
-        }
-        bits
-    });
-
-    (generic_alloc, generic_reuse, fast)
 }
 
 fn bench_decode(hope: &Hope, keys: &[Vec<u8>]) -> DecodeRow {
@@ -484,60 +427,20 @@ fn out_flag(cfg: &BenchConfig, flag: &str, default: &str) -> String {
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = out_flag(&cfg, "--out", "BENCH_encode.json");
     let out_decode = out_flag(&cfg, "--out-decode", "BENCH_decode.json");
 
     let keys = load_dataset(Dataset::Email, &cfg);
     let sample = cfg.sample(&keys);
 
-    println!("# perf_baseline: encode hot-path trajectory (email, {} keys)", keys.len());
-    println!(
-        "{:14} {:>9} {:>12} {:>14} {:>14} {:>10} {:>9}",
-        "scheme", "dict", "fast-kind", "generic-alloc", "generic-reuse", "fast", "speedup"
-    );
+    let decode_rows: Vec<DecodeRow> = Scheme::ALL
+        .into_iter()
+        .map(|scheme| {
+            let target = scheme.fixed_dict_size().unwrap_or(1 << 16);
+            bench_decode(&build_hope(scheme, target, &sample), &keys)
+        })
+        .collect();
 
-    let mut rows: Vec<SchemeRow> = Vec::new();
-    let mut decode_rows: Vec<DecodeRow> = Vec::new();
-    for scheme in Scheme::ALL {
-        let target = scheme.fixed_dict_size().unwrap_or(1 << 16);
-        let hope = build_hope(scheme, target, &sample);
-        let st = hope::stats::measure(&hope, &keys);
-        let (generic_alloc, generic_reuse, fast) = bench_scheme(&hope, &keys);
-        if let Some((states, fallbacks)) = hope.encoder().fast().and_then(|f| f.automaton_stats()) {
-            eprintln!(
-                "# {}: automaton {} states ({:.1} KiB), {} fallback edges",
-                scheme.name(),
-                states,
-                hope.encoder().fast().map_or(0, |f| f.memory_bytes()) as f64 / 1024.0,
-                fallbacks
-            );
-        }
-        let row = SchemeRow {
-            scheme: scheme.name(),
-            dict_entries: hope.dict_entries(),
-            fast_path: hope.encoder().fast().is_some(),
-            fast_kind: hope.encoder().fast().map_or("none", |f| f.kind()),
-            cpr: st.cpr(),
-            generic_alloc,
-            generic_reuse,
-            fast,
-            dict_kb: hope.dict_memory_bytes() as f64 / 1024.0,
-        };
-        println!(
-            "{:14} {:>9} {:>12} {:>11.2}ns {:>11.2}ns {:>7.2}ns {:>8.2}x",
-            row.scheme,
-            row.dict_entries,
-            row.fast_kind,
-            row.generic_alloc,
-            row.generic_reuse,
-            row.fast,
-            row.generic_alloc / row.fast,
-        );
-        rows.push(row);
-        decode_rows.push(bench_decode(&hope, &keys));
-    }
-
-    println!("\n# decode trajectory (ns per source char)");
+    println!("# perf_baseline: decode trajectory (email, {} keys, ns per source char)", keys.len());
     println!(
         "{:14} {:>12} {:>12} {:>10} {:>10} {:>8} {:>9}",
         "scheme", "walk-alloc", "walk-reuse", "fast", "batch", "states", "speedup"
@@ -579,37 +482,12 @@ fn main() {
     );
 
     // Headline gates.
-    let speed = |name: &str| {
-        let r = rows.iter().find(|r| r.scheme == name).expect("scheme row");
-        r.generic_alloc / r.fast
-    };
-    let single = speed("Single-Char");
-    let three = speed("3-Grams");
-    let four = speed("4-Grams");
     let dec_single = decode_rows
         .iter()
         .find(|r| r.scheme == "Single-Char")
         .map(|r| r.walk_alloc / r.batch)
         .expect("decode row");
     let gates = [
-        Gate {
-            name: "single_char_encode_speedup",
-            actual: single,
-            target: TARGET_SPEEDUP,
-            detail: "fast vs generic-alloc encode".into(),
-        },
-        Gate {
-            name: "three_grams_encode_speedup",
-            actual: three,
-            target: TARGET_TRIE_SPEEDUP,
-            detail: "prefix automaton vs generic-alloc encode".into(),
-        },
-        Gate {
-            name: "four_grams_encode_speedup",
-            actual: four,
-            target: TARGET_TRIE_SPEEDUP,
-            detail: "prefix automaton vs generic-alloc encode".into(),
-        },
         Gate {
             name: "single_char_batch_decode",
             actual: dec_single,
@@ -648,60 +526,15 @@ fn main() {
     println!();
     let pass = report_gates(&gates);
 
-    write_encode_json(&out_path, &cfg, &rows, single, three, four, pass);
     write_decode_json(&out_decode, &cfg, &decode_rows, &scan, &overhead, dec_single, pass);
-    println!("# wrote {out_path} and {out_decode}");
+    println!("# wrote {out_decode}");
     println!("# perf_baseline — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         std::process::exit(1);
     }
 }
 
-/// Hand-rolled JSON writers (the workspace builds offline; no serde).
-fn write_encode_json(
-    path: &str,
-    cfg: &BenchConfig,
-    rows: &[SchemeRow],
-    single: f64,
-    three: f64,
-    four: f64,
-    pass: bool,
-) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"perf_baseline\",\n  \"dataset\": \"email\",\n");
-    s.push_str(&format!("  \"keys\": {},\n  \"seed\": {},\n", cfg.keys, cfg.seed));
-    s.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    s.push_str(&format!("  \"target_single_char_speedup\": {TARGET_SPEEDUP},\n"));
-    s.push_str(&format!("  \"target_trie_speedup\": {TARGET_TRIE_SPEEDUP},\n"));
-    s.push_str(&format!("  \"single_char_speedup\": {single:.4},\n"));
-    s.push_str(&format!("  \"three_grams_speedup\": {three:.4},\n"));
-    s.push_str(&format!("  \"four_grams_speedup\": {four:.4},\n"));
-    s.push_str(&format!("  \"pass\": {pass},\n"));
-    s.push_str("  \"units\": \"ns_per_source_char\",\n  \"schemes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"dict_entries\": {}, \"fast_path\": {}, \
-             \"fast_kind\": \"{}\", \"cpr\": {:.4}, \"generic_alloc\": {:.4}, \
-             \"generic_reuse\": {:.4}, \"fast\": {:.4}, \
-             \"speedup_vs_generic_alloc\": {:.4}, \"dict_kb\": {:.1}}}{}\n",
-            r.scheme,
-            r.dict_entries,
-            r.fast_path,
-            r.fast_kind,
-            r.cpr,
-            r.generic_alloc,
-            r.generic_reuse,
-            r.fast,
-            r.generic_alloc / r.fast,
-            r.dict_kb,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_encode.json");
-}
-
+/// Hand-rolled JSON writer (the workspace builds offline; no serde).
 #[allow(clippy::too_many_arguments)]
 fn write_decode_json(
     path: &str,

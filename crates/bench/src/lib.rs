@@ -295,8 +295,7 @@ impl PreparedKeys {
     }
 
     /// Allocation-free query encoding: returns the encoded bytes from the
-    /// scratch buffer, or the key itself when uncompressed. Compressed
-    /// keys take the scheme's fast path (fused table or automaton).
+    /// scratch buffer, or the key itself when uncompressed.
     #[inline]
     pub fn encode_query_scratch<'a>(
         &self,

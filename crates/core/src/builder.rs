@@ -3,10 +3,9 @@
 
 use std::time::{Duration, Instant};
 
-use crate::axis::IntervalSet;
-use crate::bitpack::EncodedKey;
+use crate::bitpack::{Code, EncodedKey};
 use crate::code_assign::CodeAssigner;
-use crate::decoder::Decoder;
+use crate::decoder::{Decoder, FastDecoder, DECODER_STATE_BUDGET};
 use crate::dict::Dict;
 use crate::encoder::Encoder;
 use crate::selector::{self, Scheme};
@@ -29,7 +28,7 @@ pub enum HopeError {
     /// Target dictionary size was zero.
     ZeroDictionarySize,
     /// The symbol selector produced an interval division that fails
-    /// [`IntervalSet::validate`]: not connected, not sorted, or otherwise
+    /// [`IntervalSet::validate`](crate::axis::IntervalSet::validate): not connected, not sorted, or otherwise
     /// violating the complete-division invariant of §3.2.
     InvalidIntervals {
         /// Name of the scheme whose selector failed.
@@ -95,10 +94,9 @@ impl BuildTimings {
     }
 }
 
-/// Snapshot of the codec's hot-path counters: how many keys took the
-/// fast encode table vs the generic walk, how often the prefix
-/// automaton's fallback edges actually fired, and which decode tier keys
-/// resolved through. Read via [`Hope::codec_stats`]; counters are relaxed
+/// Snapshot of the codec's hot-path counters: how many keys were
+/// encoded, how often the n-gram automaton's fallback edges actually
+/// fired, and which decode tier keys resolved through. Read via [`Hope::codec_stats`]; counters are relaxed
 /// atomics, and scratch-based point encodes flush their counts in batches
 /// of 64 keys, so a snapshot taken under concurrent traffic may lag each
 /// live encoding thread by up to one batch.
@@ -110,18 +108,16 @@ impl BuildTimings {
 /// let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample).unwrap();
 /// hope.encode(b"com.gmail@carol");
 /// let stats = hope.codec_stats();
-/// assert_eq!(stats.fast_encode_keys, 1); // Double-Char always has a fused table
-/// assert_eq!(stats.generic_encode_keys, 0);
+/// assert_eq!(stats.encode_keys, 1);
+/// assert_eq!(stats.automaton_fallback_takes, 0); // arrays have no second tier
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodecStats {
-    /// Keys encoded through the fast table (fused or automaton).
-    pub fast_encode_keys: u64,
-    /// Keys encoded through the generic dictionary walk (no fast table).
-    pub generic_encode_keys: u64,
-    /// Automaton fallback edges taken (symbols resolved by a generic
-    /// [`Dict::lookup`](crate::dict::Dict::lookup) mid-fast-path). Always
-    /// 0 for the fused array tables.
+    /// Keys encoded.
+    pub encode_keys: u64,
+    /// Automaton fallback edges taken (3-/4-Grams symbols resolved by the
+    /// bitmap trie's walk instead of its transition table). Always 0 for
+    /// the array and ART dictionaries, which have no second tier.
     pub automaton_fallback_takes: u64,
     /// Keys decoded entirely through the shared fast decoder's byte table.
     pub fast_decode_keys: u64,
@@ -186,19 +182,11 @@ impl HopeBuilder {
         let dict = Dict::build(self.scheme, &set, &codes);
         let dictionary_build = t2.elapsed();
 
-        let reuse_gram = match self.scheme {
-            Scheme::SingleChar => Some(1),
-            Scheme::DoubleChar => Some(2),
-            Scheme::ThreeGrams => Some(3),
-            Scheme::FourGrams => Some(4),
-            Scheme::Alm | Scheme::AlmImproved => None,
-        };
-
+        // The interval division and the code list end here: the dictionary
+        // is the one copy that outlives the build.
         Ok(Hope {
             scheme: self.scheme,
-            encoder: Encoder::with_intervals(dict, reuse_gram, &set, &codes),
-            intervals: set,
-            codes,
+            encoder: Encoder::new(dict),
             timings: BuildTimings { symbol_select, code_assign, dictionary_build },
             shared_decoder: std::sync::OnceLock::new(),
         })
@@ -212,12 +200,10 @@ impl HopeBuilder {
 pub struct Hope {
     scheme: Scheme,
     encoder: Encoder,
-    intervals: IntervalSet,
-    codes: Vec<crate::bitpack::Code>,
     timings: BuildTimings,
     /// Lazily built byte-table decoder backing [`Hope::decode_to`]; built
     /// at most once and shared across threads.
-    shared_decoder: std::sync::OnceLock<crate::decoder::FastDecoder>,
+    shared_decoder: std::sync::OnceLock<FastDecoder>,
 }
 
 impl Hope {
@@ -239,9 +225,8 @@ impl Hope {
     /// padded encoded bytes (exact bit length via
     /// [`EncodeScratch::bit_len`](crate::encoder::EncodeScratch::bit_len)).
     ///
-    /// This is the query-probe hot path: no per-key `Vec`, and every
-    /// scheme takes its [`FastEncoder`](crate::fast_encoder::FastEncoder)
-    /// table (fused code table or prefix automaton). Part of the
+    /// This is the query-probe hot path: no per-key `Vec`, one
+    /// [`Dict::encode_into`] loop. Part of the
     /// [`KeyCodec`](crate::codec::KeyCodec) surface, so it validates the
     /// key; the unvalidated low-level walk stays available as
     /// [`Encoder::encode_to`].
@@ -307,7 +292,7 @@ impl Hope {
 
     /// Allocation-free decode of `bit_len` bits of padded encoded bytes
     /// back to the source key, via a lazily built, cached
-    /// [`FastDecoder`](crate::decoder::FastDecoder) (the
+    /// [`FastDecoder`] (the
     /// [`KeyCodec`](crate::codec::KeyCodec) decode surface). The first
     /// call pays the table build; later calls share it across threads.
     ///
@@ -326,7 +311,7 @@ impl Hope {
     /// The lazily built table decoder behind [`Hope::decode_to`] — one
     /// per compressor, built on first use and shared thereafter (unlike
     /// [`Hope::fast_decoder`], which constructs a fresh table per call).
-    pub fn shared_fast_decoder(&self) -> &crate::decoder::FastDecoder {
+    pub fn shared_fast_decoder(&self) -> &FastDecoder {
         self.shared_decoder.get_or_init(|| self.fast_decoder())
     }
 
@@ -338,13 +323,23 @@ impl Hope {
     /// Symbol-level diff against a retrained compressor: which keys
     /// would `next` encode byte-identically (see
     /// [`EncodingDiff`](crate::diff::EncodingDiff))? `None` when the
-    /// schemes differ or either side lacks a fast encoder — then there
-    /// is nothing to merge and a caller should re-encode everything.
+    /// schemes differ — then there is nothing to merge and a caller
+    /// should re-encode everything.
     pub fn encoding_diff<'a>(&'a self, next: &'a Hope) -> Option<crate::diff::EncodingDiff<'a>> {
-        if self.scheme != next.scheme {
-            return None;
-        }
-        crate::diff::EncodingDiff::new(&self.encoder, &next.encoder)
+        (self.scheme == next.scheme)
+            .then(|| crate::diff::EncodingDiff::new(self.encoder.dict(), next.encoder.dict()))
+    }
+
+    /// The dictionary's `(codes, symbols)` in interval order, listed back
+    /// out of the structure itself — the decoders' build input.
+    fn entries(&self) -> (Vec<Code>, Vec<Box<[u8]>>) {
+        let n = self.dict_entries();
+        let (mut codes, mut symbols) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        self.encoder.dict().for_each_entry(&mut |symbol, code| {
+            codes.push(code);
+            symbols.push(symbol.into());
+        });
+        (codes, symbols)
     }
 
     /// Build the bit-walk reference decoder for this dictionary.
@@ -353,19 +348,16 @@ impl Hope {
     /// [`Hope::fast_decoder`], whose byte-table loop is several times
     /// faster and batches into a reused scratch.
     pub fn decoder(&self) -> Decoder {
-        let symbols: Vec<Box<[u8]>> =
-            (0..self.intervals.len()).map(|i| self.intervals.symbol(i).into()).collect();
-        Decoder::new(&self.codes, symbols)
+        let (codes, symbols) = self.entries();
+        Decoder::new(&codes, symbols)
     }
 
     /// Build the byte-at-a-time table decoder for this dictionary (the
-    /// scan-path counterpart of the fast encoder), with the default
-    /// [`DECODER_STATE_BUDGET`](crate::decoder::DECODER_STATE_BUDGET).
+    /// scan path's decoder), with the default [`DECODER_STATE_BUDGET`].
     /// Output is identical to [`Hope::decoder`].
-    pub fn fast_decoder(&self) -> crate::decoder::FastDecoder {
-        let symbols: Vec<Box<[u8]>> =
-            (0..self.intervals.len()).map(|i| self.intervals.symbol(i).into()).collect();
-        crate::decoder::FastDecoder::new(&self.codes, symbols, crate::decoder::DECODER_STATE_BUDGET)
+    pub fn fast_decoder(&self) -> FastDecoder {
+        let (codes, symbols) = self.entries();
+        FastDecoder::new(&codes, symbols, DECODER_STATE_BUDGET)
     }
 
     /// Number of dictionary entries.
@@ -373,9 +365,18 @@ impl Hope {
         self.encoder.dict().num_entries()
     }
 
-    /// Memory footprint of the dictionary structure in bytes.
+    /// Memory footprint of the encode side in bytes: the dictionary
+    /// structure, including the bitmap trie's automaton — everything an
+    /// encode reads.
     pub fn dict_memory_bytes(&self) -> usize {
         self.encoder.dict().memory_bytes()
+    }
+
+    /// Everything this compressor holds: the dictionary
+    /// ([`Hope::dict_memory_bytes`]) plus the shared decoder once
+    /// [`Hope::decode_to`] / [`Hope::shared_fast_decoder`] has built it.
+    pub fn memory_bytes(&self) -> usize {
+        self.dict_memory_bytes() + self.shared_decoder.get().map_or(0, FastDecoder::memory_bytes)
     }
 
     /// Build-phase timing breakdown (Figure 9).
@@ -395,25 +396,16 @@ impl Hope {
             None => (0, 0),
         };
         CodecStats {
-            fast_encode_keys: self.encoder.fast_key_count(),
-            generic_encode_keys: self.encoder.generic_key_count(),
-            automaton_fallback_takes: self
-                .encoder
-                .fast()
-                .map_or(0, |f| f.automaton_fallback_takes()),
+            encode_keys: self.encoder.key_count(),
+            automaton_fallback_takes: self.encoder.dict().automaton_fallback_takes(),
             fast_decode_keys,
             walk_decode_keys,
         }
     }
-
-    /// The interval division backing the dictionary (inspection/tests).
-    pub fn intervals(&self) -> &IntervalSet {
-        &self.intervals
-    }
 }
 
 /// [`Hope`] is the reference implementation of the unified codec surface:
-/// the trait methods delegate to the inherent fast paths above.
+/// the trait methods delegate to the inherent methods above.
 impl crate::codec::KeyCodec for Hope {
     fn encode_to<'s>(
         &self,
@@ -532,8 +524,8 @@ mod tests {
         }
         hope.encode(b"com.gmail@user0002");
         let stats = hope.codec_stats();
-        assert_eq!(stats.fast_encode_keys, flush + 1, "3-Grams has an automaton fast path");
-        assert_eq!(stats.generic_encode_keys, 0);
+        assert_eq!(stats.encode_keys, flush + 1);
+        assert_eq!(stats.automaton_fallback_takes, 0, "a 512-entry 3-Grams trie tables fully");
         assert_eq!((stats.fast_decode_keys, stats.walk_decode_keys), (0, 0), "decoder unbuilt");
         hope.decode_to(&bytes, enc.bit_len(), &mut dec).unwrap();
         let stats = hope.codec_stats();

@@ -8,9 +8,8 @@
 //! against *any* order-preserving key transform:
 //!
 //! * [`Hope`](crate::Hope) — the paper's compressor — implements it with
-//!   its zero-allocation fast paths (fused code tables / prefix automaton
-//!   on encode, the cached byte-table [`FastDecoder`](crate::FastDecoder)
-//!   on decode);
+//!   its zero-allocation scratch paths (the dictionary's own encode loop,
+//!   the cached byte-table [`FastDecoder`](crate::FastDecoder) on decode);
 //! * [`IdentityCodec`] stores keys verbatim — the "compression off"
 //!   baseline, useful for differential tests and for running a
 //!   `hope_store`-shaped stack without a dictionary.

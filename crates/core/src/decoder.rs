@@ -297,8 +297,7 @@ struct ByteEntry {
     inline: [u8; INLINE_CAP],
 }
 
-/// Byte-at-a-time table decoder: the scan-path counterpart of
-/// [`FastEncoder`](crate::fast_encoder::FastEncoder).
+/// Byte-at-a-time table decoder — the scan path's decoder.
 ///
 /// Flattens the code trie into `state × next byte → (emitted bytes,
 /// next state)` so a warm decode does one table load per input byte
@@ -618,7 +617,7 @@ mod tests {
         let codes = assigner.assign(&weights);
         let symbols: Vec<Box<[u8]>> = (0..set.len()).map(|i| set.symbol(i).into()).collect();
         let dict = Dict::build(scheme, &set, &codes);
-        let enc = Encoder::new(dict, None);
+        let enc = Encoder::new(dict);
         let dec = Decoder::new(&codes, symbols.clone());
         let fast = FastDecoder::new(&codes, symbols, 64);
         (enc, dec, fast)

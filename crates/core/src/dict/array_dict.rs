@@ -1,44 +1,54 @@
 //! Array dictionaries for the fixed-interval schemes (§4.2).
 //!
 //! The dictionary symbols and interval boundaries are implied by array
-//! offsets, so an entry stores only the code. Matching the paper, an entry
-//! is an 8-bit code length plus a 32-bit code; if Hu-Tucker ever emits a
-//! code longer than 32 bits (possible only under extreme skew) the array
-//! transparently widens to 64-bit storage.
+//! offsets, so an entry stores only the code — in the form the bit writer
+//! consumes, `(code bits << 8) | code length` in one `u64`, so a symbol
+//! costs one load, one shift and one mask. The paper's entry is 5 bytes
+//! (8-bit length + 32-bit code); these are 8 (DESIGN.md, "Known
+//! deviations") and hold codes up to 56 bits. If Hu-Tucker ever emits a
+//! longer code (possible only under extreme skew) the array falls back to
+//! parallel 64-bit `bits` / 8-bit `len` storage.
 
 use super::DictLookup;
-use crate::bitpack::Code;
+use crate::bitpack::{BitWriter, Code};
 use crate::selector::double_char::{double_char_slot, DOUBLE_CHAR_ENTRIES};
 
-/// Code storage shared by both array dictionaries: parallel `bits`/`len`
-/// arrays, 32-bit entries in the common case.
+/// Longest code a packed `(bits << 8) | len` entry can hold.
+const MAX_PACKED_LEN: u8 = 56;
+
+/// Code storage shared by both array dictionaries.
 #[derive(Debug)]
 enum CodeArray {
-    Narrow { bits: Vec<u32>, len: Vec<u8> },
-    Wide { bits: Vec<u64>, len: Vec<u8> },
+    /// One pack-ready `(bits << 8) | len` word per slot.
+    Packed(Box<[u64]>),
+    /// Some code exceeds 56 bits: parallel arrays.
+    Wide { bits: Box<[u64]>, len: Box<[u8]> },
 }
 
 impl CodeArray {
-    fn new(codes: &[Code]) -> Self {
-        let len: Vec<u8> = codes.iter().map(|c| c.len).collect();
-        if codes.iter().all(|c| c.len <= 32) {
-            CodeArray::Narrow { bits: codes.iter().map(|c| c.bits as u32).collect(), len }
+    /// Store `n` slots, slot `i` holding `at(i)`.
+    fn new(n: usize, at: impl Fn(usize) -> Code) -> Self {
+        if (0..n).all(|i| at(i).len <= MAX_PACKED_LEN) {
+            CodeArray::Packed((0..n).map(|i| (at(i).bits << 8) | at(i).len as u64).collect())
         } else {
-            CodeArray::Wide { bits: codes.iter().map(|c| c.bits).collect(), len }
+            CodeArray::Wide {
+                bits: (0..n).map(|i| at(i).bits).collect(),
+                len: (0..n).map(|i| at(i).len).collect(),
+            }
         }
     }
 
     #[inline]
     fn get(&self, i: usize) -> Code {
         match self {
-            CodeArray::Narrow { bits, len } => Code { bits: bits[i] as u64, len: len[i] },
+            CodeArray::Packed(t) => Code { bits: t[i] >> 8, len: (t[i] & 0xFF) as u8 },
             CodeArray::Wide { bits, len } => Code { bits: bits[i], len: len[i] },
         }
     }
 
     fn memory_bytes(&self) -> usize {
         match self {
-            CodeArray::Narrow { bits, len } => bits.len() * 4 + len.len(),
+            CodeArray::Packed(t) => t.len() * 8,
             CodeArray::Wide { bits, len } => bits.len() * 8 + len.len(),
         }
     }
@@ -55,14 +65,28 @@ impl SingleCharDict {
     /// Wrap the 256 per-byte codes.
     pub fn new(codes: &[Code]) -> Self {
         assert_eq!(codes.len(), 256, "Single-Char dictionary must have 256 entries");
-        SingleCharDict { codes: CodeArray::new(codes) }
+        SingleCharDict { codes: CodeArray::new(256, |b| codes[b]) }
     }
 
-    /// Code stored at `slot` (the leading byte value). Used to materialize
-    /// the [`FastEncoder`](crate::fast_encoder::FastEncoder) fused table.
+    /// Encode a whole key: the storage form is matched once, not per byte.
     #[inline]
-    pub fn code(&self, slot: usize) -> Code {
-        self.codes.get(slot)
+    pub(super) fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
+        match &self.codes {
+            CodeArray::Packed(t) => {
+                for &b in key {
+                    let e = t[b as usize];
+                    w.put_bits(e >> 8, (e & 0xFF) as u32);
+                }
+            }
+            CodeArray::Wide { .. } => super::encode_by_lookup(self, key, w),
+        }
+    }
+
+    /// In-order `(symbol, code)` enumeration: slot `b` is symbol `[b]`.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        for b in 0..=u8::MAX {
+            f(&[b], self.codes.get(b as usize));
+        }
     }
 }
 
@@ -82,31 +106,72 @@ impl DictLookup for SingleCharDict {
     }
 }
 
-/// 65 792-entry array dictionary for Double-Char, with one terminator slot
-/// per leading byte (see [`crate::selector::double_char`] for the layout).
+/// Slots of the Double-Char pair table; the terminator slots follow.
+const PAIR_SLOTS: usize = 1 << 16;
+
+/// 65 792-entry array dictionary for Double-Char. The interval order of
+/// [`crate::selector::double_char`] interleaves each leading byte's
+/// terminator interval with its 256 pair intervals; the array instead
+/// keeps the pairs dense — slot `(b0 << 8) | b1` — and the 256 terminator
+/// entries (one trailing byte `b0`) behind them at `PAIR_SLOTS + b0`, so
+/// the hot pair lookup needs no multiply.
 #[derive(Debug)]
 pub struct DoubleCharDict {
     codes: CodeArray,
 }
 
 impl DoubleCharDict {
-    /// Wrap the 256·257 per-pair codes.
+    /// Wrap the 256·257 per-pair codes, given in interval order.
     pub fn new(codes: &[Code]) -> Self {
         assert_eq!(
             codes.len(),
             DOUBLE_CHAR_ENTRIES,
             "Double-Char dictionary must have 256*257 entries"
         );
-        DoubleCharDict { codes: CodeArray::new(codes) }
+        let interval = |slot: usize| match slot.checked_sub(PAIR_SLOTS) {
+            None => double_char_slot(&[(slot >> 8) as u8, slot as u8]),
+            Some(b0) => double_char_slot(&[b0 as u8]),
+        };
+        DoubleCharDict { codes: CodeArray::new(DOUBLE_CHAR_ENTRIES, |slot| codes[interval(slot)]) }
     }
 
-    /// Code stored at `slot` (`b0*257` for the terminator interval,
-    /// `b0*257 + b1 + 1` for the pair `b0 b1` — see
-    /// [`crate::selector::double_char`]). Used to materialize the
-    /// [`FastEncoder`](crate::fast_encoder::FastEncoder) fused table.
+    /// Array slot of the interval a (non-empty) source suffix falls into.
     #[inline]
-    pub fn code(&self, slot: usize) -> Code {
-        self.codes.get(slot)
+    fn slot(src: &[u8]) -> usize {
+        match *src {
+            [b0, b1, ..] => (b0 as usize) << 8 | b1 as usize,
+            _ => PAIR_SLOTS + src[0] as usize,
+        }
+    }
+
+    /// Encode a whole key: the storage form is matched once, not per pair.
+    #[inline]
+    pub(super) fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
+        match &self.codes {
+            CodeArray::Packed(t) => {
+                let mut chunks = key.chunks_exact(2);
+                for p in &mut chunks {
+                    let e = t[Self::slot(p)];
+                    w.put_bits(e >> 8, (e & 0xFF) as u32);
+                }
+                if let tail @ [_] = chunks.remainder() {
+                    let e = t[Self::slot(tail)];
+                    w.put_bits(e >> 8, (e & 0xFF) as u32);
+                }
+            }
+            CodeArray::Wide { .. } => super::encode_by_lookup(self, key, w),
+        }
+    }
+
+    /// In-order `(symbol, code)` enumeration: per leading byte, its
+    /// terminator interval then its 256 pairs.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        for b0 in 0..=u8::MAX {
+            f(&[b0], self.codes.get(Self::slot(&[b0])));
+            for b1 in 0..=u8::MAX {
+                f(&[b0, b1], self.codes.get(Self::slot(&[b0, b1])));
+            }
+        }
     }
 }
 
@@ -114,8 +179,7 @@ impl DictLookup for DoubleCharDict {
     #[inline]
     fn lookup(&self, src: &[u8]) -> (Code, usize) {
         debug_assert!(!src.is_empty());
-        let slot = double_char_slot(src);
-        (self.codes.get(slot), if src.len() >= 2 { 2 } else { 1 })
+        (self.codes.get(Self::slot(src)), src.len().min(2))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -130,6 +194,8 @@ impl DictLookup for DoubleCharDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::{Dict, SortedDict};
+    use crate::selector::double_char::double_char_intervals;
 
     fn fixed_codes(n: usize) -> Vec<Code> {
         crate::hu_tucker::fixed_len_codes(n)
@@ -145,10 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn single_char_memory_matches_paper_entry_size() {
-        // 8-bit length + 32-bit code per entry.
-        let d = SingleCharDict::new(&fixed_codes(256));
-        assert_eq!(d.memory_bytes(), 256 * 5);
+    fn memory_is_one_packed_word_per_entry() {
+        // One `(bits << 8) | len` u64 per slot — and nothing else: no
+        // second table restating the same codes.
+        assert_eq!(SingleCharDict::new(&fixed_codes(256)).memory_bytes(), 256 * 8);
+        let d = DoubleCharDict::new(&fixed_codes(DOUBLE_CHAR_ENTRIES));
+        assert_eq!(d.memory_bytes(), DOUBLE_CHAR_ENTRIES * 8);
     }
 
     #[test]
@@ -162,14 +230,61 @@ mod tests {
         assert_eq!(c.bits, 97 * 257);
     }
 
+    /// The packed key loops (pairs, then an odd tail) against the
+    /// per-symbol lookup they unroll.
+    #[test]
+    fn key_loop_matches_per_symbol_lookup_on_both_array_schemes() {
+        let single = SingleCharDict::new(&fixed_codes(256));
+        let double = DoubleCharDict::new(&fixed_codes(DOUBLE_CHAR_ENTRIES));
+        for key in [b"".as_slice(), b"a", b"ab", b"abc", b"\x00\xff\x7f", b"com.gmail@user042"] {
+            let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+            single.encode_into(key, &mut got);
+            crate::dict::encode_by_lookup(&single, key, &mut want);
+            assert_eq!(got.finish(), want.finish(), "single: key {key:?}");
+            let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+            double.encode_into(key, &mut got);
+            crate::dict::encode_by_lookup(&double, key, &mut want);
+            assert_eq!(got.finish(), want.finish(), "double: key {key:?}");
+        }
+    }
+
     #[test]
     fn wide_storage_kicks_in_for_long_codes() {
         let mut codes = fixed_codes(256);
-        codes[255] = Code::new(0x1_FFFF_FFFF, 40);
+        codes[254] = Code::new(0x1_FFFF_FFFF, 40);
+        assert_eq!(SingleCharDict::new(&codes).memory_bytes(), 256 * 8, "40 bits still pack");
+        codes[255] = Code::new(u64::MAX >> 4, 60);
         let d = SingleCharDict::new(&codes);
-        let (c, _) = d.lookup(b"\xff");
-        assert_eq!(c.len, 40);
-        assert_eq!(c.bits, 0x1_FFFF_FFFF);
+        assert_eq!(d.lookup(b"\xfe"), (codes[254], 1));
+        assert_eq!(d.lookup(b"\xff"), (codes[255], 1));
         assert_eq!(d.memory_bytes(), 256 * 9);
+    }
+
+    /// Codes over 56 bits cannot be packed; the wide array then serves
+    /// the key loop, the lookup and the enumeration — bit-identical to the
+    /// binary-search reference over the same codes.
+    #[test]
+    fn overlong_codes_take_the_wide_array() {
+        let set = double_char_intervals();
+        let mut codes = fixed_codes(DOUBLE_CHAR_ENTRIES);
+        // Keep the code set monotone: lengthen the last code only.
+        let last = codes[DOUBLE_CHAR_ENTRIES - 1];
+        codes[DOUBLE_CHAR_ENTRIES - 1] = Code::new(last.bits << 43, last.len + 43);
+        assert!(codes[DOUBLE_CHAR_ENTRIES - 1].len > MAX_PACKED_LEN);
+        let wide = Dict::Double(DoubleCharDict::new(&codes));
+        assert_eq!(wide.memory_bytes(), DOUBLE_CHAR_ENTRIES * 9);
+        let reference = Dict::Sorted(SortedDict::build(&set, &codes));
+        for key in [b"".as_slice(), b"a", b"ab", b"abc", b"\xff\xff", b"\xff\xff\xff", b"\x00"] {
+            let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+            wide.encode_into(key, &mut got);
+            reference.encode_into(key, &mut want);
+            assert_eq!(got.finish(), want.finish(), "key {key:?}");
+        }
+        let mut i = 0;
+        wide.for_each_entry(&mut |sym, code| {
+            assert_eq!((sym, code), (set.symbol(i), codes[i]), "entry {i}");
+            i += 1;
+        });
+        assert_eq!(i, DOUBLE_CHAR_ENTRIES);
     }
 }

@@ -115,6 +115,25 @@ impl Children {
         }
     }
 
+    /// Visit `(label, child)` in ascending label order.
+    fn for_each(&self, mut f: impl FnMut(u8, u32)) {
+        match self {
+            Children::N4 { count, labels, ptrs } => {
+                labels[..*count as usize].iter().zip(ptrs).for_each(|(&l, &p)| f(l, p))
+            }
+            Children::N16 { count, labels, ptrs } => {
+                labels[..*count as usize].iter().zip(ptrs).for_each(|(&l, &p)| f(l, p))
+            }
+            Children::N48 { .. } | Children::N256 { .. } => {
+                for l in 0..=u8::MAX {
+                    if let Some(p) = self.get(l) {
+                        f(l, p);
+                    }
+                }
+            }
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         match self {
             Children::N4 { .. } | Children::N16 { .. } => 0, // inline in node
@@ -173,7 +192,30 @@ impl ArtDict {
             sym_len: (0..set.len()).map(|i| set.symbol_len(i) as u16).collect(),
         };
         dict.build_node(set, 0, set.len(), 0);
+        dict.nodes.shrink_to_fit();
         dict
+    }
+
+    /// In-order `(symbol, code)` enumeration: one DFS, the path to a
+    /// node's terminator slot being that interval's boundary.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        self.visit(0, &mut Vec::new(), f);
+    }
+
+    fn visit(&self, n: u32, path: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], Code)) {
+        let node = &self.nodes[n as usize];
+        let mark = path.len();
+        path.extend_from_slice(&node.prefix);
+        if let Some(t) = node.term {
+            let (code, sym_len) = self.payload(t as usize);
+            f(&path[..sym_len], code);
+        }
+        node.children.for_each(|label, child| {
+            path.push(label);
+            self.visit(child, path, f);
+            path.pop();
+        });
+        path.truncate(mark);
     }
 
     /// Recursively build the subtree for boundaries[lo..hi], which share

@@ -10,7 +10,14 @@
 //! remembering the best smaller boundary seen (terminator slots and the
 //! rightmost leaf of any smaller sibling subtree) as a last resort for when
 //! the walk falls off the trie.
+//!
+//! The trie also owns a private accelerator, the prefix automaton
+//! (`dict/automaton.rs`): the same floor search flattened into a dense
+//! transition table, which answers every lookup it has a row for. The trie
+//! walk resolves the automaton's fallback edges and is the reference the
+//! table is tested against.
 
+use super::automaton::{Automaton, AUTOMATON_STATE_BUDGET};
 use super::DictLookup;
 use crate::axis::IntervalSet;
 use crate::bitpack::Code;
@@ -89,12 +96,22 @@ pub struct BitmapTrieDict {
     sym_len: Vec<u8>,
     /// Gram length (trie depth): 3 or 4 in the paper, any >= 1 here.
     depth: usize,
+    /// The floor search flattened into a transition table.
+    automaton: Automaton,
 }
 
 impl BitmapTrieDict {
     /// Build from an interval set (all boundaries at most `N` bytes, as the
     /// n-gram selectors produce) and its assigned codes.
     pub fn build(set: &IntervalSet, codes: &[Code]) -> Self {
+        Self::build_with_state_budget(set, codes, AUTOMATON_STATE_BUDGET)
+    }
+
+    /// [`BitmapTrieDict::build`] with the automaton capped at `max_states`
+    /// rows instead of the default budget. Test entry point: a tiny budget
+    /// forces lookups through the fallback edges and the trie walk.
+    #[doc(hidden)]
+    pub fn build_with_state_budget(set: &IntervalSet, codes: &[Code], max_states: usize) -> Self {
         assert_eq!(set.len(), codes.len());
         let depth = (0..set.len()).map(|i| set.boundary(i).len()).max().unwrap_or(1);
         let mut dict = BitmapTrieDict {
@@ -109,6 +126,7 @@ impl BitmapTrieDict {
                 })
                 .collect(),
             depth,
+            automaton: Automaton::build(set, codes, max_states),
         };
 
         // BFS construction: a work item is a contiguous boundary range
@@ -151,6 +169,7 @@ impl BitmapTrieDict {
             dict.nodes.push(node);
         }
         debug_assert_eq!(dict.nodes.len(), next_node_id);
+        dict.nodes.shrink_to_fit();
         dict
     }
 
@@ -181,20 +200,9 @@ impl BitmapTrieDict {
         (Code { bits: self.code_bits[i], len: self.code_len[i] }, self.sym_len[i] as usize)
     }
 
-    /// Trie depth (gram length).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of trie nodes (for memory analysis).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-impl DictLookup for BitmapTrieDict {
-    #[inline]
-    fn lookup(&self, src: &[u8]) -> (Code, usize) {
+    /// The trie floor walk: answers the automaton's fallback edges, and is
+    /// the reference the table is tested against.
+    fn walk(&self, src: &[u8]) -> (Code, usize) {
         debug_assert!(!src.is_empty());
         let mut last_resort = usize::MAX;
         let mut node = &self.nodes[0];
@@ -226,11 +234,68 @@ impl DictLookup for BitmapTrieDict {
         }
     }
 
+    /// In-order `(symbol, code)` enumeration: one DFS, the path to a
+    /// terminator slot or leaf being that interval's boundary.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        self.visit(0, &mut Vec::with_capacity(self.depth), f);
+    }
+
+    fn visit(&self, n: usize, path: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], Code)) {
+        let node = &self.nodes[n];
+        let entry = |i: usize, boundary: &[u8], f: &mut dyn FnMut(&[u8], Code)| {
+            let (code, sym_len) = self.payload(i);
+            f(&boundary[..sym_len], code);
+        };
+        if node.term {
+            entry(node.leaf_base as usize, path, f);
+        }
+        for label in (0..=u8::MAX).filter(|&l| node.has(l)) {
+            path.push(label);
+            if path.len() == self.depth {
+                entry(self.leaf_at(node, label), path, f);
+            } else {
+                self.visit(self.child(node, label), path, f);
+            }
+            path.pop();
+        }
+    }
+
+    /// `(states, fallback edges)` of the automaton.
+    #[cfg(test)]
+    pub(crate) fn automaton_stats(&self) -> (usize, usize) {
+        self.automaton.stats()
+    }
+
+    /// Times an automaton fallback edge was taken — a symbol resolved by
+    /// the trie walk instead of the table — since construction.
+    pub(crate) fn automaton_fallback_takes(&self) -> u64 {
+        self.automaton.fallback_takes()
+    }
+
+    /// Trie depth (gram length).
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Number of trie nodes (for memory analysis).
+    pub fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+}
+
+impl DictLookup for BitmapTrieDict {
+    #[inline]
+    fn lookup(&self, src: &[u8]) -> (Code, usize) {
+        debug_assert!(!src.is_empty());
+        self.automaton.step(src).unwrap_or_else(|| self.walk(src))
+    }
+
     fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.code_bits.len() * 8
             + self.code_len.len()
             + self.sym_len.len()
+            + self.automaton.memory_bytes()
     }
 
     fn num_entries(&self) -> usize {
@@ -241,8 +306,10 @@ impl DictLookup for BitmapTrieDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code_assign::CodeAssigner;
     use crate::dict::sorted_dict::SortedDict;
     use crate::hu_tucker::fixed_len_codes;
+    use crate::selector::{self, Scheme};
     use proptest::prelude::*;
 
     fn build_pair(patterns: &[&[u8]]) -> (BitmapTrieDict, SortedDict) {
@@ -266,7 +333,8 @@ mod tests {
             b"\x00",
             b"\xff\xff\xff\xff",
         ] {
-            assert_eq!(trie.lookup(probe), base.lookup(probe), "probe {probe:?}");
+            assert_eq!(trie.walk(probe), base.lookup(probe), "walk {probe:?}");
+            assert_eq!(trie.lookup(probe), base.lookup(probe), "lookup {probe:?}");
         }
     }
 
@@ -275,6 +343,7 @@ mod tests {
         let (trie, base) = build_pair(&[b"abc"]);
         // probe "ab": shorter than any pattern; must hit the [a, abc) gap
         // boundary ("a" with symbol "a").
+        assert_eq!(trie.walk(b"ab"), base.lookup(b"ab"));
         assert_eq!(trie.lookup(b"ab"), base.lookup(b"ab"));
         let (_, consumed) = trie.lookup(b"ab");
         assert_eq!(consumed, 1);
@@ -321,8 +390,85 @@ mod tests {
             let trie = BitmapTrieDict::build(&set, &codes);
             let base = SortedDict::build(&set, &codes);
             for p in &probes {
-                prop_assert_eq!(trie.lookup(p), base.lookup(p), "probe {:?}", p);
+                prop_assert_eq!(trie.walk(p), base.lookup(p), "walk {:?}", p);
+                prop_assert_eq!(trie.lookup(p), base.lookup(p), "lookup {:?}", p);
             }
         }
+    }
+
+    // ---- the automaton against the trie walk it flattens ----
+
+    fn gram_parts(scheme: Scheme) -> (IntervalSet, Vec<Code>) {
+        let sample: Vec<Vec<u8>> =
+            (0..100).map(|i| format!("com.gmail@user{i:03}").into_bytes()).collect();
+        let set = selector::select_intervals(scheme, &sample, 1024).unwrap();
+        let codes = CodeAssigner::HuTucker.assign(&selector::access_weights(&set, &sample));
+        (set, codes)
+    }
+
+    fn probes() -> [&'static [u8]; 6] {
+        [
+            b"",
+            b"a",
+            b"com.gmail@user042",
+            b"odd",
+            b"\x00\xff\x7f",
+            b"completely unrelated key material \xfe\xfd",
+        ]
+    }
+
+    /// `lookup` (automaton first) against the walk alone, symbol by symbol
+    /// along each probe — which is the whole key loop.
+    fn assert_matches_walk(trie: &BitmapTrieDict, what: &str) {
+        for key in probes() {
+            let mut rest = key;
+            while !rest.is_empty() {
+                let (code, n) = trie.walk(rest);
+                assert_eq!(trie.lookup(rest), (code, n), "{what}: lookup({rest:?}) in {key:?}");
+                rest = &rest[n..];
+            }
+        }
+    }
+
+    #[test]
+    fn automaton_matches_the_trie_walk() {
+        for scheme in [Scheme::ThreeGrams, Scheme::FourGrams] {
+            let (set, codes) = gram_parts(scheme);
+            let trie = BitmapTrieDict::build(&set, &codes);
+            let (states, fallbacks) = trie.automaton_stats();
+            assert!(states >= 1);
+            assert_eq!(fallbacks, 0, "{scheme}: a 1K-entry dictionary tables fully");
+            assert_matches_walk(&trie, &scheme.to_string());
+            assert_eq!(trie.automaton_fallback_takes(), 0);
+        }
+    }
+
+    #[test]
+    fn tiny_state_budget_still_encodes_identically_via_fallback() {
+        let (set, codes) = gram_parts(Scheme::ThreeGrams);
+        // A budget of 0 still gets the root row.
+        for budget in [0usize, 1, 2, 7] {
+            let trie = BitmapTrieDict::build_with_state_budget(&set, &codes, budget);
+            let (states, fallbacks) = trie.automaton_stats();
+            assert!(states <= budget.max(1));
+            assert!(fallbacks > 0, "a tiny budget must produce fallback edges");
+            assert_eq!(trie.automaton_fallback_takes(), 0, "untouched table has no takes");
+            assert_matches_walk(&trie, &format!("budget {budget}"));
+            assert!(
+                trie.automaton_fallback_takes() > 0,
+                "budget {budget}: probes must have exercised a fallback edge"
+            );
+        }
+    }
+
+    #[test]
+    fn memory_counts_the_automaton() {
+        let (set, codes) = gram_parts(Scheme::FourGrams);
+        let bare = BitmapTrieDict::build_with_state_budget(&set, &codes, 1);
+        let full = BitmapTrieDict::build(&set, &codes);
+        let (states, _) = full.automaton_stats();
+        assert!(states > 1);
+        // One 256-entry row plus one exhaust entry of 8 bytes per state.
+        assert_eq!(full.memory_bytes() - bare.memory_bytes(), (states - 1) * 257 * 8);
     }
 }

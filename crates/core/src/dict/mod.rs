@@ -13,12 +13,12 @@
 //!   prefixes, leaves store codes);
 //! * [`sorted_dict`] — binary search over the boundary list (baseline).
 //!
-//! Every dictionary additionally feeds a [`crate::fast_encoder::FastEncoder`]
-//! fast path on the encode side: the array dictionaries collapse into a
-//! fused code table (one dense load per symbol), and the trie structures
-//! flatten into a prefix-automaton transition table built from the same
-//! interval division. The generic walk below remains the reference
-//! implementation and resolves the automaton's fallback edges.
+//! The built [`Dict`] is the only copy of the dictionary and the only
+//! thing the encoder walks: [`Dict::encode_into`] is the per-key loop,
+//! [`Dict::lookup`] the per-symbol primitive, and
+//! [`Dict::for_each_entry`] lists the `(symbol, code)` pairs back out for
+//! the decoders, so neither the interval division nor the code list
+//! outlives the build.
 //!
 //! ```
 //! use hope::{HopeBuilder, Scheme};
@@ -33,11 +33,12 @@
 
 pub mod array_dict;
 pub mod art_dict;
+mod automaton;
 pub mod bitmap_trie;
 pub mod sorted_dict;
 
 use crate::axis::IntervalSet;
-use crate::bitpack::Code;
+use crate::bitpack::{BitWriter, Code};
 use crate::selector::Scheme;
 
 pub use array_dict::{DoubleCharDict, SingleCharDict};
@@ -56,6 +57,19 @@ pub trait DictLookup {
 
     /// Number of dictionary entries (intervals).
     fn num_entries(&self) -> usize;
+}
+
+/// The encode loop every structure without a denser one shares: one
+/// lookup per symbol.
+#[inline]
+fn encode_by_lookup(d: &impl DictLookup, key: &[u8], w: &mut BitWriter) {
+    let mut rest = key;
+    while !rest.is_empty() {
+        let (code, consumed) = d.lookup(rest);
+        debug_assert!(consumed >= 1 && consumed <= rest.len());
+        w.put(code);
+        rest = &rest[consumed..];
+    }
 }
 
 /// Static-dispatch wrapper over the concrete dictionary structures (keeps
@@ -88,7 +102,61 @@ impl Dict {
         }
     }
 
-    /// See [`DictLookup::lookup`].
+    /// Encode `key`, appending its codes to `w` — the one per-key encode
+    /// loop. The structure is matched once per key, not once per symbol.
+    ///
+    /// ```
+    /// use hope::bitpack::BitWriter;
+    /// use hope::{HopeBuilder, Scheme};
+    ///
+    /// let sample = vec![b"com.gmail@alice".to_vec(), b"com.gmail@bob".to_vec()];
+    /// let hope = HopeBuilder::new(Scheme::ThreeGrams)
+    ///     .dictionary_entries(256)
+    ///     .build_from_sample(sample)
+    ///     .unwrap();
+    /// let dict = hope.encoder().dict();
+    ///
+    /// // The key loop is the per-symbol lookup, run to the end of the key.
+    /// let key = b"com.gmail@carol";
+    /// let (mut whole, mut by_symbol) = (BitWriter::new(), BitWriter::new());
+    /// dict.encode_into(key, &mut whole);
+    /// let mut rest = &key[..];
+    /// while !rest.is_empty() {
+    ///     let (code, consumed) = dict.lookup(rest);
+    ///     by_symbol.put(code);
+    ///     rest = &rest[consumed..];
+    /// }
+    /// assert_eq!(whole.finish(), by_symbol.finish());
+    /// ```
+    #[inline]
+    pub fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
+        match self {
+            Dict::Single(d) => d.encode_into(key, w),
+            Dict::Double(d) => d.encode_into(key, w),
+            Dict::Bitmap(d) => encode_by_lookup(d, key, w),
+            Dict::Art(d) => encode_by_lookup(d, key, w),
+            Dict::Sorted(d) => encode_by_lookup(d, key, w),
+        }
+    }
+
+    /// Call `f(symbol, code)` for every dictionary entry, in interval
+    /// order — the listing the decoders are built from. Slot arithmetic
+    /// for the arrays, one depth-first walk for the trie and the ART (the
+    /// path to an entry is its boundary, the symbol a prefix of it).
+    pub fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        match self {
+            Dict::Single(d) => d.for_each_entry(f),
+            Dict::Double(d) => d.for_each_entry(f),
+            Dict::Bitmap(d) => d.for_each_entry(f),
+            Dict::Art(d) => d.for_each_entry(f),
+            Dict::Sorted(d) => d.for_each_entry(f),
+        }
+    }
+
+    /// Resolve one symbol — the per-symbol primitive of the
+    /// checkpoint-tracking walks (pair and batch encoding) and of
+    /// [`EncodingDiff`](crate::diff::EncodingDiff). See
+    /// [`DictLookup::lookup`].
     #[inline]
     pub fn lookup(&self, src: &[u8]) -> (Code, usize) {
         match self {
@@ -119,6 +187,28 @@ impl Dict {
             Dict::Bitmap(d) => d.num_entries(),
             Dict::Art(d) => d.num_entries(),
             Dict::Sorted(d) => d.num_entries(),
+        }
+    }
+
+    /// Longest boundary in bytes when it is bounded by construction (the
+    /// fixed-gram schemes): a lookup checkpoint at byte `p` is reusable by
+    /// any key sharing `p + gram` prefix bytes. `None` for ALM's
+    /// arbitrary-length boundaries.
+    pub(crate) fn reuse_gram(&self) -> Option<usize> {
+        match self {
+            Dict::Single(_) => Some(1),
+            Dict::Double(_) => Some(2),
+            Dict::Bitmap(d) => Some(d.depth()),
+            Dict::Art(_) | Dict::Sorted(_) => None,
+        }
+    }
+
+    /// Times the bitmap trie's automaton handed a symbol to the trie walk
+    /// (0 for every other structure: their lookups have no second tier).
+    pub(crate) fn automaton_fallback_takes(&self) -> u64 {
+        match self {
+            Dict::Bitmap(d) => d.automaton_fallback_takes(),
+            _ => 0,
         }
     }
 
@@ -201,6 +291,77 @@ mod tests {
         .collect();
         for scheme in Scheme::ALL {
             check_against_baseline(scheme, &sample, &probes);
+        }
+    }
+
+    /// Every structure lists back exactly the `(symbol, code)` pairs it was
+    /// built from, in interval order — the decoders' only input.
+    fn check_entries(what: &str, dict: &Dict, set: &IntervalSet, codes: &[Code]) {
+        let mut i = 0usize;
+        dict.for_each_entry(&mut |symbol, code| {
+            assert!(i < set.len(), "{what}: more entries than intervals");
+            assert_eq!((symbol, code), (set.symbol(i), codes[i]), "{what}: entry {i}");
+            i += 1;
+        });
+        assert_eq!(i, set.len(), "{what}: entries listed");
+    }
+
+    fn check_entries_for_patterns(patterns: &[&[u8]]) {
+        let pats: Vec<Vec<u8>> = patterns.iter().map(|p| p.to_vec()).collect();
+        let set = IntervalSet::from_patterns(&pats);
+        set.validate().unwrap();
+        let codes = crate::hu_tucker::fixed_len_codes(set.len());
+        for dict in [
+            Dict::Bitmap(BitmapTrieDict::build(&set, &codes)),
+            Dict::Art(ArtDict::build(&set, &codes)),
+            Dict::Sorted(SortedDict::build(&set, &codes)),
+        ] {
+            check_entries(&format!("{} over {patterns:?}", dict.kind()), &dict, &set, &codes);
+        }
+    }
+
+    #[test]
+    fn for_each_entry_lists_the_dictionary_in_interval_order() {
+        // Every scheme's production structure, on words and on a one-key
+        // sample (Dict::build picks array / trie / ART per scheme).
+        for sample in [words(), vec![b"k".to_vec()]] {
+            for scheme in Scheme::ALL {
+                let set = selector::select_intervals(scheme, &sample, 128).unwrap();
+                let weights = selector::access_weights(&set, &sample);
+                let codes = CodeAssigner::HuTucker.assign(&weights);
+                let dict = Dict::build(scheme, &set, &codes);
+                check_entries(&scheme.to_string(), &dict, &set, &codes);
+            }
+        }
+        // Hostile divisions: 0x00 / 0xFF runs, where gap filling produces
+        // boundaries that are prefixes of one another and symbols shorter
+        // than their boundary.
+        check_entries_for_patterns(&[]);
+        check_entries_for_patterns(&[b"abc"]);
+        check_entries_for_patterns(&[b"\x00\x00\x00", b"\x00\x00\x01"]);
+        check_entries_for_patterns(&[b"\xff\xff\xfe", b"\xff\xff\xff"]);
+        check_entries_for_patterns(&[b"a\x00\x00", b"a\xff\xff", b"b\x00", b"\xff"]);
+        // Prefix-chain boundaries `a` / `ab` / `abc`: patterns may not
+        // prefix one another, but boundaries may (terminator slots).
+        let (mut chain, mut lens): (Vec<Box<[u8]>>, Vec<u16>) = (Vec::new(), Vec::new());
+        for b in 0..=u8::MAX {
+            chain.push([b].into());
+            lens.push(1);
+            if b == b'a' {
+                // [ab, abc) shares "ab", [abc, abd) "abc", [abd, b) only "a".
+                chain.extend([&b"ab"[..], b"abc", b"abd"].map(Box::from));
+                lens.extend([2, 3, 1]);
+            }
+        }
+        let set = IntervalSet::from_parts(chain, lens);
+        set.validate().unwrap();
+        let codes = crate::hu_tucker::fixed_len_codes(set.len());
+        for dict in [
+            Dict::Bitmap(BitmapTrieDict::build(&set, &codes)),
+            Dict::Art(ArtDict::build(&set, &codes)),
+            Dict::Sorted(SortedDict::build(&set, &codes)),
+        ] {
+            check_entries(&format!("{} over the prefix chain", dict.kind()), &dict, &set, &codes);
         }
     }
 

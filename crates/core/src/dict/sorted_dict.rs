@@ -28,6 +28,14 @@ impl SortedDict {
             sym_len: (0..set.len()).map(|i| set.symbol_len(i) as u16).collect(),
         }
     }
+
+    /// In-order `(symbol, code)` enumeration.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        for (i, b) in self.boundaries.iter().enumerate() {
+            let code = Code { bits: self.code_bits[i], len: self.code_len[i] };
+            f(&b[..self.sym_len[i] as usize], code);
+        }
+    }
 }
 
 impl DictLookup for SortedDict {

@@ -14,19 +14,18 @@
 //! Reconstruction style: a merge pass over already-encoded runs instead
 //! of a stop-the-world re-encode).
 //!
-//! Two comparison strategies, chosen by the fused-table shapes:
+//! Two comparison strategies, chosen by the dictionary structure:
 //!
-//! * **Table diff** — both dictionaries carry a fused array table
-//!   (Single-/Double-Char). Since a table entry *is* the complete
-//!   per-symbol encode, one upfront pass over the (at most 65 792)
-//!   entries yields a changed-symbol bitset, and a key's verdict is a
-//!   bitset probe per symbol: O(key length), no dictionary work at all.
-//! * **Walk diff** — any other shape (prefix automaton, or mismatched
-//!   table shapes). Each key is resolved symbol-by-symbol through
-//!   *both* encoders ([`FastEncoder::lookup_symbol`]); the key is
-//!   unchanged only if every step consumes the same source length with
-//!   an identical code. Segmentation agreement matters: equal total bit
-//!   patterns reached through different symbol boundaries would still
+//! * **Table diff** — both dictionaries are arrays (Single-/Double-Char).
+//!   Their symbol space is dense, so one upfront pass over the (at most
+//!   65 792) symbols — a [`Dict::lookup`] on each side — yields a
+//!   changed-symbol bitset, and a key's verdict is a bitset probe per
+//!   symbol: O(key length), no dictionary work at all.
+//! * **Walk diff** — the trie and ART dictionaries. Each key is resolved
+//!   symbol-by-symbol through *both* dictionaries ([`Dict::lookup`]); the
+//!   key is unchanged only if every step consumes the same source length
+//!   with an identical code. Segmentation agreement matters: equal total
+//!   bit patterns reached through different symbol boundaries would still
 //!   be byte-identical, but the walk conservatively rejects anything
 //!   whose step-wise agreement breaks, which is always safe (a `false`
 //!   merely costs one ordinary re-encode).
@@ -36,16 +35,24 @@
 //! reuse the store splices is exact, not approximate.
 
 use crate::dict::Dict;
-use crate::encoder::Encoder;
-use crate::fast_encoder::FastEncoder;
 
 /// One word per 64 symbols.
-fn bitset(bits: usize) -> Box<[u64]> {
-    vec![0u64; bits.div_ceil(64)].into_boxed_slice()
-}
-
-fn mark(bs: &mut [u64], i: usize) {
-    bs[i / 64] |= 1 << (i % 64);
+/// One bit per symbol, set iff the two dictionaries resolve `symbol(i)`
+/// differently.
+fn changed_bits<const N: usize>(
+    old: &Dict,
+    new: &Dict,
+    symbols: usize,
+    symbol: impl Fn(usize) -> [u8; N],
+) -> Box<[u64]> {
+    let mut bs = vec![0u64; symbols.div_ceil(64)].into_boxed_slice();
+    for i in 0..symbols {
+        let sym = symbol(i);
+        if old.lookup(&sym) != new.lookup(&sym) {
+            bs[i / 64] |= 1 << (i % 64);
+        }
+    }
+    bs
 }
 
 fn marked(bs: &[u64], i: usize) -> bool {
@@ -55,23 +62,19 @@ fn marked(bs: &[u64], i: usize) -> bool {
 /// How two dictionaries are compared (module docs).
 #[derive(Debug)]
 enum Shape<'a> {
-    /// Fixed-gram fused tables on both sides: precomputed changed-symbol
+    /// Array dictionaries on both sides: precomputed changed-symbol
     /// bitsets over the dense symbol space.
     Table {
         /// Symbol length of the main table (1 or 2 bytes).
         gram: usize,
-        /// Changed bit per main-table entry.
+        /// Changed bit per main-table symbol.
         changed: Box<[u64]>,
-        /// Changed bit per terminator entry (empty for Single-Char).
+        /// Changed bit per one-byte terminator symbol (empty for
+        /// Single-Char).
         term_changed: Box<[u64]>,
     },
-    /// Per-key dual walk through both encoders.
-    Walk {
-        old_fast: &'a FastEncoder,
-        old_dict: &'a Dict,
-        new_fast: &'a FastEncoder,
-        new_dict: &'a Dict,
-    },
+    /// Per-key dual walk through both dictionaries.
+    Walk { old: &'a Dict, new: &'a Dict },
 }
 
 /// A symbol-level comparison of two trained dictionaries, answering
@@ -96,35 +99,23 @@ pub struct EncodingDiff<'a> {
 }
 
 impl<'a> EncodingDiff<'a> {
-    /// Compare two encoders; `None` when either lacks a fast encoder
-    /// (extreme Hu-Tucker skew declined the table — rare, and then a
-    /// symbol-exact diff has no precomputed form to lean on).
-    pub(crate) fn new(old: &'a Encoder, new: &'a Encoder) -> Option<EncodingDiff<'a>> {
-        let (old_fast, new_fast) = (old.fast()?, new.fast()?);
-        let shape = match (old_fast.fused_tables(), new_fast.fused_tables()) {
-            (Some((om, ot)), Some((nm, nt)))
-                if old_fast.fixed_gram() == new_fast.fixed_gram()
-                    && om.len() == nm.len()
-                    && ot.len() == nt.len() =>
-            {
-                let gram = old_fast.fixed_gram().unwrap_or(1);
-                let mut changed = bitset(om.len());
-                for (i, (a, b)) in om.iter().zip(nm).enumerate() {
-                    if a != b {
-                        mark(&mut changed, i);
-                    }
-                }
-                let mut term_changed = bitset(ot.len());
-                for (i, (a, b)) in ot.iter().zip(nt).enumerate() {
-                    if a != b {
-                        mark(&mut term_changed, i);
-                    }
-                }
-                Shape::Table { gram, changed, term_changed }
-            }
-            _ => Shape::Walk { old_fast, old_dict: old.dict(), new_fast, new_dict: new.dict() },
+    /// Compare two dictionaries of the same scheme.
+    pub(crate) fn new(old: &'a Dict, new: &'a Dict) -> EncodingDiff<'a> {
+        let byte = |i: usize| [i as u8];
+        let shape = match (old, new) {
+            (Dict::Single(_), Dict::Single(_)) => Shape::Table {
+                gram: 1,
+                changed: changed_bits(old, new, 1 << 8, byte),
+                term_changed: Box::default(),
+            },
+            (Dict::Double(_), Dict::Double(_)) => Shape::Table {
+                gram: 2,
+                changed: changed_bits(old, new, 1 << 16, |i| [(i >> 8) as u8, i as u8]),
+                term_changed: changed_bits(old, new, 1 << 8, byte),
+            },
+            _ => Shape::Walk { old, new },
         };
-        Some(EncodingDiff { shape })
+        EncodingDiff { shape }
     }
 
     /// `true` iff the new dictionary encodes `key` to byte-identical
@@ -148,11 +139,11 @@ impl<'a> EncodingDiff<'a> {
                     _ => true,
                 }
             }
-            Shape::Walk { old_fast, old_dict, new_fast, new_dict } => {
+            Shape::Walk { old, new } => {
                 let mut rest = key;
                 while !rest.is_empty() {
-                    let (oc, on) = old_fast.lookup_symbol(rest, old_dict);
-                    let (nc, nn) = new_fast.lookup_symbol(rest, new_dict);
+                    let (oc, on) = old.lookup(rest);
+                    let (nc, nn) = new.lookup(rest);
                     if on != nn || oc != nc || on == 0 {
                         return false;
                     }

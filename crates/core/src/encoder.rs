@@ -1,22 +1,17 @@
 //! The Encoder (§4.2): repeated dictionary lookups + fast bit concatenation.
 //!
-//! ## Fast path vs slow path
+//! ## One path
 //!
-//! The encoder keeps **two** implementations of the per-symbol loop and
-//! picks one per dictionary at construction time:
+//! The [`Dict`] is the encoder's only table. A key is encoded by
+//! [`Dict::encode_into`] — the structure is matched once per key and its
+//! own loop runs: a packed-array load per symbol for Single-/Double-Char,
+//! the bitmap trie's automaton (trie walk on its fallback edges) for
+//! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. The walks that
+//! must stop after each symbol (pair and batch encoding, below) use
+//! [`Dict::lookup`], the same structures one symbol at a time. See
+//! DESIGN.md, "One structure per scheme".
 //!
-//! * the **fast path** — a [`FastEncoder`] dense table covering all six
-//!   schemes: a fused code table for the array dictionaries (Single-Char /
-//!   Double-Char) and a flattened prefix automaton for the trie
-//!   dictionaries (3/4-Grams, ALM / ALM-Improved) — pre-packed
-//!   `(code, len)` entries, no enum dispatch (see [`crate::fast_encoder`]);
-//! * the **slow path** — the generic dictionary walk
-//!   ([`Encoder::encode_generic_into`]), which works for every dictionary
-//!   structure (bitmap-trie, ART, sorted baseline), resolves the
-//!   automaton's budget-overflow fallback edges, and serves as the
-//!   reference the fast path is property-tested against.
-//!
-//! Both paths are allocation-free: they append to a caller-supplied
+//! Everything is allocation-free: codes are appended to a caller-supplied
 //! [`BitWriter`], and the `encode_into`-first API plus [`EncodeScratch`]
 //! let query hot paths reuse buffers across probes instead of allocating
 //! an [`EncodedKey`] per call. See DESIGN.md, "Performance guide".
@@ -35,27 +30,21 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::axis::{lcp_len, IntervalSet};
-use crate::bitpack::{BitWriter, Code, EncodedKey};
+use crate::axis::lcp_len;
+use crate::bitpack::{BitWriter, EncodedKey};
 use crate::dict::Dict;
-use crate::fast_encoder::{FastEncoder, AUTOMATON_STATE_BUDGET};
 
-/// Key encoder: owns the dictionary and a precomputed [`FastEncoder`]
-/// table (fused code table or prefix automaton) when one can be built.
+/// Key encoder: owns the dictionary — the one copy of it, and the only
+/// table the encode loop reads.
 #[derive(Debug)]
 pub struct Encoder {
     dict: Dict,
-    /// Fast-path table: fused (array schemes) or automaton (trie schemes).
-    fast: Option<FastEncoder>,
     /// Max dictionary boundary length: a lookup checkpoint at byte `p` is
     /// reusable for another key sharing `p + max_boundary_len` prefix bytes.
     /// `None` disables batch reuse (ALM schemes).
     reuse_gram: Option<usize>,
-    /// Keys encoded through the fast table (telemetry; relaxed).
-    fast_keys: AtomicU64,
-    /// Keys encoded through the generic walk because no fast table was
-    /// built (telemetry; relaxed).
-    generic_keys: AtomicU64,
+    /// Keys encoded (telemetry; relaxed).
+    keys: AtomicU64,
 }
 
 /// Reusable encode buffers for the allocation-free query hot paths.
@@ -85,19 +74,17 @@ pub struct EncodeScratch {
     hi: Vec<u8>,
     lo_bits: usize,
     hi_bits: usize,
-    /// Path-taken counts not yet flushed to the encoder's shared atomics
-    /// (see [`Encoder::encode_to`]): `(fast, generic)` keys.
-    pending_fast: u32,
-    pending_generic: u32,
+    /// Encoded-key count not yet flushed to the encoder's shared atomic
+    /// (see [`Encoder::encode_to`]).
+    pending_keys: u32,
 }
 
 /// How many [`Encoder::encode_to`] calls a scratch accumulates locally
-/// before flushing its path-taken counts into the encoder's shared
-/// atomics. A per-key `fetch_add` measurably taxed the Single-Char fast
-/// path (~4% in `perf_baseline`) and would bounce one cache line between
-/// every encoding thread; batching divides that traffic by the batch
-/// size at the cost of snapshots lagging each live scratch by up to
-/// `COUNT_FLUSH_EVERY - 1` keys.
+/// before flushing its key count into the encoder's shared atomic. A
+/// per-key `fetch_add` measurably taxed the Single-Char encode (~4%) and
+/// would bounce one cache line between every encoding thread; batching
+/// divides that traffic by the batch size at the cost of snapshots
+/// lagging each live scratch by up to `COUNT_FLUSH_EVERY - 1` keys.
 pub(crate) const COUNT_FLUSH_EVERY: u32 = 64;
 
 impl EncodeScratch {
@@ -142,50 +129,10 @@ impl EncodeScratch {
 }
 
 impl Encoder {
-    /// Wrap a dictionary. `reuse_gram` is the scheme's maximum boundary
-    /// length (1, 2, 3, 4) or `None` for variable-length-symbol schemes.
-    /// Builds the fused array fast path when the dictionary supports one;
-    /// trie dictionaries get their prefix automaton via
-    /// [`Encoder::with_intervals`] (the builder's entry point), which has
-    /// the interval division the automaton is flattened from.
-    pub fn new(dict: Dict, reuse_gram: Option<usize>) -> Self {
-        let fast = FastEncoder::from_dict(&dict);
-        Encoder {
-            dict,
-            fast,
-            reuse_gram,
-            fast_keys: AtomicU64::new(0),
-            generic_keys: AtomicU64::new(0),
-        }
-    }
-
-    /// Like [`Encoder::new`], but additionally flattens trie dictionaries
-    /// (bitmap-trie / ART) into a [`FastEncoder`] prefix automaton built
-    /// from the interval division, so every scheme gets a fast path.
-    ///
-    /// The n-gram dictionaries get the full state budget — their bounded
-    /// depth means even a 64K-entry dictionary tables completely, with
-    /// zero fallback edges. ALM's arbitrary-length boundaries can demand
-    /// unbounded state, so its ART dictionaries get a quarter budget:
-    /// past that point extra rows buy mostly cold fallback edges.
-    pub fn with_intervals(
-        dict: Dict,
-        reuse_gram: Option<usize>,
-        set: &IntervalSet,
-        codes: &[Code],
-    ) -> Self {
-        let fast = FastEncoder::from_dict(&dict).or_else(|| match &dict {
-            Dict::Bitmap(_) => FastEncoder::automaton_from(set, codes, AUTOMATON_STATE_BUDGET),
-            Dict::Art(_) => FastEncoder::automaton_from(set, codes, AUTOMATON_STATE_BUDGET / 4),
-            _ => None,
-        });
-        Encoder {
-            dict,
-            fast,
-            reuse_gram,
-            fast_keys: AtomicU64::new(0),
-            generic_keys: AtomicU64::new(0),
-        }
+    /// Wrap a dictionary.
+    pub fn new(dict: Dict) -> Self {
+        let reuse_gram = dict.reuse_gram();
+        Encoder { dict, reuse_gram, keys: AtomicU64::new(0) }
     }
 
     /// Access the underlying dictionary.
@@ -193,29 +140,12 @@ impl Encoder {
         &self.dict
     }
 
-    /// The fast-path table (fused or automaton), when this dictionary has
-    /// one.
-    pub fn fast(&self) -> Option<&FastEncoder> {
-        self.fast.as_ref()
-    }
-
-    /// Keys the production dispatch ([`Encoder::encode_into`] /
-    /// [`Encoder::encode_to`]) sent through the fast table since
-    /// construction. Telemetry counter: relaxed, and scratch-based encodes
-    /// batch their counts (a flush every 64 keys), so a snapshot taken
-    /// under concurrent encodes lags each live scratch by up to one batch.
-    pub fn fast_key_count(&self) -> u64 {
-        self.fast_keys.load(Ordering::Relaxed)
-    }
-
-    /// Keys the production dispatch sent through the generic dictionary
-    /// walk because no fast table was built (same snapshot caveats as
-    /// [`Encoder::fast_key_count`]). Direct
-    /// [`Encoder::encode_generic_into`] calls (benchmarks, differential
-    /// tests) are deliberately *not* counted: the counter reports what the
-    /// production dispatch chose.
-    pub fn generic_key_count(&self) -> u64 {
-        self.generic_keys.load(Ordering::Relaxed)
+    /// Keys encoded since construction. Telemetry counter: relaxed, and
+    /// scratch-based encodes batch their counts (a flush every 64 keys), so
+    /// a snapshot taken under concurrent encodes lags each live scratch by
+    /// up to one batch.
+    pub(crate) fn key_count(&self) -> u64 {
+        self.keys.load(Ordering::Relaxed)
     }
 
     /// Encode one key. The empty key encodes to the empty code.
@@ -229,92 +159,28 @@ impl Encoder {
     }
 
     /// Encode `key`, appending to an existing writer (allocation reuse).
-    /// Takes the fast path (fused table or prefix automaton) when the
-    /// dictionary has one.
     #[inline]
     pub fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
-        match &self.fast {
-            Some(fast) => {
-                self.fast_keys.fetch_add(1, Ordering::Relaxed);
-                fast.encode_into(key, &self.dict, w);
-            }
-            None => {
-                self.generic_keys.fetch_add(1, Ordering::Relaxed);
-                self.encode_generic_into(key, w);
-            }
-        }
-    }
-
-    /// Resolve one symbol at the head of `rest` — the fast table when
-    /// present, otherwise [`Dict::lookup`]. The per-symbol primitive of
-    /// the checkpoint-tracking walks (batch and pair encoding).
-    #[inline]
-    fn lookup_symbol(&self, rest: &[u8]) -> (Code, usize) {
-        match &self.fast {
-            Some(fast) => fast.lookup_symbol(rest, &self.dict),
-            None => self.dict.lookup(rest),
-        }
-    }
-
-    /// The generic (slow-path) encode loop: one dictionary lookup per
-    /// symbol through the [`Dict`] dispatch. Works for every dictionary
-    /// structure; the fast path is property-tested bit-identical to it.
-    #[inline]
-    pub fn encode_generic_into(&self, key: &[u8], w: &mut BitWriter) {
-        let mut rest = key;
-        while !rest.is_empty() {
-            let (code, consumed) = self.dict.lookup(rest);
-            debug_assert!(consumed >= 1 && consumed <= rest.len());
-            w.put(code);
-            rest = &rest[consumed..];
-        }
-    }
-
-    /// Allocating wrapper over [`Encoder::encode_generic_into`] — the
-    /// encode hot path as it existed before the fused table, kept callable
-    /// for benchmarks (`perf_baseline`) and differential tests.
-    pub fn encode_generic(&self, key: &[u8]) -> EncodedKey {
-        let mut w = BitWriter::with_capacity(key.len());
-        self.encode_generic_into(key, &mut w);
-        w.finish()
+        self.keys.fetch_add(1, Ordering::Relaxed);
+        self.dict.encode_into(key, w);
     }
 
     /// Allocation-free point encode: fill `scratch` and return the padded
     /// encoded bytes (exact bit length via [`EncodeScratch::bit_len`]).
     ///
-    /// Path-taken telemetry is accumulated in the scratch and flushed to
-    /// the shared counters once per `COUNT_FLUSH_EVERY` (64) keys, keeping
-    /// the per-key cost to one plain increment on an already-hot line.
+    /// The key count is accumulated in the scratch and flushed to the
+    /// shared counter once per `COUNT_FLUSH_EVERY` (64) keys, keeping the
+    /// per-key cost to one plain increment on an already-hot line.
     #[inline]
     pub fn encode_to<'s>(&self, key: &[u8], scratch: &'s mut EncodeScratch) -> &'s [u8] {
-        match &self.fast {
-            Some(fast) => {
-                scratch.pending_fast += 1;
-                fast.encode_into(key, &self.dict, &mut scratch.writer);
-            }
-            None => {
-                scratch.pending_generic += 1;
-                self.encode_generic_into(key, &mut scratch.writer);
-            }
-        }
-        if scratch.pending_fast + scratch.pending_generic >= COUNT_FLUSH_EVERY {
-            self.flush_counts(scratch);
+        self.dict.encode_into(key, &mut scratch.writer);
+        scratch.pending_keys += 1;
+        if scratch.pending_keys >= COUNT_FLUSH_EVERY {
+            self.keys.fetch_add(u64::from(scratch.pending_keys), Ordering::Relaxed);
+            scratch.pending_keys = 0;
         }
         scratch.lo_bits = scratch.writer.finish_into(&mut scratch.lo);
         &scratch.lo
-    }
-
-    /// Move a scratch's pending path-taken counts into the shared atomics.
-    #[cold]
-    fn flush_counts(&self, scratch: &mut EncodeScratch) {
-        if scratch.pending_fast > 0 {
-            self.fast_keys.fetch_add(u64::from(scratch.pending_fast), Ordering::Relaxed);
-            scratch.pending_fast = 0;
-        }
-        if scratch.pending_generic > 0 {
-            self.generic_keys.fetch_add(u64::from(scratch.pending_generic), Ordering::Relaxed);
-            scratch.pending_generic = 0;
-        }
     }
 
     /// Encode a batch of keys, exploiting shared prefixes within blocks of
@@ -384,37 +250,18 @@ impl Encoder {
                 // One traversal serves both keys: record the deepest
                 // checkpoint usable by `high` while encoding `low`.
                 let shared = lcp_len(low, high);
-                let fixed = self.fast.as_ref().and_then(|f| f.fixed_gram());
-                let resume = if let (Some(fast), Some(fg)) = (&self.fast, fixed) {
-                    // Fixed-gram consumption is deterministic (every
-                    // lookup consumes exactly `gram` bytes until the
-                    // tail), so the deepest safely-aligned checkpoint —
-                    // the largest multiple of `gram` at most
-                    // `shared - gram` — is known a priori and both keys
-                    // take the fused table. Only the array tables have
-                    // this property; the automaton's symbols are
-                    // variable-length and use the checkpoint walk below.
-                    debug_assert_eq!(fg, gram);
-                    let bytes = if shared >= 2 * gram { (shared - gram) / gram * gram } else { 0 };
-                    fast.encode_into(&low[..bytes], &self.dict, w);
-                    let bits = w.bit_len();
-                    fast.encode_into(&low[bytes..], &self.dict, w);
-                    (bytes, bits)
-                } else {
-                    let mut resume = (0usize, 0usize); // (source bytes, bits)
-                    let mut rest = low;
-                    let mut consumed = 0usize;
-                    while !rest.is_empty() {
-                        let (code, n) = self.lookup_symbol(rest);
-                        w.put(code);
-                        consumed += n;
-                        rest = &rest[n..];
-                        if consumed + gram <= shared {
-                            resume = (consumed, w.bit_len());
-                        }
+                let mut resume = (0usize, 0usize); // (source bytes, bits)
+                let mut rest = low;
+                let mut consumed = 0usize;
+                while !rest.is_empty() {
+                    let (code, n) = self.dict.lookup(rest);
+                    w.put(code);
+                    consumed += n;
+                    rest = &rest[n..];
+                    if consumed + gram <= shared {
+                        resume = (consumed, w.bit_len());
                     }
-                    resume
-                };
+                }
                 scratch.lo_bits = w.finish_into(&mut scratch.lo);
                 copy_bit_prefix(&scratch.lo, resume.1, w);
                 self.encode_into(&high[resume.0..], w);
@@ -447,7 +294,7 @@ impl Encoder {
         let mut rest = first;
         let mut consumed_total = 0usize;
         while !rest.is_empty() {
-            let (code, consumed) = self.lookup_symbol(rest);
+            let (code, consumed) = self.dict.lookup(rest);
             w.put(code);
             consumed_total += consumed;
             rest = &rest[consumed..];
@@ -499,9 +346,12 @@ fn copy_bit_prefix(src: &[u8], bits: usize, w: &mut BitWriter) {
 mod tests {
     use super::*;
     use crate::code_assign::CodeAssigner;
+    use crate::dict::SortedDict;
     use crate::selector::{self, Scheme};
 
-    fn build_encoder(scheme: Scheme, sample: &[Vec<u8>]) -> Encoder {
+    /// The production encoder for `scheme`, plus the binary-search
+    /// reference over the same intervals and codes.
+    fn build_both(scheme: Scheme, sample: &[Vec<u8>]) -> (Encoder, Encoder) {
         let set = selector::select_intervals(scheme, sample, 512).unwrap();
         let weights = selector::access_weights(&set, sample);
         let codes = if scheme.uses_hu_tucker() {
@@ -509,15 +359,14 @@ mod tests {
         } else {
             CodeAssigner::FixedLength.assign(&weights)
         };
-        let dict = Dict::build(scheme, &set, &codes);
-        let gram = match scheme {
-            Scheme::SingleChar => Some(1),
-            Scheme::DoubleChar => Some(2),
-            Scheme::ThreeGrams => Some(3),
-            Scheme::FourGrams => Some(4),
-            _ => None,
-        };
-        Encoder::with_intervals(dict, gram, &set, &codes)
+        (
+            Encoder::new(Dict::build(scheme, &set, &codes)),
+            Encoder::new(Dict::Sorted(SortedDict::build(&set, &codes))),
+        )
+    }
+
+    fn build_encoder(scheme: Scheme, sample: &[Vec<u8>]) -> Encoder {
+        build_both(scheme, sample).0
     }
 
     fn sample() -> Vec<Vec<u8>> {
@@ -560,33 +409,34 @@ mod tests {
     }
 
     #[test]
-    fn every_scheme_gets_a_fast_path() {
+    fn every_scheme_gets_its_table1_structure() {
         let s = sample();
         for scheme in Scheme::ALL {
             let enc = build_encoder(scheme, &s);
-            let fast = enc.fast().expect("fast path");
-            let expect_fixed = matches!(scheme, Scheme::SingleChar | Scheme::DoubleChar);
-            assert_eq!(fast.fixed_gram().is_some(), expect_fixed, "{scheme}");
-            assert_eq!(fast.automaton_stats().is_some(), !expect_fixed, "{scheme}");
+            let (kind, gram) = match scheme {
+                Scheme::SingleChar => ("Array", Some(1)),
+                Scheme::DoubleChar => ("Array", Some(2)),
+                Scheme::ThreeGrams => ("Bitmap-Trie", Some(3)),
+                Scheme::FourGrams => ("Bitmap-Trie", Some(4)),
+                Scheme::Alm | Scheme::AlmImproved => ("ART-based", None),
+            };
+            assert_eq!(enc.dict().kind(), kind, "{scheme}");
+            assert_eq!(enc.reuse_gram, gram, "{scheme}: reuse gram comes from the dictionary");
+            // Only the bitmap trie carries a table beyond its own nodes.
+            let has_automaton = matches!(enc.dict(), Dict::Bitmap(d) if d.automaton_stats().0 >= 1);
+            assert_eq!(has_automaton, kind == "Bitmap-Trie", "{scheme}");
         }
-        // A plain `new` (no interval division available) keeps the generic
-        // walk for trie dictionaries — the automaton needs the boundaries.
-        let set = selector::select_intervals(Scheme::ThreeGrams, &s, 512).unwrap();
-        let weights = selector::access_weights(&set, &s);
-        let codes = CodeAssigner::HuTucker.assign(&weights);
-        let enc = Encoder::new(Dict::build(Scheme::ThreeGrams, &set, &codes), Some(3));
-        assert!(enc.fast().is_none());
     }
 
     #[test]
-    fn fast_path_matches_generic_path() {
+    fn encode_matches_the_sorted_dict_reference() {
         let s = sample();
         for scheme in Scheme::ALL {
-            let enc = build_encoder(scheme, &s);
+            let (enc, reference) = build_both(scheme, &s);
             for key in
                 [b"".as_slice(), b"a", b"com.gmail@zzz", b"odd len", b"\x00\xff", b"unseen bytes"]
             {
-                assert_eq!(enc.encode(key), enc.encode_generic(key), "{scheme}: key {key:?}");
+                assert_eq!(enc.encode(key), reference.encode(key), "{scheme}: key {key:?}");
             }
         }
     }

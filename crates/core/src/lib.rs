@@ -49,7 +49,6 @@ pub mod decoder;
 pub mod dict;
 pub mod diff;
 pub mod encoder;
-pub mod fast_encoder;
 pub mod hu_tucker;
 pub mod index;
 pub mod selector;
@@ -61,7 +60,6 @@ pub use codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
 pub use decoder::{DecodeScratch, DecodedBatch, Decoder, FastDecoder};
 pub use diff::EncodingDiff;
 pub use encoder::{EncodeScratch, Encoder};
-pub use fast_encoder::FastEncoder;
 pub use index::{OrderedIndex, Value};
 pub use selector::Scheme;
 

@@ -34,8 +34,9 @@ pub fn double_char_intervals() -> IntervalSet {
     IntervalSet::from_parts(boundaries, symbol_lens)
 }
 
-/// Array index of the interval that a source suffix falls into — the O(1)
-/// lookup the array dictionary uses.
+/// Index (in interval order) of the interval that a source suffix falls
+/// into. The array dictionary answers the same question over its own
+/// pair-dense slot order and uses this to translate between the two.
 #[inline]
 pub fn double_char_slot(src: &[u8]) -> usize {
     debug_assert!(!src.is_empty());

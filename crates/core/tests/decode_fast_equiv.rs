@@ -16,16 +16,12 @@ fn build(scheme: Scheme, sample: &[Vec<u8>]) -> Hope {
 
 fn check_equivalence(hope: &Hope, scheme: Scheme, probes: &[Vec<u8>], budget: usize) {
     let walk = hope.decoder();
-    let symbols: Vec<Box<[u8]>> =
-        (0..hope.intervals().len()).map(|i| hope.intervals().symbol(i).into()).collect();
-    let codes: Vec<hope::Code> = (0..hope.intervals().len())
-        .map(|i| {
-            // Recover each interval's code through the encoder's dictionary
-            // (one lookup at the interval boundary).
-            let (code, _) = hope.encoder().dict().lookup(hope.intervals().boundary(i));
-            code
-        })
-        .collect();
+    // The decoders' build input is the dictionary's own entry listing.
+    let (mut codes, mut symbols) = (Vec::<hope::Code>::new(), Vec::<Box<[u8]>>::new());
+    hope.encoder().dict().for_each_entry(&mut |symbol, code| {
+        codes.push(code);
+        symbols.push(symbol.into());
+    });
     let fast = FastDecoder::new(&codes, symbols, budget);
     let mut scratch = DecodeScratch::new();
     for p in probes {

@@ -255,7 +255,8 @@ pub struct ShardReport {
     pub observed_cpr: Option<f64>,
     /// The dictionary's build-time baseline CPR.
     pub baseline_cpr: f64,
-    /// Dictionary memory in bytes.
+    /// Compressor memory in bytes: the dictionary plus its shared
+    /// decoder once built ([`hope::Hope::memory_bytes`]).
     pub dict_bytes: usize,
     /// Index + record memory in bytes.
     pub index_bytes: usize,
@@ -390,7 +391,7 @@ impl<V: Value> HopeStore<V> {
                 shard: s as u32,
                 epoch,
                 keys: generation.len() as u64,
-                bytes: generation.hope().dict_memory_bytes() as u64,
+                bytes: generation.hope().memory_bytes() as u64,
                 duration_ns: build_started.elapsed().as_nanos() as u64,
                 ..Event::default()
             });
@@ -716,8 +717,7 @@ impl<V: Value> HopeStore<V> {
             let g = s.current();
             reg.gauge(&format!("store.shard.{i}.epoch")).set(g.epoch());
             reg.gauge(&format!("store.shard.{i}.keys")).set(g.len() as u64);
-            reg.gauge(&format!("store.shard.{i}.dict_bytes"))
-                .set(g.hope().dict_memory_bytes() as u64);
+            reg.gauge(&format!("store.shard.{i}.dict_bytes")).set(g.hope().memory_bytes() as u64);
             reg.gauge(&format!("store.shard.{i}.index_bytes")).set(g.memory_bytes() as u64);
             let baseline = g.baseline_cpr();
             reg.gauge(&format!("store.shard.{i}.baseline_cpr_milli"))
@@ -730,14 +730,12 @@ impl<V: Value> HopeStore<V> {
             let drift = if baseline > 0.0 && observed > 0.0 { observed / baseline } else { 0.0 };
             reg.gauge(&format!("store.shard.{i}.drift_milli")).set((drift * 1000.0) as u64);
             let cs = s.codec_stats();
-            codec.fast_encode_keys += cs.fast_encode_keys;
-            codec.generic_encode_keys += cs.generic_encode_keys;
+            codec.encode_keys += cs.encode_keys;
             codec.automaton_fallback_takes += cs.automaton_fallback_takes;
             codec.fast_decode_keys += cs.fast_decode_keys;
             codec.walk_decode_keys += cs.walk_decode_keys;
         }
-        reg.gauge("store.codec.fast_encode_keys").set(codec.fast_encode_keys);
-        reg.gauge("store.codec.generic_encode_keys").set(codec.generic_encode_keys);
+        reg.gauge("store.codec.encode_keys").set(codec.encode_keys);
         reg.gauge("store.codec.automaton_fallback_takes").set(codec.automaton_fallback_takes);
         reg.gauge("store.codec.fast_decode_keys").set(codec.fast_decode_keys);
         reg.gauge("store.codec.walk_decode_keys").set(codec.walk_decode_keys);
@@ -786,7 +784,7 @@ impl<V: Value> HopeStore<V> {
                     keys: g.len(),
                     observed_cpr: s.observed_cpr(),
                     baseline_cpr: g.baseline_cpr(),
-                    dict_bytes: g.hope().dict_memory_bytes(),
+                    dict_bytes: g.hope().memory_bytes(),
                     index_bytes: g.memory_bytes(),
                 }
             })

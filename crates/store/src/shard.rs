@@ -240,8 +240,7 @@ impl<V: Value> Shard<V> {
         let retired = *lock(&self.retired);
         let live = self.current().hope().codec_stats();
         CodecStats {
-            fast_encode_keys: retired.fast_encode_keys + live.fast_encode_keys,
-            generic_encode_keys: retired.generic_encode_keys + live.generic_encode_keys,
+            encode_keys: retired.encode_keys + live.encode_keys,
             automaton_fallback_takes: retired.automaton_fallback_takes
                 + live.automaton_fallback_takes,
             fast_decode_keys: retired.fast_decode_keys + live.fast_decode_keys,
@@ -488,14 +487,13 @@ impl<V: Value> Shard<V> {
             reused_bytes: merge_stats.reused_bytes,
             reencoded_bytes: merge_stats.reencoded_bytes,
         };
-        let dict_bytes = next.hope().dict_memory_bytes();
+        let dict_bytes = next.hope().memory_bytes();
         // The old generation's codec counters die with its `Arc`; fold
         // them into the retired total before the flip retires it.
         let old_codec = old.hope().codec_stats();
         {
             let mut retired = lock(&self.retired);
-            retired.fast_encode_keys += old_codec.fast_encode_keys;
-            retired.generic_encode_keys += old_codec.generic_encode_keys;
+            retired.encode_keys += old_codec.encode_keys;
             retired.automaton_fallback_takes += old_codec.automaton_fallback_takes;
             retired.fast_decode_keys += old_codec.fast_decode_keys;
             retired.walk_decode_keys += old_codec.walk_decode_keys;

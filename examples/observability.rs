@@ -58,8 +58,8 @@ fn main() {
         );
     }
 
-    println!("\n== codec path split ==");
-    for name in ["fast_encode_keys", "generic_encode_keys", "automaton_fallback_takes"] {
+    println!("\n== codec counters ==");
+    for name in ["encode_keys", "automaton_fallback_takes"] {
         println!(
             "  store.codec.{name} = {}",
             snap.gauge(&format!("store.codec.{name}")).unwrap_or(0)
