@@ -142,22 +142,17 @@ fn main() {
             assert!(errors.is_empty(), "rebuild errors: {errors:?}");
             for r in &reports {
                 // Losslessness across the swap: keys served by the fresh
-                // generation round-trip through its batch decoder.
+                // generation round-trip through its decoder.
                 let generation = store.generation(r.shard).expect("shard in range");
+                let hope = generation.hope();
                 let mut decode_scratch = hope::DecodeScratch::new();
-                let fast_dec = generation.hope().fast_decoder();
-                let sample: Vec<&Vec<u8>> = shadow
-                    .keys()
-                    .filter(|k| store.shard_of(k) == r.shard)
-                    .step_by(97)
-                    .take(32)
-                    .collect();
-                let encoded: Vec<hope::EncodedKey> =
-                    sample.iter().map(|k| generation.hope().encode(k)).collect();
-                let batch = fast_dec
-                    .decode_batch_keys(&encoded, &mut decode_scratch)
-                    .expect("swap produced an undecodable encoding");
-                for (k, back) in sample.iter().zip(batch.iter()) {
+                let sample =
+                    shadow.keys().filter(|k| store.shard_of(k) == r.shard).step_by(97).take(32);
+                for k in sample {
+                    let e = hope.encode(k);
+                    let back = hope
+                        .decode_to(e.as_bytes(), e.bit_len(), &mut decode_scratch)
+                        .expect("swap produced an undecodable encoding");
                     assert_eq!(back, k.as_slice(), "swap broke encode→decode round-trip");
                 }
                 println!(

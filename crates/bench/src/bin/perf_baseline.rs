@@ -1,36 +1,30 @@
-//! `perf_baseline` — the repo's recorded decode/scan/telemetry
+//! `perf_baseline` — the repo's recorded scan / telemetry-overhead
 //! performance trajectory.
 //!
-//! Runs the fig8-style microbench across all six schemes on the Email
-//! corpus and times the hot paths of three subsystems:
+//! Builds a `hope_store` over the Email corpus and times two subsystems:
 //!
-//! * **decode** (`BENCH_decode.json`, `"schemes"`) — the bit-walk
-//!   reference decoder, allocating and scratch-reusing
-//!   ([`hope::Decoder::decode`] / `decode_to`), against the byte-table
-//!   [`hope::FastDecoder`] (`decode_to` and `decode_batch`).
-//! * **scan** (`BENCH_decode.json`, `"scan"`) — `hope_store` bounded
-//!   range queries, in ns per hit: the allocating collect
+//! * **scan** (`BENCH_scan.json`, `"scan"` / `"cursor"`) — `hope_store`
+//!   bounded range queries, in ns per hit: the allocating collect
 //!   (`range_into`), the PR 4 per-shard visitor path
 //!   (`Generation::range_with`, reconstructed exactly), and the v1
 //!   [`hope_store::RangeCursor`] in both its push (`for_each`) and pull
 //!   (`next_hit`) forms. The cursor is gated at ≥ 1.0× the visitor
 //!   path — the v1 range redesign must not cost scan throughput — and
 //!   pull mode at ≥ 0.85× push mode (the chunk path must stay lean).
-//! * **telemetry** (`BENCH_decode.json`, `"telemetry_overhead"`) — the
+//! * **telemetry** (`BENCH_scan.json`, `"telemetry_overhead"`) — the
 //!   sampled-tracing get loop against the plain one.
 //!
-//! Encode has one implementation (`Dict::encode_into`), so there is no
-//! trajectory of alternatives to record here: its cost is the whole-store
-//! benchmark's `hope.encode_ns` / `hope.encode_pair_ns` /
-//! `hope.batch_encode_key_ns` / `hope.build_s` / `hope.dict_bytes`
-//! (`benchmark/`, DESIGN.md "Reading `BENCH_*.json`").
+//! Encode and decode each have one implementation (`Dict::encode_into`,
+//! `FastDecoder::decode_bits_to`), so there is no trajectory of
+//! alternatives to record here: their cost is the whole-store benchmark's
+//! `hope.encode_ns` / `hope.encode_pair_ns` / `hope.batch_encode_key_ns` /
+//! `hope.decode_ns` / `hope.build_s` / `hope.dict_bytes` (`benchmark/`,
+//! DESIGN.md "Reading `BENCH_*.json`").
 //!
-//! The output path defaults to `BENCH_decode.json` (override with
-//! `--out-decode PATH`). The binary exits non-zero when a headline target
+//! The output path defaults to `BENCH_scan.json` (override with
+//! `--out-scan PATH`). The binary exits non-zero when a headline target
 //! fails:
 //!
-//! * Single-Char batch decode (the scan shape) ≥ 1.5× the allocating
-//!   bit walk;
 //! * the cursor gates above;
 //! * sampled tracing (1 request in [`TRACE_SAMPLE_EVERY`] through
 //!   [`hope_store::HopeStore::get_traced`]) keeps ≥
@@ -41,20 +35,15 @@
 //! logs show exactly which metric regressed and by how much.
 //!
 //! Usage: `cargo run --release -p hope_bench --bin perf_baseline
-//!         [-- --keys N --quick --out-decode BENCH_decode.json]`
+//!         [-- --keys N --quick --out-scan BENCH_scan.json]`
 
 use std::hint::black_box;
 use std::time::Duration;
 
-use hope::{DecodeScratch, EncodedKey, Hope, Scheme};
-use hope_bench::{build_hope, load_dataset, ns_per_op, time, BenchConfig};
+use hope_bench::{load_dataset, ns_per_op, time, BenchConfig};
 use hope_store::telemetry::TraceSampler;
 use hope_store::{HopeStore, StoreConfig};
 use hope_workloads::Dataset;
-
-/// Headline target: Single-Char byte-table **batch** decode (the scan
-/// shape) vs the allocating bit walk.
-const TARGET_DECODE_SPEEDUP: f64 = 1.5;
 
 /// Headline target: the v1 `RangeCursor` scan (better of push/pull) vs
 /// the PR 4 per-shard visitor path it replaced, measured in the same run.
@@ -77,28 +66,18 @@ const TARGET_TELEMETRY_RATIO: f64 = 0.98;
 /// serving benches (`fig19_telemetry`) run with.
 const TRACE_SAMPLE_EVERY: u32 = 64;
 
-/// Median-of-5 nanoseconds per source char for one loop (medians damp
-/// the allocator and frequency noise of shared machines).
-fn measure(chars: usize, mut run: impl FnMut() -> usize) -> f64 {
+/// Median-of-5 nanoseconds per hit for one scan loop (medians damp the
+/// allocator and frequency noise of shared machines).
+fn measure(hits: usize, mut run: impl FnMut() -> usize) -> f64 {
     let mut runs: Vec<f64> = (0..5)
         .map(|_| {
-            let (bits, d) = time(&mut run);
-            assert!(black_box(bits) > 0 || chars == 0);
-            ns_per_op(d, chars)
+            let (n, d) = time(&mut run);
+            assert!(black_box(n) > 0 || hits == 0);
+            ns_per_op(d, hits)
         })
         .collect();
     runs.sort_by(f64::total_cmp);
     runs[2]
-}
-
-struct DecodeRow {
-    scheme: &'static str,
-    walk_alloc: f64,
-    walk_reuse: f64,
-    fast: f64,
-    batch: f64,
-    table_states: usize,
-    table_kb: f64,
 }
 
 struct ScanStats {
@@ -162,46 +141,6 @@ fn report_gates(gates: &[Gate]) -> bool {
     pass
 }
 
-fn bench_decode(hope: &Hope, keys: &[Vec<u8>]) -> DecodeRow {
-    let chars: usize = keys.iter().map(|k| k.len()).sum();
-    let encoded: Vec<EncodedKey> = keys.iter().map(|k| hope.encode(k)).collect();
-    let walk = hope.decoder();
-    let fast = hope.fast_decoder();
-
-    let walk_alloc =
-        measure(chars, || encoded.iter().map(|e| walk.decode(e).expect("valid").len()).sum());
-
-    let mut scratch = DecodeScratch::new();
-    let walk_reuse = measure(chars, || {
-        encoded.iter().map(|e| walk.decode_to(e, &mut scratch).expect("valid").len()).sum()
-    });
-
-    let fast_ns = measure(chars, || {
-        encoded.iter().map(|e| fast.decode_to(e, &mut scratch).expect("valid").len()).sum()
-    });
-
-    // Scan-shaped batches: decode hits in blocks of 64 into one flat
-    // buffer, as a range scan would hand them over.
-    let batch = measure(chars, || {
-        let mut total = 0usize;
-        for block in encoded.chunks(64) {
-            let b = fast.decode_batch_keys(block, &mut scratch).expect("valid");
-            total += b.iter().map(|k| k.len()).sum::<usize>();
-        }
-        total
-    });
-
-    DecodeRow {
-        scheme: hope.scheme().name(),
-        walk_alloc,
-        walk_reuse,
-        fast: fast_ns,
-        batch,
-        table_states: fast.states(),
-        table_kb: fast.memory_bytes() as f64 / 1024.0,
-    }
-}
-
 /// Store scan trajectory over bounded scans of ~64 hits each: the
 /// allocating collect, the PR 4 per-shard visitor path (reconstructed
 /// from the public `Generation::range_with` exactly as the pre-v1
@@ -218,9 +157,8 @@ fn bench_scan(keys: &[Vec<u8>]) -> ScanStats {
         (0..sorted.len().saturating_sub(span)).step_by(97).take(2_000).collect();
     let hits: usize = starts.len() * span;
 
-    // `measure` divides by its op count and asserts the loop's return is
-    // the hit total, so every scan shape shares the encode-side protocol
-    // (median-of-5, total_cmp sort) with a per-hit divisor.
+    // `measure` divides by the hit count, so every scan shape shares one
+    // protocol (median-of-5, total_cmp sort, per-hit divisor).
     let range_alloc = measure(hits, || {
         let mut n = 0usize;
         let mut out = Vec::new();
@@ -427,38 +365,11 @@ fn out_flag(cfg: &BenchConfig, flag: &str, default: &str) -> String {
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_decode = out_flag(&cfg, "--out-decode", "BENCH_decode.json");
+    let out_scan = out_flag(&cfg, "--out-scan", "BENCH_scan.json");
 
     let keys = load_dataset(Dataset::Email, &cfg);
-    let sample = cfg.sample(&keys);
 
-    let decode_rows: Vec<DecodeRow> = Scheme::ALL
-        .into_iter()
-        .map(|scheme| {
-            let target = scheme.fixed_dict_size().unwrap_or(1 << 16);
-            bench_decode(&build_hope(scheme, target, &sample), &keys)
-        })
-        .collect();
-
-    println!("# perf_baseline: decode trajectory (email, {} keys, ns per source char)", keys.len());
-    println!(
-        "{:14} {:>12} {:>12} {:>10} {:>10} {:>8} {:>9}",
-        "scheme", "walk-alloc", "walk-reuse", "fast", "batch", "states", "speedup"
-    );
-    for r in &decode_rows {
-        println!(
-            "{:14} {:>10.2}ns {:>10.2}ns {:>8.2}ns {:>8.2}ns {:>8} {:>8.2}x",
-            r.scheme,
-            r.walk_alloc,
-            r.walk_reuse,
-            r.fast,
-            r.batch,
-            r.table_states,
-            r.walk_alloc / r.fast,
-        );
-    }
-
-    println!("\n# store scan trajectory (ns per hit)");
+    println!("# perf_baseline: store scan trajectory (email, {} keys, ns per hit)", keys.len());
     let scan = bench_scan(&keys);
     println!(
         "{:>8} hits: collect {:.1} ns/hit, pr4-visitor {:.1} ns/hit, cursor push {:.1} ns/hit, \
@@ -482,18 +393,7 @@ fn main() {
     );
 
     // Headline gates.
-    let dec_single = decode_rows
-        .iter()
-        .find(|r| r.scheme == "Single-Char")
-        .map(|r| r.walk_alloc / r.batch)
-        .expect("decode row");
     let gates = [
-        Gate {
-            name: "single_char_batch_decode",
-            actual: dec_single,
-            target: TARGET_DECODE_SPEEDUP,
-            detail: "byte-table batch vs allocating bit walk".into(),
-        },
         Gate {
             name: "cursor_vs_visitor_ratio",
             actual: scan.cursor_ratio(),
@@ -526,8 +426,8 @@ fn main() {
     println!();
     let pass = report_gates(&gates);
 
-    write_decode_json(&out_decode, &cfg, &decode_rows, &scan, &overhead, dec_single, pass);
-    println!("# wrote {out_decode}");
+    write_scan_json(&out_scan, &cfg, &scan, &overhead, pass);
+    println!("# wrote {out_scan}");
     println!("# perf_baseline — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         std::process::exit(1);
@@ -535,14 +435,11 @@ fn main() {
 }
 
 /// Hand-rolled JSON writer (the workspace builds offline; no serde).
-#[allow(clippy::too_many_arguments)]
-fn write_decode_json(
+fn write_scan_json(
     path: &str,
     cfg: &BenchConfig,
-    rows: &[DecodeRow],
     scan: &ScanStats,
     overhead: &TelemetryOverhead,
-    dec_single: f64,
     pass: bool,
 ) {
     let mut s = String::new();
@@ -550,29 +447,7 @@ fn write_decode_json(
     s.push_str("  \"bench\": \"perf_baseline\",\n  \"dataset\": \"email\",\n");
     s.push_str(&format!("  \"keys\": {},\n  \"seed\": {},\n", cfg.keys, cfg.seed));
     s.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    s.push_str(&format!(
-        "  \"target_single_char_batch_decode_speedup\": {TARGET_DECODE_SPEEDUP},\n"
-    ));
-    s.push_str(&format!("  \"single_char_batch_decode_speedup\": {dec_single:.4},\n"));
     s.push_str(&format!("  \"pass\": {pass},\n"));
-    s.push_str("  \"units\": \"ns_per_source_char\",\n  \"schemes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"walk_alloc\": {:.4}, \"walk_reuse\": {:.4}, \
-             \"fast\": {:.4}, \"batch\": {:.4}, \"speedup_vs_walk_alloc\": {:.4}, \
-             \"table_states\": {}, \"table_kb\": {:.1}}}{}\n",
-            r.scheme,
-            r.walk_alloc,
-            r.walk_reuse,
-            r.fast,
-            r.batch,
-            r.walk_alloc / r.fast,
-            r.table_states,
-            r.table_kb,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str(&format!(
         "  \"scan\": {{\"units\": \"ns_per_hit\", \"hits\": {}, \"range_alloc\": {:.4}, \
          \"range_with\": {:.4}, \"speedup\": {:.4}}},\n",
@@ -605,5 +480,5 @@ fn write_decode_json(
         overhead.ratio()
     ));
     s.push_str("}\n");
-    std::fs::write(path, s).expect("write BENCH_decode.json");
+    std::fs::write(path, s).expect("write BENCH_scan.json");
 }

@@ -3,9 +3,9 @@
 
 use std::time::{Duration, Instant};
 
-use crate::bitpack::{Code, EncodedKey};
+use crate::bitpack::EncodedKey;
 use crate::code_assign::CodeAssigner;
-use crate::decoder::{Decoder, FastDecoder, DECODER_STATE_BUDGET};
+use crate::decoder::{Decoder, FastDecoder};
 use crate::dict::Dict;
 use crate::encoder::Encoder;
 use crate::selector::{self, Scheme};
@@ -95,11 +95,11 @@ impl BuildTimings {
 }
 
 /// Snapshot of the codec's hot-path counters: how many keys were
-/// encoded, how often the n-gram automaton's fallback edges actually
-/// fired, and which decode tier keys resolved through. Read via [`Hope::codec_stats`]; counters are relaxed
-/// atomics, and scratch-based point encodes flush their counts in batches
-/// of 64 keys, so a snapshot taken under concurrent traffic may lag each
-/// live encoding thread by up to one batch.
+/// encoded and decoded, and how often the n-gram automaton's fallback
+/// edges actually fired. Read via [`Hope::codec_stats`]; counters are
+/// relaxed atomics, and scratch-based point encodes flush their counts in
+/// batches of 64 keys, so a snapshot taken under concurrent traffic may
+/// lag each live encoding thread by up to one batch.
 ///
 /// ```
 /// use hope::{HopeBuilder, Scheme};
@@ -119,10 +119,8 @@ pub struct CodecStats {
     /// bitmap trie's walk instead of its transition table). Always 0 for
     /// the array and ART dictionaries, which have no second tier.
     pub automaton_fallback_takes: u64,
-    /// Keys decoded entirely through the shared fast decoder's byte table.
-    pub fast_decode_keys: u64,
-    /// Keys whose decode needed at least one bit-walk fallback.
-    pub walk_decode_keys: u64,
+    /// Keys decoded through the shared decoder, corrupt streams included.
+    pub decode_keys: u64,
 }
 
 /// Configuration for building a [`Hope`] encoder.
@@ -201,8 +199,8 @@ pub struct Hope {
     scheme: Scheme,
     encoder: Encoder,
     timings: BuildTimings,
-    /// Lazily built byte-table decoder backing [`Hope::decode_to`]; built
-    /// at most once and shared across threads.
+    /// Lazily built decoder backing [`Hope::decode_to`]; built at most
+    /// once and shared across threads.
     shared_decoder: std::sync::OnceLock<FastDecoder>,
 }
 
@@ -294,11 +292,12 @@ impl Hope {
     /// back to the source key, via a lazily built, cached
     /// [`FastDecoder`] (the
     /// [`KeyCodec`](crate::codec::KeyCodec) decode surface). The first
-    /// call pays the table build; later calls share it across threads.
+    /// call pays the decoder build; later calls share it across threads.
     ///
     /// # Errors
     ///
-    /// [`HopeError::CorruptEncoding`] on a corrupt stream.
+    /// [`HopeError::CorruptEncoding`] on a corrupt stream, including one
+    /// that claims more bits than `enc` holds.
     pub fn decode_to<'s>(
         &self,
         enc: &[u8],
@@ -308,11 +307,10 @@ impl Hope {
         self.shared_fast_decoder().decode_bits_to(enc, bit_len, scratch)
     }
 
-    /// The lazily built table decoder behind [`Hope::decode_to`] — one
-    /// per compressor, built on first use and shared thereafter (unlike
-    /// [`Hope::fast_decoder`], which constructs a fresh table per call).
+    /// The lazily built decoder behind [`Hope::decode_to`] — one per
+    /// compressor, built on first use and shared thereafter.
     pub fn shared_fast_decoder(&self) -> &FastDecoder {
-        self.shared_decoder.get_or_init(|| self.fast_decoder())
+        self.shared_decoder.get_or_init(|| FastDecoder::new(self.encoder.dict()))
     }
 
     /// Access the low-level encoder.
@@ -330,34 +328,16 @@ impl Hope {
             .then(|| crate::diff::EncodingDiff::new(self.encoder.dict(), next.encoder.dict()))
     }
 
-    /// The dictionary's `(codes, symbols)` in interval order, listed back
-    /// out of the structure itself — the decoders' build input.
-    fn entries(&self) -> (Vec<Code>, Vec<Box<[u8]>>) {
+    /// Build the bit-walk reference decoder for this dictionary — what
+    /// tests hold [`Hope::decode_to`] to.
+    pub fn decoder(&self) -> Decoder {
         let n = self.dict_entries();
         let (mut codes, mut symbols) = (Vec::with_capacity(n), Vec::with_capacity(n));
         self.encoder.dict().for_each_entry(&mut |symbol, code| {
             codes.push(code);
             symbols.push(symbol.into());
         });
-        (codes, symbols)
-    }
-
-    /// Build the bit-walk reference decoder for this dictionary.
-    ///
-    /// Scan paths that decode many hits should prefer
-    /// [`Hope::fast_decoder`], whose byte-table loop is several times
-    /// faster and batches into a reused scratch.
-    pub fn decoder(&self) -> Decoder {
-        let (codes, symbols) = self.entries();
         Decoder::new(&codes, symbols)
-    }
-
-    /// Build the byte-at-a-time table decoder for this dictionary (the
-    /// scan path's decoder), with the default [`DECODER_STATE_BUDGET`].
-    /// Output is identical to [`Hope::decoder`].
-    pub fn fast_decoder(&self) -> FastDecoder {
-        let (codes, symbols) = self.entries();
-        FastDecoder::new(&codes, symbols, DECODER_STATE_BUDGET)
     }
 
     /// Number of dictionary entries.
@@ -386,20 +366,13 @@ impl Hope {
 
     /// Snapshot the codec's hot-path counters (see [`CodecStats`]).
     ///
-    /// Decode counters come from the shared fast decoder and are zero
-    /// until [`Hope::decode_to`] / [`Hope::shared_fast_decoder`] first
-    /// build it; per-call [`Hope::fast_decoder`] tables are independent
-    /// and not reflected here.
+    /// The decode counter is the shared decoder's, and zero until
+    /// [`Hope::decode_to`] / [`Hope::shared_fast_decoder`] first build it.
     pub fn codec_stats(&self) -> CodecStats {
-        let (fast_decode_keys, walk_decode_keys) = match self.shared_decoder.get() {
-            Some(d) => (d.table_key_count(), d.walk_key_count()),
-            None => (0, 0),
-        };
         CodecStats {
             encode_keys: self.encoder.key_count(),
             automaton_fallback_takes: self.encoder.dict().automaton_fallback_takes(),
-            fast_decode_keys,
-            walk_decode_keys,
+            decode_keys: self.shared_decoder.get().map_or(0, FastDecoder::key_count),
         }
     }
 }
@@ -502,7 +475,7 @@ mod tests {
         let dec = hope.decoder();
         for key in ["com.gmail@user0000", "unrelated", "", "com"] {
             let e = hope.encode(key.as_bytes());
-            assert_eq!(dec.decode(&e).unwrap(), key.as_bytes());
+            assert_eq!(dec.decode(e.as_bytes(), e.bit_len()).unwrap(), key.as_bytes());
         }
     }
 
@@ -526,10 +499,9 @@ mod tests {
         let stats = hope.codec_stats();
         assert_eq!(stats.encode_keys, flush + 1);
         assert_eq!(stats.automaton_fallback_takes, 0, "a 512-entry 3-Grams trie tables fully");
-        assert_eq!((stats.fast_decode_keys, stats.walk_decode_keys), (0, 0), "decoder unbuilt");
+        assert_eq!(stats.decode_keys, 0, "decoder unbuilt");
         hope.decode_to(&bytes, enc.bit_len(), &mut dec).unwrap();
-        let stats = hope.codec_stats();
-        assert_eq!(stats.fast_decode_keys + stats.walk_decode_keys, 1, "one key decoded");
+        assert_eq!(hope.codec_stats().decode_keys, 1, "one key decoded");
     }
 
     #[test]
@@ -565,5 +537,10 @@ mod tests {
             codec.decode_to(&bytes, bits - 1, &mut dec),
             Err(HopeError::CorruptEncoding { .. })
         ));
+        // So does a bit length the bytes cannot hold.
+        assert_eq!(
+            codec.decode_to(b"ab", 100, &mut dec),
+            Err(HopeError::CorruptEncoding { bit_len: 100 })
+        );
     }
 }

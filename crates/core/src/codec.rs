@@ -9,7 +9,7 @@
 //!
 //! * [`Hope`](crate::Hope) — the paper's compressor — implements it with
 //!   its zero-allocation scratch paths (the dictionary's own encode loop,
-//!   the cached byte-table [`FastDecoder`](crate::FastDecoder) on decode);
+//!   the cached [`FastDecoder`](crate::FastDecoder) on decode);
 //! * [`IdentityCodec`] stores keys verbatim — the "compression off"
 //!   baseline, useful for differential tests and for running a
 //!   `hope_store`-shaped stack without a dictionary.

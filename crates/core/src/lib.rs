@@ -57,7 +57,7 @@ pub mod stats;
 pub use bitpack::{Code, EncodedKey};
 pub use builder::{BuildTimings, CodecStats, Hope, HopeBuilder, HopeError};
 pub use codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
-pub use decoder::{DecodeScratch, DecodedBatch, Decoder, FastDecoder};
+pub use decoder::{DecodeScratch, Decoder, FastDecoder};
 pub use diff::EncodingDiff;
 pub use encoder::{EncodeScratch, Encoder};
 pub use index::{OrderedIndex, Value};
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::bitpack::EncodedKey;
     pub use crate::builder::{CodecStats, Hope, HopeBuilder, HopeError};
     pub use crate::codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
-    pub use crate::decoder::{DecodeScratch, DecodedBatch, Decoder, FastDecoder};
+    pub use crate::decoder::{DecodeScratch, Decoder, FastDecoder};
     pub use crate::encoder::EncodeScratch;
     pub use crate::index::{OrderedIndex, Value};
     pub use crate::selector::Scheme;

@@ -218,7 +218,7 @@ impl<'a, V: Value> RangeCursor<'a, V> {
     /// [`Generation::range_with_from`], exactly like the push path — the
     /// cursor owns no encode scratch of its own, so opening a cursor per
     /// query costs no scratch allocations (the pre-optimization pull path
-    /// paid several per scan; `BENCH_decode.json` has the before/after).
+    /// paid several per scan; `BENCH_scan.json` has the before/after).
     fn fetch_chunk(&mut self) -> bool {
         self.keys_flat.clear();
         self.key_spans.clear();

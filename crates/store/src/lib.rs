@@ -732,13 +732,11 @@ impl<V: Value> HopeStore<V> {
             let cs = s.codec_stats();
             codec.encode_keys += cs.encode_keys;
             codec.automaton_fallback_takes += cs.automaton_fallback_takes;
-            codec.fast_decode_keys += cs.fast_decode_keys;
-            codec.walk_decode_keys += cs.walk_decode_keys;
+            codec.decode_keys += cs.decode_keys;
         }
         reg.gauge("store.codec.encode_keys").set(codec.encode_keys);
         reg.gauge("store.codec.automaton_fallback_takes").set(codec.automaton_fallback_takes);
-        reg.gauge("store.codec.fast_decode_keys").set(codec.fast_decode_keys);
-        reg.gauge("store.codec.walk_decode_keys").set(codec.walk_decode_keys);
+        reg.gauge("store.codec.decode_keys").set(codec.decode_keys);
     }
 
     /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —

@@ -318,7 +318,7 @@ pub(crate) struct Envelope<V: Value> {
 /// differ across interleavings): over a fixed op sequence, every run
 /// records byte-identical latency histograms regardless of scheduling.
 /// The constants are scaled to the repo's measured microbench costs
-/// (`BENCH_decode.json`: ~219 ns per pulled hit, sub-µs probes).
+/// (`BENCH_scan.json`: ~219 ns per pulled hit, sub-µs probes).
 pub fn virtual_cost<V: Value>(req: &Request<V>) -> u64 {
     match req {
         Request::Get { key } => 150 + 2 * key.len() as u64,

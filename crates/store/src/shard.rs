@@ -243,8 +243,7 @@ impl<V: Value> Shard<V> {
             encode_keys: retired.encode_keys + live.encode_keys,
             automaton_fallback_takes: retired.automaton_fallback_takes
                 + live.automaton_fallback_takes,
-            fast_decode_keys: retired.fast_decode_keys + live.fast_decode_keys,
-            walk_decode_keys: retired.walk_decode_keys + live.walk_decode_keys,
+            decode_keys: retired.decode_keys + live.decode_keys,
         }
     }
 
@@ -495,8 +494,7 @@ impl<V: Value> Shard<V> {
             let mut retired = lock(&self.retired);
             retired.encode_keys += old_codec.encode_keys;
             retired.automaton_fallback_takes += old_codec.automaton_fallback_takes;
-            retired.fast_decode_keys += old_codec.fast_decode_keys;
-            retired.walk_decode_keys += old_codec.walk_decode_keys;
+            retired.decode_keys += old_codec.decode_keys;
         }
         *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         self.obs_src.store(0, Ordering::Relaxed);

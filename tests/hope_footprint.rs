@@ -4,6 +4,9 @@
 //! restating the first. A counting global allocator measures the bytes
 //! dropping a freshly built compressor returns; a copy coming back (the
 //! parent commit held 3.2 MB for Double-Char's 526 KB array) fails here.
+//! The same holds once the first `decode_to` has built the shared decoder,
+//! which is the sorted code list, the symbol bytes and one 64 KiB table —
+//! not a multi-megabyte automaton.
 //!
 //! This file holds a single `#[test]` so the test harness cannot run a
 //! neighbour concurrently and pollute the global counter.
@@ -11,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hope::{HopeBuilder, Scheme};
+use hope::{DecodeScratch, Hope, HopeBuilder, Scheme};
 use hope_workloads::{generate, Dataset};
 
 struct CountingAlloc;
@@ -42,29 +45,48 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Bytes dropping `hope` returns to the allocator, which must be within
+/// 10 % of what it claimed to hold.
+fn freed_by_drop(hope: Hope, what: &str) -> usize {
+    let claimed = hope.memory_bytes();
+    let before = LIVE.load(Ordering::Relaxed);
+    drop(hope);
+    let held = before - LIVE.load(Ordering::Relaxed);
+    let off = held.abs_diff(claimed) as f64 / claimed as f64;
+    assert!(off <= 0.10, "{what}: drop freed {held} B but memory_bytes() says {claimed} B");
+    held
+}
+
 #[test]
 fn a_built_hope_holds_its_dictionary_once() {
     let sample = generate(Dataset::Email, 20_000, 7);
     for scheme in Scheme::ALL {
-        let hope = HopeBuilder::new(scheme).build_from_sample(sample.iter().cloned()).unwrap();
-        let claimed = hope.memory_bytes();
-        let dict = hope.encoder().dict().memory_bytes();
-        let before = LIVE.load(Ordering::Relaxed);
-        drop(hope);
-        let held = before - LIVE.load(Ordering::Relaxed);
-
-        println!("{scheme}: drop freed {held} B, memory_bytes() {claimed} B, dictionary {dict} B");
-        let off = held.abs_diff(claimed) as f64 / claimed as f64;
-        assert!(off <= 0.10, "{scheme}: drop freed {held} B but memory_bytes() says {claimed} B");
+        let build = || HopeBuilder::new(scheme).build_from_sample(sample.iter().cloned()).unwrap();
+        let hope = build();
+        let dict = hope.dict_memory_bytes();
+        let held = freed_by_drop(hope, scheme.name());
         let cap = match scheme {
             Scheme::SingleChar => 8 << 10,
             Scheme::DoubleChar => 640 << 10,
             // 3-/4-Grams keep one table beyond the trie (its automaton),
-            // counted in `claimed` and bounded by the 10 % check above.
+            // counted in `memory_bytes()` and bounded by the 10 % check.
             Scheme::ThreeGrams | Scheme::FourGrams => usize::MAX,
             // No table beyond the ART itself.
             _ => dict + dict / 10,
         };
         assert!(held <= cap, "{scheme}: holds {held} B, cap {cap} B (dictionary {dict} B)");
+
+        // The first decode builds the shared decoder: the accounting still
+        // holds, and the decoder is the code list, the symbols and one
+        // small table.
+        let hope = build();
+        hope.decode_to(&[], 0, &mut DecodeScratch::new()).expect("the empty key");
+        let decoder = hope.memory_bytes() - dict;
+        let mut symbol_bytes = 0;
+        hope.encoder().dict().for_each_entry(&mut |symbol, _| symbol_bytes += symbol.len());
+        let cap = 16 * hope.dict_entries() + symbol_bytes + (80 << 10);
+        assert!(decoder <= cap, "{scheme}: decoder holds {decoder} B, cap {cap} B");
+        let with_decoder = freed_by_drop(hope, scheme.name());
+        println!("{scheme}: dictionary {dict} B, decoder {decoder} B; drop freed {held} B without the decoder, {with_decoder} B with it");
     }
 }

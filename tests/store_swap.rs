@@ -2,8 +2,8 @@
 //! must be indistinguishable from an uncompressed ordered map before,
 //! during, and after a swap — including under concurrent readers while a
 //! generation is being replaced. Readers also push range hits through an
-//! encode→decode round-trip (`FastDecoder::decode_batch`) against the
-//! live generation, so losslessness is checked mid-swap too.
+//! encode→decode round-trip (`Hope::decode_to`) against the live
+//! generation, so losslessness is checked mid-swap too.
 //!
 //! Range queries run through the v1 [`hope_store::RangeCursor`] (pull and
 //! push forms); dedicated tests cover the cursor's edge cases and its
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hope::{DecodeScratch, EncodedKey, Scheme};
+use hope::{DecodeScratch, Scheme};
 use hope_store::serving::{FaultPlan, Request, Response, ScanSummary, Server, ServingConfig};
 use hope_store::telemetry::EventKind;
 use hope_store::{Backend, HopeStore, StoreConfig, StoreError};
@@ -363,10 +363,6 @@ fn hot_swap_under_concurrent_readers() {
                 let mut i = t * 131;
                 let mut decode_scratch = DecodeScratch::new();
                 let mut range_keys: Vec<Vec<u8>> = Vec::new();
-                // FastDecoder construction is table-sized work; cache it
-                // per generation epoch so the thread spends its stress
-                // window racing the swap, not rebuilding tables.
-                let mut cached_decoder: Option<(u64, hope::FastDecoder)> = None;
                 while !stop.load(Ordering::Relaxed) {
                     let (k, v) = &frozen[i % frozen.len()];
                     assert_eq!(store.get(k).unwrap(), Some(*v), "wrong point result for {k:?}");
@@ -409,23 +405,12 @@ fn hot_swap_under_concurrent_readers() {
                                 // encoding must stay lossless before,
                                 // during, and after every hot-swap.
                                 let generation = store.generation(store.shard_of(k)).unwrap();
-                                let encoded: Vec<EncodedKey> = range_keys
-                                    .iter()
-                                    .map(|rk| generation.hope().encode(rk))
-                                    .collect();
-                                let stale = !matches!(&cached_decoder,
-                                    Some((epoch, _)) if *epoch == generation.epoch());
-                                if stale {
-                                    cached_decoder = Some((
-                                        generation.epoch(),
-                                        generation.hope().fast_decoder(),
-                                    ));
-                                }
-                                let fast = &cached_decoder.as_ref().expect("just filled").1;
-                                let batch = fast
-                                    .decode_batch_keys(&encoded, &mut decode_scratch)
-                                    .expect("range hits must decode");
-                                for (rk, back) in range_keys.iter().zip(batch.iter()) {
+                                let hope = generation.hope();
+                                for rk in &range_keys {
+                                    let e = hope.encode(rk);
+                                    let back = hope
+                                        .decode_to(e.as_bytes(), e.bit_len(), &mut decode_scratch)
+                                        .expect("range hits must decode");
                                     assert_eq!(back, rk.as_slice(), "round-trip broke mid-swap");
                                 }
                             }

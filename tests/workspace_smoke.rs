@@ -62,7 +62,8 @@ fn quickstart_path_runs_to_completion() {
     let decoder = hope.decoder();
     let decoded: Vec<String> = encoded
         .iter()
-        .map(|e| String::from_utf8(decoder.decode(e).expect("lossless")).expect("utf8"))
+        .map(|e| decoder.decode(e.as_bytes(), e.bit_len()).expect("lossless"))
+        .map(|k| String::from_utf8(k).expect("utf8"))
         .collect();
     let mut expect: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
     expect.sort();
