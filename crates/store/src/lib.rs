@@ -185,12 +185,6 @@ pub struct StoreConfig {
     /// effectively unbounded while still refusing the one id reserved as
     /// the version- and tie-chain sentinel).
     pub write_log_capacity: u32,
-    /// Minimum fraction of a shard's live **encoded bytes** the retrained
-    /// dictionary must leave byte-identical for a rebuild to take the
-    /// incremental merge path (splice reused runs, re-encode only changed
-    /// keys). Below it, the rebuild falls back to the full re-encode.
-    /// Must lie in `[0, 1]`; `1.0` effectively disables merging.
-    pub incremental_min_reuse: f64,
 }
 
 impl Default for StoreConfig {
@@ -207,7 +201,6 @@ impl Default for StoreConfig {
             seed: 42,
             event_capacity: 1024,
             write_log_capacity: u32::MAX,
-            incremental_min_reuse: 0.5,
         }
     }
 }
@@ -231,14 +224,14 @@ pub struct SwapReport {
     pub live_keys: usize,
     /// Writes replayed from the log tail during the splice.
     pub replayed: usize,
-    /// Whether the rebuild took the incremental merge path (reusing
-    /// already-encoded runs) rather than the full re-encode.
+    /// Whether the rebuild reused any already-encoded run
+    /// (`reused_bytes > 0`) rather than re-encoding every live key.
     pub incremental: bool,
-    /// Encoded bytes spliced verbatim from the old generation. Zero on
-    /// the full path.
+    /// Encoded bytes spliced verbatim from the old generation: the keys
+    /// whose encoding the dictionary diff proved unchanged.
     pub reused_bytes: u64,
-    /// Encoded bytes freshly produced by the new dictionary. On the full
-    /// path this is every live entry's encoded length.
+    /// Encoded bytes freshly produced by the new dictionary. With
+    /// `reused_bytes` it sums to every live entry's encoded length.
     pub reencoded_bytes: u64,
 }
 
@@ -320,11 +313,6 @@ impl<V: Value> HopeStore<V> {
         }
         if !(cfg.degrade_ratio > 0.0 && cfg.degrade_ratio <= 1.0) {
             return Err(StoreError::InvalidConfig { reason: "degrade_ratio must be in (0, 1]" });
-        }
-        if !(cfg.incremental_min_reuse >= 0.0 && cfg.incremental_min_reuse <= 1.0) {
-            return Err(StoreError::InvalidConfig {
-                reason: "incremental_min_reuse must be in [0, 1]",
-            });
         }
         // Last write wins, sorted by source key; keys validated up front.
         let mut sorted: std::collections::BTreeMap<Vec<u8>, V> = std::collections::BTreeMap::new();
@@ -1003,11 +991,6 @@ mod tests {
             HopeStore::<u64>::build(cfg, Vec::new()),
             Err(StoreError::InvalidConfig { .. })
         ));
-        let cfg = StoreConfig { incremental_min_reuse: 1.5, ..StoreConfig::default() };
-        assert!(matches!(
-            HopeStore::<u64>::build(cfg, Vec::new()),
-            Err(StoreError::InvalidConfig { .. })
-        ));
         let giant = vec![b'x'; hope::MAX_KEY_BYTES + 1];
         assert!(matches!(
             HopeStore::build(StoreConfig::default(), vec![(giant.clone(), 1u64)]),
@@ -1157,41 +1140,53 @@ mod tests {
 
     #[test]
     fn rebuilds_report_their_path_and_preserve_contents() {
-        // min_reuse 0: any same-scheme retrain qualifies for the merge
-        // path, however few keys it can reuse — the deterministic way to
-        // exercise the splice.
-        let cfg = StoreConfig { shards: 1, incremental_min_reuse: 0.0, ..small_cfg() };
+        /// Σ encoded length of every live key under the shard's current
+        /// dictionary — what a rebuild's two byte totals must add up to.
+        fn live_encoded_bytes(store: &HopeStore<u64>) -> u64 {
+            let gen = store.shards[0].current();
+            let (live, _, _) = gen.snapshot_live_encoded();
+            live.iter().map(|e| gen.hope().encode(&e.key).as_bytes().len() as u64).sum()
+        }
+        let cfg = StoreConfig { shards: 1, ..small_cfg() };
+
+        // No traffic since the build: the retrain sees the same resident
+        // sample, the dictionary comes out identical, every byte splices.
         let store = HopeStore::build(cfg, load(800)).unwrap();
         let r = store.force_rebuild(0).unwrap();
-        assert!(r.incremental, "min_reuse 0 must take the merge path");
-        assert!(r.reused_bytes + r.reencoded_bytes > 0);
+        assert!(r.incremental);
+        assert_eq!(r.reencoded_bytes, 0, "identical dictionary must reuse every byte");
+        assert_eq!(r.reused_bytes, live_encoded_bytes(&store));
         for i in (0..800).step_by(41) {
             let k = format!("com.gmail@user{i:05}");
             assert_eq!(store.get(k.as_bytes()).unwrap(), Some(i), "{k}");
         }
         let t = store.telemetry();
         assert_eq!(t.counter("store.rebuild.incremental"), Some(1));
-        assert_eq!(t.events_of(EventKind::RebuildIncremental).count(), 1);
         let ev = t.events_of(EventKind::RebuildIncremental).next().unwrap();
         assert_eq!(ev.replayed, r.reused_bytes);
         assert_eq!(ev.bytes, r.reencoded_bytes);
 
-        // min_reuse 1.0 + drifted traffic: the retrained codes move, so
-        // the bar is unreachable and the rebuild goes full.
-        let cfg = StoreConfig { shards: 1, incremental_min_reuse: 1.0, ..small_cfg() };
+        // Drifted traffic: the retrained codes move, so some (here: most)
+        // keys re-encode — the report says which way it went and the two
+        // totals still cover every live key exactly once.
         let store = HopeStore::build(cfg, load(800)).unwrap();
         for i in 0..600u64 {
             store.insert(format!("XQ#{i:)>6}!!zw|{i:x}").into_bytes(), i).unwrap();
         }
         let r = store.force_rebuild(0).unwrap();
-        assert!(!r.incremental, "drifted retrain cannot reuse 100% of the bytes");
-        assert_eq!(r.reused_bytes, 0);
-        assert!(r.reencoded_bytes > 0, "full path must account every live entry's bytes");
+        assert!(r.reencoded_bytes > 0, "drifted retrain must re-encode something");
+        assert_eq!(r.incremental, r.reused_bytes > 0);
+        assert_eq!(r.reused_bytes + r.reencoded_bytes, live_encoded_bytes(&store));
         assert_eq!(store.get(b"com.gmail@user00003").unwrap(), Some(3));
         assert_eq!(store.len(), 1400);
         let t = store.telemetry();
-        assert_eq!(t.counter("store.rebuild.full"), Some(1));
-        assert_eq!(t.events_of(EventKind::RebuildFull).count(), 1);
+        let (counter, kind) = if r.incremental {
+            ("store.rebuild.incremental", EventKind::RebuildIncremental)
+        } else {
+            ("store.rebuild.full", EventKind::RebuildFull)
+        };
+        assert_eq!(t.counter(counter), Some(1));
+        assert_eq!(t.events_of(kind).count(), 1);
     }
 
     #[test]

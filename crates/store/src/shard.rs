@@ -418,48 +418,22 @@ impl<V: Value> Shard<V> {
         let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let live_keys = live.len();
 
-        // Merge-path decision: diff the old dictionary against the
-        // retrained one and measure, in *bytes*, how much of the already
-        // encoded data the new dictionary would reproduce verbatim. Only
-        // when that fraction clears `incremental_min_reuse` is the merge
-        // build worth its bookkeeping; otherwise (or when no diff is
-        // possible) fall back to the full re-encode.
-        let mut reuse: Vec<bool> = Vec::new();
-        let mut reusable_bytes = 0u64;
-        let mut live_bytes = 0u64;
-        if let Some(diff) = old.hope().encoding_diff(&hope) {
-            reuse.reserve(live.len());
-            for (e, enc) in live.iter().zip(&old_encoded) {
-                let unchanged = diff.key_unchanged(&e.key);
-                live_bytes += enc.len() as u64;
-                if unchanged {
-                    reusable_bytes += enc.len() as u64;
-                }
-                reuse.push(unchanged);
-            }
-        }
-        let incremental = live_bytes > 0
-            && reusable_bytes as f64 >= cfg.incremental_min_reuse * live_bytes as f64;
-
-        let (next, merge_stats) = if incremental {
-            Generation::build_merged(
-                epoch,
-                hope,
-                baseline_cpr,
-                cfg.backend.new_index(),
-                MergeSource { pairs: live, old_encoded, reuse },
-                cfg.batch_block,
-            )
-        } else {
-            Generation::build(
-                epoch,
-                hope,
-                baseline_cpr,
-                cfg.backend.new_index(),
-                live,
-                cfg.batch_block,
-            )
+        // Diff the old dictionary against the retrained one: a key whose
+        // encoding the new dictionary provably reproduces is spliced
+        // verbatim, every other key is re-encoded (all of them when the
+        // two dictionaries cannot be diffed).
+        let reuse: Vec<bool> = match old.hope().encoding_diff(&hope) {
+            Some(diff) => live.iter().map(|e| diff.key_unchanged(&e.key)).collect(),
+            None => vec![false; live.len()],
         };
+        let (next, merge_stats) = Generation::build_merged(
+            epoch,
+            hope,
+            baseline_cpr,
+            cfg.backend.new_index(),
+            MergeSource { pairs: live, old_encoded, reuse },
+            cfg.batch_block,
+        );
         let next = next.with_context(shard_id, cfg.write_log_capacity);
 
         // Splice: block writers, replay their log tail, flip the epoch.
@@ -482,7 +456,7 @@ impl<V: Value> Shard<V> {
             new_baseline_cpr: baseline_cpr,
             live_keys,
             replayed,
-            incremental,
+            incremental: merge_stats.reused_bytes > 0,
             reused_bytes: merge_stats.reused_bytes,
             reencoded_bytes: merge_stats.reencoded_bytes,
         };

@@ -51,16 +51,15 @@ pub enum EventKind {
     /// The admission controller lowered a worker's shed level (same
     /// field repurposing as [`EventKind::AdmissionEngage`]).
     AdmissionRelease,
-    /// A rebuild took the incremental merge path: already-encoded runs
-    /// were reused and only keys whose codes changed were re-encoded.
-    /// Emitted alongside the shard's [`EventKind::SwapEnd`] with fields
-    /// repurposed: `replayed` = encoded bytes reused verbatim, `bytes` =
-    /// bytes re-encoded.
+    /// A rebuild reused already-encoded runs: only keys whose codes
+    /// changed were re-encoded. Emitted alongside the shard's
+    /// [`EventKind::SwapEnd`] with fields repurposed: `replayed` =
+    /// encoded bytes reused verbatim, `bytes` = bytes re-encoded.
     RebuildIncremental,
-    /// A rebuild took the full re-encode path (the diff found too little
-    /// reuse, or no diff was possible). Same field repurposing as
-    /// [`EventKind::RebuildIncremental`]: `replayed` = 0, `bytes` =
-    /// bytes re-encoded.
+    /// A rebuild re-encoded every live key (the dictionary diff proved
+    /// no key unchanged, or no diff was possible). Same field
+    /// repurposing as [`EventKind::RebuildIncremental`]: `replayed` = 0,
+    /// `bytes` = bytes re-encoded.
     RebuildFull,
     /// A store-wide snapshot was taken. Fields repurposed: `keys` = the
     /// shard count pinned, `prev_epoch`/`epoch` = the minimum/maximum
