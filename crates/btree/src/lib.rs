@@ -79,9 +79,7 @@ impl KeyList {
 
     /// First index whose key is `>= q`.
     fn lower_bound(&self, q: &[u8]) -> usize {
-        self.suffixes
-            .partition_point(|_| false)
-            .max(self.partition(|i| self.cmp(i, q) == std::cmp::Ordering::Less))
+        self.partition(|i| self.cmp(i, q) == std::cmp::Ordering::Less)
     }
 
     /// First index whose key is `> q`.
