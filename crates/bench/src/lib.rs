@@ -14,19 +14,17 @@
 //! | `fig15_distribution_shift` | Fig 15 / Appendix C (key distribution change) |
 //! | `fig16_tree_range_insert` | Fig 16 / Appendix D (range + insert, 4 trees) |
 //! | `fig17_store_shift` | Extension: `hope_store` dictionary hot-swap under shift |
-//! | `fig18_serving_slo` | Extension: thread-per-core serving harness SLOs → `BENCH_serving.json` |
-//! | `fig19_telemetry` | Extension: telemetry registry / event-ring audit → `BENCH_telemetry.json` |
-//! | `fig20_fault_slo` | Extension: fault-injection drill, bounded degradation → `BENCH_faults.json` |
-//! | `fig21_adaptive_slo` | Extension: closed-loop adaptive admission drill → `BENCH_admission.json` |
-//! | `fig22_snapshot_rebuild` | Extension: O(1) snapshots + incremental merge rebuild → `BENCH_snapshot.json` |
+//! | `drill` | Extension: the five serving drills (`slo`, `telemetry`, `faults`, `adaptive`, `snapshot` — see [`drills`]) → `BENCH_drills.json` |
 //!
 //! Every binary accepts `--keys N`, `--queries N`, `--seed N` and
 //! `--quick`; run with `cargo run --release -p hope_bench --bin <name>`.
-//! The serving benches (fig18/20/21) share their traffic/server/report
-//! setup through [`harness`].
+//! The drills are rows of one scenario table ([`drills::SCENARIOS`])
+//! over one pass driver, gate list, `DIGEST` formatter and JSON writer
+//! ([`harness`]).
 
 #![warn(missing_docs)]
 
+pub mod drills;
 pub mod harness;
 
 use std::time::{Duration, Instant};
@@ -56,36 +54,52 @@ impl Default for BenchConfig {
     }
 }
 
+/// The numeric value of `flag`, or why there is none.
+fn numeric<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("{flag}: `{value}` is not a number"))
+}
+
+/// Print a command-line error and the usage line, then exit with status 2.
+pub fn usage_exit(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\nusage: {usage}");
+    std::process::exit(2)
+}
+
 impl BenchConfig {
-    /// Parse from `std::env::args`.
-    pub fn from_args() -> Self {
+    /// Parse an argument list (without the program name). Arguments
+    /// other than the four shared flags are collected into
+    /// [`BenchConfig::flags`] for the binary to interpret.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag whose value is missing or not a number.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<BenchConfig, String> {
         let mut cfg = BenchConfig::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--keys" => {
-                    cfg.keys = args[i + 1].parse().expect("--keys N");
-                    i += 1;
-                }
-                "--queries" => {
-                    cfg.queries = args[i + 1].parse().expect("--queries N");
-                    i += 1;
-                }
-                "--seed" => {
-                    cfg.seed = args[i + 1].parse().expect("--seed N");
-                    i += 1;
-                }
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--keys" => cfg.keys = numeric(&arg, args.next())?,
+                "--queries" => cfg.queries = numeric(&arg, args.next())?,
+                "--seed" => cfg.seed = numeric(&arg, args.next())?,
                 "--quick" => cfg.quick = true,
-                other => cfg.flags.push(other.to_string()),
+                _ => cfg.flags.push(arg),
             }
-            i += 1;
         }
         if cfg.quick {
             cfg.keys = cfg.keys.min(20_000);
             cfg.queries = cfg.queries.min(10_000);
         }
-        cfg
+        Ok(cfg)
+    }
+
+    /// [`BenchConfig::parse`] over `std::env::args`; a malformed command
+    /// line prints the error plus a usage line and exits with status 2.
+    pub fn from_args() -> Self {
+        let mut args = std::env::args();
+        let binary = args.next().unwrap_or_default();
+        Self::parse(args).unwrap_or_else(|e| {
+            usage_exit(&e, &format!("{binary} [--keys N] [--queries N] [--seed N] [--quick] […]"))
+        })
     }
 
     /// True if a binary-specific flag was passed.
@@ -328,6 +342,26 @@ mod tests {
         let cfg = BenchConfig::default();
         assert_eq!(cfg.keys, 200_000);
         assert!(!cfg.quick);
+    }
+
+    fn parse(args: &[&str]) -> Result<BenchConfig, String> {
+        BenchConfig::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_numeric_flags_are_errors_not_panics() {
+        assert_eq!(parse(&["--keys"]).unwrap_err(), "--keys needs a value");
+        assert_eq!(parse(&["--seed", "bogus"]).unwrap_err(), "--seed: `bogus` is not a number");
+        let cfg = parse(&["--queries", "7", "--model", "--seed", "9"]).unwrap();
+        assert_eq!((cfg.queries, cfg.seed, cfg.has_flag("--model")), (7, 9, true));
+    }
+
+    #[test]
+    fn quick_clamps_sizes() {
+        let cfg = parse(&["--quick"]).unwrap();
+        assert_eq!((cfg.keys, cfg.queries, cfg.quick), (20_000, 10_000, true));
+        let cfg = parse(&["--keys", "500", "--quick", "--queries", "90000"]).unwrap();
+        assert_eq!((cfg.keys, cfg.queries), (500, 10_000));
     }
 
     #[test]

@@ -217,8 +217,8 @@ impl<'a, V: Value> RangeCursor<'a, V> {
     /// Runs on the probe thread-locals via
     /// [`Generation::range_with_from`], exactly like the push path — the
     /// cursor owns no encode scratch of its own, so opening a cursor per
-    /// query costs no scratch allocations (the pre-optimization pull path
-    /// paid several per scan; `BENCH_scan.json` has the before/after).
+    /// query costs no scratch allocations (the whole-store benchmark's
+    /// `cursor.open_ns` is what it does cost).
     fn fetch_chunk(&mut self) -> bool {
         self.keys_flat.clear();
         self.key_spans.clear();
@@ -229,7 +229,7 @@ impl<'a, V: Value> RangeCursor<'a, V> {
             // of letting each grow through its doubling steps (a fresh
             // cursor per query is the common shape — a dozen-plus
             // reallocations per scan showed up directly in the pull-mode
-            // ns/hit the perf_baseline gate tracks).
+            // ns/hit, the benchmark's `cursor.pull_hit_ns`).
             let cap = CHUNK.min(self.remaining);
             self.key_spans.reserve(cap);
             self.vals.reserve(cap);

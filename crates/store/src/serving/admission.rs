@@ -48,7 +48,7 @@
 //! index equals the stream position, so virtual-time `--quick` runs
 //! (where the controller observes each request's *would-be* cost on its
 //! home worker at admission) are byte-identical run to run — CI diffs
-//! `fig21_adaptive_slo` DIGEST lines to prove it. In wall mode workers
+//! the `adaptive` drill's DIGEST lines to prove it. In wall mode workers
 //! feed real completion latencies instead and the loop is a genuine
 //! feedback controller.
 //!

@@ -7,8 +7,8 @@
 //! with the plan's seed through a SplitMix64 finalizer. No clocks, no
 //! global state: over a fixed op sequence submitted in a fixed order, two
 //! runs suffer *exactly* the same faults, which is what lets the
-//! `fig20_fault_slo` acceptance binary diff byte-identical `DIGEST` lines
-//! across virtual-time runs while one worker is degraded 10×.
+//! `faults` acceptance drill diff byte-identical `DIGEST` lines across
+//! virtual-time runs while one worker is degraded 10×.
 //!
 //! Four fault families:
 //!

@@ -35,7 +35,7 @@
 //!   each request costs a deterministic amount derived from the request
 //!   alone ([`virtual_cost`]) — two runs over the same op sequence then
 //!   produce byte-identical histograms, which is what lets CI gate on
-//!   p99/p999 (`fig18_serving_slo --quick`).
+//!   p99/p999 (`drill slo --quick`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -318,7 +318,8 @@ pub(crate) struct Envelope<V: Value> {
 /// differ across interleavings): over a fixed op sequence, every run
 /// records byte-identical latency histograms regardless of scheduling.
 /// The constants are scaled to the repo's measured microbench costs
-/// (`BENCH_scan.json`: ~219 ns per pulled hit, sub-µs probes).
+/// (the whole-store benchmark's `cursor.pull_hit_ns`: ~220 ns per pulled
+/// hit, sub-µs probes).
 pub fn virtual_cost<V: Value>(req: &Request<V>) -> u64 {
     match req {
         Request::Get { key } => 150 + 2 * key.len() as u64,

@@ -3,8 +3,8 @@
 //!
 //! Tracing a request costs a handful of `Instant::now()` calls and one
 //! histogram lock per stage; sampling keeps that off the common path.
-//! The `telemetry_overhead` gate in `perf_baseline` holds the total at
-//! ≤ 2% over the untraced path at the default 1-in-64 rate.
+//! The whole-store benchmark reports the total as `trace.overhead_pct`:
+//! ~2% over the untraced path at the default 1-in-64 rate.
 
 use std::time::Instant;
 

@@ -1,5 +1,5 @@
 //! The false-positive drill for the adaptive admission controller: the
-//! fig18 healthy workload (no fault plan at all) driven twice in
+//! `slo` drill's healthy workload (no fault plan at all) driven twice in
 //! deterministic virtual mode — once with the controller off, once with
 //! it on. A healthy fleet must give the controller nothing to do:
 //!

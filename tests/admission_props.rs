@@ -1,5 +1,5 @@
 //! Property suite for [`hope_store::serving::AdmissionController`] — the
-//! closed-loop admission policy behind `fig21_adaptive_slo`.
+//! closed-loop admission policy behind the `adaptive` drill.
 //!
 //! Three behavioural claims, attacked with random window scripts:
 //!

@@ -81,7 +81,8 @@ fn exercised_plan() -> FaultPlan {
 
 /// Two virtual-time runs over the same op stream and plan are
 /// observably identical: per-phase stats, per-worker stats, fault
-/// tallies, shed counts — everything the fig20 DIGEST is built from.
+/// tallies, shed counts — everything the `faults` drill's DIGEST is
+/// built from.
 #[test]
 fn virtual_runs_with_faults_are_deterministic() {
     let n = 4_000u64;
@@ -282,10 +283,11 @@ fn assert_admission_attribution(report: &ServingReport) {
     assert_eq!(logged, decided, "event fields must match the decisions");
 }
 
-/// The controller against the fig20 sickness at full strength, with no
-/// plan-driven shedding to lean on: it must engage on the sick worker,
-/// shed real traffic to healthy peers, keep every request exactly-once
-/// — and every decision must be attributable through the telemetry.
+/// The controller against the `faults` drill's sickness at full
+/// strength, with no plan-driven shedding to lean on: it must engage on
+/// the sick worker, shed real traffic to healthy peers, keep every
+/// request exactly-once — and every decision must be attributable
+/// through the telemetry.
 #[test]
 fn controller_sheds_a_fully_degraded_worker_exactly_once() {
     let n = 4_000u64;

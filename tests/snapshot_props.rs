@@ -1,5 +1,5 @@
 //! Property suite for [`hope_store::Snapshot`] — the O(1) copy-on-write
-//! point-in-time view behind `fig22_snapshot_rebuild`.
+//! point-in-time view behind the `snapshot` drill.
 //!
 //! Three behavioural claims, attacked with random op scripts:
 //!
