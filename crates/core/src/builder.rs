@@ -318,16 +318,6 @@ impl Hope {
         &self.encoder
     }
 
-    /// Symbol-level diff against a retrained compressor: which keys
-    /// would `next` encode byte-identically (see
-    /// [`EncodingDiff`](crate::diff::EncodingDiff))? `None` when the
-    /// schemes differ — then there is nothing to merge and a caller
-    /// should re-encode everything.
-    pub fn encoding_diff<'a>(&'a self, next: &'a Hope) -> Option<crate::diff::EncodingDiff<'a>> {
-        (self.scheme == next.scheme)
-            .then(|| crate::diff::EncodingDiff::new(self.encoder.dict(), next.encoder.dict()))
-    }
-
     /// Build the bit-walk reference decoder for this dictionary — what
     /// tests hold [`Hope::decode_to`] to.
     pub fn decoder(&self) -> Decoder {

@@ -154,8 +154,7 @@ impl Dict {
     }
 
     /// Resolve one symbol — the per-symbol primitive of the
-    /// checkpoint-tracking walks (pair and batch encoding) and of
-    /// [`EncodingDiff`](crate::diff::EncodingDiff). See
+    /// checkpoint-tracking walks (pair and batch encoding). See
     /// [`DictLookup::lookup`].
     #[inline]
     pub fn lookup(&self, src: &[u8]) -> (Code, usize) {

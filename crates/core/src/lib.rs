@@ -47,7 +47,6 @@ pub mod code_assign;
 pub mod codec;
 pub mod decoder;
 pub mod dict;
-pub mod diff;
 pub mod encoder;
 pub mod hu_tucker;
 pub mod index;
@@ -58,7 +57,6 @@ pub use bitpack::{Code, EncodedKey};
 pub use builder::{BuildTimings, CodecStats, Hope, HopeBuilder, HopeError};
 pub use codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
 pub use decoder::{DecodeScratch, Decoder, FastDecoder};
-pub use diff::EncodingDiff;
 pub use encoder::{EncodeScratch, Encoder};
 pub use index::{OrderedIndex, Value};
 pub use selector::Scheme;

@@ -10,8 +10,9 @@
 //!
 //! A generation holds each record once, in the **entry log** (source key,
 //! value, two `u32` links). Trees index the *padded bytes* of an
-//! encoding, which live only inside the index — a merge rebuild reads
-//! them back through [`OrderedIndex::for_each`] — and the index maps them
+//! encoding, which live only inside the index — a rebuild that keeps the
+//! dictionary reads them back through [`OrderedIndex::for_each`] — and
+//! the index maps them
 //! straight to a log id ([`SlotId`](crate::SlotId)). Padded-byte
 //! comparison preserves source order except that two distinct keys can
 //! **tie** (the zero-extension corner, see DESIGN.md "Encoded-key
@@ -32,10 +33,11 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use hope::{EncodeScratch, Hope, OrderedIndex, Value};
+use hope::{EncodeScratch, EncodedKey, Hope, OrderedIndex, Value};
 
+use crate::dictionary::Dictionary;
 use crate::error::StoreError;
 use crate::telemetry::SpanRecorder;
 use crate::SlotId;
@@ -154,13 +156,13 @@ pub(crate) struct GenData<V> {
     pub live: usize,
 }
 
-/// An immutable dictionary plus the index of keys encoded under it,
-/// generic over the value payload `V`.
+/// A dictionary — shared with every other generation encoded under it —
+/// plus the index of keys encoded under it, generic over the value
+/// payload `V`.
 #[derive(Debug)]
 pub struct Generation<V: Value = u64> {
     epoch: u64,
-    hope: Hope,
-    baseline_cpr: f64,
+    dict: Arc<Dictionary>,
     /// Shard this generation serves (error attribution only).
     shard: usize,
     /// Write-log entry cap: `insert` returns
@@ -169,35 +171,10 @@ pub struct Generation<V: Value = u64> {
     data: RwLock<GenData<V>>,
 }
 
-/// Byte accounting of one build: how much encoded output was spliced
-/// from the old generation verbatim vs produced by running the new
-/// dictionary. Both count per live entry.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MergeStats {
-    /// Encoded bytes reused from the old generation.
-    pub reused_bytes: u64,
-    /// Encoded bytes (re-)encoded under the new dictionary.
-    pub reencoded_bytes: u64,
-}
-
-/// What [`Generation::snapshot_live_encoded`] captures: the sorted live
-/// entries, their encoded bytes under the current dictionary, and the
-/// log watermark the swap's splice replays from.
-pub(crate) type LiveEncoded<V> = (Vec<Entry<V>>, Vec<Box<[u8]>>, usize);
-
-/// The per-entry inputs of [`Generation::build_merged`], which travel
-/// together (index-aligned): the sorted live entries, their encodings
-/// under the *previous* dictionary, and the dictionary diff's verdict
-/// on whether those bytes survive the retrain verbatim.
-pub(crate) struct MergeSource<V: Value> {
-    /// Sorted live entries to load.
-    pub pairs: Vec<Entry<V>>,
-    /// Entry `i`'s encoding under the previous dictionary.
-    pub old_encoded: Vec<Box<[u8]>>,
-    /// True when `old_encoded[i]` is provably identical under the new
-    /// dictionary and can be spliced without re-encoding.
-    pub reuse: Vec<bool>,
-}
+/// What [`Generation::snapshot_live`] captures: the sorted live entries,
+/// their encoded bytes under the current dictionary (empty unless asked
+/// for), and the log watermark the swap's splice replays from.
+pub(crate) type LiveSnapshot<V> = (Vec<Entry<V>>, Vec<Vec<u8>>, usize);
 
 /// Encode-side footprint of one insert, accumulated into the shard's
 /// drift statistics.
@@ -209,74 +186,50 @@ pub(crate) struct EncodeFootprint {
     pub enc_bytes: u64,
 }
 
-impl<V: Value> Generation<V> {
-    /// Build a generation from **sorted, deduplicated** `(key, value)`
-    /// pairs: a merge build with nothing to reuse, so everything counts
-    /// as re-encoded in the returned stats.
-    pub(crate) fn build(
-        epoch: u64,
-        hope: Hope,
-        baseline_cpr: f64,
-        index: Box<dyn OrderedIndex<SlotId>>,
-        pairs: Vec<Entry<V>>,
-        batch_block: usize,
-    ) -> (Generation<V>, MergeStats) {
-        let n = pairs.len();
-        let source =
-            MergeSource { pairs, old_encoded: vec![Box::default(); n], reuse: vec![false; n] };
-        Self::build_merged(epoch, hope, baseline_cpr, index, source, batch_block)
-    }
+/// The padded bytes `hope` encodes **sorted** `entries` to, index-aligned:
+/// the sorted-batch prefix-reuse encoder (Appendix B) in blocks of
+/// `batch_block`.
+pub(crate) fn encode_sorted<V>(
+    hope: &Hope,
+    entries: &[Entry<V>],
+    batch_block: usize,
+) -> Vec<Vec<u8>> {
+    let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_ref()).collect();
+    hope.encode_batch(&keys, batch_block.max(1)).into_iter().map(EncodedKey::into_bytes).collect()
+}
 
-    /// The one bulk loader, **merge-style**: entry `i` whose `reuse[i]` is
-    /// set splices `old_encoded[i]` — its encoding under the *previous*
-    /// dictionary — verbatim instead of re-encoding, which is exact
-    /// because the dictionary diff already proved the new dictionary
-    /// emits those very bytes (see [`hope::diff::EncodingDiff`]). The
-    /// other keys are batch-encoded with the sorted-batch prefix-reuse
-    /// optimization (Appendix B; a subsequence of sorted keys is sorted)
-    /// in blocks of `batch_block`, and both kinds interleave into one
-    /// sorted encoded stream. Sorted input keeps equal encodings adjacent,
-    /// so a byte string that repeats the previous one extends that tie
-    /// chain at its tail; any other opens a new group in the index.
-    pub(crate) fn build_merged(
+impl<V: Value> Generation<V> {
+    /// The one bulk loader: index **sorted, deduplicated** `entries` under
+    /// `encoded[i]`, entry `i`'s padded bytes under `dict` — fresh out of
+    /// [`encode_sorted`], or read back from the index of a generation
+    /// that served the same dictionary
+    /// ([`Generation::snapshot_live`]); the loader cannot tell and does
+    /// not encode. Sorted input keeps equal encodings adjacent, so a byte
+    /// string that repeats the previous one extends that tie chain at its
+    /// tail; any other opens a new group in the index.
+    pub(crate) fn load(
         epoch: u64,
-        hope: Hope,
-        baseline_cpr: f64,
+        dict: Arc<Dictionary>,
         mut index: Box<dyn OrderedIndex<SlotId>>,
-        source: MergeSource<V>,
-        batch_block: usize,
-    ) -> (Generation<V>, MergeStats) {
-        let MergeSource { pairs: mut entries, old_encoded, reuse } = source;
+        mut entries: Vec<Entry<V>>,
+        encoded: Vec<Vec<u8>>,
+    ) -> Generation<V> {
         debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key), "bulk load must be sorted");
-        debug_assert!(entries.len() == old_encoded.len() && entries.len() == reuse.len());
-        let changed: Vec<&[u8]> =
-            entries.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(e, _)| e.key.as_ref()).collect();
-        let mut reencoded = hope.encode_batch(&changed, batch_block.max(1)).into_iter();
-        let mut stats = MergeStats::default();
-        let mut last: Vec<u8> = Vec::new();
-        for (i, (old_enc, reused)) in old_encoded.into_iter().zip(reuse).enumerate() {
-            let bytes = if reused {
-                stats.reused_bytes += old_enc.len() as u64;
-                old_enc.into_vec()
-            } else {
-                let enc = reencoded.next().expect("one batch encoding per changed key");
-                stats.reencoded_bytes += enc.as_bytes().len() as u64;
-                enc.into_bytes()
-            };
+        debug_assert_eq!(entries.len(), encoded.len());
+        for (i, bytes) in encoded.iter().enumerate() {
             // Loaded entries start fresh chains: a clone out of another
             // generation's log carries links that mean nothing here.
             entries[i].prev = NO_PREV;
             entries[i].tie = NO_PREV;
-            if i > 0 && bytes == last {
+            if i > 0 && *bytes == encoded[i - 1] {
                 entries[i - 1].tie = i as u32;
             } else {
-                index.insert(&bytes, i as SlotId);
-                last = bytes;
+                index.insert(bytes, i as SlotId);
             }
         }
         let live = entries.len();
         let data = RwLock::new(GenData { index, entries, live });
-        (Generation { epoch, hope, baseline_cpr, shard: 0, log_capacity: NO_PREV, data }, stats)
+        Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, data }
     }
 
     /// Attach the owning shard id (error attribution) and the write-log
@@ -302,15 +255,22 @@ impl<V: Value> Generation<V> {
         self.epoch
     }
 
-    /// Compression rate of the dictionary on its own build sample — the
-    /// reference the shard's observed CPR is compared against.
+    /// Compression rate of the dictionary on the sample keys withheld
+    /// from its training — the reference the shard's observed CPR is
+    /// compared against.
     pub fn baseline_cpr(&self) -> f64 {
-        self.baseline_cpr
+        self.dict.baseline_cpr
     }
 
-    /// The compressor of this generation.
+    /// The compressor of this generation. Generations that share a
+    /// dictionary return the same object.
     pub fn hope(&self) -> &Hope {
-        &self.hope
+        &self.dict.hope
+    }
+
+    /// The shared handle behind [`Generation::hope`].
+    pub(crate) fn dictionary(&self) -> &Arc<Dictionary> {
+        &self.dict
     }
 
     /// Number of live keys.
@@ -380,7 +340,7 @@ impl<V: Value> Generation<V> {
     ) -> Result<(Option<R>, S), StoreError> {
         PROBE.with_borrow_mut(|probe| {
             let mut spans = S::start();
-            let enc = self.hope.encode_to(key, &mut probe.scratch)?;
+            let enc = self.dict.hope.encode_to(key, &mut probe.scratch)?;
             spans.encoded();
             let d = self.read();
             let found = d
@@ -418,7 +378,7 @@ impl<V: Value> Generation<V> {
     ) -> Result<(Option<V>, EncodeFootprint, S), StoreError> {
         PROBE.with_borrow_mut(|probe| {
             let mut spans = S::start();
-            let bytes = self.hope.encode_to(key, &mut probe.scratch)?;
+            let bytes = self.dict.hope.encode_to(key, &mut probe.scratch)?;
             spans.encoded();
             let footprint =
                 EncodeFootprint { src_bytes: key.len() as u64, enc_bytes: bytes.len() as u64 };
@@ -543,7 +503,7 @@ impl<V: Value> Generation<V> {
         debug_assert!(after.is_none_or(|a| a >= low));
         PROBE.with_borrow_mut(|ProbeBuffers { scratch, heads }| {
             let (enc_low, enc_high) =
-                self.hope.encode_range_bounds_to(after.unwrap_or(low), high, scratch)?;
+                self.dict.hope.encode_range_bounds_to(after.unwrap_or(low), high, scratch)?;
             let d = self.read();
             let mut want = limit.saturating_add(2);
             let mut done = 0usize;
@@ -588,19 +548,21 @@ impl<V: Value> Generation<V> {
     }
 
     /// Snapshot the live entries in source order, the log watermark
-    /// (everything appended after it is what the swap must replay), and,
-    /// per live entry, the encoded padded bytes it is indexed under
-    /// (members of a tie group share them) — the input of a merge
-    /// rebuild. One in-order walk of the index, the only holder of the
-    /// encoded bytes.
-    pub(crate) fn snapshot_live_encoded(&self) -> LiveEncoded<V> {
+    /// (everything appended after it is what the swap must replay), and —
+    /// `with_encoded`, for a rebuild that keeps the dictionary — per live
+    /// entry the encoded padded bytes it is indexed under (members of a
+    /// tie group share them). One in-order walk of the index, the only
+    /// holder of the encoded bytes.
+    pub(crate) fn snapshot_live(&self, with_encoded: bool) -> LiveSnapshot<V> {
         let d = self.read();
         let mut live = Vec::with_capacity(d.live);
-        let mut encoded = Vec::with_capacity(d.live);
+        let mut encoded = Vec::with_capacity(if with_encoded { d.live } else { 0 });
         d.index.for_each(&mut |enc, &head| {
             for id in chain(&d.entries, head) {
                 live.push(d.entries[id as usize].clone());
-                encoded.push(enc.into());
+                if with_encoded {
+                    encoded.push(enc.to_vec());
+                }
             }
         });
         (live, encoded, d.entries.len())
@@ -625,14 +587,21 @@ mod tests {
     use super::*;
     use hope::{HopeBuilder, Scheme};
 
+    /// Encode sorted `entries` under `hope` and bulk-load them.
+    fn load_fresh<V: Value>(epoch: u64, hope: Hope, entries: Vec<Entry<V>>) -> Generation<V> {
+        let encoded = encode_sorted(&hope, &entries, 8);
+        let dict = Dictionary::new(hope, 1.5, Arc::default());
+        let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
+        Generation::load(epoch, dict, index, entries, encoded)
+    }
+
     fn build_gen(pairs: &[(&str, u64)]) -> Generation<u64> {
         let sample: Vec<Vec<u8>> = pairs.iter().map(|(k, _)| k.as_bytes().to_vec()).collect();
         let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample).unwrap();
         let mut sorted: Vec<Entry<u64>> =
             pairs.iter().map(|(k, v)| Entry::new(k.as_bytes().into(), *v)).collect();
         sorted.sort_by(|a, b| a.key.cmp(&b.key));
-        let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
-        Generation::build(7, hope, 1.5, index, sorted, 8).0
+        load_fresh(7, hope, sorted)
     }
 
     #[test]
@@ -653,7 +622,7 @@ mod tests {
     #[test]
     fn insert_update_and_log_replay_watermark() {
         let g = build_gen(&[("com.gmail@a", 1)]);
-        let (_, _, w0) = g.snapshot_live_encoded();
+        let (_, _, w0) = g.snapshot_live(false);
         assert_eq!(g.insert::<()>(b"com.gmail@b", 2).unwrap().0, None);
         assert_eq!(g.insert::<()>(b"com.gmail@a", 9).unwrap().0, Some(1));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(9));
@@ -704,7 +673,7 @@ mod tests {
         let g = build_gen(&[("b", 2), ("a", 1)]);
         g.insert::<()>(b"c", 3).unwrap();
         g.insert::<()>(b"a", 10).unwrap();
-        let (live, _, _) = g.snapshot_live_encoded();
+        let (live, _, _) = g.snapshot_live(false);
         let keys: Vec<&[u8]> = live.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
         assert_eq!(live[0].value, 10, "snapshot must carry the updated value");
@@ -731,7 +700,7 @@ mod tests {
     fn watermark_reads_observe_the_point_in_time_state() {
         let g = build_gen(&[("a", 1), ("c", 3)]);
         g.insert::<()>(b"a", 10).unwrap();
-        let (_, _, w) = g.snapshot_live_encoded();
+        let (_, _, w) = g.snapshot_live(false);
         // Post-watermark: update a again, add a new key between a and c.
         g.insert::<()>(b"a", 100).unwrap();
         g.insert::<()>(b"b", 2).unwrap();
@@ -750,48 +719,53 @@ mod tests {
         assert_eq!(at_w, vec![(b"a".to_vec(), 10), (b"c".to_vec(), 3)]);
     }
 
+    /// The loader cannot tell where its bytes came from: bytes read back
+    /// from an index and `encode_sorted` bytes of the same dictionary
+    /// build identical indexes — tie chains included.
     #[test]
-    fn build_merged_splices_reused_runs_exactly() {
-        let pairs = &[("com.gmail@a", 1u64), ("com.gmail@b", 2), ("org.acm@c", 3)];
-        let g = build_gen(pairs);
-        let (live, old_encoded, _) = g.snapshot_live_encoded();
-        assert_eq!(live.len(), 3);
-        assert_eq!(old_encoded.len(), 3);
-        let live_bytes: u64 = old_encoded.iter().map(|e| e.len() as u64).sum();
-        assert!(live_bytes > 0);
+    fn kept_bytes_and_fresh_bytes_load_identical_indexes() {
+        // Single-Char trained on 0x00 runs gives 0x00 a one-bit all-zeros
+        // code, so `a`, `a\0`, `a\0\0` index under one padded byte string.
+        let mut keys: Vec<Vec<u8>> = (1..=40).map(|n| vec![0u8; n]).collect();
+        keys.extend([b"a".to_vec(), b"a\0".to_vec(), b"a\0\0".to_vec(), b"b".to_vec()]);
+        let hope = HopeBuilder::new(Scheme::SingleChar).build_from_sample(keys.clone()).unwrap();
+        let entries: Vec<Entry<u64>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| Entry::new(k.as_slice().into(), i as u64))
+            .collect();
+        let fresh = load_fresh(7, hope, entries);
 
-        // Same dictionary (deterministic Hu-Tucker on the same sample) ⇒
-        // every key reusable; reuse two of three and force one re-encode.
-        let sample: Vec<Vec<u8>> = pairs.iter().map(|(k, _)| k.as_bytes().to_vec()).collect();
-        let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample).unwrap();
+        let (live, kept, _) = fresh.snapshot_live(true);
+        assert_eq!(live.len(), keys.len());
+        assert_eq!(kept[40], kept[42], "the padded-byte tie must survive the read-back");
+        assert_eq!(kept, encode_sorted(fresh.hope(), &live, 8));
+
         let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
-        let reuse = vec![true, false, true];
-        let source = MergeSource { pairs: live, old_encoded, reuse };
-        let (merged, stats) = Generation::build_merged(8, hope, 1.5, index, source, 8);
-        assert_eq!(merged.epoch(), 8);
-        assert_eq!(merged.len(), 3);
-        assert!(stats.reused_bytes > 0);
-        assert!(stats.reencoded_bytes > 0);
-        // Same dictionary ⇒ same bytes, whichever path produced them.
-        assert_eq!(stats.reused_bytes + stats.reencoded_bytes, live_bytes);
-        for (k, v) in pairs {
-            assert_eq!(merged.get(k.as_bytes()).unwrap(), Some(*v), "{k}");
+        let reloaded = Generation::load(8, Arc::clone(fresh.dictionary()), index, live, kept);
+        assert_eq!(reloaded.epoch(), 8);
+        assert!(std::ptr::eq(reloaded.hope(), fresh.hope()));
+        let walk = |g: &Generation<u64>| {
+            let mut out: Vec<(Vec<u8>, SlotId)> = Vec::new();
+            g.read().index.for_each(&mut |enc, &head| out.push((enc.to_vec(), head)));
+            out
+        };
+        assert_eq!(walk(&reloaded), walk(&fresh));
+        assert_eq!(reloaded.snapshot_live(true).1, fresh.snapshot_live(true).1);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(reloaded.get(k).unwrap(), Some(i as u64), "{k:?}");
         }
-        let mut scanned: Vec<Vec<u8>> = Vec::new();
-        merged.range_with(b"com", b"os", 10, |k, _| scanned.push(k.to_vec())).unwrap();
-        assert_eq!(scanned.len(), 3, "merged index must scan in source order");
     }
 
     #[test]
     fn generic_payloads_round_trip() {
         let sample: Vec<Vec<u8>> = vec![b"k1".to_vec(), b"k2".to_vec()];
         let hope = HopeBuilder::new(Scheme::SingleChar).build_from_sample(sample).unwrap();
-        let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());
         let pairs = vec![
             Entry::new(b"k1".as_slice().into(), b"one".to_vec()),
             Entry::new(b"k2".as_slice().into(), b"two".to_vec()),
         ];
-        let g: Generation<Vec<u8>> = Generation::build(1, hope, 1.0, index, pairs, 4).0;
+        let g: Generation<Vec<u8>> = load_fresh(1, hope, pairs);
         assert_eq!(g.get(b"k2").unwrap(), Some(b"two".to_vec()));
         assert_eq!(g.insert::<()>(b"k1", b"uno".to_vec()).unwrap().0, Some(b"one".to_vec()));
         assert_eq!(g.get_with(b"k1", |v| v.len()).unwrap(), Some(3));

@@ -18,7 +18,9 @@
 //!   ranges (quantiles of the bulk-load's encoded sort order; because the
 //!   encoding is order-preserving the same split points, kept in source
 //!   form, stay valid across dictionary swaps). Each shard owns an
-//!   independent dictionary, index, statistics and epoch.
+//!   independent index, statistics and epoch, and shares the store's one
+//!   dictionary — trained once, on a sample of the whole load — until
+//!   its own traffic drifts away from it.
 //! * **Pluggable trees** — every shard indexes the encoded padded bytes
 //!   in any [`OrderedIndex`] backend: the repo's B+tree (plain or
 //!   prefix), its ART, its HOT, `std`'s `BTreeMap` as reference, or a
@@ -34,11 +36,14 @@
 //!   instant while writers and swaps proceed (the [`versioned`] module).
 //! * **Epoch-based dictionary hot-swap** — each shard tracks the CPR its
 //!   inserts actually achieve; when it degrades past a threshold of the
-//!   build-time baseline, [`HopeStore::maintain`] rebuilds the dictionary
-//!   from a reservoir sample of recent traffic, re-encodes the shard into
-//!   a fresh [`Generation`] in the background, replays the writes that
-//!   landed meanwhile, and flips the shard's `Arc` epoch handle. Readers
-//!   on the old generation drain gracefully; none ever block.
+//!   dictionary's held-out baseline, [`HopeStore::maintain`] trains a
+//!   replacement from a reservoir sample of recent traffic, re-encodes
+//!   the shard into a fresh [`Generation`] in the background, replays the
+//!   writes that landed meanwhile, and flips the shard's `Arc` epoch
+//!   handle. Readers on the old generation drain gracefully; none ever
+//!   block. A rebuild of an undrifted shard (log compaction,
+//!   [`HopeStore::force_rebuild`]) keeps the dictionary and reloads the
+//!   already-encoded keys verbatim.
 //!
 //! Every fallible operation returns [`StoreError`] — no panics, no bare
 //! `Option`s on failure paths (see `DESIGN.md`, "Public API v1").
@@ -67,6 +72,7 @@
 #![deny(unsafe_code)]
 
 pub mod cursor;
+mod dictionary;
 mod error;
 mod generation;
 pub mod serving;
@@ -77,17 +83,17 @@ pub mod versioned;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hope::stats;
-use hope::{Hope, HopeBuilder, HopeError, OrderedIndex, Scheme, Value};
+use hope::{OrderedIndex, Scheme, Value};
 
 pub use cursor::RangeCursor;
 pub use error::StoreError;
 pub use generation::Generation;
 pub use versioned::Snapshot;
 
+use dictionary::{train, CodecTotal};
 use error::validate_key;
-use generation::Entry;
-use shard::{Shard, ShardTelemetry};
+use generation::{encode_sorted, Entry};
+use shard::{lock, Shard, ShardTelemetry};
 use telemetry::{Event, EventKind, ProbeSpans, Stopwatch, Telemetry, TelemetrySnapshot};
 
 /// The value type every shard *index* stores: the log id of a tie
@@ -158,16 +164,18 @@ impl Backend {
 pub struct StoreConfig {
     /// Number of partitions (≥ 1).
     pub shards: usize,
-    /// Compression scheme for every shard dictionary.
+    /// Compression scheme for every dictionary.
     pub scheme: Scheme,
     /// Target dictionary entries (variable-size schemes).
     pub dict_entries: usize,
     /// Tree backend indexing the encoded keys.
     pub backend: Backend,
-    /// Keys held in each shard's traffic reservoir.
+    /// Keys held in each shard's traffic reservoir — the size of every
+    /// dictionary training sample, the store-wide one at build included.
     pub reservoir_capacity: usize,
-    /// Rebuild triggers when observed CPR falls below this fraction of
-    /// the generation's build-time baseline CPR.
+    /// A shard has drifted — its next rebuild replaces the dictionary —
+    /// when observed CPR falls below this fraction of the dictionary's
+    /// baseline CPR.
     pub degrade_ratio: f64,
     /// Minimum inserted source bytes before drift is judged at all.
     pub min_observed_bytes: u64,
@@ -205,7 +213,14 @@ impl Default for StoreConfig {
     }
 }
 
-/// What one successful dictionary hot-swap did.
+/// What one successful hot-swap did. Every swap compacts the write log
+/// and steps the epoch; what it does to the dictionary is one decision,
+/// taken once under the shard's rebuild lock: a **drifted** shard (enough
+/// observed bytes, observed CPR under `degrade_ratio` × baseline)
+/// *replaces* it — trains on the traffic reservoir and re-encodes every
+/// live key — and any other shard *keeps* it: same dictionary object,
+/// same baseline, the encoded bytes read back from the old index and
+/// loaded verbatim, with no training and no encode call.
 #[derive(Debug, Clone)]
 pub struct SwapReport {
     /// Shard that swapped.
@@ -214,24 +229,27 @@ pub struct SwapReport {
     pub old_epoch: u64,
     /// Epoch of the freshly installed generation.
     pub new_epoch: u64,
-    /// CPR observed on the old generation's insert traffic at swap time.
+    /// CPR observed on the shard's insert traffic under the old
+    /// generation's dictionary, at swap time.
     pub observed_cpr: Option<f64>,
-    /// Build-time baseline CPR of the superseded dictionary.
+    /// Baseline CPR of the old generation's dictionary.
     pub old_baseline_cpr: f64,
-    /// Build-time baseline CPR of the new dictionary.
+    /// Baseline CPR of the new generation's dictionary: the same number
+    /// when the dictionary was kept, the replacement's held-out CPR
+    /// otherwise.
     pub new_baseline_cpr: f64,
-    /// Live keys re-encoded into the new generation.
+    /// Live keys loaded into the new generation.
     pub live_keys: usize,
     /// Writes replayed from the log tail during the splice.
     pub replayed: usize,
-    /// Whether the rebuild reused any already-encoded run
-    /// (`reused_bytes > 0`) rather than re-encoding every live key.
+    /// `true`: the dictionary was **kept**; `false`: it was **replaced**.
     pub incremental: bool,
-    /// Encoded bytes spliced verbatim from the old generation: the keys
-    /// whose encoding the dictionary diff proved unchanged.
+    /// Encoded bytes read back from the old index and loaded verbatim:
+    /// every live entry's encoded length on a keep, 0 on a replace.
     pub reused_bytes: u64,
-    /// Encoded bytes freshly produced by the new dictionary. With
-    /// `reused_bytes` it sums to every live entry's encoded length.
+    /// Encoded bytes produced by encoding under the replacement
+    /// dictionary: every live entry's encoded length on a replace, 0 on a
+    /// keep.
     pub reencoded_bytes: u64,
 }
 
@@ -244,12 +262,17 @@ pub struct ShardReport {
     pub epoch: u64,
     /// Live keys.
     pub keys: usize,
-    /// CPR observed on insert traffic since the current generation.
+    /// CPR observed on insert traffic since the shard's dictionary was
+    /// installed (rebuilds that keep the dictionary do not reset it).
     pub observed_cpr: Option<f64>,
-    /// The dictionary's build-time baseline CPR.
+    /// CPR of the shard's dictionary on the sample keys withheld from its
+    /// training. Shards sharing a dictionary report the same number.
     pub baseline_cpr: f64,
     /// Compressor memory in bytes: the dictionary plus its shared
-    /// decoder once built ([`hope::Hope::memory_bytes`]).
+    /// decoder once built ([`hope::Hope::memory_bytes`]). A dictionary
+    /// several shards share is reported by the lowest-numbered of them
+    /// and as 0 by the others, so the column sums to what the store
+    /// holds.
     pub dict_bytes: usize,
     /// Index + record memory in bytes.
     pub index_bytes: usize,
@@ -269,33 +292,20 @@ pub struct HopeStore<V: Value = u64> {
     shards: Vec<Shard<V>>,
     epoch_counter: AtomicU64,
     telemetry: Arc<Telemetry>,
-}
-
-/// Fallback dictionary sample when a shard has no traffic and no resident
-/// keys to learn from: enough short strings that every scheme's selector
-/// finds patterns to divide on.
-fn default_sample() -> Vec<Vec<u8>> {
-    (0..64u32).map(|i| format!("hope-default-{i:04}").into_bytes()).collect()
-}
-
-/// Build one shard dictionary, substituting the default sample when the
-/// provided one is empty (variable-size schemes reject empty samples).
-pub(crate) fn build_hope_for(cfg: &StoreConfig, sample: &[Vec<u8>]) -> Result<Hope, HopeError> {
-    let builder = HopeBuilder::new(cfg.scheme).dictionary_entries(cfg.dict_entries);
-    if sample.is_empty() {
-        builder.build_from_sample(default_sample())
-    } else {
-        builder.build_from_sample(sample.iter().cloned())
-    }
+    /// What the store's dictionaries have published of their codec
+    /// counters (`dictionary::Dictionary::publish_codec_stats`).
+    codec_total: CodecTotal,
 }
 
 impl<V: Value> HopeStore<V> {
     /// Build a store from an initial key-value load.
     ///
-    /// Duplicate keys keep the last value. The load is sorted once; shard
-    /// split points are the quantiles of the sorted **encoded** order
-    /// (identical to source order — the encoding is order-preserving), and
-    /// every shard bulk-loads its slice with the Appendix-B sorted-batch
+    /// Duplicate keys keep the last value. The load is sorted once; **one**
+    /// dictionary is trained, on `reservoir_capacity` keys evenly spaced
+    /// over the whole sorted load, and shared by every shard; shard split
+    /// points are the quantiles of the sorted **encoded** order (identical
+    /// to source order — the encoding is order-preserving), and every
+    /// shard bulk-loads its slice with the Appendix-B sorted-batch
     /// encoder.
     ///
     /// # Errors
@@ -303,7 +313,7 @@ impl<V: Value> HopeStore<V> {
     /// * [`StoreError::InvalidConfig`] — `shards == 0` or `degrade_ratio`
     ///   outside `(0, 1]`;
     /// * [`StoreError::Codec`] — a load key fails validation
-    ///   ([`HopeError::KeyTooLong`]) or a shard dictionary fails to build.
+    ///   ([`hope::HopeError::KeyTooLong`]) or the dictionary fails to build.
     pub fn build<I>(cfg: StoreConfig, pairs: I) -> Result<HopeStore<V>, StoreError>
     where
         I: IntoIterator<Item = (Vec<u8>, V)>,
@@ -335,6 +345,13 @@ impl<V: Value> HopeStore<V> {
             })
             .collect();
 
+        // The store's one dictionary, from an evenly spaced sample of the
+        // whole load; a shard trains its own only once it drifts.
+        let codec_total = CodecTotal::default();
+        let step = (n / cfg.reservoir_capacity.max(1)).max(1);
+        let sample: Vec<Vec<u8>> = sorted.iter().step_by(step).map(|(k, _)| k.clone()).collect();
+        let dict = train(&cfg, &sample, &codec_total)?;
+
         let epoch_counter = AtomicU64::new(0);
         let telemetry = Arc::new(Telemetry::new(cfg.event_capacity));
         let mut shards = Vec::with_capacity(cfg.shards);
@@ -354,26 +371,11 @@ impl<V: Value> HopeStore<V> {
                 slice.push(Entry::new(k.into(), v));
             }
 
-            // Per-shard dictionary from an evenly spaced sample of the
-            // shard's own load.
-            let step = (slice.len() / cfg.reservoir_capacity.max(1)).max(1);
-            let sample: Vec<Vec<u8>> = slice.iter().step_by(step).map(|e| e.key.to_vec()).collect();
-            let hope = build_hope_for(&cfg, &sample)?;
-            let baseline_cpr = if sample.is_empty() {
-                stats::measure(&hope, &default_sample()).cpr()
-            } else {
-                stats::measure(&hope, &sample).cpr()
-            };
             let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
-            let (generation, _) = Generation::build(
-                epoch,
-                hope,
-                baseline_cpr,
-                cfg.backend.new_index(),
-                slice,
-                cfg.batch_block,
-            );
-            let generation = generation.with_context(s, cfg.write_log_capacity);
+            let encoded = encode_sorted(&dict.hope, &slice, cfg.batch_block);
+            let index = cfg.backend.new_index();
+            let generation = Generation::load(epoch, Arc::clone(&dict), index, slice, encoded)
+                .with_context(s, cfg.write_log_capacity);
             telemetry.events().record(Event {
                 kind: EventKind::GenerationBuilt,
                 shard: s as u32,
@@ -389,9 +391,10 @@ impl<V: Value> HopeStore<V> {
                 cfg.reservoir_capacity,
                 cfg.seed ^ (s as u64),
                 shard_tel,
+                Arc::clone(&codec_total),
             ));
         }
-        Ok(HopeStore { cfg, boundaries, shards, epoch_counter, telemetry })
+        Ok(HopeStore { cfg, boundaries, shards, epoch_counter, telemetry, codec_total })
     }
 
     /// The configuration this store was built with.
@@ -457,7 +460,7 @@ impl<V: Value> HopeStore<V> {
     /// # Errors
     ///
     /// [`StoreError::Codec`] when the key fails validation
-    /// ([`HopeError::KeyTooLong`]); the store is unchanged in that case.
+    /// ([`hope::HopeError::KeyTooLong`]); the store is unchanged in that case.
     pub fn insert(&self, key: Vec<u8>, value: V) -> Result<Option<V>, StoreError> {
         // No up-front validation: the generation's `encode_to` call
         // validates the key before anything is mutated.
@@ -588,9 +591,11 @@ impl<V: Value> HopeStore<V> {
     }
 
     /// One maintenance pass: every shard whose observed compression rate
-    /// has degraded past the threshold (or whose write log wants
-    /// compacting) gets its dictionary rebuilt from the reservoir sample
-    /// and hot-swapped. Returns a report per swap.
+    /// has degraded past the threshold gets a replacement dictionary
+    /// trained from its reservoir sample, and every shard whose write log
+    /// wants compacting is reloaded under the dictionary it has; either
+    /// way the new generation is hot-swapped in. Returns a report per
+    /// swap ([`SwapReport::incremental`] says which it was).
     ///
     /// Shards whose rebuild *fails* (a [`StoreError`] from the dictionary
     /// pipeline) keep serving their current generation; the error is
@@ -651,12 +656,16 @@ impl<V: Value> HopeStore<V> {
         }
     }
 
-    /// Unconditionally rebuild and swap one shard (testing/operations).
+    /// Unconditionally rebuild and swap one shard (testing/operations):
+    /// the write log is compacted and the epoch steps. The dictionary
+    /// follows the same rule as under [`HopeStore::maintain`] — replaced
+    /// when the shard has drifted, otherwise kept, in which case nothing
+    /// is trained and no key is encoded (see [`SwapReport`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchShard`] for an out-of-range shard;
-    /// [`StoreError::Codec`] when the replacement dictionary fails to
+    /// [`StoreError::Codec`] when a replacement dictionary fails to
     /// build (the shard keeps serving its current generation).
     pub fn force_rebuild(&self, shard: usize) -> Result<SwapReport, StoreError> {
         match self.shards.get(shard) {
@@ -695,17 +704,26 @@ impl<V: Value> HopeStore<V> {
         Arc::clone(&self.telemetry)
     }
 
+    /// Every shard's current generation, paired with whether the shard
+    /// is the lowest-numbered holder of its dictionary — the one a shared
+    /// dictionary's bytes and counters are attributed to.
+    fn generations(&self) -> Vec<(Arc<Generation<V>>, bool)> {
+        let gens: Vec<_> = self.shards.iter().map(Shard::current).collect();
+        let first_holder =
+            |i: usize| !gens[..i].iter().any(|g| Arc::ptr_eq(g.dictionary(), gens[i].dictionary()));
+        (0..gens.len()).map(|i| (Arc::clone(&gens[i]), first_holder(i))).collect()
+    }
+
     /// Publish the derived per-shard and codec gauges into the registry.
     /// Ratios are exported in milli-units (`×1000`, truncated) — the
     /// registry is integer-valued by design.
     fn refresh_gauges(&self) {
         let reg = self.telemetry.registry();
-        let mut codec = hope::CodecStats::default();
-        for (i, s) in self.shards.iter().enumerate() {
-            let g = s.current();
+        for (i, (s, (g, first_holder))) in self.shards.iter().zip(self.generations()).enumerate() {
+            let dict_bytes = if first_holder { g.hope().memory_bytes() } else { 0 };
             reg.gauge(&format!("store.shard.{i}.epoch")).set(g.epoch());
             reg.gauge(&format!("store.shard.{i}.keys")).set(g.len() as u64);
-            reg.gauge(&format!("store.shard.{i}.dict_bytes")).set(g.hope().memory_bytes() as u64);
+            reg.gauge(&format!("store.shard.{i}.dict_bytes")).set(dict_bytes as u64);
             reg.gauge(&format!("store.shard.{i}.index_bytes")).set(g.memory_bytes() as u64);
             let baseline = g.baseline_cpr();
             reg.gauge(&format!("store.shard.{i}.baseline_cpr_milli"))
@@ -717,11 +735,9 @@ impl<V: Value> HopeStore<V> {
             // a rebuild triggers when it sinks under degrade_ratio × 1000.
             let drift = if baseline > 0.0 && observed > 0.0 { observed / baseline } else { 0.0 };
             reg.gauge(&format!("store.shard.{i}.drift_milli")).set((drift * 1000.0) as u64);
-            let cs = s.codec_stats();
-            codec.encode_keys += cs.encode_keys;
-            codec.automaton_fallback_takes += cs.automaton_fallback_takes;
-            codec.decode_keys += cs.decode_keys;
+            g.dictionary().publish_codec_stats();
         }
+        let codec = *lock(&self.codec_total);
         reg.gauge("store.codec.encode_keys").set(codec.encode_keys);
         reg.gauge("store.codec.automaton_fallback_takes").set(codec.automaton_fallback_takes);
         reg.gauge("store.codec.decode_keys").set(codec.decode_keys);
@@ -761,18 +777,16 @@ impl<V: Value> HopeStore<V> {
     pub fn stats(&self) -> Vec<ShardReport> {
         self.shards
             .iter()
+            .zip(self.generations())
             .enumerate()
-            .map(|(i, s)| {
-                let g = s.current();
-                ShardReport {
-                    shard: i,
-                    epoch: g.epoch(),
-                    keys: g.len(),
-                    observed_cpr: s.observed_cpr(),
-                    baseline_cpr: g.baseline_cpr(),
-                    dict_bytes: g.hope().memory_bytes(),
-                    index_bytes: g.memory_bytes(),
-                }
+            .map(|(i, (s, (g, first_holder)))| ShardReport {
+                shard: i,
+                epoch: g.epoch(),
+                keys: g.len(),
+                observed_cpr: s.observed_cpr(),
+                baseline_cpr: g.baseline_cpr(),
+                dict_bytes: if first_holder { g.hope().memory_bytes() } else { 0 },
+                index_bytes: g.memory_bytes(),
             })
             .collect()
     }
@@ -1141,21 +1155,21 @@ mod tests {
     #[test]
     fn rebuilds_report_their_path_and_preserve_contents() {
         /// Σ encoded length of every live key under the shard's current
-        /// dictionary — what a rebuild's two byte totals must add up to.
+        /// dictionary — what a rebuild's byte total must equal.
         fn live_encoded_bytes(store: &HopeStore<u64>) -> u64 {
             let gen = store.shards[0].current();
-            let (live, _, _) = gen.snapshot_live_encoded();
+            let (live, _, _) = gen.snapshot_live(false);
             live.iter().map(|e| gen.hope().encode(&e.key).as_bytes().len() as u64).sum()
         }
         let cfg = StoreConfig { shards: 1, ..small_cfg() };
 
-        // No traffic since the build: the retrain sees the same resident
-        // sample, the dictionary comes out identical, every byte splices.
+        // Undrifted: the dictionary is kept and every byte reloaded.
         let store = HopeStore::build(cfg, load(800)).unwrap();
         let r = store.force_rebuild(0).unwrap();
         assert!(r.incremental);
-        assert_eq!(r.reencoded_bytes, 0, "identical dictionary must reuse every byte");
+        assert_eq!(r.reencoded_bytes, 0, "a kept dictionary re-encodes nothing");
         assert_eq!(r.reused_bytes, live_encoded_bytes(&store));
+        assert_eq!(r.new_baseline_cpr, r.old_baseline_cpr);
         for i in (0..800).step_by(41) {
             let k = format!("com.gmail@user{i:05}");
             assert_eq!(store.get(k.as_bytes()).unwrap(), Some(i), "{k}");
@@ -1166,27 +1180,22 @@ mod tests {
         assert_eq!(ev.replayed, r.reused_bytes);
         assert_eq!(ev.bytes, r.reencoded_bytes);
 
-        // Drifted traffic: the retrained codes move, so some (here: most)
-        // keys re-encode — the report says which way it went and the two
-        // totals still cover every live key exactly once.
+        // Drifted traffic: the dictionary is replaced and every live key
+        // encoded under the replacement.
         let store = HopeStore::build(cfg, load(800)).unwrap();
         for i in 0..600u64 {
             store.insert(format!("XQ#{i:)>6}!!zw|{i:x}").into_bytes(), i).unwrap();
         }
         let r = store.force_rebuild(0).unwrap();
-        assert!(r.reencoded_bytes > 0, "drifted retrain must re-encode something");
-        assert_eq!(r.incremental, r.reused_bytes > 0);
-        assert_eq!(r.reused_bytes + r.reencoded_bytes, live_encoded_bytes(&store));
+        assert!(!r.incremental);
+        assert_eq!(r.reused_bytes, 0, "a replaced dictionary reuses nothing");
+        assert_eq!(r.reencoded_bytes, live_encoded_bytes(&store));
         assert_eq!(store.get(b"com.gmail@user00003").unwrap(), Some(3));
         assert_eq!(store.len(), 1400);
+        assert_eq!(store.stats()[0].observed_cpr, None, "a new dictionary starts unjudged");
         let t = store.telemetry();
-        let (counter, kind) = if r.incremental {
-            ("store.rebuild.incremental", EventKind::RebuildIncremental)
-        } else {
-            ("store.rebuild.full", EventKind::RebuildFull)
-        };
-        assert_eq!(t.counter(counter), Some(1));
-        assert_eq!(t.events_of(kind).count(), 1);
+        assert_eq!(t.counter("store.rebuild.full"), Some(1));
+        assert_eq!(t.events_of(EventKind::RebuildFull).count(), 1);
     }
 
     #[test]

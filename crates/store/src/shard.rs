@@ -15,12 +15,25 @@
 //!   `Arc` keeps it alive.
 //! * **Writers** (`insert`) serialize on the shard's writer mutex, then
 //!   mutate the current generation through its interior lock.
-//! * **Rebuild** does the expensive work — dictionary build, Hu-Tucker,
-//!   re-encoding the live keys — with *no* locks held; writers contend
-//!   only with the initial snapshot clone (a data read-lock hold) and the
-//!   final splice (writer mutex: replay the log tail, flip the epoch
-//!   slot). Lock order is always `writer → epoch slot → generation data`,
-//!   so the protocol is deadlock-free.
+//! * **Rebuild** does the expensive work — loading the new index and,
+//!   when the shard has drifted, the dictionary build and re-encoding the
+//!   live keys — with *no* locks held; writers contend only with the
+//!   initial snapshot clone (a data read-lock hold) and the final splice
+//!   (writer mutex: replay the log tail, flip the epoch slot). Lock order
+//!   is always `writer → epoch slot → generation data`, so the protocol
+//!   is deadlock-free.
+//!
+//! ## The dictionary policy
+//!
+//! A dictionary is trained in one function ([`crate::dictionary::train`])
+//! and at two moments: once per store at build, and in
+//! `Shard::rebuild_inner` when the shard has **drifted** — the drift arm
+//! of [`Shard::needs_rebuild`], read once under the rebuild lock. A
+//! drifted rebuild *replaces* the dictionary: trains on the traffic
+//! reservoir and encodes every live key. Any other rebuild (log
+//! compaction, a forced one) *keeps* it: the next generation shares the
+//! same `Arc`, and the encoded bytes walked out of the old index are
+//! loaded verbatim — no training, no encode call.
 //!
 //! Shard locks recover from poisoning like the generation's interior lock
 //! does (see [`crate::generation`], "Lock discipline").
@@ -29,16 +42,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
-use hope::stats;
-use hope::{CodecStats, Value};
+use hope::Value;
 
+use crate::dictionary::{train, CodecTotal};
 use crate::error::StoreError;
-use crate::generation::{Entry, Generation, MergeSource};
+use crate::generation::{encode_sorted, Entry, Generation};
 use crate::serving::FaultPlan;
 use crate::telemetry::{Counter, Event, EventKind, SpanRecorder, Telemetry};
 use crate::{StoreConfig, SwapReport};
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -94,8 +107,9 @@ impl ShardFaults {
 }
 
 /// Uniform reservoir sample (algorithm R) over the keys inserted since the
-/// current generation was installed; reset at every swap so the sample
-/// tracks the *current* traffic mix rather than the whole shard lifetime.
+/// shard's dictionary was installed; reset whenever the dictionary is
+/// replaced so the sample tracks the *current* traffic mix rather than
+/// the whole shard lifetime.
 #[derive(Debug)]
 pub(crate) struct Reservoir {
     keys: Vec<Vec<u8>>,
@@ -147,20 +161,19 @@ pub(crate) struct Shard<V: Value = u64> {
     /// both snapshot the same generation and the later flip would drop the
     /// earlier one's replayed writes.
     rebuilding: Mutex<()>,
-    /// Source bytes encoded by inserts since the current generation.
+    /// Source bytes encoded by inserts since the current dictionary was
+    /// installed (a rebuild that keeps the dictionary keeps the count).
     obs_src: AtomicU64,
     /// Padded encoded bytes produced by those inserts.
     obs_enc: AtomicU64,
-    /// Traffic sample feeding the next dictionary rebuild.
+    /// Traffic sample a replacement dictionary is trained on.
     reservoir: Mutex<Reservoir>,
     /// Telemetry slice: rebuild counters and the shared event ring.
     tel: ShardTelemetry,
     /// Fault-injection hook on the rebuild path (testing/acceptance).
     faults: ShardFaults,
-    /// Codec path counters accumulated from superseded generations at
-    /// swap time (their `Hope` dies with the old `Arc`), so store-level
-    /// codec telemetry stays monotone across swaps.
-    retired: Mutex<CodecStats>,
+    /// The store-wide codec total a replacement dictionary reports into.
+    codec_total: CodecTotal,
 }
 
 impl<V: Value> Shard<V> {
@@ -169,6 +182,7 @@ impl<V: Value> Shard<V> {
         reservoir_capacity: usize,
         seed: u64,
         tel: ShardTelemetry,
+        codec_total: CodecTotal,
     ) -> Self {
         Shard {
             gen: RwLock::new(Arc::new(generation)),
@@ -179,7 +193,7 @@ impl<V: Value> Shard<V> {
             reservoir: Mutex::new(Reservoir::new(reservoir_capacity, seed)),
             tel,
             faults: ShardFaults::new(),
-            retired: Mutex::new(CodecStats::default()),
+            codec_total,
         }
     }
 
@@ -231,60 +245,42 @@ impl<V: Value> Shard<V> {
         Ok((old, spans))
     }
 
-    /// Codec path counters: the live generation's compressor plus
-    /// everything accumulated from superseded generations at swap time.
-    /// (Readers still draining on a superseded generation after the flip
-    /// may contribute a handful of uncounted probes — the totals are
-    /// observability, not accounting.)
-    pub(crate) fn codec_stats(&self) -> CodecStats {
-        let retired = *lock(&self.retired);
-        let live = self.current().hope().codec_stats();
-        CodecStats {
-            encode_keys: retired.encode_keys + live.encode_keys,
-            automaton_fallback_takes: retired.automaton_fallback_takes
-                + live.automaton_fallback_takes,
-            decode_keys: retired.decode_keys + live.decode_keys,
-        }
-    }
-
-    /// CPR observed on the insert traffic of the current generation, or
-    /// `None` until any insert has been encoded.
+    /// CPR observed on the insert traffic since the current dictionary was
+    /// installed, or `None` until any insert has been encoded.
     pub(crate) fn observed_cpr(&self) -> Option<f64> {
         let enc = self.obs_enc.load(Ordering::Relaxed);
         let src = self.obs_src.load(Ordering::Relaxed);
         (enc > 0).then(|| src as f64 / enc as f64)
     }
 
-    /// Observed source bytes since the current generation.
-    pub(crate) fn observed_src_bytes(&self) -> u64 {
-        self.obs_src.load(Ordering::Relaxed)
-    }
-
-    /// True when the shard should retrain: either the observed CPR has
-    /// degraded past the configured fraction of the generation's
-    /// build-time baseline (after enough traffic to judge), or the
-    /// append-only write log has accumulated enough dead entries that a
-    /// compacting rebuild pays for itself even with a stable distribution.
+    /// True when the shard should be rebuilt: either it has drifted
+    /// ([`Shard::drifted`]), or the append-only write log has accumulated
+    /// enough dead entries that a compacting rebuild pays for itself even
+    /// with a stable distribution.
     pub(crate) fn needs_rebuild(&self, cfg: &StoreConfig) -> bool {
         let generation = self.current();
         let (live, log) = generation.occupancy();
-        if log > live.saturating_mul(4) + 4096 {
-            return true; // update-heavy stable traffic: compact the log
-        }
-        if self.observed_src_bytes() < cfg.min_observed_bytes {
-            return false;
-        }
-        match self.observed_cpr() {
-            Some(cpr) => cpr < cfg.degrade_ratio * generation.baseline_cpr(),
-            None => false,
-        }
+        // Update-heavy stable traffic: compact the log.
+        log > live.saturating_mul(4) + 4096 || self.drifted(cfg, &generation)
     }
 
-    /// Drift-triggered rebuild: re-checks the trigger under the rebuild
-    /// lock (a concurrent maintenance pass may have just swapped this
-    /// shard, resetting its statistics and reservoir, in which case a
-    /// second back-to-back rebuild would only churn the epoch) and
-    /// returns `Ok(None)` when the rebuild was skipped for that reason.
+    /// The drift arm, and the one statistic the keep-or-replace decision
+    /// reads: after enough traffic to judge, the observed CPR has
+    /// degraded past the configured fraction of the dictionary's
+    /// baseline.
+    fn drifted(&self, cfg: &StoreConfig, generation: &Generation<V>) -> bool {
+        self.obs_src.load(Ordering::Relaxed) >= cfg.min_observed_bytes
+            && self
+                .observed_cpr()
+                .is_some_and(|cpr| cpr < cfg.degrade_ratio * generation.baseline_cpr())
+    }
+
+    /// Maintenance rebuild: re-checks the trigger under the rebuild lock
+    /// (a concurrent maintenance pass may have just swapped this shard,
+    /// compacting its log or resetting its statistics and reservoir, in
+    /// which case a second back-to-back rebuild would only churn the
+    /// epoch) and returns `Ok(None)` when the rebuild was skipped for
+    /// that reason.
     pub(crate) fn maybe_rebuild(
         &self,
         shard_id: usize,
@@ -309,12 +305,12 @@ impl<V: Value> Shard<V> {
         self.rebuild_locked(shard_id, cfg, epoch_counter, guard)
     }
 
-    /// Build a new generation from the reservoir sample and hot-swap it
-    /// into the epoch slot. Readers keep serving the old generation until
-    /// the flip and never block. Writers are paused twice: during the
-    /// snapshot clone (it holds the generation's data read lock) and
-    /// during the replay+flip splice; the expensive dictionary build and
-    /// re-encode in between run with no locks held.
+    /// Build a new generation and hot-swap it into the epoch slot.
+    /// Readers keep serving the old generation until the flip and never
+    /// block. Writers are paused twice: during the snapshot clone (it
+    /// holds the generation's data read lock) and during the replay+flip
+    /// splice; the index load — and, for a drifted shard, the dictionary
+    /// build and re-encode — in between run with no locks held.
     fn rebuild_locked(
         &self,
         shard_id: usize,
@@ -342,9 +338,9 @@ impl<V: Value> Shard<V> {
                     duration_ns: started.elapsed().as_nanos() as u64,
                     ..self.tel.event(EventKind::SwapEnd)
                 });
-                // Path attribution: which rebuild strategy ran, and the
-                // byte split it achieved (repurposed fields documented on
-                // the event kinds).
+                // Path attribution: dictionary kept or replaced, and the
+                // encoded bytes it reloaded or re-encoded (repurposed
+                // fields documented on the event kinds).
                 let kind = if report.incremental {
                     EventKind::RebuildIncremental
                 } else {
@@ -385,8 +381,8 @@ impl<V: Value> Shard<V> {
     }
 
     /// The rebuild itself (runs under the caller-held rebuild guard);
-    /// returns the report plus the new dictionary's memory footprint for
-    /// the swap-end event.
+    /// returns the report plus the memory footprint of the dictionary the
+    /// new generation serves with, for the swap-end event.
     fn rebuild_inner(
         &self,
         shard_id: usize,
@@ -402,39 +398,29 @@ impl<V: Value> Shard<V> {
             return Err(e);
         }
         let old = self.current();
-        let (live, old_encoded, watermark) = old.snapshot_live_encoded();
-
-        // Sample = reservoir (recent traffic), topped up with resident
-        // keys when traffic alone is too thin to train a dictionary.
-        let mut sample: Vec<Vec<u8>> = lock(&self.reservoir).keys.clone();
-        if sample.len() < cfg.reservoir_capacity {
-            let need = cfg.reservoir_capacity - sample.len();
-            let step = (live.len() / need.max(1)).max(1);
-            sample.extend(live.iter().step_by(step).map(|e| e.key.to_vec()));
-        }
-
-        let hope = crate::build_hope_for(cfg, &sample)?;
-        let baseline_cpr = stats::measure(&hope, &sample).cpr();
+        // Keep or replace: decided here, once, for the whole rebuild.
+        let drifted = self.drifted(cfg, &old);
+        let (live, kept, watermark) = old.snapshot_live(!drifted);
+        let (dict, encoded) = if drifted {
+            // Sample = reservoir (recent traffic), topped up with resident
+            // keys when traffic alone is too thin to train a dictionary.
+            let mut sample: Vec<Vec<u8>> = lock(&self.reservoir).keys.clone();
+            if sample.len() < cfg.reservoir_capacity {
+                let need = cfg.reservoir_capacity - sample.len();
+                let step = (live.len() / need.max(1)).max(1);
+                sample.extend(live.iter().step_by(step).map(|e| e.key.to_vec()));
+            }
+            let dict = train(cfg, &sample, &self.codec_total)?;
+            let encoded = encode_sorted(&dict.hope, &live, cfg.batch_block);
+            (dict, encoded)
+        } else {
+            (Arc::clone(old.dictionary()), kept)
+        };
         let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let live_keys = live.len();
-
-        // Diff the old dictionary against the retrained one: a key whose
-        // encoding the new dictionary provably reproduces is spliced
-        // verbatim, every other key is re-encoded (all of them when the
-        // two dictionaries cannot be diffed).
-        let reuse: Vec<bool> = match old.hope().encoding_diff(&hope) {
-            Some(diff) => live.iter().map(|e| diff.key_unchanged(&e.key)).collect(),
-            None => vec![false; live.len()],
-        };
-        let (next, merge_stats) = Generation::build_merged(
-            epoch,
-            hope,
-            baseline_cpr,
-            cfg.backend.new_index(),
-            MergeSource { pairs: live, old_encoded, reuse },
-            cfg.batch_block,
-        );
-        let next = next.with_context(shard_id, cfg.write_log_capacity);
+        let encoded_bytes: u64 = encoded.iter().map(|e| e.len() as u64).sum();
+        let next = Generation::load(epoch, dict, cfg.backend.new_index(), live, encoded)
+            .with_context(shard_id, cfg.write_log_capacity);
 
         // Splice: block writers, replay their log tail, flip the epoch.
         // Replay inserts re-encode keys that already passed validation at
@@ -453,27 +439,22 @@ impl<V: Value> Shard<V> {
             new_epoch: epoch,
             observed_cpr: self.observed_cpr(),
             old_baseline_cpr: old.baseline_cpr(),
-            new_baseline_cpr: baseline_cpr,
+            new_baseline_cpr: next.baseline_cpr(),
             live_keys,
             replayed,
-            incremental: merge_stats.reused_bytes > 0,
-            reused_bytes: merge_stats.reused_bytes,
-            reencoded_bytes: merge_stats.reencoded_bytes,
+            incremental: !drifted,
+            reused_bytes: if drifted { 0 } else { encoded_bytes },
+            reencoded_bytes: if drifted { encoded_bytes } else { 0 },
         };
         let dict_bytes = next.hope().memory_bytes();
-        // The old generation's codec counters die with its `Arc`; fold
-        // them into the retired total before the flip retires it.
-        let old_codec = old.hope().codec_stats();
-        {
-            let mut retired = lock(&self.retired);
-            retired.encode_keys += old_codec.encode_keys;
-            retired.automaton_fallback_takes += old_codec.automaton_fallback_takes;
-            retired.decode_keys += old_codec.decode_keys;
-        }
         *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
-        self.obs_src.store(0, Ordering::Relaxed);
-        self.obs_enc.store(0, Ordering::Relaxed);
-        lock(&self.reservoir).reset();
+        // The drift statistics and the reservoir judge the dictionary, so
+        // they start over with a new one and carry on under a kept one.
+        if drifted {
+            self.obs_src.store(0, Ordering::Relaxed);
+            self.obs_enc.store(0, Ordering::Relaxed);
+            lock(&self.reservoir).reset();
+        }
         Ok((report, dict_bytes))
     }
 }

@@ -51,15 +51,17 @@ pub enum EventKind {
     /// The admission controller lowered a worker's shed level (same
     /// field repurposing as [`EventKind::AdmissionEngage`]).
     AdmissionRelease,
-    /// A rebuild reused already-encoded runs: only keys whose codes
-    /// changed were re-encoded. Emitted alongside the shard's
-    /// [`EventKind::SwapEnd`] with fields repurposed: `replayed` =
-    /// encoded bytes reused verbatim, `bytes` = bytes re-encoded.
+    /// A rebuild **kept** the shard's dictionary (the shard had not
+    /// drifted): the live keys' encoded bytes were read back from the old
+    /// index and loaded verbatim, nothing was trained or encoded. Emitted
+    /// alongside the shard's [`EventKind::SwapEnd`] with fields
+    /// repurposed: `replayed` = encoded bytes reloaded, `bytes` = 0.
     RebuildIncremental,
-    /// A rebuild re-encoded every live key (the dictionary diff proved
-    /// no key unchanged, or no diff was possible). Same field
-    /// repurposing as [`EventKind::RebuildIncremental`]: `replayed` = 0,
-    /// `bytes` = bytes re-encoded.
+    /// A rebuild **replaced** the shard's dictionary (the shard had
+    /// drifted): a new one was trained on the traffic reservoir and every
+    /// live key encoded under it. Same field repurposing as
+    /// [`EventKind::RebuildIncremental`]: `replayed` = 0, `bytes` =
+    /// encoded bytes produced.
     RebuildFull,
     /// A store-wide snapshot was taken. Fields repurposed: `keys` = the
     /// shard count pinned, `prev_epoch`/`epoch` = the minimum/maximum

@@ -25,6 +25,8 @@ fn main() {
     let cfg = StoreConfig { min_observed_bytes: 16 * 1024, ..StoreConfig::default() };
     let store = Arc::new(HopeStore::build(cfg, load.clone()).expect("store build"));
     println!("loaded {} keys into {} shards, epochs {:?}", store.len(), cfg.shards, store.epochs());
+    // One dictionary for the whole store: shard 0 reports its bytes, the
+    // shards sharing it report 0.
     for s in store.stats() {
         println!(
             "  shard {}: {} keys, baseline CPR {:.2}, dict {} KiB",
