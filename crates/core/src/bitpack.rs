@@ -88,11 +88,13 @@ impl Code {
 
 /// An encoded key: zero-padded bytes plus the exact bit length.
 ///
-/// Byte-wise comparison of the padded bytes preserves source-key order in all
-/// cases except one corner: when one encoding is a bitstring prefix of
-/// another and the extension is all zero bits, the padded bytes can tie.
-/// `Ord` therefore tie-breaks on `bit_len`, which is provably consistent
-/// with source order (see DESIGN.md, "Encoded-key comparison").
+/// Byte-wise comparison of the padded bytes of two keys encoded under one
+/// dictionary is source-key order, strictly: no assigned code is all zeros,
+/// so zero padding never reproduces the bits another encoding continues
+/// with (see DESIGN.md, "Encoded-key comparison"). `Ord` compares
+/// `(bytes, bit_len)`, which on such keys is therefore plain byte order;
+/// the `bit_len` term only separates hand-built values
+/// ([`EncodedKey::from_parts`]) that no dictionary produces.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct EncodedKey {
     bytes: Vec<u8>,

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use crate::bitpack::EncodedKey;
-use crate::code_assign::CodeAssigner;
+use crate::code_assign::{codes_are_order_preserving, CodeAssigner};
 use crate::decoder::{Decoder, FastDecoder};
 use crate::dict::Dict;
 use crate::encoder::Encoder;
@@ -174,6 +174,8 @@ impl HopeBuilder {
         };
         let codes = assigner.assign(&weights);
         let code_assign = t1.elapsed();
+        debug_assert!(codes_are_order_preserving(&codes));
+        debug_assert!(codes[0].bits != 0, "the all-zeros code is reserved");
 
         // Module 3: Dictionary.
         let t2 = Instant::now();
@@ -256,21 +258,19 @@ impl Hope {
     /// Encode the inclusive boundaries of a range query into the padded
     /// byte form order-sensitive structures index.
     ///
-    /// Every source key `k` with `low <= k <= high` encodes to padded bytes
-    /// within `[lo, hi]` byte-wise, so the pair can drive a compressed range
-    /// scan directly. The converse holds except in the zero-extension
-    /// corner (see DESIGN.md, "Encoded-key comparison"): a boundary byte
-    /// string may also be shared by keys just *outside* the range, so exact
-    /// consumers re-check boundary matches against the source-key bounds
-    /// (as `hope_store` does).
+    /// The bounds are exact: a source key `k` encodes to padded bytes
+    /// within `[lo, hi]` byte-wise **if and only if** `low <= k <= high`
+    /// (padded bytes order strictly as source keys do — see DESIGN.md,
+    /// "Encoded-key comparison"), so the pair drives a compressed range
+    /// scan directly and no hit needs a source-key re-check.
     pub fn encode_range_bounds(&self, low: &[u8], high: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let (lo, hi) = self.encoder.encode_pair(low, high);
         (lo.into_bytes(), hi.into_bytes())
     }
 
     /// Allocation-free [`Hope::encode_range_bounds`]: pair-encode into a
-    /// reusable scratch and return the two padded byte strings. Same
-    /// boundary-tie caveat as the allocating variant.
+    /// reusable scratch and return the two padded byte strings, exact in
+    /// the same sense.
     ///
     /// # Errors
     ///

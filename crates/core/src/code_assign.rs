@@ -2,8 +2,13 @@
 //! increasing prefix codes.
 //!
 //! Two assigners exist, matching Table 1:
-//! * **fixed-length** — `ceil(log2 N)`-bit consecutive integers (ALM);
+//! * **fixed-length** — `ceil(log2 (N + 1))`-bit consecutive integers from
+//!   1 (ALM);
 //! * **Hu-Tucker** — optimal order-preserving prefix codes (all others).
+//!
+//! Both reserve the all-zeros code ([`CodeAssigner::assign`]): that is
+//! what makes the zero-*padded bytes* of an encoding, not just its bits,
+//! a strict total order identical to source-key order.
 
 use crate::bitpack::Code;
 use crate::hu_tucker;
@@ -11,7 +16,7 @@ use crate::hu_tucker;
 /// Which code assigner a scheme uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodeAssigner {
-    /// Monotone fixed-length codes of `ceil(log2 N)` bits.
+    /// Monotone fixed-length codes `1..=N` of `ceil(log2 (N + 1))` bits.
     FixedLength,
     /// Optimal order-preserving prefix codes (Hu-Tucker via Garsia–Wachs).
     HuTucker,
@@ -19,12 +24,27 @@ pub enum CodeAssigner {
 
 impl CodeAssigner {
     /// Assign one code per weight. The result is always monotonically
-    /// increasing in bitstring order and prefix-free.
+    /// increasing in bitstring order, prefix-free, and **holds no
+    /// all-zeros code**: a zero-weight sentinel leaf is assigned in front
+    /// of the real ones and its code dropped. The sentinel takes the
+    /// smallest code, so every kept code — greater, and not an extension
+    /// of it — has a 1 where the two first differ. Every encoding is a
+    /// concatenation of such codes, so an encoding that extends another
+    /// extends it by a 1 bit somewhere, which zero padding cannot
+    /// reproduce: distinct keys never share padded bytes (DESIGN.md,
+    /// "Encoded-key comparison").
+    ///
+    /// The price is one bit on the leftmost interval's code (Hu-Tucker:
+    /// the sentinel becomes its sibling, every other depth is unchanged)
+    /// or, for a fixed-length dictionary of exactly `2^k` entries, one bit
+    /// per code.
     pub fn assign(&self, weights: &[u64]) -> Vec<Code> {
-        match self {
-            CodeAssigner::FixedLength => hu_tucker::fixed_len_codes(weights.len()),
-            CodeAssigner::HuTucker => hu_tucker::hu_tucker_codes(weights),
-        }
+        let with_sentinel: Vec<u64> = std::iter::once(0).chain(weights.iter().copied()).collect();
+        let mut codes = match self {
+            CodeAssigner::FixedLength => hu_tucker::fixed_len_codes(with_sentinel.len()),
+            CodeAssigner::HuTucker => hu_tucker::hu_tucker_codes(&with_sentinel),
+        };
+        codes.split_off(1)
     }
 }
 
@@ -42,8 +62,7 @@ pub fn codes_are_order_preserving(codes: &[Code]) -> bool {
 /// rejects: "Range Encoding requires more bits than Hu-Tucker to ensure
 /// that codes are exactly on range boundaries to guarantee
 /// order-preserving". Implemented here as an ablation so that claim can be
-/// measured (see the `bench_hu_tucker` Criterion bench and the unit tests
-/// below).
+/// measured (see the unit tests below).
 ///
 /// Interval `i` occupies the probability range `[cum_i, cum_{i+1})`; its
 /// code is the shortest dyadic interval fully inside that range, which
@@ -96,10 +115,15 @@ mod tests {
 
     #[test]
     fn fixed_length_assigner() {
-        let codes = CodeAssigner::FixedLength.assign(&[5, 1, 9]);
-        assert_eq!(codes.len(), 3);
-        assert!(codes.iter().all(|c| c.len == 2));
-        assert!(codes_are_order_preserving(&codes));
+        // Codes are `1..=n` in `ceil(log2(n + 1))` bits: a dictionary of
+        // exactly `2^k` entries pays one bit per code for the reserved
+        // zero, one of `2^k - 1` entries pays nothing.
+        for (n, len) in [(1, 1), (2, 2), (3, 2), (4, 3), (255, 8), (256, 9), (65_535, 16)] {
+            let codes = CodeAssigner::FixedLength.assign(&vec![1; n]);
+            let want = (1..=n as u64).map(|i| Code::new(i, len));
+            assert!(codes.iter().copied().eq(want), "n = {n}: {codes:?}");
+            assert!(codes_are_order_preserving(&codes), "n = {n}");
+        }
     }
 
     #[test]
@@ -107,6 +131,23 @@ mod tests {
         let codes = CodeAssigner::HuTucker.assign(&[100, 1, 1, 1]);
         assert!(codes[0].len < codes[2].len);
         assert!(codes_are_order_preserving(&codes));
+        assert!(codes.iter().all(|c| c.bits != 0), "{codes:?}");
+    }
+
+    /// The smallest dictionary there is — one interval, one code — is
+    /// where the all-zeros code did its damage: `x`, `xx`, `xxx` all
+    /// padded to `0x00`. With it reserved they are three increasing byte
+    /// strings.
+    #[test]
+    fn single_interval_dictionary_separates_runs_of_its_symbol() {
+        use crate::dict::{Dict, SortedDict};
+        let set = crate::axis::IntervalSet::from_parts(vec![b"x"[..].into()], vec![1]);
+        for assigner in [CodeAssigner::FixedLength, CodeAssigner::HuTucker] {
+            let dict = Dict::Sorted(SortedDict::build(&set, &assigner.assign(&[1])));
+            let enc = crate::encoder::Encoder::new(dict);
+            let bytes = [&b"x"[..], b"xx", b"xxx"].map(|k| enc.encode(k).into_bytes());
+            assert_eq!(bytes, [vec![0x80], vec![0xC0], vec![0xE0]], "{assigner:?}");
+        }
     }
 
     #[test]
@@ -129,7 +170,7 @@ mod tests {
         for w in cases {
             let re = range_encoding_codes(&w);
             assert!(codes_are_order_preserving(&re), "{w:?}");
-            let ht = CodeAssigner::HuTucker.assign(&w);
+            let ht = hu_tucker::hu_tucker_codes(&w);
             let e_re = expected_code_length(&w, &re);
             let e_ht = expected_code_length(&w, &ht);
             assert!(e_ht <= e_re + 1e-9, "weights {w:?}: Hu-Tucker {e_ht:.3} vs Range {e_re:.3}");

@@ -39,16 +39,15 @@ pub const MAX_KEY_BYTES: usize = 1 << 20;
 ///
 /// The contract:
 ///
-/// * **order preservation** — for any keys `a <= b`, the padded encoded
-///   bytes satisfy `enc(a) <= enc(b)`;
+/// * **strict order preservation** — for any keys, `a < b` exactly when
+///   the padded encoded bytes satisfy `enc(a) < enc(b)`: distinct keys
+///   never share a byte string, so an index may hold the encoded bytes
+///   *as* the key;
 /// * **losslessness** — `decode_to` of an `encode_to` result returns the
 ///   original key;
-/// * **range bracketing** — `encode_range_bounds_to(lo, hi)` returns byte
-///   strings that bracket the encoding of every key in `lo..=hi` (the
-///   zero-extension tie corner is documented on
-///   [`Hope::encode_range_bounds`](crate::Hope::encode_range_bounds):
-///   boundary byte strings may also be shared by keys just outside the
-///   range, so exact consumers re-check source bounds).
+/// * **exact range bounds** — `encode_range_bounds_to(lo, hi)` returns the
+///   byte strings of `lo` and `hi`, which by the first point admit the
+///   encodings of exactly the keys in `lo..=hi`.
 ///
 /// The trait is object-safe; `hope_store` generations hold their codec as
 /// a concrete [`Hope`](crate::Hope), but adapters can box a

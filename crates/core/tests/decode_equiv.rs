@@ -27,8 +27,9 @@ fn agreed(
     got
 }
 
-/// `probes` round-trip; their streams cut short and with single bits
-/// flipped, and the `noise` streams, are judged identically.
+/// `probes` round-trip; their streams cut short, run on into their zero
+/// padding and with single bits flipped, and the `noise` and all-zero
+/// streams, are judged identically.
 fn check_scheme(
     scheme: Scheme,
     sample: &[Vec<u8>],
@@ -52,6 +53,13 @@ fn check_scheme(
             let kept = agreed(&walk, fast, bytes, cut, what);
             assert_eq!(agreed(&walk, fast, &bytes[..cut.div_ceil(8)], cut, what), kept);
         }
+        // The zero padding claimed as data: no code is all zeros, so the
+        // tail is at best the start of one.
+        if bits % 8 != 0 {
+            let padded = bytes.len() * 8;
+            let verdict = agreed(&walk, fast, bytes, padded, what);
+            assert_eq!(verdict, Err(HopeError::CorruptEncoding { bit_len: padded }), "{p:?}");
+        }
         // One bit flipped: still a bitstream, rarely the same key.
         if bits > 0 {
             let mut flipped = bytes.to_vec();
@@ -65,6 +73,11 @@ fn check_scheme(
         if *bit_len > bytes.len() * 8 {
             assert_eq!(verdict, Err(HopeError::CorruptEncoding { bit_len: *bit_len }));
         }
+    }
+    // All zeros is the one pattern no valid stream contains, at any length.
+    for bit_len in 1..=64 {
+        let verdict = agreed(&walk, fast, &[0; 8], bit_len, what);
+        assert_eq!(verdict, Err(HopeError::CorruptEncoding { bit_len }));
     }
     // The empty stream is the empty key, whatever bytes come with it.
     assert_eq!(agreed(&walk, fast, &[], 0, what).as_deref(), Ok(&[][..]));

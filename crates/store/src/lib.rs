@@ -96,10 +96,9 @@ use generation::{encode_sorted, Entry};
 use shard::{lock, Shard, ShardTelemetry};
 use telemetry::{Event, EventKind, ProbeSpans, Stopwatch, Telemetry, TelemetrySnapshot};
 
-/// The value type every shard *index* stores: the log id of a tie
-/// group's head entry — the first of the (almost always one) live
-/// entries whose keys encode to the indexed padded bytes (see DESIGN.md,
-/// "The serving layer"). The index is always id-valued regardless of the
+/// The value type every shard *index* stores: the log id of the key's
+/// live entry — the one key whose encoding is the indexed padded bytes
+/// (see DESIGN.md, "The serving layer"). The index is always id-valued regardless of the
 /// store's payload type `V`, which lives in the generation's entry log,
 /// so a custom [`Backend`] factory produces `OrderedIndex<SlotId>`
 /// instances.
@@ -191,7 +190,7 @@ pub struct StoreConfig {
     /// past this back-pressure with [`StoreError::WriteLogFull`] instead
     /// of overflowing the log's `u32` ids (the default leaves the capacity
     /// effectively unbounded while still refusing the one id reserved as
-    /// the version- and tie-chain sentinel).
+    /// the version-chain sentinel).
     pub write_log_capacity: u32,
 }
 

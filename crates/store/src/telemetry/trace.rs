@@ -58,7 +58,7 @@ impl TraceSampler {
 /// Per-stage wall-clock spans of one traced request, in nanoseconds.
 ///
 /// Stages mirror the probe pipeline: dictionary **encode** of the probe
-/// key, index **probe** (descent + tie-chain check, or the whole mutation
+/// key, index **probe** (descent + version resolve, or the whole mutation
 /// for an insert), and **decode** (a scan's pull loop; point ops never
 /// decode — keys are kept in source form). Queue wait is recorded
 /// separately by the serving worker (it is a property of the envelope,

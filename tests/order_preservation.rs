@@ -1,7 +1,9 @@
 //! End-to-end order preservation: for every scheme and every search tree,
 //! inserting HOPE-encoded keys and scanning must return values in exactly
 //! the same order as the raw-key tree — the property (§3.1) that makes
-//! range queries on compressed keys meaningful.
+//! range queries on compressed keys meaningful — and the padded bytes
+//! alone must order strictly as the source keys do, for arbitrary byte
+//! keys, so a tree can hold them *as* the key.
 
 use hope::{EncodedKey, HopeBuilder, Scheme};
 use hope_workloads::{generate, sample_keys, Dataset};
@@ -35,21 +37,96 @@ fn encoded_keys_sort_like_source_keys() {
     }
 }
 
+/// Keys built to collide under zero padding: the empty key, `0x00` and
+/// `0xFF` runs, chains that differ only in trailing `0x00` bytes (with and
+/// without a `0x01` after them), and seeded short keys over a four-byte
+/// alphabet, so near-every pair shares a long prefix.
+fn hostile_keys() -> Vec<Vec<u8>> {
+    let mut keys = vec![Vec::new()];
+    for n in 1..=40 {
+        keys.push(vec![0x00; n]);
+        keys.push(vec![0xFF; n]);
+    }
+    for stem in [&b""[..], b"a", b"ab", b"\x00a", b"\xff", b"com.gmail@"] {
+        for k in 0..12 {
+            let mut key = stem.to_vec();
+            key.resize(stem.len() + k, 0x00);
+            keys.push(key.clone());
+            key.push(0x01);
+            keys.push(key);
+        }
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for _ in 0..20_000 {
+        let len = next() % 13;
+        keys.push((0..len).map(|_| [0x00, 0x01, b'a', 0xFF][(next() % 4) as usize]).collect());
+    }
+    keys
+}
+
+/// The guarantee trees rely on when they index padded bytes *as the key*:
+/// over sorted, distinct `keys` the padded bytes strictly increase, every
+/// key decodes back, and encoded range bounds admit exactly the keys of
+/// the source range.
+fn assert_bytes_are_the_key(what: &str, hope: &hope::Hope, keys: &[Vec<u8>]) {
+    let mut scratch = hope::DecodeScratch::new();
+    let encoded: Vec<Vec<u8>> = keys
+        .iter()
+        .map(|k| {
+            let e = hope.encode(k);
+            let back = hope.decode_to(e.as_bytes(), e.bit_len(), &mut scratch);
+            assert_eq!(back, Ok(k.as_slice()), "{what}: {k:?} does not round-trip");
+            e.into_bytes()
+        })
+        .collect();
+    for (i, w) in encoded.windows(2).enumerate() {
+        assert!(w[0] < w[1], "{what}: {:?} !< {:?} in padded bytes", keys[i], keys[i + 1]);
+    }
+    for (low, high) in [
+        (&b""[..], &b"\0\0\0"[..]),
+        (b"\0\0\0\0\0", b"\0\0\0\0\0\0\0"),
+        (b"a\0", b"a\0\0\0\x01"),
+        (b"ab", b"ab\0\0"),
+        (b"\xff", b"\xff\xff\xff"),
+        (b"com.gmail@", b"com.gmail@\0\0"),
+    ] {
+        let (lo, hi) = hope.encode_range_bounds(low, high);
+        let admitted = keys.iter().zip(&encoded).filter(|(_, e)| lo <= **e && **e <= hi);
+        let in_range = keys.iter().filter(|k| low <= k.as_slice() && k.as_slice() <= high);
+        assert!(admitted.map(|(k, _)| k).eq(in_range), "{what}: bounds {low:?}..={high:?}");
+    }
+}
+
 #[test]
-fn padded_bytes_are_collision_free_on_all_datasets() {
-    // The EncodedKey order uses (bytes, bit_len); trees index the padded
-    // bytes alone. Verify the corner case (all-zero extension ties) never
-    // occurs on the evaluation datasets.
-    for dataset in Dataset::ALL {
-        let keys = dataset_keys(dataset, 3000);
-        let sample = sample_keys(&keys, 10.0, 2);
-        for scheme in Scheme::ALL {
-            let hope = build(scheme, &sample);
-            let mut seen = std::collections::HashSet::new();
-            for k in &keys {
-                let e = hope.encode(k).into_bytes();
-                assert!(seen.insert(e), "{dataset}/{scheme}: padded collision");
-            }
+fn padded_bytes_strictly_increase_for_arbitrary_keys() {
+    // Distinct keys never share padded bytes — not "on the evaluation
+    // datasets", but on keys chosen to make zero padding collide, under
+    // a dictionary trained to give 0x00 the shortest code there is.
+    let email = dataset_keys(Dataset::Email, 20_000);
+    let mut hostile = hostile_keys();
+    hostile.extend(email.iter().cloned());
+    hostile.sort();
+    hostile.dedup();
+    let zero_runs: Vec<Vec<u8>> = (1..=40).map(|n| vec![0x00; n]).collect();
+    let email_sample = sample_keys(&email, 10.0, 2);
+    for scheme in Scheme::ALL {
+        for (trained_on, sample) in [("0x00 runs", &zero_runs), ("Email", &email_sample)] {
+            let what = format!("{scheme} trained on {trained_on}");
+            assert_bytes_are_the_key(&what, &build(scheme, sample), &hostile);
+        }
+        // The evaluation datasets (distinct keys), each under its own
+        // dictionary.
+        for dataset in Dataset::ALL {
+            let mut keys = dataset_keys(dataset, 3000);
+            let hope = build(scheme, &sample_keys(&keys, 10.0, 2));
+            keys.sort();
+            assert_bytes_are_the_key(&format!("{dataset}/{scheme}"), &hope, &keys);
         }
     }
 }

@@ -66,8 +66,8 @@ fn assert_equals_model(store: &HopeStore<u64>, model: &BTreeMap<Vec<u8>, u64>, w
     }
 }
 
-/// Keys of `keys` that tie with another under the store's current
-/// dictionaries: same shard, same encoded padded bytes.
+/// Keys of `keys` that share their encoded padded bytes with another in
+/// the same shard under the store's current dictionaries — always 0.
 fn tied_keys<'a>(store: &HopeStore<u64>, keys: impl Iterator<Item = &'a Vec<u8>>) -> usize {
     let mut groups: BTreeMap<(usize, Vec<u8>), usize> = BTreeMap::new();
     for k in keys {
@@ -128,9 +128,9 @@ fn shared_dictionary_counts_every_encode_once() {
 }
 
 /// `stem` followed by `zeros` 0x00 bytes — the key family of
-/// `store_swap`'s `padded_byte_ties_stay_exact_on_every_backend`: under a
-/// dictionary trained on 0x00 runs, members of one stem differ only in
-/// bits the zero padding supplies anyway and tie on their padded bytes.
+/// `store_swap`'s `zero_run_key_families_stay_exact_on_every_backend`:
+/// under a dictionary trained on 0x00 runs, members of one stem differ
+/// only by repeats of the shortest, smallest code there is.
 fn zero_padded(stem: &[u8], zeros: usize) -> Vec<u8> {
     let mut k = stem.to_vec();
     k.resize(stem.len() + zeros, 0);
@@ -187,7 +187,7 @@ fn an_undrifted_rebuild_keeps_the_dictionary_and_encodes_nothing() {
         writing.store(false, Ordering::Relaxed);
         model.extend(writer.join().expect("writer"));
         assert_equals_model(&store, &model, what);
-        assert!(tied_keys(&store, model.keys()) > 0, "{what}: the key family must tie");
+        assert_eq!(tied_keys(&store, model.keys()), 0, "{what}: padded bytes must be unique");
 
         // Quiescent now: the byte accounting and the counters are exact.
         let encoded_before = store.generation(0).unwrap().hope().codec_stats().encode_keys;

@@ -126,8 +126,9 @@ fn zero_padded(stem: &[u8], zeros: usize) -> Vec<u8> {
     k
 }
 
-/// Keys that tie with another key of `keys` under the store's current
-/// dictionaries: same shard, same encoded padded bytes.
+/// Keys that share their encoded padded bytes with another key of `keys`
+/// in the same shard under the store's current dictionaries — always 0:
+/// the store indexes those bytes as the key.
 fn tied_keys(store: &HopeStore<u64>, keys: &[Vec<u8>]) -> usize {
     let mut groups: BTreeMap<(usize, Vec<u8>), usize> = BTreeMap::new();
     for k in keys {
@@ -138,17 +139,18 @@ fn tied_keys(store: &HopeStore<u64>, keys: &[Vec<u8>]) -> usize {
     groups.values().filter(|&&n| n > 1).sum()
 }
 
-/// Padded-byte ties, deterministically: a Single-Char dictionary trained
-/// on a 0x00-dominated sample gives 0x00 a one-bit all-zeros code, so
-/// `a`, `a\0`, `a\0\0`, … differ only in bits the zero padding supplies
-/// anyway and index under the *same* byte string. Every backend must
-/// keep such tie groups exact through inserts in either key order,
-/// updates of head and non-head members, a snapshot, and a rebuild.
+/// The keys zero padding would confuse if any could: a Single-Char
+/// dictionary trained on a 0x00-dominated sample gives 0x00 the shortest,
+/// smallest code there is, and `a`, `a\0`, `a\0\0`, … differ only by
+/// repeats of it. That code is never all zeros, so each still indexes
+/// under its own byte string, and every backend must keep such families
+/// exact through inserts in either key order, updates of first and later
+/// members, a snapshot, and a rebuild.
 #[test]
-fn padded_byte_ties_stay_exact_on_every_backend() {
+fn zero_run_key_families_stay_exact_on_every_backend() {
     let stems: [&[u8]; 6] = [b"a", b"ab", b"b", b"m", b"mz", b"z"];
     // Loaded up front: long 0x00 runs (they dominate the training
-    // sample) and, per stem, the odd members of its tie group.
+    // sample) and, per stem, the odd members of its family.
     let mut loaded: Vec<Vec<u8>> = (1..=40).map(|n| zero_padded(b"", n)).collect();
     let mut fresh: Vec<Vec<u8>> = Vec::new();
     for stem in stems {
@@ -171,25 +173,20 @@ fn padded_byte_ties_stay_exact_on_every_backend() {
         let pairs = loaded.iter().enumerate().map(|(i, k)| (k.clone(), i as u64));
         let store = HopeStore::build(cfg, pairs.clone()).unwrap();
         let mut model: BTreeMap<Vec<u8>, u64> = pairs.collect();
-        assert!(tied_keys(&store, &loaded) > 0, "{backend:?}: the load itself must contain ties");
-        assert!(
-            tied_keys(&store, &all) > tied_keys(&store, &loaded),
-            "{backend:?}: the inserts must land in tie groups"
-        );
+        assert_eq!(tied_keys(&store, &all), 0, "{backend:?}: padded bytes must be unique");
 
         let snap = store.snapshot();
         let frozen = model.clone();
 
         // Fresh members: descending key order for half the stems (each
-        // insert becomes its group's new head or splices in front of
-        // loaded members), ascending for the rest (each appends or
-        // splices behind).
+        // insert lands in front of its family's loaded members),
+        // ascending for the rest (each lands behind or between).
         let (descending, ascending) = fresh.split_at(fresh.len() / 2);
         for (i, k) in descending.iter().rev().chain(ascending).enumerate() {
             let v = 1_000 + i as u64;
             assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v), "{k:?}");
         }
-        // Updates: every stem's head (`stem`) and a non-head member.
+        // Updates: every family's first key (`stem`) and a later member.
         for (i, stem) in stems.iter().enumerate() {
             for k in [stem.to_vec(), zero_padded(stem, 3)] {
                 let v = 2_000 + i as u64;
@@ -211,8 +208,8 @@ fn padded_byte_ties_stay_exact_on_every_backend() {
             }
             let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
             assert_eq!(range(&store, b"", b"\xff", usize::MAX), want, "{backend:?} {when}");
-            // Bounds that cut tie groups open: only part of a group is
-            // inside the source range.
+            // Bounds that cut families open: only part of one is inside
+            // the source range.
             for low in all.iter().step_by(5) {
                 for high in all.iter().step_by(7).filter(|h| *h >= low) {
                     let want: Vec<(Vec<u8>, u64)> = model
@@ -246,7 +243,7 @@ fn padded_byte_ties_stay_exact_on_every_backend() {
         for shard in 0..store.config().shards {
             store.force_rebuild(shard).unwrap();
         }
-        assert!(tied_keys(&store, &all) > 0, "{backend:?}: the rebuilt dictionaries still tie");
+        assert_eq!(tied_keys(&store, &all), 0, "{backend:?}: after rebuild");
         check_live("after rebuild");
         check_snapshot("after rebuild");
     }
@@ -287,8 +284,8 @@ fn cursor_survives_concurrent_dictionary_swap() {
     }
 }
 
-// The swap is exact for *arbitrary byte keys* — including the
-// padded-byte tie corner — because generations re-check source keys.
+// The swap is exact for *arbitrary byte keys*: padded bytes order
+// strictly as source keys do, under the old dictionary and the new.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
