@@ -1,5 +1,5 @@
-//! `drill` — the serving acceptance drills, one scenario table
-//! ([`hope_bench::drills`]) over one harness.
+//! `drill` — the serving acceptance drills: the
+//! [`hope_bench::drills::SCENARIOS`] table over the shared harness.
 //!
 //! Usage: `cargo run --release -p hope_bench --bin drill --
 //!         [SCENARIO…] [--quick --keys N --queries N --seed N --out PATH]`
@@ -11,19 +11,6 @@
 //! time: the `DIGEST` lines of two runs are byte-identical, which CI
 //! checks by diffing them.
 
-use hope_bench::drills::{parse_args, USAGE};
-use hope_bench::harness::{exit_code, write_json, ScenarioReport};
-
 fn main() {
-    let args =
-        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| hope_bench::usage_exit(&e, USAGE));
-    let mut reports: Vec<ScenarioReport> = Vec::new();
-    for scenario in &args.scenarios {
-        let report = scenario.run(&args.cfg);
-        report.print();
-        reports.push(report);
-    }
-    write_json(&args.out, &args.cfg, &reports).expect("write the JSON report");
-    println!("# wrote {}", args.out);
-    std::process::exit(exit_code(reports.iter().flat_map(|r| &r.gates)));
+    hope_bench::drills::SCENARIOS.main()
 }

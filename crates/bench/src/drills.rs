@@ -29,8 +29,8 @@ use hope_store::{HopeStore, StoreConfig};
 use hope_workloads::{MixedWorkload, StoreOp, TrafficSpec};
 
 use crate::harness::{
-    flag_value, phase_bounds, phase_digest, run_pass, serving_config, serving_store_config,
-    to_request, Gate, PassOutcome, PassSpec, ScenarioReport, SERVING_BATCH, SERVING_QUEUE_CAPACITY,
+    phase_bounds, phase_digest, run_pass, serving_config, serving_store_config, to_request, Gate,
+    PassOutcome, PassSpec, Row, ScenarioReport, Table, SERVING_BATCH, SERVING_QUEUE_CAPACITY,
     SERVING_WORKERS,
 };
 use crate::BenchConfig;
@@ -107,86 +107,35 @@ const DRIFT_NEW_EVERY: usize = 25;
 /// compress at the baseline.
 const DRIFT_SUFFIX_LEN: usize = 48;
 
-/// One row of the drill table.
-pub struct Scenario {
-    /// Name on the command line and in the report.
-    pub name: &'static str,
-    /// A full (non-`--quick`) run drives `queries ×` this many ops in
-    /// wall-clock mode; a quick run drives `queries` in virtual time.
-    pub full_ops_factor: usize,
-    body: fn(&BenchConfig, &MixedWorkload, &mut ScenarioReport),
-}
-
 /// The five drills, in the order `drill` runs them.
-pub static SCENARIOS: [Scenario; 5] = [
-    Scenario { name: "slo", full_ops_factor: 20, body: slo },
-    Scenario { name: "telemetry", full_ops_factor: 20, body: telemetry },
-    Scenario { name: "faults", full_ops_factor: 20, body: faults },
-    Scenario { name: "adaptive", full_ops_factor: 20, body: adaptive },
-    Scenario { name: "snapshot", full_ops_factor: 10, body: snapshot },
-];
+pub static SCENARIOS: Table = Table {
+    bench: "drill",
+    dataset: "email-mixed-traffic",
+    default_out: "BENCH_drills.json",
+    rows: &[
+        Row { name: "slo", body: slo },
+        Row { name: "telemetry", body: telemetry },
+        Row { name: "faults", body: faults },
+        Row { name: "adaptive", body: adaptive },
+        Row { name: "snapshot", body: snapshot },
+    ],
+};
 
-impl Scenario {
-    /// Generate the seeded workload and run the scenario over it.
-    pub fn run(&self, cfg: &BenchConfig) -> ScenarioReport {
-        let ops =
-            if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(self.full_ops_factor) };
-        let workload = MixedWorkload::generate(cfg.keys, ops, TrafficSpec::default(), cfg.seed);
-        let mut report = ScenarioReport { scenario: self.name, ops, ..ScenarioReport::default() };
-        let mode = if cfg.quick { "virtual-time (deterministic)" } else { "wall-clock" };
-        report.notes.push(format!(
-            "# drill {}: {} initial keys, {ops} ops, seed {}, {mode} mode",
-            self.name, cfg.keys, cfg.seed
-        ));
-        (self.body)(cfg, &workload, &mut report);
-        report
-    }
+/// The seeded mixed-traffic stream a drill drives: `queries` ops in
+/// virtual time for a quick run, `queries × full_ops_factor` in
+/// wall-clock mode for a full one.
+fn workload(cfg: &BenchConfig, full_ops_factor: usize, out: &mut ScenarioReport) -> MixedWorkload {
+    out.ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(full_ops_factor) };
+    let mode = if cfg.quick { "virtual-time (deterministic)" } else { "wall-clock" };
+    out.notes.push(format!(
+        "# drill {}: {} initial keys, {} ops, seed {}, {mode} mode",
+        out.scenario, cfg.keys, out.ops, cfg.seed
+    ));
+    MixedWorkload::generate(cfg.keys, out.ops, TrafficSpec::default(), cfg.seed)
 }
 
-/// What `drill`'s command line asked for.
-pub struct DrillArgs {
-    /// The shared size / seed / quick flags.
-    pub cfg: BenchConfig,
-    /// The scenarios to run, in command-line order (all when none named).
-    pub scenarios: Vec<&'static Scenario>,
-    /// Where the JSON report goes.
-    pub out: String,
-}
-
-/// The `drill` usage line.
-pub const USAGE: &str =
-    "drill [slo|telemetry|faults|adaptive|snapshot …] [--quick] [--keys N] [--queries N] \
-     [--seed N] [--out PATH]";
-
-/// Parse `drill`'s arguments: positional scenario names, the shared
-/// flags and `--out PATH`.
-///
-/// # Errors
-///
-/// A message for a malformed shared flag, an unknown flag, `--out`
-/// without a path, or an unknown scenario name.
-pub fn parse_args(args: impl Iterator<Item = String>) -> Result<DrillArgs, String> {
-    let cfg = BenchConfig::parse(args)?;
-    let out = flag_value(&cfg, "--out", "BENCH_drills.json");
-    let mut scenarios = Vec::new();
-    let mut rest = cfg.flags.iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--out" {
-            rest.next().ok_or("--out needs a value")?;
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown flag `{arg}`"));
-        } else {
-            let found = SCENARIOS.iter().find(|s| s.name == arg);
-            scenarios.push(found.ok_or_else(|| format!("unknown scenario `{arg}`"))?);
-        }
-    }
-    if scenarios.is_empty() {
-        scenarios = SCENARIOS.iter().collect();
-    }
-    Ok(DrillArgs { cfg, scenarios, out })
-}
-
-fn slo(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
+fn slo(cfg: &BenchConfig, out: &mut ScenarioReport) {
+    let workload = &workload(cfg, 20, out);
     // Hot-swap runs *concurrently with the traffic*; the one direct pass
     // after the shift makes the verdict timing-independent — by then the
     // drift has either been detected or the gate should fail.
@@ -237,10 +186,11 @@ fn slo(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
         pass.submitted,
         pass.report.total_rejected(),
     ));
-    out.telemetry = pass.report.telemetry;
+    out.telemetry = Some(pass.report.telemetry);
 }
 
-fn telemetry(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
+fn telemetry(cfg: &BenchConfig, out: &mut ScenarioReport) {
+    let workload = &workload(cfg, 20, out);
     // No Maintainer thread: swaps happen only at the driver's maintain()
     // calls after each flush barrier, so the event audit has exact ground
     // truth. The ring stays at its default capacity — `no_drops` is a
@@ -346,9 +296,8 @@ fn telemetry(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioRepo
             format!("{} bytes rendered", prom.len()),
         ),
     ];
-    let verdicts: Vec<String> = out.gates.iter().map(|g| format!("{}={}", g.name, g.ok)).collect();
-    out.seal(verdicts.join(" "));
-    out.telemetry = pass.report.telemetry;
+    out.seal_with_verdicts();
+    out.telemetry = Some(pass.report.telemetry);
 }
 
 /// The sickness both fault drills inject on worker [`DEGRADED`]: 10×
@@ -402,7 +351,8 @@ fn exactly_once_gate(passes: &[(&str, &PassOutcome)]) -> Gate {
     )
 }
 
-fn faults(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
+fn faults(cfg: &BenchConfig, out: &mut ScenarioReport) {
+    let workload = &workload(cfg, 20, out);
     // On top of the sickness: queue-pressure bursts, 75% of the sick
     // worker's would-be traffic shed at admission, and every other
     // rebuild attempt per shard failing with `FaultInjected`.
@@ -479,7 +429,7 @@ fn faults(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport)
         faulted.completion(),
         faulted.healed,
     ));
-    out.telemetry = faulted.report.telemetry;
+    out.telemetry = Some(faulted.report.telemetry);
 }
 
 /// Upper bound on requests in flight (admitted, not yet executed): in
@@ -503,7 +453,8 @@ pub fn disengage_bound(ac: &AdmissionConfig) -> u64 {
     (steps * u64::from(ac.disengage_after) * RELEASE_WINDOW_SLACK + 4) * ac.window + QUEUE_LAG
 }
 
-fn adaptive(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
+fn adaptive(cfg: &BenchConfig, out: &mut ScenarioReport) {
+    let workload = &workload(cfg, 20, out);
     let ac = if cfg.quick {
         AdmissionConfig::quick(cfg.seed)
     } else {
@@ -641,7 +592,7 @@ fn adaptive(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioRepor
          no_false_positive={no_false_positive}",
         run.completion(),
     ));
-    out.telemetry = run.report.telemetry;
+    out.telemetry = Some(run.report.telemetry);
 }
 
 /// Build a store and its shadow map from `keys` (value = first-seen
@@ -821,7 +772,8 @@ fn rebuild(workload: &MixedWorkload, notes: &mut Vec<String>) -> (String, Gate) 
     (digest, gate)
 }
 
-fn snapshot(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioReport) {
+fn snapshot(cfg: &BenchConfig, out: &mut ScenarioReport) {
+    let workload = &workload(cfg, 10, out);
     let (frozen_digest, frozen_gate) = frozen(workload);
     let (capture_digest, capture_gate) = capture(workload, cfg);
     let (rebuild_digest, rebuild_gate) = rebuild(workload, &mut out.notes);
@@ -862,31 +814,34 @@ fn snapshot(cfg: &BenchConfig, workload: &MixedWorkload, out: &mut ScenarioRepor
             lifecycle,
         ),
     ];
-    let verdicts: Vec<String> = out.gates.iter().map(|g| format!("{}={}", g.name, g.ok)).collect();
-    out.seal(verdicts.join(" "));
-    out.telemetry = pass.report.telemetry;
+    out.seal_with_verdicts();
+    out.telemetry = Some(pass.report.telemetry);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<DrillArgs, String> {
-        parse_args(args.iter().map(|a| a.to_string()))
+    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, BenchConfig), String> {
+        let cfg = BenchConfig::parse(args.iter().map(|a| a.to_string()))?;
+        Ok((SCENARIOS.select(&cfg.rows)?.iter().map(|r| r.name).collect(), cfg))
     }
 
     #[test]
     fn drill_arguments_select_scenarios_and_reject_typos() {
-        let all = parse(&["--quick"]).unwrap();
-        assert_eq!(all.scenarios.len(), SCENARIOS.len());
-        assert_eq!(all.out, "BENCH_drills.json");
-        let two = parse(&["snapshot", "--out", "x.json", "slo", "--seed", "7"]).unwrap();
-        let names: Vec<_> = two.scenarios.iter().map(|s| s.name).collect();
-        assert_eq!((names, two.out.as_str(), two.cfg.seed), (vec!["snapshot", "slo"], "x.json", 7));
+        let (all, cfg) = parse(&["--quick"]).unwrap();
+        assert_eq!(all, ["slo", "telemetry", "faults", "adaptive", "snapshot"]);
+        assert_eq!(cfg.out, None);
+        let (two, cfg) = parse(&["snapshot", "--out", "x.json", "slo", "--seed", "7"]).unwrap();
+        assert_eq!(
+            (two, cfg.out.as_deref(), cfg.seed),
+            (vec!["snapshot", "slo"], Some("x.json"), 7)
+        );
 
-        assert_eq!(parse(&["nosuch"]).err().unwrap(), "unknown scenario `nosuch`");
+        assert_eq!(parse(&["nosuch"]).err().unwrap(), "unknown row `nosuch`");
         assert_eq!(parse(&["--sead", "7"]).err().unwrap(), "unknown flag `--sead`");
         assert_eq!(parse(&["slo", "--out"]).err().unwrap(), "--out needs a value");
         assert_eq!(parse(&["--keys"]).err().unwrap(), "--keys needs a value");
+        assert!(SCENARIOS.usage().starts_with("drill [slo|telemetry|faults|adaptive|snapshot …]"));
     }
 }

@@ -1,16 +1,20 @@
-//! What every serving drill shares, written once (the scenarios
-//! themselves are the table in [`crate::drills`]).
+//! What both tables share, written once: the **row and table** types
+//! ([`Row`], [`Table`] — [`crate::drills::SCENARIOS`] and
+//! [`crate::figures::FIGURES`] are the two instances, [`Table::main`] is
+//! the body of both binaries), the one **gate list** shape ([`Gate`])
+//! every verdict line and the exit code are printed from, the one
+//! **report** ([`ScenarioReport`]: notes, `DIGEST` lines, `RECORD`
+//! lines, gates) with its printer, and the one **JSON writer**
+//! ([`write_json`]).
 //!
-//! All drills drive the same shape — the mixed-shift traffic stream
+//! The rest is what the serving drills share. All drills drive the same
+//! shape — the mixed-shift traffic stream
 //! through a thread-per-core [`Server`] over a sharded [`HopeStore`],
 //! measured in three phases around the Email-A → Email-B shift. This
 //! module holds the one **pass driver** ([`run_pass`]: build the store,
 //! start the server, submit the three phase windows, flush, maintain,
-//! shut down), the one **gate list** shape ([`Gate`]) every verdict line
-//! and the exit code are printed from, the one **`DIGEST` formatter**
-//! ([`phase_digest`] plus the lines a scenario adds), and the one
-//! **JSON writer** ([`write_json`]). A scenario keeps only its own
-//! configuration, extra sections and gates.
+//! shut down) and the per-phase **`DIGEST` formatter** ([`phase_digest`]).
+//! A scenario keeps only its own configuration, extra sections and gates.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,16 +43,6 @@ pub const SERVING_BATCH: usize = 64;
 /// Every Nth submit of a producer's phase window carries a completion
 /// ticket; the exactly-once gates assert all of them resolve.
 pub const TICKET_SAMPLE: usize = 64;
-
-/// A binary-specific `--flag VALUE` lookup over the leftover flags
-/// [`BenchConfig::parse`] collected (e.g. `--out PATH`).
-pub fn flag_value(cfg: &BenchConfig, flag: &str, default: &str) -> String {
-    cfg.flags
-        .iter()
-        .position(|f| f == flag)
-        .and_then(|i| cfg.flags.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
 
 /// Convert one workload op into a serving request.
 pub fn to_request(op: &StoreOp) -> Request {
@@ -375,13 +369,14 @@ pub fn phase_digest(
     report.phases.iter().enumerate().map(line).collect()
 }
 
-/// What one scenario run produced: everything the printer, the JSON
+/// What one row's run produced: everything the printer, the JSON
 /// writer and the exit code need.
 #[derive(Default)]
 pub struct ScenarioReport {
-    /// Scenario name (its row in [`crate::drills::SCENARIOS`]).
+    /// Row name (in [`crate::drills::SCENARIOS`] or
+    /// [`crate::figures::FIGURES`]).
     pub scenario: &'static str,
-    /// Operations in the driven stream.
+    /// Operations in the driven stream (0 for a row that drives none).
     pub ops: usize,
     /// Human-readable context, printed as given.
     pub notes: Vec<String>,
@@ -389,10 +384,13 @@ pub struct ScenarioReport {
     /// `DIGEST [scenario]` prefix the printer adds). Equal across two
     /// `--quick` runs of the same arguments.
     pub digest: Vec<String>,
-    /// The scenario's requirements and their verdicts.
+    /// `key=value` lines of what is measured but never gated and never in
+    /// a `DIGEST`: wall-clock columns, and findings derived from them.
+    pub recorded: Vec<String>,
+    /// The row's requirements and their verdicts.
     pub gates: Vec<Gate>,
-    /// Telemetry of the scenario's main pass.
-    pub telemetry: TelemetrySnapshot,
+    /// Telemetry of the row's main pass, when it ran a store.
+    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 impl ScenarioReport {
@@ -401,13 +399,33 @@ impl ScenarioReport {
         self.gates.iter().all(|g| g.ok)
     }
 
-    /// Close the digest with its `gates …` line: the scenario's own
-    /// fields, then the overall verdict.
+    /// One measured cell named by `key`: its deterministic columns join
+    /// the digest, its wall-clock columns the recorded lines (either may
+    /// be empty).
+    pub fn cell(&mut self, key: &str, deterministic: &str, timed: &str) {
+        if !deterministic.is_empty() {
+            self.digest.push(format!("{key} {deterministic}"));
+        }
+        if !timed.is_empty() {
+            self.recorded.push(format!("{key} {timed}"));
+        }
+    }
+
+    /// Close the digest with its `gates …` line: the row's own fields,
+    /// then the overall verdict.
     pub fn seal(&mut self, fields: String) {
         self.digest.push(format!("gates {fields} pass={}", self.pass()));
     }
 
-    /// Print notes, `DIGEST` lines, gate verdicts and the PASS/FAIL line.
+    /// [`ScenarioReport::seal`] with one `name=verdict` field per gate.
+    pub fn seal_with_verdicts(&mut self) {
+        let verdicts: Vec<String> =
+            self.gates.iter().map(|g| format!("{}={}", g.name, g.ok)).collect();
+        self.seal(verdicts.join(" "));
+    }
+
+    /// Print notes, `DIGEST` and `RECORD` lines, gate verdicts and the
+    /// PASS/FAIL line.
     pub fn print(&self) {
         for n in &self.notes {
             println!("{n}");
@@ -415,14 +433,17 @@ impl ScenarioReport {
         for d in &self.digest {
             println!("DIGEST [{}] {d}", self.scenario);
         }
+        for r in &self.recorded {
+            println!("RECORD [{}] {r}", self.scenario);
+        }
         for line in self.gates.iter().flat_map(Gate::lines) {
             println!("{line}");
         }
-        println!("# drill {} — {}\n", self.scenario, if self.pass() { "PASS" } else { "FAIL" });
+        println!("# {} — {}\n", self.scenario, if self.pass() { "PASS" } else { "FAIL" });
     }
 
-    /// This scenario's JSON object: gate list, digest lines, then
-    /// [`TelemetrySnapshot::to_json`] verbatim.
+    /// This row's JSON object: gate list, digest and recorded lines, then
+    /// [`TelemetrySnapshot::to_json`] verbatim (`null` without a store).
     pub fn to_json(&self) -> String {
         let gates: Vec<String> = self
             .gates
@@ -434,32 +455,114 @@ impl ScenarioReport {
                 )
             })
             .collect();
-        let digest: Vec<String> = self.digest.iter().map(|d| format!("      {d:?}")).collect();
+        let lines = |v: &[String]| v.iter().map(|l| format!("      {l:?}")).collect::<Vec<_>>();
+        let telemetry = self.telemetry.as_ref().map_or("null".into(), TelemetrySnapshot::to_json);
         format!(
             "    {{\n    \"scenario\": {:?},\n    \"ops\": {},\n    \"pass\": {},\n    \
-             \"gates\": [\n{}\n    ],\n    \"digest\": [\n{}\n    ],\n    \"telemetry\": {}\n    }}",
+             \"gates\": [\n{}\n    ],\n    \"digest\": [\n{}\n    ],\n    \
+             \"recorded\": [\n{}\n    ],\n    \"telemetry\": {}\n    }}",
             self.scenario,
             self.ops,
             self.pass(),
             gates.join(",\n"),
-            digest.join(",\n"),
-            self.telemetry.to_json().trim_end(),
+            lines(&self.digest).join(",\n"),
+            lines(&self.recorded).join(",\n"),
+            telemetry.trim_end(),
         )
     }
 }
 
+/// One row of a table: a named run that fills in a [`ScenarioReport`].
+pub struct Row {
+    /// Name on the command line and in the report.
+    pub name: &'static str,
+    pub(crate) body: fn(&BenchConfig, &mut ScenarioReport),
+}
+
+impl Row {
+    /// Run the row at the configured size.
+    pub fn run(&self, cfg: &BenchConfig) -> ScenarioReport {
+        let mut report = ScenarioReport { scenario: self.name, ..ScenarioReport::default() };
+        (self.body)(cfg, &mut report);
+        report
+    }
+}
+
+/// A table of rows and what its binary needs beside them.
+pub struct Table {
+    /// Binary name: the usage line's first word and the report's `"bench"`.
+    pub bench: &'static str,
+    /// The report's `"dataset"`.
+    pub dataset: &'static str,
+    /// Where the JSON report goes without `--out`.
+    pub default_out: &'static str,
+    /// The rows, in the order the binary runs them.
+    pub rows: &'static [Row],
+}
+
+impl Table {
+    /// The rows `names` asks for, in that order (all when none named).
+    ///
+    /// # Errors
+    ///
+    /// A message for a name that is not a row of this table.
+    pub fn select(&self, names: &[String]) -> Result<Vec<&'static Row>, String> {
+        if names.is_empty() {
+            return Ok(self.rows.iter().collect());
+        }
+        let find = |n: &String| self.rows.iter().find(|r| r.name == n);
+        names.iter().map(|n| find(n).ok_or_else(|| format!("unknown row `{n}`"))).collect()
+    }
+
+    /// The binary's usage line.
+    pub fn usage(&self) -> String {
+        let names: Vec<&str> = self.rows.iter().map(|r| r.name).collect();
+        format!(
+            "{} [{} …] [--quick] [--keys N] [--queries N] [--seed N] [--out PATH]",
+            self.bench,
+            names.join("|")
+        )
+    }
+
+    /// The whole body of a binary: parse `std::env::args` (a malformed
+    /// command line prints the error plus the usage line and exits 2),
+    /// run and print the selected rows, write the JSON report, exit 1 if
+    /// any gate failed.
+    pub fn main(&self) -> ! {
+        let parsed = BenchConfig::parse(std::env::args().skip(1))
+            .and_then(|cfg| Ok((self.select(&cfg.rows)?, cfg)));
+        let (rows, cfg) = parsed.unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {}", self.usage());
+            std::process::exit(2)
+        });
+        let mut reports: Vec<ScenarioReport> = Vec::new();
+        for row in rows {
+            let report = row.run(&cfg);
+            report.print();
+            reports.push(report);
+        }
+        let out = cfg.out.as_deref().unwrap_or(self.default_out);
+        write_json(out, self, &cfg, &reports).expect("write the JSON report");
+        println!("# wrote {out}");
+        std::process::exit(exit_code(reports.iter().flat_map(|r| &r.gates)))
+    }
+}
+
 /// The one JSON writer (hand-rolled; the workspace builds offline, no
-/// serde): the run's envelope, then one object per scenario.
+/// serde): the run's envelope, then one object per row.
 pub fn write_json(
     path: &str,
+    table: &Table,
     cfg: &BenchConfig,
     reports: &[ScenarioReport],
 ) -> std::io::Result<()> {
     let scenarios: Vec<String> = reports.iter().map(ScenarioReport::to_json).collect();
     let json = format!(
-        "{{\n  \"bench\": \"drill\",\n  \"dataset\": \"email-mixed-traffic\",\n  \
+        "{{\n  \"bench\": {:?},\n  \"dataset\": {:?},\n  \
          \"keys\": {},\n  \"queries\": {},\n  \"seed\": {},\n  \"quick\": {},\n  \
          \"pass\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        table.bench,
+        table.dataset,
         cfg.keys,
         cfg.queries,
         cfg.seed,
@@ -484,14 +587,6 @@ mod tests {
         assert_eq!(b[1].1, b[2].0);
         assert_eq!(b[2].1, w.ops.len());
         assert_eq!(b[1].0, w.shift_at);
-    }
-
-    #[test]
-    fn flag_value_falls_back_to_the_default() {
-        let mut cfg = BenchConfig::default();
-        assert_eq!(flag_value(&cfg, "--out", "X.json"), "X.json");
-        cfg.flags = vec!["--out".into(), "Y.json".into()];
-        assert_eq!(flag_value(&cfg, "--out", "X.json"), "Y.json");
     }
 
     #[test]

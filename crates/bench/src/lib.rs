@@ -1,38 +1,32 @@
 //! # hope_bench — the benchmark harness for every table and figure
 //!
-//! One binary per paper table/figure (see DESIGN.md for the full index):
+//! Two binaries, each an argument parser over one table of rows
+//! (`cargo run --release -p hope_bench --bin <name> -- [ROW…] [--quick]
+//! [--keys N] [--queries N] [--seed N] [--out PATH]`):
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig08_microbench` | Fig 8 (CPR / latency / dictionary memory vs size) + Table 1 |
-//! | `fig09_build_time` | Fig 9 (build-time breakdown) |
-//! | `fig10_surf_ycsb` | Fig 10 (SuRF point/range/build/height) + §5 model |
-//! | `fig11_surf_fpr` | Fig 11 (SuRF false-positive rate) |
-//! | `fig12_tree_point` | Fig 12 (point query latency vs memory, 4 trees) |
-//! | `fig13_sample_size` | Fig 13 / Appendix A (sample-size sensitivity) |
-//! | `fig14_batch_encode` | Fig 14 / Appendix B (batch encoding) |
-//! | `fig15_distribution_shift` | Fig 15 / Appendix C (key distribution change) |
-//! | `fig16_tree_range_insert` | Fig 16 / Appendix D (range + insert, 4 trees) |
-//! | `fig17_store_shift` | Extension: `hope_store` dictionary hot-swap under shift |
-//! | `drill` | Extension: the five serving drills (`slo`, `telemetry`, `faults`, `adaptive`, `snapshot` — see [`drills`]) → `BENCH_drills.json` |
+//! | Binary | Table | Report |
+//! |---|---|---|
+//! | `figures` | [`figures::FIGURES`]: Table 1 and Figs 8–16 of the paper plus `fig17`, the store's hot-swap under a live distribution shift | `BENCH_figures.json` |
+//! | `drill` | [`drills::SCENARIOS`]: the five serving drills (`slo`, `telemetry`, `faults`, `adaptive`, `snapshot`) | `BENCH_drills.json` |
 //!
-//! Every binary accepts `--keys N`, `--queries N`, `--seed N` and
-//! `--quick`; run with `cargo run --release -p hope_bench --bin <name>`.
-//! The drills are rows of one scenario table ([`drills::SCENARIOS`])
-//! over one pass driver, gate list, `DIGEST` formatter and JSON writer
-//! ([`harness`]).
+//! Both tables run on one [`harness`]: one row type, one [`harness::Gate`]
+//! list, one `DIGEST` / `RECORD` printer, one JSON writer, one `main`.
+//! Deterministic columns go into `DIGEST` lines (gated; two `--quick`
+//! runs print them byte-identically, which CI diffs); wall-clock columns
+//! go into `RECORD` lines (written to the report, never gated).
 
 #![warn(missing_docs)]
 
 pub mod drills;
+pub mod figures;
 pub mod harness;
 
 use std::time::{Duration, Instant};
 
-use hope::{Hope, HopeBuilder, Scheme};
+use hope::{EncodeScratch, Hope, HopeBuilder, OrderedIndex, Scheme};
 use hope_workloads::{generate, sample_keys, Dataset};
 
-/// Command-line configuration shared by all figure binaries.
+/// Command-line configuration shared by both binaries.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Number of dataset keys to generate (paper: 14–25M; default scaled
@@ -44,13 +38,23 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Quick mode: shrink everything for smoke runs.
     pub quick: bool,
-    /// Extra mode flags (binary-specific, e.g. `--model`, `--table1`).
-    pub flags: Vec<String>,
+    /// Rows to run, in command-line order (none named = the whole table).
+    pub rows: Vec<String>,
+    /// `--out PATH`: where the JSON report goes instead of the table's
+    /// default.
+    pub out: Option<String>,
 }
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        BenchConfig { keys: 200_000, queries: 100_000, seed: 42, quick: false, flags: Vec::new() }
+        BenchConfig {
+            keys: 200_000,
+            queries: 100_000,
+            seed: 42,
+            quick: false,
+            rows: Vec::new(),
+            out: None,
+        }
     }
 }
 
@@ -60,29 +64,35 @@ fn numeric<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T,
     value.parse().map_err(|_| format!("{flag}: `{value}` is not a number"))
 }
 
-/// Print a command-line error and the usage line, then exit with status 2.
-pub fn usage_exit(error: &str, usage: &str) -> ! {
-    eprintln!("error: {error}\nusage: {usage}");
-    std::process::exit(2)
+/// [`numeric`] for a size: an empty key set or op stream is an error
+/// here, not a panic in whichever generator meets it first.
+fn size(flag: &str, value: Option<String>) -> Result<usize, String> {
+    match numeric(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 impl BenchConfig {
-    /// Parse an argument list (without the program name). Arguments
-    /// other than the four shared flags are collected into
-    /// [`BenchConfig::flags`] for the binary to interpret.
+    /// Parse an argument list (without the program name): the shared
+    /// flags, `--out PATH`, and positional row names (checked against the
+    /// table by [`harness::Table::select`]).
     ///
     /// # Errors
     ///
-    /// A message naming the flag whose value is missing or not a number.
+    /// A message naming the flag whose value is missing, not a number or
+    /// zero, or the flag that does not exist.
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<BenchConfig, String> {
         let mut cfg = BenchConfig::default();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--keys" => cfg.keys = numeric(&arg, args.next())?,
-                "--queries" => cfg.queries = numeric(&arg, args.next())?,
+                "--keys" => cfg.keys = size(&arg, args.next())?,
+                "--queries" => cfg.queries = size(&arg, args.next())?,
                 "--seed" => cfg.seed = numeric(&arg, args.next())?,
                 "--quick" => cfg.quick = true,
-                _ => cfg.flags.push(arg),
+                "--out" => cfg.out = Some(args.next().ok_or("--out needs a value")?),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+                _ => cfg.rows.push(arg),
             }
         }
         if cfg.quick {
@@ -92,27 +102,17 @@ impl BenchConfig {
         Ok(cfg)
     }
 
-    /// [`BenchConfig::parse`] over `std::env::args`; a malformed command
-    /// line prints the error plus a usage line and exits with status 2.
-    pub fn from_args() -> Self {
-        let mut args = std::env::args();
-        let binary = args.next().unwrap_or_default();
-        Self::parse(args).unwrap_or_else(|e| {
-            usage_exit(&e, &format!("{binary} [--keys N] [--queries N] [--seed N] [--quick] […]"))
-        })
-    }
-
-    /// True if a binary-specific flag was passed.
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-
     /// The build-phase sample: 1% of the keys (paper default), floored at
     /// 5 000 so tiny runs still exercise the larger dictionaries.
     pub fn sample(&self, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let pct = ((5_000.0 / keys.len() as f64) * 100.0).clamp(1.0, 100.0);
-        sample_keys(keys, pct, self.seed ^ 0x5A3917)
+        sample_keys(keys, build_sample_pct(keys.len()), self.seed ^ 0x5A3917)
     }
+}
+
+/// The percentage of `n` keys a dictionary is trained on: 1 %, floored at
+/// 5 000 keys.
+pub fn build_sample_pct(n: usize) -> f64 {
+    ((5_000.0 / n as f64) * 100.0).clamp(1.0, 100.0)
 }
 
 /// The six HOPE configurations §7 evaluates on every tree, with their
@@ -127,6 +127,16 @@ pub fn paper_tree_configs() -> Vec<(Scheme, usize, String)> {
         (Scheme::AlmImproved, 1 << 12, "ALM-Improved (4K)".into()),
         (Scheme::AlmImproved, 1 << 16, "ALM-Improved (64K)".into()),
     ]
+}
+
+/// The seven configurations of Figures 10–12 and 16: uncompressed, then
+/// the six of [`paper_tree_configs`] trained on `sample`.
+pub fn paper_hopes(sample: &[Vec<u8>]) -> Vec<(String, Option<Hope>)> {
+    let mut all = vec![("Uncompressed".to_string(), None)];
+    for (scheme, limit, label) in paper_tree_configs() {
+        all.push((label, Some(build_hope(scheme, limit, sample))));
+    }
+    all
 }
 
 /// Build a HOPE compressor for one configuration.
@@ -157,11 +167,6 @@ pub fn us_per_op(d: Duration, ops: usize) -> f64 {
     ns_per_op(d, ops) / 1000.0
 }
 
-/// Bytes → MB.
-pub fn mb(bytes: usize) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
-}
-
 /// Generate and return a dataset, reporting its statistics.
 pub fn load_dataset(dataset: Dataset, cfg: &BenchConfig) -> Vec<Vec<u8>> {
     let (keys, d) = time(|| generate(dataset, cfg.keys, cfg.seed));
@@ -170,117 +175,41 @@ pub fn load_dataset(dataset: Dataset, cfg: &BenchConfig) -> Vec<Vec<u8>> {
     keys
 }
 
-/// Uniform façade over the four updatable trees of Figures 12/16.
-pub enum AnyTree {
-    /// Adaptive Radix Tree.
-    Art(hope_art::Art),
-    /// Height-optimized trie.
-    Hot(hope_hot::Hot),
-    /// Plain TLX-style B+tree.
-    BTree(hope_btree::BPlusTree),
-    /// Prefix B+tree.
-    PrefixBTree(hope_btree::BPlusTree),
-}
-
-/// The four tree kinds of Figures 12/16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeKind {
-    /// Adaptive Radix Tree.
-    Art,
-    /// Height-optimized trie.
-    Hot,
-    /// Plain B+tree.
-    BTree,
-    /// Prefix B+tree.
-    PrefixBTree,
-}
-
-impl TreeKind {
-    /// All four, in the paper's presentation order.
-    pub const ALL: [TreeKind; 4] =
-        [TreeKind::Art, TreeKind::Hot, TreeKind::BTree, TreeKind::PrefixBTree];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TreeKind::Art => "ART",
-            TreeKind::Hot => "HOT",
-            TreeKind::BTree => "B+tree",
-            TreeKind::PrefixBTree => "Prefix B+tree",
-        }
-    }
-
-    /// Fresh empty tree.
-    pub fn new_tree(&self) -> AnyTree {
-        match self {
-            TreeKind::Art => AnyTree::Art(hope_art::Art::new()),
-            TreeKind::Hot => AnyTree::Hot(hope_hot::Hot::new()),
-            TreeKind::BTree => AnyTree::BTree(hope_btree::BPlusTree::plain()),
-            TreeKind::PrefixBTree => AnyTree::PrefixBTree(hope_btree::BPlusTree::prefix()),
-        }
+/// A tree of Figures 12/16: [`OrderedIndex`] plus the bytes §7 charges
+/// to the *index* — the one thing the trait cannot say for HOT, whose
+/// `memory_bytes()` also counts the record heap's full keys (they belong
+/// to the table, not the index; the figures count 8 B of value pointer
+/// per key instead).
+pub trait PaperTree: OrderedIndex {
+    /// Index bytes as §7 counts them.
+    fn index_bytes(&self) -> usize {
+        self.memory_bytes()
     }
 }
 
-impl AnyTree {
-    /// Insert a key/value pair.
-    pub fn insert(&mut self, key: &[u8], value: u64) {
-        match self {
-            AnyTree::Art(t) => {
-                t.insert(key, value);
-            }
-            AnyTree::Hot(t) => {
-                t.insert(key, value);
-            }
-            AnyTree::BTree(t) | AnyTree::PrefixBTree(t) => {
-                t.insert(key, value);
-            }
-        }
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        match self {
-            AnyTree::Art(t) => t.get(key),
-            AnyTree::Hot(t) => t.get(key),
-            AnyTree::BTree(t) | AnyTree::PrefixBTree(t) => t.get(key),
-        }
-    }
-
-    /// Range scan from `start` for up to `count` values.
-    pub fn scan(&self, start: &[u8], count: usize) -> Vec<u64> {
-        match self {
-            AnyTree::Art(t) => t.scan(start, count),
-            AnyTree::Hot(t) => t.scan(start, count),
-            AnyTree::BTree(t) | AnyTree::PrefixBTree(t) => t.scan(start, count),
-        }
-    }
-
-    /// Allocation-free scan: append up to `count` values to a reused
-    /// buffer (the YCSB-E hot loop of `fig16` runs on this).
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<u64>) {
-        match self {
-            AnyTree::Art(t) => t.scan_into(start, count, out),
-            AnyTree::Hot(t) => t.scan_into(start, count, out),
-            AnyTree::BTree(t) | AnyTree::PrefixBTree(t) => t.scan_into(start, count, out),
-        }
-    }
-
-    /// Index memory. For ART the leaf records stand in for the value
-    /// pointers (8 B each) plus key bytes; HOT counts its partial-key
-    /// compound nodes plus 8 B of value pointer per key (the record heap's
-    /// full keys belong to the table, not the index) — matching how §7
-    /// discusses the two.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            AnyTree::Art(t) => t.memory_bytes(),
-            AnyTree::Hot(t) => t.index_memory_bytes() + t.len() * 8,
-            AnyTree::BTree(t) | AnyTree::PrefixBTree(t) => t.memory_bytes(),
-        }
+impl PaperTree for hope_art::Art {}
+impl PaperTree for hope_btree::BPlusTree {}
+impl PaperTree for hope_hot::Hot {
+    fn index_bytes(&self) -> usize {
+        self.index_memory_bytes() + self.len() * 8
     }
 }
 
-/// Encoded (or raw) key set for one tree configuration.
+/// A named constructor of one of the four trees.
+pub type TreeKind = (&'static str, fn() -> Box<dyn PaperTree>);
+
+/// The four trees of Figures 12/16, in the paper's presentation order.
+pub const TREES: [TreeKind; 4] = [
+    ("ART", || Box::new(hope_art::Art::new())),
+    ("HOT", || Box::new(hope_hot::Hot::new())),
+    ("B+tree", || Box::new(hope_btree::BPlusTree::plain())),
+    ("Prefix B+tree", || Box::new(hope_btree::BPlusTree::prefix())),
+];
+
+/// A key set as one configuration stores it: raw, or HOPE-encoded.
 pub struct PreparedKeys {
+    /// Configuration label (one of [`paper_hopes`]').
+    pub label: String,
     /// The (possibly compressed) key bytes, index-aligned with the input.
     pub keys: Vec<Vec<u8>>,
     /// HOPE compressor, when compression is enabled.
@@ -288,50 +217,35 @@ pub struct PreparedKeys {
 }
 
 impl PreparedKeys {
-    /// Prepare raw keys (the "Uncompressed" baseline).
-    pub fn raw(keys: &[Vec<u8>]) -> Self {
-        PreparedKeys { keys: keys.to_vec(), hope: None }
+    /// `keys` under `hope` (raw when `None`).
+    pub fn new(label: impl Into<String>, hope: Option<Hope>, keys: &[Vec<u8>]) -> Self {
+        let keys = match &hope {
+            Some(h) => keys.iter().map(|k| h.encode(k).into_bytes()).collect(),
+            None => keys.to_vec(),
+        };
+        PreparedKeys { label: label.into(), keys, hope }
     }
 
-    /// Prepare HOPE-encoded keys.
-    pub fn encoded(hope: Hope, keys: &[Vec<u8>]) -> Self {
-        let enc = keys.iter().map(|k| hope.encode(k).into_bytes()).collect();
-        PreparedKeys { keys: enc, hope: Some(hope) }
+    /// `keys` under each of the seven [`paper_hopes`].
+    pub fn paper_configs(keys: &[Vec<u8>], sample: &[Vec<u8>]) -> Vec<PreparedKeys> {
+        paper_hopes(sample).into_iter().map(|(l, hope)| PreparedKeys::new(l, hope, keys)).collect()
     }
 
-    /// Encode one query key (identity when uncompressed).
+    /// Encode one query key into `scratch` (the key itself when
+    /// uncompressed) — allocation-free, as a probe path would.
     #[inline]
-    pub fn encode_query(&self, key: &[u8]) -> Vec<u8> {
+    pub fn encode_query<'a>(&self, key: &'a [u8], scratch: &'a mut EncodeScratch) -> &'a [u8] {
         match &self.hope {
-            Some(h) => h.encode(key).into_bytes(),
-            None => key.to_vec(),
-        }
-    }
-
-    /// Allocation-free query encoding: returns the encoded bytes from the
-    /// scratch buffer, or the key itself when uncompressed.
-    #[inline]
-    pub fn encode_query_scratch<'a>(
-        &self,
-        key: &'a [u8],
-        scratch: &'a mut QueryScratch,
-    ) -> &'a [u8] {
-        match &self.hope {
-            Some(h) => h.encode_to(key, &mut scratch.0).expect("bench keys within MAX_KEY_BYTES"),
+            Some(h) => h.encode_to(key, scratch).expect("bench keys within MAX_KEY_BYTES"),
             None => key,
         }
     }
 
     /// Dictionary memory attributable to HOPE (0 when uncompressed).
-    pub fn dict_memory(&self) -> usize {
+    pub fn dict_bytes(&self) -> usize {
         self.hope.as_ref().map_or(0, |h| h.dict_memory_bytes())
     }
 }
-
-/// Reusable buffers for [`PreparedKeys::encode_query_scratch`] — a thin
-/// wrapper over the core [`hope::EncodeScratch`].
-#[derive(Debug, Default)]
-pub struct QueryScratch(hope::EncodeScratch);
 
 #[cfg(test)]
 mod tests {
@@ -352,8 +266,13 @@ mod tests {
     fn malformed_numeric_flags_are_errors_not_panics() {
         assert_eq!(parse(&["--keys"]).unwrap_err(), "--keys needs a value");
         assert_eq!(parse(&["--seed", "bogus"]).unwrap_err(), "--seed: `bogus` is not a number");
-        let cfg = parse(&["--queries", "7", "--model", "--seed", "9"]).unwrap();
-        assert_eq!((cfg.queries, cfg.seed, cfg.has_flag("--model")), (7, 9, true));
+        assert_eq!(parse(&["--keys", "0"]).unwrap_err(), "--keys must be at least 1");
+        assert_eq!(parse(&["--queries", "0"]).unwrap_err(), "--queries must be at least 1");
+        assert_eq!(parse(&["--model"]).unwrap_err(), "unknown flag `--model`");
+        assert_eq!(parse(&["fig08", "--out"]).unwrap_err(), "--out needs a value");
+        let cfg = parse(&["--queries", "7", "fig12", "--seed", "9", "--out", "x.json"]).unwrap();
+        assert_eq!((cfg.queries, cfg.seed, cfg.out.as_deref()), (7, 9, Some("x.json")));
+        assert_eq!(cfg.rows, ["fig12"]);
     }
 
     #[test]
@@ -366,14 +285,16 @@ mod tests {
 
     #[test]
     fn tree_facade_round_trips() {
-        for kind in TreeKind::ALL {
-            let mut t = kind.new_tree();
+        for (name, new_tree) in TREES {
+            let mut t = new_tree();
             t.insert(b"alpha", 1);
             t.insert(b"beta", 2);
-            assert_eq!(t.get(b"alpha"), Some(1), "{}", kind.name());
+            assert_eq!(t.get(b"alpha"), Some(&1), "{name}");
             assert_eq!(t.get(b"gamma"), None);
-            assert_eq!(t.scan(b"alpha", 2), vec![1, 2]);
-            assert!(t.memory_bytes() > 0);
+            let mut hits = Vec::new();
+            t.range_into(b"alpha", b"beta", 2, &mut hits);
+            assert_eq!(hits, vec![1, 2]);
+            assert!(t.index_bytes() > 0);
         }
     }
 
@@ -381,9 +302,13 @@ mod tests {
     fn prepared_keys_encode_consistently() {
         let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("user{i:05}").into_bytes()).collect();
         let hope = build_hope(Scheme::DoubleChar, 65792, &keys);
-        let prepared = PreparedKeys::encoded(hope, &keys);
-        assert_eq!(prepared.encode_query(&keys[7]), prepared.keys[7]);
-        assert!(prepared.dict_memory() > 0);
+        let prepared = PreparedKeys::new("Double-Char", Some(hope), &keys);
+        let mut scratch = EncodeScratch::default();
+        assert_eq!(prepared.encode_query(&keys[7], &mut scratch), prepared.keys[7]);
+        assert!(prepared.dict_bytes() > 0);
+        let raw = PreparedKeys::new("Uncompressed", None, &keys);
+        assert_eq!(raw.encode_query(&keys[7], &mut scratch), keys[7]);
+        assert_eq!(raw.dict_bytes(), 0);
     }
 
     #[test]

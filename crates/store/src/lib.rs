@@ -1,7 +1,7 @@
 //! # hope_store — a concurrent, sharded store over HOPE-compressed keys
 //!
 //! The paper's dictionaries are static: built once from a sample, then
-//! frozen. Appendix C (`fig15_distribution_shift`) shows what that costs a
+//! frozen. Appendix C (the `fig15` row of `figures`) shows what that costs a
 //! long-running system — when the key distribution drifts, the compression
 //! rate quietly decays. This crate adds the serving layer the ROADMAP
 //! calls for: an order-preserving compressed key-value store that keeps

@@ -6,8 +6,8 @@
 //! trained on drifts away under live writes. This generator produces that
 //! scenario directly — a stream of point reads, inserts and bounded range
 //! scans whose *insert* keys switch from one key population to another at
-//! a configurable point of the run (the Email-A → Email-B split of
-//! `fig15_distribution_shift`), while reads and scans keep targeting keys
+//! a configurable point of the run (the Email-A → Email-B split of the
+//! `fig15` row of `figures`), while reads and scans keep targeting keys
 //! known to be present.
 //!
 //! Keys are materialized (not dataset indices like [`crate::Op`]) so the

@@ -249,6 +249,58 @@ fn zero_run_key_families_stay_exact_on_every_backend() {
     }
 }
 
+/// `HopeStore::build` documents "duplicate keys keep the last value":
+/// duplicates next to each other and far apart in the input, of the empty
+/// key, of a `stem + 0x00^k` chain and of a key that opens a shard must
+/// all leave `len()`, `get` and a full cursor walk agreeing with a
+/// `BTreeMap` fed the same pairs in the same order.
+#[test]
+fn build_keeps_the_last_value_of_duplicate_keys_on_every_backend() {
+    let mut keys: Vec<Vec<u8>> = email_pairs(600).into_iter().map(|(k, _)| k).collect();
+    keys.push(Vec::new());
+    keys.extend((0..6).map(|zeros| zero_padded(b"com.gmail@user", zeros)));
+    // Every key once; every 7th again right behind itself; then, far
+    // apart and in reverse order, two keys in three a last time.
+    let mut pairs: Vec<(Vec<u8>, u64)> = Vec::new();
+    for (i, k) in keys.iter().enumerate() {
+        pairs.push((k.clone(), i as u64));
+        if i.is_multiple_of(7) {
+            pairs.push((k.clone(), 10_000 + i as u64));
+        }
+    }
+    let again = |i: usize| !i.is_multiple_of(3) || i >= 600;
+    for (i, k) in keys.iter().enumerate().rev().filter(|(i, _)| again(*i)) {
+        pairs.push((k.clone(), 20_000 + i as u64));
+    }
+    let model: BTreeMap<Vec<u8>, u64> = pairs.iter().cloned().collect();
+    let duplicated: Vec<&Vec<u8>> = keys
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i.is_multiple_of(7) || again(*i))
+        .map(|(_, k)| k)
+        .collect();
+
+    for backend in
+        [Backend::BTree, Backend::PrefixBTree, Backend::Art, Backend::Hot, Backend::BTreeMap]
+    {
+        let cfg = StoreConfig { shards: 4, backend, ..StoreConfig::default() };
+        let store = HopeStore::build(cfg, pairs.clone()).unwrap();
+        assert_eq!(store.len(), model.len(), "{backend:?}");
+        for (k, v) in &model {
+            assert_eq!(store.get(k).unwrap(), Some(*v), "{backend:?} {k:?}");
+        }
+        let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        assert_eq!(range(&store, b"", b"\xff", usize::MAX), want, "{backend:?}");
+        // The case is only covered if a duplicated key opens some shard.
+        let sorted: Vec<&Vec<u8>> = model.keys().collect();
+        let opens_a_shard = sorted
+            .windows(2)
+            .filter(|w| store.shard_of(w[0]) != store.shard_of(w[1]))
+            .any(|w| duplicated.contains(&w[1]));
+        assert!(opens_a_shard, "{backend:?}: no duplicated key on a shard boundary");
+    }
+}
+
 /// A cursor held across a concurrent dictionary swap keeps serving a
 /// consistent view: it pins each shard's generation on entry, so hits
 /// stay exact and ordered even though every shard's dictionary was
