@@ -16,17 +16,22 @@
 //! [`hope::OrderedIndex<V>`] contract serving layers program against.
 //!
 //! ```
+//! use hope::OrderedIndex;
 //! use hope_art::Art;
 //!
 //! let mut art = Art::new();
 //! art.insert(b"com.gmail@alice", 1);
 //! art.insert(b"com.gmail@bob", 2);
 //! assert_eq!(art.get(b"com.gmail@alice"), Some(1));
-//! assert_eq!(art.scan(b"com.gmail@", 10).len(), 2);
+//! let mut hits = Vec::new();
+//! art.range_into(b"com.gmail@", b"com.gmail@~", 10, &mut hits);
+//! assert_eq!(hits, vec![1, 2]);
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+use hope::axis::lcp_len;
 
 /// Maximum number of compressed-prefix bytes stored inline (the paper's
 /// optimistic common prefix skipping threshold).
@@ -413,7 +418,7 @@ impl<V> Art<V> {
             let existing = self.leaves[leaf_idx].key.clone();
             let a = &existing[pos..];
             let b = &key[pos..];
-            let m = lcp(a, b);
+            let m = lcp_len(a, b);
             let mut node = Node {
                 prefix: Self::store_prefix(&b[..m]),
                 prefix_len: m as u32,
@@ -441,7 +446,7 @@ impl<V> Art<V> {
         // Pessimistic comparison against the *full* prefix (recovered from
         // a leaf if truncated) — required for correct splits.
         let full = self.full_prefix(node_idx, pos);
-        let m = lcp(&full, rest);
+        let m = lcp_len(&full, rest);
         if m < pl {
             // Split the compressed path at m.
             let new_leaf = self.new_leaf(key, value);
@@ -504,79 +509,19 @@ impl<V> Art<V> {
         self.get_ref(key).cloned()
     }
 
-    /// Range scan: values of up to `count` keys `>= start`, in key order.
-    pub fn scan(&self, start: &[u8], count: usize) -> Vec<V>
-    where
-        V: Clone,
-    {
-        let mut out = Vec::with_capacity(count.min(64));
-        self.scan_bounded(start, None, count, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Art::scan`]: append up to `count` values to a
-    /// caller-owned buffer (scan loops reuse one across probes).
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
-        self.scan_bounded(start, None, count, out);
-    }
-
-    /// Bounded range scan: values of up to `limit` keys in `low..=high`
-    /// (inclusive on both ends), in key order.
-    pub fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<V>
-    where
-        V: Clone,
-    {
-        let mut out = Vec::with_capacity(limit.min(64));
-        self.range_into(low, high, limit, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Art::range`]: append up to `limit` values to a
-    /// caller-owned buffer (scan loops reuse one across probes).
-    pub fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
-        if low > high {
-            return;
-        }
-        self.scan_bounded(low, Some(high), limit, out);
-    }
-
-    fn scan_bounded(&self, start: &[u8], high: Option<&[u8]>, count: usize, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
-        let stop = out.len().saturating_add(count);
-        if let Some(root) = self.root {
-            self.scan_rec(root, 0, start, high, true, stop, out);
-        }
-    }
-
-    /// Push one leaf's value unless it lies above the inclusive upper
+    /// Hand one leaf to `f` unless it lies above the inclusive upper
     /// bound; returns false to halt the (in-order) traversal.
-    fn emit(&self, leaf: usize, high: Option<&[u8]>, out: &mut Vec<V>) -> bool
-    where
-        V: Clone,
-    {
+    fn emit(&self, leaf: usize, high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) -> bool {
         let l = &self.leaves[leaf];
-        if let Some(h) = high {
-            if l.key.as_ref() > h {
-                return false; // every later key is larger still
-            }
-        }
-        out.push(l.value.clone());
-        true
+        // Above `high`, every later key is larger still.
+        high.is_none_or(|h| l.key.as_ref() <= h) && f(&l.key, &l.value)
     }
 
-    /// In-order traversal; `bounded` = the subtree may still contain keys
-    /// below `start` (we are on the boundary path). `high` is the optional
-    /// inclusive upper bound; the first key above it stops the walk.
-    /// `stop` is the absolute output length to halt at (append semantics).
-    #[allow(clippy::too_many_arguments)]
+    /// In-order traversal (a node's terminator leaf sorts before its
+    /// children); `bounded` = the subtree may still contain keys below
+    /// `start` (we are on the boundary path). `high` is the optional
+    /// inclusive upper bound; the first key above it, or `f` returning
+    /// false, stops the walk.
     fn scan_rec(
         &self,
         ptr: Ptr,
@@ -584,21 +529,10 @@ impl<V> Art<V> {
         start: &[u8],
         high: Option<&[u8]>,
         bounded: bool,
-        stop: usize,
-        out: &mut Vec<V>,
-    ) -> bool
-    where
-        V: Clone,
-    {
-        if out.len() >= stop {
-            return false;
-        }
+        f: &mut dyn FnMut(&[u8], &V) -> bool,
+    ) -> bool {
         if let Some(leaf) = ptr.as_leaf() {
-            if (!bounded || self.leaves[leaf].key.as_ref() >= start) && !self.emit(leaf, high, out)
-            {
-                return false;
-            }
-            return out.len() < stop;
+            return (bounded && self.leaves[leaf].key.as_ref() < start) || self.emit(leaf, high, f);
         }
         let node_idx = ptr.as_node().expect("valid ptr");
         let node = &self.nodes[node_idx];
@@ -609,7 +543,7 @@ impl<V> Art<V> {
         if bounded {
             let full = self.full_prefix(node_idx, depth);
             let rest = if depth <= start.len() { &start[depth..] } else { &[][..] };
-            let m = lcp(&full, rest);
+            let m = lcp_len(&full, rest);
             if m < pl {
                 if m < rest.len() && rest[m] > full[m] {
                     return true; // whole subtree below start
@@ -627,38 +561,17 @@ impl<V> Art<V> {
         if let Some(t) = node.term.as_leaf() {
             // On the boundary path the term may still lie below start.
             let in_range = include_term || self.leaves[t].key.as_ref() >= start;
-            if in_range && !self.emit(t, high, out) {
-                return false;
-            }
-            if out.len() >= stop {
+            if in_range && !self.emit(t, high, f) {
                 return false;
             }
         }
         let mut keep_going = true;
         node.children.for_each_from(from, |label, child| {
             let child_bounded = boundary_child && (label as u16) == from;
-            keep_going =
-                self.scan_rec(child, depth + pl + 1, start, high, child_bounded, stop, out);
+            keep_going = self.scan_rec(child, depth + pl + 1, start, high, child_bounded, f);
             keep_going
         });
         keep_going
-    }
-
-    /// In-order walk of a subtree: `(key, value)` of every leaf (a node's
-    /// terminator leaf sorts before its children).
-    fn walk(&self, ptr: Ptr, f: &mut dyn FnMut(&[u8], &V)) {
-        if let Some(leaf) = ptr.as_leaf() {
-            let l = &self.leaves[leaf];
-            return f(&l.key, &l.value);
-        }
-        let node = &self.nodes[ptr.as_node().expect("valid ptr")];
-        if !node.term.is_none() {
-            self.walk(node.term, f);
-        }
-        node.children.for_each_from(0, |_, child| {
-            self.walk(child, f);
-            true
-        });
     }
 
     /// Average leaf depth in node steps (tree-height diagnostic).
@@ -697,13 +610,9 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
         Art::insert(self, key, value)
     }
 
-    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        Art::range_into(self, low, high, limit, out)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
         if let Some(root) = self.root {
-            self.walk(root, f);
+            self.scan_rec(root, 0, low, high, true, f);
         }
     }
 
@@ -716,16 +625,28 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
     }
 }
 
-#[inline]
-fn lcp(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope::OrderedIndex;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Values of the first `count` keys `>= start`.
+    fn scan(t: &Art, start: &[u8], count: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.visit(start, None, &mut |_, v| {
+            out.push(*v);
+            out.len() < count
+        });
+        out
+    }
+
+    fn range(t: &Art, low: &[u8], high: &[u8], limit: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.range_into(low, high, limit, &mut out);
+        out
+    }
 
     #[test]
     fn insert_get_roundtrip() {
@@ -799,10 +720,10 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             art.insert(k.as_bytes(), i as u64);
         }
-        assert_eq!(art.scan(b"banana", 3), vec![1, 2, 3]);
-        assert_eq!(art.scan(b"bananaz", 2), vec![2, 3]);
-        assert_eq!(art.scan(b"", 100), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(art.scan(b"zz", 5), Vec::<u64>::new());
+        assert_eq!(scan(&art, b"banana", 3), vec![1, 2, 3]);
+        assert_eq!(scan(&art, b"bananaz", 2), vec![2, 3]);
+        assert_eq!(scan(&art, b"", 100), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(scan(&art, b"zz", 5), Vec::<u64>::new());
     }
 
     #[test]
@@ -812,14 +733,14 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             art.insert(k.as_bytes(), i as u64);
         }
-        assert_eq!(art.range(b"banana", b"date", 100), vec![1, 2, 3]);
-        assert_eq!(art.range(b"b", b"dz", 100), vec![1, 2, 3]);
-        assert_eq!(art.range(b"banana", b"date", 2), vec![1, 2]);
-        assert!(art.range(b"date", b"banana", 100).is_empty());
-        assert!(art.range(b"gg", b"zz", 100).is_empty());
+        assert_eq!(range(&art, b"banana", b"date", 100), vec![1, 2, 3]);
+        assert_eq!(range(&art, b"b", b"dz", 100), vec![1, 2, 3]);
+        assert_eq!(range(&art, b"banana", b"date", 2), vec![1, 2]);
+        assert!(range(&art, b"date", b"banana", 100).is_empty());
+        assert!(range(&art, b"gg", b"zz", 100).is_empty());
         // Prefix keys along the bound path.
         art.insert(b"dat", 9);
-        assert_eq!(art.range(b"dat", b"date", 100), vec![9, 3]);
+        assert_eq!(range(&art, b"dat", b"date", 100), vec![9, 3]);
     }
 
     #[test]
@@ -871,7 +792,7 @@ mod tests {
                 art.insert(k, *v);
             }
             let want: Vec<u64> = kvs.range(start.clone()..).take(count).map(|(_, v)| *v).collect();
-            prop_assert_eq!(art.scan(&start, count), want);
+            prop_assert_eq!(scan(&art, &start, count), want);
         }
 
         #[test]
@@ -890,7 +811,7 @@ mod tests {
             high.extend_from_slice(&span);
             let want: Vec<u64> =
                 kvs.range(low.clone()..=high.clone()).take(count).map(|(_, v)| *v).collect();
-            prop_assert_eq!(art.range(&low, &high, count), want);
+            prop_assert_eq!(range(&art, &low, &high, count), want);
         }
     }
 }

@@ -16,13 +16,16 @@
 //! [`hope::OrderedIndex<V>`] contract serving layers program against.
 //!
 //! ```
+//! use hope::OrderedIndex;
 //! use hope_btree::BPlusTree;
 //!
 //! let mut t = BPlusTree::prefix(); // or BPlusTree::plain()
 //! t.insert(b"com.gmail@alice", 1);
 //! t.insert(b"com.gmail@bob", 2);
 //! assert_eq!(t.get(b"com.gmail@alice"), Some(1));
-//! assert_eq!(t.scan(b"com.gmail@", 10), vec![1, 2]);
+//! let mut hits = Vec::new();
+//! t.range_into(b"com.gmail@", b"com.gmail@~", 10, &mut hits);
+//! assert_eq!(hits, vec![1, 2]);
 //!
 //! // Any Clone + Send + Sync payload works, not just u64.
 //! let mut docs: BPlusTree<String> = BPlusTree::plain();
@@ -32,6 +35,8 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+use hope::axis::{lcp_len, shortest_separator};
 
 /// Node fan-out: 256-byte nodes / (8-byte key pointer + 8-byte value or
 /// child pointer) = 16 slots, matching the paper's TLX configuration.
@@ -110,7 +115,7 @@ impl KeyList {
                 self.suffixes.insert(0, Box::from(&[][..]));
                 return;
             }
-            let m = lcp(&self.prefix, key);
+            let m = lcp_len(&self.prefix, key);
             if m < self.prefix.len() {
                 // New key breaks the shared prefix: re-expand.
                 let dropped = self.prefix[m..].to_vec();
@@ -145,7 +150,7 @@ impl KeyList {
         }
         let mut m = self.suffixes[0].len();
         for s in &self.suffixes[1..] {
-            m = m.min(lcp(&self.suffixes[0], s));
+            m = m.min(lcp_len(&self.suffixes[0], s));
             if m == 0 {
                 return;
             }
@@ -382,68 +387,6 @@ impl<V: Clone> BPlusTree<V> {
     pub fn get(&self, key: &[u8]) -> Option<V> {
         self.get_ref(key).cloned()
     }
-
-    /// Range scan: values of up to `count` keys `>= start`, in key order.
-    pub fn scan(&self, start: &[u8], count: usize) -> Vec<V> {
-        let mut out = Vec::with_capacity(count.min(64));
-        self.scan_bounded(start, None, count, &mut out);
-        out
-    }
-
-    /// Allocation-free [`BPlusTree::scan`]: append up to `count` values to
-    /// a caller-owned buffer (scan loops reuse one across probes).
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>) {
-        self.scan_bounded(start, None, count, out);
-    }
-
-    /// Bounded range scan: values of up to `limit` keys in `low..=high`
-    /// (inclusive on both ends), in key order.
-    pub fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<V> {
-        let mut out = Vec::with_capacity(limit.min(64));
-        self.range_into(low, high, limit, &mut out);
-        out
-    }
-
-    /// Allocation-free [`BPlusTree::range`]: append up to `limit` values
-    /// to a caller-owned buffer (scan loops reuse one across probes).
-    pub fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        if low > high {
-            return;
-        }
-        self.scan_bounded(low, Some(high), limit, out);
-    }
-
-    /// Leaf-chain walk from the first key `>= start`, appending to `out`
-    /// until `count` values were emitted or (when set) the first key
-    /// `> high` is reached.
-    fn scan_bounded(&self, start: &[u8], high: Option<&[u8]>, count: usize, out: &mut Vec<V>) {
-        let stop = out.len().saturating_add(count);
-        let mut at = self.root;
-        while let Node::Inner(inner) = &self.nodes[at as usize] {
-            let i = inner.seps.upper_bound(start);
-            at = inner.children[i];
-        }
-        let mut pos = match &self.nodes[at as usize] {
-            Node::Leaf(leaf) => leaf.keys.lower_bound(start),
-            Node::Inner(_) => unreachable!(),
-        };
-        while let Node::Leaf(leaf) = &self.nodes[at as usize] {
-            while pos < leaf.keys.len() && out.len() < stop {
-                if let Some(h) = high {
-                    if leaf.keys.cmp(pos, h) == std::cmp::Ordering::Greater {
-                        return;
-                    }
-                }
-                out.push(leaf.values[pos].clone());
-                pos += 1;
-            }
-            if out.len() >= stop || leaf.next == NO_NODE {
-                break;
-            }
-            at = leaf.next;
-            pos = 0;
-        }
-    }
 }
 
 /// B+trees satisfy the generic ordered-index contract HOPE serving layers
@@ -457,27 +400,39 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         BPlusTree::insert(self, key, value)
     }
 
-    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        BPlusTree::range_into(self, low, high, limit, out)
-    }
-
-    /// Leaf-chain walk from the leftmost leaf. Full keys (node prefix +
-    /// suffix; the prefix is empty in a plain tree) are rebuilt into one
+    /// Leaf-chain walk from the first key `>= low` to the first key
+    /// `> high`. A plain tree hands out its stored slices; under prefix
+    /// truncation the full key (node prefix + suffix) is rebuilt into one
     /// reused buffer.
-    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
         let mut at = self.root;
         while let Node::Inner(inner) = &self.nodes[at as usize] {
-            at = inner.children[0];
+            at = inner.children[inner.seps.upper_bound(low)];
         }
-        let mut key = Vec::new();
-        while let Some(Node::Leaf(leaf)) = self.nodes.get(at as usize) {
-            for (suffix, value) in leaf.keys.suffixes.iter().zip(&leaf.values) {
-                key.clear();
-                key.extend_from_slice(&leaf.keys.prefix);
-                key.extend_from_slice(suffix);
-                f(&key, value);
+        let mut pos = match &self.nodes[at as usize] {
+            Node::Leaf(leaf) => leaf.keys.lower_bound(low),
+            Node::Inner(_) => unreachable!(),
+        };
+        let mut buf = Vec::new();
+        while let Some(Node::Leaf(LeafNode { keys, values, next })) = self.nodes.get(at as usize) {
+            for (i, (suffix, value)) in keys.suffixes.iter().zip(values).enumerate().skip(pos) {
+                if high.is_some_and(|h| keys.cmp(i, h) == std::cmp::Ordering::Greater) {
+                    return;
+                }
+                let key: &[u8] = if keys.prefix.is_empty() {
+                    suffix
+                } else {
+                    buf.clear();
+                    buf.extend_from_slice(&keys.prefix);
+                    buf.extend_from_slice(suffix);
+                    &buf
+                };
+                if !f(key, value) {
+                    return;
+                }
             }
-            at = leaf.next; // NO_NODE is out of bounds: ends the walk
+            at = *next; // NO_NODE is out of bounds: ends the walk
+            pos = 0;
         }
     }
 
@@ -490,29 +445,31 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
     }
 }
 
-/// Shortest separator `s` with `left < s <= right` (suffix truncation):
-/// one byte past the common prefix of the split point's neighbours.
-fn shortest_separator(left: &[u8], right: &[u8]) -> Vec<u8> {
-    debug_assert!(left < right);
-    let m = lcp(left, right);
-    // `right[..m+1]` is > left (differs at m, or left ends at m) and a
-    // prefix of right, hence <= right.
-    right[..(m + 1).min(right.len())].to_vec()
-}
-
-#[inline]
-fn lcp(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope::OrderedIndex;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn both() -> [BPlusTree; 2] {
         [BPlusTree::plain(), BPlusTree::prefix()]
+    }
+
+    /// Values of the first `count` keys `>= start`.
+    fn scan(t: &BPlusTree, start: &[u8], count: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.visit(start, None, &mut |_, v| {
+            out.push(*v);
+            out.len() < count
+        });
+        out
+    }
+
+    fn range(t: &BPlusTree, low: &[u8], high: &[u8], limit: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.range_into(low, high, limit, &mut out);
+        out
     }
 
     #[test]
@@ -561,11 +518,11 @@ mod tests {
             for i in 0..100u64 {
                 t.insert(format!("user{i:04}").as_bytes(), i);
             }
-            let got = t.scan(b"user0050", 10);
+            let got = scan(&t, b"user0050", 10);
             assert_eq!(got, (50..60).collect::<Vec<u64>>());
-            let got = t.scan(b"", 5);
+            let got = scan(&t, b"", 5);
             assert_eq!(got, (0..5).collect::<Vec<u64>>());
-            assert!(t.scan(b"zzz", 5).is_empty());
+            assert!(scan(&t, b"zzz", 5).is_empty());
         }
     }
 
@@ -591,23 +548,12 @@ mod tests {
     }
 
     #[test]
-    fn shortest_separator_properties() {
-        let cases: [(&[u8], &[u8]); 4] =
-            [(b"abcdef", b"abd"), (b"a", b"b"), (b"abc", b"abcd"), (b"", b"x")];
-        for (l, r) in cases {
-            let s = shortest_separator(l, r);
-            assert!(l < s.as_slice(), "{l:?} {r:?} -> {s:?}");
-            assert!(s.as_slice() <= r, "{l:?} {r:?} -> {s:?}");
-        }
-    }
-
-    #[test]
     fn empty_key_supported() {
         for mut t in both() {
             t.insert(b"", 42);
             t.insert(b"a", 1);
             assert_eq!(t.get(b""), Some(42));
-            assert_eq!(t.scan(b"", 2), vec![42, 1]);
+            assert_eq!(scan(&t, b"", 2), vec![42, 1]);
         }
     }
 
@@ -617,14 +563,14 @@ mod tests {
             for i in 0..200u64 {
                 t.insert(format!("user{i:04}").as_bytes(), i);
             }
-            assert_eq!(t.range(b"user0010", b"user0013", 100), vec![10, 11, 12, 13]);
+            assert_eq!(range(&t, b"user0010", b"user0013", 100), vec![10, 11, 12, 13]);
             // Limit truncates from the front.
-            assert_eq!(t.range(b"user0010", b"user0100", 3), vec![10, 11, 12]);
+            assert_eq!(range(&t, b"user0010", b"user0100", 3), vec![10, 11, 12]);
             // Bounds need not be stored keys.
-            assert_eq!(t.range(b"user0010x", b"user0012x", 100), vec![11, 12]);
+            assert_eq!(range(&t, b"user0010x", b"user0012x", 100), vec![11, 12]);
             // Inverted and empty ranges.
-            assert!(t.range(b"user0013", b"user0010", 100).is_empty());
-            assert!(t.range(b"zzz", b"zzzz", 100).is_empty());
+            assert!(range(&t, b"user0013", b"user0010", 100).is_empty());
+            assert!(range(&t, b"zzz", b"zzzz", 100).is_empty());
         }
     }
 
@@ -651,12 +597,12 @@ mod tests {
                     prop_assert_eq!(t.get(p), model.get(p).copied());
                 }
                 let want: Vec<u64> = model.range(start.clone()..).take(25).map(|(_, v)| *v).collect();
-                prop_assert_eq!(t.scan(&start, 25), want);
+                prop_assert_eq!(scan(&t, &start, 25), want);
                 let mut hi = start.clone();
                 hi.extend_from_slice(b"\xff\xff");
                 let want: Vec<u64> =
                     model.range(start.clone()..=hi.clone()).take(25).map(|(_, v)| *v).collect();
-                prop_assert_eq!(t.range(&start, &hi, 25), want);
+                prop_assert_eq!(range(&t, &start, &hi, 25), want);
             }
         }
     }

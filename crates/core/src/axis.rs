@@ -23,6 +23,17 @@ pub fn lcp_len(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
+/// Shortest separator `s` with `left < s <= right` — one byte past the
+/// common prefix of a split point's neighbours (the suffix truncation of
+/// a Prefix B+tree, the discriminative bytes of a HOT node).
+pub fn shortest_separator(left: &[u8], right: &[u8]) -> Vec<u8> {
+    debug_assert!(left < right);
+    let m = lcp_len(left, right);
+    // `right[..m+1]` is > left (differs at m, or left ends at m) and a
+    // prefix of right, hence <= right.
+    right[..(m + 1).min(right.len())].to_vec()
+}
+
 /// The exclusive upper bound of the set of strings prefixed by `p`:
 /// increment the last byte, dropping trailing `0xff` bytes first.
 /// Returns `None` when `p` is all `0xff` (the prefix region extends to the
@@ -281,6 +292,17 @@ mod tests {
         assert_eq!(lcp_len(b"", b"abc"), 0);
         assert_eq!(lcp_len(b"abc", b"abc"), 3);
         assert_eq!(lcp_len(b"abc", b"abcd"), 3);
+    }
+
+    #[test]
+    fn shortest_separator_properties() {
+        let cases: [(&[u8], &[u8]); 4] =
+            [(b"abcdef", b"abd"), (b"a", b"b"), (b"abc", b"abcd"), (b"", b"x")];
+        for (l, r) in cases {
+            let s = shortest_separator(l, r);
+            assert!(l < s.as_slice(), "{l:?} {r:?} -> {s:?}");
+            assert!(s.as_slice() <= r, "{l:?} {r:?} -> {s:?}");
+        }
     }
 
     #[test]

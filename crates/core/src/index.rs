@@ -12,9 +12,10 @@
 //! Since the v1 API the trait is **generic over its value payload**
 //! `V: `[`Value`] (any `Clone + Send + Sync + Debug + 'static` type), with
 //! `u64` as the default parameter so `dyn OrderedIndex` keeps meaning the
-//! classic id-valued index. The scan surface is the allocation-free
-//! [`OrderedIndex::range_into`] (bounded, values only) plus the keyed
-//! in-order visitor [`OrderedIndex::for_each`] (everything, keys included).
+//! classic id-valued index. The scan surface is one primitive,
+//! [`OrderedIndex::visit`] — a bounded, keyed, early-stopping in-order
+//! walk; [`OrderedIndex::range_into`] (values of a bounded range) and
+//! [`OrderedIndex::for_each`] (every pair) are provided over it.
 //!
 //! Keys are plain byte slices: callers index either raw keys or the padded
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
@@ -49,20 +50,47 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// Insert or update; returns the previous value if the key existed.
     fn insert(&mut self, key: &[u8], value: V) -> Option<V>;
 
-    /// Append clones of the values of up to `limit` keys in `low..=high`
-    /// to `out`, in key order — the allocation-free form scan loops reuse
-    /// a buffer with. For a fixed index state and fixed bounds, growing
-    /// `limit` must only *extend* the emitted sequence (results are a
-    /// stable prefix), which every ordered structure satisfies naturally;
-    /// `hope_store`'s scan retry loop relies on it. Inverted bounds
-    /// (`low > high`) must emit nothing.
-    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>);
-
-    /// Visit every `(key, value)` pair in key order — the one way to get
-    /// *keys* back out of an index. The key slice is valid only for the
+    /// Visit the `(key, value)` pairs with `low <= key` and, when `high`
+    /// is set, `key <= high` (`None` = to the end of the index), in key
+    /// order, until `f` returns `false` — the one scan primitive an
+    /// implementation writes. The key slice is valid only for the
     /// duration of the call (a prefix-truncating tree rebuilds it in a
-    /// reused buffer). `hope_store` rebuilds a shard from this walk: the
-    /// index is the only holder of the encoded bytes.
+    /// reused buffer). Inverted bounds (`low > high`) visit nothing.
+    ///
+    /// ```
+    /// use hope::OrderedIndex;
+    /// use std::collections::BTreeMap;
+    ///
+    /// let mut ix: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    /// for (i, k) in [&b"a"[..], b"ab", b"b", b"c"].into_iter().enumerate() {
+    ///     OrderedIndex::insert(&mut ix, k, i as u64);
+    /// }
+    /// let mut seen = Vec::new();
+    /// ix.visit(b"aa", Some(b"c"), &mut |k, v| {
+    ///     seen.push((k.to_vec(), *v));
+    ///     seen.len() < 2 // stop after two hits
+    /// });
+    /// assert_eq!(seen, vec![(b"ab".to_vec(), 1), (b"b".to_vec(), 2)]);
+    /// ```
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool);
+
+    /// Append clones of the values of up to `limit` keys in `low..=high`
+    /// to `out`, in key order — [`OrderedIndex::visit`] for callers that
+    /// want no keys, reusing one buffer across scans.
+    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
+        if limit == 0 {
+            return;
+        }
+        let stop = out.len().saturating_add(limit);
+        self.visit(low, Some(high), &mut |_, v| {
+            out.push(v.clone());
+            out.len() < stop
+        });
+    }
+
+    /// Visit every `(key, value)` pair in key order: the unbounded
+    /// [`OrderedIndex::visit`]. `hope_store` rebuilds a shard from this
+    /// walk: the index is the only holder of the encoded bytes.
     ///
     /// ```
     /// use hope::OrderedIndex;
@@ -76,7 +104,12 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// OrderedIndex::for_each(&ix, &mut |k, v| seen.push((k.to_vec(), *v)));
     /// assert_eq!(seen, vec![(b"a".to_vec(), 1), (b"ab".to_vec(), 3), (b"b".to_vec(), 2)]);
     /// ```
-    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V));
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        self.visit(b"", None, &mut |k, v| {
+            f(k, v);
+            true
+        });
+    }
 
     /// Number of stored keys.
     fn len(&self) -> usize;
@@ -101,15 +134,15 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
         std::collections::BTreeMap::insert(self, key.to_vec(), value)
     }
 
-    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        if low > high {
-            return;
+    /// Walks from the borrowed lower bound and tests `high` per pair
+    /// (`BTreeMap::range` panics on inverted bounds).
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
+        use std::ops::Bound::{Included, Unbounded};
+        for (k, v) in self.range::<[u8], _>((Included(low), Unbounded)) {
+            if high.is_some_and(|h| k.as_slice() > h) || !f(k, v) {
+                return;
+            }
         }
-        out.extend(self.range(low.to_vec()..=high.to_vec()).take(limit).map(|(_, v)| v.clone()));
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
-        self.iter().for_each(|(k, v)| f(k, v));
     }
 
     fn len(&self) -> usize {
@@ -125,52 +158,6 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-
-    fn probe(ix: &mut dyn OrderedIndex) {
-        assert!(ix.is_empty());
-        assert_eq!(ix.insert(b"b", 2), None);
-        assert_eq!(ix.insert(b"a", 1), None);
-        assert_eq!(ix.insert(b"ab", 3), None);
-        assert_eq!(ix.insert(b"a", 10), Some(1));
-        assert_eq!(ix.len(), 3);
-        assert_eq!(ix.get(b"ab"), Some(&3));
-        assert_eq!(ix.get(b"zz"), None);
-        // range_into appends to a reused buffer.
-        let mut buf = vec![99u64];
-        ix.range_into(b"a", b"ab", 10, &mut buf);
-        assert_eq!(buf, vec![99, 10, 3]);
-        buf.clear();
-        ix.range_into(b"b", b"a", 10, &mut buf);
-        assert!(buf.is_empty());
-        assert!(ix.memory_bytes() > 0);
-        // for_each yields exactly the stored pairs, in byte order: the
-        // empty key, a prefix chain, and 0x00 / 0xFF runs included.
-        let hostile: [&[u8]; 6] = [b"", b"abc", b"\0", b"\0\0", b"\xff", b"\xff\xff\xff"];
-        for (i, k) in hostile.iter().enumerate() {
-            assert_eq!(ix.insert(k, 100 + i as u64), None);
-        }
-        let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
-        ix.for_each(&mut |k, v| seen.push((k.to_vec(), *v)));
-        let want: Vec<(&[u8], u64)> = vec![
-            (b"", 100),
-            (b"\0", 102),
-            (b"\0\0", 103),
-            (b"a", 10),
-            (b"ab", 3),
-            (b"abc", 101),
-            (b"b", 2),
-            (b"\xff", 104),
-            (b"\xff\xff\xff", 105),
-        ];
-        assert_eq!(seen.len(), ix.len());
-        assert!(seen.iter().map(|(k, v)| (k.as_slice(), *v)).eq(want));
-    }
-
-    #[test]
-    fn btreemap_reference_implementation() {
-        let mut m: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        probe(&mut m);
-    }
 
     #[test]
     fn trait_object_is_usable_behind_a_box() {

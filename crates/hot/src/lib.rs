@@ -25,17 +25,22 @@
 //! program against.
 //!
 //! ```
+//! use hope::OrderedIndex;
 //! use hope_hot::Hot;
 //!
 //! let mut hot = Hot::new();
 //! hot.insert(b"com.gmail@alice", 1);
 //! hot.insert(b"com.gmail@bob", 2);
 //! assert_eq!(hot.get(b"com.gmail@alice"), Some(1));
-//! assert_eq!(hot.scan(b"com.gmail@", 10), vec![1, 2]);
+//! let mut hits = Vec::new();
+//! hot.range_into(b"com.gmail@", b"com.gmail@~", 10, &mut hits);
+//! assert_eq!(hits, vec![1, 2]);
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+use hope::axis::{lcp_len, shortest_separator};
 
 /// Maximum compound-node fan-out (HOT's k).
 pub const K: usize = 32;
@@ -190,7 +195,7 @@ impl<V> Hot<V> {
             // shares it too.
             let min = self.min_record(root);
             let max = self.max_record(right);
-            let skip = lcp(self.rec_key(min), self.rec_key(max));
+            let skip = lcp_len(self.rec_key(min), self.rec_key(max));
             debug_assert!(sep.len() > skip, "separator inside shared prefix");
             let sep_rel: Box<[u8]> = sep[skip..].into();
             self.nodes.push(Node::Inner {
@@ -292,7 +297,7 @@ impl<V> Hot<V> {
         let (old_skip, needs) = match &self.nodes[at as usize] {
             Node::Inner { skip, .. } if *skip > 0 => {
                 let reference = self.min_record(at);
-                let shared = lcp(self.rec_key(reference), key).min(*skip as usize);
+                let shared = lcp_len(self.rec_key(reference), key).min(*skip as usize);
                 (*skip as usize, (shared < *skip as usize).then_some(shared))
             }
             _ => (0, None),
@@ -311,82 +316,27 @@ impl<V> Hot<V> {
         }
     }
 
-    /// Range scan: values of up to `count` keys `>= start`, in key order.
-    pub fn scan(&self, start: &[u8], count: usize) -> Vec<V>
-    where
-        V: Clone,
-    {
-        let mut out = Vec::with_capacity(count.min(64));
-        self.scan_into(start, count, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Hot::scan`]: append up to `count` values to a
-    /// caller-owned buffer (scan loops reuse one across probes).
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
-        self.scan_rec(self.root, start, None, true, out.len().saturating_add(count), out);
-    }
-
-    /// Bounded range scan: values of up to `limit` keys in `low..=high`
-    /// (inclusive on both ends), in key order.
-    pub fn range(&self, low: &[u8], high: &[u8], limit: usize) -> Vec<V>
-    where
-        V: Clone,
-    {
-        let mut out = Vec::with_capacity(limit.min(64));
-        self.range_into(low, high, limit, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Hot::range`]: append up to `limit` values to a
-    /// caller-owned buffer (scan loops reuse one across probes).
-    pub fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
-        if low > high {
-            return;
-        }
-        self.scan_rec(self.root, low, Some(high), true, out.len().saturating_add(limit), out);
-    }
-
-    /// `stop` is the absolute output length to halt at (append
-    /// semantics); `high` is the optional inclusive upper bound — the
-    /// first record above it stops the walk.
+    /// In-order traversal; `bounded` = the subtree may still contain
+    /// keys below `start` (we are on the boundary path). `high` is the
+    /// optional inclusive upper bound; the first record above it, or `f`
+    /// returning false, stops the walk.
     fn scan_rec(
         &self,
         at: u32,
         start: &[u8],
         high: Option<&[u8]>,
         bounded: bool,
-        stop: usize,
-        out: &mut Vec<V>,
-    ) -> bool
-    where
-        V: Clone,
-    {
-        if out.len() >= stop {
-            return false;
-        }
+        f: &mut dyn FnMut(&[u8], &V) -> bool,
+    ) -> bool {
         match &self.nodes[at as usize] {
             Node::Leaf { recs } => {
                 let from =
                     if bounded { recs.partition_point(|&r| self.rec_key(r) < start) } else { 0 };
-                for &r in &recs[from..] {
-                    if out.len() >= stop {
-                        return false;
-                    }
-                    if let Some(h) = high {
-                        if self.rec_key(r) > h {
-                            return false; // every later key is larger still
-                        }
-                    }
-                    out.push(self.records[r as usize].1.clone());
-                }
-                out.len() < stop
+                recs[from..].iter().all(|&r| {
+                    let (key, value) = &self.records[r as usize];
+                    // Above `high`, every later key is larger still.
+                    high.is_none_or(|h| key.as_ref() <= h) && f(key, value)
+                })
             }
             Node::Inner { skip, seps, children } => {
                 let mut from_child = 0usize;
@@ -398,7 +348,7 @@ impl<V> Hot<V> {
                     let s = *skip as usize;
                     let reference = self.min_record(at);
                     let pfx = &self.rec_key(reference)[..s];
-                    let m = lcp(pfx, start);
+                    let m = lcp_len(pfx, start);
                     if m < s.min(start.len()) {
                         if start[m] > pfx[m] {
                             return true; // whole subtree below start
@@ -411,27 +361,12 @@ impl<V> Hot<V> {
                     }
                     // start exhausted within the prefix: unbounded scan
                 }
-                for (i, &c) in children.iter().enumerate().skip(from_child) {
-                    let b = boundary && i == from_child;
-                    if !self.scan_rec(c, start, high, b, stop, out) {
-                        return false;
-                    }
-                }
-                true
+                children
+                    .iter()
+                    .enumerate()
+                    .skip(from_child)
+                    .all(|(i, &c)| self.scan_rec(c, start, high, boundary && i == from_child, f))
             }
-        }
-    }
-
-    /// In-order walk of a subtree: `(key, value)` of every record.
-    fn walk(&self, at: u32, f: &mut dyn FnMut(&[u8], &V)) {
-        match &self.nodes[at as usize] {
-            Node::Leaf { recs } => {
-                for &r in recs {
-                    let (key, value) = &self.records[r as usize];
-                    f(key, value);
-                }
-            }
-            Node::Inner { children, .. } => children.iter().for_each(|&c| self.walk(c, f)),
         }
     }
 
@@ -473,12 +408,8 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
         Hot::insert(self, key, value)
     }
 
-    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        Hot::range_into(self, low, high, limit, out)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
-        self.walk(self.root, f);
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
+        self.scan_rec(self.root, low, high, true, f);
     }
 
     fn len(&self) -> usize {
@@ -490,23 +421,28 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
     }
 }
 
-/// Shortest separator `s` with `left < s <= right`.
-fn shortest_separator(left: &[u8], right: &[u8]) -> Vec<u8> {
-    debug_assert!(left < right);
-    let m = lcp(left, right);
-    right[..(m + 1).min(right.len())].to_vec()
-}
-
-#[inline]
-fn lcp(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope::OrderedIndex;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Values of the first `count` keys `>= start`.
+    fn scan(t: &Hot, start: &[u8], count: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.visit(start, None, &mut |_, v| {
+            out.push(*v);
+            out.len() < count
+        });
+        out
+    }
+
+    fn range(t: &Hot, low: &[u8], high: &[u8], limit: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.range_into(low, high, limit, &mut out);
+        out
+    }
 
     #[test]
     fn insert_get_small() {
@@ -569,9 +505,9 @@ mod tests {
         for i in 0..500u64 {
             h.insert(format!("user{i:04}").as_bytes(), i);
         }
-        assert_eq!(h.scan(b"user0100", 5), vec![100, 101, 102, 103, 104]);
-        assert_eq!(h.scan(b"", 3), vec![0, 1, 2]);
-        assert!(h.scan(b"zzz", 3).is_empty());
+        assert_eq!(scan(&h, b"user0100", 5), vec![100, 101, 102, 103, 104]);
+        assert_eq!(scan(&h, b"", 3), vec![0, 1, 2]);
+        assert!(scan(&h, b"zzz", 3).is_empty());
     }
 
     #[test]
@@ -580,9 +516,9 @@ mod tests {
         for i in 0..500u64 {
             h.insert(format!("user{i:04}").as_bytes(), i);
         }
-        assert_eq!(h.range(b"user0100", b"user0104", 10), vec![100, 101, 102, 103, 104]);
-        assert_eq!(h.range(b"user0100", b"user0104", 3).len(), 3);
-        assert!(h.range(b"zz", b"aa", 10).is_empty());
+        assert_eq!(range(&h, b"user0100", b"user0104", 10), vec![100, 101, 102, 103, 104]);
+        assert_eq!(range(&h, b"user0100", b"user0104", 3).len(), 3);
+        assert!(range(&h, b"zz", b"aa", 10).is_empty());
         let mut buf = vec![7u64];
         h.range_into(b"user0000", b"user0001", 10, &mut buf);
         assert_eq!(buf, vec![7, 0, 1]);
@@ -590,7 +526,6 @@ mod tests {
 
     #[test]
     fn non_u64_payloads_round_trip_through_the_trait() {
-        use hope::OrderedIndex;
         let mut h: Hot<Vec<u8>> = Hot::new();
         let ix: &mut dyn OrderedIndex<Vec<u8>> = &mut h;
         assert_eq!(ix.insert(b"a", b"one".to_vec()), None);
@@ -639,13 +574,13 @@ mod tests {
                 prop_assert_eq!(h.get(p), model.get(p).copied());
             }
             let want: Vec<u64> = model.range(start.clone()..).take(25).map(|(_, v)| *v).collect();
-            prop_assert_eq!(h.scan(&start, 25), want);
+            prop_assert_eq!(scan(&h, &start, 25), want);
             for pair in probes.chunks(2) {
                 if let [a, b] = pair {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let want: Vec<u64> =
                         model.range(lo.clone()..=hi.clone()).take(10).map(|(_, v)| *v).collect();
-                    prop_assert_eq!(h.range(lo, hi, 10), want, "range {:?}..={:?}", lo, hi);
+                    prop_assert_eq!(range(&h, lo, hi, 10), want, "range {:?}..={:?}", lo, hi);
                 }
             }
         }

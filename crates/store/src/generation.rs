@@ -10,9 +10,10 @@
 //!
 //! A generation holds each record once, in the **entry log** (source key,
 //! value, one `u32` link). Trees index the *padded bytes* of an
-//! encoding, which live only inside the index — a rebuild that keeps the
-//! dictionary reads them back through [`OrderedIndex::for_each`] — and
-//! the index maps them straight to a log id ([`SlotId`](crate::SlotId)):
+//! encoding, which live only inside the index — every walk
+//! ([`OrderedIndex::visit`]) hands them out beside the id, so a scan
+//! knows the bytes of each hit and a rebuild that keeps the dictionary
+//! reads them back — and the index maps them straight to a log id ([`SlotId`](crate::SlotId)):
 //! the key's live entry. Padded bytes order strictly as source keys do
 //! (no code is all zeros; see DESIGN.md "Encoded-key comparison"), so
 //! the encoded bytes *are* the key, for arbitrary byte keys: a point read
@@ -39,20 +40,14 @@ use crate::error::StoreError;
 use crate::telemetry::SpanRecorder;
 use crate::SlotId;
 
-/// Per-thread probe buffers: every `get`, `insert` and scan reuses the
-/// same encode scratch instead of allocating an `EncodedKey` per call, and
-/// the index fills `ids` in place (`OrderedIndex::range_into`), so a
-/// scan of N hits performs no heap allocation once the buffers are warm.
-/// Thread-local rather than per-generation so readers on many threads
-/// never contend.
-#[derive(Default)]
-struct ProbeBuffers {
-    scratch: EncodeScratch,
-    ids: Vec<SlotId>,
-}
-
 thread_local! {
-    static PROBE: RefCell<ProbeBuffers> = RefCell::default();
+    /// Per-thread encode scratch: every `get`, `insert` and scan encodes
+    /// into it instead of allocating an `EncodedKey` per call, and a scan
+    /// resolves each hit as the index walk hands it over, so a scan of N
+    /// hits performs no heap allocation once the scratch is warm.
+    /// Thread-local rather than per-generation so readers on many
+    /// threads never contend.
+    static PROBE: RefCell<EncodeScratch> = RefCell::default();
 }
 
 /// Link sentinel: end of a version chain ([`Entry::prev`]: this entry
@@ -63,8 +58,9 @@ pub(crate) const NO_PREV: u32 = u32::MAX;
 
 /// One stored record: the original (uncompressed) key — what a scan
 /// hands to its caller, the swap's log replay re-inserts and a rebuild
-/// that replaces the dictionary re-encodes; point reads never touch it —
-/// its value, and the link that threads the log.
+/// that replaces the dictionary re-encodes; point reads and a scan's own
+/// bookkeeping (bounds, resume point) never touch it — its value, and
+/// the link that threads the log.
 ///
 /// `prev` threads the per-key **version chain** through the append-only
 /// log: an update's entry records the log id it superseded. Every link
@@ -300,9 +296,9 @@ impl<V: Value> Generation<V> {
         at: Option<usize>,
         f: impl FnOnce(&V) -> R,
     ) -> Result<(Option<R>, S), StoreError> {
-        PROBE.with_borrow_mut(|probe| {
+        PROBE.with_borrow_mut(|scratch| {
             let mut spans = S::start();
-            let enc = self.dict.hope.encode_to(key, &mut probe.scratch)?;
+            let enc = self.dict.hope.encode_to(key, scratch)?;
             spans.encoded();
             let d = self.read();
             let found = d
@@ -336,9 +332,9 @@ impl<V: Value> Generation<V> {
         key: &[u8],
         value: V,
     ) -> Result<(Option<V>, EncodeFootprint, S), StoreError> {
-        PROBE.with_borrow_mut(|probe| {
+        PROBE.with_borrow_mut(|scratch| {
             let mut spans = S::start();
-            let bytes = self.dict.hope.encode_to(key, &mut probe.scratch)?;
+            let bytes = self.dict.hope.encode_to(key, scratch)?;
             spans.encoded();
             let footprint =
                 EncodeFootprint { src_bytes: key.len() as u64, enc_bytes: bytes.len() as u64 };
@@ -404,14 +400,14 @@ impl<V: Value> Generation<V> {
     /// invisible. (Index and chain growth happen under the data lock this
     /// scan reads under, so the watermark is never torn.)
     ///
-    /// The encoded bounds admit exactly the keys of the source range, so
-    /// the one hit ever dropped is the resume key itself. A watermark
-    /// read can still come up short — entries born after `at` are fetched
-    /// and skipped — so the engine grows the fetch budget until satisfied
-    /// or the encoded range is exhausted. The index state is frozen under
-    /// the read lock and `range_into` results are a stable prefix under a
-    /// growing limit, so the retry only needs to process the newly
-    /// returned tail.
+    /// One pass: encode the bounds, then resolve and hand over each hit
+    /// as the index walk reaches it, stopping the walk at `limit`. The
+    /// encoded bounds admit exactly the keys of the source range, and a
+    /// resumed scan starts *at* its resume key (the low bound is
+    /// inclusive), so the one hit ever dropped is the first, when its
+    /// bytes equal the encoded resume key — under strict order no other
+    /// key has them. Entries born after `at` are walked past, not
+    /// counted.
     pub(crate) fn range_with_from<F>(
         &self,
         after: Option<&[u8]>,
@@ -425,37 +421,22 @@ impl<V: Value> Generation<V> {
         F: FnMut(&[u8], &V),
     {
         debug_assert!(limit > 0 && after.is_none_or(|a| a >= low));
-        PROBE.with_borrow_mut(|ProbeBuffers { scratch, ids }| {
+        PROBE.with_borrow_mut(|scratch| {
             let (enc_low, enc_high) =
                 self.dict.hope.encode_range_bounds_to(after.unwrap_or(low), high, scratch)?;
             let d = self.read();
-            let mut want = limit.saturating_add(usize::from(after.is_some()));
-            let mut done = 0usize;
+            let mut resumed = after.is_some();
             let mut emitted = 0usize;
-            loop {
-                ids.clear();
-                d.index.range_into(enc_low, enc_high, want, ids);
-                let exhausted = ids.len() < want;
-                for (i, &id) in ids.iter().enumerate().skip(done) {
-                    let Some(e) = visible_at(&d.entries, id as u32, at) else { continue };
-                    let key = e.key.as_ref();
-                    // The low bound is inclusive: a resumed scan's first
-                    // hit is the key it resumes after.
-                    if i == 0 && after == Some(key) {
-                        continue;
-                    }
-                    f(key, &e.value);
-                    emitted += 1;
-                    if emitted == limit {
-                        return Ok(emitted);
-                    }
+            d.index.visit(enc_low, Some(enc_high), &mut |enc, &id| {
+                if std::mem::take(&mut resumed) && enc == enc_low {
+                    return true;
                 }
-                if exhausted {
-                    return Ok(emitted);
-                }
-                done = ids.len();
-                want = want.saturating_mul(2);
-            }
+                let Some(e) = visible_at(&d.entries, id as u32, at) else { return true };
+                f(&e.key, &e.value);
+                emitted += 1;
+                emitted < limit
+            });
+            Ok(emitted)
         })
     }
 

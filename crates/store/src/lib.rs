@@ -129,7 +129,10 @@ pub enum Backend {
     /// `std::collections::BTreeMap` — the reference backend.
     BTreeMap,
     /// A user-supplied index: any [`OrderedIndex<SlotId>`] implementation
-    /// behind a factory function.
+    /// behind a factory function. An implementation writes `get`,
+    /// `insert`, `len`, `memory_bytes` and one in-order walker
+    /// ([`OrderedIndex::visit`]: bounded, keyed, stopped by its callback);
+    /// the store scans and rebuilds through that walker alone.
     ///
     /// ```
     /// use hope_store::{Backend, SlotId};

@@ -1,7 +1,8 @@
 //! Property suite for [`hope_store::Snapshot`] — the O(1) copy-on-write
 //! point-in-time view behind the `snapshot` drill.
 //!
-//! Three behavioural claims, attacked with random op scripts:
+//! Four behavioural claims, the first three attacked with random op
+//! scripts:
 //!
 //! * **frozen equality** — a snapshot answers every point and range read
 //!   from the shadow map of the capture instant, while a concurrent
@@ -15,7 +16,10 @@
 //! * **pin release** — the snapshot's generation pins are real `Arc`s:
 //!   a superseded generation stays alive exactly as long as a snapshot
 //!   holds it, and dropping the last handle releases it (probed via
-//!   `Arc::strong_count` on a diagnostic epoch handle).
+//!   `Arc::strong_count` on a diagnostic epoch handle);
+//! * **walk-past** — a snapshot scan fills its limit from capture-time
+//!   hits however many keys born later sort ahead of them, on the push
+//!   path and across a pull cursor's chunk boundaries.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -133,6 +137,42 @@ proptest! {
         prop_assert!(cur.error().is_none());
         prop_assert_eq!(got, want);
     }
+}
+
+/// A watermark scan walks past entries born after the capture without
+/// counting them: more than `2 × limit` new keys sorting *before* the
+/// range's first capture-time key (and new keys and versions between the
+/// old ones) cost a scan nothing but the walk — the push path fills its
+/// limit, and a pull cursor resumes correctly across 256-hit chunks.
+#[test]
+fn snapshot_scans_walk_past_keys_born_after_the_capture() {
+    const LIMIT: usize = 300;
+    let (store, shadow) = build(1, &(0..600).collect::<Vec<u64>>());
+    let snap = store.snapshot();
+    for i in 0..2 * LIMIT as u64 + 100 {
+        store.insert(format!("com.gmail@a{i:04}").into_bytes(), 7_000_000 + i).unwrap();
+    }
+    for i in (0..600).step_by(3) {
+        store.insert(key(i), 8_000_000 + i).unwrap(); // a newer version
+        store.insert([key(i), b"+".to_vec()].concat(), 9_000_000 + i).unwrap(); // a new neighbour
+    }
+    let (low, high) = (&b"com.gmail@"[..], &b"com.gmail@z"[..]);
+    let want: Vec<(Vec<u8>, u64)> = shadow.into_iter().collect();
+
+    let mut pushed = Vec::new();
+    let n = snap.range_with(low, high, LIMIT, |k, v| pushed.push((k.to_vec(), *v))).unwrap();
+    assert_eq!(n, LIMIT);
+    assert_eq!(pushed, want[..LIMIT]);
+
+    let mut cur = snap.cursor(low, high, usize::MAX).unwrap();
+    let mut pulled = Vec::new();
+    while let Some((k, v)) = cur.next_hit() {
+        pulled.push((k.to_vec(), *v));
+    }
+    assert!(cur.error().is_none());
+    assert_eq!(pulled, want);
+    // The live store sees all of it.
+    assert_eq!(store.len(), 600 + 2 * LIMIT + 100 + 200);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! must run to completion in-process, so a plain `cargo test` catches a
 //! broken example flow without shelling out to cargo.
 
-use hope::{HopeBuilder, Scheme};
+use hope::{HopeBuilder, OrderedIndex, Scheme};
 use hope_btree::BPlusTree;
 use hope_store::{HopeStore, StoreConfig};
 use hope_surf::{SuffixKind, Surf};
@@ -89,7 +89,12 @@ fn email_index_path() {
         assert_eq!(tree.get(&hope.encode(k).into_bytes()), Some(i as u64));
     }
     let first = keys.iter().enumerate().step_by(31).next().unwrap();
-    assert!(!tree.scan(&hope.encode(first.1).into_bytes(), 10).is_empty());
+    let mut hits = 0;
+    tree.visit(&hope.encode(first.1).into_bytes(), None, &mut |_, _| {
+        hits += 1;
+        hits < 10
+    });
+    assert!(hits > 0);
 }
 
 /// `examples/range_filter.rs` in miniature: SuRF over compressed URLs has
