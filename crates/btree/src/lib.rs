@@ -42,7 +42,50 @@ use hope::axis::{lcp_len, shortest_separator};
 /// child pointer) = 16 slots, matching the paper's TLX configuration.
 pub const FANOUT: usize = 16;
 
+/// Slots a bulk load ([`hope::OrderedIndex::load_sorted`]) fills per node:
+/// ¾ of [`FANOUT`]. The gap is what keeps the inserts that follow cheap,
+/// and it is measured (DESIGN.md, "Bulk load"): filled to 16 of 16 every
+/// insert into a loaded leaf splits it, at 14 inserts still cost more
+/// than at 12, and 12 also retained the fewest bytes once inserts ran.
+const LOAD_FILL: usize = FANOUT * 3 / 4;
+
 const NO_NODE: u32 = u32::MAX;
+
+/// The separator a split or a bulk load puts between two adjacent leaves:
+/// the right one's first key, cut to the shortest string that still
+/// partitions them under suffix truncation.
+fn leaf_separator(suffix_truncation: bool, left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
+    if suffix_truncation {
+        shortest_separator(left_max, right_min)
+    } else {
+        right_min.to_vec()
+    }
+}
+
+/// How many of `remaining` children (or keys) the next node of a bulk-
+/// loaded level takes: [`LOAD_FILL`], except that the last two nodes of a
+/// level share what is left evenly, so none ends up with a single child.
+fn load_chunk(remaining: usize) -> usize {
+    if remaining <= LOAD_FILL {
+        remaining
+    } else if remaining < 2 * LOAD_FILL {
+        remaining.div_ceil(2)
+    } else {
+        LOAD_FILL
+    }
+}
+
+/// Nodes a bulk load of `keys` keys creates, all levels: what `nodes`
+/// reserves when the run knows its length.
+fn load_node_count(keys: usize) -> usize {
+    let mut level = keys.div_ceil(LOAD_FILL).max(1);
+    let mut total = level;
+    while level > 1 {
+        level = level.div_ceil(LOAD_FILL);
+        total += level;
+    }
+    total
+}
 
 /// A list of keys sharing an optional truncated prefix.
 ///
@@ -56,6 +99,20 @@ struct KeyList {
 }
 
 impl KeyList {
+    /// The list of **sorted** `keys` in exact-capacity storage. Under
+    /// truncation the shared prefix is stored once: the keys being
+    /// sorted, it is the common prefix of the first and the last.
+    fn from_sorted<K: AsRef<[u8]>>(keys: &[K], truncate: bool) -> KeyList {
+        let m = match (keys.first(), keys.last()) {
+            (Some(first), Some(last)) if truncate => lcp_len(first.as_ref(), last.as_ref()),
+            _ => 0,
+        };
+        KeyList {
+            prefix: keys.first().map_or_else(Vec::new, |k| k.as_ref()[..m].to_vec()),
+            suffixes: keys.iter().map(|k| Box::from(&k.as_ref()[m..])).collect(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.suffixes.len()
     }
@@ -299,6 +356,39 @@ impl<V> BPlusTree<V> {
         old
     }
 
+    fn push_node(&mut self, node: Node<V>) -> u32 {
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Build the inner levels of a bulk load bottom-up over the leaf level
+    /// `level`, `seps[i]` separating node `i` from node `i + 1`. A node
+    /// takes [`load_chunk`] children and the separators between them; the
+    /// separator between two nodes moves up with them, as it does when an
+    /// inner node splits.
+    fn load_inner_levels(&mut self, mut seps: Vec<Vec<u8>>, mut level: Vec<u32>) {
+        while level.len() > 1 {
+            let n = level.len();
+            let mut upper_seps = Vec::with_capacity(n / LOAD_FILL);
+            let mut upper = Vec::with_capacity(n.div_ceil(LOAD_FILL));
+            let mut at = 0;
+            while at < n {
+                let end = at + load_chunk(n - at);
+                let inner = InnerNode {
+                    seps: KeyList::from_sorted(&seps[at..end - 1], self.prefix_truncation),
+                    children: level[at..end].to_vec(),
+                };
+                upper.push(self.push_node(Node::Inner(inner)));
+                if end < n {
+                    upper_seps.push(std::mem::take(&mut seps[end - 1]));
+                }
+                at = end;
+            }
+            (seps, level) = (upper_seps, upper);
+        }
+        self.root = level[0];
+    }
+
     /// Returns (optional split (separator, new right node), old value).
     fn insert_rec(&mut self, at: u32, key: &[u8], value: V) -> (Option<(Vec<u8>, u32)>, Option<V>) {
         let (sep_right, old) = match &mut self.nodes[at as usize] {
@@ -318,11 +408,7 @@ impl<V> BPlusTree<V> {
                 let mid = leaf.keys.len() / 2;
                 let left_max = leaf.keys.full_key(mid - 1);
                 let right_min = leaf.keys.full_key(mid);
-                let sep = if self.suffix_truncation {
-                    shortest_separator(&left_max, &right_min)
-                } else {
-                    right_min.clone()
-                };
+                let sep = leaf_separator(self.suffix_truncation, &left_max, &right_min);
                 let rk = leaf.keys.split_off(mid, truncate);
                 let rv = leaf.values.split_off(mid);
                 let new_leaf = Node::Leaf(LeafNode { keys: rk, values: rv, next: leaf.next });
@@ -400,10 +486,71 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         BPlusTree::insert(self, key, value)
     }
 
-    /// Leaf-chain walk from the first key `>= low` to the first key
-    /// `> high`. A plain tree hands out its stored slices; under prefix
-    /// truncation the full key (node prefix + suffix) is rebuilt into one
-    /// reused buffer.
+    /// Left-to-right build (Compressed Key Sort / Fast Index
+    /// Reconstruction): leaves of 12 keys (¾ of [`FANOUT`]) in exact-capacity
+    /// storage, chained as they are pushed, then the inner levels
+    /// bottom-up — no descent and no split per key. Into a tree that
+    /// already holds keys the run is inserted pair by pair.
+    fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], V)>) {
+        if self.len != 0 {
+            for (key, value) in run {
+                self.insert(key, value);
+            }
+            return;
+        }
+        let mut pending = run.next();
+        if pending.is_none() {
+            return;
+        }
+        // The empty root leaf goes; exact when the run knows its length.
+        self.nodes.clear();
+        self.nodes.reserve_exact(load_node_count(1 + run.size_hint().0));
+        let mut seps: Vec<Vec<u8>> = Vec::new();
+        let mut level: Vec<u32> = Vec::new();
+        let mut keys: Vec<&[u8]> = Vec::with_capacity(LOAD_FILL);
+        let mut values: Vec<V> = Vec::new();
+        let mut left_max: &[u8] = &[];
+        while let Some((key, value)) = pending {
+            debug_assert!(
+                self.len == 0 || *keys.last().unwrap_or(&left_max) < key,
+                "bulk load must be strictly increasing"
+            );
+            if keys.is_empty() {
+                values.reserve_exact(LOAD_FILL);
+            }
+            keys.push(key);
+            values.push(value);
+            self.len += 1;
+            pending = run.next();
+            if keys.len() < LOAD_FILL && pending.is_some() {
+                continue;
+            }
+            values.shrink_to_fit(); // the last leaf may hold fewer
+            let leaf = LeafNode {
+                keys: KeyList::from_sorted(&keys, self.prefix_truncation),
+                values: std::mem::take(&mut values),
+                next: NO_NODE,
+            };
+            let id = self.push_node(Node::Leaf(leaf));
+            if let Some(&prev) = level.last() {
+                seps.push(leaf_separator(self.suffix_truncation, left_max, keys[0]));
+                let Node::Leaf(left) = &mut self.nodes[prev as usize] else { unreachable!() };
+                left.next = id;
+            }
+            level.push(id);
+            left_max = key;
+            keys.clear();
+        }
+        self.load_inner_levels(seps, level);
+    }
+
+    /// Leaf-chain walk from the first key `>= low`. The end of the range
+    /// is located **once per leaf**: `high` is compared with the leaf's
+    /// last key, a leaf inside the range is emitted whole and uncompared,
+    /// and only the final leaf is searched for the first key `> high`. A
+    /// plain tree hands out its stored slices; under prefix truncation
+    /// the full key (node prefix + suffix) is rebuilt into one reused
+    /// buffer.
     fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
         let mut at = self.root;
         while let Node::Inner(inner) = &self.nodes[at as usize] {
@@ -415,10 +562,17 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         };
         let mut buf = Vec::new();
         while let Some(Node::Leaf(LeafNode { keys, values, next })) = self.nodes.get(at as usize) {
-            for (i, (suffix, value)) in keys.suffixes.iter().zip(values).enumerate().skip(pos) {
-                if high.is_some_and(|h| keys.cmp(i, h) == std::cmp::Ordering::Greater) {
-                    return;
+            let n = keys.len();
+            // `Some` in the leaf the range ends in.
+            let end = match high {
+                Some(h) if n > 0 && keys.cmp(n - 1, h) == std::cmp::Ordering::Greater => {
+                    Some(keys.upper_bound(h))
                 }
+                _ => None,
+            };
+            // Inverted bounds put the end below `pos`: nothing to emit.
+            let hits = pos.min(end.unwrap_or(n))..end.unwrap_or(n);
+            for (suffix, value) in keys.suffixes[hits.clone()].iter().zip(&values[hits]) {
                 let key: &[u8] = if keys.prefix.is_empty() {
                     suffix
                 } else {
@@ -430,6 +584,9 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
                 if !f(key, value) {
                     return;
                 }
+            }
+            if end.is_some() {
+                return;
             }
             at = *next; // NO_NODE is out of bounds: ends the walk
             pos = 0;
@@ -544,6 +701,52 @@ mod tests {
         for i in (0..2000u64).step_by(97) {
             let k = format!("http://www.example.com/very/long/shared/path/item{i:06}");
             assert_eq!(pfx.get(k.as_bytes()), Some(i));
+        }
+    }
+
+    /// What a bulk load builds: leaves first, in key order and chained,
+    /// all but the last holding `LOAD_FILL` keys; inner nodes of 2 to
+    /// `LOAD_FILL` children; every `Vec` at its exact capacity.
+    #[test]
+    fn bulk_load_packs_nodes_left_to_right() {
+        for n in [1, 11, 12, 13, 143, 144, 145, 157, 1_729, 5_000] {
+            let keys: Vec<Vec<u8>> = (0..n).map(|i| format!("key{i:06}").into_bytes()).collect();
+            for mut t in both() {
+                t.load_sorted(&mut keys.iter().map(Vec::as_slice).zip(0..));
+                assert_eq!(t.len(), n);
+                assert_eq!(t.nodes.len(), load_node_count(n), "{n} keys");
+                assert_eq!(t.nodes.capacity(), t.nodes.len(), "{n} keys");
+                let leaves = n.div_ceil(LOAD_FILL);
+                for (i, node) in t.nodes.iter().enumerate() {
+                    match node {
+                        Node::Leaf(leaf) => {
+                            let last = i + 1 == leaves;
+                            assert!(i < leaves, "{n} keys: leaf {i} after an inner node");
+                            assert_eq!(leaf.next, if last { NO_NODE } else { i as u32 + 1 });
+                            let want = if last { n - i * LOAD_FILL } else { LOAD_FILL };
+                            assert_eq!(leaf.keys.len(), want, "{n} keys: leaf {i}");
+                            assert_eq!(leaf.keys.suffixes.capacity(), want);
+                            assert_eq!(leaf.values.capacity(), want);
+                        }
+                        Node::Inner(inner) => {
+                            assert!(i >= leaves);
+                            let fan = inner.children.len();
+                            assert!((2..=LOAD_FILL).contains(&fan), "{n} keys: fan-out {fan}");
+                            assert_eq!(inner.seps.len() + 1, fan);
+                            assert_eq!(inner.seps.suffixes.capacity() + 1, fan);
+                            assert_eq!(inner.children.capacity(), fan);
+                        }
+                    }
+                }
+                let mut level = leaves;
+                let mut height = 1;
+                while level > 1 {
+                    level = level.div_ceil(LOAD_FILL);
+                    height += 1;
+                }
+                assert_eq!(t.height(), height, "{n} keys");
+                assert_eq!(scan(&t, b"", n + 1), (0..n as u64).collect::<Vec<u64>>());
+            }
         }
     }
 

@@ -250,7 +250,8 @@ impl Hope {
         self.encoder.encode_batch(keys, block_size)
     }
 
-    /// Pair-encode closed-range query boundaries.
+    /// Encode the two boundaries of a closed-range query (two plain
+    /// encodes; see [`Encoder::encode_pair_to`](crate::encoder::Encoder::encode_pair_to)).
     pub fn encode_pair(&self, low: &[u8], high: &[u8]) -> (EncodedKey, EncodedKey) {
         self.encoder.encode_pair(low, high)
     }
@@ -268,7 +269,7 @@ impl Hope {
         (lo.into_bytes(), hi.into_bytes())
     }
 
-    /// Allocation-free [`Hope::encode_range_bounds`]: pair-encode into a
+    /// Allocation-free [`Hope::encode_range_bounds`]: encode both into a
     /// reusable scratch and return the two padded byte strings, exact in
     /// the same sense.
     ///

@@ -23,10 +23,10 @@
 //! once and reused, provided the reuse point is aligned with dictionary
 //! lookups (safe for the fixed-gram schemes; ALM's arbitrary-length symbols
 //! make a-priori alignment impossible, as the paper notes, so those fall
-//! back to individual encoding). [`Encoder::encode_pair`] is the two-key
-//! special case used for closed-range query bounds: it walks the
-//! dictionary **once** for the two keys' common prefix and resumes the
-//! second key from the recorded checkpoint.
+//! back to individual encoding). The two bounds of a closed-range query
+//! ([`Encoder::encode_pair`]) are not such a batch: stopping after every
+//! symbol of the first key to record checkpoints costs more than the
+//! shared prefix of the second saves, so a pair is two plain encodes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -213,15 +213,9 @@ impl Encoder {
         out
     }
 
-    /// Pair-encode the two boundary keys of a closed-range query.
+    /// Encode the two boundary keys of a closed-range query.
     ///
-    /// The dictionary is traversed **once** for the keys' common prefix:
-    /// while walking `low`, the last lookup checkpoint that is safely
-    /// aligned for `high` (at most `lcp - gram` source bytes, see
-    /// `encode_block`) is remembered, and `high` bit-copies `low`'s
-    /// encoding up to that checkpoint before resuming the walk. ALM
-    /// schemes (no alignment guarantee) fall back to two independent
-    /// walks.
+    /// Two plain encodes: see [`Encoder::encode_pair_to`].
     pub fn encode_pair(&self, low: &[u8], high: &[u8]) -> (EncodedKey, EncodedKey) {
         let mut scratch = EncodeScratch::new();
         self.encode_pair_to(low, high, &mut scratch);
@@ -232,42 +226,23 @@ impl Encoder {
     /// Allocation-free [`Encoder::encode_pair`]: fill `scratch` and return
     /// the two padded byte strings (bit lengths via
     /// [`EncodeScratch::pair_bit_lens`]).
+    ///
+    /// A pair costs two [`Encoder::encode_to`] calls. Sharing the walk
+    /// over the bounds' common prefix, as the batch encoder does for a
+    /// sorted block, has to stop after every symbol to record a
+    /// checkpoint ([`Dict::lookup`]): on the array schemes that made a
+    /// pair 2.6–4 single encodes, and on the trie schemes it saved a
+    /// tenth of a pair (DESIGN.md, "The buffer-reuse contract").
     pub fn encode_pair_to<'s>(
         &self,
         low: &[u8],
         high: &[u8],
         scratch: &'s mut EncodeScratch,
     ) -> (&'s [u8], &'s [u8]) {
-        let w = &mut scratch.writer;
-        match self.reuse_gram {
-            None => {
-                self.encode_into(low, w);
-                scratch.lo_bits = w.finish_into(&mut scratch.lo);
-                self.encode_into(high, w);
-                scratch.hi_bits = w.finish_into(&mut scratch.hi);
-            }
-            Some(gram) => {
-                // One traversal serves both keys: record the deepest
-                // checkpoint usable by `high` while encoding `low`.
-                let shared = lcp_len(low, high);
-                let mut resume = (0usize, 0usize); // (source bytes, bits)
-                let mut rest = low;
-                let mut consumed = 0usize;
-                while !rest.is_empty() {
-                    let (code, n) = self.dict.lookup(rest);
-                    w.put(code);
-                    consumed += n;
-                    rest = &rest[n..];
-                    if consumed + gram <= shared {
-                        resume = (consumed, w.bit_len());
-                    }
-                }
-                scratch.lo_bits = w.finish_into(&mut scratch.lo);
-                copy_bit_prefix(&scratch.lo, resume.1, w);
-                self.encode_into(&high[resume.0..], w);
-                scratch.hi_bits = w.finish_into(&mut scratch.hi);
-            }
-        }
+        self.encode_to(high, scratch);
+        std::mem::swap(&mut scratch.lo, &mut scratch.hi);
+        scratch.hi_bits = scratch.lo_bits;
+        self.encode_to(low, scratch);
         (&scratch.lo, &scratch.hi)
     }
 

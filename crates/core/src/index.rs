@@ -15,7 +15,10 @@
 //! classic id-valued index. The scan surface is one primitive,
 //! [`OrderedIndex::visit`] — a bounded, keyed, early-stopping in-order
 //! walk; [`OrderedIndex::range_into`] (values of a bounded range) and
-//! [`OrderedIndex::for_each`] (every pair) are provided over it.
+//! [`OrderedIndex::for_each`] (every pair) are provided over it. Bulk
+//! construction is one more provided method, [`OrderedIndex::load_sorted`]:
+//! its default body inserts pair by pair, and a tree that can be built
+//! left to right from a sorted run (`hope_btree`, `hope_hot`) overrides it.
 //!
 //! Keys are plain byte slices: callers index either raw keys or the padded
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
@@ -49,6 +52,32 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
 
     /// Insert or update; returns the previous value if the key existed.
     fn insert(&mut self, key: &[u8], value: V) -> Option<V>;
+
+    /// Bulk load: add every pair of `run`, whose keys arrive **strictly
+    /// increasing**. On an empty index — what `hope_store` hands it, at
+    /// build and at every rebuild — an implementation may build its nodes
+    /// left to right instead of descending from the root per key; on a
+    /// non-empty index, and in this provided body, it is `insert` per
+    /// pair. Either way the index then answers as if every pair had been
+    /// inserted. A run out of order is a caller bug: native loaders
+    /// `debug_assert!` it and otherwise build an index that misplaces
+    /// keys (never memory-unsafe).
+    ///
+    /// ```
+    /// use hope::OrderedIndex;
+    /// use std::collections::BTreeMap;
+    ///
+    /// let run: [(&[u8], u64); 3] = [(b"a", 1), (b"ab", 2), (b"b", 3)];
+    /// let mut ix: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    /// ix.load_sorted(&mut run.into_iter());
+    /// assert_eq!(OrderedIndex::len(&ix), 3);
+    /// assert_eq!(OrderedIndex::get(&ix, b"ab"), Some(&2));
+    /// ```
+    fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], V)>) {
+        for (key, value) in run {
+            self.insert(key, value);
+        }
+    }
 
     /// Visit the `(key, value)` pairs with `low <= key` and, when `high`
     /// is set, `key <= high` (`None` = to the end of the index), in key

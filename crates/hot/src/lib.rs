@@ -45,6 +45,23 @@ use hope::axis::{lcp_len, shortest_separator};
 /// Maximum compound-node fan-out (HOT's k).
 pub const K: usize = 32;
 
+/// Slots a bulk load ([`hope::OrderedIndex::load_sorted`]) fills per node:
+/// ¾ of [`K`], the gap `hope_btree` measured (DESIGN.md, "Bulk load").
+const LOAD_FILL: usize = K * 3 / 4;
+
+/// How many of `remaining` records (or children) the next node of a bulk-
+/// loaded level takes: [`LOAD_FILL`], except that the last two nodes of a
+/// level share what is left evenly, so none ends up with a single child.
+fn load_chunk(remaining: usize) -> usize {
+    if remaining <= LOAD_FILL {
+        remaining
+    } else if remaining < 2 * LOAD_FILL {
+        remaining.div_ceil(2)
+    } else {
+        LOAD_FILL
+    }
+}
+
 #[derive(Debug)]
 enum Node {
     /// Sorted record ids (≤ K of them).
@@ -291,6 +308,63 @@ impl<V> Hot<V> {
         }
     }
 
+    /// Build the tree over `records` — sorted, just filled by a bulk load —
+    /// level by level: leaves of [`load_chunk`] consecutive records, then
+    /// compound nodes over [`load_chunk`] children each. A subtree spans a
+    /// run of consecutive records, so its `skip` is the common prefix of
+    /// the first and the last of them, and every separator inside it —
+    /// one byte past the common prefix of its two neighbours — is longer.
+    fn load_levels(&mut self) {
+        let n = self.records.len();
+        let mut nodes = n.div_ceil(LOAD_FILL);
+        let mut total = nodes;
+        while nodes > 1 {
+            nodes = nodes.div_ceil(LOAD_FILL);
+            total += nodes;
+        }
+        self.nodes.clear();
+        self.nodes.reserve_exact(total);
+        // Per node of the level: the records it spans; `seps[i]` is the
+        // absolute separator between node `i` and node `i + 1`.
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(n.div_ceil(LOAD_FILL));
+        let mut seps: Vec<Vec<u8>> = Vec::with_capacity(spans.capacity());
+        let mut at = 0;
+        while at < n {
+            let end = at + load_chunk(n - at);
+            if at > 0 {
+                seps.push(shortest_separator(self.rec_key(at as u32 - 1), self.rec_key(at as u32)));
+            }
+            self.nodes.push(Node::Leaf { recs: (at as u32..end as u32).collect() });
+            spans.push((at as u32, end as u32 - 1));
+            at = end;
+        }
+        let mut first_node = 0u32; // the level's nodes are consecutive
+        while spans.len() > 1 {
+            let n = spans.len();
+            let mut upper_spans = Vec::with_capacity(n.div_ceil(LOAD_FILL));
+            let mut upper_seps = Vec::with_capacity(n / LOAD_FILL);
+            let mut at = 0;
+            while at < n {
+                let end = at + load_chunk(n - at);
+                let (min, max) = (spans[at].0, spans[end - 1].1);
+                let skip = lcp_len(self.rec_key(min), self.rec_key(max));
+                self.nodes.push(Node::Inner {
+                    skip: skip as u32,
+                    seps: seps[at..end - 1].iter().map(|s| Box::from(&s[skip..])).collect(),
+                    children: (first_node + at as u32..first_node + end as u32).collect(),
+                });
+                upper_spans.push((min, max));
+                if end < n {
+                    upper_seps.push(std::mem::take(&mut seps[end - 1]));
+                }
+                at = end;
+            }
+            first_node += n as u32;
+            (spans, seps) = (upper_spans, upper_seps);
+        }
+        self.root = first_node;
+    }
+
     /// If `key` does not share a node's skipped prefix, re-expand the
     /// separators so the node's `skip` drops to the actual shared length.
     fn maybe_reduce_skip(&mut self, at: u32, key: &[u8]) {
@@ -318,8 +392,8 @@ impl<V> Hot<V> {
 
     /// In-order traversal; `bounded` = the subtree may still contain
     /// keys below `start` (we are on the boundary path). `high` is the
-    /// optional inclusive upper bound; the first record above it, or `f`
-    /// returning false, stops the walk.
+    /// optional inclusive upper bound; the leaf holding the first record
+    /// above it, or `f` returning false, stops the walk.
     fn scan_rec(
         &self,
         at: u32,
@@ -332,11 +406,21 @@ impl<V> Hot<V> {
             Node::Leaf { recs } => {
                 let from =
                     if bounded { recs.partition_point(|&r| self.rec_key(r) < start) } else { 0 };
-                recs[from..].iter().all(|&r| {
+                // One `high` compare per leaf: a leaf whose last key is
+                // inside the range is emitted whole and uncompared, and
+                // only the leaf the range ends in is searched (inverted
+                // bounds put that end below `from`: nothing to emit).
+                let end = match (high, recs.last()) {
+                    (Some(h), Some(&last)) if self.rec_key(last) > h => {
+                        Some(recs.partition_point(|&r| self.rec_key(r) <= h))
+                    }
+                    _ => None,
+                };
+                let to = end.unwrap_or(recs.len());
+                recs[from.min(to)..to].iter().all(|&r| {
                     let (key, value) = &self.records[r as usize];
-                    // Above `high`, every later key is larger still.
-                    high.is_none_or(|h| key.as_ref() <= h) && f(key, value)
-                })
+                    f(key, value)
+                }) && end.is_none()
             }
             Node::Inner { skip, seps, children } => {
                 let mut from_child = 0usize;
@@ -406,6 +490,30 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
 
     fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         Hot::insert(self, key, value)
+    }
+
+    /// The run becomes the record heap (reserved from its `size_hint`),
+    /// and the tree is built over it level by level — no descent and no
+    /// split per key. Into a trie that already holds keys the run is
+    /// inserted pair by pair.
+    fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], V)>) {
+        if !self.records.is_empty() {
+            for (key, value) in run {
+                self.insert(key, value);
+            }
+            return;
+        }
+        self.records.reserve_exact(run.size_hint().0);
+        for (key, value) in run {
+            debug_assert!(
+                self.records.last().is_none_or(|(prev, _)| prev.as_ref() < key),
+                "bulk load must be strictly increasing"
+            );
+            self.records.push((key.into(), value));
+        }
+        if !self.records.is_empty() {
+            self.load_levels();
+        }
     }
 
     fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
@@ -496,6 +604,47 @@ mod tests {
         for i in (0..200u64).step_by(37) {
             let k = format!("shared-prefix/{i:05}");
             assert_eq!(h.get(k.as_bytes()), Some(i), "{k}");
+        }
+    }
+
+    /// What a bulk load builds: the run as the record heap, leaves of
+    /// consecutive records first, compound nodes of 2 to `LOAD_FILL`
+    /// children whose `skip` is shorter than every separator was, every
+    /// `Vec` at its exact capacity.
+    #[test]
+    fn bulk_load_packs_nodes_level_by_level() {
+        for n in [1usize, 23, 24, 25, 47, 48, 577, 5_000] {
+            let keys: Vec<Vec<u8>> =
+                (0..n).map(|i| format!("com.example/{i:06}").into_bytes()).collect();
+            let mut h = Hot::new();
+            h.load_sorted(&mut keys.iter().map(Vec::as_slice).zip(0..));
+            assert_eq!(h.len(), n);
+            assert_eq!(h.records.capacity(), n);
+            assert_eq!(h.nodes.capacity(), h.nodes.len(), "{n} keys");
+            let mut next_rec = 0u32;
+            for node in &h.nodes {
+                match node {
+                    Node::Leaf { recs } => {
+                        assert!((1..=LOAD_FILL).contains(&recs.len()), "{n} keys");
+                        assert_eq!(recs.capacity(), recs.len());
+                        assert!(recs.iter().copied().eq(next_rec..next_rec + recs.len() as u32));
+                        next_rec += recs.len() as u32;
+                    }
+                    Node::Inner { skip, seps, children } => {
+                        assert_eq!(next_rec as usize, n, "{n} keys: an inner node before a leaf");
+                        assert!((2..=LOAD_FILL).contains(&children.len()), "{n} keys");
+                        assert_eq!(seps.len() + 1, children.len());
+                        assert_eq!(
+                            (seps.capacity(), children.capacity()),
+                            (seps.len(), children.len())
+                        );
+                        assert!(*skip as usize >= b"com.example/".len());
+                        assert!(seps.iter().all(|s| !s.is_empty()), "a separator inside the skip");
+                    }
+                }
+            }
+            assert_eq!(scan(&h, b"", n + 1), (0..n as u64).collect::<Vec<u64>>());
+            assert_eq!(h.get(&keys[n / 2]), Some(n as u64 / 2));
         }
     }
 

@@ -33,7 +33,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use hope::{EncodeScratch, EncodedKey, Hope, OrderedIndex, Value};
+use hope::{EncodeScratch, Hope, OrderedIndex, Value};
 
 use crate::dictionary::Dictionary;
 use crate::error::StoreError;
@@ -134,10 +134,52 @@ pub struct Generation<V: Value = u64> {
     data: RwLock<GenData<V>>,
 }
 
+/// The padded bytes of a sorted run of keys, back to back in one buffer
+/// with one end offset per key: what a bulk load reads, borrowed slice by
+/// slice ([`OrderedIndex::load_sorted`]), without an allocation per key.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct EncodedRun {
+    bytes: Vec<u8>,
+    /// `ends[i]`: where key `i` ends in `bytes` (key `i` starts where key
+    /// `i - 1` ends). `u32` — a shard's encoded keys stay far below
+    /// 4 GiB — and checked where it is written.
+    ends: Vec<u32>,
+}
+
+impl EncodedRun {
+    fn with_capacity(keys: usize) -> EncodedRun {
+        EncodedRun { bytes: Vec::new(), ends: Vec::with_capacity(keys) }
+    }
+
+    fn push(&mut self, enc: &[u8]) {
+        self.bytes.extend_from_slice(enc);
+        self.ends.push(u32::try_from(self.bytes.len()).expect("an encoded run is under 4 GiB"));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Total padded bytes of the run's keys.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The keys, in run order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        let mut from = 0;
+        self.ends.iter().map(move |&to| {
+            let key = &self.bytes[from..to as usize];
+            from = to as usize;
+            key
+        })
+    }
+}
+
 /// What [`Generation::snapshot_live`] captures: the sorted live entries,
 /// their encoded bytes under the current dictionary (empty unless asked
 /// for), and the log watermark the swap's splice replays from.
-pub(crate) type LiveSnapshot<V> = (Vec<Entry<V>>, Vec<Vec<u8>>, usize);
+pub(crate) type LiveSnapshot<V> = (Vec<Entry<V>>, EncodedRun, usize);
 
 /// Encode-side footprint of one insert, accumulated into the shard's
 /// drift statistics.
@@ -151,39 +193,52 @@ pub(crate) struct EncodeFootprint {
 
 /// The padded bytes `hope` encodes **sorted** `entries` to, index-aligned:
 /// the sorted-batch prefix-reuse encoder (Appendix B) in blocks of
-/// `batch_block`.
+/// `batch_block`, a stretch of blocks at a time so the per-key
+/// [`hope::EncodedKey`]s it returns are folded into the run and freed while
+/// they are still in cache.
 pub(crate) fn encode_sorted<V>(
     hope: &Hope,
     entries: &[Entry<V>],
     batch_block: usize,
-) -> Vec<Vec<u8>> {
-    let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_ref()).collect();
-    hope.encode_batch(&keys, batch_block.max(1)).into_iter().map(EncodedKey::into_bytes).collect()
+) -> EncodedRun {
+    let block = batch_block.max(1);
+    let mut run = EncodedRun::with_capacity(entries.len());
+    let mut keys: Vec<&[u8]> = Vec::new();
+    for stretch in entries.chunks(block * 64) {
+        keys.clear();
+        keys.extend(stretch.iter().map(|e| e.key.as_ref()));
+        for enc in hope.encode_batch(&keys, block) {
+            run.push(enc.as_bytes());
+        }
+    }
+    run
 }
 
 impl<V: Value> Generation<V> {
     /// The one bulk loader: index **sorted, deduplicated** `entries` under
-    /// `encoded[i]`, entry `i`'s padded bytes under `dict` — fresh out of
-    /// [`encode_sorted`], or read back from the index of a generation
-    /// that served the same dictionary
+    /// `encoded`, whose key `i` is entry `i`'s padded bytes under `dict` —
+    /// fresh out of [`encode_sorted`], or read back from the index of a
+    /// generation that served the same dictionary
     /// ([`Generation::snapshot_live`]); the loader cannot tell and does
-    /// not encode. Sorted keys arrive with strictly increasing encodings.
+    /// not encode. Sorted keys arrive with strictly increasing encodings,
+    /// so the index is built by one [`OrderedIndex::load_sorted`] call.
     pub(crate) fn load(
         epoch: u64,
         dict: Arc<Dictionary>,
         mut index: Box<dyn OrderedIndex<SlotId>>,
         mut entries: Vec<Entry<V>>,
-        encoded: Vec<Vec<u8>>,
+        encoded: EncodedRun,
     ) -> Generation<V> {
         debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key), "bulk load must be sorted");
-        debug_assert!(encoded.windows(2).all(|w| w[0] < w[1]), "encodings must strictly increase");
+        debug_assert!(
+            encoded.iter().zip(encoded.iter().skip(1)).all(|(a, b)| a < b),
+            "encodings must strictly increase"
+        );
         debug_assert_eq!(entries.len(), encoded.len());
-        for (i, (entry, bytes)) in entries.iter_mut().zip(&encoded).enumerate() {
-            // Loaded entries start fresh chains: a clone out of another
-            // generation's log carries a link that means nothing here.
-            entry.prev = NO_PREV;
-            index.insert(bytes, i as SlotId);
-        }
+        // Loaded entries start fresh chains: a clone out of another
+        // generation's log carries a link that means nothing here.
+        entries.iter_mut().for_each(|entry| entry.prev = NO_PREV);
+        index.load_sorted(&mut encoded.iter().zip(0..));
         let live = entries.len();
         let data = RwLock::new(GenData { index, entries, live });
         Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, data }
@@ -363,10 +418,10 @@ impl<V: Value> Generation<V> {
 
     /// Visitor-form range scan: call `f(key, value)` for up to `limit`
     /// hits in source order and return the hit count. The two bounds are
-    /// pair-encoded (one dictionary traversal for their common prefix)
-    /// and everything runs on the per-thread probe buffers, so a scan of
-    /// N hits performs **zero heap allocations** after warm-up — the keys
-    /// and values handed to `f` are borrowed from the generation.
+    /// encoded into, and everything runs on, the per-thread probe
+    /// buffers, so a scan of N hits performs **zero heap allocations**
+    /// after warm-up — the keys and values handed to `f` are borrowed
+    /// from the generation.
     ///
     /// `f` runs under the generation's data read lock: keep it short and
     /// never call back into this store from inside it.
@@ -448,11 +503,11 @@ impl<V: Value> Generation<V> {
     pub(crate) fn snapshot_live(&self, with_encoded: bool) -> LiveSnapshot<V> {
         let d = self.read();
         let mut live = Vec::with_capacity(d.live);
-        let mut encoded = Vec::with_capacity(if with_encoded { d.live } else { 0 });
+        let mut encoded = EncodedRun::with_capacity(if with_encoded { d.live } else { 0 });
         d.index.for_each(&mut |enc, &id| {
             live.push(d.entries[id as usize].clone());
             if with_encoded {
-                encoded.push(enc.to_vec());
+                encoded.push(enc);
             }
         });
         (live, encoded, d.entries.len())
@@ -629,7 +684,10 @@ mod tests {
 
         let (live, kept, _) = fresh.snapshot_live(true);
         assert_eq!(live.len(), keys.len());
-        assert!(kept.windows(2).all(|w| w[0] < w[1]), "padded bytes must strictly increase");
+        assert_eq!(kept.len(), keys.len());
+        assert_eq!(kept.byte_len(), kept.iter().map(<[u8]>::len).sum::<usize>());
+        let bytes: Vec<&[u8]> = kept.iter().collect();
+        assert!(bytes.windows(2).all(|w| w[0] < w[1]), "padded bytes must strictly increase");
         assert_eq!(kept, encode_sorted(fresh.hope(), &live, 8));
 
         let index: Box<dyn OrderedIndex<SlotId>> = Box::new(hope_btree::BPlusTree::plain());

@@ -132,7 +132,11 @@ pub enum Backend {
     /// behind a factory function. An implementation writes `get`,
     /// `insert`, `len`, `memory_bytes` and one in-order walker
     /// ([`OrderedIndex::visit`]: bounded, keyed, stopped by its callback);
-    /// the store scans and rebuilds through that walker alone.
+    /// the store scans and rebuilds through that walker alone. Every
+    /// generation fills its index with one
+    /// [`OrderedIndex::load_sorted`] call on the empty index the factory
+    /// returns — provided by the trait as an insert per pair; override it
+    /// when the structure can be built left to right from a sorted run.
     ///
     /// ```
     /// use hope_store::{Backend, SlotId};
@@ -302,13 +306,14 @@ pub struct HopeStore<V: Value = u64> {
 impl<V: Value> HopeStore<V> {
     /// Build a store from an initial key-value load.
     ///
-    /// Duplicate keys keep the last value. The load is sorted once; **one**
-    /// dictionary is trained, on `reservoir_capacity` keys evenly spaced
-    /// over the whole sorted load, and shared by every shard; shard split
-    /// points are the quantiles of the sorted **encoded** order (identical
-    /// to source order — the encoding is order-preserving), and every
-    /// shard bulk-loads its slice with the Appendix-B sorted-batch
-    /// encoder.
+    /// Duplicate keys keep the last value. The load is sorted once (a
+    /// stable sort of the collected pairs); **one** dictionary is
+    /// trained, on `reservoir_capacity` keys evenly spaced over the whole
+    /// sorted load, and shared by every shard; shard split points are the
+    /// quantiles of the sorted **encoded** order (identical to source
+    /// order — the encoding is order-preserving), and every shard encodes
+    /// its slice with the Appendix-B sorted-batch encoder and bulk-loads
+    /// it ([`OrderedIndex::load_sorted`]).
     ///
     /// # Errors
     ///
@@ -326,13 +331,22 @@ impl<V: Value> HopeStore<V> {
         if !(cfg.degrade_ratio > 0.0 && cfg.degrade_ratio <= 1.0) {
             return Err(StoreError::InvalidConfig { reason: "degrade_ratio must be in (0, 1]" });
         }
-        // Last write wins, sorted by source key; keys validated up front.
-        let mut sorted: std::collections::BTreeMap<Vec<u8>, V> = std::collections::BTreeMap::new();
+        // Keys validated up front; sorted by source key, the stable sort
+        // keeping duplicates in load order so the last write wins.
+        let pairs = pairs.into_iter();
+        let mut sorted: Vec<(Vec<u8>, V)> = Vec::with_capacity(pairs.size_hint().0);
         for (k, v) in pairs {
             validate_key(&k)?;
-            sorted.insert(k, v);
+            sorted.push((k, v));
         }
-        let sorted: Vec<(Vec<u8>, V)> = sorted.into_iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        sorted.dedup_by(|later, kept| {
+            let duplicate = later.0 == kept.0;
+            if duplicate {
+                std::mem::swap(later, kept);
+            }
+            duplicate
+        });
 
         // Split points at the quantiles of the (encoded) sort order.
         let n = sorted.len();

@@ -418,7 +418,7 @@ impl<V: Value> Shard<V> {
         };
         let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let live_keys = live.len();
-        let encoded_bytes: u64 = encoded.iter().map(|e| e.len() as u64).sum();
+        let encoded_bytes = encoded.byte_len() as u64;
         let next = Generation::load(epoch, dict, cfg.backend.new_index(), live, encoded)
             .with_context(shard_id, cfg.write_log_capacity);
 
