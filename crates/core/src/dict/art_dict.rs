@@ -4,346 +4,234 @@
 //! HOPE dictionary, all reproduced here:
 //!
 //! 1. **prefix keys** — a boundary may end at an inner node (`abc` and
-//!    `abcd` can both be boundaries), handled by a per-node terminator slot;
+//!    `abcd` can both be boundaries), handled by a per-node terminal flag;
 //! 2. **no optimistic common-prefix skipping** — nodes store their full
 //!    compressed path, because there is no tuple to verify against;
 //! 3. **leaves hold dictionary entries** — `(code, symbol length)` instead
 //!    of tuple pointers.
 //!
-//! Like the other dictionary structures, the lookup is a floor search over
-//! the interval boundaries, tracking a last-resort entry while descending.
+//! **Layout.** The tree is three flat arrays: 24-byte plain nodes, one
+//! byte arena and one payload entry per interval. A node's children are
+//! allocated together, in label order, so the child of rank `r` is
+//! `first_child + r` — no pointer array, no allocation per node. The arena
+//! holds each node's prefix followed by its child index: a *sparse* node
+//! (≤ 16 children) lists its sorted labels, and a byte's rank — the count
+//! of labels below it — is the position of the first label not below it
+//! (most inner nodes of an ALM dictionary have two labels, where that
+//! early-exit scan beat a branchless count by ~10 % of an encode); a
+//! *dense* node (17–256 children) holds 256 little-endian `u16`s of
+//! `rank << 1 | hit`, so a hit and a miss both cost one load. ART's four
+//! node kinds collapse into these two because the dictionary is read-only:
+//! there is no insert for a growable kind to amortise.
+//!
+//! **Floor rule.** Every node knows `lo..=hi`, the interval indices of its
+//! subtree, and intervals are contiguous, so the floor search tracks no
+//! last-resort entry; where the walk stops it reads the floor off the
+//! bounds:
+//!
+//! * the next byte is no label — the interval before the next sibling's
+//!   subtree (its `lo − 1`), or the node's `hi` when no label is greater;
+//! * the source leaves the prefix — `hi` if it is above it, else `lo − 1`;
+//! * the source ends at the node — `lo` if a boundary ends there
+//!   (terminal), else `lo − 1`.
 
 use super::DictLookup;
-use crate::axis::IntervalSet;
+use crate::axis::{lcp_len, IntervalSet};
 use crate::bitpack::Code;
+use std::ops::Range;
 
-/// Adaptive node children, mirroring ART's Node4/16/48/256 layouts.
-#[derive(Debug)]
-enum Children {
-    /// Up to 4 children: parallel label/pointer arrays, linear search.
-    N4 { count: u8, labels: [u8; 4], ptrs: [u32; 4] },
-    /// Up to 16 children: parallel arrays, linear (SIMD in the original).
-    N16 { count: u8, labels: [u8; 16], ptrs: [u32; 16] },
-    /// Up to 48 children: 256-entry index into a pointer array.
-    N48 { index: Box<[u8; 256]>, ptrs: Box<[u32; 48]> },
-    /// Full fan-out: direct pointer array.
-    N256 { ptrs: Box<[u32; 256]> },
+/// Most children a node lists as sorted labels; more get a rank table.
+const SPARSE: usize = 16;
+
+#[derive(Clone, Copy, Debug, Default)]
+struct Node {
+    /// Arena offset of the prefix (modification 2: never truncated), which
+    /// the child index follows.
+    at: u32,
+    prefix_len: u32,
+    /// First and last interval index of the subtree.
+    lo: u32,
+    hi: u32,
+    first_child: u32,
+    /// Number of children, 0..=256.
+    count: u16,
+    /// Interval `lo`'s boundary ends at this node (modification 1).
+    term: bool,
 }
 
-const NO_CHILD: u32 = u32::MAX;
-const NO_SLOT: u8 = 0xFF;
-
-impl Children {
-    fn build(pairs: &[(u8, u32)]) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-        match pairs.len() {
-            0..=4 => {
-                let mut labels = [0u8; 4];
-                let mut ptrs = [NO_CHILD; 4];
-                for (i, &(l, p)) in pairs.iter().enumerate() {
-                    labels[i] = l;
-                    ptrs[i] = p;
-                }
-                Children::N4 { count: pairs.len() as u8, labels, ptrs }
-            }
-            5..=16 => {
-                let mut labels = [0u8; 16];
-                let mut ptrs = [NO_CHILD; 16];
-                for (i, &(l, p)) in pairs.iter().enumerate() {
-                    labels[i] = l;
-                    ptrs[i] = p;
-                }
-                Children::N16 { count: pairs.len() as u8, labels, ptrs }
-            }
-            17..=48 => {
-                let mut index = Box::new([NO_SLOT; 256]);
-                let mut ptrs = Box::new([NO_CHILD; 48]);
-                for (i, &(l, p)) in pairs.iter().enumerate() {
-                    index[l as usize] = i as u8;
-                    ptrs[i] = p;
-                }
-                Children::N48 { index, ptrs }
-            }
-            _ => {
-                let mut ptrs = Box::new([NO_CHILD; 256]);
-                for &(l, p) in pairs {
-                    ptrs[l as usize] = p;
-                }
-                Children::N256 { ptrs }
-            }
-        }
-    }
-
-    /// Child pointer for `label`, if present.
-    #[inline]
-    fn get(&self, label: u8) -> Option<u32> {
-        match self {
-            Children::N4 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().position(|&l| l == label).map(|i| ptrs[i])
-            }
-            Children::N16 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().position(|&l| l == label).map(|i| ptrs[i])
-            }
-            Children::N48 { index, ptrs } => {
-                let slot = index[label as usize];
-                (slot != NO_SLOT).then(|| ptrs[slot as usize])
-            }
-            Children::N256 { ptrs } => {
-                let p = ptrs[label as usize];
-                (p != NO_CHILD).then_some(p)
-            }
-        }
-    }
-
-    /// Child with the largest label strictly below `label`, if any.
-    #[inline]
-    fn prev_below(&self, label: u8) -> Option<u32> {
-        match self {
-            Children::N4 { count, labels, ptrs } => {
-                prev_in_sorted(&labels[..*count as usize], ptrs, label)
-            }
-            Children::N16 { count, labels, ptrs } => {
-                prev_in_sorted(&labels[..*count as usize], ptrs, label)
-            }
-            Children::N48 { index, ptrs } => (0..label)
-                .rev()
-                .find(|&l| index[l as usize] != NO_SLOT)
-                .map(|l| ptrs[index[l as usize] as usize]),
-            Children::N256 { ptrs } => {
-                (0..label).rev().map(|l| ptrs[l as usize]).find(|&p| p != NO_CHILD)
-            }
-        }
-    }
-
-    /// Visit `(label, child)` in ascending label order.
-    fn for_each(&self, mut f: impl FnMut(u8, u32)) {
-        match self {
-            Children::N4 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().zip(ptrs).for_each(|(&l, &p)| f(l, p))
-            }
-            Children::N16 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().zip(ptrs).for_each(|(&l, &p)| f(l, p))
-            }
-            Children::N48 { .. } | Children::N256 { .. } => {
-                for l in 0..=u8::MAX {
-                    if let Some(p) = self.get(l) {
-                        f(l, p);
-                    }
-                }
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Children::N4 { .. } | Children::N16 { .. } => 0, // inline in node
-            Children::N48 { .. } => 256 + 48 * 4,
-            Children::N256 { .. } => 256 * 4,
-        }
-    }
-
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Children::N4 { .. } => "Node4",
-            Children::N16 { .. } => "Node16",
-            Children::N48 { .. } => "Node48",
-            Children::N256 { .. } => "Node256",
-        }
-    }
-}
-
-#[inline]
-fn prev_in_sorted(labels: &[u8], ptrs: &[u32], label: u8) -> Option<u32> {
-    let idx = labels.partition_point(|&l| l < label);
-    (idx > 0).then(|| ptrs[idx - 1])
-}
-
-/// Inner node: full compressed path + optional terminator + children.
-#[derive(Debug)]
-struct ArtNode {
-    /// Full path bytes below the parent's branch label (modification 2:
-    /// never truncated).
-    prefix: Box<[u8]>,
-    /// Interval index of a boundary ending exactly at this node
-    /// (modification 1: prefix-key support).
-    term: Option<u32>,
-    children: Children,
-    /// Largest interval index in this subtree (floor fallback target).
-    leaf_max: u32,
+/// One interval's payload (modification 3), read with a single load.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    bits: u64,
+    sym_len: u32,
+    len: u8,
 }
 
 /// The ART-based dictionary.
 #[derive(Debug)]
 pub struct ArtDict {
-    nodes: Vec<ArtNode>,
-    code_bits: Vec<u64>,
-    code_len: Vec<u8>,
-    sym_len: Vec<u16>,
+    nodes: Vec<Node>,
+    bytes: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+fn u32_of(x: usize) -> u32 {
+    u32::try_from(x).expect("ART dictionary past u32 offsets")
 }
 
 impl ArtDict {
     /// Build from an interval set and its assigned codes.
     pub fn build(set: &IntervalSet, codes: &[Code]) -> Self {
         assert_eq!(set.len(), codes.len());
-        let mut dict = ArtDict {
-            nodes: Vec::new(),
-            code_bits: codes.iter().map(|c| c.bits).collect(),
-            code_len: codes.iter().map(|c| c.len).collect(),
-            sym_len: (0..set.len()).map(|i| set.symbol_len(i) as u16).collect(),
-        };
-        dict.build_node(set, 0, set.len(), 0);
+        let entries = codes
+            .iter()
+            .zip(set.iter())
+            .map(|(c, (_, sym_len))| Entry { bits: c.bits, len: c.len, sym_len: u32_of(sym_len) })
+            .collect();
+        let mut dict = ArtDict { nodes: vec![Node::default()], bytes: Vec::new(), entries };
+        dict.build_node(set, 0, 0..set.len(), 0);
         dict.nodes.shrink_to_fit();
+        dict.bytes.shrink_to_fit();
         dict
     }
 
-    /// In-order `(symbol, code)` enumeration: one DFS, the path to a
-    /// node's terminator slot being that interval's boundary.
-    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
-        self.visit(0, &mut Vec::new(), f);
+    /// Fill node `id` with the subtree of the intervals `range`, whose
+    /// boundaries share their first `depth` bytes.
+    fn build_node(&mut self, set: &IntervalSet, id: usize, range: Range<usize>, depth: usize) {
+        debug_assert!(!range.is_empty());
+        let first = set.boundary(range.start);
+        let d = depth + lcp_len(&first[depth..], &set.boundary(range.end - 1)[depth..]);
+        let term = first.len() == d;
+        // (label, first interval) per child, in label order.
+        let mut kids: Vec<(u8, usize)> = Vec::new();
+        for i in range.start + term as usize..range.end {
+            let label = set.boundary(i)[d];
+            if kids.last().is_none_or(|k| k.0 != label) {
+                kids.push((label, i));
+            }
+        }
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&first[depth..d]);
+        if kids.len() <= SPARSE {
+            self.bytes.extend(kids.iter().map(|k| k.0));
+        } else {
+            let mut rank = 0u16;
+            for c in 0..=u8::MAX {
+                let hit = kids.get(rank as usize).is_some_and(|k| k.0 == c);
+                self.bytes.extend_from_slice(&(rank << 1 | hit as u16).to_le_bytes());
+                rank += hit as u16;
+            }
+        }
+        let first_child = self.nodes.len();
+        self.nodes.resize(first_child + kids.len(), Node::default());
+        self.nodes[id] = Node {
+            at: u32_of(at),
+            prefix_len: u32_of(d - depth),
+            lo: u32_of(range.start),
+            hi: u32_of(range.end - 1),
+            first_child: u32_of(first_child),
+            count: kids.len() as u16,
+            term,
+        };
+        for (r, &(_, start)) in kids.iter().enumerate() {
+            let end = kids.get(r + 1).map_or(range.end, |k| k.1);
+            self.build_node(set, first_child + r, start..end, d + 1);
+        }
     }
 
-    fn visit(&self, n: u32, path: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], Code)) {
-        let node = &self.nodes[n as usize];
+    fn prefix(&self, n: &Node) -> &[u8] {
+        &self.bytes[n.at as usize..][..n.prefix_len as usize]
+    }
+
+    /// The arena from `n`'s child index on: labels or rank table.
+    fn index(&self, n: &Node) -> &[u8] {
+        &self.bytes[n.at as usize + n.prefix_len as usize..]
+    }
+
+    /// How many of `n`'s labels are below `c`, and whether `c` is one.
+    #[inline]
+    fn rank(&self, n: &Node, c: u8) -> (usize, bool) {
+        let index = self.index(n);
+        if n.count as usize <= SPARSE {
+            let labels = &index[..n.count as usize];
+            let rank = labels.iter().position(|&l| l >= c).unwrap_or(labels.len());
+            (rank, labels.get(rank) == Some(&c))
+        } else {
+            let e = u16::from_le_bytes([index[2 * c as usize], index[2 * c as usize + 1]]);
+            ((e >> 1) as usize, e & 1 == 1)
+        }
+    }
+
+    fn payload(&self, i: u32) -> (Code, usize) {
+        let e = &self.entries[i as usize];
+        (Code { bits: e.bits, len: e.len }, e.sym_len as usize)
+    }
+
+    /// In-order `(symbol, code)` enumeration: one DFS, the path to a
+    /// terminal node being that interval's boundary.
+    pub(super) fn for_each_entry(&self, f: &mut dyn FnMut(&[u8], Code)) {
+        self.visit(&self.nodes[0], &mut Vec::new(), f);
+    }
+
+    fn visit(&self, n: &Node, path: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], Code)) {
         let mark = path.len();
-        path.extend_from_slice(&node.prefix);
-        if let Some(t) = node.term {
-            let (code, sym_len) = self.payload(t as usize);
+        path.extend_from_slice(self.prefix(n));
+        if n.term {
+            let (code, sym_len) = self.payload(n.lo);
             f(&path[..sym_len], code);
         }
-        node.children.for_each(|label, child| {
+        let labels: Vec<u8> = if n.count as usize <= SPARSE {
+            self.index(n)[..n.count as usize].to_vec()
+        } else {
+            (0..=u8::MAX).filter(|&c| self.rank(n, c).1).collect()
+        };
+        for (r, label) in labels.into_iter().enumerate() {
             path.push(label);
-            self.visit(child, path, f);
+            self.visit(&self.nodes[n.first_child as usize + r], path, f);
             path.pop();
-        });
-        path.truncate(mark);
-    }
-
-    /// Recursively build the subtree for boundaries[lo..hi], which share
-    /// their first `depth` bytes. Returns the node index.
-    fn build_node(&mut self, set: &IntervalSet, lo: usize, hi: usize, depth: usize) -> u32 {
-        debug_assert!(lo < hi);
-        // Common path below `depth`: the lcp of the first and last boundary,
-        // clipped to the shortest boundary in range (which, sorted, is the
-        // first one whenever it ends inside the common path).
-        let first = set.boundary(lo);
-        let last = set.boundary(hi - 1);
-        let mut ext = crate::axis::lcp_len(&first[depth..], &last[depth..]);
-        ext = ext.min(first.len() - depth);
-        let prefix: Box<[u8]> = first[depth..depth + ext].into();
-        let d2 = depth + ext;
-
-        let term = (first.len() == d2).then_some(lo as u32);
-        let start = lo + term.is_some() as usize;
-
-        let id = self.nodes.len();
-        // Reserve the slot so children get higher indices (parents first).
-        self.nodes.push(ArtNode {
-            prefix,
-            term,
-            children: Children::build(&[]),
-            leaf_max: (hi - 1) as u32,
-        });
-
-        let mut pairs: Vec<(u8, u32)> = Vec::new();
-        let mut i = start;
-        while i < hi {
-            let label = set.boundary(i)[d2];
-            let mut j = i + 1;
-            while j < hi && set.boundary(j)[d2] == label {
-                j += 1;
-            }
-            let child = self.build_node(set, i, j, d2 + 1);
-            pairs.push((label, child));
-            i = j;
         }
-        self.nodes[id].children = Children::build(&pairs);
-        id as u32
-    }
-
-    #[inline]
-    fn payload(&self, i: usize) -> (Code, usize) {
-        (Code { bits: self.code_bits[i], len: self.code_len[i] }, self.sym_len[i] as usize)
+        path.truncate(mark);
     }
 
     /// Number of tree nodes (for memory analysis / tests).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Count of nodes per adaptive kind, for diagnostics.
-    pub fn node_kind_histogram(&self) -> [(String, usize); 4] {
-        let mut h = std::collections::HashMap::new();
-        for n in &self.nodes {
-            *h.entry(n.children.kind_name()).or_insert(0usize) += 1;
-        }
-        ["Node4", "Node16", "Node48", "Node256"]
-            .map(|k| (k.to_string(), h.get(k).copied().unwrap_or(0)))
-    }
 }
 
 impl DictLookup for ArtDict {
     fn lookup(&self, src: &[u8]) -> (Code, usize) {
         debug_assert!(!src.is_empty());
-        let mut last_resort = usize::MAX;
-        let mut node = &self.nodes[0];
-        let mut pos = 0usize;
-        loop {
-            // Match the compressed path.
-            let pfx = &node.prefix;
-            let avail = src.len() - pos;
-            let m = crate::axis::lcp_len(pfx, &src[pos..]);
-            if m < pfx.len() {
-                let result = if m == avail {
-                    // Source exhausted inside the path: src < every
-                    // boundary in this subtree.
-                    last_resort
-                } else if src[pos + m] > pfx[m] {
-                    // Source above the whole subtree.
-                    node.leaf_max as usize
-                } else {
-                    last_resort
-                };
-                debug_assert_ne!(result, usize::MAX, "no floor for {src:?}");
-                return self.payload(result);
+        let mut n = &self.nodes[0];
+        let mut rest = src;
+        let floor = loop {
+            let prefix = self.prefix(n);
+            let m = lcp_len(prefix, rest);
+            if m < prefix.len() {
+                break if rest.get(m).is_some_and(|&c| c > prefix[m]) { n.hi } else { n.lo - 1 };
             }
-            pos += pfx.len();
-            if pos == src.len() {
-                // Ended exactly at this node.
-                let i = node.term.map(|t| t as usize).unwrap_or(last_resort);
-                debug_assert_ne!(i, usize::MAX, "no floor for {src:?}");
-                return self.payload(i);
+            let Some((&c, tail)) = rest[m..].split_first() else {
+                break if n.term { n.lo } else { n.lo - 1 };
+            };
+            let (rank, hit) = self.rank(n, c);
+            let next = n.first_child as usize + rank;
+            if !hit {
+                break if rank < n.count as usize { self.nodes[next].lo - 1 } else { n.hi };
             }
-            if let Some(t) = node.term {
-                last_resort = t as usize;
-            }
-            let c = src[pos];
-            if let Some(below) = node.children.prev_below(c) {
-                last_resort = self.nodes[below as usize].leaf_max as usize;
-            }
-            match node.children.get(c) {
-                Some(child) => {
-                    node = &self.nodes[child as usize];
-                    pos += 1;
-                }
-                None => {
-                    debug_assert_ne!(last_resort, usize::MAX, "no floor for {src:?}");
-                    return self.payload(last_resort);
-                }
-            }
-        }
+            n = &self.nodes[next];
+            rest = tail;
+        };
+        self.payload(floor)
     }
 
     fn memory_bytes(&self) -> usize {
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| std::mem::size_of::<ArtNode>() + n.prefix.len() + n.children.memory_bytes())
-            .sum();
-        node_bytes + self.code_bits.len() * 8 + self.code_len.len() + self.sym_len.len() * 2
+        self.nodes.len() * std::mem::size_of::<Node>()
+            + self.bytes.len()
+            + self.entries.len() * std::mem::size_of::<Entry>()
     }
 
     fn num_entries(&self) -> usize {
-        self.code_bits.len()
+        self.entries.len()
     }
 }
 
@@ -394,28 +282,44 @@ mod tests {
 
     #[test]
     fn adaptive_node_kinds() {
-        // 256 single-byte boundaries at the root -> Node256 root.
+        // 256 single-byte boundaries: a dense root over 256 sparse leaves.
         let (art, _) = build_pair(&[]);
-        let hist = art.node_kind_histogram();
-        assert_eq!(hist[3].1, 1, "{hist:?}"); // one Node256 (the root)
+        let dense = art.nodes.iter().filter(|n| n.count as usize > SPARSE).count();
+        assert_eq!((art.num_nodes(), dense, art.nodes[0].count), (257, 1, 256));
+        // One node per boundary plus the root; 24 B apiece.
+        assert_eq!(std::mem::size_of::<Node>(), 24);
     }
 
     #[test]
-    fn children_prev_below() {
-        let pairs = vec![(5u8, 50u32), (9, 90), (200, 2000)];
-        for kind_size in [3usize, 10, 30, 100] {
-            let mut ps = pairs.clone();
-            // pad with extra labels to force different node kinds
-            for l in 0..kind_size.saturating_sub(3) {
-                ps.push((100 + l as u8, l as u32));
+    fn child_rank_on_both_shapes() {
+        // A root with prefix "a" over the given labels: rank and hit for
+        // every byte, against the sorted label list itself.
+        let low_high: Vec<u8> = vec![0x00, 5, 9, 200, 0xFF];
+        let inner: Vec<u8> = vec![5, 9, 200];
+        let pad = |labels: &[u8], n: usize| {
+            let mut l = labels.to_vec();
+            l.extend((100u8..).filter(|c| !labels.contains(c)).take(n - labels.len()));
+            l.sort_unstable();
+            l
+        };
+        for labels in [
+            low_high.clone(),
+            inner.clone(),
+            pad(&low_high, SPARSE),
+            pad(&inner, SPARSE),
+            pad(&low_high, SPARSE + 1),
+            pad(&inner, SPARSE + 1),
+            (0..=u8::MAX).collect(),
+        ] {
+            let boundaries: Vec<Box<[u8]>> = labels.iter().map(|&l| [b'a', l].into()).collect();
+            let set = IntervalSet::from_parts(boundaries, vec![1; labels.len()]);
+            let art = ArtDict::build(&set, &fixed_len_codes(set.len()));
+            let root = &art.nodes[0];
+            assert_eq!((art.prefix(root), root.count as usize), (&b"a"[..], labels.len()));
+            for c in 0..=u8::MAX {
+                let want = (labels.partition_point(|&l| l < c), labels.contains(&c));
+                assert_eq!(art.rank(root, c), want, "{} labels, byte {c}", labels.len());
             }
-            ps.sort_unstable();
-            let ch = Children::build(&ps);
-            assert_eq!(ch.get(5), Some(50));
-            assert_eq!(ch.get(6), None);
-            assert_eq!(ch.prev_below(5), None);
-            assert_eq!(ch.prev_below(6), Some(50));
-            assert_eq!(ch.prev_below(10), Some(90));
         }
     }
 

@@ -11,18 +11,26 @@
 //! both, individually, pair-wise and in sorted batches. A second suite
 //! squeezes the n-gram automaton's state budget down to a handful of rows
 //! so the fallback edges (trie walk per symbol) are exercised on random
-//! dictionaries too.
+//! dictionaries too. A third builds the ALM schemes' ART at production
+//! size (64 K-entry target, URL and Email samples) and on hand-built
+//! divisions, where dense nodes, deep chains and the `lo − 1` floor run.
 
+use hope::axis::{next_prefix, IntervalSet};
 use hope::code_assign::CodeAssigner;
-use hope::dict::{BitmapTrieDict, Dict, SortedDict};
+use hope::dict::{ArtDict, BitmapTrieDict, Dict, SortedDict};
 use hope::selector::{self};
 use hope::{Code, EncodeScratch, Encoder, HopeBuilder, Scheme};
+use hope_workloads::{generate, Dataset};
 use proptest::prelude::*;
 
 const ENTRIES: usize = 256;
 
-fn parts(scheme: Scheme, sample: &[Vec<u8>]) -> (hope::axis::IntervalSet, Vec<Code>) {
-    let set = selector::select_intervals(scheme, sample, ENTRIES).expect("select");
+fn parts(scheme: Scheme, sample: &[Vec<u8>]) -> (IntervalSet, Vec<Code>) {
+    parts_at(scheme, sample, ENTRIES)
+}
+
+fn parts_at(scheme: Scheme, sample: &[Vec<u8>], entries: usize) -> (IntervalSet, Vec<Code>) {
+    let set = selector::select_intervals(scheme, sample, entries).expect("select");
     let weights = selector::access_weights(&set, sample);
     let assigner =
         if scheme.uses_hu_tucker() { CodeAssigner::HuTucker } else { CodeAssigner::FixedLength };
@@ -128,5 +136,123 @@ fn encode_is_bit_identical_on_email_keys() {
     ];
     for scheme in Scheme::ALL {
         check_scheme(scheme, &sample, &probes);
+    }
+}
+
+/// `production` answers every probe's every suffix as `reference` does,
+/// and lists the same `(symbol, code)` entries.
+fn check_lookups(production: &Dict, reference: &Dict, what: &str, probes: &[Vec<u8>]) {
+    for p in probes {
+        for start in 0..p.len() {
+            let rest = &p[start..];
+            assert_eq!(production.lookup(rest), reference.lookup(rest), "{what}: lookup({rest:?})");
+        }
+    }
+    let mut entries = Vec::new();
+    reference.for_each_entry(&mut |symbol, code| entries.push((symbol.to_vec(), code)));
+    let mut i = 0;
+    production.for_each_entry(&mut |symbol, code| {
+        assert_eq!(Some(&(symbol.to_vec(), code)), entries.get(i), "{what}: entry {i}");
+        i += 1;
+    });
+    assert_eq!(i, entries.len(), "{what}: entries listed");
+}
+
+/// Runs of 0x00 / 0xFF, `stem + 0x00^k` chains and every byte value alone
+/// and after each stem — bytes a sample never holds included.
+fn hostile_probes(stems: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut probes: Vec<Vec<u8>> = Vec::new();
+    for k in 1..=40 {
+        probes.extend([vec![0x00; k], vec![0xFF; k]]);
+    }
+    for stem in stems {
+        for k in 1..=8 {
+            probes.push([stem.as_slice(), &vec![0x00; k]].concat());
+        }
+        probes.extend((0..=u8::MAX).map(|b| [stem.as_slice(), &[b]].concat()));
+    }
+    probes.extend((0..=u8::MAX).map(|b| vec![b]));
+    probes
+}
+
+#[test]
+fn art_dictionaries_at_production_size_match_the_reference() {
+    // 2 048 URL keys (the store's reservoir) and 20 000 Email keys, each
+    // followed by 2 000 keys the sample never saw.
+    for (dataset, n) in [(Dataset::Url, 2_048), (Dataset::Email, 20_000)] {
+        let keys = generate(dataset, n + 2_000, 11);
+        let sample = &keys[..n];
+        let mut probes = keys.clone();
+        probes.extend(hostile_probes(&keys[..4]));
+        for scheme in [Scheme::Alm, Scheme::AlmImproved] {
+            let (set, codes) = parts_at(scheme, sample, 1 << 16);
+            let what = format!("{scheme} on {n} {dataset} keys ({} entries)", set.len());
+            let production = Dict::build(scheme, &set, &codes);
+            let reference = Dict::Sorted(SortedDict::build(&set, &codes));
+            check_lookups(&production, &reference, &what, &probes);
+            let (production, reference) = (Encoder::new(production), Encoder::new(reference));
+            for p in &probes {
+                assert_eq!(production.encode(p), reference.encode(p), "{what}: encode({p:?})");
+            }
+        }
+    }
+}
+
+/// A complete division over every single byte plus `extra` boundaries,
+/// each interval given the longest symbol its right end allows.
+fn division(extra: &[Vec<u8>]) -> IntervalSet {
+    let mut boundaries: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b]).collect();
+    boundaries.extend(extra.iter().cloned());
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    let lens = (0..boundaries.len())
+        .map(|i| {
+            let fits = |s: usize| match (next_prefix(&boundaries[i][..s]), boundaries.get(i + 1)) {
+                (Some(end), Some(next)) => next.as_slice() <= end.as_slice(),
+                (end, _) => end.is_none(),
+            };
+            (1..=boundaries[i].len()).rev().find(|&s| fits(s)).expect("one byte fits") as u16
+        })
+        .collect();
+    let set =
+        IntervalSet::from_parts(boundaries.into_iter().map(Vec::into_boxed_slice).collect(), lens);
+    set.validate().expect("a complete division");
+    set
+}
+
+#[test]
+fn art_nodes_of_every_width_and_prefix_chains_match_the_reference() {
+    // A node under `m` of exactly 16, 17 and 256 children (its labels
+    // spread to include 0x00 and 0xFF), each child a two-level chain, and
+    // the terminal prefix chain `a` / `ab` / `abc`.
+    for width in [16usize, 17, 256] {
+        let labels: Vec<u8> = (0..width).map(|i| (i * 255 / (width - 1)) as u8).collect();
+        let mut extra: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"abc".to_vec()];
+        for &l in &labels {
+            extra.extend([vec![b'm', l], vec![b'm', l, 0x00], vec![b'm', l, 0x80, 0x01]]);
+        }
+        let set = division(&extra);
+        let codes = CodeAssigner::FixedLength.assign(&vec![1; set.len()]);
+        let alphabet = [0x00, b'a', b'b', b'c', b'd', b'l', b'm', b'n', 0x7F, 0x80, 0xFF];
+        let mut probes: Vec<Vec<u8>> = extra.clone();
+        for a in alphabet {
+            probes.push(vec![a]);
+            for b in alphabet {
+                probes.extend(alphabet.iter().map(|&c| vec![a, b, c]));
+            }
+        }
+        probes.extend(hostile_probes(&[b"m".to_vec(), b"ab".to_vec(), b"abc".to_vec()]));
+        for l in 0..=u8::MAX {
+            probes.extend([
+                vec![b'm', l, 0x80],
+                vec![b'm', l, 0x80, 0x00],
+                vec![b'm', l, 0x80, 0x01, 0x00],
+                vec![b'm', l, 0x81],
+            ]);
+        }
+        let what = format!("{width}-child node");
+        let production = Dict::Art(ArtDict::build(&set, &codes));
+        let reference = Dict::Sorted(SortedDict::build(&set, &codes));
+        check_lookups(&production, &reference, &what, &probes);
     }
 }

@@ -6,7 +6,10 @@
 //! parent commit held 3.2 MB for Double-Char's 526 KB array) fails here.
 //! The same holds once the first `decode_to` has built the shared decoder,
 //! which is the sorted code list, the symbol bytes and one 64 KiB table —
-//! not a multi-megabyte automaton.
+//! not a multi-megabyte automaton. The ALM schemes' ART is flat (one
+//! node array, one byte arena, one payload array), so it holds at most
+//! [`ART_BYTES_PER_ENTRY`] per dictionary entry on every dataset and
+//! dictionary size; a return to per-node allocation fails here.
 //!
 //! This file holds a single `#[test]` so the test harness cannot run a
 //! neighbour concurrently and pollute the global counter.
@@ -44,6 +47,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Cap on an ART dictionary's bytes per entry: the flat layout holds
+/// 42–62 B across Email, URL and Wiki at 256, 4 K and 64 K entries;
+/// per-node allocation held 135–215 B.
+const ART_BYTES_PER_ENTRY: usize = 80;
 
 /// Bytes dropping `hope` returns to the allocator, which must be within
 /// 10 % of what it claimed to hold.
@@ -88,5 +96,27 @@ fn a_built_hope_holds_its_dictionary_once() {
         assert!(decoder <= cap, "{scheme}: decoder holds {decoder} B, cap {cap} B");
         let with_decoder = freed_by_drop(hope, scheme.name());
         println!("{scheme}: dictionary {dict} B, decoder {decoder} B; drop freed {held} B without the decoder, {with_decoder} B with it");
+    }
+
+    // The ART per entry, on every dataset and at three dictionary sizes,
+    // trained on the store's reservoir size.
+    for dataset in Dataset::ALL {
+        let sample = generate(dataset, 2_048, 7);
+        for scheme in [Scheme::Alm, Scheme::AlmImproved] {
+            for target in [256, 4 << 10, 64 << 10] {
+                let hope = HopeBuilder::new(scheme)
+                    .dictionary_entries(target)
+                    .build_from_sample(sample.iter().cloned())
+                    .unwrap();
+                let (dict, entries) = (hope.dict_memory_bytes(), hope.dict_entries());
+                let what = format!("{scheme} on {dataset} at {target}");
+                freed_by_drop(hope, &what);
+                println!("{what}: {entries} entries, {dict} B ({} B/entry)", dict / entries);
+                assert!(
+                    dict <= ART_BYTES_PER_ENTRY * entries,
+                    "{what}: {dict} B for {entries} entries, cap {ART_BYTES_PER_ENTRY} B each"
+                );
+            }
+        }
     }
 }
