@@ -100,6 +100,59 @@ pub fn mcp_len(x: &[u8], y: Option<&[u8]>) -> usize {
     }
 }
 
+/// The one walk behind [`IntervalSet::from_patterns`]: hand `push` every
+/// interval `(left boundary, symbol length)` of the division of the axis by
+/// `patterns` (sorted, prefix-free), in order — each pattern's own
+/// interval, and the gap intervals before, between and after them.
+fn divide<P: AsRef<[u8]>>(patterns: &[P], push: &mut impl FnMut(&[u8], usize)) {
+    let mut pos: Option<Vec<u8>> = Some(vec![0x00]);
+    for p in patterns {
+        let p = p.as_ref();
+        debug_assert!(!p.is_empty(), "empty pattern");
+        let Some(cur) = pos.as_deref() else {
+            debug_assert!(false, "pattern {p:?} after axis end");
+            break;
+        };
+        debug_assert!(cur <= p, "patterns unsorted or overlapping at {p:?}");
+        if cur < p {
+            fill_gap(cur, Some(p), push);
+        }
+        push(p, p.len());
+        pos = next_prefix(p);
+    }
+    if let Some(cur) = pos {
+        fill_gap(&cur, None, push);
+    }
+}
+
+/// Hand `push` the intervals covering `[x, y)` (`y = None` = axis end),
+/// split at leading-byte boundaries so every symbol is non-empty.
+fn fill_gap(x: &[u8], y: Option<&[u8]>, push: &mut impl FnMut(&[u8], usize)) {
+    debug_assert!(!x.is_empty());
+    let m = mcp_len(x, y);
+    if m > 0 {
+        push(x, m);
+        return;
+    }
+    // The gap spans multiple leading bytes: [x, b0+1) has mcp >= 1 byte,
+    // then one single-byte interval per intermediate leading byte, then
+    // [[y0], y) if y extends past its own leading byte.
+    let b0 = x[0];
+    debug_assert!(b0 < 0xff, "mcp of an 0xff-leading gap is non-empty");
+    let m2 = mcp_len(x, Some(&[b0 + 1]));
+    debug_assert!(m2 > 0);
+    push(x, m2);
+    let y0 = y.map(|y| y[0] as u16).unwrap_or(0x100);
+    for v in (b0 as u16 + 1)..y0 {
+        push(&[v as u8], 1);
+    }
+    if let Some(y) = y {
+        if y.len() > 1 {
+            push(&[y[0]], 1);
+        }
+    }
+}
+
 /// A complete, ordered division of the string axis into intervals, each with
 /// a non-empty symbol (stored as a prefix length of the left boundary).
 ///
@@ -125,53 +178,17 @@ impl IntervalSet {
     /// leading-byte boundaries when necessary.
     pub fn from_patterns(patterns: &[Vec<u8>]) -> Self {
         let mut set = IntervalSet::default();
-        let mut pos: Option<Vec<u8>> = Some(vec![0x00]);
-        for p in patterns {
-            debug_assert!(!p.is_empty(), "empty pattern");
-            let Some(cur) = pos.as_deref() else {
-                debug_assert!(false, "pattern {p:?} after axis end");
-                break;
-            };
-            debug_assert!(cur <= p.as_slice(), "patterns unsorted or overlapping at {p:?}");
-            if cur < p.as_slice() {
-                set.fill_gap(cur.to_vec(), Some(p));
-            }
-            set.push(p.clone(), p.len());
-            pos = next_prefix(p);
-        }
-        if let Some(cur) = pos {
-            set.fill_gap(cur, None);
-        }
+        divide(patterns, &mut |boundary, symbol_len| set.push(boundary.to_vec(), symbol_len));
         set
     }
 
-    /// Append interval boundaries covering `[x, y)` (`y = None` = axis end),
-    /// splitting at leading-byte boundaries so every symbol is non-empty.
-    fn fill_gap(&mut self, x: Vec<u8>, y: Option<&[u8]>) {
-        debug_assert!(!x.is_empty());
-        let m = mcp_len(&x, y);
-        if m > 0 {
-            self.push(x, m);
-            return;
-        }
-        // The gap spans multiple leading bytes: [x, b0+1) has mcp >= 1 byte,
-        // then one single-byte interval per intermediate leading byte, then
-        // [[y0], y) if y extends past its own leading byte.
-        let b0 = x[0];
-        debug_assert!(b0 < 0xff, "mcp of an 0xff-leading gap is non-empty");
-        let first_split = vec![b0 + 1];
-        let m2 = mcp_len(&x, Some(&first_split));
-        debug_assert!(m2 > 0);
-        self.push(x, m2);
-        let y0 = y.map(|y| y[0] as u16).unwrap_or(0x100);
-        for v in (b0 as u16 + 1)..y0 {
-            self.push(vec![v as u8], 1);
-        }
-        if let Some(y) = y {
-            if y.len() > 1 {
-                self.push(vec![y[0]], 1);
-            }
-        }
+    /// The number of intervals [`IntervalSet::from_patterns`] makes of
+    /// `patterns`, without building them: the ALM selector's threshold
+    /// search asks this at every step and builds only the set it keeps.
+    pub(crate) fn count_for<P: AsRef<[u8]>>(patterns: &[P]) -> usize {
+        let mut n = 0;
+        divide(patterns, &mut |_, _| n += 1);
+        n
     }
 
     fn push(&mut self, boundary: Vec<u8>, symbol_len: usize) {
@@ -356,6 +373,7 @@ mod tests {
     fn empty_pattern_set_gives_byte_identity() {
         let set = IntervalSet::from_patterns(&[]);
         assert_eq!(set.len(), 256);
+        assert_eq!(IntervalSet::count_for::<Vec<u8>>(&[]), 256);
         set.validate().unwrap();
         for v in 0..=255u8 {
             assert_eq!(set.boundary(v as usize), &[v]);
@@ -447,6 +465,7 @@ mod tests {
             let pats: Vec<Vec<u8>> = std::mem::take(&mut pats).into_iter().collect();
             let set = IntervalSet::from_patterns(&pats);
             prop_assert!(set.validate().is_ok());
+            prop_assert_eq!(IntervalSet::count_for(&pats), set.len());
             for probe in &probes {
                 let i = set.floor_index(probe);
                 let sym = set.symbol(i);
@@ -477,6 +496,7 @@ mod tests {
                 .collect();
             let set = IntervalSet::from_patterns(&pats);
             prop_assert!(set.validate().is_ok(), "{:?}", set.validate());
+            prop_assert_eq!(IntervalSet::count_for(&pats), set.len());
             for probe in &probes {
                 let i = set.floor_index(probe);
                 prop_assert!(probe.starts_with(set.symbol(i)));

@@ -90,33 +90,36 @@ impl AlmSelector {
         products.sort_unstable();
         products.dedup();
 
-        // Larger W -> fewer patterns -> fewer intervals (monotone).
-        let build = |w: u64| -> IntervalSet {
-            let mut pats: Vec<Vec<u8>> = blended
+        // Larger W -> fewer patterns -> fewer intervals (monotone). Each
+        // step borrows its patterns and only counts their intervals: a set
+        // built per step costs ~10^6 short-lived allocations per training,
+        // and on a fragmented heap those dominate it.
+        let kept = |w: u64| -> Vec<&[u8]> {
+            let mut pats: Vec<&[u8]> = blended
                 .iter()
                 .filter(|(p, c)| p.len() as u64 * *c >= w)
-                .map(|(p, _)| p.clone())
+                .map(|(p, _)| p.as_slice())
                 .collect();
             pats.sort_unstable();
             drop_prefix_patterns(&mut pats);
-            IntervalSet::from_patterns(&pats)
+            pats
         };
 
         // Find the smallest W (largest dictionary) with len <= target.
         let mut lo = 0usize; // index into products (descending W by index!)
         let mut hi = products.len(); // products[lo..] are candidate thresholds
-        let mut best = build(*products.last().unwrap());
+        let mut best = *products.last().unwrap();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let set = build(products[mid]);
-            if set.len() <= target_entries {
-                best = set;
+            if IntervalSet::count_for(&kept(products[mid])) <= target_entries {
+                best = products[mid];
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        best
+        let pats: Vec<Vec<u8>> = kept(best).into_iter().map(<[u8]>::to_vec).collect();
+        IntervalSet::from_patterns(&pats)
     }
 }
 
@@ -167,11 +170,11 @@ pub fn blend(counts: HashMap<Vec<u8>, u64>) -> Vec<(Vec<u8>, u64)> {
 /// Remove any pattern that is a prefix of a later (sorted) pattern, keeping
 /// the longest. In sorted order the element immediately after a prefix is
 /// always one of its extensions, so an adjacent check suffices.
-fn drop_prefix_patterns(pats: &mut Vec<Vec<u8>>) {
+fn drop_prefix_patterns(pats: &mut Vec<&[u8]>) {
     let n = pats.len();
     let mut keep = vec![true; n];
     for i in 0..n.saturating_sub(1) {
-        if pats[i + 1].starts_with(&pats[i]) {
+        if pats[i + 1].starts_with(pats[i]) {
             keep[i] = false;
         }
     }
@@ -257,8 +260,8 @@ mod tests {
 
     #[test]
     fn drop_prefix_patterns_keeps_longest() {
-        let mut pats = vec![b"a".to_vec(), b"ab".to_vec(), b"abc".to_vec(), b"b".to_vec()];
+        let mut pats: Vec<&[u8]> = vec![b"a", b"ab", b"abc", b"b"];
         drop_prefix_patterns(&mut pats);
-        assert_eq!(pats, vec![b"abc".to_vec(), b"b".to_vec()]);
+        assert_eq!(pats, vec![&b"abc"[..], b"b"]);
     }
 }

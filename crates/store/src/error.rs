@@ -37,9 +37,10 @@ pub enum StoreError {
     },
     /// A shard's write log reached its configured capacity
     /// ([`StoreConfig::write_log_capacity`](crate::StoreConfig::write_log_capacity),
-    /// at most `u32::MAX` — entry indices are 32-bit). The insert was
-    /// **not** applied; the shard keeps serving. This is back-pressure,
-    /// not corruption: run
+    /// at most `u32::MAX` — entry indices are 32-bit), or the keys written
+    /// since the last rebuild reached 4 GiB (the write tail's key offsets
+    /// are 32-bit too). The insert was **not** applied; the shard keeps
+    /// serving. This is back-pressure, not corruption: run
     /// [`HopeStore::maintain`](crate::HopeStore::maintain) or
     /// [`HopeStore::force_rebuild`](crate::HopeStore::force_rebuild) to
     /// compact the log, then retry.

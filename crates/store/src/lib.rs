@@ -92,7 +92,7 @@ pub use versioned::Snapshot;
 
 use dictionary::{train, CodecTotal};
 use error::validate_key;
-use generation::{encode_sorted, Entry};
+use generation::{encode_run, Records};
 use shard::{lock, Shard, ShardTelemetry};
 use telemetry::{Event, EventKind, ProbeSpans, Stopwatch, Telemetry, TelemetrySnapshot};
 
@@ -185,7 +185,10 @@ pub struct StoreConfig {
     pub degrade_ratio: f64,
     /// Minimum inserted source bytes before drift is judged at all.
     pub min_observed_bytes: u64,
-    /// Block size for the sorted-batch bulk encode (Appendix B).
+    /// Block size for the sorted-batch encoder of Appendix B
+    /// ([`hope::Hope::encode_batch`]). The store no longer reads it: bulk
+    /// loads encode key by key, which is faster. Kept for callers that
+    /// run the batch encoder over a store's keys themselves.
     pub batch_block: usize,
     /// Seed for the reservoir sampling decisions.
     pub seed: u64,
@@ -311,9 +314,9 @@ impl<V: Value> HopeStore<V> {
     /// trained, on `reservoir_capacity` keys evenly spaced over the whole
     /// sorted load, and shared by every shard; shard split points are the
     /// quantiles of the sorted **encoded** order (identical to source
-    /// order — the encoding is order-preserving), and every shard encodes
-    /// its slice with the Appendix-B sorted-batch encoder and bulk-loads
-    /// it ([`OrderedIndex::load_sorted`]).
+    /// order — the encoding is order-preserving), and every shard copies
+    /// its slice into one exact-size run, encodes it key by key and
+    /// bulk-loads it ([`OrderedIndex::load_sorted`]).
     ///
     /// # Errors
     ///
@@ -331,15 +334,19 @@ impl<V: Value> HopeStore<V> {
         if !(cfg.degrade_ratio > 0.0 && cfg.degrade_ratio <= 1.0) {
             return Err(StoreError::InvalidConfig { reason: "degrade_ratio must be in (0, 1]" });
         }
-        // Keys validated up front; sorted by source key, the stable sort
-        // keeping duplicates in load order so the last write wins.
+        // Keys validated up front and left where the caller put them; the
+        // load is sorted as borrowed slices, the stable sort keeping
+        // duplicates in load order so the last write wins.
         let pairs = pairs.into_iter();
-        let mut sorted: Vec<(Vec<u8>, V)> = Vec::with_capacity(pairs.size_hint().0);
+        let mut keys: Vec<Vec<u8>> = Vec::with_capacity(pairs.size_hint().0);
+        let mut values: Vec<V> = Vec::with_capacity(pairs.size_hint().0);
         for (k, v) in pairs {
             validate_key(&k)?;
-            sorted.push((k, v));
+            keys.push(k);
+            values.push(v);
         }
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut sorted: Vec<(&[u8], V)> = keys.iter().map(Vec::as_slice).zip(values).collect();
+        sorted.sort_by(|a, b| a.0.cmp(b.0));
         sorted.dedup_by(|later, kept| {
             let duplicate = later.0 == kept.0;
             if duplicate {
@@ -356,7 +363,7 @@ impl<V: Value> HopeStore<V> {
                     // No data to learn a split from: divide the byte space.
                     vec![(i * 256 / cfg.shards) as u8]
                 } else {
-                    sorted[(i * n / cfg.shards).min(n - 1)].0.clone()
+                    sorted[(i * n / cfg.shards).min(n - 1)].0.to_vec()
                 }
             })
             .collect();
@@ -365,32 +372,32 @@ impl<V: Value> HopeStore<V> {
         // whole load; a shard trains its own only once it drifts.
         let codec_total = CodecTotal::default();
         let step = (n / cfg.reservoir_capacity.max(1)).max(1);
-        let sample: Vec<Vec<u8>> = sorted.iter().step_by(step).map(|(k, _)| k.clone()).collect();
+        let sample: Vec<Vec<u8>> = sorted.iter().step_by(step).map(|(k, _)| k.to_vec()).collect();
         let dict = train(&cfg, &sample, &codec_total)?;
 
         let epoch_counter = AtomicU64::new(0);
         let telemetry = Arc::new(Telemetry::new(cfg.event_capacity));
         let mut shards = Vec::with_capacity(cfg.shards);
-        let mut sorted = sorted.into_iter().peekable();
+        let mut rest = sorted.into_iter();
         for s in 0..cfg.shards {
             let build_started = std::time::Instant::now();
             // Each shard takes the load up to its boundary; the last shard
-            // (no boundary above it) takes the remainder.
-            let mut slice: Vec<Entry<V>> = Vec::new();
-            while let Some((k, _)) = sorted.peek() {
-                if let Some(b) = boundaries.get(s) {
-                    if k >= b {
-                        break;
-                    }
-                }
-                let (k, v) = sorted.next().expect("peeked");
-                slice.push(Entry::new(k.into(), v));
+            // (no boundary above it) takes the remainder. Its run is sized
+            // exactly: the keys are copied in, the values moved.
+            let slice = rest.as_slice();
+            let len = boundaries
+                .get(s)
+                .map_or(slice.len(), |b| slice.partition_point(|(k, _)| *k < b.as_slice()));
+            let mut run =
+                Records::with_capacity(len, slice[..len].iter().map(|(k, _)| k.len()).sum());
+            for (key, value) in rest.by_ref().take(len) {
+                run.push(key, value);
             }
 
             let epoch = epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
-            let encoded = encode_sorted(&dict.hope, &slice, cfg.batch_block);
+            let encoded = encode_run(&dict.hope, &run.keys)?;
             let index = cfg.backend.new_index();
-            let generation = Generation::load(epoch, Arc::clone(&dict), index, slice, encoded)
+            let generation = Generation::load(epoch, Arc::clone(&dict), index, run, encoded)
                 .with_context(s, cfg.write_log_capacity);
             telemetry.events().record(Event {
                 kind: EventKind::GenerationBuilt,
@@ -410,6 +417,9 @@ impl<V: Value> HopeStore<V> {
                 Arc::clone(&codec_total),
             ));
         }
+        // The caller's keys go once every shard holds its copy.
+        drop(rest);
+        drop(keys);
         Ok(HopeStore { cfg, boundaries, shards, epoch_counter, telemetry, codec_total })
     }
 
@@ -1175,7 +1185,7 @@ mod tests {
         fn live_encoded_bytes(store: &HopeStore<u64>) -> u64 {
             let gen = store.shards[0].current();
             let (live, _, _) = gen.snapshot_live(false);
-            live.iter().map(|e| gen.hope().encode(&e.key).as_bytes().len() as u64).sum()
+            live.keys.iter().map(|k| gen.hope().encode(k).as_bytes().len() as u64).sum()
         }
         let cfg = StoreConfig { shards: 1, ..small_cfg() };
 

@@ -46,7 +46,7 @@ use hope::Value;
 
 use crate::dictionary::{train, CodecTotal};
 use crate::error::StoreError;
-use crate::generation::{encode_sorted, Entry, Generation};
+use crate::generation::{encode_run, Generation};
 use crate::serving::FaultPlan;
 use crate::telemetry::{Counter, Event, EventKind, SpanRecorder, Telemetry};
 use crate::{StoreConfig, SwapReport};
@@ -408,10 +408,10 @@ impl<V: Value> Shard<V> {
             if sample.len() < cfg.reservoir_capacity {
                 let need = cfg.reservoir_capacity - sample.len();
                 let step = (live.len() / need.max(1)).max(1);
-                sample.extend(live.iter().step_by(step).map(|e| e.key.to_vec()));
+                sample.extend(live.keys.iter().step_by(step).map(<[u8]>::to_vec));
             }
             let dict = train(cfg, &sample, &self.codec_total)?;
-            let encoded = encode_sorted(&dict.hope, &live, cfg.batch_block);
+            let encoded = encode_run(&dict.hope, &live.keys)?;
             (dict, encoded)
         } else {
             (Arc::clone(old.dictionary()), kept)
@@ -430,8 +430,8 @@ impl<V: Value> Shard<V> {
         let _w = lock(&self.writer);
         let delta = old.entries_since(watermark);
         let replayed = delta.len();
-        for Entry { key, value, .. } in delta {
-            next.insert::<()>(&key, value)?;
+        for (key, value) in delta.keys.iter().zip(delta.values) {
+            next.insert::<()>(key, value)?;
         }
         let report = SwapReport {
             shard: shard_id,

@@ -10,10 +10,11 @@
 //! * each generation's write log is **append-only** between swaps, so
 //!   "the state when the log held `w` entries" is fully recoverable.
 //!   There are no deletes, so a key alive at `w` is still in the index,
-//!   and every update links to the entry it superseded (`Entry::prev`).
-//!   Reads find the key's *live* entry exactly as a live read does, then
-//!   follow `prev` until they reach an entry older than the watermark; a
-//!   key born after `w` runs out of chain first and resolves to nothing.
+//!   and every update links to the record it superseded (the write
+//!   tail's `prev`; a loaded record ends its chain). Reads find the key's
+//!   *live* record exactly as a live read does, then follow `prev` until
+//!   they reach a record older than the watermark; a key born after `w`
+//!   runs out of chain first and resolves to nothing.
 //!
 //! A snapshot is therefore `shards × (Arc clone + usize)` — O(shard
 //! count), independent of key count — and costs nothing to maintain:
