@@ -156,6 +156,10 @@ fn fill_gap(x: &[u8], y: Option<&[u8]>, push: &mut impl FnMut(&[u8], usize)) {
 /// A complete, ordered division of the string axis into intervals, each with
 /// a non-empty symbol (stored as a prefix length of the left boundary).
 ///
+/// The boundaries lie back to back in one byte buffer, boundary `i` ending
+/// at `ends[i]` and starting where boundary `i - 1` ends: one allocation
+/// for a Double-Char set's 65 792 intervals rather than one per interval.
+///
 /// Invariants (checked by [`IntervalSet::validate`]):
 /// * boundaries strictly ascending; `boundaries[0] == [0x00]` so every
 ///   non-empty string has a floor interval,
@@ -164,7 +168,8 @@ fn fill_gap(x: &[u8], y: Option<&[u8]>, push: &mut impl FnMut(&[u8], usize)) {
 ///   string in `[b_i, b_{i+1})`.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
-    boundaries: Vec<Box<[u8]>>,
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
     symbol_lens: Vec<u16>,
 }
 
@@ -178,7 +183,7 @@ impl IntervalSet {
     /// leading-byte boundaries when necessary.
     pub fn from_patterns(patterns: &[Vec<u8>]) -> Self {
         let mut set = IntervalSet::default();
-        divide(patterns, &mut |boundary, symbol_len| set.push(boundary.to_vec(), symbol_len));
+        divide(patterns, &mut |boundary, symbol_len| set.push(boundary, symbol_len));
         set
     }
 
@@ -191,45 +196,69 @@ impl IntervalSet {
         n
     }
 
-    fn push(&mut self, boundary: Vec<u8>, symbol_len: usize) {
+    /// An empty set with room for `intervals` intervals of `bytes`
+    /// boundary bytes in all.
+    pub(crate) fn with_capacity(intervals: usize, bytes: usize) -> Self {
+        IntervalSet {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(intervals),
+            symbol_lens: Vec::with_capacity(intervals),
+        }
+    }
+
+    /// Append the interval starting at `boundary`, above every boundary
+    /// so far.
+    pub(crate) fn push(&mut self, boundary: &[u8], symbol_len: usize) {
         debug_assert!(symbol_len >= 1 && symbol_len <= boundary.len());
         debug_assert!(
-            self.boundaries.last().is_none_or(|b| b.as_ref() < boundary.as_slice()),
+            self.is_empty() || self.boundary(self.len() - 1) < boundary,
             "boundaries must be strictly ascending"
         );
-        self.boundaries.push(boundary.into_boxed_slice());
+        self.push_boundary(boundary);
         self.symbol_lens.push(symbol_len as u16);
+    }
+
+    fn push_boundary(&mut self, boundary: &[u8]) {
+        self.bytes.extend_from_slice(boundary);
+        self.ends.push(u32::try_from(self.bytes.len()).expect("interval boundaries past 4 GiB"));
     }
 
     /// Construct directly from parallel boundary/symbol-length arrays
     /// (used by the fixed-interval selectors where the layout is implied).
     pub fn from_parts(boundaries: Vec<Box<[u8]>>, symbol_lens: Vec<u16>) -> Self {
         assert_eq!(boundaries.len(), symbol_lens.len());
-        IntervalSet { boundaries, symbol_lens }
+        let bytes = boundaries.iter().map(|b| b.len()).sum();
+        let mut set = IntervalSet::with_capacity(boundaries.len(), bytes);
+        for b in &boundaries {
+            set.push_boundary(b);
+        }
+        set.symbol_lens = symbol_lens;
+        set
     }
 
     /// Number of intervals.
     #[inline]
     pub fn len(&self) -> usize {
-        self.boundaries.len()
+        self.ends.len()
     }
 
     /// True if the set holds no intervals.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.boundaries.is_empty()
+        self.ends.is_empty()
     }
 
     /// Left boundary of interval `i`.
     #[inline]
     pub fn boundary(&self, i: usize) -> &[u8] {
-        &self.boundaries[i]
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bytes[start..self.ends[i] as usize]
     }
 
     /// Symbol (common prefix) of interval `i`.
     #[inline]
     pub fn symbol(&self, i: usize) -> &[u8] {
-        &self.boundaries[i][..self.symbol_lens[i] as usize]
+        &self.boundary(i)[..self.symbol_lens[i] as usize]
     }
 
     /// Symbol length of interval `i` in bytes.
@@ -243,14 +272,22 @@ impl IntervalSet {
     #[inline]
     pub fn floor_index(&self, s: &[u8]) -> usize {
         debug_assert!(!s.is_empty());
-        let idx = self.boundaries.partition_point(|b| b.as_ref() <= s);
-        debug_assert!(idx > 0, "string below the first boundary");
-        idx - 1
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.boundary(mid) <= s {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        debug_assert!(lo > 0, "string below the first boundary");
+        lo - 1
     }
 
     /// Iterate over `(boundary, symbol_len)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], usize)> + '_ {
-        self.boundaries.iter().zip(&self.symbol_lens).map(|(b, &l)| (b.as_ref(), l as usize))
+        (0..self.len()).map(|i| (self.boundary(i), self.symbol_len(i)))
     }
 
     /// Check all structural invariants; returns a description of the first
@@ -259,30 +296,30 @@ impl IntervalSet {
         if self.is_empty() {
             return Err("empty interval set".into());
         }
-        if self.boundaries[0].as_ref() != [0x00] && !self.boundaries[0].is_empty() {
+        if self.boundary(0) != [0x00] && !self.boundary(0).is_empty() {
             return Err(format!(
                 "first boundary {:?} does not cover the axis start",
-                self.boundaries[0]
+                self.boundary(0)
             ));
         }
         for i in 0..self.len() {
             let sl = self.symbol_lens[i] as usize;
-            if sl == 0 || sl > self.boundaries[i].len() {
+            if sl == 0 || sl > self.boundary(i).len() {
                 return Err(format!("interval {i}: bad symbol length {sl}"));
             }
-            if i + 1 < self.len() && self.boundaries[i] >= self.boundaries[i + 1] {
+            if i + 1 < self.len() && self.boundary(i) >= self.boundary(i + 1) {
                 return Err(format!("interval {i}: boundaries not ascending"));
             }
             // The symbol must be the common prefix of the whole interval:
             // check that the region of strings prefixed by the symbol
             // contains the interval.
             let sym = self.symbol(i);
-            if !self.boundaries[i].starts_with(sym) {
+            if !self.boundary(i).starts_with(sym) {
                 return Err(format!("interval {i}: symbol not a prefix of boundary"));
             }
             if let Some(end) = next_prefix(sym) {
                 if i + 1 < self.len() {
-                    if self.boundaries[i + 1].as_ref() > end.as_slice() {
+                    if self.boundary(i + 1) > end.as_slice() {
                         return Err(format!(
                             "interval {i}: symbol {sym:?} does not prefix the right end"
                         ));

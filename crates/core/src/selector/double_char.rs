@@ -21,17 +21,15 @@ pub const DOUBLE_CHAR_ENTRIES: usize = 256 * 257;
 
 /// The 65 792 Double-Char intervals.
 pub fn double_char_intervals() -> IntervalSet {
-    let mut boundaries = Vec::with_capacity(DOUBLE_CHAR_ENTRIES);
-    let mut symbol_lens = Vec::with_capacity(DOUBLE_CHAR_ENTRIES);
+    // 256 one-byte and 65 536 two-byte boundaries.
+    let mut set = IntervalSet::with_capacity(DOUBLE_CHAR_ENTRIES, 256 * (1 + 256 * 2));
     for b0 in 0..=255u8 {
-        boundaries.push(vec![b0].into_boxed_slice());
-        symbol_lens.push(1u16);
+        set.push(&[b0], 1);
         for b1 in 0..=255u8 {
-            boundaries.push(vec![b0, b1].into_boxed_slice());
-            symbol_lens.push(2u16);
+            set.push(&[b0, b1], 2);
         }
     }
-    IntervalSet::from_parts(boundaries, symbol_lens)
+    set
 }
 
 /// Index (in interval order) of the interval that a source suffix falls

@@ -1,11 +1,13 @@
-//! What a bulk-loaded index *holds* is what its `memory_bytes()` *says*:
+//! What an index *holds* is what its `memory_bytes()` *says*:
 //! `OrderedIndex::load_sorted` builds the B+tree's and HOT's nodes in
-//! exact-capacity storage, so the estimate the store's reports and the
-//! paper's figures read is the allocator's truth to within 10 %. And
-//! packing pays: the same encoded keys pushed through `insert` in sorted
-//! order — how generations were loaded before — leave every B+tree leaf
-//! half full inside a `Vec` grown for more, and the loaded tree is at most
-//! ¾ of that and no taller.
+//! exact-capacity storage, and the B+tree counts its buffers at capacity,
+//! so the estimate the store's reports and the paper's figures read is
+//! the allocator's truth to within 10 % — for a B+tree built by inserts
+//! too. And packing pays: the same encoded keys pushed through `insert` in
+//! sorted order — how generations were loaded before — leave every B+tree
+//! leaf half full inside buffers grown for more, and the loaded tree is at
+//! most ¾ of that and no taller. A loaded B+tree's key blocks hold no more
+//! than its `Box<[u8]>` per key did.
 //!
 //! A counting global allocator measures the bytes a drop returns. This
 //! file holds a single `#[test]` so the test harness cannot run a
@@ -60,14 +62,14 @@ fn bulk_loaded<T: OrderedIndex>(mut index: T, run: &[Vec<u8>]) -> T {
     index
 }
 
-/// Bytes dropping a bulk-loaded `index` returns, which must be within
-/// 10 % of what it claimed to hold.
-fn loaded_footprint<T: OrderedIndex>(index: T, what: &str) -> usize {
+/// Bytes dropping `index` returns, which must be within 10 % of what it
+/// claimed to hold.
+fn footprint<T: OrderedIndex>(index: T, what: &str) -> usize {
     let claimed = index.memory_bytes();
     let held = freed_by_drop(index);
     let off = held.abs_diff(claimed) as f64 / claimed as f64;
     assert!(off <= 0.10, "{what}: drop freed {held} B but memory_bytes() says {claimed} B");
-    println!("{what}: loaded index holds {held} B, memory_bytes() {claimed} B");
+    println!("{what}: holds {held} B, memory_bytes() {claimed} B");
     held
 }
 
@@ -82,10 +84,12 @@ fn a_bulk_loaded_index_holds_what_it_says_and_less_than_an_insert_built_one() {
     run.dedup();
     drop((keys, hope));
 
-    loaded_footprint(bulk_loaded(Hot::<u64>::new(), &run), "Hot");
-    for (what, fresh) in [
-        ("BPlusTree::plain", BPlusTree::<u64>::plain as fn() -> BPlusTree),
-        ("BPlusTree::prefix", BPlusTree::prefix),
+    footprint(bulk_loaded(Hot::<u64>::new(), &run), "Hot, loaded");
+    // The most a loaded tree may hold: what it held with a `Box<[u8]>`
+    // per key, before key blocks.
+    for (what, fresh, most) in [
+        ("BPlusTree::plain", BPlusTree::<u64>::plain as fn() -> BPlusTree, 2_255_408),
+        ("BPlusTree::prefix", BPlusTree::prefix, 1_972_349),
     ] {
         let loaded = bulk_loaded(fresh(), &run);
         let mut inserted = fresh();
@@ -94,9 +98,9 @@ fn a_bulk_loaded_index_holds_what_it_says_and_less_than_an_insert_built_one() {
         }
         let (short, tall) = (loaded.height(), inserted.height());
         assert!(short <= tall, "{what}: loaded height {short}, insert-built {tall}");
-        let loaded = loaded_footprint(loaded, what);
-        let inserted = freed_by_drop(inserted);
-        println!("{what}: insert-built holds {inserted} B");
+        let loaded = footprint(loaded, &format!("{what}, loaded"));
+        assert!(loaded <= most, "{what}: loaded holds {loaded} B, more than {most} B");
+        let inserted = footprint(inserted, &format!("{what}, insert-built"));
         assert!(
             loaded as f64 <= 0.75 * inserted as f64,
             "{what}: loaded holds {loaded} B, insert-built {inserted} B"
