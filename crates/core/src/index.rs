@@ -24,6 +24,19 @@
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
 //! `Send + Sync` so an index can sit behind a shard's epoch handle and be
 //! read from many threads.
+//!
+//! Two packed key types serve the implementations: a [`KeyBlock`] holds a
+//! node's sorted keys in one buffer with a fixed-width head per key, which
+//! a node search counts without a branch (the `hope_btree` nodes, the
+//! `hope_hot` compound nodes' separators), and a [`KeyRun`] holds keys back
+//! to back by position (the `hope_hot` record heap, the `hope_store` entry
+//! log). Neither is re-exported from the crate root.
+
+mod key_block;
+mod key_run;
+
+pub use key_block::KeyBlock;
+pub use key_run::KeyRun;
 
 /// Marker bound for index value payloads.
 ///

@@ -16,12 +16,19 @@
 //!   node's skipped-prefix length adapts downward when a new key breaks
 //!   the shared prefix.
 //!
-//! Differences from the original (see DESIGN.md): in-node search is
-//! binary instead of SIMD, and compound nodes hold separator arrays rather
-//! than bit-level Patricia slices. Neither changes the asymptotics the
-//! paper's figures measure. The trie is generic over its value payload
-//! (`Hot<V>`, any [`hope::Value`]; defaults to `u64` record ids) and
-//! implements the [`hope::OrderedIndex<V>`] contract serving layers
+//! Everything is packed. The **record heap** is one [`KeyRun`] — the full
+//! keys back to back with a `u32` end each — beside one `Vec<V>` of
+//! values. A compound node keeps its separators, past its skipped prefix,
+//! in one [`KeyBlock`] with an 8-byte head per separator. A **leaf** keeps
+//! a record id and a 4-byte **partial key** per slot: the big-endian 4
+//! bytes of the record's key after the leaf's common prefix. A leaf search
+//! counts the partial keys below the query's without a branch and touches
+//! the record heap only where partial keys tie; on a hit the first tie is
+//! the verification itself. This is the portable form of the original's
+//! SIMD partial-key search; the original's bit-level Patricia slices are
+//! not reproduced (see DESIGN.md). The trie is generic over its value
+//! payload (`Hot<V>`, any [`hope::Value`]; defaults to `u64` record ids)
+//! and implements the [`hope::OrderedIndex<V>`] contract serving layers
 //! program against.
 //!
 //! ```
@@ -40,7 +47,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::cmp::Ordering;
+
 use hope::axis::{lcp_len, shortest_separator};
+use hope::index::{KeyBlock, KeyRun};
 
 /// Maximum compound-node fan-out (HOT's k).
 pub const K: usize = 32;
@@ -48,6 +58,10 @@ pub const K: usize = 32;
 /// Slots a bulk load ([`hope::OrderedIndex::load_sorted`]) fills per node:
 /// ¾ of [`K`], the gap `hope_btree` measured (DESIGN.md, "Bulk load").
 const LOAD_FILL: usize = K * 3 / 4;
+
+/// Records a leaf ever has room for: it holds [`K`] and splits when an
+/// insert makes it `K + 1`.
+const LEAF_ROOM: usize = K + 1;
 
 /// How many of `remaining` records (or children) the next node of a bulk-
 /// loaded level takes: [`LOAD_FILL`], except that the last two nodes of a
@@ -62,14 +76,171 @@ fn load_chunk(remaining: usize) -> usize {
     }
 }
 
+/// A leaf's partial key: the first 4 bytes of `s` as a big-endian `u32`,
+/// zero-padded. Partial keys order as the strings do, except that they
+/// may tie where the strings differ: past byte 4, or in zero padding.
+#[inline]
+fn head(s: &[u8]) -> u32 {
+    let mut b = [0u8; 4];
+    let n = s.len().min(4);
+    b[..n].copy_from_slice(&s[..n]);
+    u32::from_be_bytes(b)
+}
+
+/// Up to `LEAF_ROOM` sorted record ids, each with its partial key.
+#[derive(Debug, Default)]
+struct Leaf {
+    /// The common prefix of the first and the last record's key, hence of
+    /// all of them.
+    skip: u32,
+    recs: Vec<u32>,
+    /// `heads[i]`: [`head`] of record `recs[i]`'s key from byte `skip`.
+    heads: Vec<u32>,
+}
+
+impl Leaf {
+    /// The leaf over sorted `recs`, in exact-size storage.
+    fn packed(keys: &KeyRun, recs: Vec<u32>) -> Leaf {
+        let mut leaf = Leaf { skip: 0, heads: vec![0; recs.len()], recs };
+        leaf.rehead(keys, leaf.tight_skip(keys));
+        leaf
+    }
+
+    /// The common prefix of the first and the last record's key.
+    fn tight_skip(&self, keys: &KeyRun) -> usize {
+        match (self.recs.first(), self.recs.last()) {
+            (Some(&first), Some(&last)) => {
+                lcp_len(keys.get(first as usize), keys.get(last as usize))
+            }
+            _ => 0,
+        }
+    }
+
+    /// `Ok(i)` if record `i` holds `key`, else `Err(i)`: the partial keys
+    /// below `key`'s (taken from byte `skip`, or from its end if it is
+    /// shorter), then the run of ties compared as whole keys. The position
+    /// is exact when `key` shares the leaf's first `skip` bytes; a key
+    /// that does not cannot be in the leaf, and no record compares equal
+    /// to it — so a point read needs no prefix check.
+    fn probe(&self, keys: &KeyRun, key: &[u8]) -> Result<usize, usize> {
+        let qh = head(&key[(self.skip as usize).min(key.len())..]);
+        let mut i = self.heads.iter().map(|&h| usize::from(h < qh)).sum::<usize>();
+        while i < self.recs.len() && self.heads[i] == qh {
+            match keys.get(self.recs[i] as usize).cmp(key) {
+                Ordering::Less => i += 1,
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => break,
+            }
+        }
+        Err(i)
+    }
+
+    /// [`Leaf::probe`] with its position exact for any `key`: the first
+    /// `skip` bytes are compared with record 0's once, and a mismatch puts
+    /// `key` below or above every record.
+    fn search(&self, keys: &KeyRun, key: &[u8]) -> Result<usize, usize> {
+        let Some(&first) = self.recs.first() else { return Err(0) };
+        let skip = self.skip as usize;
+        let m = skip.min(key.len());
+        match key[..m].cmp(&keys.get(first as usize)[..m]) {
+            Ordering::Less => Err(0),
+            Ordering::Greater => Err(self.recs.len()),
+            Ordering::Equal if m < skip => Err(0),
+            Ordering::Equal => self.probe(keys, key),
+        }
+    }
+
+    /// First slot whose key is `>= key`.
+    fn lower_bound(&self, keys: &KeyRun, key: &[u8]) -> usize {
+        match self.search(keys, key) {
+            Ok(i) | Err(i) => i,
+        }
+    }
+
+    /// First slot whose key is `> key`.
+    fn upper_bound(&self, keys: &KeyRun, key: &[u8]) -> usize {
+        match self.search(keys, key) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        }
+    }
+
+    /// Splice record `rec` in at slot `i`. A full leaf grows **once**, to
+    /// [`LEAF_ROOM`] slots, and never doubles past that (DESIGN.md, "HOT
+    /// on key blocks"). The common prefix can only shrink; when it does,
+    /// every partial key is taken again.
+    fn insert_at(&mut self, keys: &KeyRun, i: usize, rec: u32) {
+        let n = self.recs.len();
+        if self.recs.capacity() == n {
+            let room = LEAF_ROOM.max(n + 1);
+            self.recs.reserve_exact(room - n);
+            self.heads.reserve_exact(room - n);
+        }
+        let key = keys.get(rec as usize);
+        // A key between the first and the last shares their prefix; one
+        // at either end may cut it.
+        let skip = match self.recs.first() {
+            None => key.len(),
+            Some(&first) => lcp_len(&keys.get(first as usize)[..self.skip as usize], key),
+        };
+        self.recs.insert(i, rec);
+        self.heads.insert(i, head(&key[skip..]));
+        if skip != self.skip as usize {
+            self.rehead(keys, skip);
+        }
+    }
+
+    /// Make `skip` the leaf's common prefix and take every partial key
+    /// again from it.
+    fn rehead(&mut self, keys: &KeyRun, skip: usize) {
+        self.skip = skip as u32;
+        for (h, &r) in self.heads.iter_mut().zip(&self.recs) {
+            *h = head(&keys.get(r as usize)[skip..]);
+        }
+    }
+
+    /// Split slots `at..` off into an exact-size leaf and keep slots `..at`
+    /// here, in this leaf's buffers; both halves re-tighten `skip`.
+    fn split_off(&mut self, keys: &KeyRun, at: usize) -> Leaf {
+        let right = Leaf::packed(keys, self.recs.split_off(at));
+        self.heads.truncate(at);
+        let skip = self.tight_skip(keys);
+        if skip != self.skip as usize {
+            self.rehead(keys, skip);
+        }
+        right
+    }
+
+    /// Heap bytes, at capacity.
+    fn memory_bytes(&self) -> usize {
+        (self.recs.capacity() + self.heads.capacity()) * 4
+    }
+}
+
+/// A compound node: `skip` bytes are shared by every key in the subtree
+/// and not stored; `seps` holds the separators past them. Child `i` holds
+/// keys `< seps[i]`, child `i+1` keys `>= seps[i]` (comparing
+/// `key[skip..]`).
+#[derive(Debug)]
+struct Inner {
+    skip: u32,
+    seps: KeyBlock,
+    children: Vec<u32>,
+}
+
+impl Inner {
+    /// The child whose subtree `key` belongs in, if `key` shares the
+    /// node's skipped prefix (any child otherwise).
+    #[inline]
+    fn child(&self, key: &[u8]) -> u32 {
+        self.children[self.seps.upper_bound(&key[(self.skip as usize).min(key.len())..])]
+    }
+}
+
 #[derive(Debug)]
 enum Node {
-    /// Sorted record ids (≤ K of them).
-    Leaf { recs: Vec<u32> },
-    /// `skip` bytes are shared by every key in the subtree and not stored;
-    /// separators are relative to `skip`. Child `i` holds keys `< seps[i]`,
-    /// child `i+1` keys `>= seps[i]` (comparing `key[skip..]`).
-    Inner { skip: u32, seps: Vec<Box<[u8]>>, children: Vec<u32> },
+    Leaf(Leaf),
+    Inner(Inner),
 }
 
 /// The height-optimized trie over byte-string keys and `V` values
@@ -78,9 +249,11 @@ enum Node {
 pub struct Hot<V = u64> {
     nodes: Vec<Node>,
     root: u32,
-    /// The simulated tuple store: full keys + values. Navigation uses only
+    /// The record heap, the simulated tuple store: record `r`'s full key
+    /// is key `r` of `keys` and its value `values[r]`. Navigation uses only
     /// partial keys; exact results are verified here.
-    records: Vec<(Box<[u8]>, V)>,
+    keys: KeyRun,
+    values: Vec<V>,
 }
 
 impl<V> Default for Hot<V> {
@@ -92,50 +265,51 @@ impl<V> Default for Hot<V> {
 impl<V> Hot<V> {
     /// New empty trie.
     pub fn new() -> Self {
-        Hot { nodes: vec![Node::Leaf { recs: Vec::new() }], root: 0, records: Vec::new() }
+        Hot {
+            nodes: vec![Node::Leaf(Leaf::default())],
+            root: 0,
+            keys: KeyRun::default(),
+            values: Vec::new(),
+        }
     }
 
     /// Number of stored keys.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.values.len()
     }
 
     /// True if no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.values.is_empty()
     }
 
-    /// Index memory: compound nodes (partial separators + child/record
-    /// slots). Excludes the record heap — HOT stores only partial keys.
+    /// Index memory: the node array and each node's separators, child ids,
+    /// record ids and partial keys, all at capacity. Excludes the record
+    /// heap — HOT stores only partial keys.
     pub fn index_memory_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                std::mem::size_of::<Node>()
-                    + match n {
-                        Node::Leaf { recs } => recs.len() * 4,
-                        Node::Inner { seps, children, .. } => {
-                            seps.iter()
-                                .map(|s| std::mem::size_of::<Box<[u8]>>() + s.len())
-                                .sum::<usize>()
-                                + children.len() * 4
-                        }
-                    }
-            })
-            .sum()
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self
+                .nodes
+                .iter()
+                .map(|n| match n {
+                    Node::Leaf(leaf) => leaf.memory_bytes(),
+                    Node::Inner(inner) => inner.seps.memory_bytes() + inner.children.capacity() * 4,
+                })
+                .sum::<usize>()
     }
 
-    /// Memory of the simulated record heap (full keys + values).
+    /// Memory of the simulated record heap (full keys + values), at
+    /// capacity.
     pub fn record_memory_bytes(&self) -> usize {
-        self.records.iter().map(|(k, _)| std::mem::size_of::<(Box<[u8]>, V)>() + k.len()).sum()
+        self.keys.heap_bytes() + self.values.capacity() * std::mem::size_of::<V>()
     }
 
     /// Tree height in levels (1 = a single leaf).
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut at = self.root;
-        while let Node::Inner { children, .. } = &self.nodes[at as usize] {
-            at = children[0];
+        while let Node::Inner(inner) = &self.nodes[at as usize] {
+            at = inner.children[0];
             h += 1;
         }
         h
@@ -143,7 +317,7 @@ impl<V> Hot<V> {
 
     #[inline]
     fn rec_key(&self, rec: u32) -> &[u8] {
-        &self.records[rec as usize].0
+        self.keys.get(rec as usize)
     }
 
     /// Smallest record in the subtree (used to recover skipped prefix
@@ -151,8 +325,8 @@ impl<V> Hot<V> {
     fn min_record(&self, mut at: u32) -> u32 {
         loop {
             match &self.nodes[at as usize] {
-                Node::Leaf { recs } => return recs[0],
-                Node::Inner { children, .. } => at = children[0],
+                Node::Leaf(leaf) => return leaf.recs[0],
+                Node::Inner(inner) => at = inner.children[0],
             }
         }
     }
@@ -161,8 +335,19 @@ impl<V> Hot<V> {
     fn max_record(&self, mut at: u32) -> u32 {
         loop {
             match &self.nodes[at as usize] {
-                Node::Leaf { recs } => return *recs.last().expect("non-empty leaf"),
-                Node::Inner { children, .. } => at = *children.last().expect("has children"),
+                Node::Leaf(leaf) => return *leaf.recs.last().expect("non-empty leaf"),
+                Node::Inner(inner) => at = *inner.children.last().expect("has children"),
+            }
+        }
+    }
+
+    /// The leaf `key` belongs in.
+    fn leaf_of(&self, key: &[u8]) -> &Leaf {
+        let mut at = self.root;
+        loop {
+            match &self.nodes[at as usize] {
+                Node::Inner(inner) => at = inner.child(key),
+                Node::Leaf(leaf) => return leaf,
             }
         }
     }
@@ -170,21 +355,9 @@ impl<V> Hot<V> {
     /// Point lookup: navigate by partial keys, verify against the record.
     /// Borrows the stored value; see [`Hot::get`] for the cloning form.
     pub fn get_ref(&self, key: &[u8]) -> Option<&V> {
-        let mut at = self.root;
-        loop {
-            match &self.nodes[at as usize] {
-                Node::Inner { skip, seps, children } => {
-                    let q = &key[(*skip as usize).min(key.len())..];
-                    let i = seps.partition_point(|s| s.as_ref() <= q);
-                    at = children[i];
-                }
-                Node::Leaf { recs } => {
-                    let i = recs.partition_point(|&r| self.rec_key(r) < key);
-                    return (i < recs.len() && self.rec_key(recs[i]) == key)
-                        .then(|| &self.records[recs[i] as usize].1);
-                }
-            }
-        }
+        let leaf = self.leaf_of(key);
+        let i = leaf.probe(&self.keys, key).ok()?;
+        Some(&self.values[leaf.recs[i] as usize])
     }
 
     /// Point lookup, cloning the stored value (a copy for `u64` ids). Use
@@ -199,14 +372,19 @@ impl<V> Hot<V> {
     /// Insert or update; returns the previous value if the key existed.
     pub fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         // Update in place if present (records are authoritative).
-        if let Some(rec) = self.find_record(key) {
-            let old = std::mem::replace(&mut self.records[rec as usize].1, value);
-            return Some(old);
+        let leaf = self.leaf_of(key);
+        if let Ok(i) = leaf.probe(&self.keys, key) {
+            let rec = leaf.recs[i] as usize;
+            return Some(std::mem::replace(&mut self.values[rec], value));
         }
-        self.records.push((key.into(), value));
-        let rec = (self.records.len() - 1) as u32;
+        let rec = u32::try_from(self.values.len()).expect("fewer than 2^32 records");
+        // A record under every node of the path the insert descends until
+        // it breaks a skipped prefix; the empty root leaf has none.
+        let witness = leaf.recs.first().copied().unwrap_or(rec);
+        self.keys.push(key);
+        self.values.push(value);
         let root = self.root;
-        if let Some((sep, right)) = self.insert_rec(root, key, rec) {
+        if let Some((sep, right)) = self.insert_rec(root, rec, witness) {
             // The new root may skip the prefix shared by *all* keys, i.e.
             // lcp(global min, global max); every separator between them
             // shares it too.
@@ -214,108 +392,102 @@ impl<V> Hot<V> {
             let max = self.max_record(right);
             let skip = lcp_len(self.rec_key(min), self.rec_key(max));
             debug_assert!(sep.len() > skip, "separator inside shared prefix");
-            let sep_rel: Box<[u8]> = sep[skip..].into();
-            self.nodes.push(Node::Inner {
-                skip: skip as u32,
-                seps: vec![sep_rel],
-                children: vec![root, right],
-            });
-            self.root = (self.nodes.len() - 1) as u32;
+            let seps = KeyBlock::from_sorted(&[&sep[skip..]], false);
+            let children = vec![root, right];
+            self.root = self.push_node(Node::Inner(Inner { skip: skip as u32, seps, children }));
         }
         None
     }
 
-    fn find_record(&self, key: &[u8]) -> Option<u32> {
-        let mut at = self.root;
-        loop {
-            match &self.nodes[at as usize] {
-                Node::Inner { skip, seps, children } => {
-                    let q = &key[(*skip as usize).min(key.len())..];
-                    let i = seps.partition_point(|s| s.as_ref() <= q);
-                    at = children[i];
-                }
-                Node::Leaf { recs } => {
-                    let i = recs.partition_point(|&r| self.rec_key(r) < key);
-                    return (i < recs.len() && self.rec_key(recs[i]) == key).then(|| recs[i]);
-                }
-            }
-        }
+    fn push_node(&mut self, node: Node) -> u32 {
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
     }
 
-    /// Returns a split (absolute separator, right node) if `at` overflowed.
-    fn insert_rec(&mut self, at: u32, key: &[u8], rec: u32) -> Option<(Vec<u8>, u32)> {
+    /// Insert record `rec` under `at`; returns a split (absolute separator,
+    /// right node) if `at` overflowed. `witness` is a record of the leaf
+    /// the key was first looked up in ([`Hot::reduce_skip`]).
+    fn insert_rec(&mut self, at: u32, rec: u32, witness: u32) -> Option<(Vec<u8>, u32)> {
         // Adapt the skipped prefix first if the new key breaks it.
-        self.maybe_reduce_skip(at, key);
-        match &self.nodes[at as usize] {
-            Node::Leaf { .. } => {
-                let Node::Leaf { recs } = &mut self.nodes[at as usize] else { unreachable!() };
-                let recs_snapshot: Vec<u32> = recs.clone();
-                let i =
-                    recs_snapshot.partition_point(|&r| self.records[r as usize].0.as_ref() < key);
-                let Node::Leaf { recs } = &mut self.nodes[at as usize] else { unreachable!() };
-                recs.insert(i, rec);
-                if recs.len() <= K {
+        self.reduce_skip(at, rec, witness);
+        let key = self.keys.get(rec as usize);
+        match &mut self.nodes[at as usize] {
+            Node::Leaf(leaf) => {
+                let (Ok(i) | Err(i)) = leaf.search(&self.keys, key);
+                leaf.insert_at(&self.keys, i, rec);
+                if leaf.recs.len() <= K {
                     return None;
                 }
-                let mid = recs.len() / 2;
-                let right_recs = recs.split_off(mid);
-                let left_max = *recs.last().expect("non-empty left");
-                let right_min = right_recs[0];
-                let sep = shortest_separator(self.rec_key(left_max), self.rec_key(right_min));
-                self.nodes.push(Node::Leaf { recs: right_recs });
-                Some((sep, (self.nodes.len() - 1) as u32))
+                let mid = leaf.recs.len() / 2;
+                let sep = shortest_separator(
+                    self.keys.get(leaf.recs[mid - 1] as usize),
+                    self.keys.get(leaf.recs[mid] as usize),
+                );
+                let right = leaf.split_off(&self.keys, mid);
+                Some((sep, self.push_node(Node::Leaf(right))))
             }
-            Node::Inner { skip, seps, children } => {
-                let q = &key[(*skip as usize).min(key.len())..];
-                let i = seps.partition_point(|s| s.as_ref() <= q);
-                let child = children[i];
-                let split = self.insert_rec(child, key, rec)?;
-                let (sep_abs, right) = split;
-                let Node::Inner { skip, seps, children } = &mut self.nodes[at as usize] else {
-                    unreachable!()
+            Node::Inner(inner) => {
+                let child = inner.child(key);
+                let (sep_abs, right) = self.insert_rec(child, rec, witness)?;
+                let Node::Inner(inner) = &mut self.nodes[at as usize] else {
+                    unreachable!("node kind changed")
                 };
-                let s = *skip as usize;
+                let s = inner.skip as usize;
                 debug_assert!(sep_abs.len() > s, "separator shorter than skip");
-                let sep_rel: Box<[u8]> = sep_abs[s..].into();
-                let pos = seps.partition_point(|x| x.as_ref() < sep_rel.as_ref());
-                seps.insert(pos, sep_rel);
-                children.insert(pos + 1, right);
-                if seps.len() < K {
+                let sep = &sep_abs[s..];
+                let pos = inner.seps.lower_bound(sep);
+                inner.seps.insert_at(pos, sep, false, K);
+                inner.children.insert(pos + 1, right);
+                if inner.seps.len() < K {
                     return None;
                 }
                 // Split this compound node, promoting the middle separator.
-                let mid = seps.len() / 2;
-                let up_rel = seps[mid].clone();
-                let mut up = Vec::with_capacity(s + up_rel.len());
+                let mid = inner.seps.len() / 2;
+                let up_rel = inner.seps.full_key(mid);
+                let seps = inner.seps.split_off(mid, mid + 1, false);
+                let children = inner.children.split_off(mid + 1);
+                let left_child = inner.children[0];
+                let right = self.push_node(Node::Inner(Inner { skip: s as u32, seps, children }));
                 // Recover the skipped prefix from any record on the left.
-                let left_child = children[0];
-                let right_seps: Vec<Box<[u8]>> = seps.split_off(mid + 1);
-                let promoted = seps.pop().expect("mid separator");
-                debug_assert_eq!(&promoted, &up_rel);
-                let right_children = children.split_off(mid + 1);
-                let skip_val = *skip;
-                self.nodes.push(Node::Inner {
-                    skip: skip_val,
-                    seps: right_seps,
-                    children: right_children,
-                });
-                let right = (self.nodes.len() - 1) as u32;
                 let prefix_rec = self.min_record(left_child);
-                up.extend_from_slice(&self.rec_key(prefix_rec)[..s]);
-                up.extend_from_slice(&up_rel);
-                Some((up, right))
+                Some(([&self.rec_key(prefix_rec)[..s], &up_rel].concat(), right))
             }
         }
     }
 
-    /// Build the tree over `records` — sorted, just filled by a bulk load —
-    /// level by level: leaves of [`load_chunk`] consecutive records, then
-    /// compound nodes over [`load_chunk`] children each. A subtree spans a
-    /// run of consecutive records, so its `skip` is the common prefix of
-    /// the first and the last of them, and every separator inside it —
-    /// one byte past the common prefix of its two neighbours — is longer.
+    /// If record `rec`'s key does not share compound node `at`'s skipped
+    /// prefix, drop `skip` to the length it does share and rebuild the
+    /// node's separator block with the dropped bytes in front of every
+    /// separator (rare: only a key outside every key of the subtree).
+    ///
+    /// `witness` stands in for the subtree's keys in the test: it shares
+    /// the skipped prefix of every node down to the first one the key
+    /// breaks, and below that node every key of the subtree breaks at the
+    /// same byte. Only the dropped bytes are read from the subtree itself.
+    fn reduce_skip(&mut self, at: u32, rec: u32, witness: u32) {
+        let Node::Inner(inner) = &self.nodes[at as usize] else { return };
+        let old = inner.skip as usize;
+        let new = lcp_len(&self.rec_key(witness)[..old], self.rec_key(rec));
+        if new == old {
+            return;
+        }
+        let reference = self.min_record(at) as usize;
+        let dropped = &self.keys.get(reference)[new..old];
+        let Node::Inner(inner) = &mut self.nodes[at as usize] else { unreachable!() };
+        inner.skip = new as u32;
+        let n = inner.seps.len();
+        inner.seps = KeyBlock::packed(dropped, (0..n).map(|i| inner.seps.suffix(i)), false);
+    }
+
+    /// Build the tree over the record heap — sorted, just filled by a bulk
+    /// load — level by level: leaves of [`load_chunk`] consecutive
+    /// records, then compound nodes over [`load_chunk`] children each. A
+    /// subtree spans a run of consecutive records, so its `skip` is the
+    /// common prefix of the first and the last of them, and every
+    /// separator inside it — one byte past the common prefix of its two
+    /// neighbours — is longer.
     fn load_levels(&mut self) {
-        let n = self.records.len();
+        let n = self.len();
         let mut nodes = n.div_ceil(LOAD_FILL);
         let mut total = nodes;
         while nodes > 1 {
@@ -334,7 +506,8 @@ impl<V> Hot<V> {
             if at > 0 {
                 seps.push(shortest_separator(self.rec_key(at as u32 - 1), self.rec_key(at as u32)));
             }
-            self.nodes.push(Node::Leaf { recs: (at as u32..end as u32).collect() });
+            let leaf = Leaf::packed(&self.keys, (at as u32..end as u32).collect());
+            self.nodes.push(Node::Leaf(leaf));
             spans.push((at as u32, end as u32 - 1));
             at = end;
         }
@@ -348,11 +521,12 @@ impl<V> Hot<V> {
                 let end = at + load_chunk(n - at);
                 let (min, max) = (spans[at].0, spans[end - 1].1);
                 let skip = lcp_len(self.rec_key(min), self.rec_key(max));
-                self.nodes.push(Node::Inner {
+                let below = seps[at..end - 1].iter().map(|s| &s[skip..]);
+                self.nodes.push(Node::Inner(Inner {
                     skip: skip as u32,
-                    seps: seps[at..end - 1].iter().map(|s| Box::from(&s[skip..])).collect(),
+                    seps: KeyBlock::packed(&[], below, false),
                     children: (first_node + at as u32..first_node + end as u32).collect(),
-                });
+                }));
                 upper_spans.push((min, max));
                 if end < n {
                     upper_seps.push(std::mem::take(&mut seps[end - 1]));
@@ -363,31 +537,6 @@ impl<V> Hot<V> {
             (spans, seps) = (upper_spans, upper_seps);
         }
         self.root = first_node;
-    }
-
-    /// If `key` does not share a node's skipped prefix, re-expand the
-    /// separators so the node's `skip` drops to the actual shared length.
-    fn maybe_reduce_skip(&mut self, at: u32, key: &[u8]) {
-        let (old_skip, needs) = match &self.nodes[at as usize] {
-            Node::Inner { skip, .. } if *skip > 0 => {
-                let reference = self.min_record(at);
-                let shared = lcp_len(self.rec_key(reference), key).min(*skip as usize);
-                (*skip as usize, (shared < *skip as usize).then_some(shared))
-            }
-            _ => (0, None),
-        };
-        let Some(new_skip) = needs else { return };
-        let reference = self.min_record(at);
-        let dropped: Vec<u8> = self.rec_key(reference)[new_skip..old_skip].to_vec();
-        let Node::Inner { skip, seps, .. } = &mut self.nodes[at as usize] else {
-            return;
-        };
-        *skip = new_skip as u32;
-        for s in seps.iter_mut() {
-            let mut v = dropped.clone();
-            v.extend_from_slice(s);
-            *s = v.into_boxed_slice();
-        }
     }
 
     /// In-order traversal; `bounded` = the subtree may still contain
@@ -403,33 +552,31 @@ impl<V> Hot<V> {
         f: &mut dyn FnMut(&[u8], &V) -> bool,
     ) -> bool {
         match &self.nodes[at as usize] {
-            Node::Leaf { recs } => {
-                let from =
-                    if bounded { recs.partition_point(|&r| self.rec_key(r) < start) } else { 0 };
+            Node::Leaf(leaf) => {
+                let recs = &leaf.recs;
+                let from = if bounded { leaf.lower_bound(&self.keys, start) } else { 0 };
                 // One `high` compare per leaf: a leaf whose last key is
                 // inside the range is emitted whole and uncompared, and
                 // only the leaf the range ends in is searched (inverted
                 // bounds put that end below `from`: nothing to emit).
                 let end = match (high, recs.last()) {
                     (Some(h), Some(&last)) if self.rec_key(last) > h => {
-                        Some(recs.partition_point(|&r| self.rec_key(r) <= h))
+                        Some(leaf.upper_bound(&self.keys, h))
                     }
                     _ => None,
                 };
                 let to = end.unwrap_or(recs.len());
-                recs[from.min(to)..to].iter().all(|&r| {
-                    let (key, value) = &self.records[r as usize];
-                    f(key, value)
-                }) && end.is_none()
+                recs[from.min(to)..to].iter().all(|&r| f(self.rec_key(r), &self.values[r as usize]))
+                    && end.is_none()
             }
-            Node::Inner { skip, seps, children } => {
+            Node::Inner(inner) => {
                 let mut from_child = 0usize;
                 let mut boundary = false;
                 if bounded {
                     // Compare start against the skipped prefix (recovered
                     // from a record) to decide whether navigation by
                     // partial keys is valid.
-                    let s = *skip as usize;
+                    let s = inner.skip as usize;
                     let reference = self.min_record(at);
                     let pfx = &self.rec_key(reference)[..s];
                     let m = lcp_len(pfx, start);
@@ -439,13 +586,13 @@ impl<V> Hot<V> {
                         }
                         // subtree entirely above start: unbounded scan
                     } else if start.len() > s {
-                        let q = &start[s..];
-                        from_child = seps.partition_point(|x| x.as_ref() <= q);
+                        from_child = inner.seps.upper_bound(&start[s..]);
                         boundary = true;
                     }
                     // start exhausted within the prefix: unbounded scan
                 }
-                children
+                inner
+                    .children
                     .iter()
                     .enumerate()
                     .skip(from_child)
@@ -456,7 +603,7 @@ impl<V> Hot<V> {
 
     /// Average leaf depth (compound-node steps) — height diagnostic.
     pub fn avg_depth(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         let mut sum = 0u64;
@@ -464,12 +611,12 @@ impl<V> Hot<V> {
         let mut stack = vec![(self.root, 1u32)];
         while let Some((at, d)) = stack.pop() {
             match &self.nodes[at as usize] {
-                Node::Leaf { recs } => {
-                    sum += d as u64 * recs.len() as u64;
-                    n += recs.len() as u64;
+                Node::Leaf(leaf) => {
+                    sum += d as u64 * leaf.recs.len() as u64;
+                    n += leaf.recs.len() as u64;
                 }
-                Node::Inner { children, .. } => {
-                    for &c in children {
+                Node::Inner(inner) => {
+                    for &c in &inner.children {
                         stack.push((c, d + 1));
                     }
                 }
@@ -492,30 +639,38 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
         Hot::insert(self, key, value)
     }
 
-    /// The run becomes the record heap (reserved from its `size_hint`),
-    /// and the tree is built over it level by level — no descent and no
-    /// split per key. Into a trie that already holds keys the run is
-    /// inserted pair by pair.
+    /// The run becomes the record heap — ids and values reserved from its
+    /// `size_hint`, the key bytes exact once the run is in — and the tree
+    /// is built over it level by level: no descent and no split per key.
+    /// Into a trie that already holds keys the run is inserted pair by
+    /// pair.
     fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], V)>) {
-        if !self.records.is_empty() {
+        if !self.is_empty() {
             for (key, value) in run {
                 self.insert(key, value);
             }
             return;
         }
-        self.records.reserve_exact(run.size_hint().0);
+        let hint = run.size_hint().0;
+        self.keys = KeyRun::with_capacity(hint, 0);
+        self.values.reserve_exact(hint);
         for (key, value) in run {
             debug_assert!(
-                self.records.last().is_none_or(|(prev, _)| prev.as_ref() < key),
+                self.keys.is_empty() || self.keys.get(self.keys.len() - 1) < key,
                 "bulk load must be strictly increasing"
             );
-            self.records.push((key.into(), value));
+            self.keys.push(key);
+            self.values.push(value);
         }
-        if !self.records.is_empty() {
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+        if !self.is_empty() {
             self.load_levels();
         }
     }
 
+    /// Walks the leaves in key order and hands out each hit's key as a
+    /// slice of the record heap.
     fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
         self.scan_rec(self.root, low, high, true, f);
     }
@@ -610,7 +765,8 @@ mod tests {
     /// What a bulk load builds: the run as the record heap, leaves of
     /// consecutive records first, compound nodes of 2 to `LOAD_FILL`
     /// children whose `skip` is shorter than every separator was, every
-    /// `Vec` at its exact capacity.
+    /// buffer at its exact capacity, and every leaf's `skip` and partial
+    /// keys tight.
     #[test]
     fn bulk_load_packs_nodes_level_by_level() {
         for n in [1usize, 23, 24, 25, 47, 48, 577, 5_000] {
@@ -619,33 +775,162 @@ mod tests {
             let mut h = Hot::new();
             h.load_sorted(&mut keys.iter().map(Vec::as_slice).zip(0..));
             assert_eq!(h.len(), n);
-            assert_eq!(h.records.capacity(), n);
+            assert!(h.keys.is_exact(), "{n} keys");
+            assert_eq!(h.values.capacity(), n);
             assert_eq!(h.nodes.capacity(), h.nodes.len(), "{n} keys");
             let mut next_rec = 0u32;
             for node in &h.nodes {
                 match node {
-                    Node::Leaf { recs } => {
+                    Node::Leaf(leaf) => {
+                        let recs = &leaf.recs;
                         assert!((1..=LOAD_FILL).contains(&recs.len()), "{n} keys");
                         assert_eq!(recs.capacity(), recs.len());
+                        assert_eq!(leaf.heads.capacity(), recs.len());
                         assert!(recs.iter().copied().eq(next_rec..next_rec + recs.len() as u32));
                         next_rec += recs.len() as u32;
+                        check_leaf(leaf, &h.keys);
                     }
-                    Node::Inner { skip, seps, children } => {
+                    Node::Inner(inner) => {
                         assert_eq!(next_rec as usize, n, "{n} keys: an inner node before a leaf");
-                        assert!((2..=LOAD_FILL).contains(&children.len()), "{n} keys");
-                        assert_eq!(seps.len() + 1, children.len());
-                        assert_eq!(
-                            (seps.capacity(), children.capacity()),
-                            (seps.len(), children.len())
+                        let fan = inner.children.len();
+                        assert!((2..=LOAD_FILL).contains(&fan), "{n} keys");
+                        assert_eq!(inner.seps.len() + 1, fan);
+                        assert!(inner.seps.is_exact(), "{n} keys");
+                        assert_eq!(inner.children.capacity(), fan);
+                        assert!(inner.skip as usize >= b"com.example/".len());
+                        assert!(
+                            (0..fan - 1).all(|i| !inner.seps.suffix(i).is_empty()),
+                            "a separator inside the skip"
                         );
-                        assert!(*skip as usize >= b"com.example/".len());
-                        assert!(seps.iter().all(|s| !s.is_empty()), "a separator inside the skip");
                     }
                 }
             }
             assert_eq!(scan(&h, b"", n + 1), (0..n as u64).collect::<Vec<u64>>());
             assert_eq!(h.get(&keys[n / 2]), Some(n as u64 / 2));
         }
+    }
+
+    /// `leaf`'s `skip` is the common prefix of its first and last key and
+    /// every partial key is taken from it.
+    fn check_leaf(leaf: &Leaf, keys: &KeyRun) {
+        assert_eq!(leaf.recs.len(), leaf.heads.len());
+        let (Some(&first), Some(&last)) = (leaf.recs.first(), leaf.recs.last()) else { return };
+        let skip = lcp_len(keys.get(first as usize), keys.get(last as usize));
+        assert_eq!(leaf.skip as usize, skip, "a loose or broken leaf skip");
+        for (&r, &h) in leaf.recs.iter().zip(&leaf.heads) {
+            assert_eq!(h, head(&keys.get(r as usize)[skip..]), "partial key of record {r}");
+        }
+    }
+
+    /// Every string of up to 4 letters over `0x00`, `a`, `0xff`, sorted. A
+    /// letter is `width` copies of its byte: at width 3 strings share
+    /// 4-byte partial keys and differ after them, and at width 1 `a` and
+    /// `a\0` tie in theirs.
+    fn words(width: usize) -> Vec<Vec<u8>> {
+        let mut all = vec![Vec::new()];
+        let mut level = vec![Vec::new()];
+        for _ in 0..4 {
+            level = level
+                .iter()
+                .flat_map(|w: &Vec<u8>| {
+                    [0x00, b'a', 0xff].map(|c| [&w[..], &vec![c; width]].concat())
+                })
+                .collect();
+            all.extend(level.iter().cloned());
+        }
+        all.sort();
+        all
+    }
+
+    /// `leaf` holds exactly the records `recs` of `keys`, tight, and its
+    /// searches agree with `partition_point` on every query: `search` and
+    /// both bounds on position, `probe` on membership.
+    fn check_search(leaf: &Leaf, keys: &KeyRun, recs: &[u32], queries: &[Vec<u8>]) {
+        assert_eq!(leaf.recs, recs);
+        check_leaf(leaf, keys);
+        let stored: Vec<&[u8]> = recs.iter().map(|&r| keys.get(r as usize)).collect();
+        for q in queries {
+            let q = q.as_slice();
+            let lower = stored.partition_point(|k| *k < q);
+            let hit = stored.get(lower) == Some(&q);
+            let want = if hit { Ok(lower) } else { Err(lower) };
+            assert_eq!(leaf.search(keys, q), want, "{stored:?}: search({q:?})");
+            assert_eq!(leaf.probe(keys, q).ok(), want.ok(), "{stored:?}: probe({q:?})");
+            assert_eq!(leaf.lower_bound(keys, q), lower);
+            assert_eq!(leaf.upper_bound(keys, q), lower + usize::from(hit));
+        }
+    }
+
+    /// Leaves of up to `K + 1` records — runs of neighbouring words (long
+    /// common prefixes) and strided picks (none) — answer like
+    /// `partition_point`, whether loaded, built by inserts in a scrambled
+    /// order (`skip` shrinking as they go) or cut by a split.
+    #[test]
+    fn leaf_search_matches_partition_point() {
+        for width in [1, 3] {
+            let words = words(width);
+            let mut keys = KeyRun::default();
+            words.iter().for_each(|w| keys.push(w));
+            for start in 0..words.len() {
+                for (n, stride) in [(1, 1), (2, 1), (5, 1), (24, 1), (33, 1), (5, 7), (33, 3)] {
+                    let recs: Vec<u32> = (0..n)
+                        .map(|j| start + j * stride)
+                        .take_while(|&at| at < words.len())
+                        .map(|at| at as u32)
+                        .collect();
+                    let loaded = Leaf::packed(&keys, recs.clone());
+                    check_search(&loaded, &keys, &recs, &words);
+
+                    let n = recs.len();
+                    let mut inserted = Leaf::default();
+                    let odd_then_even: Vec<usize> =
+                        (1..n).step_by(2).chain((0..n).step_by(2).rev()).collect();
+                    for j in 0..n {
+                        let rec = recs[odd_then_even[(j + start) % n]];
+                        let at = inserted.lower_bound(&keys, keys.get(rec as usize));
+                        inserted.insert_at(&keys, at, rec);
+                    }
+                    check_search(&inserted, &keys, &recs, &words);
+
+                    if n >= 3 {
+                        let mid = n / 2;
+                        let right = inserted.split_off(&keys, mid);
+                        check_search(&inserted, &keys, &recs[..mid], &words);
+                        check_search(&right, &keys, &recs[mid..], &words);
+                        assert_eq!(right.recs.capacity(), n - mid);
+                        assert_eq!(right.heads.capacity(), n - mid);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A leaf grows once, to `K + 1` slots, whether it was loaded or
+    /// started empty, and never past that.
+    #[test]
+    fn leaves_grow_once_to_room_for_a_split() {
+        let words = words(1);
+        let mut keys = KeyRun::default();
+        words.iter().for_each(|w| keys.push(w));
+        let mut leaf = Leaf::packed(&keys, (0..LOAD_FILL as u32).collect());
+        leaf.insert_at(&keys, LOAD_FILL, LOAD_FILL as u32);
+        assert_eq!((leaf.recs.capacity(), leaf.heads.capacity()), (LEAF_ROOM, LEAF_ROOM));
+        for rec in LOAD_FILL as u32 + 1..LEAF_ROOM as u32 {
+            leaf.insert_at(&keys, rec as usize, rec);
+        }
+        assert_eq!((leaf.recs.capacity(), leaf.heads.capacity()), (LEAF_ROOM, LEAF_ROOM));
+        let mut fresh = Leaf::default();
+        fresh.insert_at(&keys, 0, 0);
+        assert_eq!(fresh.recs.capacity(), LEAF_ROOM);
+    }
+
+    /// The node is what a trie of many small nodes pays per node: a
+    /// compound node's key block, child ids and skip. Leaves, about 96 %
+    /// of the nodes, use half of it.
+    #[test]
+    fn node_stays_small() {
+        assert_eq!(std::mem::size_of::<Leaf>(), 56);
+        assert_eq!(std::mem::size_of::<Node>(), 112);
     }
 
     #[test]
@@ -685,18 +970,49 @@ mod tests {
         assert_eq!(out, vec![b"two".to_vec()]);
     }
 
+    /// The index holds partial keys: lengthening every key's shared path
+    /// by 324 bytes leaves the index's bytes where they were and only the
+    /// record heap grows. A loaded trie's index is also under half its
+    /// heap.
     #[test]
     fn index_memory_is_partial() {
-        let mut h = Hot::new();
-        for i in 0..2000u64 {
-            h.insert(format!("http://site.example/long/path/{i:06}").as_bytes(), i);
-        }
-        // Partial-key index should be far smaller than the record heap.
+        let build = |path: &str| {
+            let mut h = Hot::new();
+            for i in 0..2000u64 {
+                h.insert(format!("http://site.example/{path}/{i:06}").as_bytes(), i);
+            }
+            h
+        };
+        let short = build("long/path");
+        let long = build(&format!("long/path{}", "/x".repeat(162)));
+        println!(
+            "index {} / {} B, heap {} / {} B",
+            short.index_memory_bytes(),
+            long.index_memory_bytes(),
+            short.record_memory_bytes(),
+            long.record_memory_bytes()
+        );
+        assert_eq!(short.index_memory_bytes(), long.index_memory_bytes());
         assert!(
-            h.index_memory_bytes() < h.record_memory_bytes() / 2,
+            long.record_memory_bytes() >= 5 * short.record_memory_bytes(),
+            "heap {} vs {}",
+            long.record_memory_bytes(),
+            short.record_memory_bytes()
+        );
+        let mut loaded = Hot::new();
+        let mut run = Vec::new();
+        short.for_each(&mut |k, &v| run.push((k.to_vec(), v)));
+        loaded.load_sorted(&mut run.iter().map(|(k, v)| (k.as_slice(), *v)));
+        println!(
+            "loaded: index {} B, heap {} B",
+            loaded.index_memory_bytes(),
+            loaded.record_memory_bytes()
+        );
+        assert!(
+            loaded.index_memory_bytes() < loaded.record_memory_bytes() / 2,
             "index {} heap {}",
-            h.index_memory_bytes(),
-            h.record_memory_bytes()
+            loaded.index_memory_bytes(),
+            loaded.record_memory_bytes()
         );
     }
 

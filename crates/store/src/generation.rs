@@ -48,6 +48,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, PoisonError, RwLock};
 
+use hope::index::KeyRun;
 use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Value};
 
 use crate::dictionary::Dictionary;
@@ -70,69 +71,6 @@ thread_local! {
 /// the capacity guard in [`Generation::insert`] rejects the insert that
 /// would *create* log id `u32::MAX` before it happens.
 pub(crate) const NO_PREV: u32 = u32::MAX;
-
-/// Keys back to back in one byte buffer with one `u32` end offset per key,
-/// borrowed slice by slice without an allocation per key: a generation's
-/// source keys (its base run and its write tail) and the padded bytes a
-/// bulk load reads ([`OrderedIndex::load_sorted`]).
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct KeyRun {
-    bytes: Vec<u8>,
-    /// `ends[i]`: where key `i` ends in `bytes` (key `i` starts where key
-    /// `i - 1` ends). `u32`: a writer checks [`KeyRun::fits`] first, and
-    /// one shard's run of loaded keys stays far below 4 GiB.
-    ends: Vec<u32>,
-}
-
-impl KeyRun {
-    pub(crate) fn with_capacity(keys: usize, bytes: usize) -> KeyRun {
-        KeyRun { bytes: Vec::with_capacity(bytes), ends: Vec::with_capacity(keys) }
-    }
-
-    /// Whether `extra` more bytes keep every end offset in `u32` range.
-    fn fits(&self, extra: usize) -> bool {
-        self.bytes.len().checked_add(extra).is_some_and(|end| u32::try_from(end).is_ok())
-    }
-
-    pub(crate) fn push(&mut self, key: &[u8]) {
-        self.bytes.extend_from_slice(key);
-        self.ends.push(u32::try_from(self.bytes.len()).expect("a key run is under 4 GiB"));
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Total bytes of the run's keys.
-    pub(crate) fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Where key `i` starts in `bytes`.
-    fn start(&self, i: usize) -> usize {
-        i.checked_sub(1).map_or(0, |before| self.ends[before] as usize)
-    }
-
-    /// Key `i`.
-    pub(crate) fn get(&self, i: usize) -> &[u8] {
-        &self.bytes[self.start(i)..self.ends[i] as usize]
-    }
-
-    /// The keys, in run order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        let mut from = 0;
-        self.ends.iter().map(move |&to| {
-            let key = &self.bytes[from..to as usize];
-            from = to as usize;
-            key
-        })
-    }
-
-    /// Heap bytes as allocated.
-    fn heap_bytes(&self) -> usize {
-        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
-    }
-}
 
 /// A run of records: key `i` of `keys` holds value `i` of `values`. The
 /// shape of a generation's base and tail, of the live run a rebuild
@@ -870,8 +808,8 @@ mod tests {
         );
         assert_eq!(live.values, vec![5, 1, 21, 4, 3]);
         let key_bytes: usize = keys.iter().map(Vec::len).sum();
-        assert_eq!(live.keys.bytes.capacity(), key_bytes);
-        assert_eq!(live.keys.ends.capacity(), 5);
+        assert_eq!((live.keys.byte_len(), live.keys.len()), (key_bytes, 5));
+        assert!(live.keys.is_exact());
         assert_eq!(live.values.capacity(), 5);
         assert_eq!(kept.len(), 5);
 

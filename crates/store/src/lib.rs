@@ -417,8 +417,14 @@ impl<V: Value> HopeStore<V> {
                 Arc::clone(&codec_total),
             ));
         }
-        // The caller's keys go once every shard holds its copy.
+        // The caller's keys go once every shard holds its copy, freed in
+        // address order: in arrival order the frees walk chunks the
+        // allocator handed out scattered, in address order they walk
+        // memory forward (2-vCPU box, 300 k Wiki keys: the drop's median
+        // 81 → 48 ms over 18 builds; 300 k Email keys: `setup_s` 0.344 →
+        // 0.275 s over 5 pairs).
         drop(rest);
+        keys.sort_unstable_by_key(|k| k.as_ptr() as usize);
         drop(keys);
         Ok(HopeStore { cfg, boundaries, shards, epoch_counter, telemetry, codec_total })
     }

@@ -1,13 +1,14 @@
 //! What an index *holds* is what its `memory_bytes()` *says*:
 //! `OrderedIndex::load_sorted` builds the B+tree's and HOT's nodes in
-//! exact-capacity storage, and the B+tree counts its buffers at capacity,
-//! so the estimate the store's reports and the paper's figures read is
-//! the allocator's truth to within 10 % — for a B+tree built by inserts
-//! too. And packing pays: the same encoded keys pushed through `insert` in
-//! sorted order — how generations were loaded before — leave every B+tree
-//! leaf half full inside buffers grown for more, and the loaded tree is at
-//! most ¾ of that and no taller. A loaded B+tree's key blocks hold no more
-//! than its `Box<[u8]>` per key did.
+//! exact-capacity storage, and both count their buffers at capacity, so
+//! the estimate the store's reports and the paper's figures read is the
+//! allocator's truth to within 10 % — for a tree built by inserts too. And
+//! packing pays: the same encoded keys pushed through `insert` in sorted
+//! order — how generations were loaded before — leave every leaf half
+//! full inside buffers grown for more, and the loaded tree is at most ¾ of
+//! that and no taller. A loaded B+tree's key blocks hold no more than its
+//! `Box<[u8]>` per key did, and a loaded HOT stays below what it held with
+//! a `Box<[u8]>` per record.
 //!
 //! A counting global allocator measures the bytes a drop returns. This
 //! file holds a single `#[test]` so the test harness cannot run a
@@ -84,8 +85,24 @@ fn a_bulk_loaded_index_holds_what_it_says_and_less_than_an_insert_built_one() {
     run.dedup();
     drop((keys, hope));
 
-    footprint(bulk_loaded(Hot::<u64>::new(), &run), "Hot, loaded");
-    // The most a loaded tree may hold: what it held with a `Box<[u8]>`
+    // HOT: at most what the loaded trie holds with its records packed in
+    // one run and 4-byte partial keys in its leaves (2 136 004 B with a
+    // `Box<[u8]>` per record and per separator).
+    let loaded = bulk_loaded(Hot::<u64>::new(), &run);
+    let mut inserted = Hot::<u64>::new();
+    for (k, id) in run.iter().zip(0..) {
+        inserted.insert(k, id);
+    }
+    let (short, tall) = (loaded.height(), inserted.height());
+    assert!(short <= tall, "Hot: loaded height {short}, insert-built {tall}");
+    let loaded = footprint(loaded, "Hot, loaded");
+    assert!(loaded <= 1_850_000, "Hot: loaded holds {loaded} B, more than 1 850 000 B");
+    let inserted = footprint(inserted, "Hot, insert-built");
+    assert!(
+        loaded as f64 <= 0.75 * inserted as f64,
+        "Hot: loaded holds {loaded} B, insert-built {inserted} B"
+    );
+    // The most a loaded B+tree may hold: what it held with a `Box<[u8]>`
     // per key, before key blocks.
     for (what, fresh, most) in [
         ("BPlusTree::plain", BPlusTree::<u64>::plain as fn() -> BPlusTree, 2_255_408),
