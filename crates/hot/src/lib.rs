@@ -460,14 +460,19 @@ impl<V> Hot<V> {
     /// node's separator block with the dropped bytes in front of every
     /// separator (rare: only a key outside every key of the subtree).
     ///
-    /// `witness` stands in for the subtree's keys in the test: it shares
-    /// the skipped prefix of every node down to the first one the key
-    /// breaks, and below that node every key of the subtree breaks at the
-    /// same byte. Only the dropped bytes are read from the subtree itself.
+    /// `witness` stands in for the subtree's keys in the test, through
+    /// its common prefix with the key, capped at `skip`. Down to the first
+    /// node the key breaks, the witness lies in the node's subtree, so it
+    /// shares the whole skipped prefix. From that node on the descent can
+    /// leave the witness's path, and the witness can be shorter than a
+    /// deeper node's `skip`; but it shares the broken node's old prefix
+    /// with every key below, and the key leaves that prefix at the same
+    /// byte for all of them. Only the dropped bytes are read from the
+    /// subtree itself.
     fn reduce_skip(&mut self, at: u32, rec: u32, witness: u32) {
         let Node::Inner(inner) = &self.nodes[at as usize] else { return };
         let old = inner.skip as usize;
-        let new = lcp_len(&self.rec_key(witness)[..old], self.rec_key(rec));
+        let new = lcp_len(self.rec_key(witness), self.rec_key(rec)).min(old);
         if new == old {
             return;
         }
@@ -762,7 +767,38 @@ mod tests {
         }
     }
 
-    /// What a bulk load builds: the run as the record heap, leaves of
+    /// A key breaking the root's `skip` can descend into a subtree whose
+    /// own `skip` is longer than the key of the leaf it was first looked
+    /// up in: "abd" is first looked up in the leaf that starts with
+    /// "abc", but once the root's `skip` drops to "ab" it sorts above
+    /// every separator and enters the "abcdefgh…" subtree (skip 9).
+    #[test]
+    fn skip_break_descends_past_a_short_witness() {
+        let mut keys = vec![b"abc".to_vec()];
+        keys.extend((0..600).map(|i| format!("abca{i:04}").into_bytes()));
+        keys.extend((0..600).map(|i| format!("abcdefgh{i:04}").into_bytes()));
+        let mut h = Hot::new();
+        h.load_sorted(&mut keys.iter().map(Vec::as_slice).zip(0..));
+        assert!(h.height() >= 3, "height {}", h.height());
+        assert_eq!(h.insert(b"abd", 9_000), None);
+        assert_eq!(h.insert(b"ab", 9_001), None);
+        assert_eq!(h.insert(b"abcdefgi", 9_002), None);
+        keys.extend([&b"abd"[..], b"ab", b"abcdefgi"].map(<[u8]>::to_vec));
+        let values = (0..1_201).chain(9_000..9_003);
+        for (k, v) in keys.iter().zip(values) {
+            assert_eq!(h.get(k), Some(v), "{k:?}");
+        }
+        let mut sorted = keys.clone();
+        sorted.sort();
+        let mut walked = Vec::new();
+        h.visit(b"", None, &mut |k, _| {
+            walked.push(k.to_vec());
+            true
+        });
+        assert_eq!(walked, sorted);
+    }
+
+    /// What a bulk load builds:the run as the record heap, leaves of
     /// consecutive records first, compound nodes of 2 to `LOAD_FILL`
     /// children whose `skip` is shorter than every separator was, every
     /// buffer at its exact capacity, and every leaf's `skip` and partial

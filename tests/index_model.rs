@@ -12,9 +12,10 @@
 //! heads tie (a 4-byte run past another stem); prefix chains; the empty
 //! key; and a few keys of 64 KiB and more, so a node's byte offsets
 //! overflow a `u16`. One program in four loads hundreds of keys under one
-//! long stem and then inserts keys that leave it at every depth, which
-//! makes a compound node of HOT drop bytes of its skipped prefix; bursts
-//! of inserts under that stem split loaded leaves and compound nodes.
+//! long stem, with a few prefixes of the stem, and then inserts keys that
+//! leave it at every depth, which makes a compound node of HOT drop bytes
+//! of its skipped prefix; bursts of inserts under that stem split loaded
+//! leaves and compound nodes.
 //!
 //! The vendored proptest shim does not shrink, so each program draws from
 //! its own seed, and a failure names the index, the seed and the op index.
@@ -192,9 +193,14 @@ fn run(name: &str, ix: &mut dyn OrderedIndex, seed: u64) {
         match kind {
             0 if op == 0 || rng.below(8) == 0 => {
                 let run: BTreeMap<Vec<u8>, u64> = if op == 0 && seed % 4 == 2 {
-                    (0..300 + rng.below(400))
-                        .map(|i| (long_stem_key(&mut rng), value * 1000 + i as u64))
-                        .collect()
+                    // A few prefixes of the stem too: the first leaf then
+                    // starts with a key shorter than the deeper nodes'
+                    // skipped prefixes.
+                    let mut keys: Vec<Vec<u8>> = (0..1 + rng.below(3))
+                        .map(|_| LONG_STEM[..rng.below(LONG_STEM.len())].to_vec())
+                        .collect();
+                    keys.extend((0..300 + rng.below(400)).map(|_| long_stem_key(&mut rng)));
+                    keys.into_iter().zip(0..).map(|(k, i)| (k, value * 1000 + i)).collect()
                 } else {
                     (0..rng.below(300)).map(|i| (key(&mut rng), value * 1000 + i as u64)).collect()
                 };
