@@ -11,9 +11,16 @@
 //!
 //! Keys are arbitrary byte strings; a key may be a prefix of another key
 //! (required for HOPE-encoded keys), handled by a per-node terminator slot.
-//! The tree is generic over its value payload (`Art<V>`, any
-//! [`hope::Value`]; defaults to `u64` record ids) and implements the
-//! [`hope::OrderedIndex<V>`] contract serving layers program against.
+//! The leaves are packed: leaf `i` is key `i` of one [`KeyRun`] — the keys
+//! back to back with a `u32` end each — and value `i` of one `Vec<V>`, so
+//! no key has an allocation of its own. A node is 40 bytes: its stored
+//! prefix inline, and a Node16's, Node48's or Node256's child arrays
+//! boxed. [`hope::OrderedIndex::load_sorted`] into an empty tree builds
+//! each node once from the sorted run, with the kind its fan-out needs —
+//! the very nodes inserting the run would leave. The tree is generic over
+//! its value payload (`Art<V>`, any [`hope::Value`]; defaults to `u64`
+//! record ids) and implements the [`hope::OrderedIndex<V>`] contract
+//! serving layers program against.
 //!
 //! ```
 //! use hope::OrderedIndex;
@@ -31,7 +38,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::ops::Range;
+
 use hope::axis::lcp_len;
+use hope::index::KeyRun;
 
 /// Maximum number of compressed-prefix bytes stored inline (the paper's
 /// optimistic common prefix skipping threshold).
@@ -48,6 +58,7 @@ impl Ptr {
     const NONE: Ptr = Ptr(NONE_PTR);
 
     fn leaf(i: usize) -> Ptr {
+        debug_assert!((i as u32) < LEAF_TAG);
         Ptr(i as u32 | LEAF_TAG)
     }
 
@@ -69,35 +80,88 @@ impl Ptr {
     }
 }
 
+/// A Node16's labels and children: boxed like Node48's and Node256's
+/// arrays, so that every node is 40 bytes (DESIGN.md "ART on a key run").
 #[derive(Debug)]
-struct Leaf<V> {
-    key: Box<[u8]>,
-    value: V,
+struct Slots16 {
+    labels: [u8; 16],
+    ptrs: [Ptr; 16],
 }
 
 /// Adaptive children container (Node4 → Node16 → Node48 → Node256).
 #[derive(Debug)]
 enum Children {
     N4 { count: u8, labels: [u8; 4], ptrs: [Ptr; 4] },
-    N16 { count: u8, labels: [u8; 16], ptrs: [Ptr; 16] },
+    N16 { count: u8, slots: Box<Slots16> },
     N48 { index: Box<[u8; 256]>, ptrs: Box<[Ptr; 48]>, count: u8 },
     N256 { ptrs: Box<[Ptr; 256]> },
 }
 
 const NO_SLOT: u8 = 0xFF;
 
+/// The child labelled `label` among sorted `labels`.
+fn find(labels: &[u8], ptrs: &[Ptr], label: u8) -> Option<Ptr> {
+    labels.iter().position(|&l| l == label).map(|i| ptrs[i])
+}
+
+/// Insert or replace `label` among the first `count` of sorted `labels`;
+/// false when it is new and every slot is taken.
+fn set_sorted(count: &mut u8, labels: &mut [u8], ptrs: &mut [Ptr], label: u8, ptr: Ptr) -> bool {
+    let c = *count as usize;
+    let pos = labels[..c].partition_point(|&l| l < label);
+    if pos < c && labels[pos] == label {
+        ptrs[pos] = ptr;
+        return true;
+    }
+    if c == labels.len() {
+        return false;
+    }
+    labels.copy_within(pos..c, pos + 1);
+    ptrs.copy_within(pos..c, pos + 1);
+    labels[pos] = label;
+    ptrs[pos] = ptr;
+    *count += 1;
+    true
+}
+
 impl Children {
     fn new() -> Self {
         Children::N4 { count: 0, labels: [0; 4], ptrs: [Ptr::NONE; 4] }
     }
 
+    /// An empty container of the smallest kind that holds `fanout`
+    /// children.
+    fn for_fanout(fanout: usize) -> Self {
+        match fanout {
+            0..=4 => Children::new(),
+            5..=16 => Children::N16 {
+                count: 0,
+                slots: Box::new(Slots16 { labels: [0; 16], ptrs: [Ptr::NONE; 16] }),
+            },
+            17..=48 => Children::N48 {
+                index: Box::new([NO_SLOT; 256]),
+                ptrs: Box::new([Ptr::NONE; 48]),
+                count: 0,
+            },
+            _ => Children::N256 { ptrs: Box::new([Ptr::NONE; 256]) },
+        }
+    }
+
+    /// Children this kind holds before it grows.
+    fn capacity(&self) -> usize {
+        match self {
+            Children::N4 { .. } => 4,
+            Children::N16 { .. } => 16,
+            Children::N48 { .. } => 48,
+            Children::N256 { .. } => 256,
+        }
+    }
+
     fn get(&self, label: u8) -> Option<Ptr> {
         match self {
-            Children::N4 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().position(|&l| l == label).map(|i| ptrs[i])
-            }
-            Children::N16 { count, labels, ptrs } => {
-                labels[..*count as usize].iter().position(|&l| l == label).map(|i| ptrs[i])
+            Children::N4 { count, labels, ptrs } => find(&labels[..*count as usize], ptrs, label),
+            Children::N16 { count, slots } => {
+                find(&slots.labels[..*count as usize], &slots.ptrs, label)
             }
             Children::N48 { index, ptrs, .. } => {
                 let s = index[label as usize];
@@ -112,118 +176,51 @@ impl Children {
 
     /// Insert or replace; grows the node layout when full.
     fn set(&mut self, label: u8, ptr: Ptr) {
-        match self {
-            Children::N4 { count, labels, ptrs } => {
-                if let Some(i) = labels[..*count as usize].iter().position(|&l| l == label) {
-                    ptrs[i] = ptr;
-                    return;
-                }
-                let c = *count as usize;
-                if c < 4 {
-                    let pos = labels[..c].partition_point(|&l| l < label);
-                    for i in (pos..c).rev() {
-                        labels[i + 1] = labels[i];
-                        ptrs[i + 1] = ptrs[i];
-                    }
-                    labels[pos] = label;
-                    ptrs[pos] = ptr;
-                    *count += 1;
-                    return;
-                }
-                self.grow();
-                self.set(label, ptr);
-            }
-            Children::N16 { count, labels, ptrs } => {
-                if let Some(i) = labels[..*count as usize].iter().position(|&l| l == label) {
-                    ptrs[i] = ptr;
-                    return;
-                }
-                let c = *count as usize;
-                if c < 16 {
-                    let pos = labels[..c].partition_point(|&l| l < label);
-                    for i in (pos..c).rev() {
-                        labels[i + 1] = labels[i];
-                        ptrs[i + 1] = ptrs[i];
-                    }
-                    labels[pos] = label;
-                    ptrs[pos] = ptr;
-                    *count += 1;
-                    return;
-                }
-                self.grow();
-                self.set(label, ptr);
+        let room = match self {
+            Children::N4 { count, labels, ptrs } => set_sorted(count, labels, ptrs, label, ptr),
+            Children::N16 { count, slots } => {
+                let Slots16 { labels, ptrs } = &mut **slots;
+                set_sorted(count, labels, ptrs, label, ptr)
             }
             Children::N48 { index, ptrs, count } => {
                 let s = index[label as usize];
+                let c = *count as usize;
                 if s != NO_SLOT {
                     ptrs[s as usize] = ptr;
-                    return;
-                }
-                if (*count as usize) < 48 {
+                } else if c < 48 {
                     index[label as usize] = *count;
-                    ptrs[*count as usize] = ptr;
+                    ptrs[c] = ptr;
                     *count += 1;
-                    return;
                 }
-                self.grow();
-                self.set(label, ptr);
+                s != NO_SLOT || c < 48
             }
             Children::N256 { ptrs } => {
                 ptrs[label as usize] = ptr;
+                true
             }
+        };
+        if !room {
+            self.grow_and_set(label, ptr);
         }
     }
 
-    fn grow(&mut self) {
-        *self = match std::mem::replace(self, Children::new()) {
-            Children::N4 { count, labels, ptrs } => {
-                let mut nl = [0u8; 16];
-                let mut np = [Ptr::NONE; 16];
-                nl[..4].copy_from_slice(&labels);
-                np[..4].copy_from_slice(&ptrs);
-                Children::N16 { count, labels: nl, ptrs: np }
-            }
-            Children::N16 { count, labels, ptrs } => {
-                let mut index = Box::new([NO_SLOT; 256]);
-                let mut np = Box::new([Ptr::NONE; 48]);
-                for i in 0..count as usize {
-                    index[labels[i] as usize] = i as u8;
-                    np[i] = ptrs[i];
-                }
-                Children::N48 { index, ptrs: np, count }
-            }
-            Children::N48 { index, ptrs, .. } => {
-                let mut np = Box::new([Ptr::NONE; 256]);
-                for l in 0..256 {
-                    let s = index[l];
-                    if s != NO_SLOT {
-                        np[l] = ptrs[s as usize];
-                    }
-                }
-                Children::N256 { ptrs: np }
-            }
-            n256 => n256,
-        };
+    /// Move the children into the next kind up, then set `label`.
+    fn grow_and_set(&mut self, label: u8, ptr: Ptr) {
+        let mut grown = Children::for_fanout(self.capacity() + 1);
+        self.for_each_from(0, |l, p| {
+            grown.set(l, p);
+            true
+        });
+        grown.set(label, ptr);
+        *self = grown;
     }
 
     /// Visit `(label, ptr)` in ascending label order starting at `from`;
     /// the callback returns `false` to stop.
     fn for_each_from(&self, from: u16, mut f: impl FnMut(u8, Ptr) -> bool) {
-        match self {
-            Children::N4 { count, labels, ptrs } => {
-                for i in 0..*count as usize {
-                    if (labels[i] as u16) >= from && !f(labels[i], ptrs[i]) {
-                        return;
-                    }
-                }
-            }
-            Children::N16 { count, labels, ptrs } => {
-                for i in 0..*count as usize {
-                    if (labels[i] as u16) >= from && !f(labels[i], ptrs[i]) {
-                        return;
-                    }
-                }
-            }
+        let (labels, ptrs) = match self {
+            Children::N4 { count, labels, ptrs } => (&labels[..*count as usize], &ptrs[..]),
+            Children::N16 { count, slots } => (&slots.labels[..*count as usize], &slots.ptrs[..]),
             Children::N48 { index, ptrs, .. } => {
                 for l in from..256 {
                     let s = index[l as usize];
@@ -231,6 +228,7 @@ impl Children {
                         return;
                     }
                 }
+                return;
             }
             Children::N256 { ptrs } => {
                 for l in from..256 {
@@ -239,6 +237,12 @@ impl Children {
                         return;
                     }
                 }
+                return;
+            }
+        };
+        for (&l, &p) in labels.iter().zip(ptrs) {
+            if (l as u16) >= from && !f(l, p) {
+                return;
             }
         }
     }
@@ -253,11 +257,14 @@ impl Children {
         out
     }
 
+    /// Bytes of this kind's boxed arrays.
     fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
         match self {
-            Children::N4 { .. } | Children::N16 { .. } => 0,
-            Children::N48 { .. } => 256 + 48 * 4,
-            Children::N256 { .. } => 256 * 4,
+            Children::N4 { .. } => 0,
+            Children::N16 { .. } => size_of::<Slots16>(),
+            Children::N48 { .. } => size_of::<[u8; 256]>() + size_of::<[Ptr; 48]>(),
+            Children::N256 { .. } => size_of::<[Ptr; 256]>(),
         }
     }
 }
@@ -265,13 +272,34 @@ impl Children {
 #[derive(Debug)]
 struct Node {
     /// First `min(prefix_len, MAX_STORED_PREFIX)` bytes of the compressed
-    /// path (optimistic storage).
-    prefix: Vec<u8>,
-    /// Full compressed-path length in bytes (may exceed `prefix.len()`).
+    /// path (optimistic storage); the rest of the array is unused.
+    prefix: [u8; MAX_STORED_PREFIX],
+    /// Full compressed-path length in bytes (may exceed the stored bytes).
     prefix_len: u32,
     /// Leaf for a key ending exactly at this node (prefix-key support).
     term: Ptr,
     children: Children,
+}
+
+/// The stored head of the compressed path `path`, and its full length.
+fn path_head(path: &[u8]) -> ([u8; MAX_STORED_PREFIX], u32) {
+    let mut head = [0; MAX_STORED_PREFIX];
+    let stored = path.len().min(MAX_STORED_PREFIX);
+    head[..stored].copy_from_slice(&path[..stored]);
+    (head, u32::try_from(path.len()).expect("a key is under 4 GiB"))
+}
+
+impl Node {
+    /// A node under the compressed path `path`, with no terminator.
+    fn new(path: &[u8], children: Children) -> Node {
+        let (prefix, prefix_len) = path_head(path);
+        Node { prefix, prefix_len, term: Ptr::NONE, children }
+    }
+
+    /// The stored bytes of the compressed path.
+    fn stored_prefix(&self) -> &[u8] {
+        &self.prefix[..(self.prefix_len as usize).min(MAX_STORED_PREFIX)]
+    }
 }
 
 /// The Adaptive Radix Tree over byte-string keys and `V` values
@@ -279,8 +307,15 @@ struct Node {
 #[derive(Debug)]
 pub struct Art<V = u64> {
     nodes: Vec<Node>,
-    leaves: Vec<Leaf<V>>,
+    /// The leaves: leaf `i`'s key is key `i` of `keys` and its value
+    /// `values[i]`, in insertion order — or in key order after a load.
+    keys: KeyRun,
+    values: Vec<V>,
     root: Option<Ptr>,
+    /// Heap bytes of the nodes' boxed child arrays, kept up to date as
+    /// nodes grow and as the loader builds them, so that
+    /// [`Art::memory_bytes`] walks nothing.
+    boxed_bytes: usize,
 }
 
 impl<V> Default for Art<V> {
@@ -292,36 +327,42 @@ impl<V> Default for Art<V> {
 impl<V> Art<V> {
     /// New empty tree.
     pub fn new() -> Self {
-        Art { nodes: Vec::new(), leaves: Vec::new(), root: None }
+        Art {
+            nodes: Vec::new(),
+            keys: KeyRun::default(),
+            values: Vec::new(),
+            root: None,
+            boxed_bytes: 0,
+        }
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.values.len()
     }
 
     /// True if the tree holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.values.is_empty()
     }
 
-    /// Memory footprint: adaptive nodes + leaf records (value and key
-    /// bytes; see DESIGN.md on what the leaf represents).
+    /// Memory footprint, every buffer at capacity: the nodes plus the
+    /// leaves' key run and values. O(1).
     pub fn memory_bytes(&self) -> usize {
         self.node_memory_bytes()
-            + self
-                .leaves
-                .iter()
-                .map(|l| std::mem::size_of::<Leaf<V>>() + l.key.len())
-                .sum::<usize>()
+            + self.keys.heap_bytes()
+            + self.values.capacity() * std::mem::size_of::<V>()
     }
 
-    /// Memory of the inner structure only (leaf keys excluded).
+    /// Memory of the inner structure only (leaf keys and values
+    /// excluded): the node array at capacity and the boxed child arrays.
     pub fn node_memory_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| std::mem::size_of::<Node>() + n.prefix.capacity() + n.children.heap_bytes())
-            .sum()
+        self.nodes.capacity() * std::mem::size_of::<Node>() + self.boxed_bytes
+    }
+
+    /// Leaf `leaf`'s value if its key is `key`.
+    fn leaf_value(&self, leaf: usize, key: &[u8]) -> Option<&V> {
+        (self.keys.get(leaf) == key).then(|| &self.values[leaf])
     }
 
     /// Point lookup with final-key verification (OCPS makes intermediate
@@ -332,8 +373,7 @@ impl<V> Art<V> {
         let mut pos = 0usize;
         loop {
             if let Some(leaf) = ptr.as_leaf() {
-                let l = &self.leaves[leaf];
-                return (l.key.as_ref() == key).then_some(&l.value);
+                return self.leaf_value(leaf, key);
             }
             let node = &self.nodes[ptr.as_node()?];
             let pl = node.prefix_len as usize;
@@ -341,14 +381,13 @@ impl<V> Art<V> {
                 return None;
             }
             // Optimistic prefix check: compare only the stored bytes.
-            let stored = &node.prefix;
-            if key[pos..pos + stored.len()] != stored[..] {
+            let stored = node.stored_prefix();
+            if key[pos..pos + stored.len()] != *stored {
                 return None;
             }
             pos += pl; // skip the (possibly unstored) remainder
             if pos == key.len() {
-                let l = self.leaves.get(node.term.as_leaf()?)?;
-                return (l.key.as_ref() == key).then_some(&l.value);
+                return self.leaf_value(node.term.as_leaf()?, key);
             }
             ptr = node.children.get(key[pos])?;
             pos += 1;
@@ -371,21 +410,30 @@ impl<V> Art<V> {
     }
 
     fn new_leaf(&mut self, key: &[u8], value: V) -> Ptr {
-        self.leaves.push(Leaf { key: key.into(), value });
-        Ptr::leaf(self.leaves.len() - 1)
+        self.keys.push(key);
+        self.values.push(value);
+        Ptr::leaf(self.values.len() - 1)
+    }
+
+    /// Set a child of node `node`, counting the boxed bytes a growth
+    /// adds.
+    fn set_child(&mut self, node: usize, label: u8, ptr: Ptr) {
+        let children = &mut self.nodes[node].children;
+        let before = children.heap_bytes();
+        children.set(label, ptr);
+        self.boxed_bytes += children.heap_bytes() - before;
     }
 
     /// Full bytes of a node's compressed path, recovered from the minimum
     /// leaf when the stored prefix was truncated (the standard OCPS trick:
     /// load the actual key from the record).
-    fn full_prefix(&self, node_idx: usize, depth: usize) -> Vec<u8> {
+    fn full_prefix(&self, node_idx: usize, depth: usize) -> &[u8] {
         let node = &self.nodes[node_idx];
         let pl = node.prefix_len as usize;
-        if pl <= node.prefix.len() {
-            return node.prefix.clone();
+        if pl <= MAX_STORED_PREFIX {
+            return &node.prefix[..pl];
         }
-        let leaf = self.min_leaf(Ptr::node(node_idx));
-        self.leaves[leaf].key[depth..depth + pl].to_vec()
+        &self.keys.get(self.min_leaf(Ptr::node(node_idx)))[depth..depth + pl]
     }
 
     fn min_leaf(&self, ptr: Ptr) -> usize {
@@ -402,39 +450,34 @@ impl<V> Art<V> {
         }
     }
 
-    fn store_prefix(full: &[u8]) -> Vec<u8> {
-        full[..full.len().min(MAX_STORED_PREFIX)].to_vec()
-    }
-
     /// Insert under `ptr` (subtree rooted at key depth `pos`); returns the
     /// possibly-new subtree pointer and any replaced value.
     fn insert_rec(&mut self, ptr: Ptr, key: &[u8], pos: usize, value: V) -> (Ptr, Option<V>) {
+        let rest = &key[pos..];
         if let Some(leaf_idx) = ptr.as_leaf() {
-            if self.leaves[leaf_idx].key.as_ref() == key {
-                let old = std::mem::replace(&mut self.leaves[leaf_idx].value, value);
+            if self.keys.get(leaf_idx) == key {
+                let old = std::mem::replace(&mut self.values[leaf_idx], value);
                 return (ptr, Some(old));
             }
             // Split into a node holding both leaves.
-            let existing = self.leaves[leaf_idx].key.clone();
-            let a = &existing[pos..];
-            let b = &key[pos..];
-            let m = lcp_len(a, b);
-            let mut node = Node {
-                prefix: Self::store_prefix(&b[..m]),
-                prefix_len: m as u32,
-                term: Ptr::NONE,
-                children: Children::new(),
-            };
+            let existing = &self.keys.get(leaf_idx)[pos..];
+            let m = lcp_len(existing, rest);
+            let existing_next = existing.get(m).copied();
+            let mut node = Node::new(&rest[..m], Children::new());
             let new_leaf = self.new_leaf(key, value);
-            if a.len() == m {
-                node.term = ptr;
-                node.children.set(b[m], new_leaf);
-            } else if b.len() == m {
-                node.term = new_leaf;
-                node.children.set(a[m], ptr);
-            } else {
-                node.children.set(a[m], ptr);
-                node.children.set(b[m], new_leaf);
+            match existing_next {
+                None => {
+                    node.term = ptr;
+                    node.children.set(rest[m], new_leaf);
+                }
+                Some(label) if rest.len() == m => {
+                    node.term = new_leaf;
+                    node.children.set(label, ptr);
+                }
+                Some(label) => {
+                    node.children.set(label, ptr);
+                    node.children.set(rest[m], new_leaf);
+                }
             }
             self.nodes.push(node);
             return (Ptr::node(self.nodes.len() - 1), None);
@@ -442,27 +485,19 @@ impl<V> Art<V> {
 
         let node_idx = ptr.as_node().expect("valid ptr");
         let pl = self.nodes[node_idx].prefix_len as usize;
-        let rest = &key[pos..];
         // Pessimistic comparison against the *full* prefix (recovered from
         // a leaf if truncated) — required for correct splits.
         let full = self.full_prefix(node_idx, pos);
-        let m = lcp_len(&full, rest);
+        let m = lcp_len(full, rest);
         if m < pl {
-            // Split the compressed path at m.
-            let new_leaf = self.new_leaf(key, value);
-            let mut parent = Node {
-                prefix: Self::store_prefix(&full[..m]),
-                prefix_len: m as u32,
-                term: Ptr::NONE,
-                children: Children::new(),
-            };
+            // Split the compressed path at m: the old node keeps what
+            // follows the branch byte.
             let old_branch = full[m];
-            let tail = &full[m + 1..];
-            {
-                let old = &mut self.nodes[node_idx];
-                old.prefix = Self::store_prefix(tail);
-                old.prefix_len = tail.len() as u32;
-            }
+            let (tail, tail_len) = path_head(&full[m + 1..]);
+            let new_leaf = self.new_leaf(key, value);
+            let mut parent = Node::new(&rest[..m], Children::new());
+            let old = &mut self.nodes[node_idx];
+            (old.prefix, old.prefix_len) = (tail, tail_len);
             parent.children.set(old_branch, ptr);
             if rest.len() == m {
                 parent.term = new_leaf;
@@ -476,7 +511,7 @@ impl<V> Art<V> {
         if pos == key.len() {
             let old_term = self.nodes[node_idx].term;
             if let Some(t) = old_term.as_leaf() {
-                let old = std::mem::replace(&mut self.leaves[t].value, value);
+                let old = std::mem::replace(&mut self.values[t], value);
                 return (ptr, Some(old));
             }
             let new_leaf = self.new_leaf(key, value);
@@ -488,16 +523,85 @@ impl<V> Art<V> {
             Some(child) => {
                 let (new_child, old) = self.insert_rec(child, key, pos + 1, value);
                 if new_child != child {
-                    self.nodes[node_idx].children.set(c, new_child);
+                    self.set_child(node_idx, c, new_child);
                 }
                 (ptr, old)
             }
             None => {
                 let new_leaf = self.new_leaf(key, value);
-                self.nodes[node_idx].children.set(c, new_leaf);
+                self.set_child(node_idx, c, new_leaf);
                 (ptr, None)
             }
         }
+    }
+
+    /// Build the subtree of the loaded leaves `leaves` — consecutive keys
+    /// of the run, sharing their first `depth` bytes — and return its
+    /// root. A node is pushed before its children (DFS pre-order) with
+    /// the kind its fan-out needs, so no node grows or moves.
+    fn load_subtree(&mut self, leaves: Range<usize>, depth: usize) -> Ptr {
+        if leaves.len() == 1 {
+            return Ptr::leaf(leaves.start);
+        }
+        let first = self.keys.get(leaves.start);
+        let last = self.keys.get(leaves.end - 1);
+        let d = depth + lcp_len(&first[depth..], &last[depth..]);
+        // Only the first key can end at the branch point (keys are
+        // distinct and sorted); every other one has a byte `d`.
+        let term = first.len() == d;
+        let kids = leaves.start + term as usize..leaves.end;
+        let mut fanout = 0;
+        let mut at = kids.start;
+        while at < kids.end {
+            at = self.label_end(at..kids.end, d);
+            fanout += 1;
+        }
+        let mut node = Node::new(&first[depth..d], Children::for_fanout(fanout));
+        if term {
+            node.term = Ptr::leaf(leaves.start);
+        }
+        self.boxed_bytes += node.children.heap_bytes();
+        let id = self.nodes.len();
+        self.nodes.push(node);
+        let mut at = kids.start;
+        while at < kids.end {
+            let (label, end) = (self.keys.get(at)[d], self.label_end(at..kids.end, d));
+            let child = self.load_subtree(at..end, d + 1);
+            self.nodes[id].children.set(label, child);
+            at = end;
+        }
+        Ptr::node(id)
+    }
+
+    /// End of the keys from `keys.start` on whose byte `d` is that of key
+    /// `keys.start`: every key in `keys` is longer than `d`, and the run is
+    /// sorted, so they are consecutive. Galloping, then binary search:
+    /// most groups are short.
+    fn label_end(&self, keys: Range<usize>, d: usize) -> usize {
+        let label = self.keys.get(keys.start)[d];
+        let same = |i: usize| self.keys.get(i)[d] == label;
+        // `same` holds below `lo` and fails at `hi` (or `hi` is the end).
+        let (mut lo, mut step) = (keys.start + 1, 1);
+        let mut hi = loop {
+            let probe = keys.start + step;
+            if probe >= keys.end {
+                break keys.end;
+            }
+            if !same(probe) {
+                break probe;
+            }
+            lo = probe + 1;
+            step *= 2;
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if same(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Point lookup, cloning the stored value (a copy for `u64` ids). Use
@@ -512,9 +616,9 @@ impl<V> Art<V> {
     /// Hand one leaf to `f` unless it lies above the inclusive upper
     /// bound; returns false to halt the (in-order) traversal.
     fn emit(&self, leaf: usize, high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) -> bool {
-        let l = &self.leaves[leaf];
+        let key = self.keys.get(leaf);
         // Above `high`, every later key is larger still.
-        high.is_none_or(|h| l.key.as_ref() <= h) && f(&l.key, &l.value)
+        high.is_none_or(|h| key <= h) && f(key, &self.values[leaf])
     }
 
     /// In-order traversal (a node's terminator leaf sorts before its
@@ -532,7 +636,7 @@ impl<V> Art<V> {
         f: &mut dyn FnMut(&[u8], &V) -> bool,
     ) -> bool {
         if let Some(leaf) = ptr.as_leaf() {
-            return (bounded && self.leaves[leaf].key.as_ref() < start) || self.emit(leaf, high, f);
+            return (bounded && self.keys.get(leaf) < start) || self.emit(leaf, high, f);
         }
         let node_idx = ptr.as_node().expect("valid ptr");
         let node = &self.nodes[node_idx];
@@ -543,7 +647,7 @@ impl<V> Art<V> {
         if bounded {
             let full = self.full_prefix(node_idx, depth);
             let rest = if depth <= start.len() { &start[depth..] } else { &[][..] };
-            let m = lcp_len(&full, rest);
+            let m = lcp_len(full, rest);
             if m < pl {
                 if m < rest.len() && rest[m] > full[m] {
                     return true; // whole subtree below start
@@ -560,7 +664,7 @@ impl<V> Art<V> {
         }
         if let Some(t) = node.term.as_leaf() {
             // On the boundary path the term may still lie below start.
-            let in_range = include_term || self.leaves[t].key.as_ref() >= start;
+            let in_range = include_term || self.keys.get(t) >= start;
             if in_range && !self.emit(t, high, f) {
                 return false;
             }
@@ -576,7 +680,7 @@ impl<V> Art<V> {
 
     /// Average leaf depth in node steps (tree-height diagnostic).
     pub fn avg_depth(&self) -> f64 {
-        if self.leaves.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         let mut sum = 0u64;
@@ -595,7 +699,7 @@ impl<V> Art<V> {
                 true
             });
         }
-        sum as f64 / self.leaves.len() as f64
+        sum as f64 / self.len() as f64
     }
 }
 
@@ -608,6 +712,37 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
 
     fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         Art::insert(self, key, value)
+    }
+
+    /// The run becomes the leaves — key bytes and values at exact size,
+    /// leaf `i` the run's key `i` — and one recursive pass over it builds
+    /// each node once, in DFS pre-order: no descent per key and no node
+    /// grown. Into a tree that already holds keys the run is inserted
+    /// pair by pair.
+    fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], V)>) {
+        if !self.is_empty() {
+            for (key, value) in run {
+                self.insert(key, value);
+            }
+            return;
+        }
+        let hint = run.size_hint().0;
+        self.keys = KeyRun::with_capacity(hint, 0);
+        self.values.reserve_exact(hint);
+        for (key, value) in run {
+            debug_assert!(
+                self.keys.is_empty() || self.keys.get(self.keys.len() - 1) < key,
+                "bulk load must be strictly increasing"
+            );
+            self.keys.push(key);
+            self.values.push(value);
+        }
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+        if !self.is_empty() {
+            self.root = Some(self.load_subtree(0..self.len(), 0));
+            self.nodes.shrink_to_fit();
+        }
     }
 
     fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
@@ -753,6 +888,121 @@ mod tests {
         assert!(art.memory_bytes() > m0);
         assert!(art.node_memory_bytes() < art.memory_bytes());
         assert!(art.avg_depth() > 0.0);
+    }
+
+    /// splitmix64.
+    fn mix(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Key sets that stress a node's shape: the empty key, prefix chains,
+    /// 0x00 / 0xFF runs, shared prefixes past the 8 stored bytes, fan-outs
+    /// of every node kind, and random bytes.
+    fn hostile_families() -> Vec<(&'static str, Vec<Vec<u8>>)> {
+        let mut seed = 7;
+        let chain = b"\x00a\xffchain\x00\x00a\x01\xfe/and/on";
+        let long = b"very-long-shared-prefix-exceeding-eight-bytes/";
+        let mut families = vec![
+            ("empty key", vec![vec![], vec![0], vec![0xff], b"a".to_vec()]),
+            ("prefix chain", (0..=chain.len()).map(|n| chain[..n].to_vec()).collect()),
+            (
+                "0x00 / 0xFF runs",
+                (0..40)
+                    .flat_map(|n| {
+                        [vec![0x00; n], vec![0xff; n], [vec![0x00; n], vec![0xff]].concat()]
+                    })
+                    .collect(),
+            ),
+            (
+                "shared prefixes past 8 bytes",
+                (0..300)
+                    .map(|i| {
+                        let cut = mix(&mut seed) as usize % long.len();
+                        let mut k = long[..long.len() - cut % 12].to_vec();
+                        k.extend_from_slice(format!("{i:03}").as_bytes());
+                        k
+                    })
+                    .collect(),
+            ),
+            (
+                "every fan-out",
+                [3usize, 4, 5, 16, 17, 48, 49, 256]
+                    .iter()
+                    .flat_map(|&n| (0..n).map(move |b| vec![b'f', n as u8, b as u8]))
+                    .collect(),
+            ),
+        ];
+        let random = (0..2_000)
+            .map(|_| {
+                let len = mix(&mut seed) as usize % 12;
+                (0..len)
+                    .map(|_| [0x00, 0x01, b'a', b'b', 0xfe, 0xff][mix(&mut seed) as usize % 6])
+                    .collect()
+            })
+            .collect();
+        families.push(("random hostile bytes", random));
+        families
+    }
+
+    /// Nodes per kind: Node4, Node16, Node48, Node256.
+    fn kinds(t: &Art) -> [usize; 4] {
+        let mut out = [0; 4];
+        for n in &t.nodes {
+            out[match n.children {
+                Children::N4 { .. } => 0,
+                Children::N16 { .. } => 1,
+                Children::N48 { .. } => 2,
+                Children::N256 { .. } => 3,
+            }] += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn loaded_and_inserted_trees_have_the_same_shape() {
+        for (family, mut keys) in hostile_families() {
+            keys.sort();
+            keys.dedup();
+            let mut loaded = Art::new();
+            loaded.load_sorted(&mut keys.iter().map(Vec::as_slice).zip(0..));
+            // Insert in a shuffled order: the shape is the key set's.
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            let mut seed = 11;
+            for i in (1..order.len()).rev() {
+                order.swap(i, mix(&mut seed) as usize % (i + 1));
+            }
+            let mut inserted = Art::new();
+            for &i in &order {
+                inserted.insert(&keys[i], i as u64);
+            }
+            assert_eq!(kinds(&loaded), kinds(&inserted), "{family}: nodes per kind");
+            assert_eq!(loaded.avg_depth(), inserted.avg_depth(), "{family}: avg_depth");
+            for t in [&loaded, &inserted] {
+                let walked: usize = t.nodes.iter().map(|n| n.children.heap_bytes()).sum();
+                assert_eq!(t.boxed_bytes, walked, "{family}: boxed bytes");
+                for (i, k) in keys.iter().enumerate() {
+                    assert_eq!(t.get(k), Some(i as u64), "{family}: {k:?}");
+                }
+                assert_eq!(scan(t, b"", usize::MAX), (0..keys.len() as u64).collect::<Vec<_>>());
+            }
+            assert!(loaded.keys.is_exact() && loaded.nodes.capacity() == loaded.nodes.len());
+        }
+        // The families reach every node kind.
+        let mut every = hostile_families().into_iter().find(|f| f.0 == "every fan-out").unwrap().1;
+        every.sort();
+        let mut t = Art::new();
+        t.load_sorted(&mut every.iter().map(Vec::as_slice).zip(0..));
+        assert!(kinds(&t).iter().all(|&n| n > 0), "{:?}", kinds(&t));
+    }
+
+    #[test]
+    fn node_stays_small() {
+        assert_eq!(std::mem::size_of::<Children>(), 24);
+        assert_eq!(std::mem::size_of::<Node>(), 40);
     }
 
     proptest! {

@@ -1,14 +1,16 @@
 //! What an index *holds* is what its `memory_bytes()` *says*:
-//! `OrderedIndex::load_sorted` builds the B+tree's and HOT's nodes in
-//! exact-capacity storage, and both count their buffers at capacity, so
-//! the estimate the store's reports and the paper's figures read is the
-//! allocator's truth to within 10 % — for a tree built by inserts too. And
-//! packing pays: the same encoded keys pushed through `insert` in sorted
-//! order — how generations were loaded before — leave every leaf half
-//! full inside buffers grown for more, and the loaded tree is at most ¾ of
-//! that and no taller. A loaded B+tree's key blocks hold no more than its
-//! `Box<[u8]>` per key did, and a loaded HOT stays below what it held with
-//! a `Box<[u8]>` per record.
+//! `OrderedIndex::load_sorted` builds the B+tree's, HOT's and ART's nodes
+//! in exact-capacity storage, and all three count their buffers at
+//! capacity, so the estimate the store's reports and the paper's figures
+//! read is the allocator's truth to within 10 % — for a tree built by
+//! inserts too. And packing pays: the same encoded keys pushed through
+//! `insert` in sorted order — how generations were loaded before — leave
+//! every B+tree or HOT leaf half full inside buffers grown for more, and
+//! the loaded tree is at most ¾ of that and no taller. A loaded B+tree's
+//! key blocks hold no more than its `Box<[u8]>` per key did, a loaded HOT
+//! stays below what it held with a `Box<[u8]>` per record, and a loaded
+//! ART — the insert-built tree's very nodes, at exact size — holds less
+//! than the insert-built one at the same average depth.
 //!
 //! A counting global allocator measures the bytes a drop returns. This
 //! file holds a single `#[test]` so the test harness cannot run a
@@ -18,6 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hope::{HopeBuilder, OrderedIndex, Scheme};
+use hope_art::Art;
 use hope_btree::BPlusTree;
 use hope_hot::Hot;
 use hope_workloads::{generate, Dataset};
@@ -102,6 +105,22 @@ fn a_bulk_loaded_index_holds_what_it_says_and_less_than_an_insert_built_one() {
         loaded as f64 <= 0.75 * inserted as f64,
         "Hot: loaded holds {loaded} B, insert-built {inserted} B"
     );
+    // ART: at most what the loaded tree holds with its leaves packed in
+    // one run and 40-byte nodes (6 237 602 B with a `Box<[u8]>` per key,
+    // inserted one by one). It has the insert-built tree's nodes, each
+    // built once at the kind its fan-out needs, over leaves moved in at
+    // exact size; the insert-built tree's buffers grew by doubling.
+    let loaded = bulk_loaded(Art::<u64>::new(), &run);
+    let mut inserted = Art::<u64>::new();
+    for (k, id) in run.iter().zip(0..) {
+        inserted.insert(k, id);
+    }
+    let (loaded_depth, inserted_depth) = (loaded.avg_depth(), inserted.avg_depth());
+    assert_eq!(loaded_depth, inserted_depth, "Art: loaded avg_depth vs insert-built");
+    let loaded = footprint(loaded, "Art, loaded");
+    assert!(loaded <= 2_271_000, "Art: loaded holds {loaded} B, more than 2 271 000 B");
+    let inserted = footprint(inserted, "Art, insert-built");
+    assert!(loaded < inserted, "Art: loaded holds {loaded} B, insert-built {inserted} B");
     // The most a loaded B+tree may hold: what it held with a `Box<[u8]>`
     // per key, before key blocks.
     for (what, fresh, most) in [
