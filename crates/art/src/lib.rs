@@ -410,6 +410,7 @@ impl<V> Art<V> {
     }
 
     fn new_leaf(&mut self, key: &[u8], value: V) -> Ptr {
+        self.keys.reserve_bytes(key.len());
         self.keys.push(key);
         self.values.push(value);
         Ptr::leaf(self.values.len() - 1)
@@ -1003,6 +1004,26 @@ mod tests {
     fn node_stays_small() {
         assert_eq!(std::mem::size_of::<Children>(), 24);
         assert_eq!(std::mem::size_of::<Node>(), 40);
+    }
+
+    /// Two insert-built trees whose keys total the same bytes hold the
+    /// same key bytes, whatever the first key's length: the run grows to
+    /// powers of two, not by doubling from that length.
+    #[test]
+    fn inserted_key_bytes_do_not_depend_on_the_first_key() {
+        let key_bytes = |first_len: usize, other_len: usize| {
+            let mut art = Art::new();
+            for i in 0..1000u32 {
+                let len = if i == 0 { first_len } else { other_len };
+                let mut key = i.to_be_bytes().to_vec();
+                key.resize(len, b'x');
+                art.insert(&key, u64::from(i));
+            }
+            art.keys.heap_bytes()
+        };
+        // 20 000, 20 010 and 20 000 key bytes in all: a 32 KiB run each.
+        assert_eq!(key_bytes(20, 20), key_bytes(30, 20));
+        assert_eq!(key_bytes(20, 20), key_bytes(1019, 19));
     }
 
     proptest! {

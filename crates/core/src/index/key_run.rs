@@ -24,6 +24,21 @@ impl KeyRun {
         self.bytes.len().checked_add(extra).is_some_and(|end| u32::try_from(end).is_ok())
     }
 
+    /// Room for `extra` more key bytes, as a writer that appends key by
+    /// key should take it: the byte buffer grows to what it needs rounded
+    /// up to the next of eight sizes per octave (…, 64, 72, 80, …, 120,
+    /// 128, 144, …). Its capacity is then that rounding of the run's total
+    /// bytes, whatever the order and the lengths of the keys, and at most
+    /// 1/8 over it. `Vec`'s own growth from empty starts at the first
+    /// key's length and doubles from there, so the capacity it ends with
+    /// swings by up to 2× with that one length.
+    pub fn reserve_bytes(&mut self, extra: usize) {
+        let need = self.bytes.len() + extra;
+        if need > self.bytes.capacity() {
+            self.bytes.reserve_exact(eighth_octave_ceil(need) - self.bytes.len());
+        }
+    }
+
     /// Append `key`; it is key `len() - 1` from here on.
     ///
     /// # Panics
@@ -83,5 +98,33 @@ impl KeyRun {
     /// Heap bytes as allocated.
     pub fn heap_bytes(&self) -> usize {
         self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// `n` rounded up to a multiple of 1/8 of the largest power of two not
+/// above it: the next size with at most four significant bits.
+fn eighth_octave_ceil(n: usize) -> usize {
+    if n <= 16 {
+        return n;
+    }
+    let unit = 1 << (n.ilog2() - 3);
+    n.div_ceil(unit) * unit
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn appended_bytes_round_up_to_eighths_of_an_octave() {
+        let rounded: Vec<usize> =
+            [0, 16, 17, 18, 64, 65, 72, 73, 127, 129].map(eighth_octave_ceil).to_vec();
+        assert_eq!(rounded, [0, 16, 18, 18, 64, 72, 72, 80, 128, 144]);
+        let mut run = KeyRun::default();
+        for len in [1019, 19, 19, 19] {
+            run.reserve_bytes(len);
+            run.push(&vec![7; len]);
+        }
+        assert_eq!(run.bytes.capacity(), 1152);
     }
 }
