@@ -818,3 +818,19 @@ impl<V: Value> Drop for Server<V> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Consecutive duplicates collapse; a repeat after another epoch
+    /// stays, so a scan that bounced between generations is visible.
+    #[test]
+    fn scan_summary_collapses_only_consecutive_epochs() {
+        let mut s = ScanSummary::default();
+        for e in [3u64, 3, 3, 7, 7, 3] {
+            s.note_epoch(e);
+        }
+        assert_eq!(s.epochs, vec![3, 7, 3]);
+    }
+}

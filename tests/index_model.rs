@@ -2,213 +2,195 @@
 //! reference, both B+trees (plain and prefix), HOT and ART — against a
 //! `BTreeMap` model, over random programs: a bulk load (`load_sorted`)
 //! into the empty index or into a full one, inserts, bursts of inserts,
-//! updates, point reads, and walks (`visit`) with and without an upper
-//! bound, stopped early or run out. Every read is checked.
+//! updates, point reads, walks (`visit`) with and without an upper bound,
+//! stopped early or run out, the trait's provided `range_into` (appending
+//! to a reused buffer, limit 0 and inverted bounds included) and
+//! `for_each`. Every read is checked, and every program ends with a sweep:
+//! `get` on every key and on its neighbours, the full walk, and a spread
+//! of bounded and early-stopped walks.
 //!
-//! The keys are drawn to break a node's packed keys: bytes from a hostile
-//! alphabet (`0x00`, `0x01`, `a`, `0xfe`, `0xff`) and random bytes; keys
-//! whose 8-byte B+tree heads tie (`a`, `a\0`, `a\0…\0\x01`, and keys
-//! sharing an 8-byte run past a common stem) or whose 4-byte HOT leaf
-//! heads tie (a 4-byte run past another stem); prefix chains; the empty
-//! key; and a few keys of 64 KiB and more, so a node's byte offsets
-//! overflow a `u16`. One program in four loads hundreds of keys under one
-//! long stem, with a few prefixes of the stem, and then inserts keys that
-//! leave it at every depth, which makes a compound node of HOT drop bytes
-//! of its skipped prefix; bursts of inserts under that stem split loaded
-//! leaves and compound nodes.
+//! The keys are `common`'s hostile families. One program in four loads
+//! hundreds of keys under one long stem, with a few prefixes of the stem,
+//! and then inserts keys that leave it at every depth, which makes a
+//! compound node of HOT drop bytes of its skipped prefix; bursts of
+//! inserts under that stem split loaded leaves and compound nodes. One
+//! more program per [`run_lengths`] entry starts with a native load of an
+//! even run of that many keys (the ¾-fill boundaries of the B+tree and HOT
+//! loaders) and then draws a third of its keys from the run and from the
+//! gaps between its keys, so inserts land inside loaded leaves.
 //!
 //! The vendored proptest shim does not shrink, so each program draws from
 //! its own seed, and a failure names the index, the seed and the op index.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::ops::Bound::{Included, Unbounded};
 
+use common::{key, long_stem_key, show, Rng, LONG_STEM};
 use hope::OrderedIndex;
 use hope_art::Art;
 use hope_btree::BPlusTree;
 use hope_hot::Hot;
 
-/// Programs per index, and ops per program.
+/// Random programs per index, and ops per program (a run program runs
+/// half as many).
 const PROGRAMS: u64 = 48;
 const OPS: usize = 500;
 
-/// splitmix64.
-struct Rng(u64);
+/// What `range_into` finds in its buffer before it appends.
+const SENTINEL: u64 = u64::MAX;
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+type Model = BTreeMap<Vec<u8>, u64>;
+
+/// The leaf fills of the two native loaders (¾ of the node fan-out), the
+/// lengths around them and around a full second and third level.
+fn run_lengths() -> Vec<usize> {
+    let fills = [hope_btree::FANOUT * 3 / 4, hope_hot::K * 3 / 4];
+    let mut lengths = vec![0, 1, 2];
+    for fill in fills {
+        lengths.extend([fill - 1, fill, fill + 1, 2 * fill - 1, 2 * fill, 2 * fill + 1]);
+        lengths.extend([fill * fill - 1, fill * fill, fill * fill + 1]);
     }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+    lengths.extend([hope_btree::FANOUT.pow(2) - 1, hope_btree::FANOUT.pow(2) + 1]);
+    lengths.extend([hope_hot::K.pow(2) - 1, hope_hot::K.pow(2) + 1, 12 * 12 * 12 + 1]);
+    lengths
 }
 
-const HOSTILE: [u8; 5] = [0x00, 0x01, b'a', 0xfe, 0xff];
-
-/// A stem that runs of 8 shared bytes follow.
-const STEM: &[u8] = b"\x01stem";
-
-/// A stem that runs of 4 shared bytes follow.
-const STEM4: &[u8] = b"\x01hot";
-
-/// The long stem a quarter of the programs load under.
-const LONG_STEM: &[u8] = b"\x01long/shared/stem/of/a/loaded/trie/";
-
-/// A few hostile bytes.
-fn hostile_tail(rng: &mut Rng, most: usize) -> impl Iterator<Item = u8> + '_ {
-    (0..rng.below(most + 1)).map(|_| HOSTILE[rng.below(HOSTILE.len())])
+/// Key `i` of an even run: `user00000`, `user00002`, …, so an odd `i` is
+/// the gap between two of them.
+fn run_key(i: usize) -> Vec<u8> {
+    format!("user{i:05}").into_bytes()
 }
 
-/// A key under [`LONG_STEM`]: a hostile byte or two and a counter, so
-/// loads of hundreds of them are mostly distinct.
-fn long_stem_key(rng: &mut Rng) -> Vec<u8> {
-    let mut k = LONG_STEM.to_vec();
-    k.extend(hostile_tail(rng, 2));
-    k.extend_from_slice(format!("{:04}", rng.below(10_000)).as_bytes());
-    k
+/// Every program an index runs: its seed, and the length of the even run
+/// it starts by loading, if it does.
+fn programs() -> impl Iterator<Item = (u64, Option<usize>)> {
+    let lengths = run_lengths().into_iter().enumerate();
+    (0..PROGRAMS).map(|seed| (seed, None)).chain(lengths.map(|(i, n)| (1_000 + i as u64, Some(n))))
 }
 
-/// One key from the families above.
-fn key(rng: &mut Rng) -> Vec<u8> {
-    match rng.below(100) {
-        0..=3 => Vec::new(),
-        4..=27 => hostile_tail(rng, 11).collect(),
-        28..=39 => (0..rng.below(20)).map(|_| rng.next() as u8).collect(),
-        // Heads tie in zero padding: `a`, `a\0`, `a\0\0`, …, `a\0…\0\x01`.
-        40..=51 => {
-            let mut k = vec![b'a'];
-            k.resize(1 + rng.below(12), 0);
-            if rng.below(2) == 0 {
-                k.push(0x01);
-            }
-            k
-        }
-        // 8-byte heads tie past the stem: one of two 8-byte runs, then a
-        // tail.
-        52..=65 => {
-            let run = if rng.below(2) == 0 { [b'r'; 8] } else { [0xff; 8] };
-            let tail: Vec<u8> = hostile_tail(rng, 3).collect();
-            STEM.iter().copied().chain(run).chain(tail).collect()
-        }
-        // 4-byte heads tie past the stem: one 4-byte run, then a tail.
-        66..=77 => {
-            let tail: Vec<u8> = hostile_tail(rng, 4).collect();
-            STEM4.iter().copied().chain([b'r'; 4]).chain(tail).collect()
-        }
-        // Under the long stem, or leaving it at some depth.
-        78..=87 => {
-            if rng.below(2) == 0 {
-                long_stem_key(rng)
-            } else {
-                let mut k = LONG_STEM[..rng.below(LONG_STEM.len())].to_vec();
-                k.extend(hostile_tail(rng, 3));
-                k
-            }
-        }
-        // A prefix chain.
-        88..=98 => b"\x00a\xffchain\x00\x00a\x01\xfe"[..rng.below(14)].to_vec(),
-        // 64 KiB and more; four of them differ only at their far end.
-        _ => {
-            let mut k = vec![0x61; 65_536 + rng.below(64)];
-            k.push(HOSTILE[rng.below(4)]);
-            k
-        }
+/// Whether the program starts with a load.
+fn starts_loaded(seed: u64, even_run: Option<usize>) -> bool {
+    even_run.is_some() || seed.is_multiple_of(2)
+}
+
+/// A program's next key: under an even run of `n`, a third are its keys
+/// or the gaps between them.
+fn draw(rng: &mut Rng, even_run: Option<usize>) -> Vec<u8> {
+    match even_run {
+        Some(n) if rng.below(3) == 0 => run_key(rng.below(2 * n + 2)),
+        _ => key(rng),
     }
 }
 
-/// What the model says `visit(low, high)` yields, up to `limit` pairs.
-fn expected(
-    model: &BTreeMap<Vec<u8>, u64>,
+/// The pairs in `model` from `low` up to `high`, at most `limit`
+/// (`BTreeMap::range` panics on inverted bounds, so the upper bound is a
+/// filter).
+fn model_range<'a>(
+    model: &'a Model,
     low: &[u8],
-    high: Option<&[u8]>,
+    high: Option<&'a [u8]>,
     limit: usize,
-) -> Vec<(Vec<u8>, u64)> {
+) -> impl Iterator<Item = (&'a Vec<u8>, &'a u64)> {
     model
         .range::<[u8], _>((Included(low), Unbounded))
-        .take_while(|(k, _)| high.is_none_or(|h| k.as_slice() <= h))
+        .take_while(move |(k, _)| high.is_none_or(|h| k.as_slice() <= h))
         .take(limit)
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
 }
 
-/// The walk `visit(low, high)`, told to stop with its `limit`-th pair.
-fn walk(
+/// Whether `visit(low, high)`, told to stop with its `limit`-th pair,
+/// yields exactly the model's pairs — compared in place, because a sweep
+/// walks past the 64 KiB keys hundreds of times.
+fn walk_matches(
     ix: &dyn OrderedIndex,
+    model: &Model,
     low: &[u8],
     high: Option<&[u8]>,
     limit: usize,
-) -> Vec<(Vec<u8>, u64)> {
-    let mut seen = Vec::new();
-    if limit == 0 {
-        return seen;
+) -> bool {
+    let mut want = model_range(model, low, high, limit);
+    let (mut seen, mut same) = (0, true);
+    if limit > 0 {
+        ix.visit(low, high, &mut |k, v| {
+            assert!(seen < limit, "visited {} after the callback returned false", show(k));
+            seen += 1;
+            same &= want.next().is_some_and(|(wk, wv)| wk.as_slice() == k && wv == v);
+            seen < limit
+        });
     }
-    ix.visit(low, high, &mut |k, v| {
-        assert!(seen.len() < limit, "visited {k:?} after the callback returned false");
-        seen.push((k.to_vec(), *v));
-        seen.len() < limit
-    });
-    seen
+    same && want.next().is_none()
 }
 
-/// A short name for a key in a failure message (64 KiB keys are not
-/// printed whole).
-fn show(k: &[u8]) -> String {
-    if k.len() <= 48 {
-        format!("{k:?}")
-    } else {
-        format!("{:?}…({} B)", &k[..16], k.len())
-    }
+/// Whether `range_into(low, high, limit)`, on a buffer that already
+/// holds `reused` sentinels, keeps them and appends the model's values.
+fn range_into_matches(
+    ix: &dyn OrderedIndex,
+    model: &Model,
+    (low, high): (&[u8], &[u8]),
+    limit: usize,
+    reused: usize,
+) -> bool {
+    let mut buf = vec![SENTINEL; reused];
+    ix.range_into(low, high, limit, &mut buf);
+    let want = model_range(model, low, Some(high), limit).map(|(_, v)| *v);
+    buf.into_iter().eq(std::iter::repeat_n(SENTINEL, reused).chain(want))
+}
+
+/// Whether `for_each` yields exactly the model, compared in place.
+fn for_each_matches(ix: &dyn OrderedIndex, model: &Model) -> bool {
+    let mut want = model.iter();
+    let mut same = true;
+    ix.for_each(&mut |k, v| {
+        same &= want.next().is_some_and(|(wk, wv)| wk.as_slice() == k && wv == v);
+    });
+    same && want.next().is_none()
 }
 
 /// Insert `k` into both, checking the displaced value.
-fn insert(
-    ix: &mut dyn OrderedIndex,
-    model: &mut BTreeMap<Vec<u8>, u64>,
-    k: Vec<u8>,
-    v: u64,
-    at: &str,
-) {
+fn insert(ix: &mut dyn OrderedIndex, model: &mut Model, k: Vec<u8>, v: u64, at: &str) {
     assert_eq!(ix.insert(&k, v), model.insert(k.clone(), v), "{at}: insert {}", show(&k));
 }
 
-/// Run program `seed` on `ix`, checking every read against the model.
-fn run(name: &str, ix: &mut dyn OrderedIndex, seed: u64) {
+/// Run program `seed` on `ix`, checking every read against the model,
+/// then sweep the result.
+fn run(name: &str, ix: &mut dyn OrderedIndex, seed: u64, even_run: Option<usize>) {
     let mut rng = Rng(seed);
-    let mut model = BTreeMap::new();
+    let mut model = Model::new();
     let mut value = 0u64;
-    for op in 0..OPS {
+    let ops = if even_run.is_some() { OPS / 2 } else { OPS };
+    for op in 0..ops {
         let at = format!("{name}: seed {seed}, op {op}");
         value += 1;
-        // Even programs start with a bulk load into the empty index, half
-        // of them under the long stem; odd ones grow by inserts, with a
-        // load into the full index (an insert per pair) now and then in
-        // both.
-        let kind = if op == 0 && seed.is_multiple_of(2) { 0 } else { rng.below(20) };
+        // Even programs and run programs start with a bulk load into the
+        // empty index, a quarter of them under the long stem; odd ones
+        // grow by inserts, with a load into the full index (an insert per
+        // pair) now and then in all of them.
+        let kind = if op == 0 && starts_loaded(seed, even_run) { 0 } else { rng.below(20) };
         match kind {
             0 if op == 0 || rng.below(8) == 0 => {
-                let run: BTreeMap<Vec<u8>, u64> = if op == 0 && seed % 4 == 2 {
-                    // A few prefixes of the stem too: the first leaf then
-                    // starts with a key shorter than the deeper nodes'
-                    // skipped prefixes.
-                    let mut keys: Vec<Vec<u8>> = (0..1 + rng.below(3))
-                        .map(|_| LONG_STEM[..rng.below(LONG_STEM.len())].to_vec())
-                        .collect();
-                    keys.extend((0..300 + rng.below(400)).map(|_| long_stem_key(&mut rng)));
-                    keys.into_iter().zip(0..).map(|(k, i)| (k, value * 1000 + i)).collect()
-                } else {
-                    (0..rng.below(300)).map(|i| (key(&mut rng), value * 1000 + i as u64)).collect()
+                let run: Model = match even_run {
+                    Some(n) if op == 0 => (0..n).map(|i| (run_key(2 * i), i as u64)).collect(),
+                    _ if op == 0 && seed % 4 == 2 => {
+                        // A few prefixes of the stem too: the first leaf
+                        // then starts with a key shorter than the deeper
+                        // nodes' skipped prefixes.
+                        let mut keys: Vec<Vec<u8>> = (0..1 + rng.below(3))
+                            .map(|_| LONG_STEM[..rng.below(LONG_STEM.len())].to_vec())
+                            .collect();
+                        keys.extend((0..300 + rng.below(400)).map(|_| long_stem_key(&mut rng)));
+                        keys.into_iter().zip(0..).map(|(k, i)| (k, value * 1000 + i)).collect()
+                    }
+                    _ => (0..rng.below(300))
+                        .map(|i| (draw(&mut rng, even_run), value * 1000 + i as u64))
+                        .collect(),
                 };
                 ix.load_sorted(&mut run.iter().map(|(k, v)| (k.as_slice(), *v)));
                 model.extend(run);
                 assert_eq!(ix.len(), model.len(), "{at}: len after a load");
+                assert!(model.is_empty() || ix.memory_bytes() > 0, "{at}: memory after a load");
             }
-            0..=7 => insert(ix, &mut model, key(&mut rng), value, &at),
+            0..=7 => insert(ix, &mut model, draw(&mut rng, even_run), value, &at),
             // A burst of inserts under the long stem: splits leaves and
             // compound nodes.
             8 => {
@@ -226,39 +208,94 @@ fn run(name: &str, ix: &mut dyn OrderedIndex, seed: u64) {
                 let k = if rng.below(2) == 0 && !model.is_empty() {
                     model.keys().nth(rng.below(model.len())).unwrap().clone()
                 } else {
-                    key(&mut rng)
+                    draw(&mut rng, even_run)
                 };
                 assert_eq!(ix.get(&k), model.get(&k), "{at}: get {}", show(&k));
             }
+            // The provided `range_into`, appending to a reused buffer.
+            15..=16 => {
+                let (low, high) = (draw(&mut rng, even_run), draw(&mut rng, even_run));
+                let limit = *rng.pick(&[0, 1, 2, 5, 17, usize::MAX]);
+                let reused = rng.below(3);
+                let (l, h) = (show(&low), show(&high));
+                let same = range_into_matches(ix, &model, (&low, &high), limit, reused);
+                assert!(same, "{at}: range_into {l}..={h} limit {limit}");
+            }
+            17 => assert!(for_each_matches(ix, &model), "{at}: for_each"),
             _ => {
-                let low = key(&mut rng);
-                let high = (rng.below(3) != 0).then(|| key(&mut rng));
-                let limit = [0, 1, 2, 5, 17, 40, usize::MAX][rng.below(7)];
-                assert_eq!(
-                    walk(ix, &low, high.as_deref(), limit),
-                    expected(&model, &low, high.as_deref(), limit),
-                    "{at}: visit {}..={:?} limit {limit}",
-                    show(&low),
-                    high.as_deref().map(show)
-                );
+                let low = draw(&mut rng, even_run);
+                let high = (rng.below(3) != 0).then(|| draw(&mut rng, even_run));
+                let limit = *rng.pick(&[0, 1, 2, 5, 17, 40, usize::MAX]);
+                let (l, h) = (show(&low), high.as_deref().map(show));
+                let same = walk_matches(ix, &model, &low, high.as_deref(), limit);
+                assert!(same, "{at}: visit {l}..={h:?} limit {limit}");
             }
         }
     }
-    assert_eq!(ix.len(), model.len(), "{name}: seed {seed}: len");
-    assert_eq!(
-        walk(ix, b"", None, usize::MAX),
-        expected(&model, b"", None, usize::MAX),
-        "{name}: seed {seed}: the whole walk"
-    );
+    sweep(&format!("{name}: seed {seed}, the sweep"), ix, &model);
+}
+
+/// Around every stored key: its immediate successor (absent, or the next
+/// key of a prefix chain), a key far above it, and its longest proper
+/// prefix — so at least one miss falls between every adjacent pair.
+fn neighbours(model: &Model) -> Vec<Vec<u8>> {
+    let mut out = vec![Vec::new()];
+    for k in model.keys() {
+        out.push([k.as_slice(), b"\0"].concat());
+        out.push([k.as_slice(), b"\xff"].concat());
+        out.push(k[..k.len().saturating_sub(1)].to_vec());
+    }
+    out
+}
+
+/// `ix` holds exactly what `model` holds: length, memory, the full walk
+/// both ways, every key and every neighbour through `get`, every pair
+/// from a spread of bounds (inverted ones included, `high: None` too)
+/// through `visit` and `range_into`, and early-stopped walks around the
+/// leaf sizes.
+fn sweep(at: &str, ix: &dyn OrderedIndex, model: &Model) {
+    assert_eq!(ix.len(), model.len(), "{at}");
+    assert_eq!(ix.is_empty(), model.is_empty(), "{at}");
+    assert!(model.is_empty() || ix.memory_bytes() > 0, "{at}: memory_bytes");
+    assert!(for_each_matches(ix, model), "{at}: for_each of {} keys", model.len());
+    assert!(walk_matches(ix, model, b"", None, usize::MAX), "{at}: the whole walk");
+    for (k, v) in model {
+        assert_eq!(ix.get(k), Some(v), "{at}: get {}", show(k));
+    }
+    let neighbours = neighbours(model);
+    for k in &neighbours {
+        assert_eq!(ix.get(k), model.get(k), "{at}: get {}", show(k));
+    }
+    let mut bounds: Vec<Vec<u8>> = model.keys().cloned().chain(neighbours).collect();
+    bounds.sort();
+    let step = bounds.len().div_ceil(10).max(1);
+    let bounds: Vec<Vec<u8>> = bounds.into_iter().step_by(step).collect();
+    for low in &bounds {
+        for high in bounds.iter().map(|h| Some(h.as_slice())).chain([None]) {
+            let (l, h) = (show(low), high.map(show));
+            assert!(walk_matches(ix, model, low, high, usize::MAX), "{at}: visit {l}..={h:?}");
+            if let Some(high) = high {
+                let same = range_into_matches(ix, model, (low, high), usize::MAX, 1);
+                assert!(same, "{at}: range_into {l}..={h:?}");
+            }
+        }
+    }
+    if let (Some(low), Some(high)) = (bounds.get(bounds.len() / 4), bounds.last()) {
+        for k in [1, 2, 11, 12, 13, 23, 24, 25, 49] {
+            let (l, h) = (show(low), show(high));
+            assert!(walk_matches(ix, model, low, Some(high), k), "{at}: {l}..={h} stop after {k}");
+            assert!(walk_matches(ix, model, low, None, k), "{at}: {l}.. stop after {k}");
+        }
+    }
 }
 
 #[test]
 fn b_plus_trees_answer_like_a_btreemap() {
     let mut tallest = [0; 2];
-    for seed in 0..PROGRAMS {
-        let grown = &mut tallest[seed as usize % 2];
+    for (seed, even_run) in programs() {
+        let grown = &mut tallest[usize::from(!starts_loaded(seed, even_run))];
         for (name, mut tree) in [("plain", BPlusTree::plain()), ("prefix", BPlusTree::prefix())] {
-            run(name, &mut tree, seed);
+            run(name, &mut tree, seed, even_run);
             *grown = (*grown).max(tree.height());
         }
     }
@@ -270,10 +307,10 @@ fn b_plus_trees_answer_like_a_btreemap() {
 #[test]
 fn hot_answers_like_a_btreemap() {
     let mut tallest = [0; 2];
-    for seed in 0..PROGRAMS {
+    for (seed, even_run) in programs() {
         let mut hot = Hot::new();
-        run("hot", &mut hot, seed);
-        let grown = &mut tallest[seed as usize % 2];
+        run("hot", &mut hot, seed, even_run);
+        let grown = &mut tallest[usize::from(!starts_loaded(seed, even_run))];
         *grown = (*grown).max(hot.height());
     }
     // Compound nodes split over loaded leaves and over insert-built ones.
@@ -282,8 +319,8 @@ fn hot_answers_like_a_btreemap() {
 
 #[test]
 fn art_and_the_reference_answer_like_a_btreemap() {
-    for seed in 0..PROGRAMS {
-        run("art", &mut Art::new(), seed);
-        run("btreemap", &mut BTreeMap::<Vec<u8>, u64>::new(), seed);
+    for (seed, even_run) in programs() {
+        run("art", &mut Art::new(), seed, even_run);
+        run("btreemap", &mut Model::new(), seed, even_run);
     }
 }

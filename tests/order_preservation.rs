@@ -5,6 +5,9 @@
 //! alone must order strictly as the source keys do, for arbitrary byte
 //! keys, so a tree can hold them *as* the key.
 
+mod common;
+
+use common::hostile_keys;
 use hope::{EncodedKey, HopeBuilder, OrderedIndex, Scheme};
 use hope_workloads::{generate, sample_keys, Dataset};
 
@@ -46,39 +49,6 @@ fn encoded_keys_sort_like_source_keys() {
             assert_eq!(got, expect, "{dataset}/{scheme}: encoded order diverges");
         }
     }
-}
-
-/// Keys built to collide under zero padding: the empty key, `0x00` and
-/// `0xFF` runs, chains that differ only in trailing `0x00` bytes (with and
-/// without a `0x01` after them), and seeded short keys over a four-byte
-/// alphabet, so near-every pair shares a long prefix.
-fn hostile_keys() -> Vec<Vec<u8>> {
-    let mut keys = vec![Vec::new()];
-    for n in 1..=40 {
-        keys.push(vec![0x00; n]);
-        keys.push(vec![0xFF; n]);
-    }
-    for stem in [&b""[..], b"a", b"ab", b"\x00a", b"\xff", b"com.gmail@"] {
-        for k in 0..12 {
-            let mut key = stem.to_vec();
-            key.resize(stem.len() + k, 0x00);
-            keys.push(key.clone());
-            key.push(0x01);
-            keys.push(key);
-        }
-    }
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    for _ in 0..20_000 {
-        let len = next() % 13;
-        keys.push((0..len).map(|_| [0x00, 0x01, b'a', 0xFF][(next() % 4) as usize]).collect());
-    }
-    keys
 }
 
 /// The guarantee trees rely on when they index padded bytes *as the key*:

@@ -6,10 +6,13 @@
 //! Run over every tree backend × one scheme per dictionary structure
 //! (array, bitmap trie, ART).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::{zero_padded, ZERO_STEMS};
 use hope::Scheme;
 use hope_store::{Backend, HopeStore, StoreConfig, SwapReport};
 use hope_workloads::{generate, Dataset};
@@ -127,22 +130,14 @@ fn shared_dictionary_counts_every_encode_once() {
     assert_eq!(codec_encode_keys(&store), before);
 }
 
-/// `stem` followed by `zeros` 0x00 bytes — the key family of
-/// `store_swap`'s `zero_run_key_families_stay_exact_on_every_backend`:
-/// under a dictionary trained on 0x00 runs, members of one stem differ
-/// only by repeats of the shortest, smallest code there is.
-fn zero_padded(stem: &[u8], zeros: usize) -> Vec<u8> {
-    let mut k = stem.to_vec();
-    k.resize(stem.len() + zeros, 0);
-    k
-}
-
 #[test]
 fn an_undrifted_rebuild_keeps_the_dictionary_and_encodes_nothing() {
-    let stems: [&[u8]; 6] = [b"a", b"ab", b"b", b"m", b"mz", b"z"];
+    // `store_model`'s `stem + 0x00^k` families on its 0x00-dominated load:
+    // under a dictionary trained on 0x00 runs, members of one stem differ
+    // only by repeats of the shortest, smallest code there is.
     let mut loaded: Vec<Vec<u8>> = (1..=40).map(|n| zero_padded(b"", n)).collect();
     let mut fresh: Vec<Vec<u8>> = Vec::new();
-    for stem in stems {
+    for stem in ZERO_STEMS {
         for zeros in 0..12 {
             if zeros % 2 == 1 { &mut loaded } else { &mut fresh }.push(zero_padded(stem, zeros));
         }
