@@ -1,14 +1,9 @@
 //! Property suite for [`hope_store::Snapshot`] — the O(1) copy-on-write
 //! point-in-time view behind the `snapshot` drill.
 //!
-//! Four behavioural claims, the first three attacked with random op
-//! scripts:
+//! Three behavioural claims (frozen equality under a concurrent writer
+//! thread is `store_swap.rs`'s, with the other threaded tests):
 //!
-//! * **frozen equality** — a snapshot answers every point and range read
-//!   from the shadow map of the capture instant, while a concurrent
-//!   writer thread churns inserts, updates, and forced dictionary
-//!   rebuilds through the live store. Nothing that lands after the
-//!   capture is ever visible;
 //! * **cursor pinning** — a snapshot cursor opened before N hot-swaps
 //!   finishes its scan on the pinned generations: every served hit
 //!   reports a pinned epoch (never a post-swap one) and the full result
@@ -53,50 +48,6 @@ fn build(shards: usize, init: &[u64]) -> (Arc<HopeStore<u64>>, BTreeMap<Vec<u8>,
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn snapshot_matches_shadow_under_concurrent_inserts_and_rebuilds(
-        init in vec(any::<u64>(), 50..250),
-        ops in vec(any::<u64>(), 1..150),
-        shards in 1usize..5,
-    ) {
-        let (store, shadow) = build(shards, &init);
-        let snap = store.snapshot();
-
-        // A writer thread churns the live store while the main thread
-        // reads the snapshot: every op is an insert/update except every
-        // 16th draw, which forces a dictionary hot-swap of some shard.
-        let writer = {
-            let store = Arc::clone(&store);
-            let ops = ops.clone();
-            std::thread::spawn(move || {
-                for (n, &op) in ops.iter().enumerate() {
-                    if op % 16 == 0 {
-                        store.force_rebuild(op as usize / 16 % store.config().shards).unwrap();
-                    } else {
-                        store.insert(key(op), 1_000_000 + n as u64).unwrap();
-                    }
-                }
-            })
-        };
-        // Mid-churn point reads: the capture instant, nothing else.
-        for (k, v) in &shadow {
-            prop_assert_eq!(snap.get(k).unwrap(), Some(*v));
-        }
-        writer.join().unwrap();
-
-        // Post-churn: the full snapshot range still equals the shadow
-        // byte for byte, and keys born after the capture are invisible.
-        prop_assert_eq!(snap.len(), shadow.len());
-        let mut got = Vec::new();
-        snap.range_into(b"a", b"zzzz", usize::MAX, &mut got).unwrap();
-        let want: Vec<(Vec<u8>, u64)> = shadow.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(got, want);
-        for &op in ops.iter().filter(|&&op| op % 16 != 0) {
-            let k = key(op);
-            prop_assert_eq!(snap.get(&k).unwrap(), shadow.get(&k).copied());
-        }
-    }
 
     #[test]
     fn snapshot_cursor_survives_swaps_without_crossing_epochs(
