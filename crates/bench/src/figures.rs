@@ -1,4 +1,4 @@
-//! The paper's tables and figures: one table of eleven rows over the
+//! The paper's tables and figures: one table of ten rows over the
 //! shared [`harness`](crate::harness) — what the `figures` binary runs
 //! and what `tests/drill_scenarios.rs` holds to the determinism contract.
 //!
@@ -11,7 +11,6 @@
 //! | `fig11` | Fig. 11: SuRF false-positive rate, Email | FPR ≤ uncompressed for Single-/Double-Char and 3-/4-Grams on SuRF-Base and SuRF-Real8 | the ALM-Improved cells that *raise* the FPR (`alm_raises_fpr`) |
 //! | `fig12` | Fig. 12: YCSB C point queries, 3 datasets × 4 trees × 7 configurations | every query hits its own key; every tree × dataset has a configuration whose tree + dictionary bytes are below the uncompressed tree's | point latency, load time |
 //! | `fig13` | Fig. 13 / App. A: CPR vs sample size at a 64 K dictionary limit | CPR at a 10 % sample ≥ [`PLATEAU_RATIO`] × CPR at 100 % for the four non-ALM schemes | — |
-//! | `fig14` | Fig. 14 / App. B: batch encoding of a sorted Email sample at block sizes 1, 2, 32 | batch output ≡ per-key output, key for key | ns/char; the cells where a batch is *slower* than per-key (`batch_slower`) |
 //! | `fig15` | Fig. 15 / App. C: Dict-A / Dict-B × Email-A / Email-B | crossed cells below matched cells for all six schemes; Single-Char the least affected | — |
 //! | `fig16` | Fig. 16 / App. D: YCSB E scans + inserts, 3 datasets × 4 trees × 7 configurations | every scan starts at its own key; the same bytes claim as `fig12` | scan / insert latency |
 //! | `fig17` | extension: `hope_store` replacing dictionaries under the live Email-A → Email-B stream | every result equals an uncompressed shadow map's; a dictionary was replaced; post-swap / fresh-built CPR ≥ [`RECOVERY_RATIO`] | build time; per replace the observed CPR against both baselines, per shard the replace count (in the `DIGEST`: deterministic, not gated) |
@@ -62,7 +61,7 @@ const PAPER_TABLE1: [[&str; 4]; 6] = [
     ["ALM-Improved", "VIVC", "Hu-Tucker", "ART-based"],
 ];
 
-/// Table 1 and Figures 8–17, in the order `figures` runs them.
+/// Table 1 and Figures 8–13 and 15–17, in the order `figures` runs them.
 pub static FIGURES: Table = Table {
     bench: "figures",
     dataset: "email-wiki-url",
@@ -75,7 +74,6 @@ pub static FIGURES: Table = Table {
         Row { name: "fig11", body: fig11 },
         Row { name: "fig12", body: fig12 },
         Row { name: "fig13", body: fig13 },
-        Row { name: "fig14", body: fig14 },
         Row { name: "fig15", body: fig15 },
         Row { name: "fig16", body: fig16 },
         Row { name: "fig17", body: fig17 },
@@ -256,10 +254,7 @@ fn fig10(cfg: &BenchConfig, out: &mut ScenarioReport) {
                         *last = last.saturating_add(1);
                     }
                     let (lo, hi) = match &prep.hope {
-                        Some(h) => {
-                            let (a, b) = h.encode_pair(&keys[i], &end);
-                            (a.into_bytes(), b.into_bytes())
-                        }
+                        Some(h) => h.encode_range_bounds(&keys[i], &end),
                         None => (keys[i].clone(), end),
                     };
                     found += surf.range_may_contain(&lo, &hi) as usize;
@@ -581,66 +576,6 @@ fn fig13(cfg: &BenchConfig, out: &mut ScenarioReport) {
         &format!("CPR at a 10 % sample >= {PLATEAU_RATIO} x CPR at 100 %, non-ALM schemes"),
         4 * Dataset::ALL.len(),
         &below,
-    )];
-    out.seal_with_verdicts();
-}
-
-fn fig14(cfg: &BenchConfig, out: &mut ScenarioReport) {
-    let keys = load_dataset(Dataset::Email, cfg);
-    let sample = cfg.sample(&keys);
-    // The measured corpus is itself the sorted sample, as in the paper.
-    let mut corpus = sample.clone();
-    corpus.sort_unstable();
-    let refs: Vec<&[u8]> = corpus.iter().map(Vec::as_slice).collect();
-    let chars: usize = corpus.iter().map(Vec::len).sum();
-
-    let (mut differ, mut slower, mut cells) = (Vec::new(), Vec::new(), 0);
-    for scheme in [
-        Scheme::SingleChar,
-        Scheme::DoubleChar,
-        Scheme::ThreeGrams,
-        Scheme::FourGrams,
-        Scheme::AlmImproved,
-    ] {
-        let hope = build_hope(scheme, 1 << 16, &sample);
-        let per_key: Vec<_> = refs.iter().map(|k| hope.encode(k)).collect();
-        // The ALM schemes cannot batch: arbitrary-length symbols prevent
-        // a-priori prefix alignment (§4.2).
-        let sizes: &[usize] = if scheme == Scheme::AlmImproved { &[1] } else { &[1, 2, 32] };
-        let mut per_key_ns = 0.0;
-        for &block in sizes {
-            let cell = format!("scheme={} block={block}", scheme.name());
-            // Median of three.
-            let (mut runs, mut batch) = ([0.0; 3], Vec::new());
-            for run in &mut runs {
-                let (encoded, d) = time(|| hope.encode_batch(&refs, block));
-                (*run, batch) = (ns_per_op(d, chars), encoded);
-            }
-            runs.sort_by(f64::total_cmp);
-            if batch != per_key {
-                differ.push(cell.clone());
-            }
-            let enc_bytes: usize = batch.iter().map(|e| e.byte_len()).sum();
-            out.cell(
-                &cell,
-                &format!("keys={} enc_bytes={enc_bytes}", refs.len()),
-                &format!("ns_per_char={:.2}", runs[1]),
-            );
-            cells += 1;
-            if block == 1 {
-                per_key_ns = runs[1];
-            } else if runs[1] > per_key_ns {
-                slower.push(format!("{cell} {:.2} > {per_key_ns:.2} ns/char", runs[1]));
-            }
-        }
-    }
-    // Appendix B reports batching as a speed-up for every scheme it applies to.
-    out.recorded.push(finding("batch_slower", &slower));
-    out.gates = vec![every_cell(
-        "batch_equals_per_key",
-        "encode_batch returns the per-key encoding of every key, bit for bit",
-        cells,
-        &differ,
     )];
     out.seal_with_verdicts();
 }

@@ -6,7 +6,7 @@
 //!
 //! | Binary | Table | Report |
 //! |---|---|---|
-//! | `figures` | [`figures::FIGURES`]: Table 1 and Figs 8–16 of the paper plus `fig17`, the store's hot-swap under a live distribution shift | `BENCH_figures.json` |
+//! | `figures` | [`figures::FIGURES`]: Table 1 and Figs 8–13 and 15–16 of the paper plus `fig17`, the store's hot-swap under a live distribution shift | `BENCH_figures.json` |
 //! | `drill` | [`drills::SCENARIOS`]: the five serving drills (`slo`, `telemetry`, `faults`, `adaptive`, `snapshot`) | `BENCH_drills.json` |
 //!
 //! Both tables run on one [`harness`]: one row type, one [`harness::Gate`]

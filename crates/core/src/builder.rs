@@ -245,15 +245,24 @@ impl Hope {
         Ok(self.encoder.encode_to(key, scratch))
     }
 
-    /// Encode a sorted batch with prefix reuse (Appendix B).
-    pub fn encode_batch(&self, keys: &[&[u8]], block_size: usize) -> Vec<EncodedKey> {
-        self.encoder.encode_batch(keys, block_size)
-    }
-
-    /// Encode the two boundaries of a closed-range query (two plain
-    /// encodes; see [`Encoder::encode_pair_to`](crate::encoder::Encoder::encode_pair_to)).
-    pub fn encode_pair(&self, low: &[u8], high: &[u8]) -> (EncodedKey, EncodedKey) {
-        self.encoder.encode_pair(low, high)
+    /// Encode each key on its own, into one reused scratch; `block_size`
+    /// is not read.
+    ///
+    /// The paper's sorted-block encoder (Appendix B) is not implemented
+    /// (DESIGN.md, "Known deviations from the paper"). This name and its
+    /// signature remain only because the whole-store benchmark times its
+    /// per-key encode lane through them.
+    pub fn encode_batch(&self, keys: &[&[u8]], _block_size: usize) -> Vec<EncodedKey> {
+        let mut scratch = crate::encoder::EncodeScratch::new();
+        let out = keys
+            .iter()
+            .map(|k| {
+                let bytes = self.encoder.encode_to(k, &mut scratch).to_vec();
+                EncodedKey::from_parts(bytes, scratch.bit_len())
+            })
+            .collect();
+        self.encoder.flush_count(&mut scratch);
+        out
     }
 
     /// Encode the inclusive boundaries of a range query into the padded
@@ -265,8 +274,9 @@ impl Hope {
     /// "Encoded-key comparison"), so the pair drives a compressed range
     /// scan directly and no hit needs a source-key re-check.
     pub fn encode_range_bounds(&self, low: &[u8], high: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let (lo, hi) = self.encoder.encode_pair(low, high);
-        (lo.into_bytes(), hi.into_bytes())
+        let mut scratch = crate::encoder::EncodeScratch::new();
+        let (lo, hi) = self.encoder.encode_pair_to(low, high, &mut scratch);
+        (lo.to_vec(), hi.to_vec())
     }
 
     /// Allocation-free [`Hope::encode_range_bounds`]: encode both into a
@@ -491,6 +501,10 @@ mod tests {
         assert_eq!(stats.encode_keys, flush + 1);
         assert_eq!(stats.automaton_fallback_takes, 0, "a 512-entry 3-Grams trie tables fully");
         assert_eq!(stats.decode_keys, 0, "decoder unbuilt");
+        // A batch counts every key it encodes, though its scratch is
+        // dropped before a flush batch fills.
+        hope.encode_batch(&[b"com.gmail@user0003".as_slice(), b"com.gmail@user0004"], 16);
+        assert_eq!(hope.codec_stats().encode_keys, flush + 3);
         hope.decode_to(&bytes, enc.bit_len(), &mut dec).unwrap();
         assert_eq!(hope.codec_stats().decode_keys, 1, "one key decoded");
     }

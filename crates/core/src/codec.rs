@@ -152,8 +152,8 @@ impl KeyCodec for IdentityCodec {
 
 /// Shared key-length validation for [`KeyCodec`] implementations (and
 /// for serving layers that must reject keys *before* encoding them —
-/// `hope_store` validates bulk-load keys with this ahead of the
-/// unvalidated batch encoder).
+/// `hope_store` validates every bulk-load key with this before it samples
+/// or encodes any).
 pub fn validate_key_len(key: &[u8]) -> Result<(), HopeError> {
     if key.len() > MAX_KEY_BYTES {
         return Err(HopeError::KeyTooLong { len: key.len(), max: MAX_KEY_BYTES });

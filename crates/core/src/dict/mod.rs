@@ -153,9 +153,9 @@ impl Dict {
         }
     }
 
-    /// Resolve one symbol — the per-symbol primitive of the
-    /// checkpoint-tracking walks (pair and batch encoding). See
-    /// [`DictLookup::lookup`].
+    /// Resolve one symbol. [`Dict::encode_into`] emits what repeated
+    /// lookups to the end of the key emit (its doctest and
+    /// `tests/encode_equiv.rs` check that). See [`DictLookup::lookup`].
     #[inline]
     pub fn lookup(&self, src: &[u8]) -> (Code, usize) {
         match self {
@@ -186,19 +186,6 @@ impl Dict {
             Dict::Bitmap(d) => d.num_entries(),
             Dict::Art(d) => d.num_entries(),
             Dict::Sorted(d) => d.num_entries(),
-        }
-    }
-
-    /// Longest boundary in bytes when it is bounded by construction (the
-    /// fixed-gram schemes): a lookup checkpoint at byte `p` is reusable by
-    /// any key sharing `p + gram` prefix bytes. `None` for ALM's
-    /// arbitrary-length boundaries.
-    pub(crate) fn reuse_gram(&self) -> Option<usize> {
-        match self {
-            Dict::Single(_) => Some(1),
-            Dict::Double(_) => Some(2),
-            Dict::Bitmap(d) => Some(d.depth()),
-            Dict::Art(_) | Dict::Sorted(_) => None,
         }
     }
 

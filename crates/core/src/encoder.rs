@@ -6,31 +6,25 @@
 //! [`Dict::encode_into`] — the structure is matched once per key and its
 //! own loop runs: a packed-array load per symbol for Single-/Double-Char,
 //! the bitmap trie's automaton (trie walk on its fallback edges) for
-//! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. The walks that
-//! must stop after each symbol (pair and batch encoding, below) use
-//! [`Dict::lookup`], the same structures one symbol at a time. See
-//! DESIGN.md, "One structure per scheme".
+//! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. See DESIGN.md,
+//! "One structure per scheme".
 //!
 //! Everything is allocation-free: codes are appended to a caller-supplied
 //! [`BitWriter`], and the `encode_into`-first API plus [`EncodeScratch`]
 //! let query hot paths reuse buffers across probes instead of allocating
 //! an [`EncodedKey`] per call. See DESIGN.md, "Performance guide".
 //!
-//! ## Batch and pair encoding
+//! ## Range bounds
 //!
-//! Also implements the batch-encoding optimization (§4.2, Appendix B):
-//! when encoding a sorted batch, the common prefix of a block is encoded
-//! once and reused, provided the reuse point is aligned with dictionary
-//! lookups (safe for the fixed-gram schemes; ALM's arbitrary-length symbols
-//! make a-priori alignment impossible, as the paper notes, so those fall
-//! back to individual encoding). The two bounds of a closed-range query
-//! ([`Encoder::encode_pair`]) are not such a batch: stopping after every
-//! symbol of the first key to record checkpoints costs more than the
-//! shared prefix of the second saves, so a pair is two plain encodes.
+//! The two bounds of a closed-range query ([`Encoder::encode_pair_to`])
+//! are two plain encodes into one scratch. The paper's Appendix B shares
+//! the walk over a sorted block's common prefix instead; that has to stop
+//! after every symbol to record a checkpoint, which cost more than the
+//! shared prefix saved, so there is no batch encoder (DESIGN.md, "Known
+//! deviations from the paper").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::axis::lcp_len;
 use crate::bitpack::{BitWriter, EncodedKey};
 use crate::dict::Dict;
 
@@ -39,10 +33,6 @@ use crate::dict::Dict;
 #[derive(Debug)]
 pub struct Encoder {
     dict: Dict,
-    /// Max dictionary boundary length: a lookup checkpoint at byte `p` is
-    /// reusable for another key sharing `p + max_boundary_len` prefix bytes.
-    /// `None` disables batch reuse (ALM schemes).
-    reuse_gram: Option<usize>,
     /// Keys encoded (telemetry; relaxed).
     keys: AtomicU64,
 }
@@ -131,8 +121,7 @@ impl EncodeScratch {
 impl Encoder {
     /// Wrap a dictionary.
     pub fn new(dict: Dict) -> Self {
-        let reuse_gram = dict.reuse_gram();
-        Encoder { dict, reuse_gram, keys: AtomicU64::new(0) }
+        Encoder { dict, keys: AtomicU64::new(0) }
     }
 
     /// Access the underlying dictionary.
@@ -183,56 +172,22 @@ impl Encoder {
         &scratch.lo
     }
 
-    /// Encode a batch of keys, exploiting shared prefixes within blocks of
-    /// `block_size` **sorted** keys (Appendix B). `block_size = 1` encodes
-    /// individually; `block_size = 2` is the paper's *pair-encoding* used
-    /// for closed-range queries.
-    ///
-    /// The [`BitWriter`] and the per-block checkpoint list are allocated
-    /// once and reused across the whole batch; the only per-key allocation
-    /// is the exact-size byte buffer of each returned [`EncodedKey`].
-    pub fn encode_batch(&self, keys: &[&[u8]], block_size: usize) -> Vec<EncodedKey> {
-        assert!(block_size >= 1);
-        let mut out = Vec::with_capacity(keys.len());
-        let mut w = BitWriter::with_capacity(keys.first().map_or(0, |k| k.len()));
-        if block_size == 1 || self.reuse_gram.is_none() {
-            let mut buf = Vec::new();
-            for k in keys {
-                self.encode_into(k, &mut w);
-                let bits = w.finish_into(&mut buf);
-                out.push(EncodedKey::from_parts(buf.clone(), bits));
-            }
-            return out;
-        }
-        let gram = self.reuse_gram.unwrap();
-        let mut checkpoints: Vec<(usize, usize)> = Vec::new();
-        let mut bufs = (Vec::new(), Vec::new());
-        for block in keys.chunks(block_size) {
-            self.encode_block(block, gram, &mut w, &mut checkpoints, &mut bufs, &mut out);
-        }
-        out
+    /// Add the keys `scratch` has encoded but not yet counted to the
+    /// shared counter: for a scratch that is about to be dropped.
+    pub(crate) fn flush_count(&self, scratch: &mut EncodeScratch) {
+        self.keys.fetch_add(u64::from(scratch.pending_keys), Ordering::Relaxed);
+        scratch.pending_keys = 0;
     }
 
-    /// Encode the two boundary keys of a closed-range query.
-    ///
-    /// Two plain encodes: see [`Encoder::encode_pair_to`].
-    pub fn encode_pair(&self, low: &[u8], high: &[u8]) -> (EncodedKey, EncodedKey) {
-        let mut scratch = EncodeScratch::new();
-        self.encode_pair_to(low, high, &mut scratch);
-        let EncodeScratch { lo, hi, lo_bits, hi_bits, .. } = scratch;
-        (EncodedKey::from_parts(lo, lo_bits), EncodedKey::from_parts(hi, hi_bits))
-    }
-
-    /// Allocation-free [`Encoder::encode_pair`]: fill `scratch` and return
-    /// the two padded byte strings (bit lengths via
+    /// Encode the two boundary keys of a closed-range query: fill
+    /// `scratch` and return the two padded byte strings (bit lengths via
     /// [`EncodeScratch::pair_bit_lens`]).
     ///
     /// A pair costs two [`Encoder::encode_to`] calls. Sharing the walk
-    /// over the bounds' common prefix, as the batch encoder does for a
-    /// sorted block, has to stop after every symbol to record a
-    /// checkpoint ([`Dict::lookup`]): on the array schemes that made a
-    /// pair 2.6–4 single encodes, and on the trie schemes it saved a
-    /// tenth of a pair (DESIGN.md, "The buffer-reuse contract").
+    /// over the bounds' common prefix has to stop after every symbol to
+    /// record a checkpoint ([`Dict::lookup`]): on the array schemes that
+    /// made a pair 2.6–4 single encodes, and on the trie schemes it saved
+    /// a tenth of a pair (DESIGN.md, "The buffer-reuse contract").
     pub fn encode_pair_to<'s>(
         &self,
         low: &[u8],
@@ -244,76 +199,6 @@ impl Encoder {
         scratch.hi_bits = scratch.lo_bits;
         self.encode_to(low, scratch);
         (&scratch.lo, &scratch.hi)
-    }
-
-    /// Encode one sorted block: the first key records lookup checkpoints
-    /// (source byte offset, encoded bit offset); subsequent keys bit-copy
-    /// the longest safely-aligned shared prefix and resume encoding there.
-    /// `w`, `checkpoints` and the `bufs` staging buffers are caller-owned
-    /// so a batch amortizes their allocations across every block; the only
-    /// per-key allocation is each output key's exact-size byte buffer.
-    fn encode_block(
-        &self,
-        block: &[&[u8]],
-        gram: usize,
-        w: &mut BitWriter,
-        checkpoints: &mut Vec<(usize, usize)>,
-        bufs: &mut (Vec<u8>, Vec<u8>),
-        out: &mut Vec<EncodedKey>,
-    ) {
-        debug_assert!(!block.is_empty());
-        let (first_buf, buf) = bufs;
-        let first = block[0];
-        // (source bytes consumed, bits emitted) after each lookup.
-        checkpoints.clear();
-        let mut rest = first;
-        let mut consumed_total = 0usize;
-        while !rest.is_empty() {
-            let (code, consumed) = self.dict.lookup(rest);
-            w.put(code);
-            consumed_total += consumed;
-            rest = &rest[consumed..];
-            checkpoints.push((consumed_total, w.bit_len()));
-        }
-        let first_bits = w.finish_into(first_buf);
-        out.push(EncodedKey::from_parts(first_buf.clone(), first_bits));
-
-        for key in &block[1..] {
-            let shared = lcp_len(first, key);
-            // A checkpoint at byte p is valid if every lookup before it saw
-            // identical bytes: boundaries are at most `gram` bytes, so
-            // p + gram <= shared suffices (see DESIGN.md).
-            let ck = checkpoints.iter().take_while(|&&(p, _)| p + gram <= shared).last().copied();
-            match ck {
-                Some((bytes, bits)) => {
-                    copy_bit_prefix(first_buf, bits, w);
-                    self.encode_into(&key[bytes..], w);
-                }
-                None => self.encode_into(key, w),
-            }
-            let bits = w.finish_into(buf);
-            out.push(EncodedKey::from_parts(buf.clone(), bits));
-        }
-    }
-}
-
-/// Append the first `bits` bits of the padded byte string `src` to `w`.
-fn copy_bit_prefix(src: &[u8], bits: usize, w: &mut BitWriter) {
-    debug_assert!(bits <= src.len() * 8);
-    let whole = bits / 8;
-    let mut i = 0;
-    while i + 8 <= whole {
-        let v = u64::from_be_bytes(src[i..i + 8].try_into().expect("8 bytes"));
-        w.put_bits(v, 64);
-        i += 8;
-    }
-    while i < whole {
-        w.put_bits(src[i] as u64, 8);
-        i += 1;
-    }
-    let rem = bits % 8;
-    if rem > 0 {
-        w.put_bits((src[whole] >> (8 - rem)) as u64, rem as u32);
     }
 }
 
@@ -388,15 +273,12 @@ mod tests {
         let s = sample();
         for scheme in Scheme::ALL {
             let enc = build_encoder(scheme, &s);
-            let (kind, gram) = match scheme {
-                Scheme::SingleChar => ("Array", Some(1)),
-                Scheme::DoubleChar => ("Array", Some(2)),
-                Scheme::ThreeGrams => ("Bitmap-Trie", Some(3)),
-                Scheme::FourGrams => ("Bitmap-Trie", Some(4)),
-                Scheme::Alm | Scheme::AlmImproved => ("ART-based", None),
+            let kind = match scheme {
+                Scheme::SingleChar | Scheme::DoubleChar => "Array",
+                Scheme::ThreeGrams | Scheme::FourGrams => "Bitmap-Trie",
+                Scheme::Alm | Scheme::AlmImproved => "ART-based",
             };
             assert_eq!(enc.dict().kind(), kind, "{scheme}");
-            assert_eq!(enc.reuse_gram, gram, "{scheme}: reuse gram comes from the dictionary");
             // Only the bitmap trie carries a table beyond its own nodes.
             let has_automaton = matches!(enc.dict(), Dict::Bitmap(d) if d.automaton_stats().0 >= 1);
             assert_eq!(has_automaton, kind == "Bitmap-Trie", "{scheme}");
@@ -446,31 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual_encoding() {
-        let s = sample();
-        for scheme in Scheme::ALL {
-            let enc = build_encoder(scheme, &s);
-            let mut keys: Vec<&[u8]> = vec![
-                b"com.gmail@aaa",
-                b"com.gmail@aab",
-                b"com.gmail@zzz",
-                b"com.yahoo@x",
-                b"org.acm@y",
-                b"zebra",
-            ];
-            keys.sort();
-            for bs in [1usize, 2, 3, 32] {
-                let batch = enc.encode_batch(&keys, bs);
-                for (k, e) in keys.iter().zip(&batch) {
-                    assert_eq!(e, &enc.encode(k), "{scheme} block={bs} key={k:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pair_encoding_matches_individual() {
         let s = sample();
+        let mut scratch = EncodeScratch::new();
         for scheme in Scheme::ALL {
             let enc = build_encoder(scheme, &s);
             for (low, high) in [
@@ -480,39 +340,16 @@ mod tests {
                 (b"aaa", b"zzz"),
                 (b"com.gmail@", b"com.gmail@zzzzzz"),
             ] {
-                let (lo, hi) = enc.encode_pair(low, high);
-                assert_eq!(lo, enc.encode(low), "{scheme}: low {low:?}");
-                assert_eq!(hi, enc.encode(high), "{scheme}: high {high:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn pair_scratch_matches_pair() {
-        let s = sample();
-        let mut scratch = EncodeScratch::new();
-        let enc = build_encoder(Scheme::DoubleChar, &s);
-        let (lo, hi) = enc.encode_pair(b"com.gmail@foo", b"com.gmail@fop");
-        let (lo2, hi2) = enc.encode_pair_to(b"com.gmail@foo", b"com.gmail@fop", &mut scratch);
-        assert_eq!((lo2, hi2), (lo.as_bytes(), hi.as_bytes()));
-        assert_eq!(scratch.pair_bit_lens(), (lo.bit_len(), hi.bit_len()));
-        assert!(lo < hi);
-    }
-
-    #[test]
-    fn copy_bit_prefix_roundtrip() {
-        let mut w = BitWriter::new();
-        for i in 0..20u64 {
-            w.put_bits(i % 256, 11);
-        }
-        let full = w.finish();
-        for cut in [0usize, 1, 7, 8, 9, 63, 64, 65, 100, full.bit_len()] {
-            let mut w2 = BitWriter::new();
-            copy_bit_prefix(full.as_bytes(), cut, &mut w2);
-            let partial = w2.finish();
-            assert_eq!(partial.bit_len(), cut);
-            for b in 0..cut {
-                assert_eq!(partial.bit(b), full.bit(b), "bit {b} cut {cut}");
+                let (want_lo, want_hi) = (enc.encode(low), enc.encode(high));
+                let (lo, hi) = enc.encode_pair_to(low, high, &mut scratch);
+                assert_eq!(lo, want_lo.as_bytes(), "{scheme}: low {low:?}");
+                assert_eq!(hi, want_hi.as_bytes(), "{scheme}: high {high:?}");
+                assert!(lo <= hi, "{scheme}: [{low:?}, {high:?}] encodes out of order");
+                assert_eq!(
+                    scratch.pair_bit_lens(),
+                    (want_lo.bit_len(), want_hi.bit_len()),
+                    "{scheme}: bit lengths of [{low:?}, {high:?}]"
+                );
             }
         }
     }

@@ -8,7 +8,7 @@
 //!
 //! Random samples build the dictionaries; random probe keys (including
 //! bytes never sampled — completeness covers them) are encoded through
-//! both, individually, pair-wise and in sorted batches. A second suite
+//! both, individually, into a reused scratch and pair-wise. A second suite
 //! squeezes the n-gram automaton's state budget down to a handful of rows
 //! so the fallback edges (trie walk per symbol) are exercised on random
 //! dictionaries too. A third builds the ALM schemes' ART at production
@@ -38,8 +38,8 @@ fn parts_at(scheme: Scheme, sample: &[Vec<u8>], entries: usize) -> (IntervalSet,
     (set, codes)
 }
 
-/// `production` must match `reference` on every probe: point, scratch,
-/// pair and sorted-batch encoding.
+/// `production` must match `reference` on every probe: point, scratch and
+/// pair encoding.
 fn check_equivalence(production: &Encoder, reference: &Encoder, what: &str, probes: &[Vec<u8>]) {
     let mut scratch = EncodeScratch::new();
     for p in probes {
@@ -50,25 +50,22 @@ fn check_equivalence(production: &Encoder, reference: &Encoder, what: &str, prob
         assert_eq!(bytes, want.as_bytes(), "{what}: encode_to({p:?})");
         assert_eq!(scratch.bit_len(), want.bit_len(), "{what}: encode_to({p:?}) bits");
     }
-    // Pair encoding shares one traversal; results must still match the
-    // per-key reference.
+    // A pair fills one scratch with both bounds, the high one encoded
+    // first and moved aside: each must still match the per-key reference.
     for w in probes.windows(2) {
         let (mut low, mut high) = (w[0].clone(), w[1].clone());
         if low > high {
             std::mem::swap(&mut low, &mut high);
         }
-        let (lo, hi) = production.encode_pair(&low, &high);
-        assert_eq!(lo, reference.encode(&low), "{what}: pair low {low:?}");
-        assert_eq!(hi, reference.encode(&high), "{what}: pair high {high:?}");
-    }
-    // Sorted-batch encoding (Appendix B prefix reuse) as well.
-    let mut sorted: Vec<&[u8]> = probes.iter().map(|p| p.as_slice()).collect();
-    sorted.sort_unstable();
-    for block in [2usize, 8] {
-        let batch = production.encode_batch(&sorted, block);
-        for (k, e) in sorted.iter().zip(&batch) {
-            assert_eq!(e, &reference.encode(k), "{what}: batch({block}) {k:?}");
-        }
+        let (want_lo, want_hi) = (reference.encode(&low), reference.encode(&high));
+        let (lo, hi) = production.encode_pair_to(&low, &high, &mut scratch);
+        assert_eq!(lo, want_lo.as_bytes(), "{what}: pair low {low:?}");
+        assert_eq!(hi, want_hi.as_bytes(), "{what}: pair high {high:?}");
+        assert_eq!(
+            scratch.pair_bit_lens(),
+            (want_lo.bit_len(), want_hi.bit_len()),
+            "{what}: pair bits [{low:?}, {high:?}]"
+        );
     }
 }
 

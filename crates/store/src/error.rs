@@ -104,8 +104,8 @@ impl From<HopeError> for StoreError {
 }
 
 /// Key validation for paths that must reject keys *before* any encoding
-/// work (bulk loads feeding the unvalidated batch encoder, cursor
-/// bounds). Delegates to the codec's own rule so the limit can never
+/// work (a bulk load, which checks every key before it samples or
+/// encodes one; cursor bounds). Delegates to the codec's own rule so the limit can never
 /// drift between the layers.
 pub(crate) fn validate_key(key: &[u8]) -> Result<(), StoreError> {
     Ok(hope::codec::validate_key_len(key)?)

@@ -185,10 +185,10 @@ pub struct StoreConfig {
     pub degrade_ratio: f64,
     /// Minimum inserted source bytes before drift is judged at all.
     pub min_observed_bytes: u64,
-    /// Block size for the sorted-batch encoder of Appendix B
-    /// ([`hope::Hope::encode_batch`]). The store no longer reads it: bulk
-    /// loads encode key by key, which is faster. Kept for callers that
-    /// run the batch encoder over a store's keys themselves.
+    /// Not read: bulk loads encode key by key, and there is no sorted-block
+    /// encoder (DESIGN.md, "Known deviations from the paper"). The field
+    /// remains only because the whole-store benchmark passes it to
+    /// [`hope::Hope::encode_batch`], which ignores it; both go together.
     pub batch_block: usize,
     /// Seed for the reservoir sampling decisions.
     pub seed: u64,

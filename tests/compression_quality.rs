@@ -62,7 +62,7 @@ fn batch_encoding_equals_individual_on_real_data() {
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     for scheme in Scheme::ALL {
         let hope = build(scheme, &sample, 1 << 12);
-        for bs in [2usize, 8, 32] {
+        for bs in [0usize, 2, 8, 32] {
             let batch = hope.encode_batch(&refs, bs);
             for (k, e) in refs.iter().zip(&batch) {
                 assert_eq!(e, &hope.encode(k), "{scheme} bs={bs}");

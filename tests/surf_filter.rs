@@ -30,9 +30,9 @@ fn no_false_negatives_for_point_and_range_queries() {
                 // Closed range [k, k+1-last-byte): must report maybe.
                 let mut hi = k.clone();
                 *hi.last_mut().unwrap() = hi.last().unwrap().saturating_add(1);
-                let (lo_e, hi_e) = hope.encode_pair(k, &hi);
+                let (lo_e, hi_e) = hope.encode_range_bounds(k, &hi);
                 assert!(
-                    surf.range_may_contain(lo_e.as_bytes(), hi_e.as_bytes()),
+                    surf.range_may_contain(&lo_e, &hi_e),
                     "{scheme}/{kind:?}: range FN on [{k:?}, +1)"
                 );
             }
