@@ -12,13 +12,13 @@
 //!
 //! Every node, leaf or inner, of either tree keeps its keys in one **key
 //! block** ([`hope::index::KeyBlock`], shared with `hope_hot`): the key
-//! bytes back to back in one buffer with a `u32` end offset per key (the
-//! node prefix, under truncation, at the front), and beside them each
-//! key's **head** — its 8 bytes after the block's common prefix,
-//! big-endian in a `u64`. 12 bytes per key (end + head) plus the
-//! key bytes, in three allocations per node rather than one per key. A
-//! node search compares the common prefix once, counts the heads below the
-//! query's without a branch, and compares bytes only where heads tie:
+//! bytes back to back with a `u32` end offset per key (the node prefix,
+//! under truncation, at the front), and beside them each key's **head** —
+//! its 8 bytes after the block's common prefix, big-endian in a `u64`.
+//! 12 bytes per key (end + head) plus the key bytes, in one allocation
+//! per node rather than one per key. A node search compares the common
+//! prefix once, counts the heads below the query's without a branch, and
+//! compares bytes only where heads tie:
 //! shorter (HOPE-encoded) keys put more distinguishing bytes into the
 //! heads, which is how compression makes the tree faster (§5).
 //!
@@ -269,11 +269,18 @@ impl<V> BPlusTree<V> {
                 }
                 // Split the leaf.
                 let mid = leaf.keys.len() / 2;
-                let sep = leaf_separator(
-                    self.suffix_truncation,
-                    &leaf.keys.full_key(mid - 1),
-                    &leaf.keys.full_key(mid),
-                );
+                // Without a node prefix the block holds its keys whole:
+                // the separator comes from borrowed slices.
+                let keys = &leaf.keys;
+                let sep = if keys.prefix().is_empty() {
+                    leaf_separator(self.suffix_truncation, keys.suffix(mid - 1), keys.suffix(mid))
+                } else {
+                    leaf_separator(
+                        self.suffix_truncation,
+                        &keys.full_key(mid - 1),
+                        &keys.full_key(mid),
+                    )
+                };
                 let keys = leaf.keys.split_off(mid, mid, truncate);
                 let values = leaf.values.split_off(mid);
                 let next = std::mem::replace(&mut leaf.next, new_id);
@@ -471,7 +478,8 @@ mod tests {
     }
 
     /// The node is what a tree of many small nodes pays per node: the
-    /// key block's three buffers and two offsets, no more.
+    /// key block (its one buffer, five `u32`s and the inline head of the
+    /// common prefix), the value or child `Vec` and the leaf chain link.
     #[test]
     fn node_stays_small() {
         assert_eq!(std::mem::size_of::<KeyBlock>(), 80);

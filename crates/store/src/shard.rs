@@ -106,21 +106,32 @@ impl ShardFaults {
     }
 }
 
-/// Uniform reservoir sample (algorithm R) over the keys inserted since the
-/// shard's dictionary was installed; reset whenever the dictionary is
-/// replaced so the sample tracks the *current* traffic mix rather than
-/// the whole shard lifetime.
+/// Uniform reservoir sample over the keys inserted since the shard's
+/// dictionary was installed; reset whenever the dictionary is replaced so
+/// the sample tracks the *current* traffic mix rather than the whole shard
+/// lifetime.
+///
+/// Once full it samples by skips (Li's Algorithm L): it draws the stream
+/// position of the next key it takes, so every other insert only bumps a
+/// counter, and a taken key overwrites the evicted one's buffer in place
+/// (at most a reallocation to its length, never a new buffer).
 #[derive(Debug)]
 pub(crate) struct Reservoir {
     keys: Vec<Vec<u8>>,
     cap: usize,
     seen: u64,
+    /// The stream position (1-based, as `seen`) of the next key taken once
+    /// the sample is full.
+    next: u64,
+    /// Algorithm L's `W`: the largest of the `cap` uniform tags the sample
+    /// would hold, which the gap to `next` is drawn from.
+    w: f64,
     state: u64,
 }
 
 impl Reservoir {
     pub(crate) fn new(cap: usize, seed: u64) -> Self {
-        Reservoir { keys: Vec::new(), cap: cap.max(1), seen: 0, state: seed | 1 }
+        Reservoir { keys: Vec::new(), cap: cap.max(1), seen: 0, next: 0, w: 1.0, state: seed | 1 }
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -132,21 +143,44 @@ impl Reservoir {
         z ^ (z >> 31)
     }
 
+    /// A uniform draw from the open interval (0, 1).
+    fn unit(&mut self) -> f64 {
+        ((self.next_rand() >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+    }
+
+    /// Shrink `W` by one more sampled tag and draw the gap to the next key
+    /// taken: geometric, with success chance `W` per key.
+    fn skip_ahead(&mut self) {
+        self.w *= (self.unit().ln() / self.cap as f64).exp();
+        let gap = (self.unit().ln() / (-self.w).ln_1p()).floor();
+        // A float past `u64::MAX` (W underflowed) saturates the cast.
+        self.next = self.seen.saturating_add(gap as u64).saturating_add(1);
+    }
+
     fn offer(&mut self, key: &[u8]) {
         self.seen += 1;
         if self.keys.len() < self.cap {
             self.keys.push(key.to_vec());
-        } else {
-            let j = self.next_rand() % self.seen;
-            if (j as usize) < self.cap {
-                self.keys[j as usize] = key.to_vec();
+            if self.keys.len() == self.cap {
+                self.skip_ahead();
             }
+        } else if self.seen == self.next {
+            let slot = (self.next_rand() % self.cap as u64) as usize;
+            // The evicted key's buffer, resized in place to exactly the
+            // new key's length: a sampled key holds what `to_vec` gave it.
+            let evicted = &mut self.keys[slot];
+            evicted.clear();
+            evicted.shrink_to(key.len());
+            evicted.reserve_exact(key.len());
+            evicted.extend_from_slice(key);
+            self.skip_ahead();
         }
     }
 
     fn reset(&mut self) {
         self.keys.clear();
         self.seen = 0;
+        self.w = 1.0;
     }
 }
 
@@ -476,5 +510,34 @@ mod tests {
         assert!(late > 10, "late keys under-represented: {late}/64");
         r.reset();
         assert!(r.keys.is_empty());
+    }
+
+    /// Every stream position ends up in the sample with chance
+    /// `cap / seen`: over 10 000 seeds, each of 200 positions' inclusion
+    /// count stays within 15 % of `10 000 × 16 / 200` = 800 (±4.4 standard
+    /// deviations), and the first `cap` positions — taken while the sample
+    /// fills — are no exception. Each kept key's buffer is exactly its
+    /// length, as a fresh `to_vec` would be.
+    #[test]
+    fn reservoir_includes_every_position_with_chance_cap_over_seen() {
+        let (cap, seen, seeds) = (16, 200usize, 10_000u64);
+        let mut count = vec![0u32; seen];
+        for seed in 0..seeds {
+            let mut r = Reservoir::new(cap, 2 * seed + 1);
+            for i in 0..seen as u32 {
+                // 4, 8 or 12 bytes: a taken key's buffer is resized to it.
+                r.offer(&i.to_le_bytes().repeat(i as usize % 3 + 1));
+            }
+            assert_eq!(r.keys.len(), cap);
+            for k in &r.keys {
+                assert_eq!(k.capacity(), k.len());
+                count[u32::from_le_bytes(k[..4].try_into().unwrap()) as usize] += 1;
+            }
+        }
+        let want = seeds as f64 * cap as f64 / seen as f64;
+        for (at, &got) in count.iter().enumerate() {
+            let off = (f64::from(got) - want).abs() / want;
+            assert!(off <= 0.15, "position {at}: in {got} samples of {seeds}, want {want:.0}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! `OrderedIndex::load_sorted` builds the B+tree's, HOT's and ART's nodes
 //! in exact-capacity storage, and all three count their buffers at
 //! capacity, so the estimate the store's reports and the paper's figures
-//! read is the allocator's truth to within 10 % — for a tree built by
+//! read is the allocator's truth to the byte — for a tree built by
 //! inserts too. And packing pays: the same encoded keys pushed through
 //! `insert` in sorted order — how generations were loaded before — leave
 //! every B+tree or HOT leaf half full inside buffers grown for more, and
@@ -10,9 +10,12 @@
 //! key blocks hold no more than its `Box<[u8]>` per key did, a loaded HOT
 //! stays below what it held with a `Box<[u8]>` per record, and a loaded
 //! ART — the insert-built tree's very nodes, at exact size — holds less
-//! than the insert-built one at the same average depth.
+//! than the insert-built one at the same average depth. A key block is
+//! one allocation, so the first insert into a loaded B+tree leaf grows
+//! two buffers — the key block and the values — with one call each.
 //!
-//! A counting global allocator measures the bytes a drop returns. This
+//! A counting global allocator measures the bytes a drop returns and the
+//! allocation and reallocation calls an insert makes. This
 //! file holds a single `#[test]` so the test harness cannot run a
 //! neighbour concurrently and pollute the global counter.
 
@@ -30,10 +33,14 @@ struct CountingAlloc;
 /// Bytes currently allocated.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+/// Allocation and reallocation calls so far.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
 // SAFETY: delegates verbatim to the system allocator; the counter is a
 // relaxed atomic with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
@@ -44,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(new_size, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -52,6 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Allocation and reallocation calls `f` makes.
+fn calls<R>(f: impl FnOnce() -> R) -> usize {
+    let before = CALLS.load(Ordering::Relaxed);
+    f();
+    CALLS.load(Ordering::Relaxed) - before
+}
 
 /// Bytes dropping `index` returns to the allocator.
 fn freed_by_drop<T>(index: T) -> usize {
@@ -66,13 +81,11 @@ fn bulk_loaded<T: OrderedIndex>(mut index: T, run: &[Vec<u8>]) -> T {
     index
 }
 
-/// Bytes dropping `index` returns, which must be within 10 % of what it
-/// claimed to hold.
+/// Bytes dropping `index` returns, which must be what it claimed to hold.
 fn footprint<T: OrderedIndex>(index: T, what: &str) -> usize {
     let claimed = index.memory_bytes();
     let held = freed_by_drop(index);
-    let off = held.abs_diff(claimed) as f64 / claimed as f64;
-    assert!(off <= 0.10, "{what}: drop freed {held} B but memory_bytes() says {claimed} B");
+    assert_eq!(held, claimed, "{what}: drop freed {held} B but memory_bytes() says {claimed} B");
     println!("{what}: holds {held} B, memory_bytes() {claimed} B");
     held
 }
@@ -134,6 +147,16 @@ fn a_bulk_loaded_index_holds_what_it_says_and_less_than_an_insert_built_one() {
         }
         let (short, tall) = (loaded.height(), inserted.height());
         assert!(short <= tall, "{what}: loaded height {short}, insert-built {tall}");
+        // Leaf `j` holds keys `12 j ..`: a key just above key `12 j + 5`
+        // lands in it, beside its neighbours.
+        let mut written = bulk_loaded(fresh(), &run);
+        for j in (0..run.len() / 12 - 1).step_by(97) {
+            let key = [&run[12 * j + 5][..], &[0]].concat();
+            assert!(key < run[12 * j + 6], "{what}: {key:?} collides");
+            let n = calls(|| written.insert(&key, 0));
+            assert!(n <= 2, "{what}: the first insert into loaded leaf {j} made {n} calls");
+        }
+        drop(written);
         let loaded = footprint(loaded, &format!("{what}, loaded"));
         assert!(loaded <= most, "{what}: loaded holds {loaded} B, more than {most} B");
         let inserted = footprint(inserted, &format!("{what}, insert-built"));
