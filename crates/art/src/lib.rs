@@ -7,7 +7,10 @@
 //! prefixes are stored **optimistically**: only the first
 //! [`MAX_STORED_PREFIX`] bytes are kept inline (OCPS), with the full key
 //! re-checked at the leaf — the partial-key behaviour §5 of the HOPE paper
-//! discusses.
+//! discusses. The same descent answers from the first bytes of a key
+//! ([`Art::probe_prefix`]): the leaf it reaches is the one stored key
+//! that can begin with them, which the caller checks — so a store need
+//! not encode a probe key past the bytes that isolate it.
 //!
 //! Keys are arbitrary byte strings; a key may be a prefix of another key
 //! (required for HOPE-encoded keys), handled by a per-node terminator slot.
@@ -42,6 +45,7 @@ use std::ops::Range;
 
 use hope::axis::lcp_len;
 use hope::index::KeyRun;
+use hope::Probe;
 
 /// Maximum number of compressed-prefix bytes stored inline (the paper's
 /// optimistic common prefix skipping threshold).
@@ -394,6 +398,63 @@ impl<V> Art<V> {
         }
     }
 
+    /// Point lookup from the first bytes of a key
+    /// ([`hope::OrderedIndex::probe_prefix`]): a `complete` probe is
+    /// [`Art::get_ref`]; a partial one descends on the bytes it has. Those
+    /// bytes reach a leaf — the one stored key that can begin with them,
+    /// answered as a [`Probe::Candidate`] the caller confirms — or miss a
+    /// stored prefix byte or a branch ([`Probe::Absent`]), or run out at a
+    /// node: inside its compressed path or at its end, where a key may
+    /// stop or branch ([`Probe::NeedMore`], up to past the next branch
+    /// byte).
+    ///
+    /// OCPS compares only the stored head of a compressed path, so a
+    /// descent can pass a path the prefix leaves in an unstored byte; then
+    /// no stored key begins with the prefix, and any leaf is a valid
+    /// candidate.
+    ///
+    /// ```
+    /// use hope::Probe;
+    /// use hope_art::Art;
+    ///
+    /// let mut art = Art::new();
+    /// art.insert(b"apple", 1);
+    /// art.insert(b"apricot", 2);
+    /// art.insert(b"banana", 3);
+    /// assert_eq!(art.probe_prefix(b"b", false), Probe::Candidate(&3));
+    /// assert_eq!(art.probe_prefix(b"ap", false), Probe::NeedMore(3));
+    /// assert_eq!(art.probe_prefix(b"apr", false), Probe::Candidate(&2));
+    /// assert_eq!(art.probe_prefix(b"c", false), Probe::Absent);
+    /// assert_eq!(art.probe_prefix(b"apple", true), Probe::Hit(&1));
+    /// ```
+    pub fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
+        if complete {
+            return self.get_ref(prefix).map_or(Probe::Absent, Probe::Hit);
+        }
+        let Some(mut ptr) = self.root else { return Probe::Absent };
+        let mut pos = 0usize;
+        loop {
+            let node = match ptr.as_leaf() {
+                Some(leaf) => return Probe::Candidate(&self.values[leaf]),
+                None => &self.nodes[ptr.as_node().expect("valid ptr")],
+            };
+            let stored = node.stored_prefix();
+            let known = stored.len().min(prefix.len() - pos);
+            if prefix[pos..pos + known] != stored[..known] {
+                return Probe::Absent;
+            }
+            pos += node.prefix_len as usize;
+            if pos >= prefix.len() {
+                return Probe::NeedMore(pos + 1);
+            }
+            match node.children.get(prefix[pos]) {
+                Some(child) => ptr = child,
+                None => return Probe::Absent,
+            }
+            pos += 1;
+        }
+    }
+
     /// Insert or update; returns the previous value if the key existed.
     pub fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         match self.root {
@@ -711,6 +772,10 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
         Art::get_ref(self, key)
     }
 
+    fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
+        Art::probe_prefix(self, prefix, complete)
+    }
+
     fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         Art::insert(self, key, value)
     }
@@ -835,6 +900,33 @@ mod tests {
         art.insert(b"very-long-shXred", 4);
         assert_eq!(art.get(b"very-long-shXred"), Some(4));
         assert_eq!(art.get(format!("{p}a").as_bytes()), Some(1));
+    }
+
+    /// A partial probe reads only the stored head of a compressed path,
+    /// so one that leaves a long path in an unstored byte still reaches a
+    /// leaf: no stored key begins with it, which makes any candidate
+    /// valid, and the caller's key check rejects it. One that leaves the
+    /// stored head is absent; one that stops inside the path asks for the
+    /// path and its branch byte.
+    #[test]
+    fn partial_probes_past_the_stored_prefix_are_optimistic() {
+        let p = b"very-long-shared-prefix-exceeding-eight-bytes/";
+        let mut art = Art::new();
+        art.insert(&[&p[..], b"a"].concat(), 1);
+        art.insert(&[&p[..], b"b"].concat(), 2);
+        let unstored = [&b"very-long-shXred-prefix-exceeding-eight-bytes/"[..], b"a"].concat();
+        assert_eq!(art.probe_prefix(&unstored, false), Probe::Candidate(&1));
+        assert_eq!(art.probe_prefix(&unstored, true), Probe::Absent);
+        assert_eq!(art.probe_prefix(b"very-loXg", false), Probe::Absent);
+        assert_eq!(art.probe_prefix(b"very-long-sh", false), Probe::NeedMore(p.len() + 1));
+        assert_eq!(art.probe_prefix(p, false), Probe::NeedMore(p.len() + 1));
+        assert_eq!(art.probe_prefix(&[&p[..], b"b"].concat(), false), Probe::Candidate(&2));
+        assert_eq!(art.probe_prefix(&[&p[..], b"c"].concat(), false), Probe::Absent);
+        assert_eq!(Art::<u64>::new().probe_prefix(b"", false), Probe::Absent);
+        // A key ending at a node: the probe that reaches it asks for more.
+        art.insert(p, 3);
+        assert_eq!(art.probe_prefix(p, false), Probe::NeedMore(p.len() + 1));
+        assert_eq!(art.probe_prefix(p, true), Probe::Hit(&3));
     }
 
     #[test]

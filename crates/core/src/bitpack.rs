@@ -249,6 +249,18 @@ impl BitWriter {
         EncodedKey::from_parts(bytes, bit_len)
     }
 
+    /// Write the whole bytes written so far into `out` (cleared first) and
+    /// keep writing: later codes only append bits, so these bytes are the
+    /// first bytes of whatever [`Self::finish`] will return.
+    pub fn whole_bytes_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&self.out);
+        let whole = (self.fill / 8) as usize;
+        if whole > 0 {
+            out.extend_from_slice(&(self.acc << (64 - self.fill)).to_be_bytes()[..whole]);
+        }
+    }
+
     /// Allocation-free variant of [`Self::finish`]: write the padded bytes
     /// into `out` (cleared first) and return the exact bit length. The
     /// writer is reset and its internal buffer retained for reuse — the
@@ -390,6 +402,30 @@ mod tests {
         assert_eq!(k.bit_len(), 65);
         assert_eq!(&k.as_bytes()[..8], &[0xFF; 8]);
         assert_eq!(k.as_bytes()[8], 0);
+    }
+
+    /// After every code, the whole bytes so far are the first bytes of
+    /// the finished key — across the 64-bit spill too.
+    #[test]
+    fn whole_bytes_are_a_prefix_of_the_finished_key() {
+        let codes: Vec<Code> =
+            (0..40u64).map(|i| Code::new(i % 7 + 1, 3 + (i % 11) as u8)).collect();
+        let mut w = BitWriter::new();
+        let mut seen = Vec::new();
+        for &c in &codes {
+            w.put(c);
+            let mut whole = Vec::new();
+            w.whole_bytes_into(&mut whole);
+            assert_eq!(whole.len(), w.bit_len() / 8);
+            seen.push(whole);
+        }
+        let k = w.finish();
+        for whole in seen {
+            assert!(k.as_bytes().starts_with(&whole), "{whole:?}");
+        }
+        let mut empty = vec![1, 2, 3];
+        BitWriter::new().whole_bytes_into(&mut empty);
+        assert!(empty.is_empty());
     }
 
     #[test]

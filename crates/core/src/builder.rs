@@ -245,6 +245,30 @@ impl Hope {
         Ok(self.encoder.encode_to(key, scratch))
     }
 
+    /// Resumable point encode ([`Encoder::encode_prefix_to`]): continue
+    /// `key` from byte `from` (0 starts it) until its encoding has at least
+    /// `min_bytes` whole bytes or the key ends; returns those bytes and the
+    /// position reached, `key.len()` once the bytes are the whole padded
+    /// encoding. A point read into an index that can place a partial key
+    /// ([`OrderedIndex::probe_prefix`](crate::OrderedIndex::probe_prefix))
+    /// encodes only as much as the index asks for.
+    ///
+    /// # Errors
+    ///
+    /// [`HopeError::KeyTooLong`] when `key` exceeds
+    /// [`MAX_KEY_BYTES`](crate::codec::MAX_KEY_BYTES).
+    #[inline]
+    pub fn encode_prefix_to<'s>(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        scratch: &'s mut crate::encoder::EncodeScratch,
+    ) -> Result<(&'s [u8], usize), HopeError> {
+        crate::codec::validate_key_len(key)?;
+        Ok(self.encoder.encode_prefix_to(key, from, min_bytes, scratch))
+    }
+
     /// Encode each key on its own, into one reused scratch; `block_size`
     /// is not read.
     ///

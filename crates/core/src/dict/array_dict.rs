@@ -276,8 +276,8 @@ mod tests {
         let reference = Dict::Sorted(SortedDict::build(&set, &codes));
         for key in [b"".as_slice(), b"a", b"ab", b"abc", b"\xff\xff", b"\xff\xff\xff", b"\x00"] {
             let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
-            wide.encode_into(key, &mut got);
-            reference.encode_into(key, &mut want);
+            wide.encode_into(key, 0, usize::MAX, &mut got);
+            reference.encode_into(key, 0, usize::MAX, &mut want);
             assert_eq!(got.finish(), want.finish(), "key {key:?}");
         }
         let mut i = 0;

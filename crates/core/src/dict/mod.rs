@@ -14,7 +14,8 @@
 //! * [`sorted_dict`] — binary search over the boundary list (baseline).
 //!
 //! The built [`Dict`] is the only copy of the dictionary and the only
-//! thing the encoder walks: [`Dict::encode_into`] is the per-key loop,
+//! thing the encoder walks: [`Dict::encode_into`] is the per-key loop
+//! (resumable, and bounded by the whole bytes it must produce),
 //! [`Dict::lookup`] the per-symbol primitive, and
 //! [`Dict::for_each_entry`] lists the `(symbol, code)` pairs back out for
 //! the decoders, so neither the interval division nor the code list
@@ -102,8 +103,14 @@ impl Dict {
         }
     }
 
-    /// Encode `key`, appending its codes to `w` — the one per-key encode
-    /// loop. The structure is matched once per key, not once per symbol.
+    /// Encode `key` from byte `from` — a symbol boundary an earlier call
+    /// returned, or 0 — appending its codes to `w` until `w` holds at
+    /// least `min_bytes` whole bytes or the key ends; returns the position
+    /// reached. The one per-key encode loop: `min_bytes == usize::MAX`
+    /// runs the structure's own loop to the end of the key (the structure
+    /// is matched once per key, not once per symbol); a smaller bound runs
+    /// [`Dict::lookup`] per symbol and checks the bound after each, so a
+    /// point read can stop as soon as its index has seen enough bytes.
     ///
     /// ```
     /// use hope::bitpack::BitWriter;
@@ -119,24 +126,47 @@ impl Dict {
     /// // The key loop is the per-symbol lookup, run to the end of the key.
     /// let key = b"com.gmail@carol";
     /// let (mut whole, mut by_symbol) = (BitWriter::new(), BitWriter::new());
-    /// dict.encode_into(key, &mut whole);
+    /// assert_eq!(dict.encode_into(key, 0, usize::MAX, &mut whole), key.len());
     /// let mut rest = &key[..];
     /// while !rest.is_empty() {
     ///     let (code, consumed) = dict.lookup(rest);
     ///     by_symbol.put(code);
     ///     rest = &rest[consumed..];
     /// }
-    /// assert_eq!(whole.finish(), by_symbol.finish());
+    /// // Bounded and resumed, it writes the same bits.
+    /// let mut chunked = BitWriter::new();
+    /// let at = dict.encode_into(key, 0, 1, &mut chunked);
+    /// assert!(at < key.len() && chunked.bit_len() >= 8);
+    /// assert_eq!(dict.encode_into(key, at, usize::MAX, &mut chunked), key.len());
+    /// let whole = whole.finish();
+    /// assert_eq!(whole, by_symbol.finish());
+    /// assert_eq!(whole, chunked.finish());
     /// ```
     #[inline]
-    pub fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
-        match self {
-            Dict::Single(d) => d.encode_into(key, w),
-            Dict::Double(d) => d.encode_into(key, w),
-            Dict::Bitmap(d) => encode_by_lookup(d, key, w),
-            Dict::Art(d) => encode_by_lookup(d, key, w),
-            Dict::Sorted(d) => encode_by_lookup(d, key, w),
+    pub fn encode_into(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        w: &mut BitWriter,
+    ) -> usize {
+        if min_bytes == usize::MAX {
+            match self {
+                Dict::Single(d) => d.encode_into(&key[from..], w),
+                Dict::Double(d) => d.encode_into(&key[from..], w),
+                Dict::Bitmap(d) => encode_by_lookup(d, &key[from..], w),
+                Dict::Art(d) => encode_by_lookup(d, &key[from..], w),
+                Dict::Sorted(d) => encode_by_lookup(d, &key[from..], w),
+            }
+            return key.len();
         }
+        let mut at = from;
+        while at < key.len() && w.bit_len() / 8 < min_bytes {
+            let (code, consumed) = self.lookup(&key[at..]);
+            w.put(code);
+            at += consumed;
+        }
+        at
     }
 
     /// Call `f(symbol, code)` for every dictionary entry, in interval

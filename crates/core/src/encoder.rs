@@ -7,7 +7,10 @@
 //! own loop runs: a packed-array load per symbol for Single-/Double-Char,
 //! the bitmap trie's automaton (trie walk on its fallback edges) for
 //! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. See DESIGN.md,
-//! "One structure per scheme".
+//! "One structure per scheme". A point read whose index can place a
+//! partial key encodes in chunks ([`Encoder::encode_prefix_to`]): the same
+//! call, bounded by the whole bytes it must produce and resumed where it
+//! stopped (DESIGN.md, "Point reads encode only what the index needs").
 //!
 //! Everything is allocation-free: codes are appended to a caller-supplied
 //! [`BitWriter`], and the `encode_into`-first API plus [`EncodeScratch`]
@@ -60,6 +63,10 @@ pub struct Encoder {
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
     writer: BitWriter,
+    /// The writer of a key [`Encoder::encode_prefix_to`] encodes in
+    /// chunks, which keeps its bits between calls — and after its caller
+    /// has stopped early, until the next key starts.
+    chunked: BitWriter,
     lo: Vec<u8>,
     hi: Vec<u8>,
     lo_bits: usize,
@@ -151,25 +158,97 @@ impl Encoder {
     #[inline]
     pub fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
         self.keys.fetch_add(1, Ordering::Relaxed);
-        self.dict.encode_into(key, w);
+        self.dict.encode_into(key, 0, usize::MAX, w);
     }
 
     /// Allocation-free point encode: fill `scratch` and return the padded
     /// encoded bytes (exact bit length via [`EncodeScratch::bit_len`]).
-    ///
-    /// The key count is accumulated in the scratch and flushed to the
-    /// shared counter once per `COUNT_FLUSH_EVERY` (64) keys, keeping the
-    /// per-key cost to one plain increment on an already-hot line.
     #[inline]
     pub fn encode_to<'s>(&self, key: &[u8], scratch: &'s mut EncodeScratch) -> &'s [u8] {
-        self.dict.encode_into(key, &mut scratch.writer);
+        self.dict.encode_into(key, 0, usize::MAX, &mut scratch.writer);
+        self.count_key(scratch);
+        scratch.lo_bits = scratch.writer.finish_into(&mut scratch.lo);
+        &scratch.lo
+    }
+
+    /// Resumable point encode: continue `key` from byte `from` until the
+    /// encoding has at least `min_bytes` whole bytes or the key ends, and
+    /// return those bytes with the position reached. `from` is 0, which
+    /// starts the key afresh in `scratch`, or the position the previous
+    /// call for this key returned. While the position is short of
+    /// `key.len()` the bytes are the whole bytes so far, which later codes
+    /// never change; at the end they are the padded encoded bytes, as
+    /// [`Encoder::encode_to`] returns them (exact bit length via
+    /// [`EncodeScratch::bit_len`]). A call with `from == 0` and
+    /// `min_bytes == usize::MAX` is [`Encoder::encode_to`].
+    ///
+    /// A key counts once, when it starts, however early its encode stops.
+    ///
+    /// ```
+    /// use hope::encoder::EncodeScratch;
+    /// use hope::{HopeBuilder, Scheme};
+    ///
+    /// let sample = vec![b"com.gmail@alice".to_vec(), b"com.gmail@bob".to_vec()];
+    /// let hope = HopeBuilder::new(Scheme::AlmImproved).build_from_sample(sample).unwrap();
+    /// let key = b"com.gmail@carol";
+    /// let whole = hope.encode(key);
+    ///
+    /// let mut scratch = EncodeScratch::new();
+    /// let (first, at) = hope.encoder().encode_prefix_to(key, 0, 2, &mut scratch);
+    /// assert!(first.len() >= 2 && at < key.len());
+    /// assert!(whole.as_bytes().starts_with(first));
+    /// let (rest, at) = hope.encoder().encode_prefix_to(key, at, usize::MAX, &mut scratch);
+    /// assert_eq!((rest, at), (whole.as_bytes(), key.len()));
+    /// assert_eq!(scratch.bit_len(), whole.bit_len());
+    /// ```
+    #[inline]
+    pub fn encode_prefix_to<'s>(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        scratch: &'s mut EncodeScratch,
+    ) -> (&'s [u8], usize) {
+        if from == 0 && min_bytes == usize::MAX {
+            return (self.encode_to(key, scratch), key.len());
+        }
+        self.encode_chunk(key, from, min_bytes, scratch)
+    }
+
+    /// One chunk of [`Encoder::encode_prefix_to`], in the scratch's own
+    /// writer for chunked keys. Out of line, so that a caller whose keys
+    /// are whole inlines no more than [`Encoder::encode_to`].
+    #[inline(never)]
+    fn encode_chunk<'s>(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        scratch: &'s mut EncodeScratch,
+    ) -> (&'s [u8], usize) {
+        if from == 0 {
+            scratch.chunked.clear();
+            self.count_key(scratch);
+        }
+        let at = self.dict.encode_into(key, from, min_bytes, &mut scratch.chunked);
+        if at == key.len() {
+            scratch.lo_bits = scratch.chunked.finish_into(&mut scratch.lo);
+        } else {
+            scratch.chunked.whole_bytes_into(&mut scratch.lo);
+        }
+        (&scratch.lo, at)
+    }
+
+    /// Count one key in `scratch`, flushing to the shared counter once per
+    /// `COUNT_FLUSH_EVERY` (64) keys: the per-key cost is one plain
+    /// increment on an already-hot line.
+    #[inline]
+    fn count_key(&self, scratch: &mut EncodeScratch) {
         scratch.pending_keys += 1;
         if scratch.pending_keys >= COUNT_FLUSH_EVERY {
             self.keys.fetch_add(u64::from(scratch.pending_keys), Ordering::Relaxed);
             scratch.pending_keys = 0;
         }
-        scratch.lo_bits = scratch.writer.finish_into(&mut scratch.lo);
-        &scratch.lo
     }
 
     /// Add the keys `scratch` has encoded but not yet counted to the
@@ -310,6 +389,46 @@ mod tests {
                 assert_eq!(bytes, reference.as_bytes(), "{scheme}: key {key:?}");
                 assert_eq!(scratch.bit_len(), reference.bit_len(), "{scheme}: key {key:?}");
             }
+        }
+    }
+
+    /// A key encoded in chunks of any size ends in the bytes and bit
+    /// length of its whole encode, with every chunk's whole bytes a prefix
+    /// of them; a key abandoned after one chunk leaves the next whole
+    /// encode unaffected; and each key counts once, however it ends.
+    #[test]
+    fn chunked_encodes_match_whole_ones_and_count_once() {
+        let s = sample();
+        let mut scratch = EncodeScratch::new();
+        for scheme in Scheme::ALL {
+            let enc = build_encoder(scheme, &s);
+            let keys =
+                [&b""[..], b"x", b"com.gmail@alice", b"com.yahoo@dave!", b"\x00\xff\x00\xff"];
+            let mut started = 0;
+            for key in keys {
+                let whole = enc.encode(key);
+                for step in 1..=4 {
+                    let (mut from, mut need) = (0, step);
+                    started += 1;
+                    loop {
+                        let (bytes, to) = enc.encode_prefix_to(key, from, need, &mut scratch);
+                        if to == key.len() {
+                            assert_eq!(bytes, whole.as_bytes(), "{scheme}: {key:?} by {step}");
+                            assert_eq!(scratch.bit_len(), whole.bit_len(), "{scheme}: {key:?}");
+                            break;
+                        }
+                        assert!(bytes.len() >= need, "{scheme}: {key:?} by {step}");
+                        assert!(whole.as_bytes().starts_with(bytes), "{scheme}: {key:?}");
+                        (from, need) = (to, bytes.len() + step);
+                    }
+                }
+                enc.encode_prefix_to(key, 0, 1, &mut scratch);
+                assert_eq!(enc.encode_to(key, &mut scratch), whole.as_bytes(), "{scheme}: {key:?}");
+                started += 2;
+            }
+            enc.flush_count(&mut scratch);
+            // Plus one `encode` per key, which counts straight away.
+            assert_eq!(enc.key_count(), started + keys.len() as u64, "{scheme}");
         }
     }
 

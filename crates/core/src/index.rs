@@ -19,6 +19,11 @@
 //! construction is one more provided method, [`OrderedIndex::load_sorted`]:
 //! its default body inserts pair by pair, and a tree that can be built
 //! left to right from a sorted run (`hope_btree`, `hope_hot`) overrides it.
+//! A point read may also start before its key is whole:
+//! [`OrderedIndex::probe_prefix`] takes the first bytes of a key and says
+//! whether they already settle the read ([`Probe`]). Its default body is
+//! [`OrderedIndex::get`] on whole keys only; `hope_art` descends on the
+//! bytes it has, so an encoder can stop as soon as one leaf is left.
 //!
 //! Keys are plain byte slices: callers index either raw keys or the padded
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
@@ -54,6 +59,26 @@ pub trait Value: Clone + Send + Sync + std::fmt::Debug + 'static {}
 
 impl<T: Clone + Send + Sync + std::fmt::Debug + 'static> Value for T {}
 
+/// What [`OrderedIndex::probe_prefix`] can say about the stored keys a
+/// probe matches. A `complete` probe is a whole key and matches only
+/// itself; any other probe is the first bytes of a key and matches every
+/// stored key that begins with them.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Probe<'a, V> {
+    /// The probe is `complete`, and the index holds it: its value.
+    Hit(&'a V),
+    /// Only one stored key can match: its value. Whether it does match is
+    /// not checked — the caller compares that key with its own.
+    Candidate(&'a V),
+    /// No stored key matches.
+    Absent,
+    /// Probe again with at least `n` bytes of the key, `n` greater than
+    /// the prefix's length (never for a `complete` probe). `usize::MAX`
+    /// means only the whole key will do, and an index that answers it to
+    /// one partial probe answers it to every one, whatever it holds.
+    NeedMore(usize),
+}
+
 /// An ordered map from byte-string keys to `V` values.
 ///
 /// The ordering contract: iteration-order equals lexicographic byte order
@@ -62,6 +87,33 @@ impl<T: Clone + Send + Sync + std::fmt::Debug + 'static> Value for T {}
 pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// Point lookup, borrowing the stored value.
     fn get(&self, key: &[u8]) -> Option<&V>;
+
+    /// Point lookup from the first bytes of a key: `prefix` is the whole
+    /// key when `complete` is set. The caller extends an unsettled
+    /// ([`Probe::NeedMore`]) probe and asks again; bytes it adds never
+    /// change the ones it has already passed.
+    ///
+    /// The provided body places whole keys only: [`OrderedIndex::get`]
+    /// when `complete`, [`Probe::NeedMore`]`(usize::MAX)` otherwise. A
+    /// trie can do better — `hope_art` descends on the bytes it has and
+    /// answers [`Probe::Candidate`] at the first leaf it reaches.
+    ///
+    /// ```
+    /// use hope::{OrderedIndex, Probe};
+    /// use std::collections::BTreeMap;
+    ///
+    /// let mut ix: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    /// OrderedIndex::insert(&mut ix, b"ab", 1);
+    /// assert_eq!(ix.probe_prefix(b"a", false), Probe::NeedMore(usize::MAX));
+    /// assert_eq!(ix.probe_prefix(b"ab", true), Probe::Hit(&1));
+    /// assert_eq!(ix.probe_prefix(b"a", true), Probe::Absent);
+    /// ```
+    fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
+        if !complete {
+            return Probe::NeedMore(usize::MAX);
+        }
+        self.get(prefix).map_or(Probe::Absent, Probe::Hit)
+    }
 
     /// Insert or update; returns the previous value if the key existed.
     fn insert(&mut self, key: &[u8], value: V) -> Option<V>;

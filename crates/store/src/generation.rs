@@ -30,26 +30,34 @@
 //! ([`SlotId`](crate::SlotId)): the key's live record. Padded bytes order
 //! strictly as source keys do (no code is all zeros; see DESIGN.md
 //! "Encoded-key comparison"), so the encoded bytes *are* the key, for
-//! arbitrary byte keys: a point read that finds them has found the key
-//! and never looks at the stored source bytes, an insert that displaces
-//! an id has found the version it supersedes, and the encoded bounds of a
-//! scan admit exactly the keys of the source range. A scan reads the
-//! source keys of its hits out of the base in key order — sequential
-//! memory — until writes have moved them to the tail.
+//! arbitrary byte keys: an insert that displaces an id has found the
+//! version it supersedes, and the encoded bounds of a scan admit exactly
+//! the keys of the source range. A point read into an index that places
+//! whole keys only (the B+trees, HOT, `BTreeMap`) finds the whole
+//! encoding and never looks at the stored source bytes. Into the ART it
+//! encodes only until one leaf is left
+//! ([`OrderedIndex::probe_prefix`]) and then compares its key with that
+//! record's source key, which the base holds (DESIGN.md "Point reads
+//! encode only what the index needs"). A scan reads the source keys of
+//! its hits out of the base in key order — sequential memory — until
+//! writes have moved them to the tail.
 //!
 //! ## Lock discipline
 //!
 //! The interior `RwLock` is held briefly by probes and scan chunks. A
-//! poisoned lock (a panic in some other thread's callback) is *recovered*,
-//! not propagated: the generation's invariants are maintained step-wise,
-//! so the data behind a poisoned lock is still coherent, and a read-mostly
-//! serving layer should keep serving.
+//! point read takes it once, after encoding its first chunk; an ART read
+//! that needs more bytes encodes them under it. A poisoned lock (a panic
+//! in some other thread's callback) is *recovered*, not propagated: the
+//! generation's invariants are maintained step-wise, so the data behind a
+//! poisoned lock is still coherent, and a read-mostly serving layer
+//! should keep serving.
 
 use std::cell::RefCell;
+use std::num::NonZeroU32;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use hope::index::KeyRun;
-use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Value};
+use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Probe, Value};
 
 use crate::dictionary::Dictionary;
 use crate::error::StoreError;
@@ -200,6 +208,10 @@ pub struct Generation<V: Value = u64> {
     /// Write-log record cap: `insert` returns
     /// [`StoreError::WriteLogFull`] instead of growing past it.
     log_capacity: u32,
+    /// Whole encoded bytes a point read encodes before its first probe
+    /// ([`first_chunk`]); `None` for an index that places whole keys only.
+    /// Four bytes, in what was padding: a generation is no larger.
+    first_chunk: Option<NonZeroU32>,
     data: RwLock<GenData<V>>,
 }
 
@@ -237,6 +249,38 @@ pub(crate) fn encode_run(hope: &Hope, keys: &KeyRun) -> Result<KeyRun, HopeError
     })
 }
 
+/// How many whole encoded bytes a point read into `index`, just loaded
+/// with `encoded`, encodes before its first probe: `None`, the whole key,
+/// when the index places whole keys only (its answer to a partial probe is
+/// `NeedMore(usize::MAX)`). Otherwise the median of what 64 loaded keys,
+/// evenly spaced, need before the index has one candidate left: 5 bytes
+/// of a URL key's 18 under ALM-Improved in a 25 k-key ART. A smaller first
+/// chunk costs most reads more probes, each a descent from the root; a
+/// larger one encodes symbols no probe reads.
+fn first_chunk(index: &dyn OrderedIndex<SlotId>, encoded: &KeyRun) -> Option<NonZeroU32> {
+    if index.probe_prefix(&[], false) == Probe::NeedMore(usize::MAX) {
+        return None;
+    }
+    let isolating = |key: &[u8]| {
+        let mut n = 0;
+        while n < key.len() {
+            match index.probe_prefix(&key[..n], false) {
+                Probe::NeedMore(more) => n = more.max(n + 1),
+                _ => break,
+            }
+        }
+        n.min(key.len())
+    };
+    let step = encoded.len().div_ceil(64).max(1);
+    let mut need: Vec<usize> = encoded.iter().step_by(step).map(isolating).collect();
+    if need.is_empty() {
+        return NonZeroU32::new(1);
+    }
+    let mid = need.len() / 2;
+    let median = *need.select_nth_unstable(mid).1;
+    NonZeroU32::new(u32::try_from(median).unwrap_or(u32::MAX).max(1))
+}
+
 impl<V: Value> Generation<V> {
     /// The one bulk loader: `run`, **sorted and deduplicated** by source
     /// key, becomes the generation's base, indexed under `encoded`, whose
@@ -265,11 +309,12 @@ impl<V: Value> Generation<V> {
         debug_assert_eq!(run.len(), encoded.len());
         debug_assert_eq!(run.len(), run.keys.len());
         index.load_sorted(&mut encoded.iter().zip(0..));
+        let first_chunk = first_chunk(&*index, &encoded);
         let (live, live_key_bytes) = (run.len(), run.keys.byte_len());
         let tail = Records::with_capacity(0, 0);
         let data =
             RwLock::new(GenData { index, base: run, tail, prev: Vec::new(), live, live_key_bytes });
-        Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, data }
+        Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, first_chunk, data }
     }
 
     /// Attach the owning shard id (error attribution) and the write-log
@@ -364,20 +409,30 @@ impl<V: Value> Generation<V> {
         Ok(found)
     }
 
-    /// The point read behind every `get` form: encode, descend the index
-    /// to `key`'s live record — the encoded bytes identify it, the stored
-    /// source key is not read — and resolve it
-    /// at log watermark `at` — `None` reads the live value; `Some(w)` the
-    /// value `key` had when the log stood at `w` records, the read
-    /// primitive behind [`Snapshot`](crate::versioned::Snapshot) (records
-    /// appended at or after the watermark are invisible, and a key whose
-    /// whole version chain postdates it did not exist then; see
+    /// The point read behind every `get` form: encode `key` only as far
+    /// as the index needs to place it, then resolve its live record at log
+    /// watermark `at` — `None` reads the live value; `Some(w)` the value
+    /// `key` had when the log stood at `w` records, the read primitive
+    /// behind [`Snapshot`](crate::versioned::Snapshot) (records appended
+    /// at or after the watermark are invisible, and a key whose whole
+    /// version chain postdates it did not exist then; see
     /// [`GenData::prev`]). `S` times the encode and probe stages for the
     /// serving layer's sampled tracing, or is `()` and costs nothing.
     ///
+    /// One loop under one read lock ([`OrderedIndex::probe_prefix`]):
+    /// encode until the index stops asking for more bytes. An index that
+    /// places whole keys only is asked once, with the whole encoding — its
+    /// `probe_prefix` is `get` — and the encoded bytes identify the
+    /// record. A trie can answer from fewer bytes: a miss at the first
+    /// missing branch, or the one record whose key the bytes can still
+    /// begin, which the record's source key then confirms or rejects. The
+    /// first chunk is encoded before the lock is taken; later ones under
+    /// it.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::Codec`] when the probe key fails codec validation.
+    /// [`StoreError::Codec`] when the probe key fails codec validation —
+    /// before the index is touched.
     pub(crate) fn lookup<S: SpanRecorder, R>(
         &self,
         key: &[u8],
@@ -386,14 +441,37 @@ impl<V: Value> Generation<V> {
     ) -> Result<(Option<R>, S), StoreError> {
         PROBE.with_borrow_mut(|scratch| {
             let mut spans = S::start();
-            let enc = self.dict.hope.encode_to(key, scratch)?;
-            spans.encoded();
-            let d = self.read();
-            let found = d
-                .index
-                .get(enc)
-                .and_then(|&id| d.visible_at(id as usize, at))
-                .map(|id| f(d.value(id)));
+            let whole = usize::MAX;
+            let (mut from, mut need) = (0, self.first_chunk.map_or(whole, |n| n.get() as usize));
+            let mut data = None;
+            let found = loop {
+                let (bytes, to) = self.dict.hope.encode_prefix_to(key, from, need, scratch)?;
+                spans.encoded();
+                let d = data.get_or_insert_with(|| self.read());
+                // An index that places whole keys only is asked with the
+                // `get` its provided `probe_prefix` would make: called
+                // directly, a B+tree read runs the code it always has
+                // (through `probe_prefix`, `point_email_btree` read about
+                // 2 % slower).
+                let probe = if need == whole {
+                    d.index.get(bytes).map_or(Probe::Absent, Probe::Hit)
+                } else {
+                    d.index.probe_prefix(bytes, to == key.len())
+                };
+                let id = match probe {
+                    Probe::Hit(&id) => id,
+                    Probe::Candidate(&id) if d.record(id as usize).0 == key => id,
+                    Probe::NeedMore(n) if to < key.len() => {
+                        spans.probed();
+                        (from, need) = (to, n.max(bytes.len() + 1));
+                        continue;
+                    }
+                    // A miss, another key's record, or (against the
+                    // contract) more bytes asked of a whole key.
+                    _ => break None,
+                };
+                break d.visible_at(id as usize, at).map(|id| f(d.value(id)));
+            };
             spans.probed();
             Ok((found, spans))
         })

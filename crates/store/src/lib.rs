@@ -778,7 +778,9 @@ impl<V: Value> HopeStore<V> {
     /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —
     /// the serving layer's sampled tracing path. The same code as `get`,
     /// instantiated with a stopwatch where `get` passes the no-op span
-    /// recorder; the spans cost three `Instant` reads.
+    /// recorder; the spans cost one `Instant` read per stage boundary:
+    /// three, or two more per extra chunk an ART read encodes (each stage
+    /// sums its chunks).
     ///
     /// # Errors
     ///

@@ -60,7 +60,8 @@ impl TraceSampler {
 /// Stages mirror the probe pipeline: dictionary **encode** of the probe
 /// key, index **probe** (descent + version resolve, or the whole mutation
 /// for an insert), and **decode** (a scan's pull loop; point ops never
-/// decode — keys are kept in source form). Queue wait is recorded
+/// decode — keys are kept in source form). An ART point read alternates
+/// encode chunks and probes; each stage is the sum of its laps. Queue wait is recorded
 /// separately by the serving worker (it is a property of the envelope,
 /// not of the store call).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,13 +84,15 @@ impl ProbeSpans {
 /// Stage-boundary hook the probe paths are generic over, so the traced
 /// and untraced forms of `get` / `insert` are one function: `()` records
 /// nothing and compiles away, [`Stopwatch`] reads the clock at each
-/// boundary.
+/// boundary. A point read may alternate the stages — encode a chunk,
+/// probe, encode more — so each boundary adds the time since the last one
+/// to its stage.
 pub(crate) trait SpanRecorder {
     /// Begin timing (called right before the encode stage).
     fn start() -> Self;
-    /// The probe key is encoded.
+    /// An encode stage (the probe key, or a chunk of it) is done.
     fn encoded(&mut self) {}
-    /// The index probe (or the whole mutation, for an insert) is done.
+    /// An index probe (or the whole mutation, for an insert) is done.
     fn probed(&mut self) {}
 }
 
@@ -120,11 +123,11 @@ impl SpanRecorder for Stopwatch {
     }
 
     fn encoded(&mut self) {
-        self.spans.encode_ns = self.lap_ns();
+        self.spans.encode_ns += self.lap_ns();
     }
 
     fn probed(&mut self) {
-        self.spans.probe_ns = self.lap_ns();
+        self.spans.probe_ns += self.lap_ns();
     }
 }
 
@@ -142,6 +145,29 @@ mod tests {
         let mut off = TraceSampler::new(0);
         assert!(!off.is_enabled());
         assert!((0..100).all(|_| !off.tick()));
+    }
+
+    /// Two encode chunks, each followed by a probe: each stage holds the
+    /// sum of its laps (a stage that kept only its last lap would hold
+    /// half), and the stages never sum to more than the whole request.
+    #[test]
+    fn interleaved_laps_add_up_per_stage() {
+        let pause = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let began = Instant::now();
+        let mut watch = Stopwatch::start();
+        pause(2);
+        watch.encoded();
+        pause(6);
+        watch.probed();
+        pause(2);
+        watch.encoded();
+        pause(6);
+        watch.probed();
+        let whole = began.elapsed().as_nanos() as u64;
+        let ProbeSpans { encode_ns, probe_ns, decode_ns } = watch.spans;
+        assert!(encode_ns >= 4_000_000 && probe_ns >= 12_000_000, "{:?}", watch.spans);
+        assert_eq!(decode_ns, 0);
+        assert!(watch.spans.total_ns() <= whole, "{:?} over {whole} ns", watch.spans);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! push forms); dedicated tests cover the cursor's edge cases, its
 //! behaviour when a dictionary hot-swap lands mid-iteration, injected
 //! rebuild failures, and the scenarios `store_model`'s random programs
-//! also reach, kept here as named regressions.
+//! also reach, kept here as named regressions — among them the point
+//! reads an ART store answers from a partial encoding.
 //!
 //! Sizes scale up in `--release` (CI runs this suite in both profiles;
 //! the release run is the stress configuration).
@@ -18,14 +19,15 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use common::zero_padded;
-use hope::{DecodeScratch, Scheme};
+use hope::{DecodeScratch, OrderedIndex, Probe, Scheme};
+use hope_art::Art;
 use hope_store::serving::{FaultPlan, Request, Response, ScanSummary, Server, ServingConfig};
 use hope_store::telemetry::EventKind;
-use hope_store::{Backend, HopeStore, StoreConfig, StoreError};
+use hope_store::{Backend, HopeStore, SlotId, StoreConfig, StoreError};
 use hope_workloads::{MixedWorkload, StoreOp, TrafficSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -247,6 +249,125 @@ fn zero_run_key_families_stay_exact_on_every_backend() {
         check_live("after rebuild");
         check_snapshot("after rebuild");
     }
+}
+
+/// Point reads the ART stores below have sent to their index, and the
+/// partial ones it answered with a candidate.
+static ART_READS: AtomicU64 = AtomicU64::new(0);
+static ART_CANDIDATES: AtomicU64 = AtomicU64::new(0);
+
+/// [`Art`], counting the point reads it serves ([`ART_READS`],
+/// [`ART_CANDIDATES`]).
+#[derive(Debug, Default)]
+struct CountedArt(Art<SlotId>);
+
+impl OrderedIndex<SlotId> for CountedArt {
+    fn get(&self, key: &[u8]) -> Option<&SlotId> {
+        ART_READS.fetch_add(1, Ordering::Relaxed);
+        self.0.get_ref(key)
+    }
+
+    fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, SlotId> {
+        ART_READS.fetch_add(1, Ordering::Relaxed);
+        let probe = self.0.probe_prefix(prefix, complete);
+        if matches!(probe, Probe::Candidate(_)) {
+            ART_CANDIDATES.fetch_add(1, Ordering::Relaxed);
+        }
+        probe
+    }
+
+    fn insert(&mut self, key: &[u8], value: SlotId) -> Option<SlotId> {
+        self.0.insert(key, value)
+    }
+
+    fn load_sorted(&mut self, run: &mut dyn Iterator<Item = (&[u8], SlotId)>) {
+        OrderedIndex::load_sorted(&mut self.0, run);
+    }
+
+    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &SlotId) -> bool) {
+        self.0.visit(low, high, f);
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+}
+
+fn counted_art() -> Box<dyn OrderedIndex<SlotId>> {
+    Box::<CountedArt>::default()
+}
+
+/// An ART store answers a get from as few encoded bytes as place the key
+/// in its trie, and confirms the one candidate left against the record's
+/// source key. Under every scheme, live and from a snapshot, whole keys
+/// and probes that stop early must both come out exact: the empty key,
+/// strict prefixes of stored keys, keys that extend one, and 0x00 / 0xFF
+/// runs, stored and not, in the loaded base and in the write tail. A key
+/// over `MAX_KEY_BYTES` is a codec error before the index sees it.
+#[test]
+fn art_point_reads_that_stop_encoding_early_stay_exact() {
+    let mut stored: Vec<Vec<u8>> = vec![Vec::new()];
+    for n in [1, 2, 3, 7, 8, 9, 16, 17, 40] {
+        stored.extend([vec![0x00; n], vec![0xff; n], zero_padded(b"a", n)]);
+    }
+    for k in ["com.gmail@alice", "com.gmail@alicia", "com.gmail@al", "http://example.com/a/b/c"] {
+        stored.push(k.as_bytes().to_vec());
+    }
+    stored.sort();
+    stored.dedup();
+    // Every strict prefix and a few extensions of each stored key, and
+    // runs no key holds.
+    let mut probes: Vec<Vec<u8>> = stored.clone();
+    for k in &stored {
+        probes.extend((0..k.len()).map(|n| k[..n].to_vec()));
+        for tail in
+            [&b"\x00"[..], b"\x00\x00\x00", b"x", b"\xff", b"\xff\xff\xff\xff\xff\xff\xff\xff\xff"]
+        {
+            probes.push([k.as_slice(), tail].concat());
+        }
+    }
+    probes.extend((1..=48).flat_map(|n| [vec![0x00; n], vec![0xff; n], vec![0x01; n]]));
+    // The odd keys are loaded; the even ones, and updates of every third
+    // key, go to the write tail after a snapshot.
+    let loaded: Vec<(Vec<u8>, u64)> = stored
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 2 == 1)
+        .map(|(i, k)| (k.clone(), i as u64))
+        .collect();
+
+    for scheme in Scheme::ALL {
+        for backend in [Backend::Art, Backend::Custom(counted_art)] {
+            let cfg = StoreConfig { shards: 2, scheme, backend, ..StoreConfig::default() };
+            let store = HopeStore::build(cfg, loaded.clone()).unwrap();
+            let mut model: BTreeMap<Vec<u8>, u64> = loaded.iter().cloned().collect();
+            let snap = store.snapshot();
+            let frozen = model.clone();
+            for (i, k) in stored.iter().enumerate() {
+                if i % 2 == 0 || i % 3 == 0 {
+                    let v = 1_000 + i as u64;
+                    assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v));
+                }
+            }
+            for p in &probes {
+                let what = format!("{scheme}/{backend:?}: {p:?}");
+                assert_eq!(store.get(p).unwrap(), model.get(p).copied(), "{what}");
+                assert_eq!(store.get_traced(p).unwrap().0, model.get(p).copied(), "{what}");
+                assert_eq!(snap.get(p).unwrap(), frozen.get(p).copied(), "{what}: snapshot");
+            }
+
+            let giant = vec![b'a'; hope::MAX_KEY_BYTES + 1];
+            let reads = ART_READS.load(Ordering::Relaxed);
+            assert!(matches!(store.get(&giant), Err(StoreError::Codec(_))), "{scheme}");
+            assert!(matches!(snap.get(&giant), Err(StoreError::Codec(_))), "{scheme}");
+            assert_eq!(ART_READS.load(Ordering::Relaxed), reads, "{scheme}: the index was read");
+        }
+    }
+    assert!(ART_CANDIDATES.load(Ordering::Relaxed) > 0, "no get stopped encoding early");
 }
 
 /// A cursor held across a concurrent dictionary swap keeps serving a
