@@ -1,15 +1,15 @@
-//! Closed-loop adaptive admission control.
+//! Closed-loop adaptive admission control — the serving plane's only
+//! way to move a request off its home worker.
 //!
-//! PR 8's degraded-mode hook sheds a *configured* fraction of a sick
-//! worker's traffic ([`FaultPlan::shed_pct`]) — the operator tells the
-//! server who is sick and how much to shed. This module closes the loop:
-//! an [`AdmissionController`] watches per-worker latency over sliding
+//! Nobody tells the server which worker is sick: a
+//! [`FaultPlan`](super::FaultPlan) only injects faults. An
+//! [`AdmissionController`] watches per-worker latency over sliding
 //! windows of the admission-index space, detects a degrading worker on
 //! its own (window p99 vs. the median of its peers, sustained over
 //! several windows, with a hysteresis band), and engages **graduated**
 //! shedding at admission — 25%, 50%, 75% of the sick worker's would-be
-//! traffic rerouted to its healthiest peers — then steps back down as
-//! the worker heals.
+//! traffic sent to its healthiest peers — then steps back down as the
+//! worker heals.
 //!
 //! ## The control loop
 //!
@@ -42,7 +42,7 @@
 //!
 //! Every decision is a pure function of `(window snapshot, config,
 //! request index)`. The per-request shed draw reuses the fault layer's
-//! SplitMix64 finalizer keyed on `(seed, worker, index)`; the reroute
+//! SplitMix64 finalizer keyed on `(seed, worker, index)`; the shed
 //! target prefers the peers with the lowest current shed level and picks
 //! among them by the same hash. With a single producer the admission
 //! index equals the stream position, so virtual-time `--quick` runs
@@ -57,12 +57,10 @@
 //! *would have* cost there), so the controller can observe recovery and
 //! disengage. Wall mode instead caps `max_shed_pct` below 100 so the
 //! residual traffic keeps probing the sick worker.
-//!
-//! [`FaultPlan::shed_pct`]: super::FaultPlan::shed_pct
 
 use super::faults::mix;
-use super::metrics::LatencyHistogram;
 use crate::error::StoreError;
+use crate::telemetry::LatencyHistogram;
 
 /// Domain-separation salts for the admission-shed decision family
 /// (disjoint from the fault layer's).
@@ -193,7 +191,7 @@ impl AdmissionDecision {
 pub struct AdmissionReport {
     /// Windows sealed (a judgment pass ran at each).
     pub windows: u64,
-    /// Requests the controller rerouted away from their home worker.
+    /// Requests the controller sent away from their home worker.
     pub shed: u64,
     /// Every shed-level transition, in seal order.
     pub decisions: Vec<AdmissionDecision>,
@@ -400,7 +398,7 @@ impl AdmissionController {
     }
 
     /// The shed decision for request `index` homed on `worker`: when the
-    /// worker's level sheds this request, the healthy peer to reroute it
+    /// worker's level sheds this request, the healthy peer to send it
     /// to (preferring the peers with the lowest shed level, picked by
     /// hash among ties). `None` = keep the home worker. Pure in
     /// `(levels, config, worker, index)`; counts into the report.

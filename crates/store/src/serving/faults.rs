@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the serving pipeline.
 //!
-//! A [`FaultPlan`] is a seeded, serializable description of the faults a
-//! run should suffer. Every decision it makes is a **pure function of
+//! A [`FaultPlan`] is a seeded description of the faults a run should
+//! suffer. Every decision it makes is a **pure function of
 //! `(worker, request index, phase)`** — the request index is the
 //! admission ticket the server stamps on each envelope — hashed together
 //! with the plan's seed through a SplitMix64 finalizer. No clocks, no
@@ -40,27 +40,20 @@
 //! lands in the ring — so every injected failure is attributable from
 //! telemetry alone.
 //!
-//! Finally, the **degraded-mode hook**: [`FaultPlan::reroute`] sheds a
-//! configured fraction ([`FaultPlan::shed_pct`]) of the degraded worker's
-//! would-be traffic to healthy peers at admission, chosen
-//! deterministically per request. [`Server::push`] consults it so the
-//! fixed op stream never queues behind the sick worker; cross-worker
-//! execution is safe by construction (readers never block, writers
-//! serialize on the shard's writer mutex, not the worker).
+//! The plan only injects: it never moves traffic. Shedding a sick
+//! worker's requests to healthy peers is the
+//! [admission controller](super::admission)'s job alone, and it has to
+//! find the sick worker from latency, as it would in production.
 //!
 //! [`virtual_cost`]: super::virtual_cost
-//! [`Server::push`]: super::Server
 //! [`HopeStore::inject_faults`]: crate::HopeStore::inject_faults
 //! [`StoreError::FaultInjected`]: crate::StoreError::FaultInjected
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Domain-separation salts, one per decision family.
 const SALT_STALL: u64 = 0x5354_414C;
 const SALT_SPIKE: u64 = 0x5350_494B;
-const SALT_SHED: u64 = 0x5348_4544;
-const SALT_PICK: u64 = 0x5049_434B;
 
 /// SplitMix64-style finalizer over the decision coordinates. Pure; the
 /// whole determinism story rests on this taking nothing but its
@@ -148,25 +141,25 @@ impl FaultTally {
     }
 }
 
-/// A deterministic, serializable fault-injection plan (see module docs).
+/// A deterministic fault-injection plan (see module docs).
 ///
 /// `Copy` on purpose: it rides inside
 /// [`ServingConfig`](super::ServingConfig) and is re-read per request
 /// with no synchronization. The [`Default`] plan injects nothing.
 ///
-/// Serialization round-trips through `Display`/`FromStr`:
+/// `Display` prints it as one `key=value;…` line for run notes:
 ///
 /// ```
 /// use hope_store::serving::FaultPlan;
 /// let plan = FaultPlan { degraded_worker: Some(1), slow_factor: 10, ..FaultPlan::default() };
-/// let wire = plan.to_string();
-/// assert_eq!(wire.parse::<FaultPlan>().unwrap(), plan);
+/// assert!(plan.is_degraded(1) && !plan.is_degraded(0));
+/// assert!(plan.to_string().starts_with("seed=0;degraded=1;slow=10;"));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed mixed into every decision hash.
     pub seed: u64,
-    /// The sick worker (slow factor, stalls and shedding apply to it);
+    /// The sick worker (slow factor and stalls apply to it);
     /// `None` degrades nobody.
     pub degraded_worker: Option<usize>,
     /// Service-cost multiplier on the degraded worker (≥ 1; `1` = none).
@@ -185,9 +178,6 @@ pub struct FaultPlan {
     pub burst_len: u64,
     /// Per-request delay inside a burst window, ns.
     pub burst_ns: u64,
-    /// Percentage (`0..=100`) of the degraded worker's would-be traffic
-    /// the admission path sheds to healthy workers.
-    pub shed_pct: u8,
     /// Fail every N-th rebuild attempt per shard, counting from the
     /// first (`0` = never; `2` = attempts 0, 2, 4 … fail, so a failed
     /// rebuild heals on the next pass).
@@ -210,7 +200,6 @@ impl Default for FaultPlan {
             burst_every: 0,
             burst_len: 0,
             burst_ns: 0,
-            shed_pct: 0,
             rebuild_fail_every: 0,
             phase_mask: u16::MAX,
         }
@@ -230,11 +219,11 @@ impl FaultPlan {
         phase < 16 && self.phase_mask & (1 << phase) != 0
     }
 
-    /// True when `worker` is the plan's degraded worker and the plan is
-    /// active in `phase` — the degraded-mode hook admission control and
-    /// report consumers query.
-    pub fn is_degraded(&self, worker: usize, phase: u8) -> bool {
-        self.degraded_worker == Some(worker) && self.active(phase)
+    /// True when `worker` is the plan's degraded worker in at least one
+    /// phase — what separates healthy-worker tail latency from the sick
+    /// worker's in a report.
+    pub fn is_degraded(&self, worker: usize) -> bool {
+        self.degraded_worker == Some(worker) && self.phase_mask != 0
     }
 
     /// The faults request `index` suffers when executed by `worker` in
@@ -265,23 +254,6 @@ impl FaultPlan {
         a
     }
 
-    /// The degraded-mode shed decision: when request `index` would be
-    /// routed to the degraded `worker` in an active `phase`, return the
-    /// healthy worker to send it to instead (for `shed_pct`% of that
-    /// traffic, chosen deterministically). `None` = keep the home worker.
-    pub fn reroute(&self, worker: usize, index: u64, phase: u8, workers: usize) -> Option<usize> {
-        if workers < 2 || self.shed_pct == 0 || !self.is_degraded(worker, phase) {
-            return None;
-        }
-        let w = worker as u64;
-        if mix(self.seed, w, index, phase.into(), SALT_SHED) % 100 >= u64::from(self.shed_pct) {
-            return None;
-        }
-        // Any offset in 1..workers lands off the degraded worker.
-        let hop = 1 + mix(self.seed, w, index, phase.into(), SALT_PICK) % (workers as u64 - 1);
-        Some((worker + hop as usize) % workers)
-    }
-
     /// Maintenance-path decision: does rebuild attempt number `attempt`
     /// (0-based, counted per shard while the plan is installed) fail?
     pub fn rebuild_fails(&self, _shard: u32, attempt: u64) -> bool {
@@ -289,8 +261,8 @@ impl FaultPlan {
     }
 }
 
-/// Compact `key=value;…` wire format (hand-rolled; the workspace is
-/// serde-free). [`FromStr`] parses exactly what this prints.
+/// Compact `key=value;…` form, one line (the drills print it in their
+/// notes).
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let degraded = match self.degraded_worker {
@@ -300,7 +272,7 @@ impl fmt::Display for FaultPlan {
         write!(
             f,
             "seed={};degraded={};slow={};stall={}/{};spike={}/{};burst={}/{}/{};\
-             shed={};rebuild_fail={};phases={:x}",
+             rebuild_fail={};phases={:x}",
             self.seed,
             degraded,
             self.slow_factor,
@@ -311,81 +283,9 @@ impl fmt::Display for FaultPlan {
             self.burst_every,
             self.burst_len,
             self.burst_ns,
-            self.shed_pct,
             self.rebuild_fail_every,
             self.phase_mask,
         )
-    }
-}
-
-/// Error from parsing a [`FaultPlan`] wire string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFaultPlanError {
-    /// The field (or shape) that failed to parse.
-    pub field: &'static str,
-}
-
-impl fmt::Display for ParseFaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fault plan: bad `{}`", self.field)
-    }
-}
-
-impl std::error::Error for ParseFaultPlanError {}
-
-impl FromStr for FaultPlan {
-    type Err = ParseFaultPlanError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        fn num(v: &str, field: &'static str) -> Result<u64, ParseFaultPlanError> {
-            v.parse().map_err(|_| ParseFaultPlanError { field })
-        }
-        fn pair(v: &str, field: &'static str) -> Result<(u64, u64), ParseFaultPlanError> {
-            match v.split_once('/') {
-                Some((a, b)) => Ok((num(a, field)?, num(b, field)?)),
-                None => Err(ParseFaultPlanError { field }),
-            }
-        }
-        let mut plan = FaultPlan::default();
-        for part in s.split(';').filter(|p| !p.is_empty()) {
-            let (key, val) =
-                part.split_once('=').ok_or(ParseFaultPlanError { field: "key=value" })?;
-            match key {
-                "seed" => plan.seed = num(val, "seed")?,
-                "degraded" => {
-                    plan.degraded_worker = match val {
-                        "none" => None,
-                        w => Some(num(w, "degraded")? as usize),
-                    }
-                }
-                "slow" => plan.slow_factor = num(val, "slow")?.max(1),
-                "stall" => (plan.stall_every, plan.stall_ns) = pair(val, "stall")?,
-                "spike" => (plan.spike_every, plan.spike_ns) = pair(val, "spike")?,
-                "burst" => {
-                    let mut it = val.splitn(3, '/');
-                    let every = it.next().ok_or(ParseFaultPlanError { field: "burst" })?;
-                    let len = it.next().ok_or(ParseFaultPlanError { field: "burst" })?;
-                    let ns = it.next().ok_or(ParseFaultPlanError { field: "burst" })?;
-                    plan.burst_every = num(every, "burst")?;
-                    plan.burst_len = num(len, "burst")?;
-                    plan.burst_ns = num(ns, "burst")?;
-                }
-                "shed" => {
-                    let p = num(val, "shed")?;
-                    if p > 100 {
-                        return Err(ParseFaultPlanError { field: "shed" });
-                    }
-                    plan.shed_pct = p as u8;
-                }
-                "rebuild_fail" => plan.rebuild_fail_every = num(val, "rebuild_fail")?,
-                "phases" => {
-                    plan.phase_mask = u16::from_str_radix(val, 16)
-                        .map_err(|_| ParseFaultPlanError { field: "phases" })?
-                }
-                _ => return Err(ParseFaultPlanError { field: "unknown key" }),
-            }
-        }
-        Ok(plan)
     }
 }
 
@@ -405,7 +305,6 @@ mod tests {
             burst_every: 4096,
             burst_len: 32,
             burst_ns: 8_000,
-            shed_pct: 75,
             rebuild_fail_every: 2,
             phase_mask: 0b110,
         }
@@ -417,7 +316,7 @@ mod tests {
         assert!(!plan.any_serving_faults());
         for (w, i, p) in [(0, 0, 0), (3, 999, 2), (1, 123_456, 15)] {
             assert!(plan.action(w, i, p).is_none());
-            assert_eq!(plan.reroute(w, i, p, 4), None);
+            assert!(!plan.is_degraded(w));
         }
         assert!(!plan.rebuild_fails(0, 0));
     }
@@ -430,7 +329,6 @@ mod tests {
                 assert_eq!(plan.action(w, i, 1), plan.action(w, i, 1), "impure at {w}/{i}");
                 // Phase 0 is masked out: no serving fault fires there.
                 assert!(plan.action(w, i, 0).is_none());
-                assert_eq!(plan.reroute(w, i, 0, 4), None);
             }
         }
     }
@@ -455,25 +353,9 @@ mod tests {
         assert!((700..=1_400).contains(&stalls), "stalls = {stalls}");
         assert!((1_100..=2_100).contains(&spikes), "spikes = {spikes}");
         assert_eq!(bursts, 100_000 / 4096 * 32 + 32, "bursts = {bursts}");
-    }
-
-    #[test]
-    fn reroute_sheds_the_configured_fraction_to_healthy_workers() {
-        let plan = exercised_plan();
-        let mut shed = 0u64;
-        for i in 0..100_000u64 {
-            // Healthy home workers are never rerouted.
-            assert_eq!(plan.reroute(0, i, 1, 4), None);
-            if let Some(alt) = plan.reroute(1, i, 1, 4) {
-                assert_ne!(alt, 1, "shed back onto the sick worker");
-                assert!(alt < 4);
-                shed += 1;
-            }
-        }
-        let pct = shed as f64 / 1_000.0;
-        assert!((70.0..=80.0).contains(&pct), "shed {pct:.1}% instead of ~75%");
-        // Two workers: the only healthy peer is the other one.
-        assert!(!matches!(plan.reroute(1, 3, 1, 2), Some(alt) if alt != 0));
+        assert!(plan.is_degraded(1) && [0, 2, 3].iter().all(|&w| !plan.is_degraded(w)));
+        // A plan masked out of every phase degrades nobody.
+        assert!(!FaultPlan { phase_mask: 0, ..plan }.is_degraded(1));
     }
 
     #[test]
@@ -484,23 +366,6 @@ mod tests {
             assert!(!plan.rebuild_fails(shard, 1));
             assert!(plan.rebuild_fails(shard, 2));
         }
-    }
-
-    #[test]
-    fn wire_format_round_trips() {
-        for plan in [FaultPlan::default(), exercised_plan()] {
-            let wire = plan.to_string();
-            assert_eq!(wire.parse::<FaultPlan>().unwrap(), plan, "{wire}");
-        }
-        assert!("slow=ten".parse::<FaultPlan>().is_err());
-        assert!("shed=101".parse::<FaultPlan>().is_err());
-        assert!("nonsense".parse::<FaultPlan>().is_err());
-        assert!("bogus=1".parse::<FaultPlan>().is_err());
-        // Partial strings fill the rest from the default plan.
-        let p: FaultPlan = "degraded=2;slow=4".parse().unwrap();
-        assert_eq!(p.degraded_worker, Some(2));
-        assert_eq!(p.slow_factor, 4);
-        assert_eq!(p.phase_mask, u16::MAX);
     }
 
     #[test]

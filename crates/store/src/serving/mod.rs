@@ -30,7 +30,7 @@
 //!   generation they touch (the hot-swap torn-read check rides on this).
 //! * **Tail-latency accounting** — per phase (the driver tags each
 //!   request with a phase id), workers record latency into a
-//!   [`metrics::LatencyHistogram`]: wall-clock enqueue→completion by
+//!   [`LatencyHistogram`]: wall-clock enqueue→completion by
 //!   default, or **virtual time** ([`ServingConfig::virtual_time`]) where
 //!   each request costs a deterministic amount derived from the request
 //!   alone ([`virtual_cost`]) — two runs over the same op sequence then
@@ -61,7 +61,6 @@
 
 pub mod admission;
 pub mod faults;
-pub mod metrics;
 pub mod queue;
 mod worker;
 
@@ -74,9 +73,9 @@ use hope::Value;
 use crate::error::StoreError;
 use crate::HopeStore;
 
+pub use crate::telemetry::LatencyHistogram;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionReport};
-pub use faults::{FaultAction, FaultPlan, FaultTally, ParseFaultPlanError};
-pub use metrics::LatencyHistogram;
+pub use faults::{FaultAction, FaultPlan, FaultTally};
 pub use queue::{QueueCounters, QueueStats, RejectReason};
 
 use crate::telemetry::{Counter, Event, EventKind, Gauge, Telemetry, TelemetrySnapshot};
@@ -103,16 +102,15 @@ pub struct ServingConfig {
     /// tracing (the default — the untraced hot path pays nothing).
     pub trace_sample_every: u32,
     /// Deterministic fault injection (see [`faults`]): per-worker
-    /// slowdowns, stalls, spikes, queue-pressure bursts, and the
-    /// degraded-mode shed hook at admission. `None` (the default)
-    /// injects nothing and costs one branch per request.
+    /// slowdowns, stalls, spikes and queue-pressure bursts. `None` (the
+    /// default) injects nothing and costs one branch per request.
     pub faults: Option<FaultPlan>,
     /// Closed-loop adaptive admission control (see [`admission`]): a
     /// per-worker controller watches windowed latency at admission,
     /// detects a degrading worker against its peers, and autonomously
     /// sheds a graduated fraction of its traffic to healthy workers —
-    /// no plan-driven `shed_pct` needed. `None` (the default) disables
-    /// the loop entirely.
+    /// the only path that moves a request off its home worker. `None`
+    /// (the default) disables the loop entirely.
     pub admission: Option<AdmissionConfig>,
 }
 
@@ -346,7 +344,7 @@ pub(crate) struct AdmissionHook {
     engage: Counter,
     /// `serving.admission.release` — shed-level drops.
     release: Counter,
-    /// `serving.admission.shed` — requests rerouted by the controller.
+    /// `serving.admission.shed` — requests the controller sent to a peer.
     shed: Counter,
     /// `serving.admission.windows` — windows sealed (controller clock).
     windows: Gauge,
@@ -392,9 +390,6 @@ pub(crate) struct Shared<V: Value> {
     admitted: AtomicU64,
     /// Requests fully executed and completed.
     completed: AtomicU64,
-    /// Requests the degraded-mode hook shed to a healthy worker
-    /// (mirrored into the `serving.fault.rerouted` counter).
-    rerouted: Counter,
     flush_lock: Mutex<()>,
     flush_cv: Condvar,
 }
@@ -489,8 +484,6 @@ pub struct ServingReport {
     pub queues: Vec<QueueStats>,
     /// Worker threads the server ran.
     pub workers: usize,
-    /// Requests the degraded-mode hook shed to a healthy worker.
-    pub rerouted: u64,
     /// What the adaptive admission controller did, when one was
     /// configured: windows sealed, requests shed, every shed-level
     /// decision, final levels.
@@ -555,11 +548,6 @@ impl<V: Value> Server<V> {
                     reason: "fault plan slow_factor must be at least 1",
                 });
             }
-            if plan.shed_pct > 100 {
-                return Err(StoreError::InvalidConfig {
-                    reason: "fault plan shed_pct must be in 0..=100",
-                });
-            }
         }
         let registry_handle = store.telemetry_handle();
         let admission = match cfg.admission {
@@ -584,11 +572,6 @@ impl<V: Value> Server<V> {
                 BoundedQueue::with_counters(cfg.queue_capacity, counters)
             })
             .collect();
-        let rerouted = if cfg.faults.is_some() {
-            registry_handle.registry().counter("serving.fault.rerouted")
-        } else {
-            Counter::detached()
-        };
         let shared = Arc::new(Shared {
             store,
             queues,
@@ -596,7 +579,6 @@ impl<V: Value> Server<V> {
             admission,
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            rerouted,
             flush_lock: Mutex::new(()),
             flush_cv: Condvar::new(),
         });
@@ -622,10 +604,7 @@ impl<V: Value> Server<V> {
     /// one phase — the admission-side hook a driver uses to separate
     /// healthy-worker tail latency from the sick worker's.
     pub fn is_degraded(&self, worker: usize) -> bool {
-        self.shared
-            .cfg
-            .faults
-            .is_some_and(|p| p.degraded_worker == Some(worker) && p.phase_mask != 0)
+        self.shared.cfg.faults.is_some_and(|p| p.is_degraded(worker))
     }
 
     fn envelope(&self, req: Request<V>, phase: usize, ticket: bool) -> Envelope<V> {
@@ -644,14 +623,6 @@ impl<V: Value> Server<V> {
         let ticket = env.ticket.as_ref().map(|t| Ticket(Arc::clone(t)));
         let index = self.shared.admitted.fetch_add(1, Ordering::Relaxed);
         env.index = index;
-        let mut plan_rerouted = false;
-        if let Some(plan) = &self.shared.cfg.faults {
-            if let Some(alt) = plan.reroute(home, index, env.phase, self.shared.cfg.workers) {
-                worker = alt;
-                plan_rerouted = true;
-                self.shared.rerouted.inc();
-            }
-        }
         if let Some(hook) = &self.shared.admission {
             let mut ctl = hook.ctl.lock().unwrap_or_else(PoisonError::into_inner);
             // Seal windows the stream has crossed (and judge the workers)
@@ -674,9 +645,7 @@ impl<V: Value> Server<V> {
                 let cost = virtual_cost(&env.req) * action.slow_factor.max(1) + action.extra_ns();
                 ctl.observe(home, cost);
             }
-            // The plan's static reroute (when configured) wins: a request
-            // is rerouted at most once, by exactly one mechanism.
-            let shed_to = if plan_rerouted { None } else { ctl.shed(home, index) };
+            let shed_to = ctl.shed(home, index);
             let windows = ctl.windows_sealed();
             drop(ctl);
             hook.windows.set(windows);
@@ -785,9 +754,7 @@ impl<V: Value> Server<V> {
                 busy_ns,
                 latency,
                 faults: out.faults,
-                degraded: cfg
-                    .faults
-                    .is_some_and(|p| p.degraded_worker == Some(i) && p.phase_mask != 0),
+                degraded: cfg.faults.is_some_and(|p| p.is_degraded(i)),
             });
         }
         ServingReport {
@@ -795,7 +762,6 @@ impl<V: Value> Server<V> {
             worker_stats,
             queues: self.shared.queues.iter().map(|q| q.stats()).collect(),
             workers: cfg.workers,
-            rerouted: self.shared.rerouted.get(),
             admission: self
                 .shared
                 .admission

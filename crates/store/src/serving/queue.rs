@@ -37,7 +37,7 @@ pub struct QueueCounters {
     /// Deepest backlog ever observed at admission time.
     pub peak_depth: Gauge,
     /// Requests homed on this queue's worker that the adaptive admission
-    /// controller rerouted to a healthy peer instead.
+    /// controller sent to a healthy peer instead.
     pub shed_away: Counter,
 }
 
@@ -204,7 +204,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Note a request homed on this queue's worker that adaptive
-    /// admission rerouted to a peer (it never entered this queue).
+    /// admission sent to a peer (it never entered this queue).
     pub fn note_shed_away(&self) {
         self.counters.shed_away.inc();
     }

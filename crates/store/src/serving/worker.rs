@@ -23,9 +23,8 @@ use std::time::{Duration, Instant};
 use hope::Value;
 
 use super::faults::FaultTally;
-use super::metrics::LatencyHistogram;
 use super::{virtual_cost, Envelope, Request, Response, ScanSummary, Shared};
-use crate::telemetry::{Histo, ProbeSpans, TraceSampler};
+use crate::telemetry::{Histo, LatencyHistogram, ProbeSpans, TraceSampler};
 
 /// Per-phase accumulator one worker keeps (merged at shutdown).
 #[derive(Debug)]
@@ -221,7 +220,7 @@ pub(crate) fn run<V: Value>(i: usize, shared: Arc<Shared<V>>) -> WorkerOutput {
         decode: tel.registry().histo("serving.trace.decode"),
     });
     // Fault decisions are made here, at execution, from the envelope's
-    // admission index — not at admission — so a rerouted request is
+    // admission index — not at admission — so a shed request is
     // still judged by the worker that *executes* it (the whole point of
     // shedding away from a degraded worker).
     let faults = cfg.faults.filter(|p| p.any_serving_faults());

@@ -8,11 +8,6 @@
 //! that merge with a single pass. Recording is branch-light (a
 //! leading-zeros and two shifts), so the workers can stamp every request
 //! without the measurement becoming the workload.
-//!
-//! Grew up in `serving::metrics` (which still re-exports it); promoted
-//! here so every layer — serving phases, sampled request traces, user
-//! code — records into the same shape through a registry
-//! [`Histo`](crate::telemetry::Histo) handle.
 
 /// Values below this many ns get one bucket each (exact recording).
 const EXACT: u64 = 256;

@@ -66,12 +66,7 @@ fn digest(r: &ServingReport) -> String {
     for (i, q) in r.queues.iter().enumerate() {
         s.push_str(&format!("queue {i} enqueued={} rejected={}\n", q.enqueued, q.rejected));
     }
-    s.push_str(&format!(
-        "rerouted={} total={} rejected={}\n",
-        r.rerouted,
-        r.total_ops(),
-        r.total_rejected()
-    ));
+    s.push_str(&format!("total={} rejected={}\n", r.total_ops(), r.total_rejected()));
     s
 }
 

@@ -87,7 +87,7 @@ proptest! {
         prop_assert_eq!(&da, &db);
 
         // Probe the shed path over a window of fresh indices: the
-        // verdicts (shed or not, and the reroute target) must agree
+        // verdicts (shed or not, and the shed target) must agree
         // index by index.
         let base = plan.len() as u64 * window;
         for i in base..base + window {

@@ -1,4 +1,4 @@
-//! Property suite for [`hope_store::serving::metrics::LatencyHistogram`]
+//! Property suite for [`hope_store::telemetry::LatencyHistogram`]
 //! — the accounting structure every serving SLO gate rests on.
 //!
 //! Three algebraic claims, attacked with random sample sets:
@@ -13,7 +13,7 @@
 //!   nanosecond, so for sample sets entirely below 256 ns every quantile
 //!   equals the true order statistic, not a bucket approximation.
 
-use hope_store::serving::metrics::LatencyHistogram;
+use hope_store::telemetry::LatencyHistogram;
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -1,10 +1,11 @@
 //! Integration suite for the serving-side fault-injection layer
 //! (`hope_store::serving::faults`): determinism of virtual-time runs
-//! under an active plan, the degraded-mode shed hook, wall-mode stalls
-//! vs the exactly-once completion guarantee, and config validation —
-//! plus the adaptive-admission variants: the controller against a
-//! fully-degraded worker, against a wall-mode stall storm, and against
-//! mid-drill rebuild failures, each holding exactly-once and full
+//! under an active plan, a sick worker keeping exactly its own traffic
+//! when no controller runs, wall-mode stalls vs the exactly-once
+//! completion guarantee, and config validation — plus the
+//! adaptive-admission variants (the controller is the only shed path):
+//! against a fully-degraded worker, against a wall-mode stall storm, and
+//! against mid-drill rebuild failures, each holding exactly-once and full
 //! telemetry attribution of every controller decision.
 
 use std::sync::Arc;
@@ -28,23 +29,26 @@ fn store(n: u64) -> Arc<HopeStore<u64>> {
 
 /// A fixed three-phase op stream: gets, inserts and scans spread over
 /// the keyspace, submitted in one thread so admission indices equal
-/// stream positions.
-fn drive(server: &Server<u64>, n: u64, ops: usize) -> u64 {
+/// stream positions. Returns how many requests each worker was home to.
+fn drive(server: &Server<u64>, n: u64, ops: usize) -> Vec<u64> {
+    let mut homes = vec![0u64; server.queue_depths().len()];
     for i in 0..ops {
         let phase = i * 3 / ops;
         let k = format!("com.gmail@user{:06}", (i as u64 * 131) % n).into_bytes();
-        match i % 10 {
-            0..=6 => server.submit_detached(Request::get(k), phase).expect("open"),
-            7 | 8 => server.submit_detached(Request::insert(k, i as u64), phase).expect("open"),
+        homes[server.worker_of(&k)] += 1;
+        let req = match i % 10 {
+            0..=6 => Request::get(k),
+            7 | 8 => Request::insert(k, i as u64),
             _ => {
                 let mut high = k.clone();
                 high.push(0xFF);
-                server.submit_detached(Request::scan(k, high, 8), phase).expect("open")
+                Request::scan(k, high, 8)
             }
-        }
+        };
+        server.submit_detached(req, phase).expect("open");
     }
     server.flush();
-    ops as u64
+    homes
 }
 
 fn observe(r: &ServingReport) -> Vec<(u64, u64, u64, u64, u64, u64)> {
@@ -57,7 +61,8 @@ fn observe(r: &ServingReport) -> Vec<(u64, u64, u64, u64, u64, u64)> {
         let (p50, p99, p999) = w.latency.slo_points();
         rows.push((w.ops, w.faults.total(), u64::from(w.degraded), p50, p99, p999));
     }
-    rows.push((r.rerouted, r.total_ops(), r.total_rejected(), 0, 0, 0));
+    let shed = r.admission.as_ref().map_or(0, |a| a.shed);
+    rows.push((shed, r.total_ops(), r.total_rejected(), 0, 0, 0));
     rows
 }
 
@@ -73,16 +78,15 @@ fn exercised_plan() -> FaultPlan {
         burst_every: 512,
         burst_len: 16,
         burst_ns: 2_000,
-        shed_pct: 60,
         rebuild_fail_every: 0,
         phase_mask: u16::MAX,
     }
 }
 
-/// Two virtual-time runs over the same op stream and plan are
-/// observably identical: per-phase stats, per-worker stats, fault
-/// tallies, shed counts — everything the `faults` drill's DIGEST is
-/// built from.
+/// Two virtual-time runs over the same op stream and plan, with the
+/// admission controller shedding, are observably identical: per-phase
+/// stats, per-worker stats, fault tallies, shed counts — everything the
+/// `faults` and `adaptive` drills' DIGESTs are built from.
 #[test]
 fn virtual_runs_with_faults_are_deterministic() {
     let n = 4_000u64;
@@ -91,64 +95,28 @@ fn virtual_runs_with_faults_are_deterministic() {
         phases: 3,
         virtual_time: true,
         faults: Some(exercised_plan()),
+        admission: Some(AdmissionConfig::quick(99)),
         ..ServingConfig::default()
     };
     let run = || {
         let server = Server::start(store(n), cfg).expect("start");
-        let submitted = drive(&server, n, 6_000);
+        let submitted: u64 = drive(&server, n, 6_000).iter().sum();
         let report = server.shutdown();
         assert_eq!(report.total_ops(), submitted);
+        assert!(report.admission.as_ref().is_some_and(|a| a.shed > 0), "the controller never shed");
         observe(&report)
     };
     assert_eq!(run(), run(), "two identical virtual runs diverged");
 }
 
-/// `shed_pct: 100` starves the degraded worker completely: with every
-/// phase active, all of its would-be traffic lands on healthy peers,
-/// and the shed is mirrored in `rerouted` and the degraded worker's
-/// zero op count.
-#[test]
-fn full_shed_starves_the_degraded_worker() {
-    let n = 4_000u64;
-    let plan = FaultPlan { shed_pct: 100, ..exercised_plan() };
-    let cfg = ServingConfig {
-        workers: 4,
-        phases: 3,
-        virtual_time: true,
-        faults: Some(plan),
-        ..ServingConfig::default()
-    };
-    let server = Server::start(store(n), cfg).expect("start");
-    assert!(server.is_degraded(1) && !server.is_degraded(0));
-    let submitted = drive(&server, n, 4_000);
-    let report = server.shutdown();
-    assert_eq!(report.total_ops(), submitted);
-    let sick = &report.worker_stats[1];
-    assert!(sick.degraded);
-    assert_eq!(sick.ops, 0, "full shed must starve the sick worker");
-    assert!(report.rerouted > 0, "shed traffic must be counted");
-    assert_eq!(
-        report.telemetry.counter("serving.fault.rerouted"),
-        Some(report.rerouted),
-        "rerouted counter must mirror the report"
-    );
-    // Everything still completed exactly once, just elsewhere.
-    assert_eq!(report.worker_stats.iter().map(|w| w.ops).sum::<u64>(), submitted);
-}
-
-/// With no shedding, the degraded worker keeps its traffic and its
-/// virtual latencies show the 10× slow factor: its p50 is an order of
-/// magnitude above any healthy worker's.
+/// Without the admission controller nothing sheds: every worker executes
+/// exactly the requests homed on it, and the degraded worker's virtual
+/// latencies show the 10× slow factor — its p50 is an order of magnitude
+/// above any healthy worker's.
 #[test]
 fn slow_factor_shows_up_in_the_degraded_tail() {
     let n = 4_000u64;
-    let plan = FaultPlan {
-        shed_pct: 0,
-        stall_every: 0,
-        spike_every: 0,
-        burst_every: 0,
-        ..exercised_plan()
-    };
+    let plan = FaultPlan { stall_every: 0, spike_every: 0, burst_every: 0, ..exercised_plan() };
     let cfg = ServingConfig {
         workers: 4,
         phases: 3,
@@ -157,10 +125,12 @@ fn slow_factor_shows_up_in_the_degraded_tail() {
         ..ServingConfig::default()
     };
     let server = Server::start(store(n), cfg).expect("start");
-    let submitted = drive(&server, n, 4_000);
+    let homes = drive(&server, n, 4_000);
     let report = server.shutdown();
-    assert_eq!(report.total_ops(), submitted);
-    assert_eq!(report.rerouted, 0);
+    assert_eq!(report.total_ops(), homes.iter().sum::<u64>());
+    for w in &report.worker_stats {
+        assert_eq!(w.ops, homes[w.worker], "worker {} ran requests homed elsewhere", w.worker);
+    }
     let sick = &report.worker_stats[1];
     assert!(sick.ops > 0, "no shed: the sick worker must keep its traffic");
     assert_eq!(sick.faults.slowed, sick.ops, "every sick-worker request pays the factor");
@@ -192,7 +162,6 @@ fn wall_mode_stalls_do_not_lose_tickets() {
         stall_ns: 2_000_000, // 2 ms: long enough to really wait, short enough for CI
         spike_every: 0,
         burst_every: 0,
-        shed_pct: 0,
         rebuild_fail_every: 0,
         phase_mask: u16::MAX,
         ..FaultPlan::default()
@@ -236,8 +205,7 @@ fn wall_mode_stalls_do_not_lose_tickets() {
 
 /// Assert the full attribution chain for a controller-on run: the
 /// report, the `serving.admission.*` counters, the per-queue `shed_away`
-/// tallies and the event log must all tell the same story, and no
-/// request may have been rerouted by both mechanisms.
+/// tallies and the event log must all tell the same story.
 fn assert_admission_attribution(report: &ServingReport) {
     let adm = report.admission.as_ref().expect("controller-on run must report");
     assert_eq!(
@@ -284,14 +252,13 @@ fn assert_admission_attribution(report: &ServingReport) {
 }
 
 /// The controller against the `faults` drill's sickness at full
-/// strength, with no plan-driven shedding to lean on: it must engage on
-/// the sick worker, shed real traffic to healthy peers, keep every
-/// request exactly-once — and every decision must be attributable
-/// through the telemetry.
+/// strength: it must find the sick worker itself, engage on it, shed
+/// real traffic to healthy peers, keep every request exactly-once — and
+/// every decision must be attributable through the telemetry.
 #[test]
 fn controller_sheds_a_fully_degraded_worker_exactly_once() {
     let n = 4_000u64;
-    let plan = FaultPlan { shed_pct: 0, ..exercised_plan() };
+    let plan = exercised_plan();
     let admission =
         AdmissionConfig { window: 256, min_window_ops: 16, seed: 99, ..AdmissionConfig::default() };
     let cfg = ServingConfig {
@@ -303,12 +270,12 @@ fn controller_sheds_a_fully_degraded_worker_exactly_once() {
         ..ServingConfig::default()
     };
     let server = Server::start(store(n), cfg).expect("start");
-    let submitted = drive(&server, n, 6_000);
+    assert!(server.is_degraded(1) && !server.is_degraded(0));
+    let submitted: u64 = drive(&server, n, 6_000).iter().sum();
     let report = server.shutdown();
 
     assert_eq!(report.total_ops(), submitted);
     assert_eq!(report.total_rejected(), 0);
-    assert_eq!(report.rerouted, 0, "plan shed is off: only the controller may reroute");
 
     let adm = report.admission.as_ref().unwrap();
     assert!(
@@ -346,7 +313,6 @@ fn wall_mode_stall_storm_with_controller_keeps_exactly_once() {
         stall_ns: 2_000_000,
         spike_every: 0,
         burst_every: 0,
-        shed_pct: 0,
         rebuild_fail_every: 0,
         phase_mask: u16::MAX,
         ..FaultPlan::default()
@@ -376,7 +342,6 @@ fn wall_mode_stall_storm_with_controller_keeps_exactly_once() {
     let report = server.shutdown();
     assert_eq!(report.total_ops(), ops as u64);
     assert_eq!(report.total_rejected(), 0);
-    assert_eq!(report.rerouted, 0);
     assert!(report.worker_stats.iter().map(|w| w.faults.stalled).sum::<u64>() > 0);
     assert_admission_attribution(&report);
 }
@@ -397,7 +362,6 @@ fn rebuild_failures_mid_drill_leave_the_controller_consistent() {
         slow_factor: 10,
         stall_every: 97,
         stall_ns: 50_000,
-        shed_pct: 0,
         rebuild_fail_every: 2,
         phase_mask: u16::MAX,
         ..FaultPlan::default()
@@ -467,7 +431,6 @@ fn invalid_fault_plans_are_rejected_at_start() {
     let cases = [
         FaultPlan { degraded_worker: Some(2), ..FaultPlan::default() }, // no such worker
         FaultPlan { slow_factor: 0, ..FaultPlan::default() },
-        FaultPlan { shed_pct: 101, ..FaultPlan::default() },
     ];
     for plan in cases {
         let cfg = ServingConfig { faults: Some(plan), ..base };
