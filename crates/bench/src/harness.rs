@@ -450,26 +450,35 @@ impl ScenarioReport {
             .iter()
             .map(|g| {
                 format!(
-                    "      {{\"name\": {:?}, \"required\": {:?}, \"measured\": {:?}, \"ok\": {}}}",
+                    "{{\"name\": {:?}, \"required\": {:?}, \"measured\": {:?}, \"ok\": {}}}",
                     g.name, g.required, g.measured, g.ok
                 )
             })
             .collect();
-        let lines = |v: &[String]| v.iter().map(|l| format!("      {l:?}")).collect::<Vec<_>>();
+        let lines = |v: &[String]| v.iter().map(|l| format!("{l:?}")).collect::<Vec<_>>();
         let telemetry = self.telemetry.as_ref().map_or("null".into(), TelemetrySnapshot::to_json);
         format!(
             "    {{\n    \"scenario\": {:?},\n    \"ops\": {},\n    \"pass\": {},\n    \
-             \"gates\": [\n{}\n    ],\n    \"digest\": [\n{}\n    ],\n    \
-             \"recorded\": [\n{}\n    ],\n    \"telemetry\": {}\n    }}",
+             \"gates\": {},\n    \"digest\": {},\n    \"recorded\": {},\n    \
+             \"telemetry\": {}\n    }}",
             self.scenario,
             self.ops,
             self.pass(),
-            gates.join(",\n"),
-            lines(&self.digest).join(",\n"),
-            lines(&self.recorded).join(",\n"),
+            json_array(&gates),
+            json_array(&lines(&self.digest)),
+            json_array(&lines(&self.recorded)),
             telemetry.trim_end(),
         )
     }
+}
+
+/// A scenario's JSON array of already-rendered items, one per line at the
+/// report's indent; `[]` when there are none.
+fn json_array(items: &[String]) -> String {
+    if items.is_empty() {
+        return "[]".into();
+    }
+    format!("[\n      {}\n    ]", items.join(",\n      "))
 }
 
 /// One row of a table: a named run that fills in a [`ScenarioReport`].
@@ -596,6 +605,26 @@ mod tests {
         assert!(c.virtual_time);
         assert!(c.faults.is_none() && c.admission.is_none());
         assert!(!serving_config(false).virtual_time);
+    }
+
+    #[test]
+    fn empty_arrays_print_as_brackets_and_full_ones_one_item_a_line() {
+        assert_eq!(json_array(&[]), "[]");
+        let two = ["\"a\"".to_string(), "\"b\"".to_string()];
+        assert_eq!(json_array(&two), "[\n      \"a\",\n      \"b\"\n    ]");
+        let report = ScenarioReport {
+            scenario: "row",
+            digest: vec!["k=1".into()],
+            gates: vec![Gate::new("g", true, "req", "meas")],
+            ..ScenarioReport::default()
+        };
+        let json = report.to_json();
+        assert!(json.contains("\"recorded\": [],\n"), "{json}");
+        assert!(json.contains("\"digest\": [\n      \"k=1\"\n    ],\n"), "{json}");
+        assert!(
+            json.contains("\"gates\": [\n      {\"name\": \"g\", \"required\": \"req\""),
+            "{json}"
+        );
     }
 
     #[test]

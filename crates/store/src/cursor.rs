@@ -55,7 +55,7 @@ const CHUNK: usize = 256;
 /// [`Snapshot`], whose generations and watermarks were all pinned at
 /// capture time.
 #[derive(Debug, Clone, Copy)]
-enum Source<'a, V: Value> {
+pub(crate) enum Source<'a, V: Value> {
     Live(&'a HopeStore<V>),
     Snap(&'a Snapshot<V>),
 }
@@ -123,26 +123,14 @@ pub struct RangeCursor<'a, V: Value = u64> {
 }
 
 impl<'a, V: Value> RangeCursor<'a, V> {
+    /// A cursor over `source` (see [`HopeStore::cursor`] and
+    /// [`Snapshot::cursor`], which validate the bounds first).
     pub(crate) fn new(
-        store: &'a HopeStore<V>,
+        source: Source<'a, V>,
         low: &[u8],
         high: &[u8],
         limit: usize,
     ) -> RangeCursor<'a, V> {
-        Self::over(Source::Live(store), low, high, limit)
-    }
-
-    /// A cursor reading a snapshot's point in time ([`Snapshot::cursor`]).
-    pub(crate) fn new_snap(
-        snap: &'a Snapshot<V>,
-        low: &[u8],
-        high: &[u8],
-        limit: usize,
-    ) -> RangeCursor<'a, V> {
-        Self::over(Source::Snap(snap), low, high, limit)
-    }
-
-    fn over(source: Source<'a, V>, low: &[u8], high: &[u8], limit: usize) -> RangeCursor<'a, V> {
         let empty = low > high || limit == 0;
         let (shard, shard_end) =
             if empty { (1, 0) } else { (source.route(low), source.route(high)) };
@@ -372,39 +360,10 @@ impl<'a, V: Value> RangeCursor<'a, V> {
 /// The cursor's push engine over **borrowed** bounds: what a fresh
 /// cursor's [`RangeCursor::for_each`] does, without the cursor object's
 /// owned-bounds copies. [`HopeStore::range_with`] and
-/// [`HopeStore::range_into`] call this directly so the visitor scan stays
-/// allocation-free end to end (the probe thread-locals carry all scratch).
-pub(crate) fn push_scan<V, F>(
-    store: &HopeStore<V>,
-    low: &[u8],
-    high: &[u8],
-    limit: usize,
-    f: F,
-) -> Result<usize, StoreError>
-where
-    V: Value,
-    F: FnMut(&[u8], &V),
-{
-    scan(Source::Live(store), low, high, limit, f)
-}
-
-/// [`push_scan`]'s point-in-time twin: the engine behind
-/// [`Snapshot::range_with`] and [`Snapshot::range_into`].
-pub(crate) fn snap_scan<V, F>(
-    snap: &Snapshot<V>,
-    low: &[u8],
-    high: &[u8],
-    limit: usize,
-    f: F,
-) -> Result<usize, StoreError>
-where
-    V: Value,
-    F: FnMut(&[u8], &V),
-{
-    scan(Source::Snap(snap), low, high, limit, f)
-}
-
-fn scan<V, F>(
+/// [`Snapshot::range_with`] (and the `range_into` forms over them) call
+/// it directly so the visitor scan stays allocation-free end to end (the
+/// probe thread-locals carry all scratch).
+pub(crate) fn scan<V, F>(
     source: Source<'_, V>,
     low: &[u8],
     high: &[u8],

@@ -90,6 +90,7 @@ pub use error::StoreError;
 pub use generation::Generation;
 pub use versioned::Snapshot;
 
+use cursor::Source;
 use dictionary::{train, CodecTotal};
 use error::validate_key;
 use generation::{encode_run, Records};
@@ -439,7 +440,7 @@ impl<V: Value> HopeStore<V> {
         self.boundaries.partition_point(|b| b.as_slice() <= key)
     }
 
-    /// The shard structure itself (cursor internals).
+    /// The shard structure itself (cursor and serving-worker internals).
     pub(crate) fn shard_ref(&self, shard: usize) -> &Shard<V> {
         &self.shards[shard]
     }
@@ -516,7 +517,7 @@ impl<V: Value> HopeStore<V> {
     ) -> Result<RangeCursor<'_, V>, StoreError> {
         validate_key(low)?;
         validate_key(high)?;
-        Ok(RangeCursor::new(self, low, high, limit))
+        Ok(RangeCursor::new(Source::Live(self), low, high, limit))
     }
 
     /// Visitor-form range scan: call `f(key, value)` for up to `limit`
@@ -544,7 +545,7 @@ impl<V: Value> HopeStore<V> {
     {
         validate_key(low)?;
         validate_key(high)?;
-        cursor::push_scan(self, low, high, limit, f)
+        cursor::scan(Source::Live(self), low, high, limit, f)
     }
 
     /// Collect-form range scan: append up to `limit` `(key, value)` pairs
@@ -775,8 +776,8 @@ impl<V: Value> HopeStore<V> {
         reg.gauge("store.codec.decode_keys").set(codec.decode_keys);
     }
 
-    /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —
-    /// the serving layer's sampled tracing path. The same code as `get`,
+    /// [`HopeStore::get`] with per-stage span timing (encode vs probe).
+    /// The same code as `get` — and as a sampled serving get —
     /// instantiated with a stopwatch where `get` passes the no-op span
     /// recorder; the spans cost one `Instant` read per stage boundary:
     /// three, or two more per extra chunk an ART read encodes (each stage
@@ -789,22 +790,6 @@ impl<V: Value> HopeStore<V> {
         let (found, watch): (_, Stopwatch) =
             self.shards[self.route(key)].get_with(key, V::clone)?;
         Ok((found, watch.spans))
-    }
-
-    /// [`HopeStore::insert`] with per-stage span timing (encode vs the
-    /// index/log mutation, reported as the probe span).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the key fails validation; the store is
-    /// unchanged in that case.
-    pub fn insert_traced(
-        &self,
-        key: Vec<u8>,
-        value: V,
-    ) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        let (old, watch): (_, Stopwatch) = self.shards[self.route(&key)].insert(&key, value)?;
-        Ok((old, watch.spans))
     }
 
     /// Per-shard health snapshot.

@@ -101,6 +101,14 @@ impl FaultAction {
     pub fn extra_ns(&self) -> u64 {
         self.stall_ns + self.burst_ns + self.spike_ns
     }
+
+    /// What `ns` of unimpaired service costs under this action:
+    /// `ns × slow_factor + extra_ns`. The virtual-time charge (the
+    /// admission sensor's and the worker's) and the wall-mode penalty
+    /// are both this one formula.
+    pub(crate) fn stretch(&self, ns: u64) -> u64 {
+        ns.saturating_mul(self.slow_factor.max(1)).saturating_add(self.extra_ns())
+    }
 }
 
 /// Per-worker tally of the faults actually injected (reported in
@@ -376,6 +384,7 @@ mod tests {
         let a = FaultAction { slow_factor: 10, stall_ns: 5, burst_ns: 0, spike_ns: 2 };
         assert!(!a.is_none());
         assert_eq!(a.extra_ns(), 7);
+        assert_eq!((a.stretch(100), FaultAction::default().stretch(100)), (1_007, 100));
         tally.note(&a);
         assert_eq!((tally.slowed, tally.stalled, tally.burst, tally.spiked), (1, 1, 0, 1));
         let mut sum = FaultTally::default();

@@ -16,18 +16,25 @@
 //!   block, so cross-worker reads are safe by construction).
 //! * **Bounded queues with admission control** — each worker owns one
 //!   [`queue::BoundedQueue`] of `queue_capacity` requests.
-//!   [`Server::try_submit`] *refuses* work beyond that budget and hands
-//!   the request back ([`Rejected`]) instead of queueing unboundedly:
-//!   under overload the system sheds load at the front door with a
-//!   bounded worst-case queue wait, rather than melting down with
-//!   seconds-deep queues. [`Server::submit`] is the backpressure
-//!   variant: it waits for space, admitting everything (what a
-//!   deterministic benchmark driver wants).
+//!   [`Server::try_submit_detached`] *refuses* work beyond that budget
+//!   and hands the request back ([`Rejected`]) instead of queueing
+//!   unboundedly: under overload the system sheds load at the front door
+//!   with a bounded worst-case queue wait, rather than melting down with
+//!   seconds-deep queues. [`Server::submit`] (with a completion
+//!   [`Ticket`]) and [`Server::submit_detached`] are the backpressure
+//!   variants: they wait for space, admitting everything (what a
+//!   deterministic benchmark driver wants). With an
+//!   [`AdmissionConfig`], the controller may also send a request to a
+//!   healthy peer instead of its degraded home worker.
 //! * **Batched execution** — workers drain up to `batch` requests per
-//!   queue lock round, amortizing synchronization; gets/inserts run on
-//!   the store's zero-alloc probe paths and scans pull through a
+//!   queue lock round, amortizing synchronization, and run every request
+//!   through one executor: gets/inserts on the store's zero-alloc probe
+//!   paths, scans (live or snapshot) pulled through a
 //!   [`RangeCursor`](crate::RangeCursor), recording the epoch of every
 //!   generation they touch (the hot-swap torn-read check rides on this).
+//!   A request sampled for tracing
+//!   ([`ServingConfig::trace_sample_every`]) runs the same executor with
+//!   a stopwatch and records its spans in `serving.trace.*`.
 //! * **Tail-latency accounting** — per phase (the driver tags each
 //!   request with a phase id), workers record latency into a
 //!   [`LatencyHistogram`]: wall-clock enqueue→completion by
@@ -86,8 +93,9 @@ use queue::BoundedQueue;
 pub struct ServingConfig {
     /// Worker threads; shards are owned `shard % workers` (≥ 1).
     pub workers: usize,
-    /// Per-worker queue budget: requests admitted beyond it are refused
-    /// by [`Server::try_submit`] (≥ 1).
+    /// Per-worker queue budget: requests beyond it are refused by
+    /// [`Server::try_submit_detached`] and wait in [`Server::submit`]
+    /// (≥ 1).
     pub queue_capacity: usize,
     /// Max requests a worker drains per queue lock round (≥ 1).
     pub batch: usize,
@@ -96,10 +104,11 @@ pub struct ServingConfig {
     /// Deterministic virtual-time latency accounting (see [`virtual_cost`])
     /// instead of wall-clock enqueue→completion.
     pub virtual_time: bool,
-    /// Sampled request tracing: every Nth request per worker runs on the
-    /// store's traced probe paths and records queue-wait / encode / probe
-    /// / decode spans into `serving.trace.*` histograms. `0` disables
-    /// tracing (the default — the untraced hot path pays nothing).
+    /// Sampled request tracing: every Nth request per worker runs the
+    /// same executor timed by a stopwatch and records its encode / probe
+    /// / decode spans (and, in wall mode, its queue wait) into
+    /// `serving.trace.*` histograms. `0` disables tracing (the default —
+    /// the untraced hot path pays nothing).
     pub trace_sample_every: u32,
     /// Deterministic fault injection (see [`faults`]): per-worker
     /// slowdowns, stalls, spikes and queue-pressure bursts. `None` (the
@@ -427,7 +436,7 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         PhaseStats {
             ops: 0,
             gets: 0,
@@ -439,6 +448,21 @@ impl PhaseStats {
             busy_ns_max: 0,
             busy_ns_total: 0,
         }
+    }
+
+    /// Fold `other` in: counts and total service time add, histograms
+    /// merge, the busiest-worker time keeps the larger. One worker's own
+    /// totals carry `busy_ns_max == busy_ns_total`.
+    fn merge(&mut self, other: &PhaseStats) {
+        self.ops += other.ops;
+        self.gets += other.gets;
+        self.inserts += other.inserts;
+        self.scans += other.scans;
+        self.scan_hits += other.scan_hits;
+        self.errors += other.errors;
+        self.latency.merge(&other.latency);
+        self.busy_ns_max = self.busy_ns_max.max(other.busy_ns_max);
+        self.busy_ns_total += other.busy_ns_total;
     }
 
     /// Ops per second implied by the busiest worker's service time
@@ -642,8 +666,7 @@ impl<V: Value> Server<V> {
                     .faults
                     .map(|p| p.action(home, index, env.phase))
                     .unwrap_or_default();
-                let cost = virtual_cost(&env.req) * action.slow_factor.max(1) + action.extra_ns();
-                ctl.observe(home, cost);
+                ctl.observe(home, action.stretch(virtual_cost(&env.req)));
             }
             let shed_to = ctl.shed(home, index);
             let windows = ctl.windows_sealed();
@@ -673,22 +696,18 @@ impl<V: Value> Server<V> {
     }
 
     /// Admission-controlled submit: refuse (returning the request) when
-    /// the target worker's queue is at budget, otherwise hand back a
-    /// completion [`Ticket`]. `phase` tags the latency sample
-    /// (clamped to the configured phase count).
-    pub fn try_submit(&self, req: Request<V>, phase: usize) -> Result<Ticket<V>, Rejected<V>> {
-        self.push(self.envelope(req, phase, true), false).map(|t| t.expect("ticketed"))
-    }
-
-    /// [`Server::try_submit`] without a completion ticket — the
+    /// the target worker's queue is at budget. No completion ticket — the
     /// fire-and-forget shape for throughput drivers that read results
-    /// from the [`ServingReport`] instead.
+    /// from the [`ServingReport`] instead. `phase` tags the latency
+    /// sample (clamped to the configured phase count).
     pub fn try_submit_detached(&self, req: Request<V>, phase: usize) -> Result<(), Rejected<V>> {
         self.push(self.envelope(req, phase, false), false).map(|_| ())
     }
 
-    /// Backpressure submit: wait for queue space instead of shedding
-    /// (fails only when the server is shutting down).
+    /// Backpressure submit: wait for queue space instead of refusing
+    /// (fails only when the server is shutting down) and hand back a
+    /// completion [`Ticket`]. `phase` as for
+    /// [`Server::try_submit_detached`].
     pub fn submit(&self, req: Request<V>, phase: usize) -> Result<Ticket<V>, Rejected<V>> {
         self.push(self.envelope(req, phase, true), true).map(|t| t.expect("ticketed"))
     }
@@ -731,28 +750,16 @@ impl<V: Value> Server<V> {
         let mut worker_stats = Vec::with_capacity(cfg.workers);
         for (i, h) in self.handles.drain(..).enumerate() {
             let out = h.join().expect("serving worker panicked");
-            let mut ops = 0;
-            let mut busy_ns = 0;
-            let mut latency = LatencyHistogram::new();
+            let mut all = PhaseStats::empty();
             for (agg, w) in phases.iter_mut().zip(&out.phases) {
-                agg.ops += w.ops;
-                agg.gets += w.gets;
-                agg.inserts += w.inserts;
-                agg.scans += w.scans;
-                agg.scan_hits += w.scan_hits;
-                agg.errors += w.errors;
-                agg.latency.merge(&w.latency);
-                agg.busy_ns_max = agg.busy_ns_max.max(w.busy_ns);
-                agg.busy_ns_total += w.busy_ns;
-                ops += w.ops;
-                busy_ns += w.busy_ns;
-                latency.merge(&w.latency);
+                agg.merge(w);
+                all.merge(w);
             }
             worker_stats.push(WorkerStats {
                 worker: i,
-                ops,
-                busy_ns,
-                latency,
+                ops: all.ops,
+                busy_ns: all.busy_ns_total,
+                latency: all.latency,
                 faults: out.faults,
                 degraded: cfg.faults.is_some_and(|p| p.is_degraded(i)),
             });

@@ -1,13 +1,17 @@
-//! The serving worker loop: drain one queue in batches, execute against
-//! the store, account latency per phase, complete tickets.
+//! The serving worker loop: drain one queue in batches, run each request
+//! through one executor, account latency per phase, complete tickets.
 //!
-//! Workers also carry the sampled-tracing hook: when
-//! [`ServingConfig::trace_sample_every`](super::ServingConfig) is `N > 0`,
-//! every Nth request a worker executes runs on the store's traced probe
-//! paths and its queue-wait / encode / probe / decode spans land in the
-//! `serving.trace.*` histograms of the store's telemetry registry. The
-//! untraced path is untouched — disabled tracing costs one predictable
-//! branch per request.
+//! Sampled tracing is the same executor with a different span recorder:
+//! when [`ServingConfig::trace_sample_every`](super::ServingConfig) is
+//! `N > 0`, every Nth request a worker executes runs with the store's
+//! stopwatch where the others run with the no-op `()` recorder, and its
+//! encode / probe / decode spans (plus its queue wait, in wall mode) land
+//! in the `serving.trace.*` histograms of the store's telemetry registry.
+//! A point op's spans are the store's own (encode, then index probe); a
+//! scan's probe span runs to its first hit (snapshot capture, bound
+//! encode and descent) and its decode span over the rest of the pull
+//! loop. A request that ends in an error records no spans. Untraced
+//! requests pay one predictable branch.
 //!
 //! Fault injection rides the same loop: when the config carries a
 //! [`FaultPlan`](super::FaultPlan) with serving-side faults, each request
@@ -23,41 +27,18 @@ use std::time::{Duration, Instant};
 use hope::Value;
 
 use super::faults::FaultTally;
-use super::{virtual_cost, Envelope, Request, Response, ScanSummary, Shared};
-use crate::telemetry::{Histo, LatencyHistogram, ProbeSpans, TraceSampler};
+use super::{
+    virtual_cost, Envelope, PhaseStats, Request, Response, ScanSummary, Shared, TicketState,
+};
+use crate::cursor::RangeCursor;
+use crate::error::StoreError;
+use crate::telemetry::{Histo, ProbeSpans, SpanRecorder, Stopwatch, TraceSampler};
 
-/// Per-phase accumulator one worker keeps (merged at shutdown).
-#[derive(Debug)]
-pub(crate) struct PhaseAccum {
-    pub ops: u64,
-    pub gets: u64,
-    pub inserts: u64,
-    pub scans: u64,
-    pub scan_hits: u64,
-    pub errors: u64,
-    pub latency: LatencyHistogram,
-    pub busy_ns: u64,
-}
-
-impl PhaseAccum {
-    fn new() -> Self {
-        PhaseAccum {
-            ops: 0,
-            gets: 0,
-            inserts: 0,
-            scans: 0,
-            scan_hits: 0,
-            errors: 0,
-            latency: LatencyHistogram::new(),
-            busy_ns: 0,
-        }
-    }
-}
-
-/// What one worker hands back when it exits.
+/// What one worker hands back when it exits: its own totals per phase
+/// (merged into the report at shutdown) and the faults it injected.
 #[derive(Debug)]
 pub(crate) struct WorkerOutput {
-    pub phases: Vec<PhaseAccum>,
+    pub phases: Vec<PhaseStats>,
     pub faults: FaultTally,
 }
 
@@ -70,142 +51,99 @@ struct TraceHistos {
     decode: Histo,
 }
 
-/// Execute one request against the store.
-fn execute<V: Value>(shared: &Shared<V>, req: Request<V>) -> Response<V> {
-    match req {
-        Request::Get { key } => match shared.store.get(&key) {
-            Ok(v) => Response::Get(v),
-            Err(e) => Response::Error(e),
-        },
-        Request::Insert { key, value } => match shared.store.insert(key, value) {
-            Ok(prev) => Response::Insert(prev),
-            Err(e) => Response::Error(e),
-        },
+/// Execute one request against the store, timing its stages with `S`
+/// (`()` untraced, a stopwatch when sampled). Point ops go straight to
+/// the shard's span-generic paths; both scan kinds pull through
+/// [`drain`].
+fn execute<V: Value, S: SpanRecorder>(
+    shared: &Shared<V>,
+    req: Request<V>,
+) -> Result<(Response<V>, S), StoreError> {
+    let store = &shared.store;
+    Ok(match req {
+        Request::Get { key } => {
+            let (v, spans) = store.shard_ref(store.route(&key)).get_with::<S, _>(&key, V::clone)?;
+            (Response::Get(v), spans)
+        }
+        Request::Insert { key, value } => {
+            let (prev, spans) = store.shard_ref(store.route(&key)).insert::<S>(&key, value)?;
+            (Response::Insert(prev), spans)
+        }
         Request::Scan { low, high, limit } => {
-            let mut cur = match shared.store.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return Response::Error(e),
-            };
-            let mut summary = ScanSummary::default();
-            while let Some((k, _v)) = cur.next_hit() {
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            match cur.error() {
-                Some(e) => Response::Error(e.clone()),
-                None => Response::Scan(summary),
-            }
+            let spans = S::start();
+            drain(store.cursor(&low, &high, limit)?, spans)?
         }
         Request::SnapshotScan { low, high, limit } => {
             // The capture pins every shard at one instant; the cursor
             // then reads that instant no matter what swaps or writes
             // land mid-scan (its epochs are the *pinned* generations').
-            let snap = shared.store.snapshot();
-            let mut cur = match snap.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return Response::Error(e),
-            };
-            let mut summary = ScanSummary::default();
-            while let Some((k, _v)) = cur.next_hit() {
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            match cur.error() {
-                Some(e) => Response::Error(e.clone()),
-                None => Response::Scan(summary),
-            }
+            // The capture is charged to the probe span.
+            let spans = S::start();
+            let snap = store.snapshot();
+            drain(snap.cursor(&low, &high, limit)?, spans)?
         }
+    })
+}
+
+/// Pull a scan's cursor dry into a [`ScanSummary`]. The probe span ends
+/// at the first hit (or at the end of an empty scan); the decode span is
+/// the rest of the pull loop.
+fn drain<V: Value, S: SpanRecorder>(
+    mut cur: RangeCursor<'_, V>,
+    mut spans: S,
+) -> Result<(Response<V>, S), StoreError> {
+    let mut summary = ScanSummary::default();
+    while let Some((k, _v)) = cur.next_hit() {
+        if summary.hits == 0 {
+            spans.probed();
+        }
+        summary.hits += 1;
+        summary.key_bytes += k.len() as u64;
+        if let Some(e) = cur.hit_epoch() {
+            summary.note_epoch(e);
+        }
+    }
+    if summary.hits == 0 {
+        spans.probed();
+    } else {
+        spans.decoded();
+    }
+    match cur.error() {
+        Some(e) => Err(e.clone()),
+        None => Ok((Response::Scan(summary), spans)),
     }
 }
 
-/// [`execute`] on the store's span-timed paths. For scans, the probe span
-/// is the time to the first hit (bound encode + index descent) and the
-/// decode span is the remainder of the pull loop.
-fn execute_traced<V: Value>(
+/// Execute one request with span recorder `S`, tally its response into
+/// the phase totals and complete its ticket (if any). The recorder comes
+/// back only for a request that succeeded.
+fn serve<V: Value, S: SpanRecorder>(
     shared: &Shared<V>,
     req: Request<V>,
-) -> (Response<V>, Option<ProbeSpans>) {
-    match req {
-        Request::Get { key } => match shared.store.get_traced(&key) {
-            Ok((v, spans)) => (Response::Get(v), Some(spans)),
-            Err(e) => (Response::Error(e), None),
-        },
-        Request::Insert { key, value } => match shared.store.insert_traced(key, value) {
-            Ok((prev, spans)) => (Response::Insert(prev), Some(spans)),
-            Err(e) => (Response::Error(e), None),
-        },
-        Request::Scan { low, high, limit } => {
-            let probe_started = Instant::now();
-            let mut cur = match shared.store.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return (Response::Error(e), None),
-            };
-            let mut summary = ScanSummary::default();
-            let mut probe_ns = 0u64;
-            let mut pull_started: Option<Instant> = None;
-            while let Some((k, _v)) = cur.next_hit() {
-                if summary.hits == 0 {
-                    probe_ns = probe_started.elapsed().as_nanos() as u64;
-                    pull_started = Some(Instant::now());
-                }
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            if summary.hits == 0 {
-                probe_ns = probe_started.elapsed().as_nanos() as u64;
-            }
-            let decode_ns = pull_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let spans = ProbeSpans { encode_ns: 0, probe_ns, decode_ns };
-            match cur.error() {
-                Some(e) => (Response::Error(e.clone()), None),
-                None => (Response::Scan(summary), Some(spans)),
-            }
+    ticket: Option<Arc<TicketState<V>>>,
+    acc: &mut PhaseStats,
+) -> Option<S> {
+    let (resp, spans) = match execute::<V, S>(shared, req) {
+        Ok((resp, spans)) => (resp, Some(spans)),
+        Err(e) => (Response::Error(e), None),
+    };
+    match &resp {
+        Response::Get(_) => acc.gets += 1,
+        Response::Insert(_) => acc.inserts += 1,
+        Response::Scan(s) => {
+            acc.scans += 1;
+            acc.scan_hits += s.hits as u64;
         }
-        Request::SnapshotScan { low, high, limit } => {
-            // Probe span = snapshot capture + bound encode + descent to
-            // the first hit; decode span = the rest of the pull loop —
-            // the same split as a plain traced scan, with the capture
-            // charged to the probe.
-            let probe_started = Instant::now();
-            let snap = shared.store.snapshot();
-            let mut cur = match snap.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return (Response::Error(e), None),
-            };
-            let mut summary = ScanSummary::default();
-            let mut probe_ns = 0u64;
-            let mut pull_started: Option<Instant> = None;
-            while let Some((k, _v)) = cur.next_hit() {
-                if summary.hits == 0 {
-                    probe_ns = probe_started.elapsed().as_nanos() as u64;
-                    pull_started = Some(Instant::now());
-                }
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            if summary.hits == 0 {
-                probe_ns = probe_started.elapsed().as_nanos() as u64;
-            }
-            let decode_ns = pull_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let spans = ProbeSpans { encode_ns: 0, probe_ns, decode_ns };
-            match cur.error() {
-                Some(e) => (Response::Error(e.clone()), None),
-                None => (Response::Scan(summary), Some(spans)),
-            }
-        }
+        Response::Error(_) => acc.errors += 1,
+        // `Response` is non_exhaustive for downstream crates; in-crate the
+        // match is complete.
+        #[allow(unreachable_patterns)]
+        _ => {}
     }
+    if let Some(t) = ticket {
+        t.complete(resp);
+    }
+    spans
 }
 
 /// The worker thread body: worker `i` owns `shared.queues[i]`.
@@ -225,7 +163,7 @@ pub(crate) fn run<V: Value>(i: usize, shared: Arc<Shared<V>>) -> WorkerOutput {
     // shedding away from a degraded worker).
     let faults = cfg.faults.filter(|p| p.any_serving_faults());
     let mut tally = FaultTally::default();
-    let mut phases: Vec<PhaseAccum> = (0..cfg.phases).map(|_| PhaseAccum::new()).collect();
+    let mut phases: Vec<PhaseStats> = (0..cfg.phases).map(|_| PhaseStats::empty()).collect();
     let mut batch: Vec<Envelope<V>> = Vec::with_capacity(cfg.batch);
     // Wall-mode admission feedback: the controller's sensor is the real
     // *service* time of the requests this worker executed (execution +
@@ -254,27 +192,35 @@ pub(crate) fn run<V: Value>(i: usize, shared: Arc<Shared<V>>) -> WorkerOutput {
             // request (virtual_cost) and the plan's action — deterministic
             // across runs. Wall mode: enqueue→completion, the latency a
             // client would see, with injected delays actually waited out.
-            let (latency_ns, service_ns) = if cfg.virtual_time {
-                let cost = virtual_cost(&env.req) * action.slow_factor.max(1) + action.extra_ns();
-                let spans = run_one(&shared, env.req, env.ticket, acc, traced);
-                record_trace(&trace, queue_wait_ns, spans);
-                (cost, cost)
+            let cost = virtual_cost(&env.req);
+            let started = (!cfg.virtual_time).then(Instant::now);
+            let spans = if traced {
+                serve::<V, Stopwatch>(&shared, env.req, env.ticket, acc).map(|w| w.spans)
             } else {
-                let started = Instant::now();
-                let spans = run_one(&shared, env.req, env.ticket, acc, traced);
-                record_trace(&trace, queue_wait_ns, spans);
-                let executed = started.elapsed().as_nanos() as u64;
-                let penalty =
-                    executed.saturating_mul(action.slow_factor.max(1) - 1) + action.extra_ns();
-                if penalty > 0 {
-                    inject_wall_delay(penalty);
+                serve::<V, ()>(&shared, env.req, env.ticket, acc);
+                None
+            };
+            record_trace(&trace, queue_wait_ns, spans);
+            let (latency_ns, service_ns) = match started {
+                None => {
+                    let charged = action.stretch(cost);
+                    (charged, charged)
                 }
-                let service = started.elapsed().as_nanos() as u64;
-                let total = env.enqueued_at.map_or(service, |t| t.elapsed().as_nanos() as u64);
-                (total, service)
+                Some(started) => {
+                    let executed = started.elapsed().as_nanos() as u64;
+                    let penalty = action.stretch(executed) - executed;
+                    if penalty > 0 {
+                        inject_wall_delay(penalty);
+                    }
+                    let service = started.elapsed().as_nanos() as u64;
+                    let total = env.enqueued_at.map_or(service, |t| t.elapsed().as_nanos() as u64);
+                    (total, service)
+                }
             };
             acc.ops += 1;
-            acc.busy_ns += service_ns;
+            acc.busy_ns_total += service_ns;
+            // A worker's own phase total: its busiest worker is itself.
+            acc.busy_ns_max = acc.busy_ns_total;
             acc.latency.record(latency_ns);
             if feedback.is_some() {
                 observed.push(service_ns);
@@ -329,20 +275,6 @@ fn inject_wall_delay(ns: u64) {
     }
 }
 
-/// Execute (traced or not), tally, complete — one request end to end.
-fn run_one<V: Value>(
-    shared: &Shared<V>,
-    req: Request<V>,
-    ticket: Option<Arc<super::TicketState<V>>>,
-    acc: &mut PhaseAccum,
-    traced: bool,
-) -> Option<ProbeSpans> {
-    let (resp, spans) =
-        if traced { execute_traced(shared, req) } else { (execute(shared, req), None) };
-    finish(ticket, resp, acc);
-    spans
-}
-
 /// Record one traced request's spans (no-op when tracing is off).
 fn record_trace(
     trace: &Option<TraceHistos>,
@@ -357,29 +289,5 @@ fn record_trace(
         t.encode.record(s.encode_ns);
         t.probe.record(s.probe_ns);
         t.decode.record(s.decode_ns);
-    }
-}
-
-/// Tally the response kind and complete the ticket (if any).
-fn finish<V: Value>(
-    ticket: Option<Arc<super::TicketState<V>>>,
-    resp: Response<V>,
-    acc: &mut PhaseAccum,
-) {
-    match &resp {
-        Response::Get(_) => acc.gets += 1,
-        Response::Insert(_) => acc.inserts += 1,
-        Response::Scan(s) => {
-            acc.scans += 1;
-            acc.scan_hits += s.hits as u64;
-        }
-        Response::Error(_) => acc.errors += 1,
-        // `Response` is non_exhaustive for downstream crates; in-crate the
-        // match is complete.
-        #[allow(unreachable_patterns)]
-        _ => {}
-    }
-    if let Some(t) = ticket {
-        t.complete(resp);
     }
 }

@@ -81,19 +81,26 @@ impl ProbeSpans {
     }
 }
 
-/// Stage-boundary hook the probe paths are generic over, so the traced
-/// and untraced forms of `get` / `insert` are one function: `()` records
-/// nothing and compiles away, [`Stopwatch`] reads the clock at each
-/// boundary. A point read may alternate the stages — encode a chunk,
-/// probe, encode more — so each boundary adds the time since the last one
-/// to its stage.
+/// Stage-boundary hook the request paths are generic over, so the traced
+/// and untraced forms of `get` / `insert` / a served scan are one
+/// function: `()` records nothing and compiles away, [`Stopwatch`] reads
+/// the clock at each boundary. A point read may alternate the stages —
+/// encode a chunk, probe, encode more — so each boundary adds the time
+/// since the last one to its stage. A served scan calls [`probed`] at its
+/// first hit (capture, bound encode and descent) and [`decoded`] when the
+/// pull loop ends.
+///
+/// [`probed`]: SpanRecorder::probed
+/// [`decoded`]: SpanRecorder::decoded
 pub(crate) trait SpanRecorder {
-    /// Begin timing (called right before the encode stage).
+    /// Begin timing (called right before the first stage).
     fn start() -> Self;
     /// An encode stage (the probe key, or a chunk of it) is done.
     fn encoded(&mut self) {}
     /// An index probe (or the whole mutation, for an insert) is done.
     fn probed(&mut self) {}
+    /// A decode stage (the rest of a scan's pull loop) is done.
+    fn decoded(&mut self) {}
 }
 
 impl SpanRecorder for () {
@@ -128,6 +135,10 @@ impl SpanRecorder for Stopwatch {
 
     fn probed(&mut self) {
         self.spans.probe_ns += self.lap_ns();
+    }
+
+    fn decoded(&mut self) {
+        self.spans.decode_ns += self.lap_ns();
     }
 }
 
@@ -168,6 +179,20 @@ mod tests {
         assert!(encode_ns >= 4_000_000 && probe_ns >= 12_000_000, "{:?}", watch.spans);
         assert_eq!(decode_ns, 0);
         assert!(watch.spans.total_ns() <= whole, "{:?} over {whole} ns", watch.spans);
+    }
+
+    /// A served scan's split: the probe lap ends at the first hit, the
+    /// decode lap at the end of the pull loop, and nothing is encode.
+    #[test]
+    fn decode_lap_follows_the_probe() {
+        let mut watch = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        watch.probed();
+        std::thread::sleep(std::time::Duration::from_millis(4));
+        watch.decoded();
+        let ProbeSpans { encode_ns, probe_ns, decode_ns } = watch.spans;
+        assert_eq!(encode_ns, 0);
+        assert!(probe_ns >= 2_000_000 && decode_ns >= 4_000_000, "{:?}", watch.spans);
     }
 
     #[test]

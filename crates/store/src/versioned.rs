@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use hope::Value;
 
-use crate::cursor::{self, RangeCursor};
+use crate::cursor::{self, RangeCursor, Source};
 use crate::error::{validate_key, StoreError};
 use crate::generation::Generation;
 use crate::telemetry::{Event, EventKind, Telemetry};
@@ -164,7 +164,7 @@ impl<V: Value> Snapshot<V> {
     {
         validate_key(low)?;
         validate_key(high)?;
-        cursor::snap_scan(self, low, high, limit, f)
+        cursor::scan(Source::Snap(self), low, high, limit, f)
     }
 
     /// Collect-form range scan: append up to `limit` `(key, value)`
@@ -200,7 +200,7 @@ impl<V: Value> Snapshot<V> {
     ) -> Result<RangeCursor<'_, V>, StoreError> {
         validate_key(low)?;
         validate_key(high)?;
-        Ok(RangeCursor::new_snap(self, low, high, limit))
+        Ok(RangeCursor::new(Source::Snap(self), low, high, limit))
     }
 
     /// Live keys at the capture instant, summed across shards.

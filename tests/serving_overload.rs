@@ -15,10 +15,10 @@ fn store_with(n: u64) -> Arc<HopeStore<u64>> {
     Arc::new(HopeStore::build(StoreConfig::default(), pairs).expect("build"))
 }
 
-/// Many producers hammer tiny queues with `try_submit`: the server must
-/// shed (reporting every shed request back), complete every admitted
-/// request exactly once, and the final store state must equal a shadow
-/// map replay of exactly the admitted writes.
+/// Many producers hammer tiny queues with `try_submit_detached`: the
+/// server must shed (reporting every shed request back), complete every
+/// admitted request exactly once, and the final store state must equal a
+/// shadow map replay of exactly the admitted writes.
 #[test]
 fn admission_control_sheds_but_never_drops() {
     let store = store_with(500);
