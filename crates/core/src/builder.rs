@@ -305,7 +305,11 @@ impl Hope {
 
     /// Allocation-free [`Hope::encode_range_bounds`]: encode both into a
     /// reusable scratch and return the two padded byte strings, exact in
-    /// the same sense.
+    /// the same sense. For a structure that cannot read source keys
+    /// (SuRF, a plain index over encoded keys): `hope_store` does not
+    /// call it, because its scans check each hit's source key against
+    /// the high bound and encode only the low one
+    /// ([`Hope::encode_prefix_to`]).
     ///
     /// # Errors
     ///

@@ -260,7 +260,9 @@ impl Encoder {
 
     /// Encode the two boundary keys of a closed-range query: fill
     /// `scratch` and return the two padded byte strings (bit lengths via
-    /// [`EncodeScratch::pair_bit_lens`]).
+    /// [`EncodeScratch::pair_bit_lens`]). `hope_store` does not call it:
+    /// a store scan encodes its low bound only, as far as its index
+    /// needs, and checks each hit's source key against the high one.
     ///
     /// A pair costs two [`Encoder::encode_to`] calls. Sharing the walk
     /// over the bounds' common prefix has to stop after every symbol to

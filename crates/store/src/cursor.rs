@@ -46,8 +46,9 @@ use crate::versioned::Snapshot;
 use crate::HopeStore;
 
 /// Hits fetched per pull-mode chunk: large enough to amortize the
-/// per-chunk bound re-encode and index descent, small enough to keep
-/// read-lock holds and resume latency short.
+/// per-chunk encode of the resume key (as far as the index needs it)
+/// and index descent, small enough to keep read-lock holds and resume
+/// latency short.
 const CHUNK: usize = 256;
 
 /// What a cursor (or push scan) reads from: the live store, pinning each

@@ -31,22 +31,24 @@
 //! strictly as source keys do (no code is all zeros; see DESIGN.md
 //! "Encoded-key comparison"), so the encoded bytes *are* the key, for
 //! arbitrary byte keys: an insert that displaces an id has found the
-//! version it supersedes, and the encoded bounds of a scan admit exactly
-//! the keys of the source range. A point read into an index that places
+//! version it supersedes. A point read into an index that places
 //! whole keys only (the B+trees, HOT, `BTreeMap`) finds the whole
 //! encoding and never looks at the stored source bytes. Into the ART it
 //! encodes only until one leaf is left
 //! ([`OrderedIndex::probe_prefix`]) and then compares its key with that
 //! record's source key, which the base holds (DESIGN.md "Point reads
-//! encode only what the index needs"). A scan reads the source keys of
-//! its hits out of the base in key order — sequential memory — until
-//! writes have moved them to the tail.
+//! encode only what the index needs"). A scan encodes its low bound the
+//! same way, as far as the index needs, and never its high bound: it
+//! reads the source keys of its hits — out of the base in key order,
+//! sequential memory, until writes have moved them to the tail — and
+//! checks them against the source bounds (DESIGN.md "Scans encode one
+//! bound").
 //!
 //! ## Lock discipline
 //!
 //! The interior `RwLock` is held briefly by probes and scan chunks. A
-//! point read takes it once, after encoding its first chunk; an ART read
-//! that needs more bytes encodes them under it. A poisoned lock (a panic
+//! point read or a scan takes it once, after encoding its first chunk;
+//! an ART read or scan that needs more bytes encodes them under it. A poisoned lock (a panic
 //! in some other thread's callback) is *recovered*, not propagated: the
 //! generation's invariants are maintained step-wise, so the data behind a
 //! poisoned lock is still coherent, and a read-mostly serving layer
@@ -60,7 +62,7 @@ use hope::index::KeyRun;
 use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Probe, Value};
 
 use crate::dictionary::Dictionary;
-use crate::error::StoreError;
+use crate::error::{validate_key, StoreError};
 use crate::telemetry::SpanRecorder;
 use crate::SlotId;
 
@@ -533,7 +535,7 @@ impl<V: Value> Generation<V> {
     }
 
     /// Visitor-form range scan: call `f(key, value)` for up to `limit`
-    /// hits in source order and return the hit count. The two bounds are
+    /// hits in source order and return the hit count. The low bound is
     /// encoded into, and everything runs on, the per-thread probe
     /// buffers, so a scan of N hits performs **zero heap allocations**
     /// after warm-up — the keys and values handed to `f` are borrowed
@@ -571,14 +573,25 @@ impl<V: Value> Generation<V> {
     /// invisible. (Index and chain growth happen under the data lock this
     /// scan reads under, so the watermark is never torn.)
     ///
-    /// One pass: encode the bounds, then resolve and hand over each hit
-    /// as the index walk reaches it, stopping the walk at `limit`. The
-    /// encoded bounds admit exactly the keys of the source range, and a
-    /// resumed scan starts *at* its resume key (the low bound is
-    /// inclusive), so the one hit ever dropped is the first, when its
-    /// bytes equal the encoded resume key — under strict order no other
-    /// key has them. Records born after `at` are walked past, not
+    /// One bound is encoded, and only as far as the index needs: the
+    /// walk starts at `from` — `after`, or else `low` — encoded chunk by
+    /// chunk until [`OrderedIndex::probe_prefix`] stops asking for more
+    /// bytes, as [`Generation::lookup`] does (an index that places whole
+    /// keys only gets the whole encoding). Any prefix of `from`'s
+    /// encoding is a valid place to start, because encoded order is
+    /// source order, and the walk is open-ended. Each hit's source key —
+    /// read for `f` anyway — makes the result exact: keys below `from`,
+    /// and `from` itself on a resumed scan, are skipped until the first
+    /// key past them (only keys that begin with the encoded prefix can be
+    /// below it: one at most once the index has isolated a leaf), and
+    /// the first key above `high` ends the walk, before its visibility
+    /// at `at` is resolved. Records born after `at` are walked past, not
     /// counted.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when `from` or `high` fails codec
+    /// validation — before the index is touched.
     pub(crate) fn range_with_from<F>(
         &self,
         after: Option<&[u8]>,
@@ -592,23 +605,40 @@ impl<V: Value> Generation<V> {
         F: FnMut(&[u8], &V),
     {
         debug_assert!(limit > 0 && after.is_none_or(|a| a >= low));
+        validate_key(high)?;
+        let from = after.unwrap_or(low);
         PROBE.with_borrow_mut(|scratch| {
-            let (enc_low, enc_high) =
-                self.dict.hope.encode_range_bounds_to(after.unwrap_or(low), high, scratch)?;
-            let d = self.read();
-            let mut resumed = after.is_some();
-            let mut emitted = 0usize;
-            d.index.visit(enc_low, Some(enc_high), &mut |enc, &id| {
-                if std::mem::take(&mut resumed) && enc == enc_low {
-                    return true;
+            let (mut pos, mut need) =
+                (0, self.first_chunk.map_or(usize::MAX, |n| n.get() as usize));
+            let mut data = None;
+            loop {
+                let (bytes, to) = self.dict.hope.encode_prefix_to(from, pos, need, scratch)?;
+                let d = data.get_or_insert_with(|| self.read());
+                if to < from.len() {
+                    if let Probe::NeedMore(n) = d.index.probe_prefix(bytes, false) {
+                        (pos, need) = (to, n.max(bytes.len() + 1));
+                        continue;
+                    }
                 }
-                let Some(id) = d.visible_at(id as usize, at) else { return true };
-                let (key, value) = d.record(id);
-                f(key, value);
-                emitted += 1;
-                emitted < limit
-            });
-            Ok(emitted)
+                let (mut seeking, mut emitted) = (true, 0usize);
+                d.index.visit(bytes, None, &mut |_, &id| {
+                    let (key, _) = d.record(id as usize);
+                    if seeking {
+                        if key < from || (key == from && after.is_some()) {
+                            return true;
+                        }
+                        seeking = false;
+                    }
+                    if key > high {
+                        return false;
+                    }
+                    let Some(id) = d.visible_at(id as usize, at) else { return true };
+                    f(key, d.value(id));
+                    emitted += 1;
+                    emitted < limit
+                });
+                return Ok(emitted);
+            }
         })
     }
 
@@ -712,6 +742,11 @@ mod tests {
         // Probe-side validation surfaces as an error, not a panic.
         let giant = vec![b'x'; hope::MAX_KEY_BYTES + 1];
         assert!(matches!(g.get(&giant), Err(StoreError::Codec(_))));
+        // So on a scan, for either bound: nothing encodes `high`, and it
+        // is still checked.
+        let scan = |low: &[u8], high: &[u8]| g.range_with(low, high, 10, |_, _| ());
+        assert!(matches!(scan(&giant, b"z"), Err(StoreError::Codec(_))));
+        assert!(matches!(scan(b"a", &giant), Err(StoreError::Codec(_))));
     }
 
     #[test]

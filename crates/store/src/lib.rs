@@ -1033,6 +1033,7 @@ mod tests {
         assert!(store.insert(giant.clone(), 1).is_err());
         assert!(store.get(&giant).is_err());
         assert!(store.cursor(&giant, b"z", 1).is_err());
+        assert!(matches!(store.range_with(b"a", &giant, 1, |_, _| ()), Err(StoreError::Codec(_))));
         assert!(matches!(store.generation(99), Err(StoreError::NoSuchShard { .. })));
         assert!(matches!(store.force_rebuild(99), Err(StoreError::NoSuchShard { .. })));
     }

@@ -130,6 +130,30 @@ fn shared_dictionary_counts_every_encode_once() {
     assert_eq!(codec_encode_keys(&store), before);
 }
 
+/// A scan encodes one key per generation it enters — its low bound, as
+/// far as the index needs — not a bound pair: the high bound and a
+/// cursor's resume key are compared as source keys.
+#[test]
+fn a_scan_encodes_one_key_per_generation_it_enters() {
+    each_combination(|cfg, what| {
+        let store = HopeStore::build(cfg, email_pairs(1_200)).unwrap();
+        let (low, high) = (b"com.gmail@user00100", b"com.gmail@user00110");
+        assert_eq!(store.shard_of(low), store.shard_of(high), "{what}");
+        // A thread's encodes are counted 64 at a time, so a fresh thread's
+        // 64 single-shard scans show exactly when they encode one key
+        // each: two each would read 128.
+        let before = codec_encode_keys(&store);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..64 {
+                    assert_eq!(store.range_with(low, high, 100, |_, _| ()).unwrap(), 11);
+                }
+            });
+        });
+        assert_eq!(codec_encode_keys(&store) - before, 64, "{what}");
+    });
+}
+
 #[test]
 fn an_undrifted_rebuild_keeps_the_dictionary_and_encodes_nothing() {
     // `store_model`'s `stem + 0x00^k` families on its 0x00-dominated load:

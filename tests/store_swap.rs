@@ -18,16 +18,19 @@
 
 mod common;
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Bound::Included;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use common::zero_padded;
 use hope::{DecodeScratch, OrderedIndex, Probe, Scheme};
 use hope_art::Art;
 use hope_store::serving::{FaultPlan, Request, Response, ScanSummary, Server, ServingConfig};
 use hope_store::telemetry::EventKind;
-use hope_store::{Backend, HopeStore, SlotId, StoreConfig, StoreError};
+use hope_store::{Backend, HopeStore, RangeCursor, SlotId, StoreConfig, StoreError};
 use hope_workloads::{MixedWorkload, StoreOp, TrafficSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -251,27 +254,36 @@ fn zero_run_key_families_stay_exact_on_every_backend() {
     }
 }
 
-/// Point reads the ART stores below have sent to their index, and the
-/// partial ones it answered with a candidate.
-static ART_READS: AtomicU64 = AtomicU64::new(0);
-static ART_CANDIDATES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Point reads the ART stores below have sent to their index, the
+    /// partial ones it answered with a candidate, and the entries its
+    /// walks handed to a scan — per thread, so tests running side by
+    /// side do not count each other's reads.
+    static ART_READS: Cell<u64> = const { Cell::new(0) };
+    static ART_CANDIDATES: Cell<u64> = const { Cell::new(0) };
+    static ART_VISITED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static LocalKey<Cell<u64>>) {
+    counter.set(counter.get() + 1);
+}
 
 /// [`Art`], counting the point reads it serves ([`ART_READS`],
-/// [`ART_CANDIDATES`]).
+/// [`ART_CANDIDATES`]) and the entries it visits ([`ART_VISITED`]).
 #[derive(Debug, Default)]
 struct CountedArt(Art<SlotId>);
 
 impl OrderedIndex<SlotId> for CountedArt {
     fn get(&self, key: &[u8]) -> Option<&SlotId> {
-        ART_READS.fetch_add(1, Ordering::Relaxed);
+        bump(&ART_READS);
         self.0.get_ref(key)
     }
 
     fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, SlotId> {
-        ART_READS.fetch_add(1, Ordering::Relaxed);
+        bump(&ART_READS);
         let probe = self.0.probe_prefix(prefix, complete);
         if matches!(probe, Probe::Candidate(_)) {
-            ART_CANDIDATES.fetch_add(1, Ordering::Relaxed);
+            bump(&ART_CANDIDATES);
         }
         probe
     }
@@ -285,7 +297,10 @@ impl OrderedIndex<SlotId> for CountedArt {
     }
 
     fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &SlotId) -> bool) {
-        self.0.visit(low, high, f);
+        self.0.visit(low, high, &mut |key, id| {
+            bump(&ART_VISITED);
+            f(key, id)
+        });
     }
 
     fn len(&self) -> usize {
@@ -301,15 +316,11 @@ fn counted_art() -> Box<dyn OrderedIndex<SlotId>> {
     Box::<CountedArt>::default()
 }
 
-/// An ART store answers a get from as few encoded bytes as place the key
-/// in its trie, and confirms the one candidate left against the record's
-/// source key. Under every scheme, live and from a snapshot, whole keys
-/// and probes that stop early must both come out exact: the empty key,
-/// strict prefixes of stored keys, keys that extend one, and 0x00 / 0xFF
-/// runs, stored and not, in the loaded base and in the write tail. A key
-/// over `MAX_KEY_BYTES` is a codec error before the index sees it.
-#[test]
-fn art_point_reads_that_stop_encoding_early_stay_exact() {
+/// The keys the ART early-stop tests store — the empty key, 0x00 / 0xFF
+/// runs, `a` + 0x00 runs, keys that are prefixes of others — sorted, and
+/// the probes they read with: every stored key, every strict prefix and
+/// a few extensions of each, and runs no key holds.
+fn early_stop_keys() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let mut stored: Vec<Vec<u8>> = vec![Vec::new()];
     for n in [1, 2, 3, 7, 8, 9, 16, 17, 40] {
         stored.extend([vec![0x00; n], vec![0xff; n], zero_padded(b"a", n)]);
@@ -319,8 +330,6 @@ fn art_point_reads_that_stop_encoding_early_stay_exact() {
     }
     stored.sort();
     stored.dedup();
-    // Every strict prefix and a few extensions of each stored key, and
-    // runs no key holds.
     let mut probes: Vec<Vec<u8>> = stored.clone();
     for k in &stored {
         probes.extend((0..k.len()).map(|n| k[..n].to_vec()));
@@ -331,15 +340,45 @@ fn art_point_reads_that_stop_encoding_early_stay_exact() {
         }
     }
     probes.extend((1..=48).flat_map(|n| [vec![0x00; n], vec![0xff; n], vec![0x01; n]]));
-    // The odd keys are loaded; the even ones, and updates of every third
-    // key, go to the write tail after a snapshot.
-    let loaded: Vec<(Vec<u8>, u64)> = stored
+    (stored, probes)
+}
+
+/// The odd keys of `stored`, valued by position: what the early-stop
+/// tests load. The even ones, and updates of every third key, go to the
+/// write tail after a snapshot ([`write_early_stop_tail`]).
+fn early_stop_load(stored: &[Vec<u8>]) -> Vec<(Vec<u8>, u64)> {
+    stored
         .iter()
         .enumerate()
         .filter(|(i, _)| i % 2 == 1)
         .map(|(i, k)| (k.clone(), i as u64))
-        .collect();
+        .collect()
+}
 
+fn write_early_stop_tail(
+    store: &HopeStore<u64>,
+    model: &mut BTreeMap<Vec<u8>, u64>,
+    stored: &[Vec<u8>],
+) {
+    for (i, k) in stored.iter().enumerate() {
+        if i % 2 == 0 || i % 3 == 0 {
+            let v = 1_000 + i as u64;
+            assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v));
+        }
+    }
+}
+
+/// An ART store answers a get from as few encoded bytes as place the key
+/// in its trie, and confirms the one candidate left against the record's
+/// source key. Under every scheme, live and from a snapshot, whole keys
+/// and probes that stop early must both come out exact: the empty key,
+/// strict prefixes of stored keys, keys that extend one, and 0x00 / 0xFF
+/// runs, stored and not, in the loaded base and in the write tail. A key
+/// over `MAX_KEY_BYTES` is a codec error before the index sees it.
+#[test]
+fn art_point_reads_that_stop_encoding_early_stay_exact() {
+    let (stored, probes) = early_stop_keys();
+    let loaded = early_stop_load(&stored);
     for scheme in Scheme::ALL {
         for backend in [Backend::Art, Backend::Custom(counted_art)] {
             let cfg = StoreConfig { shards: 2, scheme, backend, ..StoreConfig::default() };
@@ -347,12 +386,7 @@ fn art_point_reads_that_stop_encoding_early_stay_exact() {
             let mut model: BTreeMap<Vec<u8>, u64> = loaded.iter().cloned().collect();
             let snap = store.snapshot();
             let frozen = model.clone();
-            for (i, k) in stored.iter().enumerate() {
-                if i % 2 == 0 || i % 3 == 0 {
-                    let v = 1_000 + i as u64;
-                    assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v));
-                }
-            }
+            write_early_stop_tail(&store, &mut model, &stored);
             for p in &probes {
                 let what = format!("{scheme}/{backend:?}: {p:?}");
                 assert_eq!(store.get(p).unwrap(), model.get(p).copied(), "{what}");
@@ -361,13 +395,123 @@ fn art_point_reads_that_stop_encoding_early_stay_exact() {
             }
 
             let giant = vec![b'a'; hope::MAX_KEY_BYTES + 1];
-            let reads = ART_READS.load(Ordering::Relaxed);
+            let reads = ART_READS.get();
             assert!(matches!(store.get(&giant), Err(StoreError::Codec(_))), "{scheme}");
             assert!(matches!(snap.get(&giant), Err(StoreError::Codec(_))), "{scheme}");
-            assert_eq!(ART_READS.load(Ordering::Relaxed), reads, "{scheme}: the index was read");
+            assert_eq!(ART_READS.get(), reads, "{scheme}: the index was read");
         }
     }
-    assert!(ART_CANDIDATES.load(Ordering::Relaxed) > 0, "no get stopped encoding early");
+    assert!(ART_CANDIDATES.get() > 0, "no get stopped encoding early");
+}
+
+/// The hits of a cursor, pulled one by one.
+fn pull(mut cursor: RangeCursor<'_, u64>) -> Vec<(Vec<u8>, u64)> {
+    let mut pulled = Vec::new();
+    while let Some((k, v)) = cursor.next_hit() {
+        pulled.push((k.to_vec(), *v));
+    }
+    assert!(cursor.error().is_none(), "{:?}", cursor.error());
+    pulled
+}
+
+/// An ART store starts a scan from as few encoded bytes of its low bound
+/// as place it in the trie, and encodes no high bound: each hit's source
+/// key is checked against both bounds instead, skipping keys below the
+/// low one (or at a cursor's resume key) and stopping at the first above
+/// the high one. Under every scheme, live and from a snapshot, pushed
+/// and pulled, scans from every probe of the point-read test to highs
+/// stored and not must equal a `BTreeMap`'s; whole blocks of more than a
+/// cursor chunk resume mid-scan, in the base and in the write tail. A
+/// walk visits no more than the index keys inside the range and a few
+/// per shard and chunk: a snapshot scan stops at the first key above
+/// `high` even when that key was born after the snapshot.
+#[test]
+fn art_scans_that_stop_encoding_early_stay_exact() {
+    let (stored, probes) = early_stop_keys();
+    // More than a cursor chunk each: a loaded block, and one written
+    // after the snapshot, which the snapshot's scans must walk past.
+    let block = |stem: &str| -> Vec<Vec<u8>> {
+        (0..300).map(|i| format!("{stem}{i:03}").into_bytes()).collect()
+    };
+    let mut loaded = early_stop_load(&stored);
+    loaded.extend(block("http://example.com/a/").into_iter().zip(5_000..));
+    loaded.sort();
+    let written = block("com.gmail@alice/");
+    let highs: Vec<Vec<u8>> = [
+        &b""[..],
+        b"com.gmail@alice",
+        b"com.gmail@alicia",
+        b"http://example.com/a/150",
+        &[0xff; 9],
+        b"com.gmail@alice/150x",
+        b"b",
+        b"http://example.com/a/2",
+        &[0xff; 100],
+    ]
+    .map(<[u8]>::to_vec)
+    .to_vec();
+
+    let mut early = 0;
+    for scheme in Scheme::ALL {
+        for backend in [Backend::Art, Backend::Custom(counted_art)] {
+            let counted = matches!(backend, Backend::Custom(_));
+            let cfg = StoreConfig { shards: 2, scheme, backend, ..StoreConfig::default() };
+            let store = HopeStore::build(cfg, loaded.clone()).unwrap();
+            let mut model: BTreeMap<Vec<u8>, u64> = loaded.iter().cloned().collect();
+            let snap = store.snapshot();
+            let frozen = model.clone();
+            write_early_stop_tail(&store, &mut model, &stored);
+            for (k, v) in written.iter().zip(9_000..) {
+                assert_eq!(store.insert(k.clone(), v).unwrap(), model.insert(k.clone(), v));
+            }
+
+            let candidates = ART_CANDIDATES.get();
+            let check = |low: &[u8], high: &[u8], limit: usize| {
+                let what = format!("{scheme}/{backend:?}: {low:?}..={high:?} ({limit})");
+                let want = |m: &BTreeMap<Vec<u8>, u64>| -> Vec<(Vec<u8>, u64)> {
+                    let range = m.range::<[u8], _>((Included(low), Included(high)));
+                    range.take(limit).map(|(k, v)| (k.clone(), *v)).collect()
+                };
+                let indexed = model.range::<[u8], _>((Included(low), Included(high))).count();
+                let visited = ART_VISITED.get();
+                let mut pushed = Vec::new();
+                store.range_into(low, high, limit, &mut pushed).unwrap();
+                assert_eq!(pushed, want(&model), "{what}: pushed");
+                assert_eq!(pull(store.cursor(low, high, limit).unwrap()), pushed, "{what}: pulled");
+                let mut pushed = Vec::new();
+                snap.range_into(low, high, limit, &mut pushed).unwrap();
+                assert_eq!(pushed, want(&frozen), "{what}: snapshot pushed");
+                let pulled = pull(snap.cursor(low, high, limit).unwrap());
+                assert_eq!(pulled, pushed, "{what}: snapshot pulled");
+                // Four walks (two per source), each over at most the
+                // index keys in range plus, per shard and per chunk, one
+                // key below `from` and the one that stops it.
+                let walked = ART_VISITED.get() - visited;
+                let chunks = 2 * (limit.min(indexed) / 256 + 2);
+                assert!(
+                    !counted || walked as usize <= 4 * indexed + 4 * chunks,
+                    "{what}: {walked}"
+                );
+            };
+            for low in &probes {
+                for high in highs.iter().filter(|h| *h >= low) {
+                    check(low, high, 3);
+                }
+            }
+            for low in probes.iter().step_by(13) {
+                check(low, &[0xff; 100], usize::MAX);
+            }
+            for (low, high) in [
+                (&b"http://example.com/a/"[..], &b"http://example.com/a/\xff"[..]),
+                (b"com.gmail@al", b"com.gmail@alicia"),
+                (b"", &[0xff; 100]),
+            ] {
+                check(low, high, usize::MAX);
+            }
+            early += ART_CANDIDATES.get() - candidates;
+        }
+    }
+    assert!(early > 0, "no scan stopped encoding its low bound early");
 }
 
 /// A cursor held across a concurrent dictionary swap keeps serving a
