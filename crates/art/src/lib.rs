@@ -675,30 +675,21 @@ impl<V> Art<V> {
         self.get_ref(key).cloned()
     }
 
-    /// Hand one leaf to `f` unless it lies above the inclusive upper
-    /// bound; returns false to halt the (in-order) traversal.
-    fn emit(&self, leaf: usize, high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) -> bool {
-        let key = self.keys.get(leaf);
-        // Above `high`, every later key is larger still.
-        high.is_none_or(|h| key <= h) && f(key, &self.values[leaf])
-    }
-
     /// In-order traversal (a node's terminator leaf sorts before its
     /// children); `bounded` = the subtree may still contain keys below
-    /// `start` (we are on the boundary path). `high` is the optional
-    /// inclusive upper bound; the first key above it, or `f` returning
-    /// false, stops the walk.
+    /// `start` (we are on the boundary path). `f` returning false stops
+    /// the walk.
     fn scan_rec(
         &self,
         ptr: Ptr,
         depth: usize,
         start: &[u8],
-        high: Option<&[u8]>,
         bounded: bool,
         f: &mut dyn FnMut(&[u8], &V) -> bool,
     ) -> bool {
         if let Some(leaf) = ptr.as_leaf() {
-            return (bounded && self.keys.get(leaf) < start) || self.emit(leaf, high, f);
+            let key = self.keys.get(leaf);
+            return (bounded && key < start) || f(key, &self.values[leaf]);
         }
         let node_idx = ptr.as_node().expect("valid ptr");
         let node = &self.nodes[node_idx];
@@ -727,14 +718,14 @@ impl<V> Art<V> {
         if let Some(t) = node.term.as_leaf() {
             // On the boundary path the term may still lie below start.
             let in_range = include_term || self.keys.get(t) >= start;
-            if in_range && !self.emit(t, high, f) {
+            if in_range && !f(self.keys.get(t), &self.values[t]) {
                 return false;
             }
         }
         let mut keep_going = true;
         node.children.for_each_from(from, |label, child| {
             let child_bounded = boundary_child && (label as u16) == from;
-            keep_going = self.scan_rec(child, depth + pl + 1, start, high, child_bounded, f);
+            keep_going = self.scan_rec(child, depth + pl + 1, start, child_bounded, f);
             keep_going
         });
         keep_going
@@ -811,9 +802,9 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
         }
     }
 
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &V) -> bool) {
         if let Some(root) = self.root {
-            self.scan_rec(root, 0, low, high, true, f);
+            self.scan_rec(root, 0, low, true, f);
         }
     }
 
@@ -836,7 +827,7 @@ mod tests {
     /// Values of the first `count` keys `>= start`.
     fn scan(t: &Art, start: &[u8], count: usize) -> Vec<u64> {
         let mut out = Vec::new();
-        t.visit(start, None, &mut |_, v| {
+        t.visit(start, &mut |_, v| {
             out.push(*v);
             out.len() < count
         });

@@ -47,8 +47,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use std::cmp::Ordering;
-
 use hope::axis::shortest_separator;
 use hope::index::KeyBlock;
 
@@ -391,14 +389,12 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         self.load_inner_levels(seps, level);
     }
 
-    /// Leaf-chain walk from the first key `>= low`. The end of the range
-    /// is located **once per leaf**: `high` is compared with the leaf's
-    /// last key, a leaf inside the range is emitted whole and uncompared,
-    /// and only the final leaf is searched for the first key `> high`. A
-    /// plain tree hands out slices of its key blocks; under prefix
-    /// truncation the full key (node prefix + suffix) is rebuilt into one
-    /// reused buffer.
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
+    /// Leaf-chain walk from the first key `>= low`: one descent, then
+    /// every later leaf emitted whole until `f` stops the walk. A plain
+    /// tree hands out slices of its key blocks; under prefix truncation
+    /// the full key (node prefix + suffix) is rebuilt into one reused
+    /// buffer.
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &V) -> bool) {
         let mut at = self.root;
         while let Node::Inner(inner) = &self.nodes[at as usize] {
             at = inner.children[inner.seps.upper_bound(low)];
@@ -409,18 +405,8 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
         };
         let mut buf = Vec::new();
         while let Some(Node::Leaf(LeafNode { keys, values, next })) = self.nodes.get(at as usize) {
-            let n = keys.len();
-            // `Some` in the leaf the range ends in.
-            let end = match high {
-                Some(h) if n > 0 && keys.cmp(n - 1, h) == Ordering::Greater => {
-                    Some(keys.upper_bound(h))
-                }
-                _ => None,
-            };
-            // Inverted bounds put the end below `pos`: nothing to emit.
-            let hits = pos.min(end.unwrap_or(n))..end.unwrap_or(n);
             let prefix = keys.prefix();
-            for (suffix, value) in keys.suffixes(hits.clone()).zip(&values[hits]) {
+            for (suffix, value) in keys.suffixes(pos..keys.len()).zip(&values[pos..]) {
                 let key: &[u8] = if prefix.is_empty() {
                     suffix
                 } else {
@@ -432,9 +418,6 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
                 if !f(key, value) {
                     return;
                 }
-            }
-            if end.is_some() {
-                return;
             }
             at = *next; // NO_NODE is out of bounds: ends the walk
             pos = 0;
@@ -464,7 +447,7 @@ mod tests {
     /// Values of the first `count` keys `>= start`.
     fn scan(t: &BPlusTree, start: &[u8], count: usize) -> Vec<u64> {
         let mut out = Vec::new();
-        t.visit(start, None, &mut |_, v| {
+        t.visit(start, &mut |_, v| {
             out.push(*v);
             out.len() < count
         });

@@ -13,8 +13,9 @@
 //! `V: `[`Value`] (any `Clone + Send + Sync + Debug + 'static` type), with
 //! `u64` as the default parameter so `dyn OrderedIndex` keeps meaning the
 //! classic id-valued index. The scan surface is one primitive,
-//! [`OrderedIndex::visit`] — a bounded, keyed, early-stopping in-order
-//! walk; [`OrderedIndex::range_into`] (values of a bounded range) and
+//! [`OrderedIndex::visit`] — an open, keyed, early-stopping in-order walk
+//! from a low bound; [`OrderedIndex::range_into`] (values of a bounded
+//! range, stopping at its first key above the high bound) and
 //! [`OrderedIndex::for_each`] (every pair) are provided over it. Bulk
 //! construction is one more provided method, [`OrderedIndex::load_sorted`]:
 //! its default body inserts pair by pair, and a tree that can be built
@@ -144,12 +145,12 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// Visit the `(key, value)` pairs with `low <= key` and, when `high`
-    /// is set, `key <= high` (`None` = to the end of the index), in key
-    /// order, until `f` returns `false` — the one scan primitive an
-    /// implementation writes. The key slice is valid only for the
+    /// Visit the `(key, value)` pairs with `low <= key`, in key order,
+    /// until `f` returns `false` or the index ends — the one scan
+    /// primitive an implementation writes. The walk is open: where it
+    /// stops is `f`'s to say. The key slice is valid only for the
     /// duration of the call (a prefix-truncating tree rebuilds it in a
-    /// reused buffer). Inverted bounds (`low > high`) visit nothing.
+    /// reused buffer).
     ///
     /// ```
     /// use hope::OrderedIndex;
@@ -160,31 +161,37 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     ///     OrderedIndex::insert(&mut ix, k, i as u64);
     /// }
     /// let mut seen = Vec::new();
-    /// ix.visit(b"aa", Some(b"c"), &mut |k, v| {
+    /// ix.visit(b"aa", &mut |k, v| {
     ///     seen.push((k.to_vec(), *v));
     ///     seen.len() < 2 // stop after two hits
     /// });
     /// assert_eq!(seen, vec![(b"ab".to_vec(), 1), (b"b".to_vec(), 2)]);
     /// ```
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool);
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &V) -> bool);
 
     /// Append clones of the values of up to `limit` keys in `low..=high`
-    /// to `out`, in key order — [`OrderedIndex::visit`] for callers that
-    /// want no keys, reusing one buffer across scans.
+    /// to `out`, in key order — [`OrderedIndex::visit`] from `low`,
+    /// stopped at its first key above `high`, for callers that want no
+    /// keys, reusing one buffer across scans. Inverted bounds
+    /// (`low > high`) append nothing.
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
-        if limit == 0 {
+        if limit == 0 || low > high {
             return;
         }
         let stop = out.len().saturating_add(limit);
-        self.visit(low, Some(high), &mut |_, v| {
+        self.visit(low, &mut |k, v| {
+            if k > high {
+                return false;
+            }
             out.push(v.clone());
             out.len() < stop
         });
     }
 
-    /// Visit every `(key, value)` pair in key order: the unbounded
-    /// [`OrderedIndex::visit`]. `hope_store` rebuilds a shard from this
-    /// walk: the index is the only holder of the encoded bytes.
+    /// Visit every `(key, value)` pair in key order: the
+    /// [`OrderedIndex::visit`] from the empty key. `hope_store` rebuilds
+    /// a shard from this walk: the index is the only holder of the
+    /// encoded bytes.
     ///
     /// ```
     /// use hope::OrderedIndex;
@@ -199,7 +206,7 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// assert_eq!(seen, vec![(b"a".to_vec(), 1), (b"ab".to_vec(), 3), (b"b".to_vec(), 2)]);
     /// ```
     fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
-        self.visit(b"", None, &mut |k, v| {
+        self.visit(b"", &mut |k, v| {
             f(k, v);
             true
         });
@@ -228,12 +235,11 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
         std::collections::BTreeMap::insert(self, key.to_vec(), value)
     }
 
-    /// Walks from the borrowed lower bound and tests `high` per pair
-    /// (`BTreeMap::range` panics on inverted bounds).
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
+    /// Walks from the borrowed lower bound.
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &V) -> bool) {
         use std::ops::Bound::{Included, Unbounded};
         for (k, v) in self.range::<[u8], _>((Included(low), Unbounded)) {
-            if high.is_some_and(|h| k.as_slice() > h) || !f(k, v) {
+            if !f(k, v) {
                 return;
             }
         }

@@ -249,18 +249,6 @@ impl KeyBlock {
         [self.prefix(), self.suffix(i)].concat()
     }
 
-    /// Compare stored key `i` with `q` without materializing it.
-    pub fn cmp(&self, i: usize, q: &[u8]) -> Ordering {
-        let p = self.prefix();
-        let n = p.len().min(q.len());
-        match p[..n].cmp(&q[..n]) {
-            // Stored starts with more than q has.
-            Ordering::Equal if q.len() < p.len() => Ordering::Greater,
-            Ordering::Equal => self.suffix(i).cmp(&q[p.len()..]),
-            other => other,
-        }
-    }
-
     /// `Ok(i)` if key `i` is `q`, else `Err(i)` with `i` keys below `q`.
     pub fn search(&self, q: &[u8]) -> Result<usize, usize> {
         let n = self.len();

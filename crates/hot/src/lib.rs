@@ -157,14 +157,6 @@ impl Leaf {
         }
     }
 
-    /// First slot whose key is `> key`.
-    fn upper_bound(&self, keys: &KeyRun, key: &[u8]) -> usize {
-        match self.search(keys, key) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
-    }
-
     /// Splice record `rec` in at slot `i`. A full leaf grows **once**, to
     /// [`LEAF_ROOM`] slots, and never doubles past that (DESIGN.md, "HOT
     /// on key blocks"). The common prefix can only shrink; when it does,
@@ -545,34 +537,19 @@ impl<V> Hot<V> {
     }
 
     /// In-order traversal; `bounded` = the subtree may still contain
-    /// keys below `start` (we are on the boundary path). `high` is the
-    /// optional inclusive upper bound; the leaf holding the first record
-    /// above it, or `f` returning false, stops the walk.
+    /// keys below `start` (we are on the boundary path). `f` returning
+    /// false stops the walk.
     fn scan_rec(
         &self,
         at: u32,
         start: &[u8],
-        high: Option<&[u8]>,
         bounded: bool,
         f: &mut dyn FnMut(&[u8], &V) -> bool,
     ) -> bool {
         match &self.nodes[at as usize] {
             Node::Leaf(leaf) => {
-                let recs = &leaf.recs;
                 let from = if bounded { leaf.lower_bound(&self.keys, start) } else { 0 };
-                // One `high` compare per leaf: a leaf whose last key is
-                // inside the range is emitted whole and uncompared, and
-                // only the leaf the range ends in is searched (inverted
-                // bounds put that end below `from`: nothing to emit).
-                let end = match (high, recs.last()) {
-                    (Some(h), Some(&last)) if self.rec_key(last) > h => {
-                        Some(leaf.upper_bound(&self.keys, h))
-                    }
-                    _ => None,
-                };
-                let to = end.unwrap_or(recs.len());
-                recs[from.min(to)..to].iter().all(|&r| f(self.rec_key(r), &self.values[r as usize]))
-                    && end.is_none()
+                leaf.recs[from..].iter().all(|&r| f(self.rec_key(r), &self.values[r as usize]))
             }
             Node::Inner(inner) => {
                 let mut from_child = 0usize;
@@ -601,7 +578,7 @@ impl<V> Hot<V> {
                     .iter()
                     .enumerate()
                     .skip(from_child)
-                    .all(|(i, &c)| self.scan_rec(c, start, high, boundary && i == from_child, f))
+                    .all(|(i, &c)| self.scan_rec(c, start, boundary && i == from_child, f))
             }
         }
     }
@@ -676,8 +653,8 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
 
     /// Walks the leaves in key order and hands out each hit's key as a
     /// slice of the record heap.
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &V) -> bool) {
-        self.scan_rec(self.root, low, high, true, f);
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &V) -> bool) {
+        self.scan_rec(self.root, low, true, f);
     }
 
     fn len(&self) -> usize {
@@ -699,7 +676,7 @@ mod tests {
     /// Values of the first `count` keys `>= start`.
     fn scan(t: &Hot, start: &[u8], count: usize) -> Vec<u64> {
         let mut out = Vec::new();
-        t.visit(start, None, &mut |_, v| {
+        t.visit(start, &mut |_, v| {
             out.push(*v);
             out.len() < count
         });
@@ -791,7 +768,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         let mut walked = Vec::new();
-        h.visit(b"", None, &mut |k, _| {
+        h.visit(b"", &mut |k, _| {
             walked.push(k.to_vec());
             true
         });
@@ -880,7 +857,7 @@ mod tests {
 
     /// `leaf` holds exactly the records `recs` of `keys`, tight, and its
     /// searches agree with `partition_point` on every query: `search` and
-    /// both bounds on position, `probe` on membership.
+    /// `lower_bound` on position, `probe` on membership.
     fn check_search(leaf: &Leaf, keys: &KeyRun, recs: &[u32], queries: &[Vec<u8>]) {
         assert_eq!(leaf.recs, recs);
         check_leaf(leaf, keys);
@@ -893,7 +870,6 @@ mod tests {
             assert_eq!(leaf.search(keys, q), want, "{stored:?}: search({q:?})");
             assert_eq!(leaf.probe(keys, q).ok(), want.ok(), "{stored:?}: probe({q:?})");
             assert_eq!(leaf.lower_bound(keys, q), lower);
-            assert_eq!(leaf.upper_bound(keys, q), lower + usize::from(hit));
         }
     }
 

@@ -1,8 +1,6 @@
 //! [`RangeCursor`]: the lazy, zero-alloc range-scan surface of the store.
 //!
-//! The pre-v1 store had three parallel eager entry points (`range`,
-//! `range_with`, `range_into`). v1 replaces them with one lazy cursor and
-//! keeps the old names as thin wrappers:
+//! A range query is one lazy cursor, consumed one of two ways:
 //!
 //! * [`RangeCursor::next_hit`] — **pull**: a lending iterator step. Hits
 //!   are fetched from the shards in chunks (under short read-lock holds)
@@ -16,10 +14,16 @@
 //! * [`RangeCursor::for_each`] — **push**: consumes the cursor and
 //!   streams the remaining hits straight out of the shard engine with
 //!   borrowed keys and values, no chunk copies, using the probe
-//!   thread-locals. This is the fastest scan shape and exactly the old
-//!   `range_with` visitor path.
-//! * [`RangeCursor::collect_into`] — convenience over `for_each` that
-//!   appends `(key, value)` pairs to a caller-owned buffer.
+//!   thread-locals. This is the fastest scan shape, and the one push
+//!   loop [`HopeStore::range_with`] and [`Snapshot::range_with`] run
+//!   over their borrowed bounds.
+//!
+//! Every read of a shard is one seek and one open walk
+//! (`Generation::range_with_from`): the scan's first shard starts at
+//! its low bound, a chunk that resumes inside a shard starts after the
+//! last key it emitted, and every later shard starts at its first key —
+//! the split points are fixed, so all its keys lie above the low bound,
+//! and nothing is encoded to enter it.
 //!
 //! ## Consistency
 //!
@@ -36,6 +40,7 @@
 //! capture time, so the scan observes exactly the capture instant — no
 //! swap, insert, or update after it is ever visible, in any shard.
 
+use std::ops::Bound;
 use std::sync::Arc;
 
 use hope::Value;
@@ -92,7 +97,11 @@ impl<'a, V: Value> Source<'a, V> {
 #[derive(Debug)]
 pub struct RangeCursor<'a, V: Value = u64> {
     source: Source<'a, V>,
-    low: Vec<u8>,
+    /// Where the next read of the current shard starts: the low bound
+    /// (`Included`) in the first shard, after the last key emitted
+    /// (`Excluded`) when a chunk resumes inside a shard, and the shard's
+    /// first key (`Unbounded`) in every later one.
+    start: Bound<Vec<u8>>,
     high: Vec<u8>,
     /// Hits still allowed by the query's `limit`.
     remaining: usize,
@@ -104,9 +113,6 @@ pub struct RangeCursor<'a, V: Value = u64> {
     /// Watermark the current shard is read at (snapshot sources only;
     /// `None` reads latest). Set alongside `generation` on shard entry.
     watermark: Option<usize>,
-    /// Resume point within the current shard: the last key already
-    /// emitted (hits continue strictly after it).
-    after: Option<Vec<u8>>,
     /// Pull-mode chunk buffers: keys back-to-back + `(start, end)` spans
     /// into them + values. Spans (not end offsets) so serving hit `i`
     /// needs no branch on `i == 0` and no second offset load.
@@ -137,14 +143,13 @@ impl<'a, V: Value> RangeCursor<'a, V> {
             if empty { (1, 0) } else { (source.route(low), source.route(high)) };
         RangeCursor {
             source,
-            low: low.to_vec(),
+            start: Bound::Included(low.to_vec()),
             high: high.to_vec(),
             remaining: if empty { 0 } else { limit },
             shard,
             shard_end,
             generation: None,
             watermark: None,
-            after: None,
             keys_flat: Vec::new(),
             key_spans: Vec::new(),
             vals: Vec::new(),
@@ -240,7 +245,6 @@ impl<'a, V: Value> RangeCursor<'a, V> {
                     // one for a live source; the capture-time one, plus
                     // its watermark, for a snapshot).
                     let (g, w) = self.source.pin(self.shard);
-                    self.after = None;
                     self.watermark = w;
                     self.generation = Some(Arc::clone(&g));
                     g
@@ -249,10 +253,9 @@ impl<'a, V: Value> RangeCursor<'a, V> {
             let chunk = CHUNK.min(self.remaining);
             self.chunk_epoch = Some(generation.epoch());
             let visited = {
-                let Self { low, high, after, watermark, keys_flat, key_spans, vals, .. } = self;
+                let Self { start, high, watermark, keys_flat, key_spans, vals, .. } = self;
                 generation.range_with_from(
-                    after.as_deref(),
-                    low,
+                    start.as_ref().map(Vec::as_slice),
                     high,
                     chunk,
                     *watermark,
@@ -274,20 +277,25 @@ impl<'a, V: Value> RangeCursor<'a, V> {
             };
             self.remaining -= emitted;
             if emitted < chunk {
-                // Fewer hits than asked: this shard is exhausted.
+                // Fewer hits than asked: this shard is exhausted, and the
+                // next one is read from its first key.
                 self.generation = None;
                 self.shard += 1;
+                self.start = Bound::Unbounded;
             } else if self.remaining > 0 {
-                // Full chunk with budget left: remember the resume point
-                // (last emitted key), reusing the buffer across chunks.
+                // Full chunk with budget left: resume after the last
+                // emitted key, reusing the bound's buffer across chunks.
                 // A full chunk that *spent* the budget skips this — the
                 // scan is over and the copy would be dead work.
                 let (last_start, _) = self.key_spans[self.key_spans.len() - 1];
-                let Self { after, keys_flat, .. } = self;
-                let last = &keys_flat[last_start as usize..];
-                let after = after.get_or_insert_with(Vec::new);
-                after.clear();
-                after.extend_from_slice(last);
+                let last = &self.keys_flat[last_start as usize..];
+                let mut key = match std::mem::replace(&mut self.start, Bound::Unbounded) {
+                    Bound::Included(key) | Bound::Excluded(key) => key,
+                    Bound::Unbounded => Vec::new(),
+                };
+                key.clear();
+                key.extend_from_slice(last);
+                self.start = Bound::Excluded(key);
             }
             if emitted > 0 {
                 return true;
@@ -299,9 +307,9 @@ impl<'a, V: Value> RangeCursor<'a, V> {
     /// Push adapter: consume the cursor and call `f(key, value)` for
     /// every remaining hit, returning the total emitted. Already-buffered
     /// hits are served from the buffers; the rest streams zero-copy
-    /// through the shard engine (the old `range_with` visitor path —
-    /// zero heap allocations per scan once the probe thread-locals are
-    /// warm).
+    /// through the shard engine, the push loop [`HopeStore::range_with`]
+    /// runs too — zero heap allocations per scan once the probe
+    /// thread-locals are warm.
     ///
     /// `f` runs under a shard generation's read lock: keep it short and
     /// never call back into the store from inside it.
@@ -326,40 +334,46 @@ impl<'a, V: Value> RangeCursor<'a, V> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        // Stream the rest shard by shard.
-        while !self.done && self.remaining > 0 && self.shard <= self.shard_end {
-            let (generation, watermark) = match self.generation.take() {
-                Some(g) => (g, self.watermark),
-                None => self.source.pin(self.shard),
-            };
-            let n = generation.range_with_from(
-                self.after.take().as_deref(),
-                &self.low,
-                &self.high,
-                self.remaining,
-                watermark,
-                &mut f,
-            )?;
-            emitted += n;
-            self.remaining -= n;
-            self.shard += 1;
-        }
-        Ok(emitted)
-    }
-
-    /// Collect adapter: append every remaining hit to `out` as an owned
-    /// `(key, value)` pair and return the count appended.
-    ///
-    /// # Errors
-    ///
-    /// As [`RangeCursor::for_each`].
-    pub fn collect_into(self, out: &mut Vec<(Vec<u8>, V)>) -> Result<usize, StoreError> {
-        self.for_each(|k, v| out.push((k.to_vec(), v.clone())))
+        let pinned = self.generation.take().map(|g| (g, self.watermark));
+        let start = self.start.as_ref().map(Vec::as_slice);
+        let shards = self.shard..=self.shard_end;
+        Ok(emitted + push(self.source, start, &self.high, shards, pinned, self.remaining, f)?)
     }
 }
 
-/// The cursor's push engine over **borrowed** bounds: what a fresh
-/// cursor's [`RangeCursor::for_each`] does, without the cursor object's
+/// The one push loop, behind [`RangeCursor::for_each`] and [`scan`]: up
+/// to `limit` hits from `start` to `high` over `shards`, in order, handed
+/// to `f` straight out of each generation's walk. The first shard is read
+/// at `pinned` when the cursor already holds its generation, and from
+/// `start`; every later one is pinned on entry and read from its first
+/// key.
+fn push<V, F>(
+    source: Source<'_, V>,
+    mut start: Bound<&[u8]>,
+    high: &[u8],
+    shards: std::ops::RangeInclusive<usize>,
+    mut pinned: Option<(Arc<Generation<V>>, Option<usize>)>,
+    limit: usize,
+    mut f: F,
+) -> Result<usize, StoreError>
+where
+    V: Value,
+    F: FnMut(&[u8], &V),
+{
+    let mut emitted = 0usize;
+    for shard in shards {
+        if emitted == limit {
+            break;
+        }
+        let (generation, watermark) = pinned.take().unwrap_or_else(|| source.pin(shard));
+        emitted += generation.range_with_from(start, high, limit - emitted, watermark, &mut f)?;
+        start = Bound::Unbounded;
+    }
+    Ok(emitted)
+}
+
+/// The push scan over **borrowed** bounds: what a fresh cursor's
+/// [`RangeCursor::for_each`] does, without the cursor object's
 /// owned-bounds copies. [`HopeStore::range_with`] and
 /// [`Snapshot::range_with`] (and the `range_into` forms over them) call
 /// it directly so the visitor scan stays allocation-free end to end (the
@@ -369,7 +383,7 @@ pub(crate) fn scan<V, F>(
     low: &[u8],
     high: &[u8],
     limit: usize,
-    mut f: F,
+    f: F,
 ) -> Result<usize, StoreError>
 where
     V: Value,
@@ -378,15 +392,6 @@ where
     if low > high || limit == 0 {
         return Ok(0);
     }
-    let (s0, s1) = (source.route(low), source.route(high));
-    let mut emitted = 0usize;
-    for shard in s0..=s1 {
-        if emitted == limit {
-            break;
-        }
-        let (generation, watermark) = source.pin(shard);
-        emitted +=
-            generation.range_with_from(None, low, high, limit - emitted, watermark, &mut f)?;
-    }
-    Ok(emitted)
+    let shards = source.route(low)..=source.route(high);
+    push(source, Bound::Included(low), high, shards, None, limit, f)
 }

@@ -37,12 +37,12 @@
 //! encodes only until one leaf is left
 //! ([`OrderedIndex::probe_prefix`]) and then compares its key with that
 //! record's source key, which the base holds (DESIGN.md "Point reads
-//! encode only what the index needs"). A scan encodes its low bound the
-//! same way, as far as the index needs, and never its high bound: it
-//! reads the source keys of its hits — out of the base in key order,
-//! sequential memory, until writes have moved them to the tail — and
-//! checks them against the source bounds (DESIGN.md "Scans encode one
-//! bound").
+//! encode only what the index needs"). A scan seeks its low bound the
+//! same way, with the same loop, in the first shard it reads only, and
+//! never encodes its high bound: it reads the source keys of its hits —
+//! out of the base in key order, sequential memory, until writes have
+//! moved them to the tail — and checks them against the source bounds
+//! (DESIGN.md "Scans encode one bound").
 //!
 //! ## Lock discipline
 //!
@@ -56,6 +56,7 @@
 
 use std::cell::RefCell;
 use std::num::NonZeroU32;
+use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use hope::index::KeyRun;
@@ -412,24 +413,22 @@ impl<V: Value> Generation<V> {
     }
 
     /// The point read behind every `get` form: encode `key` only as far
-    /// as the index needs to place it, then resolve its live record at log
-    /// watermark `at` — `None` reads the live value; `Some(w)` the value
-    /// `key` had when the log stood at `w` records, the read primitive
-    /// behind [`Snapshot`](crate::versioned::Snapshot) (records appended
-    /// at or after the watermark are invisible, and a key whose whole
-    /// version chain postdates it did not exist then; see
-    /// [`GenData::prev`]). `S` times the encode and probe stages for the
-    /// serving layer's sampled tracing, or is `()` and costs nothing.
+    /// as the index needs to place it ([`Generation::seek`]), then resolve
+    /// its live record at log watermark `at` — `None` reads the live
+    /// value; `Some(w)` the value `key` had when the log stood at `w`
+    /// records, the read primitive behind
+    /// [`Snapshot`](crate::versioned::Snapshot) (records appended at or
+    /// after the watermark are invisible, and a key whose whole version
+    /// chain postdates it did not exist then; see [`GenData::prev`]). `S`
+    /// times the encode and probe stages for the serving layer's sampled
+    /// tracing, or is `()` and costs nothing.
     ///
-    /// One loop under one read lock ([`OrderedIndex::probe_prefix`]):
-    /// encode until the index stops asking for more bytes. An index that
-    /// places whole keys only is asked once, with the whole encoding — its
-    /// `probe_prefix` is `get` — and the encoded bytes identify the
-    /// record. A trie can answer from fewer bytes: a miss at the first
-    /// missing branch, or the one record whose key the bytes can still
-    /// begin, which the record's source key then confirms or rejects. The
-    /// first chunk is encoded before the lock is taken; later ones under
-    /// it.
+    /// An index that places whole keys only is asked once, with the whole
+    /// encoding — its `probe_prefix` is `get` — and the encoded bytes
+    /// identify the record. A trie can answer from fewer bytes: a miss at
+    /// the first missing branch, or the one record whose key the bytes
+    /// can still begin, which the record's source key then confirms or
+    /// rejects.
     ///
     /// # Errors
     ///
@@ -441,41 +440,69 @@ impl<V: Value> Generation<V> {
         at: Option<usize>,
         f: impl FnOnce(&V) -> R,
     ) -> Result<(Option<R>, S), StoreError> {
+        let mut spans = S::start();
+        let found = self.seek(key, &mut spans, |d, bytes, answer| {
+            // A whole key: an index that places whole keys only is asked
+            // with the `get` its provided `probe_prefix` would make.
+            // Called directly, a B+tree read runs the code it always has
+            // (through `probe_prefix`, `point_email_btree` read about 2 %
+            // slower).
+            let answer = answer.unwrap_or_else(|| match self.first_chunk {
+                None => d.index.get(bytes).map_or(Probe::Absent, Probe::Hit),
+                Some(_) => d.index.probe_prefix(bytes, true),
+            });
+            let id = match answer {
+                Probe::Hit(&id) => id,
+                Probe::Candidate(&id) if d.record(id as usize).0 == key => id,
+                // A miss, another key's record, or (against the contract)
+                // more bytes asked of a whole key.
+                _ => return None,
+            };
+            d.visible_at(id as usize, at).map(|id| f(d.value(id)))
+        })?;
+        spans.probed();
+        Ok((found, spans))
+    }
+
+    /// The one seek behind point reads and scans, on this thread's probe
+    /// scratch under one read lock: encode `key` from the generation's
+    /// first chunk on ([`first_chunk`]; the whole key for an index that
+    /// places whole keys only) and ask [`OrderedIndex::probe_prefix`]
+    /// about each partial encoding until it stops asking for more bytes
+    /// or the key is whole. Then `done` runs on the index, the bytes
+    /// encoded, and the index's answer to them — `None` when they are the
+    /// whole encoding, which the seek does not probe. The first chunk is
+    /// encoded before the lock is taken; later ones under it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when `key` fails codec validation — before
+    /// the index is touched.
+    fn seek<S: SpanRecorder, R>(
+        &self,
+        key: &[u8],
+        spans: &mut S,
+        done: impl FnOnce(&GenData<V>, &[u8], Option<Probe<'_, SlotId>>) -> R,
+    ) -> Result<R, StoreError> {
         PROBE.with_borrow_mut(|scratch| {
-            let mut spans = S::start();
-            let whole = usize::MAX;
-            let (mut from, mut need) = (0, self.first_chunk.map_or(whole, |n| n.get() as usize));
+            let (mut from, mut need) =
+                (0, self.first_chunk.map_or(usize::MAX, |n| n.get() as usize));
             let mut data = None;
-            let found = loop {
+            loop {
                 let (bytes, to) = self.dict.hope.encode_prefix_to(key, from, need, scratch)?;
                 spans.encoded();
-                let d = data.get_or_insert_with(|| self.read());
-                // An index that places whole keys only is asked with the
-                // `get` its provided `probe_prefix` would make: called
-                // directly, a B+tree read runs the code it always has
-                // (through `probe_prefix`, `point_email_btree` read about
-                // 2 % slower).
-                let probe = if need == whole {
-                    d.index.get(bytes).map_or(Probe::Absent, Probe::Hit)
-                } else {
-                    d.index.probe_prefix(bytes, to == key.len())
-                };
-                let id = match probe {
-                    Probe::Hit(&id) => id,
-                    Probe::Candidate(&id) if d.record(id as usize).0 == key => id,
-                    Probe::NeedMore(n) if to < key.len() => {
+                let d: &GenData<V> = data.get_or_insert_with(|| self.read());
+                if to == key.len() {
+                    return Ok(done(d, bytes, None));
+                }
+                match d.index.probe_prefix(bytes, false) {
+                    Probe::NeedMore(n) => {
                         spans.probed();
                         (from, need) = (to, n.max(bytes.len() + 1));
-                        continue;
                     }
-                    // A miss, another key's record, or (against the
-                    // contract) more bytes asked of a whole key.
-                    _ => break None,
-                };
-                break d.visible_at(id as usize, at).map(|id| f(d.value(id)));
-            };
-            spans.probed();
-            Ok((found, spans))
+                    answer => return Ok(done(d, bytes, Some(answer))),
+                }
+            }
         })
     }
 
@@ -560,42 +587,40 @@ impl<V: Value> Generation<V> {
         if low > high || limit == 0 {
             return Ok(0);
         }
-        self.range_with_from(None, low, high, limit, None, f)
+        self.range_with_from(Bound::Included(low), high, limit, None, f)
     }
 
     /// The scan engine behind the push ([`Generation::range_with`]) and
-    /// pull (cursor chunk) paths: visit up to `limit` hits within
-    /// `low..=high` and strictly greater than `after` (when set: the
-    /// cursor's resume point, a key the scan already emitted). With `at`,
-    /// every live record resolves through its version chain first
+    /// pull (cursor chunk) paths: visit up to `limit` hits from `start` up
+    /// to `high` (inclusive) — `Included(low)` in a scan's first shard,
+    /// `Excluded(k)` for a cursor chunk resuming after `k`, the last key
+    /// it emitted, and `Unbounded` in a shard the scan enters later,
+    /// whose keys all lie above its low bound. With `at`, every live
+    /// record resolves through its version chain first
     /// ([`Generation::lookup`]), so the scan observes exactly the state
     /// at that log watermark — keys and versions born later are
     /// invisible. (Index and chain growth happen under the data lock this
     /// scan reads under, so the watermark is never torn.)
     ///
-    /// One bound is encoded, and only as far as the index needs: the
-    /// walk starts at `from` — `after`, or else `low` — encoded chunk by
-    /// chunk until [`OrderedIndex::probe_prefix`] stops asking for more
-    /// bytes, as [`Generation::lookup`] does (an index that places whole
-    /// keys only gets the whole encoding). Any prefix of `from`'s
+    /// One seek and one open walk. A bounded start is encoded only as far
+    /// as the index needs ([`Generation::seek`]); any prefix of its
     /// encoding is a valid place to start, because encoded order is
-    /// source order, and the walk is open-ended. Each hit's source key —
-    /// read for `f` anyway — makes the result exact: keys below `from`,
-    /// and `from` itself on a resumed scan, are skipped until the first
-    /// key past them (only keys that begin with the encoded prefix can be
-    /// below it: one at most once the index has isolated a leaf), and
-    /// the first key above `high` ends the walk, before its visibility
-    /// at `at` is resolved. Records born after `at` are walked past, not
-    /// counted.
+    /// source order. An unbounded start encodes nothing and walks from
+    /// the generation's first key. Each hit's source key — read for `f`
+    /// anyway — makes the result exact: keys before the start are skipped
+    /// until the first key past it (only keys that begin with the encoded
+    /// prefix can be before it: one at most once the index has isolated a
+    /// leaf), and the first key above `high` ends the walk, before its
+    /// visibility at `at` is resolved. Records born after `at` are walked
+    /// past, not counted.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Codec`] when `from` or `high` fails codec
+    /// [`StoreError::Codec`] when the start or `high` fails codec
     /// validation — before the index is touched.
     pub(crate) fn range_with_from<F>(
         &self,
-        after: Option<&[u8]>,
-        low: &[u8],
+        start: Bound<&[u8]>,
         high: &[u8],
         limit: usize,
         at: Option<usize>,
@@ -604,42 +629,34 @@ impl<V: Value> Generation<V> {
     where
         F: FnMut(&[u8], &V),
     {
-        debug_assert!(limit > 0 && after.is_none_or(|a| a >= low));
+        debug_assert!(limit > 0);
         validate_key(high)?;
-        let from = after.unwrap_or(low);
-        PROBE.with_borrow_mut(|scratch| {
-            let (mut pos, mut need) =
-                (0, self.first_chunk.map_or(usize::MAX, |n| n.get() as usize));
-            let mut data = None;
-            loop {
-                let (bytes, to) = self.dict.hope.encode_prefix_to(from, pos, need, scratch)?;
-                let d = data.get_or_insert_with(|| self.read());
-                if to < from.len() {
-                    if let Probe::NeedMore(n) = d.index.probe_prefix(bytes, false) {
-                        (pos, need) = (to, n.max(bytes.len() + 1));
-                        continue;
+        let mut walk = |d: &GenData<V>, bytes: &[u8]| {
+            let (mut seeking, mut emitted) = (start != Bound::Unbounded, 0usize);
+            d.index.visit(bytes, &mut |_, &id| {
+                let (key, _) = d.record(id as usize);
+                if seeking {
+                    if !(start, Bound::Unbounded).contains(key) {
+                        return true;
                     }
+                    seeking = false;
                 }
-                let (mut seeking, mut emitted) = (true, 0usize);
-                d.index.visit(bytes, None, &mut |_, &id| {
-                    let (key, _) = d.record(id as usize);
-                    if seeking {
-                        if key < from || (key == from && after.is_some()) {
-                            return true;
-                        }
-                        seeking = false;
-                    }
-                    if key > high {
-                        return false;
-                    }
-                    let Some(id) = d.visible_at(id as usize, at) else { return true };
-                    f(key, d.value(id));
-                    emitted += 1;
-                    emitted < limit
-                });
-                return Ok(emitted);
+                if key > high {
+                    return false;
+                }
+                let Some(id) = d.visible_at(id as usize, at) else { return true };
+                f(key, d.value(id));
+                emitted += 1;
+                emitted < limit
+            });
+            emitted
+        };
+        match start {
+            Bound::Included(from) | Bound::Excluded(from) => {
+                self.seek(from, &mut (), |d, bytes, _| walk(d, bytes))
             }
-        })
+            Bound::Unbounded => Ok(walk(&self.read(), &[])),
+        }
     }
 
     /// Snapshot the live records in source order, the log watermark
@@ -835,8 +852,10 @@ mod tests {
         }
         assert_eq!(g.get(b"a").unwrap(), Some(12));
         let mut at_4: Vec<(Vec<u8>, u64)> = Vec::new();
-        g.range_with_from(None, b"a", b"z", 10, Some(4), |k, v| at_4.push((k.to_vec(), *v)))
-            .unwrap();
+        g.range_with_from(Bound::Included(b"a"), b"z", 10, Some(4), |k, v| {
+            at_4.push((k.to_vec(), *v))
+        })
+        .unwrap();
         assert_eq!(at_4, vec![(b"a".to_vec(), 11), (b"b".to_vec(), 20), (b"c".to_vec(), 30)]);
     }
 
@@ -883,12 +902,23 @@ mod tests {
     #[test]
     fn range_visit_resumes_strictly_after_a_key() {
         let g = build_gen(&[("a", 1), ("ab", 2), ("abc", 3), ("b", 4)]);
-        let mut seen: Vec<Vec<u8>> = Vec::new();
-        let n = g
-            .range_with_from(Some(b"ab"), b"a", b"b", 10, None, |k, _| seen.push(k.to_vec()))
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(seen, vec![b"abc".to_vec(), b"b".to_vec()]);
+        assert_eq!(scan_from(&g, Bound::Excluded(b"ab"), b"b"), [&b"abc"[..], b"b"]);
+        assert_eq!(scan_from(&g, Bound::Included(b"ab"), b"b"), [&b"ab"[..], b"abc", b"b"]);
+    }
+
+    #[test]
+    fn an_unbounded_start_walks_from_the_first_key() {
+        let g = build_gen(&[("a", 1), ("ab", 2), ("abc", 3), ("b", 4)]);
+        assert_eq!(scan_from(&g, Bound::Unbounded, b"abc"), [&b"a"[..], b"ab", b"abc"]);
+        assert_eq!(scan_from(&g, Bound::Unbounded, b""), Vec::<Vec<u8>>::new());
+    }
+
+    /// The keys `range_with_from(start, high)` hands over, up to 10.
+    fn scan_from(g: &Generation<u64>, start: Bound<&[u8]>, high: &[u8]) -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        let n = g.range_with_from(start, high, 10, None, |k, _| seen.push(k.to_vec())).unwrap();
+        assert_eq!(n, seen.len());
+        seen
     }
 
     #[test]
@@ -993,8 +1023,10 @@ mod tests {
         assert_eq!(g.get(b"b").unwrap(), Some(2));
 
         let mut at_w: Vec<(Vec<u8>, u64)> = Vec::new();
-        g.range_with_from(None, b"a", b"z", 10, Some(w), |k, v| at_w.push((k.to_vec(), *v)))
-            .unwrap();
+        g.range_with_from(Bound::Included(b"a"), b"z", 10, Some(w), |k, v| {
+            at_w.push((k.to_vec(), *v))
+        })
+        .unwrap();
         assert_eq!(at_w, vec![(b"a".to_vec(), 10), (b"c".to_vec(), 3)]);
     }
 

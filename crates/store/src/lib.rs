@@ -26,9 +26,9 @@
 //!   prefix), its ART, its HOT, `std`'s `BTreeMap` as reference, or a
 //!   user-supplied factory ([`Backend::Custom`]).
 //! * **Cursor-based ranges** — range queries go through a lazy
-//!   [`RangeCursor`]: pull hits one at a time (`next_hit`), stream them
-//!   zero-copy (`for_each`), or collect (`collect_into`). See the
-//!   [`cursor`] module for the consistency story across swaps.
+//!   [`RangeCursor`]: pull hits one at a time (`next_hit`) or stream
+//!   them zero-copy (`for_each`). See the [`cursor`] module for the
+//!   consistency story across swaps.
 //! * **O(1) snapshots** — [`HopeStore::snapshot`] captures a store-wide
 //!   point-in-time [`Snapshot`] in O(shard count): per shard, an `Arc`
 //!   clone of the generation handle plus its write-log watermark. Reads
@@ -132,8 +132,9 @@ pub enum Backend {
     /// A user-supplied index: any [`OrderedIndex<SlotId>`] implementation
     /// behind a factory function. An implementation writes `get`,
     /// `insert`, `len`, `memory_bytes` and one in-order walker
-    /// ([`OrderedIndex::visit`]: bounded, keyed, stopped by its callback);
-    /// the store scans and rebuilds through that walker alone. Every
+    /// ([`OrderedIndex::visit`]: open from a low bound, keyed, stopped by
+    /// its callback); the store scans and rebuilds through that walker
+    /// alone. Every
     /// generation fills its index with one
     /// [`OrderedIndex::load_sorted`] call on the empty index the factory
     /// returns — provided by the trait as an insert per pair; override it
@@ -550,7 +551,7 @@ impl<V: Value> HopeStore<V> {
 
     /// Collect-form range scan: append up to `limit` `(key, value)` pairs
     /// to `out` and return the count appended. A thin wrapper over
-    /// [`RangeCursor::collect_into`].
+    /// [`HopeStore::range_with`].
     ///
     /// # Errors
     ///

@@ -54,7 +54,7 @@ fn run(label: &str, hope: Option<hope::Hope>, keys: &[Vec<u8>]) {
     let mut total = 0usize;
     for k in &starts {
         let mut n = 0;
-        tree.visit(&enc(k), None, &mut |_, _| {
+        tree.visit(&enc(k), &mut |_, _| {
             n += 1;
             n < 10
         });

@@ -10,7 +10,7 @@ use hope_workloads::{generate, sample_keys, Dataset, Op, WorkloadSpec, YcsbWorkl
 /// scan primitive.
 fn scan(ix: &dyn OrderedIndex, start: &[u8], count: usize) -> Vec<u64> {
     let mut out = Vec::new();
-    ix.visit(start, None, &mut |_, v| {
+    ix.visit(start, &mut |_, v| {
         out.push(*v);
         out.len() < count
     });

@@ -2,13 +2,13 @@
 //! reference, both B+trees (plain and prefix), HOT and ART — against a
 //! `BTreeMap` model, over random programs: a bulk load (`load_sorted`)
 //! into the empty index or into a full one, inserts, bursts of inserts,
-//! updates, point reads, walks (`visit`) with and without an upper bound,
-//! stopped early or run out, the trait's provided `range_into` (appending
-//! to a reused buffer, limit 0 and inverted bounds included) and
-//! `for_each`. Every read is checked, and every program ends with a sweep:
-//! `get` on every key and on its neighbours, `probe_prefix` on every
-//! prefix of those, whole and partial, the full walk, and a spread of
-//! bounded and early-stopped walks.
+//! updates, point reads, open walks (`visit`) stopped early or run out,
+//! the trait's provided `range_into` (bounded: appending to a reused
+//! buffer, limit 0 and inverted bounds included) and `for_each`. Every
+//! read is checked, and every program ends with a sweep: `get` on every
+//! key and on its neighbours, `probe_prefix` on every prefix of those,
+//! whole and partial, the full walk, and a spread of bounded ranges and
+//! early-stopped walks.
 //!
 //! The keys are `common`'s hostile families. One program in four loads
 //! hundreds of keys under one long stem, with a few prefixes of the stem,
@@ -101,20 +101,14 @@ fn model_range<'a>(
         .take(limit)
 }
 
-/// Whether `visit(low, high)`, told to stop with its `limit`-th pair,
-/// yields exactly the model's pairs — compared in place, because a sweep
-/// walks past the 64 KiB keys hundreds of times.
-fn walk_matches(
-    ix: &dyn OrderedIndex,
-    model: &Model,
-    low: &[u8],
-    high: Option<&[u8]>,
-    limit: usize,
-) -> bool {
-    let mut want = model_range(model, low, high, limit);
+/// Whether `visit(low)`, told to stop with its `limit`-th pair, yields
+/// exactly the model's pairs — compared in place, because a sweep walks
+/// past the 64 KiB keys hundreds of times.
+fn walk_matches(ix: &dyn OrderedIndex, model: &Model, low: &[u8], limit: usize) -> bool {
+    let mut want = model_range(model, low, None, limit);
     let (mut seen, mut same) = (0, true);
     if limit > 0 {
-        ix.visit(low, high, &mut |k, v| {
+        ix.visit(low, &mut |k, v| {
             assert!(seen < limit, "visited {} after the callback returned false", show(k));
             seen += 1;
             same &= want.next().is_some_and(|(wk, wv)| wk.as_slice() == k && wv == v);
@@ -224,13 +218,17 @@ fn run(name: &str, ix: &mut dyn OrderedIndex, seed: u64, even_run: Option<usize>
                 assert!(same, "{at}: range_into {l}..={h} limit {limit}");
             }
             17 => assert!(for_each_matches(ix, &model), "{at}: for_each"),
+            // A walk: two in three bounded (`range_into`), the rest open.
             _ => {
                 let low = draw(&mut rng, even_run);
                 let high = (rng.below(3) != 0).then(|| draw(&mut rng, even_run));
                 let limit = *rng.pick(&[0, 1, 2, 5, 17, 40, usize::MAX]);
                 let (l, h) = (show(&low), high.as_deref().map(show));
-                let same = walk_matches(ix, &model, &low, high.as_deref(), limit);
-                assert!(same, "{at}: visit {l}..={h:?} limit {limit}");
+                let same = match &high {
+                    Some(high) => range_into_matches(ix, &model, (&low, high), limit, 0),
+                    None => walk_matches(ix, &model, &low, limit),
+                };
+                assert!(same, "{at}: walk {l}..={h:?} limit {limit}");
             }
         }
     }
@@ -301,15 +299,15 @@ fn probes_match(at: &str, ix: &dyn OrderedIndex, model: &Model, k: &[u8], from: 
 /// key's prefixes up to its common prefix with the key before it were
 /// probed with that key, and a neighbour's proper prefixes are a stored
 /// key's), every pair
-/// from a spread of bounds (inverted ones included, `high: None` too)
-/// through `visit` and `range_into`, and early-stopped walks around the
-/// leaf sizes.
+/// from a spread of bounds (inverted ones included) through `range_into`
+/// and every open walk from one through `visit`, and early-stopped
+/// ranges and walks around the leaf sizes.
 fn sweep(at: &str, ix: &dyn OrderedIndex, model: &Model) {
     assert_eq!(ix.len(), model.len(), "{at}");
     assert_eq!(ix.is_empty(), model.is_empty(), "{at}");
     assert!(model.is_empty() || ix.memory_bytes() > 0, "{at}: memory_bytes");
     assert!(for_each_matches(ix, model), "{at}: for_each of {} keys", model.len());
-    assert!(walk_matches(ix, model, b"", None, usize::MAX), "{at}: the whole walk");
+    assert!(walk_matches(ix, model, b"", usize::MAX), "{at}: the whole walk");
     let mut before: Option<&[u8]> = None;
     for (k, v) in model {
         assert_eq!(ix.get(k), Some(v), "{at}: get {}", show(k));
@@ -329,18 +327,19 @@ fn sweep(at: &str, ix: &dyn OrderedIndex, model: &Model) {
     for low in &bounds {
         for high in bounds.iter().map(|h| Some(h.as_slice())).chain([None]) {
             let (l, h) = (show(low), high.map(show));
-            assert!(walk_matches(ix, model, low, high, usize::MAX), "{at}: visit {l}..={h:?}");
-            if let Some(high) = high {
-                let same = range_into_matches(ix, model, (low, high), usize::MAX, 1);
-                assert!(same, "{at}: range_into {l}..={h:?}");
-            }
+            let same = match high {
+                Some(high) => range_into_matches(ix, model, (low, high), usize::MAX, 1),
+                None => walk_matches(ix, model, low, usize::MAX),
+            };
+            assert!(same, "{at}: walk {l}..={h:?}");
         }
     }
     if let (Some(low), Some(high)) = (bounds.get(bounds.len() / 4), bounds.last()) {
         for k in [1, 2, 11, 12, 13, 23, 24, 25, 49] {
             let (l, h) = (show(low), show(high));
-            assert!(walk_matches(ix, model, low, Some(high), k), "{at}: {l}..={h} stop after {k}");
-            assert!(walk_matches(ix, model, low, None, k), "{at}: {l}.. stop after {k}");
+            let same = range_into_matches(ix, model, (low, high), k, 0);
+            assert!(same, "{at}: range_into {l}..={h} limit {k}");
+            assert!(walk_matches(ix, model, low, k), "{at}: {l}.. stop after {k}");
         }
     }
 }

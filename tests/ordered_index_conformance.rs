@@ -1,9 +1,10 @@
 //! [`hope::OrderedIndex`] conformance, run over every implementation the
 //! workspace ships, against a `BTreeMap` model. The trait's one scan
-//! primitive is `visit`; the store scans through it (bounded, stopped
-//! early) and rebuilds shards from its unbounded form (`for_each`), so a
-//! walker that drops, reorders or truncates a key corrupts a scan or the
-//! next generation — prefix chains, the empty key and 0x00 / 0xFF runs
+//! primitive is `visit`, an open walk from a low bound; the store scans
+//! through it (stopped early by its callback) and rebuilds shards from
+//! its walk from the empty key (`for_each`), and `range_into` bounds it
+//! at a high key, so a walker that drops, reorders or truncates a key
+//! corrupts a scan or the next generation — prefix chains, the empty key and 0x00 / 0xFF runs
 //! are the inputs most likely to expose one. The same holds for the bulk
 //! loader (`load_sorted`, native in the B+trees and HOT): every generation
 //! is built by it, so a loaded index must answer as the insert-built one
@@ -20,18 +21,29 @@ use hope_hot::Hot;
 
 type Pairs = Vec<(Vec<u8>, u64)>;
 
-/// Up to `stop_after` pairs of `visit(low, high)`; the walk is told to
-/// stop with the `stop_after`-th pair and must not call back after that.
-fn visit(ix: &dyn OrderedIndex, low: &[u8], high: Option<&[u8]>, stop_after: usize) -> Pairs {
+/// Up to `stop_after` pairs of `visit(low)`; the walk is told to stop
+/// with the `stop_after`-th pair and must not call back after that.
+fn visit(ix: &dyn OrderedIndex, low: &[u8], stop_after: usize) -> Pairs {
     let mut seen = Pairs::new();
     let mut stopped = false;
-    ix.visit(low, high, &mut |k, v| {
+    ix.visit(low, &mut |k, v| {
         assert!(!stopped, "visited {k:?} after the callback returned false");
         seen.push((k.to_vec(), *v));
         stopped = seen.len() >= stop_after;
         !stopped
     });
     seen
+}
+
+/// The values of up to `limit` keys in `low..=high`, by `range_into`.
+fn range(ix: &dyn OrderedIndex, low: &[u8], high: &[u8], limit: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    ix.range_into(low, high, limit, &mut out);
+    out
+}
+
+fn values(pairs: &[(Vec<u8>, u64)]) -> Vec<u64> {
+    pairs.iter().map(|(_, v)| *v).collect()
 }
 
 fn collect(ix: &dyn OrderedIndex) -> Pairs {
@@ -50,7 +62,8 @@ fn expected(model: &BTreeMap<Vec<u8>, u64>, low: &[u8], high: Option<&[u8]>) -> 
         .collect()
 }
 
-/// Every bound pair drawn from `bounds` (and `high: None`), unstopped.
+/// Every bound pair drawn from `bounds` through `range_into`, and every
+/// open walk from one of them, unstopped.
 fn check_bounds(
     name: &str,
     ix: &dyn OrderedIndex,
@@ -60,10 +73,18 @@ fn check_bounds(
     for low in bounds {
         for high in bounds.iter().map(|h| Some(h.as_slice())).chain([None]) {
             let want = expected(model, low, high);
-            if high.is_some_and(|h| low.as_slice() > h) {
+            let Some(high) = high else {
+                assert_eq!(visit(ix, low, usize::MAX), want, "{name}: {low:?}..");
+                continue;
+            };
+            if low.as_slice() > high {
                 assert!(want.is_empty());
             }
-            assert_eq!(visit(ix, low, high, usize::MAX), want, "{name}: {low:?}..={high:?}");
+            assert_eq!(
+                range(ix, low, high, usize::MAX),
+                values(&want),
+                "{name}: {low:?}..={high:?}"
+            );
         }
     }
 }
@@ -71,7 +92,7 @@ fn check_bounds(
 fn probe(name: &str, ix: &mut dyn OrderedIndex) {
     assert!(ix.is_empty(), "{name}");
     assert!(collect(ix).is_empty(), "{name}: for_each on an empty index");
-    assert!(visit(ix, b"", None, usize::MAX).is_empty(), "{name}: visit on an empty index");
+    assert!(visit(ix, b"", usize::MAX).is_empty(), "{name}: visit on an empty index");
     assert_eq!(ix.insert(b"b", 2), None, "{name}");
     assert_eq!(ix.insert(b"a", 1), None, "{name}");
     assert_eq!(ix.insert(b"ab", 3), None, "{name}");
@@ -115,13 +136,11 @@ fn probe(name: &str, ix: &mut dyn OrderedIndex) {
     // exactly k pairs (k = 0 is `range_into`'s limit 0: no call at all).
     let bounded = expected(&model, b"\0\0", Some(b"b"));
     for k in 0..=all.len() {
-        let mut values = Vec::new();
-        ix.range_into(b"", b"\xff\xff\xff", k, &mut values);
-        assert!(values.iter().eq(all[..k].iter().map(|(_, v)| v)), "{name}: limit {k}");
+        assert_eq!(range(ix, b"", b"\xff\xff\xff", k), values(&all[..k]), "{name}: limit {k}");
         if k > 0 {
-            assert_eq!(visit(ix, b"", None, k), all[..k], "{name}: stop after {k}");
+            assert_eq!(visit(ix, b"", k), all[..k], "{name}: stop after {k}");
             let k = k.min(bounded.len());
-            assert_eq!(visit(ix, b"\0\0", Some(b"b"), k), bounded[..k], "{name}: bounded {k}");
+            assert_eq!(range(ix, b"\0\0", b"b", k), values(&bounded[..k]), "{name}: bounded {k}");
         }
     }
 
@@ -150,8 +169,8 @@ fn probe(name: &str, ix: &mut dyn OrderedIndex) {
     let want = expected(&model, &shared(990), Some(&shared(1_500)));
     for k in [1, 2, 15, 16, 17, 33, 500] {
         assert_eq!(
-            visit(ix, &shared(990), Some(&shared(1_500)), k),
-            want[..k],
+            range(ix, &shared(990), &shared(1_500), k),
+            values(&want[..k]),
             "{name}: shared-prefix stop after {k}"
         );
     }
@@ -228,8 +247,8 @@ fn check_against(name: &str, ix: &dyn OrderedIndex, model: &BTreeMap<Vec<u8>, u6
     if let (Some(low), Some(high)) = (bounds.get(bounds.len() / 4), bounds.last()) {
         let want = expected(model, low, Some(high));
         for k in [1, 2, 11, 12, 13, 23, 24, 25, 49].into_iter().filter(|&k| k <= want.len()) {
-            assert_eq!(visit(ix, low, Some(high), k), want[..k], "{name}: stop after {k}");
-            assert_eq!(visit(ix, low, None, k), want[..k], "{name}: unbounded, stop after {k}");
+            assert_eq!(range(ix, low, high, k), values(&want[..k]), "{name}: stop after {k}");
+            assert_eq!(visit(ix, low, k), want[..k], "{name}: unbounded, stop after {k}");
         }
     }
 }
@@ -347,11 +366,12 @@ fn a_load_into_a_non_empty_index_behaves_as_inserts() {
     }
 }
 
-/// The walkers find the end of a range once per leaf. Over five loaded
-/// B+tree leaves (two and a half of HOT's), every `high` there is: each
-/// leaf's last key, the gap between two leaves (above one leaf's last key
-/// and below the next one's first), inside the final leaf, above every
-/// key, and `None` — from every `low`, inverted pairs included.
+/// `range_into` stops at its first key above `high`, whichever leaf that
+/// is. Over five loaded B+tree leaves (two and a half of HOT's), every
+/// `high` there is: each leaf's last key, the gap between two leaves
+/// (above one leaf's last key and below the next one's first), inside
+/// the final leaf, above every key, and none (an open walk) — from every
+/// `low`, inverted pairs included.
 #[test]
 fn a_range_ends_where_it_should_in_whichever_leaf_that_is() {
     let run = even_run(60);

@@ -154,6 +154,55 @@ fn a_scan_encodes_one_key_per_generation_it_enters() {
     });
 }
 
+/// Hits a pulled cursor fetches per chunk (the cursor's `CHUNK`).
+const CURSOR_CHUNK: usize = 256;
+
+/// A scan that crosses shards encodes only in its first one: every key
+/// of a later shard lies above the low bound (the split points are
+/// fixed), so the walk there starts at the shard's first key. A pulled
+/// cursor also encodes its resume key for each chunk that continues
+/// inside a shard — and nothing for a chunk that opens one.
+#[test]
+fn a_scan_encodes_only_in_its_first_shard_and_where_a_chunk_resumes() {
+    each_combination(|cfg, what| {
+        let store = HopeStore::build(cfg, email_pairs(2_000)).unwrap();
+        let (low, high) = (b"com.gmail@user", b"com.gmail@user99999");
+        let last = store.shard_of(high);
+        assert_eq!((store.shard_of(low), last), (0, 3), "{what}: the range spans every shard");
+        // Hits per shard, and what a pulled scan encodes: its low bound,
+        // then one resume key per full chunk (the chunk after it goes on
+        // in the same shard).
+        let mut per_shard = vec![0usize; last + 1];
+        let hits =
+            store.range_with(low, high, usize::MAX, |k, _| per_shard[store.shard_of(k)] += 1);
+        assert_eq!(hits.unwrap(), 2_000, "{what}");
+        let pulled: usize = 1 + per_shard.iter().map(|h| h / CURSOR_CHUNK).sum::<usize>();
+        assert!(pulled > 1, "{what}: some chunk resumes inside a shard: {per_shard:?}");
+        // A thread's encodes are counted 64 at a time: 64 scans on a fresh
+        // thread show exactly what one scan encodes.
+        let encoded_by_64 = |scan: &(dyn Fn() + Sync)| {
+            let before = codec_encode_keys(&store);
+            std::thread::scope(|s| {
+                s.spawn(|| (0..64).for_each(|_| scan()));
+            });
+            codec_encode_keys(&store) - before
+        };
+        let pushed = encoded_by_64(&|| {
+            assert_eq!(store.range_with(low, high, usize::MAX, |_, _| ()).unwrap(), 2_000);
+        });
+        assert_eq!(pushed, 64, "{what}: a push scan encodes once, whatever it crosses");
+        let pulled_by_64 = encoded_by_64(&|| {
+            let mut cursor = store.cursor(low, high, usize::MAX).unwrap();
+            let mut n = 0;
+            while cursor.next_hit().is_some() {
+                n += 1;
+            }
+            assert_eq!(n, 2_000);
+        });
+        assert_eq!(pulled_by_64, 64 * pulled as u64, "{what}: per shard {per_shard:?}");
+    });
+}
+
 #[test]
 fn an_undrifted_rebuild_keeps_the_dictionary_and_encodes_nothing() {
     // `store_model`'s `stem + 0x00^k` families on its 0x00-dominated load:

@@ -296,8 +296,8 @@ impl OrderedIndex<SlotId> for CountedArt {
         OrderedIndex::load_sorted(&mut self.0, run);
     }
 
-    fn visit(&self, low: &[u8], high: Option<&[u8]>, f: &mut dyn FnMut(&[u8], &SlotId) -> bool) {
-        self.0.visit(low, high, &mut |key, id| {
+    fn visit(&self, low: &[u8], f: &mut dyn FnMut(&[u8], &SlotId) -> bool) {
+        self.0.visit(low, &mut |key, id| {
             bump(&ART_VISITED);
             f(key, id)
         });

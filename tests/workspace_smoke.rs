@@ -90,7 +90,7 @@ fn email_index_path() {
     }
     let first = keys.iter().enumerate().step_by(31).next().unwrap();
     let mut hits = 0;
-    tree.visit(&hope.encode(first.1).into_bytes(), None, &mut |_, _| {
+    tree.visit(&hope.encode(first.1).into_bytes(), &mut |_, _| {
         hits += 1;
         hits < 10
     });
