@@ -16,7 +16,7 @@
 //! and admission decision of `(worker, request index, phase)` — so two
 //! quick runs produce identical [`ScenarioReport::digest`] vectors no
 //! matter how threads interleave. Numbers that depend on wall time or on
-//! reservoir arrival order (capture medians, swap and event counts of
+//! write arrival order (capture medians, swap and event counts of
 //! the multi-producer passes) stay out of the digest.
 
 use std::collections::BTreeMap;

@@ -174,7 +174,7 @@ fn hostile_probes(stems: &[Vec<u8>]) -> Vec<Vec<u8>> {
 
 #[test]
 fn art_dictionaries_at_production_size_match_the_reference() {
-    // 2 048 URL keys (the store's reservoir) and 20 000 Email keys, each
+    // 2 048 URL keys (the store's sample size) and 20 000 Email keys, each
     // followed by 2 000 keys the sample never saw.
     for (dataset, n) in [(Dataset::Url, 2_048), (Dataset::Email, 20_000)] {
         let keys = generate(dataset, n + 2_000, 11);

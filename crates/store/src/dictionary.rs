@@ -10,6 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use hope::index::KeyRun;
 use hope::{stats, CodecStats, Hope, HopeBuilder, HopeError};
 
 use crate::shard::lock;
@@ -85,6 +86,25 @@ fn default_sample() -> Vec<Vec<u8>> {
     (0..64u32).map(|i| format!("hope-default-{i:04}").into_bytes()).collect()
 }
 
+/// The sample a drifted shard's replacement dictionary trains on, drawn
+/// from the old generation's write `tail` — the writes since the shard's
+/// last rebuild, in arrival order — with `cap` counted as at least 1. A
+/// tail of n ≥ `cap` writes gives the keys at positions 0, s, 2s, … for
+/// s = ⌈n / `cap`⌉: at most `cap`. A thinner one gives every write, then
+/// tops up the `need` keys it lacks from the sorted `live` run by the
+/// build sample's rule: every ⌊live / need⌋-th key, between `need` and
+/// 2 · `need` − 1 of them when the run holds `need` or more.
+pub(crate) fn replace_sample(tail: &KeyRun, live: &KeyRun, cap: usize) -> Vec<Vec<u8>> {
+    let cap = cap.max(1);
+    let step = tail.len().div_ceil(cap).max(1);
+    let mut sample: Vec<Vec<u8>> = tail.iter().step_by(step).map(<[u8]>::to_vec).collect();
+    if tail.len() < cap {
+        let need = cap - tail.len();
+        sample.extend(live.iter().step_by((live.len() / need).max(1)).map(<[u8]>::to_vec));
+    }
+    sample
+}
+
 /// Train a dictionary on `sample` — the one place the store builds one.
 /// Every [`HOLDOUT_EVERY`]-th key is withheld and the baseline measured
 /// on those; a sample too small to split ([`MIN_SPLIT_SAMPLE`]), or the
@@ -121,6 +141,71 @@ pub(crate) fn train(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(keys: impl IntoIterator<Item = u32>) -> KeyRun {
+        let mut run = KeyRun::with_capacity(0, 0);
+        for key in keys {
+            run.push(&key.to_be_bytes());
+        }
+        run
+    }
+
+    fn ids(sample: &[Vec<u8>]) -> Vec<u32> {
+        sample.iter().map(|k| u32::from_be_bytes(k[..].try_into().unwrap())).collect()
+    }
+
+    /// Live keys are 1 000 and up; tail writes below, arriving in
+    /// descending order so arrival order is not key order.
+    fn tail(n: usize) -> KeyRun {
+        run((0..n as u32).rev())
+    }
+
+    #[test]
+    fn replace_sample_never_holds_more_than_cap_tail_writes() {
+        let live = run(1_000..1_100);
+        for cap in 1..=40usize {
+            for n in 0..=4 * cap + 1 {
+                let sample = ids(&replace_sample(&tail(n), &KeyRun::with_capacity(0, 0), cap));
+                assert!(sample.len() <= cap, "n {n}, cap {cap}: {} keys", sample.len());
+                if n >= cap {
+                    let with_live = ids(&replace_sample(&tail(n), &live, cap));
+                    assert_eq!(with_live, sample, "n {n}, cap {cap}: no top-up");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_tail_gives_the_writes_at_every_ceil_n_over_cap_th_position() {
+        let live = run(1_000..1_100);
+        for cap in 1..=40usize {
+            for n in cap..=4 * cap + 1 {
+                let s = n.div_ceil(cap);
+                let want: Vec<u32> = (0..n).step_by(s).map(|at| (n - 1 - at) as u32).collect();
+                assert_eq!(ids(&replace_sample(&tail(n), &live, cap)), want, "n {n}, cap {cap}");
+            }
+        }
+    }
+
+    /// 5 writes under a cap of 16 leave 11 to top up from 100 live keys:
+    /// every ⌊100 / 11⌋ = 9th, 12 of them.
+    #[test]
+    fn a_thin_tail_gives_every_write_in_arrival_order_then_the_live_top_up() {
+        let sample = ids(&replace_sample(&tail(5), &run(1_000..1_100), 16));
+        let want: Vec<u32> = [4, 3, 2, 1, 0].into_iter().chain((1_000..1_100).step_by(9)).collect();
+        assert_eq!(sample, want);
+    }
+
+    /// A zero cap counts as 1, as the build sample's step does.
+    #[test]
+    fn an_empty_tail_and_a_zero_cap_do_not_panic() {
+        let (none, live) = (KeyRun::with_capacity(0, 0), run(1_000..1_010));
+        assert!(replace_sample(&none, &none, 16).is_empty());
+        assert!(replace_sample(&none, &none, 0).is_empty());
+        assert_eq!(ids(&replace_sample(&none, &live, 0)), [1_000]);
+        assert_eq!(ids(&replace_sample(&tail(3), &live, 0)), [2]);
+        assert_eq!(ids(&replace_sample(&none, &live, 4)), [1_000, 1_002, 1_004, 1_006, 1_008]);
+    }
 
     #[test]
     fn baseline_is_held_out_when_the_sample_splits() {

@@ -62,7 +62,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use hope::index::KeyRun;
 use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Probe, Value};
 
-use crate::dictionary::Dictionary;
+use crate::dictionary::{replace_sample, Dictionary};
 use crate::error::{validate_key, StoreError};
 use crate::telemetry::SpanRecorder;
 use crate::SlotId;
@@ -220,9 +220,10 @@ pub struct Generation<V: Value = u64> {
 
 /// What [`Generation::snapshot_live`] captures: the live records in source
 /// order (an exact-size run), their encoded bytes under the current
-/// dictionary (empty unless asked for), and the log watermark the swap's
-/// splice replays from.
-pub(crate) type LiveSnapshot<V> = (Records<V>, KeyRun, usize);
+/// dictionary (for a rebuild that keeps it), the training sample (for one
+/// that replaces it), and the log watermark the swap's splice replays
+/// from.
+pub(crate) type LiveSnapshot<V> = (Records<V>, KeyRun, Vec<Vec<u8>>, usize);
 
 /// Encode-side footprint of one insert, accumulated into the shard's
 /// drift statistics.
@@ -660,14 +661,17 @@ impl<V: Value> Generation<V> {
     }
 
     /// Snapshot the live records in source order, the log watermark
-    /// (everything appended after it is what the swap must replay), and —
-    /// `with_encoded`, for a rebuild that keeps the dictionary — per live
-    /// record the encoded padded bytes it is indexed under. One in-order
-    /// walk of the index, the only holder of the encoded bytes, copies
-    /// each live key out of the log into a run sized exactly; superseded
-    /// records are never reached.
-    pub(crate) fn snapshot_live(&self, with_encoded: bool) -> LiveSnapshot<V> {
+    /// (everything appended after it is what the swap must replay), and
+    /// what the next dictionary needs: for a rebuild that keeps it
+    /// (`sample_cap` `None`), per live record the encoded padded bytes it
+    /// is indexed under; for one that replaces it, at most `sample_cap`
+    /// training keys drawn from the write tail, topped up from the live
+    /// run ([`replace_sample`]). One in-order walk of the index, the only
+    /// holder of the encoded bytes, copies each live key out of the log
+    /// into a run sized exactly; superseded records are never reached.
+    pub(crate) fn snapshot_live(&self, sample_cap: Option<usize>) -> LiveSnapshot<V> {
         let d = self.read();
+        let with_encoded = sample_cap.is_none();
         let mut live = Records::with_capacity(d.live, d.live_key_bytes);
         let mut encoded = KeyRun::with_capacity(if with_encoded { d.live } else { 0 }, 0);
         d.index.for_each(&mut |enc, &id| {
@@ -677,7 +681,9 @@ impl<V: Value> Generation<V> {
                 encoded.push(enc);
             }
         });
-        (live, encoded, d.log_len())
+        let sample =
+            sample_cap.map_or_else(Vec::new, |cap| replace_sample(&d.tail.keys, &live.keys, cap));
+        (live, encoded, sample, d.log_len())
     }
 
     /// Clone of the records appended at or after log id `watermark` — a
@@ -791,7 +797,7 @@ mod tests {
         g.insert::<()>(b"", 3).unwrap();
         assert_eq!(g.get(b"").unwrap(), Some(3));
         assert_eq!(get_at(&g, b"", 1), Some(1));
-        let (live, _, _) = g.snapshot_live(false);
+        let (live, ..) = g.snapshot_live(None);
         assert_eq!(keys_of(&live), vec![b"".to_vec(), b"a".to_vec()]);
         assert_eq!(live.values, vec![3, 2]);
 
@@ -809,7 +815,7 @@ mod tests {
         let delta = g.entries_since(2);
         assert_eq!(keys_of(&delta), vec![b"".to_vec()]);
         assert_eq!(delta.values, vec![9]);
-        let (live, kept, _) = g.snapshot_live(true);
+        let (live, kept, ..) = g.snapshot_live(None);
         assert_eq!(
             keys_of(&live),
             vec![b"".to_vec(), b"com.gmail@a".to_vec(), b"org.acm@b".to_vec()]
@@ -820,7 +826,7 @@ mod tests {
     #[test]
     fn insert_update_and_log_replay_watermark() {
         let g = build_gen(&[("com.gmail@a", 1)]);
-        let (_, _, w0) = g.snapshot_live(false);
+        let (.., w0) = g.snapshot_live(None);
         assert_eq!(g.insert::<()>(b"com.gmail@b", 2).unwrap().0, None);
         assert_eq!(g.insert::<()>(b"com.gmail@a", 9).unwrap().0, Some(1));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(9));
@@ -926,7 +932,7 @@ mod tests {
         let g = build_gen(&[("b", 2), ("a", 1)]);
         g.insert::<()>(b"c", 3).unwrap();
         g.insert::<()>(b"a", 10).unwrap();
-        let (live, _, _) = g.snapshot_live(false);
+        let (live, ..) = g.snapshot_live(None);
         assert_eq!(keys_of(&live), vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
         assert_eq!(live.values[0], 10, "snapshot must carry the updated value");
     }
@@ -941,7 +947,7 @@ mod tests {
         g.insert::<()>(b"com.gmail@bb", 21).unwrap();
         g.insert::<()>(b"com.gmail@", 5).unwrap();
         assert_eq!(g.occupancy(), (5, 7));
-        let (live, kept, watermark) = g.snapshot_live(true);
+        let (live, kept, _, watermark) = g.snapshot_live(None);
         assert_eq!(watermark, 7);
         let keys = keys_of(&live);
         assert_eq!(
@@ -1010,7 +1016,7 @@ mod tests {
     fn watermark_reads_observe_the_point_in_time_state() {
         let g = build_gen(&[("a", 1), ("c", 3)]);
         g.insert::<()>(b"a", 10).unwrap();
-        let (_, _, w) = g.snapshot_live(false);
+        let (.., w) = g.snapshot_live(None);
         // Post-watermark: update a again, add a new key between a and c.
         g.insert::<()>(b"a", 100).unwrap();
         g.insert::<()>(b"b", 2).unwrap();
@@ -1045,7 +1051,7 @@ mod tests {
             keys.iter().enumerate().map(|(i, k)| (k.as_slice(), i as u64)).collect();
         let fresh = load_fresh(7, hope, sorted_run(&pairs));
 
-        let (live, kept, _) = fresh.snapshot_live(true);
+        let (live, kept, ..) = fresh.snapshot_live(None);
         assert_eq!(live.len(), keys.len());
         assert_eq!(kept.len(), keys.len());
         assert_eq!(kept.byte_len(), kept.iter().map(<[u8]>::len).sum::<usize>());
@@ -1063,7 +1069,7 @@ mod tests {
             out
         };
         assert_eq!(walk(&reloaded), walk(&fresh));
-        assert_eq!(reloaded.snapshot_live(true).1, fresh.snapshot_live(true).1);
+        assert_eq!(reloaded.snapshot_live(None).1, fresh.snapshot_live(None).1);
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(reloaded.get(k).unwrap(), Some(i as u64), "{k:?}");
         }

@@ -37,7 +37,8 @@
 //! * **Epoch-based dictionary hot-swap** — each shard tracks the CPR its
 //!   inserts actually achieve; when it degrades past a threshold of the
 //!   dictionary's held-out baseline, [`HopeStore::maintain`] trains a
-//!   replacement from a reservoir sample of recent traffic, re-encodes
+//!   replacement from a sample of its writes since the last rebuild (the
+//!   old generation's write tail, read back at the rebuild), re-encodes
 //!   the shard into a fresh [`Generation`] in the background, replays the
 //!   writes that landed meanwhile, and flips the shard's `Arc` epoch
 //!   handle. Readers on the old generation drain gracefully; none ever
@@ -178,8 +179,13 @@ pub struct StoreConfig {
     pub dict_entries: usize,
     /// Tree backend indexing the encoded keys.
     pub backend: Backend,
-    /// Keys held in each shard's traffic reservoir — the size of every
-    /// dictionary training sample, the store-wide one at build included.
+    /// The size of a dictionary training sample. A replacement trains on
+    /// at most this many of the writes since its shard's last rebuild,
+    /// evenly spaced, and when there are fewer tops them up with every
+    /// ⌊live / need⌋-th live key for the `need` missing; the store-wide
+    /// dictionary at build trains on every ⌊n / this⌋-th key of the n
+    /// loaded, which gives between this and twice this, less one, for n
+    /// at least this large. 0 counts as 1.
     pub reservoir_capacity: usize,
     /// A shard has drifted — its next rebuild replaces the dictionary —
     /// when observed CPR falls below this fraction of the dictionary's
@@ -192,8 +198,6 @@ pub struct StoreConfig {
     /// remains only because the whole-store benchmark passes it to
     /// [`hope::Hope::encode_batch`], which ignores it; both go together.
     pub batch_block: usize,
-    /// Seed for the reservoir sampling decisions.
-    pub seed: u64,
     /// Capacity of the telemetry event ring (lifecycle events retained
     /// for [`HopeStore::telemetry`] snapshots; oldest are dropped — and
     /// counted — past this). Clamped to at least 1.
@@ -217,7 +221,6 @@ impl Default for StoreConfig {
             degrade_ratio: 0.9,
             min_observed_bytes: 64 * 1024,
             batch_block: 16,
-            seed: 42,
             event_capacity: 1024,
             write_log_capacity: u32::MAX,
         }
@@ -228,10 +231,11 @@ impl Default for StoreConfig {
 /// and steps the epoch; what it does to the dictionary is one decision,
 /// taken once under the shard's rebuild lock: a **drifted** shard (enough
 /// observed bytes, observed CPR under `degrade_ratio` × baseline)
-/// *replaces* it — trains on the traffic reservoir and re-encodes every
-/// live key — and any other shard *keeps* it: same dictionary object,
-/// same baseline, the encoded bytes read back from the old index and
-/// loaded verbatim, with no training and no encode call.
+/// *replaces* it — trains on a sample of the shard's writes since its
+/// last rebuild and re-encodes every live key — and any other shard
+/// *keeps* it: same dictionary object, same baseline, the encoded bytes
+/// read back from the old index and loaded verbatim, with no training and
+/// no encode call.
 #[derive(Debug, Clone)]
 pub struct SwapReport {
     /// Shard that swapped.
@@ -313,7 +317,7 @@ impl<V: Value> HopeStore<V> {
     ///
     /// Duplicate keys keep the last value. The load is sorted once (a
     /// stable sort of the collected pairs); **one** dictionary is
-    /// trained, on `reservoir_capacity` keys evenly spaced over the whole
+    /// trained, on every ⌊n / `reservoir_capacity`⌋-th key of the n in the
     /// sorted load, and shared by every shard; shard split points are the
     /// quantiles of the sorted **encoded** order (identical to source
     /// order — the encoding is order-preserving), and every shard copies
@@ -411,13 +415,7 @@ impl<V: Value> HopeStore<V> {
                 ..Event::default()
             });
             let shard_tel = ShardTelemetry::new(Arc::clone(&telemetry), s as u32);
-            shards.push(Shard::new(
-                generation,
-                cfg.reservoir_capacity,
-                cfg.seed ^ (s as u64),
-                shard_tel,
-                Arc::clone(&codec_total),
-            ));
+            shards.push(Shard::new(generation, shard_tel, Arc::clone(&codec_total)));
         }
         // The caller's keys go once every shard holds its copy, freed in
         // address order: in arrival order the frees walk chunks the
@@ -626,10 +624,11 @@ impl<V: Value> HopeStore<V> {
 
     /// One maintenance pass: every shard whose observed compression rate
     /// has degraded past the threshold gets a replacement dictionary
-    /// trained from its reservoir sample, and every shard whose write log
-    /// wants compacting is reloaded under the dictionary it has; either
-    /// way the new generation is hot-swapped in. Returns a report per
-    /// swap ([`SwapReport::incremental`] says which it was).
+    /// trained on a sample of its writes since its last rebuild, and every
+    /// shard whose write log wants compacting is reloaded under the
+    /// dictionary it has; either way the new generation is hot-swapped in.
+    /// Returns a report per swap ([`SwapReport::incremental`] says which
+    /// it was).
     ///
     /// Shards whose rebuild *fails* (a [`StoreError`] from the dictionary
     /// pipeline) keep serving their current generation; the error is
@@ -1179,7 +1178,7 @@ mod tests {
         /// dictionary — what a rebuild's byte total must equal.
         fn live_encoded_bytes(store: &HopeStore<u64>) -> u64 {
             let gen = store.shards[0].current();
-            let (live, _, _) = gen.snapshot_live(false);
+            let (live, ..) = gen.snapshot_live(None);
             live.keys.iter().map(|k| gen.hope().encode(k).as_bytes().len() as u64).sum()
         }
         let cfg = StoreConfig { shards: 1, ..small_cfg() };

@@ -29,11 +29,16 @@
 //! and at two moments: once per store at build, and in
 //! `Shard::rebuild_inner` when the shard has **drifted** — the drift arm
 //! of [`Shard::needs_rebuild`], read once under the rebuild lock. A
-//! drifted rebuild *replaces* the dictionary: trains on the traffic
-//! reservoir and encodes every live key. Any other rebuild (log
-//! compaction, a forced one) *keeps* it: the next generation shares the
-//! same `Arc`, and the encoded bytes walked out of the old index are
-//! loaded verbatim — no training, no encode call.
+//! drifted rebuild *replaces* the dictionary: trains on keys evenly
+//! spaced over the old generation's write tail — the writes since the
+//! shard's last rebuild, in arrival order, topped up with live keys when
+//! they are too few ([`crate::dictionary::replace_sample`]) — and encodes
+//! every live key. Any other rebuild (log compaction, a forced one)
+//! *keeps* it: the next generation shares the same `Arc`, and the encoded
+//! bytes walked out of the old index are loaded verbatim — no training,
+//! no encode call. Either way the next generation's tail starts empty, so
+//! "recent traffic" means the writes since the last compaction. Inserts
+//! sample nothing.
 //!
 //! Shard locks recover from poisoning like the generation's interior lock
 //! does (see [`crate::generation`], "Lock discipline").
@@ -106,84 +111,6 @@ impl ShardFaults {
     }
 }
 
-/// Uniform reservoir sample over the keys inserted since the shard's
-/// dictionary was installed; reset whenever the dictionary is replaced so
-/// the sample tracks the *current* traffic mix rather than the whole shard
-/// lifetime.
-///
-/// Once full it samples by skips (Li's Algorithm L): it draws the stream
-/// position of the next key it takes, so every other insert only bumps a
-/// counter, and a taken key overwrites the evicted one's buffer in place
-/// (at most a reallocation to its length, never a new buffer).
-#[derive(Debug)]
-pub(crate) struct Reservoir {
-    keys: Vec<Vec<u8>>,
-    cap: usize,
-    seen: u64,
-    /// The stream position (1-based, as `seen`) of the next key taken once
-    /// the sample is full.
-    next: u64,
-    /// Algorithm L's `W`: the largest of the `cap` uniform tags the sample
-    /// would hold, which the gap to `next` is drawn from.
-    w: f64,
-    state: u64,
-}
-
-impl Reservoir {
-    pub(crate) fn new(cap: usize, seed: u64) -> Self {
-        Reservoir { keys: Vec::new(), cap: cap.max(1), seen: 0, next: 0, w: 1.0, state: seed | 1 }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // SplitMix64; good enough for sampling decisions.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw from the open interval (0, 1).
-    fn unit(&mut self) -> f64 {
-        ((self.next_rand() >> 11) as f64 + 0.5) / (1u64 << 53) as f64
-    }
-
-    /// Shrink `W` by one more sampled tag and draw the gap to the next key
-    /// taken: geometric, with success chance `W` per key.
-    fn skip_ahead(&mut self) {
-        self.w *= (self.unit().ln() / self.cap as f64).exp();
-        let gap = (self.unit().ln() / (-self.w).ln_1p()).floor();
-        // A float past `u64::MAX` (W underflowed) saturates the cast.
-        self.next = self.seen.saturating_add(gap as u64).saturating_add(1);
-    }
-
-    fn offer(&mut self, key: &[u8]) {
-        self.seen += 1;
-        if self.keys.len() < self.cap {
-            self.keys.push(key.to_vec());
-            if self.keys.len() == self.cap {
-                self.skip_ahead();
-            }
-        } else if self.seen == self.next {
-            let slot = (self.next_rand() % self.cap as u64) as usize;
-            // The evicted key's buffer, resized in place to exactly the
-            // new key's length: a sampled key holds what `to_vec` gave it.
-            let evicted = &mut self.keys[slot];
-            evicted.clear();
-            evicted.shrink_to(key.len());
-            evicted.reserve_exact(key.len());
-            evicted.extend_from_slice(key);
-            self.skip_ahead();
-        }
-    }
-
-    fn reset(&mut self) {
-        self.keys.clear();
-        self.seen = 0;
-        self.w = 1.0;
-    }
-}
-
 /// One partition of the store's key space.
 #[derive(Debug)]
 pub(crate) struct Shard<V: Value = u64> {
@@ -200,8 +127,6 @@ pub(crate) struct Shard<V: Value = u64> {
     obs_src: AtomicU64,
     /// Padded encoded bytes produced by those inserts.
     obs_enc: AtomicU64,
-    /// Traffic sample a replacement dictionary is trained on.
-    reservoir: Mutex<Reservoir>,
     /// Telemetry slice: rebuild counters and the shared event ring.
     tel: ShardTelemetry,
     /// Fault-injection hook on the rebuild path (testing/acceptance).
@@ -213,8 +138,6 @@ pub(crate) struct Shard<V: Value = u64> {
 impl<V: Value> Shard<V> {
     pub(crate) fn new(
         generation: Generation<V>,
-        reservoir_capacity: usize,
-        seed: u64,
         tel: ShardTelemetry,
         codec_total: CodecTotal,
     ) -> Self {
@@ -224,7 +147,6 @@ impl<V: Value> Shard<V> {
             rebuilding: Mutex::new(()),
             obs_src: AtomicU64::new(0),
             obs_enc: AtomicU64::new(0),
-            reservoir: Mutex::new(Reservoir::new(reservoir_capacity, seed)),
             tel,
             faults: ShardFaults::new(),
             codec_total,
@@ -264,8 +186,11 @@ impl<V: Value> Shard<V> {
     }
 
     /// Insert or update through the current generation, feeding the drift
-    /// statistics and the reservoir. `S` is the span recorder: `()` for
-    /// the plain path, a stopwatch for the sampled tracing path.
+    /// statistics: the writer lock, the generation insert and two adds,
+    /// and nothing else. The write lands in the generation's tail, where
+    /// a replacement dictionary's sample reads it back. `S` is the span
+    /// recorder: `()` for the plain path, a stopwatch for the sampled
+    /// tracing path.
     pub(crate) fn insert<S: SpanRecorder>(
         &self,
         key: &[u8],
@@ -275,7 +200,6 @@ impl<V: Value> Shard<V> {
         let (old, footprint, spans) = self.current().insert(key, value)?;
         self.obs_src.fetch_add(footprint.src_bytes, Ordering::Relaxed);
         self.obs_enc.fetch_add(footprint.enc_bytes, Ordering::Relaxed);
-        lock(&self.reservoir).offer(key);
         Ok((old, spans))
     }
 
@@ -311,7 +235,7 @@ impl<V: Value> Shard<V> {
 
     /// Maintenance rebuild: re-checks the trigger under the rebuild lock
     /// (a concurrent maintenance pass may have just swapped this shard,
-    /// compacting its log or resetting its statistics and reservoir, in
+    /// compacting its log or resetting its statistics, in
     /// which case a second back-to-back rebuild would only churn the
     /// epoch) and returns `Ok(None)` when the rebuild was skipped for
     /// that reason.
@@ -434,16 +358,9 @@ impl<V: Value> Shard<V> {
         let old = self.current();
         // Keep or replace: decided here, once, for the whole rebuild.
         let drifted = self.drifted(cfg, &old);
-        let (live, kept, watermark) = old.snapshot_live(!drifted);
+        let (live, kept, sample, watermark) =
+            old.snapshot_live(drifted.then_some(cfg.reservoir_capacity));
         let (dict, encoded) = if drifted {
-            // Sample = reservoir (recent traffic), topped up with resident
-            // keys when traffic alone is too thin to train a dictionary.
-            let mut sample: Vec<Vec<u8>> = lock(&self.reservoir).keys.clone();
-            if sample.len() < cfg.reservoir_capacity {
-                let need = cfg.reservoir_capacity - sample.len();
-                let step = (live.len() / need.max(1)).max(1);
-                sample.extend(live.keys.iter().step_by(step).map(<[u8]>::to_vec));
-            }
             let dict = train(cfg, &sample, &self.codec_total)?;
             let encoded = encode_run(&dict.hope, &live.keys)?;
             (dict, encoded)
@@ -482,12 +399,11 @@ impl<V: Value> Shard<V> {
         };
         let dict_bytes = next.hope().memory_bytes();
         *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
-        // The drift statistics and the reservoir judge the dictionary, so
-        // they start over with a new one and carry on under a kept one.
+        // The drift statistics judge the dictionary, so they start over
+        // with a new one and carry on under a kept one.
         if drifted {
             self.obs_src.store(0, Ordering::Relaxed);
             self.obs_enc.store(0, Ordering::Relaxed);
-            lock(&self.reservoir).reset();
         }
         Ok((report, dict_bytes))
     }
@@ -495,49 +411,28 @@ impl<V: Value> Shard<V> {
 
 #[cfg(test)]
 mod tests {
+    use crate::HopeStore;
+
     use super::*;
 
+    /// A keep-rebuild starts the next generation's write tail empty: of
+    /// the writes before it, none reaches the sample a replace would
+    /// train on next; the 16 after it give every second one (cap 8).
     #[test]
-    fn reservoir_is_bounded_and_uniformish() {
-        let mut r = Reservoir::new(64, 1);
-        for i in 0..10_000u32 {
-            r.offer(format!("key{i:05}").as_bytes());
+    fn writes_before_a_keep_rebuild_never_reach_the_next_replace_sample() {
+        let cfg = StoreConfig { shards: 1, reservoir_capacity: 8, ..StoreConfig::default() };
+        let load = (0..64u64).map(|i| (format!("com.gmail@user{i:03}").into_bytes(), i));
+        let store = HopeStore::build(cfg, load).unwrap();
+        let write = |tag: &str, i: u64| store.insert(format!("{tag}@{i:02}").into_bytes(), i);
+        for i in 0..20 {
+            write("old", i).unwrap();
         }
-        assert_eq!(r.keys.len(), 64);
-        assert_eq!(r.seen, 10_000);
-        // Late keys must be able to displace early ones.
-        let late = r.keys.iter().filter(|k| k.as_slice() >= b"key05000".as_slice()).count();
-        assert!(late > 10, "late keys under-represented: {late}/64");
-        r.reset();
-        assert!(r.keys.is_empty());
-    }
-
-    /// Every stream position ends up in the sample with chance
-    /// `cap / seen`: over 10 000 seeds, each of 200 positions' inclusion
-    /// count stays within 15 % of `10 000 × 16 / 200` = 800 (±4.4 standard
-    /// deviations), and the first `cap` positions — taken while the sample
-    /// fills — are no exception. Each kept key's buffer is exactly its
-    /// length, as a fresh `to_vec` would be.
-    #[test]
-    fn reservoir_includes_every_position_with_chance_cap_over_seen() {
-        let (cap, seen, seeds) = (16, 200usize, 10_000u64);
-        let mut count = vec![0u32; seen];
-        for seed in 0..seeds {
-            let mut r = Reservoir::new(cap, 2 * seed + 1);
-            for i in 0..seen as u32 {
-                // 4, 8 or 12 bytes: a taken key's buffer is resized to it.
-                r.offer(&i.to_le_bytes().repeat(i as usize % 3 + 1));
-            }
-            assert_eq!(r.keys.len(), cap);
-            for k in &r.keys {
-                assert_eq!(k.capacity(), k.len());
-                count[u32::from_le_bytes(k[..4].try_into().unwrap()) as usize] += 1;
-            }
+        assert!(store.force_rebuild(0).unwrap().incremental, "undrifted: the dictionary is kept");
+        for i in 0..16 {
+            write("new", i).unwrap();
         }
-        let want = seeds as f64 * cap as f64 / seen as f64;
-        for (at, &got) in count.iter().enumerate() {
-            let off = (f64::from(got) - want).abs() / want;
-            assert!(off <= 0.15, "position {at}: in {got} samples of {seeds}, want {want:.0}");
-        }
+        let (.., sample, _) = store.shards[0].current().snapshot_live(Some(cfg.reservoir_capacity));
+        let want: Vec<Vec<u8>> = (0..16).step_by(2).map(|i| format!("new@{i:02}").into()).collect();
+        assert_eq!(sample, want);
     }
 }

@@ -58,8 +58,8 @@ pub enum EventKind {
     /// repurposed: `replayed` = encoded bytes reloaded, `bytes` = 0.
     RebuildIncremental,
     /// A rebuild **replaced** the shard's dictionary (the shard had
-    /// drifted): a new one was trained on the traffic reservoir and every
-    /// live key encoded under it. Same field repurposing as
+    /// drifted): a new one was trained on a sample of its write tail
+    /// and every live key encoded under it. Same field repurposing as
     /// [`EventKind::RebuildIncremental`]: `replayed` = 0, `bytes` =
     /// encoded bytes produced.
     RebuildFull,

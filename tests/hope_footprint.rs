@@ -99,7 +99,7 @@ fn a_built_hope_holds_its_dictionary_once() {
     }
 
     // The ART per entry, on every dataset and at three dictionary sizes,
-    // trained on the store's reservoir size.
+    // trained on the store's default sample size (`reservoir_capacity`).
     for dataset in Dataset::ALL {
         let sample = generate(dataset, 2_048, 7);
         for scheme in [Scheme::Alm, Scheme::AlmImproved] {

@@ -200,7 +200,6 @@ impl<'c> Program<'c> {
             reservoir_capacity: 128,
             min_observed_bytes: 1024,
             event_capacity: 1 << 16,
-            seed,
             ..StoreConfig::default()
         };
         let pairs = build_pairs(&mut rng, zero_dominated);
