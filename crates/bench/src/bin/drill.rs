@@ -11,6 +11,8 @@
 //! time: the `DIGEST` lines of two runs are byte-identical, which CI
 //! checks by diffing them.
 
+#![deny(unsafe_code)]
+
 fn main() {
     hope_bench::drills::SCENARIOS.main()
 }

@@ -11,6 +11,8 @@
 //! The `DIGEST` lines of two runs with the same arguments are
 //! byte-identical, which CI checks by diffing two `--quick` runs.
 
+#![deny(unsafe_code)]
+
 fn main() {
     hope_bench::figures::FIGURES.main()
 }

@@ -16,6 +16,7 @@
 //! go into `RECORD` lines (written to the report, never gated).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod drills;
 pub mod figures;

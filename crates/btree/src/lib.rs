@@ -22,6 +22,13 @@
 //! shorter (HOPE-encoded) keys put more distinguishing bytes into the
 //! heads, which is how compression makes the tree faster (§5).
 //!
+//! A probe asks for a node's other buffers as soon as it reads the node,
+//! before the search that needs them ([`hope::index::prefetch`]): an
+//! inner node's child ids; a leaf's values and the first and last lines
+//! of its key block's ends and key bytes. Their misses then overlap the
+//! head count instead of following it, one after another. Gets and
+//! inserts descend alike.
+//!
 //! Both trees are generic over their value payload (`BPlusTree<V>`, any
 //! [`hope::Value`]; defaults to `u64` record ids) and implement the
 //! [`hope::OrderedIndex<V>`] contract serving layers program against.
@@ -48,7 +55,7 @@
 #![deny(unsafe_code)]
 
 use hope::axis::shortest_separator;
-use hope::index::KeyBlock;
+use hope::index::{prefetch, KeyBlock};
 
 /// Node fan-out: 256-byte nodes / (8-byte key pointer + 8-byte value or
 /// child pointer) = 16 slots, matching the paper's TLX configuration.
@@ -158,8 +165,15 @@ impl<V> BPlusTree<V> {
         let mut at = self.root;
         loop {
             match &self.nodes[at as usize] {
-                Node::Inner(inner) => at = inner.children[inner.seps.upper_bound(key)],
-                Node::Leaf(leaf) => return leaf.keys.search(key).ok().map(|i| &leaf.values[i]),
+                Node::Inner(inner) => {
+                    prefetch(&inner.children);
+                    at = inner.children[inner.seps.upper_bound(key)];
+                }
+                Node::Leaf(leaf) => {
+                    prefetch(&leaf.values);
+                    leaf.keys.prefetch();
+                    return leaf.keys.search(key).ok().map(|i| &leaf.values[i]);
+                }
             }
         }
     }
@@ -256,6 +270,8 @@ impl<V> BPlusTree<V> {
         let new_id = self.nodes.len() as u32;
         match &mut self.nodes[at as usize] {
             Node::Leaf(leaf) => {
+                prefetch(&leaf.values);
+                leaf.keys.prefetch();
                 let i = match leaf.keys.search(key) {
                     Ok(i) => return (None, Some(std::mem::replace(&mut leaf.values[i], value))),
                     Err(i) => i,
@@ -286,6 +302,7 @@ impl<V> BPlusTree<V> {
                 (Some((sep, right)), None)
             }
             Node::Inner(inner) => {
+                prefetch(&inner.children);
                 let child = inner.children[inner.seps.upper_bound(key)];
                 let (split, old) = self.insert_rec(child, key, value);
                 let Some((sep, right)) = split else {

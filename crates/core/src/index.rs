@@ -36,13 +36,35 @@
 //! a node search counts without a branch (the `hope_btree` nodes, the
 //! `hope_hot` compound nodes' separators), and a [`KeyRun`] holds keys back
 //! to back by position (the `hope_hot` record heap, the `hope_store` entry
-//! log). Neither is re-exported from the crate root.
+//! log). Neither is re-exported from the crate root, and neither is
+//! [`prefetch`], with which a tree asks for a node's buffers before it
+//! searches the node.
 
 mod key_block;
 mod key_run;
 
 pub use key_block::KeyBlock;
 pub use key_run::KeyRun;
+
+/// Ask for the cache line that holds `items[0]`, without waiting for it:
+/// a tree calls this on a node's buffers as soon as it has read the node,
+/// so their misses overlap the node's search instead of following it
+/// (DESIGN.md, "Prefetch: a node's independent lines in one round trip").
+/// A no-op on an empty slice, and on targets other than x86-64.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub fn prefetch<T>(items: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(first) = items.first() {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint: it never faults and reads nothing
+        // the program can observe, whatever the address. The address is
+        // also that of a live element.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(first).cast::<i8>()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = items;
+}
 
 /// Marker bound for index value payloads.
 ///
@@ -258,6 +280,16 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+
+    /// A prefetch asks for a line and reads nothing: an empty slice is a
+    /// no-op, and a one-element slice leaves its element as it was.
+    #[test]
+    fn prefetch_takes_empty_and_one_element_slices() {
+        prefetch::<u64>(&[]);
+        let one = [7u32];
+        prefetch(&one);
+        assert_eq!(one, [7]);
+    }
 
     #[test]
     fn trait_object_is_usable_behind_a_box() {

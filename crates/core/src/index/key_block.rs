@@ -249,6 +249,19 @@ impl KeyBlock {
         [self.prefix(), self.suffix(i)].concat()
     }
 
+    /// Ask for the first and the last cache line of the ends and of the
+    /// used byte region: what a [`KeyBlock::search`] reads after the heads
+    /// when they tie, asked for before it counts them. Every offset asked
+    /// for is in bounds, so an empty region asks for nothing.
+    pub fn prefetch(&self) {
+        for (at, len) in [(self.ends_at(), self.len() * END), (self.bytes_at(), self.used as usize)]
+        {
+            let region = &self.buf[at..at + len];
+            super::prefetch(region);
+            super::prefetch(&region[len.saturating_sub(1)..]);
+        }
+    }
+
     /// `Ok(i)` if key `i` is `q`, else `Err(i)` with `i` keys below `q`.
     pub fn search(&self, q: &[u8]) -> Result<usize, usize> {
         let n = self.len();
@@ -571,6 +584,41 @@ mod tests {
             let suffixes: Vec<&[u8]> = block.suffixes(1..3).collect();
             let want: [&[u8]; 2] = if truncate { [b"abc", b"b"] } else { [b"xyabc", b"xyb"] };
             assert_eq!(suffixes, want);
+        }
+    }
+
+    /// `prefetch` asks for nothing in an empty region: a block with no
+    /// buffer, and one whose keys are all empty (an empty byte region
+    /// behind its ends).
+    #[test]
+    fn prefetch_skips_empty_regions() {
+        KeyBlock::default().prefetch();
+        for truncate in [false, true] {
+            let empty = KeyBlock::from_sorted(&[b""], truncate);
+            assert_eq!((empty.len(), empty.used), (1, 0));
+            empty.prefetch();
+            assert_eq!(empty.full_key(0), b"");
+        }
+    }
+
+    /// `prefetch` stays inside a block at room after inserts, and inside
+    /// both halves of its split.
+    #[test]
+    fn prefetch_stays_in_bounds_at_room_and_after_a_split() {
+        for truncate in [false, true] {
+            let keys: Vec<Vec<u8>> = (0..ROOM).map(|i| format!("k{i:02}").into_bytes()).collect();
+            let mut block = KeyBlock::default();
+            for k in &keys {
+                block.insert_at(block.lower_bound(k), k, truncate, ROOM);
+                block.prefetch();
+            }
+            assert_eq!(block.room as usize, ROOM);
+            let right = block.split_off(ROOM / 2, ROOM / 2, truncate);
+            block.prefetch();
+            right.prefetch();
+            let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            check_block(&block, &keys[..ROOM / 2], truncate, &words(1));
+            check_block(&right, &keys[ROOM / 2..], truncate, &words(1));
         }
     }
 

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod axis;
 pub mod bitpack;

@@ -26,10 +26,14 @@
 //! the record heap only where partial keys tie; on a hit the first tie is
 //! the verification itself. This is the portable form of the original's
 //! SIMD partial-key search; the original's bit-level Patricia slices are
-//! not reproduced (see DESIGN.md). The trie is generic over its value
-//! payload (`Hot<V>`, any [`hope::Value`]; defaults to `u64` record ids)
-//! and implements the [`hope::OrderedIndex<V>`] contract serving layers
-//! program against.
+//! not reproduced (see DESIGN.md). A probe asks for a node's other
+//! buffers before it searches the node ([`hope::index::prefetch`]): a
+//! compound node's child ids and the first and last lines of its
+//! separators' ends and bytes, and a leaf's record ids, so their misses
+//! overlap the count; gets and inserts descend alike. The trie is
+//! generic over its value payload (`Hot<V>`, any [`hope::Value`];
+//! defaults to `u64` record ids) and implements the
+//! [`hope::OrderedIndex<V>`] contract serving layers program against.
 //!
 //! ```
 //! use hope::OrderedIndex;
@@ -50,7 +54,7 @@
 use std::cmp::Ordering;
 
 use hope::axis::{lcp_len, shortest_separator};
-use hope::index::{KeyBlock, KeyRun};
+use hope::index::{prefetch, KeyBlock, KeyRun};
 
 /// Maximum compound-node fan-out (HOT's k).
 pub const K: usize = 32;
@@ -121,8 +125,11 @@ impl Leaf {
     /// shorter), then the run of ties compared as whole keys. The position
     /// is exact when `key` shares the leaf's first `skip` bytes; a key
     /// that does not cannot be in the leaf, and no record compares equal
-    /// to it — so a point read needs no prefix check.
+    /// to it — so a point read needs no prefix check. It asks for the
+    /// first line of `recs` before it counts, so that line is on its way
+    /// while the partial keys are read.
     fn probe(&self, keys: &KeyRun, key: &[u8]) -> Result<usize, usize> {
+        prefetch(&self.recs);
         let qh = head(&key[(self.skip as usize).min(key.len())..]);
         let mut i = self.heads.iter().map(|&h| usize::from(h < qh)).sum::<usize>();
         while i < self.recs.len() && self.heads[i] == qh {
@@ -222,9 +229,13 @@ struct Inner {
 
 impl Inner {
     /// The child whose subtree `key` belongs in, if `key` shares the
-    /// node's skipped prefix (any child otherwise).
+    /// node's skipped prefix (any child otherwise). The child ids and the
+    /// separators' ends and bytes are asked for before the separators
+    /// are searched.
     #[inline]
     fn child(&self, key: &[u8]) -> u32 {
+        prefetch(&self.children);
+        self.seps.prefetch();
         self.children[self.seps.upper_bound(&key[(self.skip as usize).min(key.len())..])]
     }
 }

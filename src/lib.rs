@@ -5,6 +5,8 @@
 //! component through one dependency. See the `hope` crate for the
 //! compressor itself and DESIGN.md for the full system inventory.
 
+#![deny(unsafe_code)]
+
 pub use hope;
 pub use hope_art;
 pub use hope_btree;
