@@ -7,10 +7,11 @@
 //! prefixes are stored **optimistically**: only the first
 //! [`MAX_STORED_PREFIX`] bytes are kept inline (OCPS), with the full key
 //! re-checked at the leaf — the partial-key behaviour §5 of the HOPE paper
-//! discusses. The same descent answers from the first bytes of a key
-//! ([`Art::probe_prefix`]): the leaf it reaches is the one stored key
-//! that can begin with them, which the caller checks — so a store need
-//! not encode a probe key past the bytes that isolate it.
+//! discusses. The same descent reads a key's bytes as it goes
+//! ([`Art::seek`]): it asks for a byte only when its next node reads one,
+//! and the leaf it reaches is the one stored key the key can be, which
+//! the caller checks — so a store encodes a probe key only as far as the
+//! bytes that isolate it.
 //!
 //! Keys are arbitrary byte strings; a key may be a prefix of another key
 //! (required for HOPE-encoded keys), handled by a per-node terminator slot.
@@ -45,7 +46,7 @@ use std::ops::Range;
 
 use hope::axis::lcp_len;
 use hope::index::KeyRun;
-use hope::Probe;
+use hope::{EncodedBytes, Probe};
 
 /// Maximum number of compressed-prefix bytes stored inline (the paper's
 /// optimistic common prefix skipping threshold).
@@ -364,54 +365,27 @@ impl<V> Art<V> {
         self.nodes.capacity() * std::mem::size_of::<Node>() + self.boxed_bytes
     }
 
-    /// Leaf `leaf`'s value if its key is `key`.
-    fn leaf_value(&self, leaf: usize, key: &[u8]) -> Option<&V> {
+    /// Point lookup with final-key verification (OCPS makes intermediate
+    /// comparisons optimistic; the leaf check is authoritative), borrowing
+    /// the stored value: [`Art::seek`]'s descent, then the leaf's key.
+    pub fn get_ref(&self, key: &[u8]) -> Option<&V> {
+        let leaf = self.descend(&mut &*key)?;
         (self.keys.get(leaf) == key).then(|| &self.values[leaf])
     }
 
-    /// Point lookup with final-key verification (OCPS makes intermediate
-    /// comparisons optimistic; the leaf check is authoritative), borrowing
-    /// the stored value.
-    pub fn get_ref(&self, key: &[u8]) -> Option<&V> {
-        let mut ptr = self.root?;
-        let mut pos = 0usize;
-        loop {
-            if let Some(leaf) = ptr.as_leaf() {
-                return self.leaf_value(leaf, key);
-            }
-            let node = &self.nodes[ptr.as_node()?];
-            let pl = node.prefix_len as usize;
-            if pos + pl > key.len() {
-                return None;
-            }
-            // Optimistic prefix check: compare only the stored bytes.
-            let stored = node.stored_prefix();
-            if key[pos..pos + stored.len()] != *stored {
-                return None;
-            }
-            pos += pl; // skip the (possibly unstored) remainder
-            if pos == key.len() {
-                return self.leaf_value(node.term.as_leaf()?, key);
-            }
-            ptr = node.children.get(key[pos])?;
-            pos += 1;
-        }
-    }
-
-    /// Point lookup from the first bytes of a key
-    /// ([`hope::OrderedIndex::probe_prefix`]): a `complete` probe is
-    /// [`Art::get_ref`]; a partial one descends on the bytes it has. Those
-    /// bytes reach a leaf — the one stored key that can begin with them,
-    /// answered as a [`Probe::Candidate`] the caller confirms — or miss a
-    /// stored prefix byte or a branch ([`Probe::Absent`]), or run out at a
-    /// node: inside its compressed path or at its end, where a key may
-    /// stop or branch ([`Probe::NeedMore`], up to past the next branch
-    /// byte).
+    /// Point lookup on a key whose bytes `key` produces as they are asked
+    /// for ([`hope::OrderedIndex::seek`]): one descent, which asks for
+    /// bytes only when the next node reads past those it holds — the
+    /// node's stored path head and its branch byte. A leaf it reaches, or
+    /// the `term` leaf of a node where the key ends, is the one stored key
+    /// the key can be: a [`Probe::Candidate`] the caller confirms. A
+    /// differing stored path byte, a missing branch, or a key that ends
+    /// inside a path or at a node without a `term` leaf is
+    /// [`Probe::Absent`].
     ///
     /// OCPS compares only the stored head of a compressed path, so a
-    /// descent can pass a path the prefix leaves in an unstored byte; then
-    /// no stored key begins with the prefix, and any leaf is a valid
-    /// candidate.
+    /// descent can pass a path the key leaves in an unstored byte; then
+    /// no stored key is the key, and any leaf is a valid candidate.
     ///
     /// ```
     /// use hope::Probe;
@@ -421,37 +395,42 @@ impl<V> Art<V> {
     /// art.insert(b"apple", 1);
     /// art.insert(b"apricot", 2);
     /// art.insert(b"banana", 3);
-    /// assert_eq!(art.probe_prefix(b"b", false), Probe::Candidate(&3));
-    /// assert_eq!(art.probe_prefix(b"ap", false), Probe::NeedMore(3));
-    /// assert_eq!(art.probe_prefix(b"apr", false), Probe::Candidate(&2));
-    /// assert_eq!(art.probe_prefix(b"c", false), Probe::Absent);
-    /// assert_eq!(art.probe_prefix(b"apple", true), Probe::Hit(&1));
+    /// assert_eq!(art.seek(&mut &b"bandana"[..]), Probe::Candidate(&3));
+    /// assert_eq!(art.seek(&mut &b"apricot"[..]), Probe::Candidate(&2));
+    /// assert_eq!(art.seek(&mut &b"ap"[..]), Probe::Absent);
+    /// assert_eq!(art.seek(&mut &b"cherry"[..]), Probe::Absent);
     /// ```
-    pub fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
-        if complete {
-            return self.get_ref(prefix).map_or(Probe::Absent, Probe::Hit);
-        }
-        let Some(mut ptr) = self.root else { return Probe::Absent };
+    pub fn seek(&self, key: &mut dyn EncodedBytes) -> Probe<'_, V> {
+        self.descend(key).map_or(Probe::Absent, |leaf| Probe::Candidate(&self.values[leaf]))
+    }
+
+    /// The descent behind [`Art::get_ref`] and [`Art::seek`]: the leaf
+    /// `key` reaches, unchecked.
+    fn descend<K: EncodedBytes + ?Sized>(&self, key: &mut K) -> Option<usize> {
+        let mut ptr = self.root?;
+        let (mut bytes, mut whole): (&[u8], bool) = (&[], false);
         let mut pos = 0usize;
         loop {
-            let node = match ptr.as_leaf() {
-                Some(leaf) => return Probe::Candidate(&self.values[leaf]),
-                None => &self.nodes[ptr.as_node().expect("valid ptr")],
-            };
+            if let Some(leaf) = ptr.as_leaf() {
+                return Some(leaf);
+            }
+            let node = &self.nodes[ptr.as_node()?];
+            // The branch byte's position: the node reads up to it.
+            let branch = pos + node.prefix_len as usize;
+            if bytes.len() <= branch && !whole {
+                (bytes, whole) = key.at_least(branch + 1);
+            }
             let stored = node.stored_prefix();
-            let known = stored.len().min(prefix.len() - pos);
-            if prefix[pos..pos + known] != stored[..known] {
-                return Probe::Absent;
+            let known = stored.len().min(bytes.len() - pos);
+            if bytes[pos..pos + known] != stored[..known] {
+                return None;
             }
-            pos += node.prefix_len as usize;
-            if pos >= prefix.len() {
-                return Probe::NeedMore(pos + 1);
-            }
-            match node.children.get(prefix[pos]) {
-                Some(child) => ptr = child,
-                None => return Probe::Absent,
-            }
-            pos += 1;
+            // The key ends inside the path, or at its end.
+            let Some(&label) = bytes.get(branch) else {
+                return node.term.as_leaf().filter(|_| bytes.len() == branch);
+            };
+            ptr = node.children.get(label)?;
+            pos = branch + 1;
         }
     }
 
@@ -763,8 +742,12 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
         Art::get_ref(self, key)
     }
 
-    fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
-        Art::probe_prefix(self, prefix, complete)
+    fn seek(&self, key: &mut dyn EncodedBytes) -> Probe<'_, V> {
+        Art::seek(self, key)
+    }
+
+    fn seeks_prefixes(&self) -> bool {
+        true
     }
 
     fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
@@ -893,31 +876,61 @@ mod tests {
         assert_eq!(art.get(format!("{p}a").as_bytes()), Some(1));
     }
 
-    /// A partial probe reads only the stored head of a compressed path,
-    /// so one that leaves a long path in an unstored byte still reaches a
-    /// leaf: no stored key begins with it, which makes any candidate
-    /// valid, and the caller's key check rejects it. One that leaves the
-    /// stored head is absent; one that stops inside the path asks for the
-    /// path and its branch byte.
+    /// The seek of `key`, handed out as asked, and the sizes it asked of
+    /// it, in order.
+    fn seek_asking(art: &Art, key: &[u8]) -> (Option<u64>, Vec<usize>) {
+        struct Asked<'k>(&'k [u8], Vec<usize>);
+        impl EncodedBytes for Asked<'_> {
+            fn at_least(&mut self, n: usize) -> (&[u8], bool) {
+                assert!(self.1.last().is_none_or(|&m| m < self.0.len()), "asked past the end");
+                self.1.push(n);
+                (&self.0[..n.min(self.0.len())], n >= self.0.len())
+            }
+        }
+        let mut asked = Asked(key, Vec::new());
+        let found = match art.seek(&mut asked) {
+            Probe::Candidate(&v) => Some(v),
+            Probe::Absent => None,
+            Probe::Hit(v) => panic!("a trie seek never checks its leaf: hit {v}"),
+        };
+        (found, asked.1)
+    }
+
+    /// A seek reads only the stored head of a compressed path, so a key
+    /// that leaves a long path in an unstored byte still reaches a leaf:
+    /// no stored key is the key, which makes any candidate valid, and the
+    /// caller's key check rejects it. A key that leaves the stored head,
+    /// or ends inside the path, is absent; one that ends at the node is
+    /// its `term` leaf. Each node asks once, for its path and branch byte,
+    /// and a leaf asks nothing.
     #[test]
     fn partial_probes_past_the_stored_prefix_are_optimistic() {
         let p = b"very-long-shared-prefix-exceeding-eight-bytes/";
+        let branch = p.len() + 1;
         let mut art = Art::new();
+        assert_eq!(seek_asking(&art, b"a"), (None, vec![]));
         art.insert(&[&p[..], b"a"].concat(), 1);
+        assert_eq!(seek_asking(&art, b"b"), (Some(1), vec![]));
         art.insert(&[&p[..], b"b"].concat(), 2);
         let unstored = [&b"very-long-shXred-prefix-exceeding-eight-bytes/"[..], b"a"].concat();
-        assert_eq!(art.probe_prefix(&unstored, false), Probe::Candidate(&1));
-        assert_eq!(art.probe_prefix(&unstored, true), Probe::Absent);
-        assert_eq!(art.probe_prefix(b"very-loXg", false), Probe::Absent);
-        assert_eq!(art.probe_prefix(b"very-long-sh", false), Probe::NeedMore(p.len() + 1));
-        assert_eq!(art.probe_prefix(p, false), Probe::NeedMore(p.len() + 1));
-        assert_eq!(art.probe_prefix(&[&p[..], b"b"].concat(), false), Probe::Candidate(&2));
-        assert_eq!(art.probe_prefix(&[&p[..], b"c"].concat(), false), Probe::Absent);
-        assert_eq!(Art::<u64>::new().probe_prefix(b"", false), Probe::Absent);
-        // A key ending at a node: the probe that reaches it asks for more.
+        assert_eq!(seek_asking(&art, &unstored), (Some(1), vec![branch]));
+        assert_eq!(seek_asking(&art, b"very-loXg"), (None, vec![branch]));
+        assert_eq!(seek_asking(&art, b"very-long-sh"), (None, vec![branch]));
+        assert_eq!(seek_asking(&art, p), (None, vec![branch]));
+        assert_eq!(seek_asking(&art, &[&p[..], b"b"].concat()), (Some(2), vec![branch]));
+        assert_eq!(seek_asking(&art, &[&p[..], b"c"].concat()), (None, vec![branch]));
+        assert_eq!(seek_asking(&art, &[&p[..], b"bb"].concat()), (Some(2), vec![branch]));
         art.insert(p, 3);
-        assert_eq!(art.probe_prefix(p, false), Probe::NeedMore(p.len() + 1));
-        assert_eq!(art.probe_prefix(p, true), Probe::Hit(&3));
+        assert_eq!(seek_asking(&art, p), (Some(3), vec![branch]));
+        assert_eq!(seek_asking(&art, b""), (None, vec![branch]));
+        // A second node asks for its own branch byte; a key already whole
+        // asks nothing more.
+        art.insert(&[&p[..], b"bc"].concat(), 4);
+        assert_eq!(
+            seek_asking(&art, &[&p[..], b"bcd"].concat()),
+            (Some(4), vec![branch, branch + 1])
+        );
+        assert_eq!(seek_asking(&art, &[&p[..], b"b"].concat()), (Some(2), vec![branch]));
     }
 
     #[test]

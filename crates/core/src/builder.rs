@@ -245,28 +245,24 @@ impl Hope {
         Ok(self.encoder.encode_to(key, scratch))
     }
 
-    /// Resumable point encode ([`Encoder::encode_prefix_to`]): continue
-    /// `key` from byte `from` (0 starts it) until its encoding has at least
-    /// `min_bytes` whole bytes or the key ends; returns those bytes and the
-    /// position reached, `key.len()` once the bytes are the whole padded
-    /// encoding. A point read into an index that can place a partial key
-    /// ([`OrderedIndex::probe_prefix`](crate::OrderedIndex::probe_prefix))
-    /// encodes only as much as the index asks for.
+    /// Lazy point encode ([`Encoder::encode_lazily`]): `key` as a byte
+    /// source that encodes only as far as its reader asks. A point read
+    /// into an index that can settle on a partial key
+    /// ([`OrderedIndex::seek`](crate::OrderedIndex::seek)) encodes only
+    /// the bytes its descent reads. The key is validated here, once.
     ///
     /// # Errors
     ///
     /// [`HopeError::KeyTooLong`] when `key` exceeds
     /// [`MAX_KEY_BYTES`](crate::codec::MAX_KEY_BYTES).
     #[inline]
-    pub fn encode_prefix_to<'s>(
-        &self,
-        key: &[u8],
-        from: usize,
-        min_bytes: usize,
+    pub fn encode_lazily<'s>(
+        &'s self,
+        key: &'s [u8],
         scratch: &'s mut crate::encoder::EncodeScratch,
-    ) -> Result<(&'s [u8], usize), HopeError> {
+    ) -> Result<crate::encoder::LazyEncode<'s>, HopeError> {
         crate::codec::validate_key_len(key)?;
-        Ok(self.encoder.encode_prefix_to(key, from, min_bytes, scratch))
+        Ok(self.encoder.encode_lazily(key, scratch))
     }
 
     /// Encode each key on its own, into one reused scratch; `block_size`
@@ -309,7 +305,7 @@ impl Hope {
     /// (SuRF, a plain index over encoded keys): `hope_store` does not
     /// call it, because its scans check each hit's source key against
     /// the high bound and encode only the low one
-    /// ([`Hope::encode_prefix_to`]).
+    /// ([`Hope::encode_lazily`]).
     ///
     /// # Errors
     ///

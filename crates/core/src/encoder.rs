@@ -8,8 +8,9 @@
 //! the bitmap trie's automaton (trie walk on its fallback edges) for
 //! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. See DESIGN.md,
 //! "One structure per scheme". A point read whose index can place a
-//! partial key encodes in chunks ([`Encoder::encode_prefix_to`]): the same
-//! call, bounded by the whole bytes it must produce and resumed where it
+//! partial key encodes it lazily ([`Encoder::encode_lazily`]): the same
+//! call, bounded by the whole bytes the index's
+//! [`seek`](crate::OrderedIndex::seek) asks for and resumed where it
 //! stopped (DESIGN.md, "Point reads encode only what the index needs").
 //!
 //! Everything is allocation-free: codes are appended to a caller-supplied
@@ -30,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bitpack::{BitWriter, EncodedKey};
 use crate::dict::Dict;
+use crate::index::EncodedBytes;
 
 /// Key encoder: owns the dictionary — the one copy of it, and the only
 /// table the encode loop reads.
@@ -63,8 +65,8 @@ pub struct Encoder {
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
     writer: BitWriter,
-    /// The writer of a key [`Encoder::encode_prefix_to`] encodes in
-    /// chunks, which keeps its bits between calls — and after its caller
+    /// The writer of a key [`Encoder::encode_lazily`] encodes as it is
+    /// pulled, which keeps its bits between pulls — and after its reader
     /// has stopped early, until the next key starts.
     chunked: BitWriter,
     lo: Vec<u8>,
@@ -171,22 +173,18 @@ impl Encoder {
         &scratch.lo
     }
 
-    /// Resumable point encode: continue `key` from byte `from` until the
-    /// encoding has at least `min_bytes` whole bytes or the key ends, and
-    /// return those bytes with the position reached. `from` is 0, which
-    /// starts the key afresh in `scratch`, or the position the previous
-    /// call for this key returned. While the position is short of
-    /// `key.len()` the bytes are the whole bytes so far, which later codes
-    /// never change; at the end they are the padded encoded bytes, as
-    /// [`Encoder::encode_to`] returns them (exact bit length via
-    /// [`EncodeScratch::bit_len`]). A call with `from == 0` and
-    /// `min_bytes == usize::MAX` is [`Encoder::encode_to`].
+    /// Lazy point encode: start `key` in `scratch` and return it as an
+    /// [`EncodedBytes`] source, which encodes only as far as its reader
+    /// asks. Its bytes are the whole bytes so far, which later codes never
+    /// change, until the key ends; then they are the padded encoded bytes,
+    /// as [`Encoder::encode_to`] returns them (exact bit length via
+    /// [`EncodeScratch::bit_len`]).
     ///
     /// A key counts once, when it starts, however early its encode stops.
     ///
     /// ```
     /// use hope::encoder::EncodeScratch;
-    /// use hope::{HopeBuilder, Scheme};
+    /// use hope::{EncodedBytes, HopeBuilder, Scheme};
     ///
     /// let sample = vec![b"com.gmail@alice".to_vec(), b"com.gmail@bob".to_vec()];
     /// let hope = HopeBuilder::new(Scheme::AlmImproved).build_from_sample(sample).unwrap();
@@ -194,49 +192,23 @@ impl Encoder {
     /// let whole = hope.encode(key);
     ///
     /// let mut scratch = EncodeScratch::new();
-    /// let (first, at) = hope.encoder().encode_prefix_to(key, 0, 2, &mut scratch);
-    /// assert!(first.len() >= 2 && at < key.len());
+    /// let mut lazy = hope.encoder().encode_lazily(key, &mut scratch);
+    /// let (first, done) = lazy.at_least(2);
+    /// assert!(first.len() >= 2 && !done);
     /// assert!(whole.as_bytes().starts_with(first));
-    /// let (rest, at) = hope.encoder().encode_prefix_to(key, at, usize::MAX, &mut scratch);
-    /// assert_eq!((rest, at), (whole.as_bytes(), key.len()));
+    /// assert_eq!(lazy.at_least(usize::MAX), (whole.as_bytes(), true));
+    /// assert_eq!(lazy.bytes(), whole.as_bytes());
     /// assert_eq!(scratch.bit_len(), whole.bit_len());
     /// ```
-    #[inline]
-    pub fn encode_prefix_to<'s>(
-        &self,
-        key: &[u8],
-        from: usize,
-        min_bytes: usize,
+    pub fn encode_lazily<'s>(
+        &'s self,
+        key: &'s [u8],
         scratch: &'s mut EncodeScratch,
-    ) -> (&'s [u8], usize) {
-        if from == 0 && min_bytes == usize::MAX {
-            return (self.encode_to(key, scratch), key.len());
-        }
-        self.encode_chunk(key, from, min_bytes, scratch)
-    }
-
-    /// One chunk of [`Encoder::encode_prefix_to`], in the scratch's own
-    /// writer for chunked keys. Out of line, so that a caller whose keys
-    /// are whole inlines no more than [`Encoder::encode_to`].
-    #[inline(never)]
-    fn encode_chunk<'s>(
-        &self,
-        key: &[u8],
-        from: usize,
-        min_bytes: usize,
-        scratch: &'s mut EncodeScratch,
-    ) -> (&'s [u8], usize) {
-        if from == 0 {
-            scratch.chunked.clear();
-            self.count_key(scratch);
-        }
-        let at = self.dict.encode_into(key, from, min_bytes, &mut scratch.chunked);
-        if at == key.len() {
-            scratch.lo_bits = scratch.chunked.finish_into(&mut scratch.lo);
-        } else {
-            scratch.chunked.whole_bytes_into(&mut scratch.lo);
-        }
-        (&scratch.lo, at)
+    ) -> LazyEncode<'s> {
+        self.count_key(scratch);
+        scratch.chunked.clear();
+        scratch.lo.clear();
+        LazyEncode { encoder: self, key, scratch, at: 0, whole: false }
     }
 
     /// Count one key in `scratch`, flushing to the shared counter once per
@@ -280,6 +252,44 @@ impl Encoder {
         scratch.hi_bits = scratch.lo_bits;
         self.encode_to(low, scratch);
         (&scratch.lo, &scratch.hi)
+    }
+}
+
+/// A key encoded as far as its reader has asked ([`Encoder::encode_lazily`]).
+#[derive(Debug)]
+pub struct LazyEncode<'s> {
+    encoder: &'s Encoder,
+    key: &'s [u8],
+    scratch: &'s mut EncodeScratch,
+    /// Key bytes encoded so far.
+    at: usize,
+    /// The key has ended, and its padded bytes are out.
+    whole: bool,
+}
+
+impl LazyEncode<'_> {
+    /// The bytes encoded so far: whole bytes until the key ends, its
+    /// padded encoding after. Empty before the first pull.
+    pub fn bytes(&self) -> &[u8] {
+        &self.scratch.lo
+    }
+}
+
+impl EncodedBytes for LazyEncode<'_> {
+    /// Encode on until `n` whole bytes exist or the key ends.
+    #[inline]
+    fn at_least(&mut self, n: usize) -> (&[u8], bool) {
+        if !self.whole {
+            let s = &mut *self.scratch;
+            self.at = self.encoder.dict.encode_into(self.key, self.at, n, &mut s.chunked);
+            self.whole = self.at == self.key.len();
+            if self.whole {
+                s.lo_bits = s.chunked.finish_into(&mut s.lo);
+            } else {
+                s.chunked.whole_bytes_into(&mut s.lo);
+            }
+        }
+        (&self.scratch.lo, self.whole)
     }
 }
 
@@ -394,10 +404,11 @@ mod tests {
         }
     }
 
-    /// A key encoded in chunks of any size ends in the bytes and bit
-    /// length of its whole encode, with every chunk's whole bytes a prefix
-    /// of them; a key abandoned after one chunk leaves the next whole
-    /// encode unaffected; and each key counts once, however it ends.
+    /// A key encoded lazily, in pulls of any size, ends in the bytes and
+    /// bit length of its whole encode, with every pull's bytes a prefix
+    /// of them; a key abandoned after one pull leaves the next whole
+    /// encode unaffected; and each key counts once, however it ends, even
+    /// when nothing is pulled.
     #[test]
     fn chunked_encodes_match_whole_ones_and_count_once() {
         let s = sample();
@@ -410,23 +421,26 @@ mod tests {
             for key in keys {
                 let whole = enc.encode(key);
                 for step in 1..=4 {
-                    let (mut from, mut need) = (0, step);
+                    let mut lazy = enc.encode_lazily(key, &mut scratch);
                     started += 1;
+                    let mut need = step;
                     loop {
-                        let (bytes, to) = enc.encode_prefix_to(key, from, need, &mut scratch);
-                        if to == key.len() {
+                        let (bytes, done) = lazy.at_least(need);
+                        if done {
                             assert_eq!(bytes, whole.as_bytes(), "{scheme}: {key:?} by {step}");
-                            assert_eq!(scratch.bit_len(), whole.bit_len(), "{scheme}: {key:?}");
                             break;
                         }
                         assert!(bytes.len() >= need, "{scheme}: {key:?} by {step}");
                         assert!(whole.as_bytes().starts_with(bytes), "{scheme}: {key:?}");
-                        (from, need) = (to, bytes.len() + step);
+                        need = bytes.len() + step;
                     }
+                    assert_eq!(lazy.at_least(1), (whole.as_bytes(), true), "{scheme}: {key:?}");
+                    assert_eq!(scratch.bit_len(), whole.bit_len(), "{scheme}: {key:?}");
                 }
-                enc.encode_prefix_to(key, 0, 1, &mut scratch);
+                enc.encode_lazily(key, &mut scratch).at_least(1);
+                assert!(enc.encode_lazily(key, &mut scratch).bytes().is_empty());
                 assert_eq!(enc.encode_to(key, &mut scratch), whole.as_bytes(), "{scheme}: {key:?}");
-                started += 2;
+                started += 3;
             }
             enc.flush_count(&mut scratch);
             // Plus one `encode` per key, which counts straight away.

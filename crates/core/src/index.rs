@@ -20,11 +20,14 @@
 //! construction is one more provided method, [`OrderedIndex::load_sorted`]:
 //! its default body inserts pair by pair, and a tree that can be built
 //! left to right from a sorted run (`hope_btree`, `hope_hot`) overrides it.
-//! A point read may also start before its key is whole:
-//! [`OrderedIndex::probe_prefix`] takes the first bytes of a key and says
-//! whether they already settle the read ([`Probe`]). Its default body is
-//! [`OrderedIndex::get`] on whole keys only; `hope_art` descends on the
-//! bytes it has, so an encoder can stop as soon as one leaf is left.
+//! A point read may also start before its key is encoded:
+//! [`OrderedIndex::seek`] pulls the key's bytes from an [`EncodedBytes`]
+//! source only as far as the index reads them, and says whether they
+//! settle the read ([`Probe`]). Its default body asks for the whole key
+//! and calls [`OrderedIndex::get`]; `hope_art` descends once and pulls a
+//! byte only when its next node reads one, so an encoder stops as soon as
+//! one leaf is left. [`OrderedIndex::seeks_prefixes`] says which of the
+//! two an index does, so that a caller can encode a whole key ahead.
 //!
 //! Keys are plain byte slices: callers index either raw keys or the padded
 //! bytes of an [`EncodedKey`](crate::EncodedKey). The trait requires
@@ -82,24 +85,35 @@ pub trait Value: Clone + Send + Sync + std::fmt::Debug + 'static {}
 
 impl<T: Clone + Send + Sync + std::fmt::Debug + 'static> Value for T {}
 
-/// What [`OrderedIndex::probe_prefix`] can say about the stored keys a
-/// probe matches. A `complete` probe is a whole key and matches only
-/// itself; any other probe is the first bytes of a key and matches every
-/// stored key that begins with them.
+/// A key's bytes, produced as a reader asks for them: what
+/// [`OrderedIndex::seek`] reads. A store hands its index the key's
+/// encoding this way ([`Encoder::encode_lazily`](crate::Encoder::encode_lazily)),
+/// so that a trie that settles a read on the first bytes leaves the rest
+/// unencoded. A plain byte slice is a whole key, handed out at once.
+pub trait EncodedBytes {
+    /// The key's first `n` bytes at least, or all of them: produce more
+    /// until `n` exist or the key ends. Returns the bytes so far and
+    /// whether they are the whole key. Once they are, the reader holds
+    /// every byte and asks no more.
+    fn at_least(&mut self, n: usize) -> (&[u8], bool);
+}
+
+impl EncodedBytes for &[u8] {
+    fn at_least(&mut self, _: usize) -> (&[u8], bool) {
+        (self, true)
+    }
+}
+
+/// What [`OrderedIndex::seek`] can say about a key.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Probe<'a, V> {
-    /// The probe is `complete`, and the index holds it: its value.
+    /// The index holds the key: its value.
     Hit(&'a V),
-    /// Only one stored key can match: its value. Whether it does match is
-    /// not checked — the caller compares that key with its own.
+    /// Only one stored key can be the key: its value. Whether it is the
+    /// key is not checked — the caller compares that key with its own.
     Candidate(&'a V),
-    /// No stored key matches.
+    /// The index does not hold the key.
     Absent,
-    /// Probe again with at least `n` bytes of the key, `n` greater than
-    /// the prefix's length (never for a `complete` probe). `usize::MAX`
-    /// means only the whole key will do, and an index that answers it to
-    /// one partial probe answers it to every one, whatever it holds.
-    NeedMore(usize),
 }
 
 /// An ordered map from byte-string keys to `V` values.
@@ -111,14 +125,10 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// Point lookup, borrowing the stored value.
     fn get(&self, key: &[u8]) -> Option<&V>;
 
-    /// Point lookup from the first bytes of a key: `prefix` is the whole
-    /// key when `complete` is set. The caller extends an unsettled
-    /// ([`Probe::NeedMore`]) probe and asks again; bytes it adds never
-    /// change the ones it has already passed.
-    ///
-    /// The provided body places whole keys only: [`OrderedIndex::get`]
-    /// when `complete`, [`Probe::NeedMore`]`(usize::MAX)` otherwise. A
-    /// trie can do better — `hope_art` descends on the bytes it has and
+    /// Point lookup on a key whose bytes `key` produces as they are asked
+    /// for. The provided body asks for the whole key and calls
+    /// [`OrderedIndex::get`]. A trie can do better: `hope_art` descends
+    /// once, asks for a byte only when its next node reads one, and
     /// answers [`Probe::Candidate`] at the first leaf it reaches.
     ///
     /// ```
@@ -127,15 +137,19 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     ///
     /// let mut ix: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
     /// OrderedIndex::insert(&mut ix, b"ab", 1);
-    /// assert_eq!(ix.probe_prefix(b"a", false), Probe::NeedMore(usize::MAX));
-    /// assert_eq!(ix.probe_prefix(b"ab", true), Probe::Hit(&1));
-    /// assert_eq!(ix.probe_prefix(b"a", true), Probe::Absent);
+    /// assert_eq!(ix.seek(&mut &b"ab"[..]), Probe::Hit(&1));
+    /// assert_eq!(ix.seek(&mut &b"a"[..]), Probe::Absent);
+    /// assert!(!ix.seeks_prefixes());
     /// ```
-    fn probe_prefix(&self, prefix: &[u8], complete: bool) -> Probe<'_, V> {
-        if !complete {
-            return Probe::NeedMore(usize::MAX);
-        }
-        self.get(prefix).map_or(Probe::Absent, Probe::Hit)
+    fn seek(&self, key: &mut dyn EncodedBytes) -> Probe<'_, V> {
+        self.get(key.at_least(usize::MAX).0).map_or(Probe::Absent, Probe::Hit)
+    }
+
+    /// Whether [`OrderedIndex::seek`] can settle a read before the key is
+    /// whole. When it cannot (the provided `false`), a caller that holds
+    /// the whole key anyway may call [`OrderedIndex::get`] directly.
+    fn seeks_prefixes(&self) -> bool {
+        false
     }
 
     /// Insert or update; returns the previous value if the key existed.

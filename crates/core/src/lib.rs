@@ -59,7 +59,7 @@ pub use builder::{BuildTimings, CodecStats, Hope, HopeBuilder, HopeError};
 pub use codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
 pub use decoder::{DecodeScratch, Decoder, FastDecoder};
 pub use encoder::{EncodeScratch, Encoder};
-pub use index::{OrderedIndex, Probe, Value};
+pub use index::{EncodedBytes, OrderedIndex, Probe, Value};
 pub use selector::Scheme;
 
 /// One-stop import for the v1 public API.
@@ -85,6 +85,6 @@ pub mod prelude {
     pub use crate::codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
     pub use crate::decoder::{DecodeScratch, Decoder, FastDecoder};
     pub use crate::encoder::EncodeScratch;
-    pub use crate::index::{OrderedIndex, Probe, Value};
+    pub use crate::index::{EncodedBytes, OrderedIndex, Probe, Value};
     pub use crate::selector::Scheme;
 }

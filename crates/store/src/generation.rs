@@ -33,34 +33,35 @@
 //! arbitrary byte keys: an insert that displaces an id has found the
 //! version it supersedes. A point read into an index that places
 //! whole keys only (the B+trees, HOT, `BTreeMap`) finds the whole
-//! encoding and never looks at the stored source bytes. Into the ART it
-//! encodes only until one leaf is left
-//! ([`OrderedIndex::probe_prefix`]) and then compares its key with that
-//! record's source key, which the base holds (DESIGN.md "Point reads
-//! encode only what the index needs"). A scan seeks its low bound the
-//! same way, with the same loop, in the first shard it reads only, and
-//! never encodes its high bound: it reads the source keys of its hits —
-//! out of the base in key order, sequential memory, until writes have
-//! moved them to the tail — and checks them against the source bounds
-//! (DESIGN.md "Scans encode one bound").
+//! encoding and never looks at the stored source bytes. The ART pulls
+//! the encoding as its one descent reads it ([`OrderedIndex::seek`]), so
+//! the read encodes only until one leaf is left and then compares its
+//! key with that record's source key, which the base holds (DESIGN.md
+//! "Point reads encode only what the index needs"). A scan seeks its low
+//! bound the same way, with the same seek, in the first shard it reads
+//! only, and never encodes its high bound: it reads the source keys of
+//! its hits — out of the base in key order, sequential memory, until
+//! writes have moved them to the tail — and checks them against the
+//! source bounds (DESIGN.md "Scans encode one bound").
 //!
 //! ## Lock discipline
 //!
 //! The interior `RwLock` is held briefly by probes and scan chunks. A
-//! point read or a scan takes it once, after encoding its first chunk;
-//! an ART read or scan that needs more bytes encodes them under it. A poisoned lock (a panic
-//! in some other thread's callback) is *recovered*, not propagated: the
+//! point read or a scan takes it once. One into an index that places
+//! whole keys only encodes its key before; one into the ART encodes all
+//! of its bytes under it, as the descent pulls them. A poisoned lock (a
+//! panic in some other thread's callback) is *recovered*, not propagated: the
 //! generation's invariants are maintained step-wise, so the data behind a
 //! poisoned lock is still coherent, and a read-mostly serving layer
 //! should keep serving.
 
 use std::cell::RefCell;
-use std::num::NonZeroU32;
 use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, PoisonError, RwLock};
 
+use hope::encoder::LazyEncode;
 use hope::index::KeyRun;
-use hope::{EncodeScratch, Hope, HopeError, OrderedIndex, Probe, Value};
+use hope::{EncodeScratch, EncodedBytes, Hope, HopeError, OrderedIndex, Probe, Value};
 
 use crate::dictionary::{replace_sample, Dictionary};
 use crate::error::{validate_key, StoreError};
@@ -211,10 +212,10 @@ pub struct Generation<V: Value = u64> {
     /// Write-log record cap: `insert` returns
     /// [`StoreError::WriteLogFull`] instead of growing past it.
     log_capacity: u32,
-    /// Whole encoded bytes a point read encodes before its first probe
-    /// ([`first_chunk`]); `None` for an index that places whole keys only.
-    /// Four bytes, in what was padding: a generation is no larger.
-    first_chunk: Option<NonZeroU32>,
+    /// The index's [`OrderedIndex::seeks_prefixes`], read once at load:
+    /// whether a read pulls its encoding through [`OrderedIndex::seek`]
+    /// or encodes the whole key first. In what was padding.
+    seeks_prefixes: bool,
     data: RwLock<GenData<V>>,
 }
 
@@ -224,6 +225,22 @@ pub struct Generation<V: Value = u64> {
 /// that replaces it), and the log watermark the swap's splice replays
 /// from.
 pub(crate) type LiveSnapshot<V> = (Records<V>, KeyRun, Vec<Vec<u8>>, usize);
+
+/// A key's encoding as an index's seek pulls it: each pull timed as the
+/// encode stage, and the descent before it as the probe stage.
+struct Timed<'a, S> {
+    key: LazyEncode<'a>,
+    spans: &'a mut S,
+}
+
+impl<S: SpanRecorder> EncodedBytes for Timed<'_, S> {
+    fn at_least(&mut self, n: usize) -> (&[u8], bool) {
+        self.spans.probed();
+        let pulled = self.key.at_least(n);
+        self.spans.encoded();
+        pulled
+    }
+}
 
 /// Encode-side footprint of one insert, accumulated into the shard's
 /// drift statistics.
@@ -251,38 +268,6 @@ pub(crate) fn encode_run(hope: &Hope, keys: &KeyRun) -> Result<KeyRun, HopeError
         }
         Ok(run)
     })
-}
-
-/// How many whole encoded bytes a point read into `index`, just loaded
-/// with `encoded`, encodes before its first probe: `None`, the whole key,
-/// when the index places whole keys only (its answer to a partial probe is
-/// `NeedMore(usize::MAX)`). Otherwise the median of what 64 loaded keys,
-/// evenly spaced, need before the index has one candidate left: 5 bytes
-/// of a URL key's 18 under ALM-Improved in a 25 k-key ART. A smaller first
-/// chunk costs most reads more probes, each a descent from the root; a
-/// larger one encodes symbols no probe reads.
-fn first_chunk(index: &dyn OrderedIndex<SlotId>, encoded: &KeyRun) -> Option<NonZeroU32> {
-    if index.probe_prefix(&[], false) == Probe::NeedMore(usize::MAX) {
-        return None;
-    }
-    let isolating = |key: &[u8]| {
-        let mut n = 0;
-        while n < key.len() {
-            match index.probe_prefix(&key[..n], false) {
-                Probe::NeedMore(more) => n = more.max(n + 1),
-                _ => break,
-            }
-        }
-        n.min(key.len())
-    };
-    let step = encoded.len().div_ceil(64).max(1);
-    let mut need: Vec<usize> = encoded.iter().step_by(step).map(isolating).collect();
-    if need.is_empty() {
-        return NonZeroU32::new(1);
-    }
-    let mid = need.len() / 2;
-    let median = *need.select_nth_unstable(mid).1;
-    NonZeroU32::new(u32::try_from(median).unwrap_or(u32::MAX).max(1))
 }
 
 impl<V: Value> Generation<V> {
@@ -313,12 +298,12 @@ impl<V: Value> Generation<V> {
         debug_assert_eq!(run.len(), encoded.len());
         debug_assert_eq!(run.len(), run.keys.len());
         index.load_sorted(&mut encoded.iter().zip(0..));
-        let first_chunk = first_chunk(&*index, &encoded);
+        let seeks_prefixes = index.seeks_prefixes();
         let (live, live_key_bytes) = (run.len(), run.keys.byte_len());
         let tail = Records::with_capacity(0, 0);
         let data =
             RwLock::new(GenData { index, base: run, tail, prev: Vec::new(), live, live_key_bytes });
-        Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, first_chunk, data }
+        Generation { epoch, dict, shard: 0, log_capacity: NO_PREV, seeks_prefixes, data }
     }
 
     /// Attach the owning shard id (error attribution) and the write-log
@@ -425,11 +410,10 @@ impl<V: Value> Generation<V> {
     /// tracing, or is `()` and costs nothing.
     ///
     /// An index that places whole keys only is asked once, with the whole
-    /// encoding — its `probe_prefix` is `get` — and the encoded bytes
-    /// identify the record. A trie can answer from fewer bytes: a miss at
-    /// the first missing branch, or the one record whose key the bytes
-    /// can still begin, which the record's source key then confirms or
-    /// rejects.
+    /// encoding, and the encoded bytes identify the record. A trie
+    /// answers from the bytes its one descent pulls: a miss at the first
+    /// missing branch, or the one record that can hold the key, which the
+    /// record's source key then confirms or rejects.
     ///
     /// # Errors
     ///
@@ -443,20 +427,15 @@ impl<V: Value> Generation<V> {
     ) -> Result<(Option<R>, S), StoreError> {
         let mut spans = S::start();
         let found = self.seek(key, &mut spans, |d, bytes, answer| {
-            // A whole key: an index that places whole keys only is asked
-            // with the `get` its provided `probe_prefix` would make.
-            // Called directly, a B+tree read runs the code it always has
-            // (through `probe_prefix`, `point_email_btree` read about 2 %
-            // slower).
-            let answer = answer.unwrap_or_else(|| match self.first_chunk {
-                None => d.index.get(bytes).map_or(Probe::Absent, Probe::Hit),
-                Some(_) => d.index.probe_prefix(bytes, true),
-            });
+            // A whole key into an index that places whole keys only: its
+            // `get`, called directly (through a probe, `point_email_btree`
+            // read about 2 % slower).
+            let answer =
+                answer.unwrap_or_else(|| d.index.get(bytes).map_or(Probe::Absent, Probe::Hit));
             let id = match answer {
                 Probe::Hit(&id) => id,
                 Probe::Candidate(&id) if d.record(id as usize).0 == key => id,
-                // A miss, another key's record, or (against the contract)
-                // more bytes asked of a whole key.
+                // A miss, or another key's record.
                 _ => return None,
             };
             d.visible_at(id as usize, at).map(|id| f(d.value(id)))
@@ -466,14 +445,13 @@ impl<V: Value> Generation<V> {
     }
 
     /// The one seek behind point reads and scans, on this thread's probe
-    /// scratch under one read lock: encode `key` from the generation's
-    /// first chunk on ([`first_chunk`]; the whole key for an index that
-    /// places whole keys only) and ask [`OrderedIndex::probe_prefix`]
-    /// about each partial encoding until it stops asking for more bytes
-    /// or the key is whole. Then `done` runs on the index, the bytes
-    /// encoded, and the index's answer to them — `None` when they are the
-    /// whole encoding, which the seek does not probe. The first chunk is
-    /// encoded before the lock is taken; later ones under it.
+    /// scratch under one read lock. Into an index that places whole keys
+    /// only, `key` is encoded whole before the lock is taken, and not
+    /// probed. Into one that [seeks prefixes](OrderedIndex::seeks_prefixes),
+    /// the lock is taken first and [`OrderedIndex::seek`] pulls the
+    /// encoding under it, as far as its descent reads. Then `done` runs on
+    /// the index, the bytes encoded, and the index's answer — `None` when
+    /// it was not asked.
     ///
     /// # Errors
     ///
@@ -486,24 +464,15 @@ impl<V: Value> Generation<V> {
         done: impl FnOnce(&GenData<V>, &[u8], Option<Probe<'_, SlotId>>) -> R,
     ) -> Result<R, StoreError> {
         PROBE.with_borrow_mut(|scratch| {
-            let (mut from, mut need) =
-                (0, self.first_chunk.map_or(usize::MAX, |n| n.get() as usize));
-            let mut data = None;
-            loop {
-                let (bytes, to) = self.dict.hope.encode_prefix_to(key, from, need, scratch)?;
+            if !self.seeks_prefixes {
+                let bytes = self.dict.hope.encode_to(key, scratch)?;
                 spans.encoded();
-                let d: &GenData<V> = data.get_or_insert_with(|| self.read());
-                if to == key.len() {
-                    return Ok(done(d, bytes, None));
-                }
-                match d.index.probe_prefix(bytes, false) {
-                    Probe::NeedMore(n) => {
-                        spans.probed();
-                        (from, need) = (to, n.max(bytes.len() + 1));
-                    }
-                    answer => return Ok(done(d, bytes, Some(answer))),
-                }
+                return Ok(done(&self.read(), bytes, None));
             }
+            let mut pull = Timed { key: self.dict.hope.encode_lazily(key, scratch)?, spans };
+            let d = self.read();
+            let answer = d.index.seek(&mut pull);
+            Ok(done(&d, pull.key.bytes(), Some(answer)))
         })
     }
 

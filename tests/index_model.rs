@@ -6,9 +6,9 @@
 //! the trait's provided `range_into` (bounded: appending to a reused
 //! buffer, limit 0 and inverted bounds included) and `for_each`. Every
 //! read is checked, and every program ends with a sweep: `get` on every
-//! key and on its neighbours, `probe_prefix` on every prefix of those,
-//! whole and partial, the full walk, and a spread of bounded ranges and
-//! early-stopped walks.
+//! key and on its neighbours, `seek` on every prefix of those, each a
+//! whole key pulled through a byte source that records what it is asked,
+//! the full walk, and a spread of bounded ranges and early-stopped walks.
 //!
 //! The keys are `common`'s hostile families. One program in four loads
 //! hundreds of keys under one long stem, with a few prefixes of the stem,
@@ -30,7 +30,7 @@ use std::ops::Bound::{Included, Unbounded};
 
 use common::{key, long_stem_key, show, Rng, LONG_STEM};
 use hope::axis::lcp_len;
-use hope::{OrderedIndex, Probe};
+use hope::{EncodedBytes, OrderedIndex, Probe};
 use hope_art::Art;
 use hope_btree::BPlusTree;
 use hope_hot::Hot;
@@ -248,54 +248,62 @@ fn neighbours(model: &Model) -> Vec<Vec<u8>> {
     out
 }
 
-/// Prefix lengths [`probes_match`] tries on a key of `len` bytes: every
+/// Prefix lengths [`seeks_match`] tries on a key of `len` bytes: every
 /// one from `from` on — of a key over 512 bytes, those within 256 bytes
-/// of either end (a whole probe of a 64 KiB key compares it in full).
+/// of either end (a seek of a 64 KiB key may compare it in full).
 fn prefix_lengths(len: usize, from: usize) -> impl Iterator<Item = usize> {
     (from..=len).filter(move |&n| n <= 256 || len - n < 256)
 }
 
-/// `probe_prefix` at each prefix of `k` from `from` bytes on
-/// ([`prefix_lengths`]), whole and partial, says nothing the model
-/// contradicts. A whole probe matches the key it is, a partial one every
-/// key it begins. A hit is a whole stored key, and the very value `get`
-/// borrows; every key a candidate's probe matches is the candidate's (the
-/// value `get` borrows for it); after an absent probe the model has no
-/// match; and more bytes are asked only of a partial probe, past its end.
-fn probes_match(at: &str, ix: &dyn OrderedIndex, model: &Model, k: &[u8], from: usize) {
+/// A key's bytes, handed out as an encoder would: what is asked and
+/// `extra` bytes more, whole once the key is out. It records each ask,
+/// and panics on one for bytes it has already handed out, or for any
+/// after it has reported the key's end.
+struct Recorder<'k> {
+    key: &'k [u8],
+    extra: usize,
+    asked: Vec<usize>,
+    out: usize,
+    whole: bool,
+}
+
+impl EncodedBytes for Recorder<'_> {
+    fn at_least(&mut self, n: usize) -> (&[u8], bool) {
+        assert!(!self.whole, "asked for {n} bytes after the end: {:?}", self.asked);
+        assert!(n > self.out, "asked for {n} bytes, {} already out: {:?}", self.out, self.asked);
+        self.asked.push(n);
+        self.out = n.saturating_add(self.extra).min(self.key.len());
+        self.whole = self.out == self.key.len();
+        (&self.key[..self.out], self.whole)
+    }
+}
+
+/// `seek` on each prefix of `k` from `from` bytes on ([`prefix_lengths`]),
+/// each handed over as a whole key by a [`Recorder`], says nothing the
+/// model contradicts. A hit is a stored key, and the very value `get`
+/// borrows; a candidate for a stored key is that key's own value; and
+/// the key is absent only where the model lacks it.
+fn seeks_match(at: &str, ix: &dyn OrderedIndex, model: &Model, k: &[u8], from: usize) {
     for len in prefix_lengths(k.len(), from) {
         let p = &k[..len];
-        for complete in [false, true] {
-            let what = || format!("{at}: probe_prefix({}, complete: {complete})", show(p));
-            let matching: Vec<&[u8]> = if complete {
-                model.get_key_value(p).map(|(k, _)| k.as_slice()).into_iter().collect()
-            } else {
-                model
-                    .range::<[u8], _>((Included(p), Unbounded))
-                    .map(|(k, _)| k.as_slice())
-                    .take_while(|k| k.starts_with(p))
-                    .take(2)
-                    .collect()
-            };
-            let is_stored = |k: &[u8], v: &u64| ix.get(k).is_some_and(|w| std::ptr::eq(v, w));
-            match ix.probe_prefix(p, complete) {
-                Probe::Hit(v) => assert!(complete && is_stored(p, v), "{}: hit {v}", what()),
-                Probe::Candidate(v) => {
-                    let other = matching.iter().find(|k| !is_stored(k, v));
-                    assert!(other.is_none(), "{}: candidate {v} is not {:?}", what(), other);
-                }
-                Probe::Absent => assert!(matching.is_empty(), "{}: absent", what()),
-                Probe::NeedMore(n) => {
-                    assert!(!complete && n > len, "{}: need {n} bytes", what());
-                }
+        let mut key = Recorder { key: p, extra: len % 3, asked: Vec::new(), out: 0, whole: false };
+        let answer = ix.seek(&mut key);
+        let what = || format!("{at}: seek({}) asking {:?}", show(p), key.asked);
+        let is_stored = |v: &u64| ix.get(p).is_some_and(|w| std::ptr::eq(v, w));
+        match answer {
+            Probe::Hit(v) => assert!(is_stored(v), "{}: hit {v}", what()),
+            Probe::Candidate(v) => {
+                let stored = model.contains_key(p);
+                assert!(!stored || is_stored(v), "{}: candidate {v}", what());
             }
+            Probe::Absent => assert!(!model.contains_key(p), "{}: absent", what()),
         }
     }
 }
 
 /// `ix` holds exactly what `model` holds: length, memory, the full walk
 /// both ways, every key and every neighbour through `get` and, at each of
-/// their prefixes, `probe_prefix` ([`probes_match`]; each prefix once: a
+/// their prefixes, `seek` ([`seeks_match`]; each prefix once: a
 /// key's prefixes up to its common prefix with the key before it were
 /// probed with that key, and a neighbour's proper prefixes are a stored
 /// key's), every pair
@@ -312,13 +320,13 @@ fn sweep(at: &str, ix: &dyn OrderedIndex, model: &Model) {
     for (k, v) in model {
         assert_eq!(ix.get(k), Some(v), "{at}: get {}", show(k));
         let fresh = before.map_or(0, |b| lcp_len(b, k) + 1);
-        probes_match(at, ix, model, k, fresh);
+        seeks_match(at, ix, model, k, fresh);
         before = Some(k);
     }
     let neighbours = neighbours(model);
     for k in &neighbours {
         assert_eq!(ix.get(k), model.get(k), "{at}: get {}", show(k));
-        probes_match(at, ix, model, k, k.len());
+        seeks_match(at, ix, model, k, k.len());
     }
     let mut bounds: Vec<Vec<u8>> = model.keys().cloned().chain(neighbours).collect();
     bounds.sort();
