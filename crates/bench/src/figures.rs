@@ -253,11 +253,16 @@ fn fig10(cfg: &BenchConfig, out: &mut ScenarioReport) {
                     if let Some(last) = end.last_mut() {
                         *last = last.saturating_add(1);
                     }
-                    let (lo, hi) = match &prep.hope {
-                        Some(h) => h.encode_range_bounds(&keys[i], &end),
-                        None => (keys[i].clone(), end),
+                    let may = match &prep.hope {
+                        Some(h) => {
+                            let (lo, hi) = h
+                                .encode_range_bounds_to(&keys[i], &end, &mut scratch)
+                                .expect("bench keys within MAX_KEY_BYTES");
+                            surf.range_may_contain(lo, hi)
+                        }
+                        None => surf.range_may_contain(&keys[i], &end),
                     };
-                    found += surf.range_may_contain(&lo, &hi) as usize;
+                    found += may as usize;
                 }
                 found
             });

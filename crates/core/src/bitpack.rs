@@ -249,16 +249,13 @@ impl BitWriter {
         EncodedKey::from_parts(bytes, bit_len)
     }
 
-    /// Write the whole bytes written so far into `out` (cleared first) and
-    /// keep writing: later codes only append bits, so these bytes are the
-    /// first bytes of whatever [`Self::finish`] will return.
-    pub fn whole_bytes_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(&self.out);
-        let whole = (self.fill / 8) as usize;
-        if whole > 0 {
-            out.extend_from_slice(&(self.acc << (64 - self.fill)).to_be_bytes()[..whole]);
-        }
+    /// Bring `out` — which holds a prefix of the whole bytes written so
+    /// far — up to all of them, appending only the bytes past
+    /// `out.len()`, and keep writing: later codes only append bits, so
+    /// these bytes are the first bytes of whatever [`Self::finish`] will
+    /// return.
+    pub fn whole_bytes_onto(&self, out: &mut Vec<u8>) {
+        self.bytes_onto(out, (self.fill / 8) as usize);
     }
 
     /// Allocation-free variant of [`Self::finish`]: write the padded bytes
@@ -266,16 +263,33 @@ impl BitWriter {
     /// writer is reset and its internal buffer retained for reuse — the
     /// shape query hot paths want.
     pub fn finish_into(&mut self, out: &mut Vec<u8>) -> usize {
-        let bit_len = self.total_bits;
         out.clear();
-        out.extend_from_slice(&self.out);
-        if self.fill > 0 {
-            let res = self.acc << (64 - self.fill);
-            let nbytes = (self.fill as usize).div_ceil(8);
-            out.extend_from_slice(&res.to_be_bytes()[..nbytes]);
-        }
+        self.finish_onto(out)
+    }
+
+    /// [`Self::finish_into`] onto an `out` that holds a prefix of the
+    /// whole bytes so far ([`Self::whole_bytes_onto`]): only the padded
+    /// bytes past `out.len()` are appended.
+    pub fn finish_onto(&mut self, out: &mut Vec<u8>) -> usize {
+        let bit_len = self.total_bits;
+        self.bytes_onto(out, (self.fill as usize).div_ceil(8));
         self.clear();
         bit_len
+    }
+
+    /// Append to `out` the spilled bytes and the first `staged` bytes of
+    /// the left-aligned staging buffer that `out` does not hold yet.
+    #[inline]
+    fn bytes_onto(&self, out: &mut Vec<u8>, staged: usize) {
+        let (from, spilled) = (out.len(), self.out.len());
+        debug_assert!(from <= spilled + staged, "out holds more than was written");
+        if from < spilled {
+            out.extend_from_slice(&self.out[from..]);
+        }
+        let skip = from.saturating_sub(spilled);
+        if staged > skip {
+            out.extend_from_slice(&(self.acc << (64 - self.fill)).to_be_bytes()[skip..staged]);
+        }
     }
 }
 
@@ -405,26 +419,37 @@ mod tests {
     }
 
     /// After every code, the whole bytes so far are the first bytes of
-    /// the finished key — across the 64-bit spill too.
+    /// the finished key — across the 64-bit spill too — whether they are
+    /// written afresh or appended to the ones an earlier call wrote, and
+    /// a finish onto those appends exactly the rest.
     #[test]
     fn whole_bytes_are_a_prefix_of_the_finished_key() {
         let codes: Vec<Code> =
             (0..40u64).map(|i| Code::new(i % 7 + 1, 3 + (i % 11) as u8)).collect();
         let mut w = BitWriter::new();
-        let mut seen = Vec::new();
+        let (mut seen, mut grown) = (Vec::new(), Vec::new());
         for &c in &codes {
             w.put(c);
             let mut whole = Vec::new();
-            w.whole_bytes_into(&mut whole);
+            w.whole_bytes_onto(&mut whole);
             assert_eq!(whole.len(), w.bit_len() / 8);
+            w.whole_bytes_onto(&mut grown);
+            assert_eq!(grown, whole);
             seen.push(whole);
         }
-        let k = w.finish();
+        let bits = w.bit_len();
+        let mut finished = BitWriter::new();
+        for &c in &codes {
+            finished.put(c);
+        }
+        let k = finished.finish();
         for whole in seen {
             assert!(k.as_bytes().starts_with(&whole), "{whole:?}");
         }
-        let mut empty = vec![1, 2, 3];
-        BitWriter::new().whole_bytes_into(&mut empty);
+        assert_eq!((w.finish_onto(&mut grown), grown.as_slice()), (bits, k.as_bytes()));
+        assert_eq!(w.bit_len(), 0, "a finish resets the writer");
+        let mut empty = Vec::new();
+        BitWriter::new().whole_bytes_onto(&mut empty);
         assert!(empty.is_empty());
     }
 

@@ -4,14 +4,14 @@
 use std::time::{Duration, Instant};
 
 use crate::bitpack::EncodedKey;
-use crate::code_assign::{codes_are_order_preserving, CodeAssigner};
+use crate::code_assign::{codes_are_order_preserving, identity_codes, CodeAssigner};
 use crate::decoder::{Decoder, FastDecoder};
 use crate::dict::Dict;
 use crate::encoder::Encoder;
 use crate::selector::{self, Scheme};
 
-/// Errors from the HOPE codec: the build pipeline *and* the v1 fallible
-/// codec surface ([`KeyCodec`](crate::codec::KeyCodec)).
+/// Errors from the HOPE codec: the build pipeline *and* the fallible
+/// encode / decode surface ([`Hope::encode_to`], [`Hope::decode_to`]).
 ///
 /// Every fallible stage reports through this type instead of panicking or
 /// returning a bare `Option`, so embedding systems (e.g. a `hope_store`
@@ -159,23 +159,33 @@ impl HopeBuilder {
             return Err(HopeError::EmptySample);
         }
 
+        // Identity trains nothing: no test encoding, no code assigner.
+        let identity = self.scheme == Scheme::Identity;
+
         // Module 1: Symbol Selector (interval division + test encoding).
         let t0 = Instant::now();
         let set = selector::select_intervals(self.scheme, &sample, self.target_entries)?;
-        let weights = selector::access_weights(&set, &sample);
+        let weights = if identity { Vec::new() } else { selector::access_weights(&set, &sample) };
         let symbol_select = t0.elapsed();
 
         // Module 2: Code Assigner.
         let t1 = Instant::now();
-        let assigner = if self.scheme.uses_hu_tucker() {
-            CodeAssigner::HuTucker
+        let codes = if identity {
+            identity_codes()
+        } else if self.scheme.uses_hu_tucker() {
+            CodeAssigner::HuTucker.assign(&weights)
         } else {
-            CodeAssigner::FixedLength
+            CodeAssigner::FixedLength.assign(&weights)
         };
-        let codes = assigner.assign(&weights);
         let code_assign = t1.elapsed();
         debug_assert!(codes_are_order_preserving(&codes));
-        debug_assert!(codes[0].bits != 0, "the all-zeros code is reserved");
+        if identity {
+            // Never padded, so the bytes are the key: strict order holds
+            // without the reserved all-zeros code.
+            debug_assert!(codes.iter().all(|c| c.len == 8), "identity codes are whole bytes");
+        } else {
+            debug_assert!(codes[0].bits != 0, "the all-zeros code is reserved");
+        }
 
         // Module 3: Dictionary.
         let t2 = Instant::now();
@@ -194,8 +204,9 @@ impl HopeBuilder {
 }
 
 /// A built HOPE compressor: dictionary + encoder, ready for the encode
-/// phase. Implements [`KeyCodec`](crate::codec::KeyCodec) — the unified
-/// fallible encode/decode surface serving layers program against.
+/// phase. The one codec type: its validated, fallible `encode_to` /
+/// `encode_range_bounds_to` / `decode_to` are what serving layers program
+/// against, and [`Scheme::Identity`] makes it the uncompressed baseline.
 #[derive(Debug)]
 pub struct Hope {
     scheme: Scheme,
@@ -226,10 +237,8 @@ impl Hope {
     /// [`EncodeScratch::bit_len`](crate::encoder::EncodeScratch::bit_len)).
     ///
     /// This is the query-probe hot path: no per-key `Vec`, one
-    /// [`Dict::encode_into`] loop. Part of the
-    /// [`KeyCodec`](crate::codec::KeyCodec) surface, so it validates the
-    /// key; the unvalidated low-level walk stays available as
-    /// [`Encoder::encode_to`].
+    /// [`Dict::encode_into`] loop. It validates the key; the unvalidated
+    /// low-level walk stays available as [`Encoder::encode_to`].
     ///
     /// # Errors
     ///
@@ -285,27 +294,19 @@ impl Hope {
         out
     }
 
-    /// Encode the inclusive boundaries of a range query into the padded
-    /// byte form order-sensitive structures index.
+    /// Encode the inclusive boundaries of a range query into a reusable
+    /// scratch and return the two padded byte strings order-sensitive
+    /// structures index.
     ///
     /// The bounds are exact: a source key `k` encodes to padded bytes
     /// within `[lo, hi]` byte-wise **if and only if** `low <= k <= high`
     /// (padded bytes order strictly as source keys do — see DESIGN.md,
     /// "Encoded-key comparison"), so the pair drives a compressed range
-    /// scan directly and no hit needs a source-key re-check.
-    pub fn encode_range_bounds(&self, low: &[u8], high: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let mut scratch = crate::encoder::EncodeScratch::new();
-        let (lo, hi) = self.encoder.encode_pair_to(low, high, &mut scratch);
-        (lo.to_vec(), hi.to_vec())
-    }
-
-    /// Allocation-free [`Hope::encode_range_bounds`]: encode both into a
-    /// reusable scratch and return the two padded byte strings, exact in
-    /// the same sense. For a structure that cannot read source keys
-    /// (SuRF, a plain index over encoded keys): `hope_store` does not
-    /// call it, because its scans check each hit's source key against
-    /// the high bound and encode only the low one
-    /// ([`Hope::encode_lazily`]).
+    /// scan directly and no hit needs a source-key re-check. For a
+    /// structure that cannot read source keys (SuRF, a plain index over
+    /// encoded keys): `hope_store` does not call it, because its scans
+    /// check each hit's source key against the high bound and encode only
+    /// the low one ([`Hope::encode_lazily`]).
     ///
     /// # Errors
     ///
@@ -325,9 +326,8 @@ impl Hope {
 
     /// Allocation-free decode of `bit_len` bits of padded encoded bytes
     /// back to the source key, via a lazily built, cached
-    /// [`FastDecoder`] (the
-    /// [`KeyCodec`](crate::codec::KeyCodec) decode surface). The first
-    /// call pays the decoder build; later calls share it across threads.
+    /// [`FastDecoder`]. The first call pays the decoder build; later calls
+    /// share it across threads.
     ///
     /// # Errors
     ///
@@ -402,36 +402,6 @@ impl Hope {
     }
 }
 
-/// [`Hope`] is the reference implementation of the unified codec surface:
-/// the trait methods delegate to the inherent methods above.
-impl crate::codec::KeyCodec for Hope {
-    fn encode_to<'s>(
-        &self,
-        key: &[u8],
-        scratch: &'s mut crate::encoder::EncodeScratch,
-    ) -> Result<&'s [u8], HopeError> {
-        Hope::encode_to(self, key, scratch)
-    }
-
-    fn encode_range_bounds_to<'s>(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        scratch: &'s mut crate::encoder::EncodeScratch,
-    ) -> Result<(&'s [u8], &'s [u8]), HopeError> {
-        Hope::encode_range_bounds_to(self, low, high, scratch)
-    }
-
-    fn decode_to<'s>(
-        &self,
-        enc: &[u8],
-        bit_len: usize,
-        scratch: &'s mut crate::decoder::DecodeScratch,
-    ) -> Result<&'s [u8], HopeError> {
-        Hope::decode_to(self, enc, bit_len, scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,20 +428,24 @@ mod tests {
     #[test]
     fn range_bounds_bracket_contained_keys() {
         let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample()).unwrap();
-        let (lo, hi) = hope.encode_range_bounds(b"com.gmail@user0010", b"com.gmail@user0100");
-        assert_eq!(lo, hope.encode(b"com.gmail@user0010").into_bytes());
-        assert_eq!(hi, hope.encode(b"com.gmail@user0100").into_bytes());
+        let mut scratch = crate::encoder::EncodeScratch::new();
+        let (lo, hi) = hope
+            .encode_range_bounds_to(b"com.gmail@user0010", b"com.gmail@user0100", &mut scratch)
+            .unwrap();
+        assert_eq!(lo, hope.encode(b"com.gmail@user0010").as_bytes());
+        assert_eq!(hi, hope.encode(b"com.gmail@user0100").as_bytes());
         for probe in ["com.gmail@user0010", "com.gmail@user0055", "com.gmail@user0100"] {
             let e = hope.encode(probe.as_bytes()).into_bytes();
-            assert!(lo <= e && e <= hi, "{probe} escaped its range bounds");
+            assert!(lo <= e.as_slice() && e.as_slice() <= hi, "{probe} escaped its range bounds");
         }
     }
 
     #[test]
     fn fixed_schemes_build_from_empty_sample() {
-        let hope =
-            HopeBuilder::new(Scheme::SingleChar).build_from_sample(Vec::<Vec<u8>>::new()).unwrap();
-        assert_eq!(hope.dict_entries(), 256);
+        for scheme in [Scheme::SingleChar, Scheme::Identity] {
+            let hope = HopeBuilder::new(scheme).build_from_sample(Vec::<Vec<u8>>::new()).unwrap();
+            assert_eq!(hope.dict_entries(), 256);
+        }
     }
 
     #[test]
@@ -543,32 +517,31 @@ mod tests {
 
     #[test]
     fn hope_implements_the_unified_codec_surface() {
-        use crate::codec::{KeyCodec, MAX_KEY_BYTES};
+        use crate::codec::MAX_KEY_BYTES;
         let hope = HopeBuilder::new(Scheme::DoubleChar).build_from_sample(sample()).unwrap();
-        let codec: &dyn KeyCodec = &hope;
         let mut enc = crate::encoder::EncodeScratch::new();
         let mut dec = crate::decoder::DecodeScratch::new();
-        let bytes = codec.encode_to(b"com.gmail@user0042", &mut enc).unwrap().to_vec();
+        let bytes = hope.encode_to(b"com.gmail@user0042", &mut enc).unwrap().to_vec();
         let bits = enc.bit_len();
         assert_eq!(bytes, hope.encode(b"com.gmail@user0042").into_bytes());
-        let back = codec.decode_to(&bytes, bits, &mut dec).unwrap();
+        let back = hope.decode_to(&bytes, bits, &mut dec).unwrap();
         assert_eq!(back, b"com.gmail@user0042");
         // The pair surface brackets and validates.
-        let (lo, hi) = codec.encode_range_bounds_to(b"a", b"b", &mut enc).unwrap();
+        let (lo, hi) = hope.encode_range_bounds_to(b"a", b"b", &mut enc).unwrap();
         assert!(lo <= hi);
         let giant = vec![b'x'; MAX_KEY_BYTES + 1];
-        assert!(matches!(codec.encode_to(&giant, &mut enc), Err(HopeError::KeyTooLong { .. })));
+        assert!(matches!(hope.encode_to(&giant, &mut enc), Err(HopeError::KeyTooLong { .. })));
         // Truncating the last bit cuts the final code mid-stream; a
         // prefix-free code set can only fail to notice when that final
         // code was a single bit, which a 65K-entry dictionary never
         // assigns. Corruption surfaces as an error, not a panic.
         assert!(matches!(
-            codec.decode_to(&bytes, bits - 1, &mut dec),
+            hope.decode_to(&bytes, bits - 1, &mut dec),
             Err(HopeError::CorruptEncoding { .. })
         ));
         // So does a bit length the bytes cannot hold.
         assert_eq!(
-            codec.decode_to(b"ab", 100, &mut dec),
+            hope.decode_to(b"ab", 100, &mut dec),
             Err(HopeError::CorruptEncoding { bit_len: 100 })
         );
     }

@@ -78,14 +78,6 @@ impl DecodeScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Fill the output buffer with raw bytes and return it — the
-    /// identity "decode" used by [`IdentityCodec`](crate::codec::IdentityCodec).
-    pub(crate) fn fill(&mut self, bytes: &[u8]) -> &[u8] {
-        self.out.clear();
-        self.out.extend_from_slice(bytes);
-        &self.out
-    }
 }
 
 /// Binary code trie: the bit-at-a-time reference decoder.

@@ -7,7 +7,8 @@
 //! Table 1, plus a binary-search baseline used for testing and for the
 //! §4.2 ablation ("2.3× faster than binary-searching the entries"):
 //!
-//! * [`array_dict`] — O(1) arrays for Single-Char / Double-Char;
+//! * [`array_dict`] — O(1) arrays for Single-Char / Double-Char (and the
+//!   uncompressed Identity baseline);
 //! * [`bitmap_trie`] — succinct bitmap trie for 3-Grams / 4-Grams;
 //! * [`art_dict`] — ART variant for ALM / ALM-Improved (prefix keys, full
 //!   prefixes, leaves store codes);
@@ -94,7 +95,7 @@ impl Dict {
     pub fn build(scheme: Scheme, set: &IntervalSet, codes: &[Code]) -> Dict {
         assert_eq!(set.len(), codes.len());
         match scheme {
-            Scheme::SingleChar => Dict::Single(SingleCharDict::new(codes)),
+            Scheme::SingleChar | Scheme::Identity => Dict::Single(SingleCharDict::new(codes)),
             Scheme::DoubleChar => Dict::Double(DoubleCharDict::new(codes)),
             Scheme::ThreeGrams | Scheme::FourGrams => {
                 Dict::Bitmap(BitmapTrieDict::build(set, codes))

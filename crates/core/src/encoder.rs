@@ -105,26 +105,6 @@ impl EncodeScratch {
     pub fn pair_bit_lens(&self) -> (usize, usize) {
         (self.lo_bits, self.hi_bits)
     }
-
-    /// Fill the scratch with the key's own bytes (identity encoding) —
-    /// used by [`IdentityCodec`](crate::codec::IdentityCodec).
-    pub(crate) fn fill_identity(&mut self, key: &[u8]) -> &[u8] {
-        self.lo.clear();
-        self.lo.extend_from_slice(key);
-        self.lo_bits = key.len() * 8;
-        &self.lo
-    }
-
-    /// Pair form of [`EncodeScratch::fill_identity`].
-    pub(crate) fn fill_identity_pair(&mut self, low: &[u8], high: &[u8]) -> (&[u8], &[u8]) {
-        self.lo.clear();
-        self.lo.extend_from_slice(low);
-        self.lo_bits = low.len() * 8;
-        self.hi.clear();
-        self.hi.extend_from_slice(high);
-        self.hi_bits = high.len() * 8;
-        (&self.lo, &self.hi)
-    }
 }
 
 impl Encoder {
@@ -284,9 +264,9 @@ impl EncodedBytes for LazyEncode<'_> {
             self.at = self.encoder.dict.encode_into(self.key, self.at, n, &mut s.chunked);
             self.whole = self.at == self.key.len();
             if self.whole {
-                s.lo_bits = s.chunked.finish_into(&mut s.lo);
+                s.lo_bits = s.chunked.finish_onto(&mut s.lo);
             } else {
-                s.chunked.whole_bytes_into(&mut s.lo);
+                s.chunked.whole_bytes_onto(&mut s.lo);
             }
         }
         (&self.scratch.lo, self.whole)
@@ -305,7 +285,9 @@ mod tests {
     fn build_both(scheme: Scheme, sample: &[Vec<u8>]) -> (Encoder, Encoder) {
         let set = selector::select_intervals(scheme, sample, 512).unwrap();
         let weights = selector::access_weights(&set, sample);
-        let codes = if scheme.uses_hu_tucker() {
+        let codes = if scheme == Scheme::Identity {
+            crate::code_assign::identity_codes()
+        } else if scheme.uses_hu_tucker() {
             CodeAssigner::HuTucker.assign(&weights)
         } else {
             CodeAssigner::FixedLength.assign(&weights)
@@ -365,7 +347,7 @@ mod tests {
         for scheme in Scheme::ALL {
             let enc = build_encoder(scheme, &s);
             let kind = match scheme {
-                Scheme::SingleChar | Scheme::DoubleChar => "Array",
+                Scheme::SingleChar | Scheme::DoubleChar | Scheme::Identity => "Array",
                 Scheme::ThreeGrams | Scheme::FourGrams => "Bitmap-Trie",
                 Scheme::Alm | Scheme::AlmImproved => "ART-based",
             };
@@ -408,12 +390,13 @@ mod tests {
     /// bit length of its whole encode, with every pull's bytes a prefix
     /// of them; a key abandoned after one pull leaves the next whole
     /// encode unaffected; and each key counts once, however it ends, even
-    /// when nothing is pulled.
+    /// when nothing is pulled. Identity too, whose pulls end on a code
+    /// boundary every byte.
     #[test]
     fn chunked_encodes_match_whole_ones_and_count_once() {
         let s = sample();
         let mut scratch = EncodeScratch::new();
-        for scheme in Scheme::ALL {
+        for scheme in Scheme::ALL.into_iter().chain([Scheme::Identity]) {
             let enc = build_encoder(scheme, &s);
             let keys =
                 [&b""[..], b"x", b"com.gmail@alice", b"com.yahoo@dave!", b"\x00\xff\x00\xff"];

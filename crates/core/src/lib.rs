@@ -36,6 +36,10 @@
 //! | [`Scheme::ThreeGrams`] | VIVC | bitmap-trie | Hu-Tucker |
 //! | [`Scheme::FourGrams`] | VIVC | bitmap-trie | Hu-Tucker |
 //! | [`Scheme::AlmImproved`] | VIVC | ART | Hu-Tucker |
+//!
+//! [`Scheme::Identity`] is the paper's *Uncompressed* baseline as a scheme
+//! of the same codec: Single-Char's 256-entry array with byte `b` coded
+//! as the 8 bits of `b`, so every encoding is the key itself.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -56,7 +60,7 @@ pub mod stats;
 
 pub use bitpack::{Code, EncodedKey};
 pub use builder::{BuildTimings, CodecStats, Hope, HopeBuilder, HopeError};
-pub use codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
+pub use codec::MAX_KEY_BYTES;
 pub use decoder::{DecodeScratch, Decoder, FastDecoder};
 pub use encoder::{EncodeScratch, Encoder};
 pub use index::{EncodedBytes, OrderedIndex, Probe, Value};
@@ -64,7 +68,7 @@ pub use selector::Scheme;
 
 /// One-stop import for the v1 public API.
 ///
-/// Pulls in the builder, the compressor, the unified codec surface, the
+/// Pulls in the builder, the compressor (the one codec type), the
 /// generic ordered-index contract and the reusable scratch types — the
 /// names ~every embedding needs:
 ///
@@ -82,7 +86,7 @@ pub use selector::Scheme;
 pub mod prelude {
     pub use crate::bitpack::EncodedKey;
     pub use crate::builder::{CodecStats, Hope, HopeBuilder, HopeError};
-    pub use crate::codec::{IdentityCodec, KeyCodec, MAX_KEY_BYTES};
+    pub use crate::codec::MAX_KEY_BYTES;
     pub use crate::decoder::{DecodeScratch, Decoder, FastDecoder};
     pub use crate::encoder::EncodeScratch;
     pub use crate::index::{EncodedBytes, OrderedIndex, Probe, Value};

@@ -30,11 +30,13 @@ pub use single_char::single_char_intervals;
 use crate::axis::IntervalSet;
 use crate::builder::HopeError;
 
-/// The six compression schemes of the paper (§3.3, Table 1).
+/// The six compression schemes of the paper (§3.3, Table 1), plus the
+/// uncompressed baseline.
 ///
 /// `#[non_exhaustive]`: future PRs may add schemes without a breaking
 /// change, so downstream matches need a wildcard arm (iterate
-/// [`Scheme::ALL`] for "every scheme" loops).
+/// [`Scheme::ALL`] for "every scheme of the paper" loops; it leaves out
+/// [`Scheme::Identity`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Scheme {
@@ -53,10 +55,28 @@ pub enum Scheme {
     FourGrams,
     /// VIVC: ALM intervals from suffix statistics, Hu-Tucker codes.
     AlmImproved,
+    /// The paper's *Uncompressed* baseline: Single-Char's 256 intervals,
+    /// byte `b` coded as the 8 bits of `b`. Nothing is trained (an empty
+    /// sample builds it) and every encoding is the key itself, so a store
+    /// built with it is the same store with compression off.
+    ///
+    /// ```
+    /// use hope::{DecodeScratch, EncodeScratch, HopeBuilder, Scheme};
+    ///
+    /// let hope = HopeBuilder::new(Scheme::Identity).build_from_sample(Vec::new()).unwrap();
+    /// let mut enc = EncodeScratch::new();
+    /// let mut dec = DecodeScratch::new();
+    /// let bytes = hope.encode_to(b"com.gmail@alice", &mut enc).unwrap().to_vec();
+    /// assert_eq!((bytes.as_slice(), enc.bit_len()), (&b"com.gmail@alice"[..], 15 * 8));
+    /// let back = hope.decode_to(&bytes, enc.bit_len(), &mut dec).unwrap();
+    /// assert_eq!(back, b"com.gmail@alice");
+    /// ```
+    Identity,
 }
 
 impl Scheme {
-    /// All schemes in the paper's presentation order.
+    /// The paper's six schemes in its presentation order
+    /// ([`Scheme::Identity`] is not one of them).
     pub const ALL: [Scheme; 6] = [
         Scheme::SingleChar,
         Scheme::DoubleChar,
@@ -75,6 +95,7 @@ impl Scheme {
             Scheme::ThreeGrams => "3-Grams",
             Scheme::FourGrams => "4-Grams",
             Scheme::AlmImproved => "ALM-Improved",
+            Scheme::Identity => "Identity",
         }
     }
 
@@ -84,13 +105,14 @@ impl Scheme {
             Scheme::SingleChar | Scheme::DoubleChar => "FIVC",
             Scheme::Alm => "VIFC",
             Scheme::ThreeGrams | Scheme::FourGrams | Scheme::AlmImproved => "VIVC",
+            Scheme::Identity => "FIFC",
         }
     }
 
     /// Whether the number of dictionary entries is fixed by the scheme.
     pub fn fixed_dict_size(&self) -> Option<usize> {
         match self {
-            Scheme::SingleChar => Some(256),
+            Scheme::SingleChar | Scheme::Identity => Some(256),
             Scheme::DoubleChar => Some(256 * 257),
             _ => None,
         }
@@ -99,13 +121,13 @@ impl Scheme {
     /// Whether the scheme uses optimal order-preserving (Hu-Tucker) codes;
     /// `false` means monotone fixed-length codes (Table 1).
     pub fn uses_hu_tucker(&self) -> bool {
-        !matches!(self, Scheme::Alm)
+        !matches!(self, Scheme::Alm | Scheme::Identity)
     }
 
     /// Dictionary data structure used for this scheme (Table 1).
     pub fn dictionary_kind(&self) -> &'static str {
         match self {
-            Scheme::SingleChar | Scheme::DoubleChar => "Array",
+            Scheme::SingleChar | Scheme::DoubleChar | Scheme::Identity => "Array",
             Scheme::ThreeGrams | Scheme::FourGrams => "Bitmap-Trie",
             Scheme::Alm | Scheme::AlmImproved => "ART-based",
         }
@@ -132,7 +154,7 @@ pub fn select_intervals(
     target_entries: usize,
 ) -> Result<IntervalSet, HopeError> {
     let set = match scheme {
-        Scheme::SingleChar => single_char_intervals(),
+        Scheme::SingleChar | Scheme::Identity => single_char_intervals(),
         Scheme::DoubleChar => double_char_intervals(),
         Scheme::ThreeGrams => NGramSelector::new(3).select(sample, target_entries),
         Scheme::FourGrams => NGramSelector::new(4).select(sample, target_entries),
@@ -181,6 +203,11 @@ mod tests {
         assert_eq!(Scheme::Alm.category(), "VIFC");
         assert_eq!(Scheme::FourGrams.dictionary_kind(), "Bitmap-Trie");
         assert_eq!(Scheme::SingleChar.to_string(), "Single-Char");
+        let identity = Scheme::Identity;
+        assert_eq!((identity.name(), identity.category()), ("Identity", "FIFC"));
+        assert_eq!((identity.fixed_dict_size(), identity.uses_hu_tucker()), (Some(256), false));
+        assert_eq!(identity.dictionary_kind(), "Array");
+        assert!(!Scheme::ALL.contains(&identity), "the six of the paper");
     }
 
     #[test]

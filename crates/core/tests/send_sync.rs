@@ -9,7 +9,7 @@
 
 use hope::decoder::Decoder;
 use hope::dict::{ArtDict, BitmapTrieDict, Dict, DoubleCharDict, SingleCharDict, SortedDict};
-use hope::{Encoder, FastDecoder, Hope, HopeBuilder, HopeError, KeyCodec, OrderedIndex, Scheme};
+use hope::{Encoder, FastDecoder, Hope, HopeBuilder, HopeError, OrderedIndex, Scheme};
 
 fn assert_send_sync<T: Send + Sync + ?Sized>() {}
 
@@ -24,9 +24,8 @@ fn encoder_and_decoder_are_send_sync() {
 
 #[test]
 fn v1_trait_objects_are_send_sync() {
-    // The unified codec surface and the generic index contract are both
-    // usable behind shared references from many threads.
-    assert_send_sync::<dyn KeyCodec>();
+    // The generic index contract is usable behind shared references from
+    // many threads.
     assert_send_sync::<dyn OrderedIndex<u64>>();
     assert_send_sync::<dyn OrderedIndex<Vec<u8>>>();
     assert_send_sync::<Box<dyn OrderedIndex<u64>>>();

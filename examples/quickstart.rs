@@ -49,8 +49,8 @@ fn main() {
     }
 
     // 4. Order is preserved: sorting encodings sorts the original keys.
-    //    Decoding goes through the unified fallible codec surface
-    //    (`KeyCodec`): corruption would surface as an error, not a panic.
+    //    `Hope::decode_to` is fallible: corruption would surface as an
+    //    error, not a panic.
     encoded.sort();
     let mut scratch = DecodeScratch::new();
     let decoded: Vec<String> = encoded

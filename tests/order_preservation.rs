@@ -57,6 +57,7 @@ fn encoded_keys_sort_like_source_keys() {
 /// the source range.
 fn assert_bytes_are_the_key(what: &str, hope: &hope::Hope, keys: &[Vec<u8>]) {
     let mut scratch = hope::DecodeScratch::new();
+    let mut pair = hope::EncodeScratch::new();
     let encoded: Vec<Vec<u8>> = keys
         .iter()
         .map(|k| {
@@ -77,8 +78,8 @@ fn assert_bytes_are_the_key(what: &str, hope: &hope::Hope, keys: &[Vec<u8>]) {
         (b"\xff", b"\xff\xff\xff"),
         (b"com.gmail@", b"com.gmail@\0\0"),
     ] {
-        let (lo, hi) = hope.encode_range_bounds(low, high);
-        let admitted = keys.iter().zip(&encoded).filter(|(_, e)| lo <= **e && **e <= hi);
+        let (lo, hi) = hope.encode_range_bounds_to(low, high, &mut pair).unwrap();
+        let admitted = keys.iter().zip(&encoded).filter(|(_, e)| lo <= &e[..] && &e[..] <= hi);
         let in_range = keys.iter().filter(|k| low <= k.as_slice() && k.as_slice() <= high);
         assert!(admitted.map(|(k, _)| k).eq(in_range), "{what}: bounds {low:?}..={high:?}");
     }
@@ -110,6 +111,31 @@ fn padded_bytes_strictly_increase_for_arbitrary_keys() {
             assert_bytes_are_the_key(&format!("{dataset}/{scheme}"), &hope, &keys);
         }
     }
+}
+
+/// The uncompressed baseline on the same hostile keys: byte 0x00 has the
+/// all-zeros code there (no code is reserved), and order still holds
+/// strictly because every code is one whole byte, so nothing is padded and
+/// the padded bytes are the key itself.
+#[test]
+fn identity_bytes_are_the_key_for_hostile_keys() {
+    let hope = build(Scheme::Identity, &[]);
+    let chain: Vec<Vec<u8>> = [&b"a"[..], b"a\0", b"a\0\0", b"a\x01"].map(<[u8]>::to_vec).into();
+    let mut keys = hostile_keys();
+    keys.push(Vec::new());
+    keys.extend((1..=40).flat_map(|n| [vec![0x00; n], vec![0xff; n]]));
+    keys.extend(chain.iter().cloned());
+    keys.sort();
+    keys.dedup();
+    let mut scratch = hope::DecodeScratch::new();
+    for k in &keys {
+        let e = hope.encode(k);
+        assert_eq!((e.as_bytes(), e.bit_len()), (k.as_slice(), 8 * k.len()), "{k:?}");
+        assert_eq!(hope.decode_to(e.as_bytes(), e.bit_len(), &mut scratch), Ok(k.as_slice()));
+    }
+    let chain: Vec<_> = chain.iter().map(|k| hope.encode(k).into_bytes()).collect();
+    assert!(chain.windows(2).all(|w| w[0] < w[1]), "{chain:?}");
+    assert_bytes_are_the_key("Identity", &hope, &keys);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //!
 //! Each program runs in one cell of the backend × scheme matrix (`BTree`,
 //! `PrefixBTree`, `Art`, `Hot`, `BTreeMap` and a `Backend::Custom` factory,
-//! times every [`Scheme`]), at least two programs per cell. It builds its
+//! times every [`Scheme`], `Scheme::Identity` included), at least two
+//! programs per cell. It builds its
 //! store from pairs with duplicate keys (the last value wins), then runs
 //! inserts and updates, gets, ranges, cursor pages with rebuilds landing
 //! mid-cursor, snapshots and their reads, snapshot drops, `maintain`,
@@ -22,6 +23,9 @@
 //! - a rebuild keeps the dictionary exactly when the shard has not
 //!   drifted, and a kept one encodes nothing (the `store.codec.encode_keys`
 //!   gauge, `reencoded_bytes` 0, the same `Hope`);
+//! - under `Scheme::Identity`, every shard's baseline and observed CPR
+//!   are exactly 1.0, so no shard drifts and no rebuild replaces its
+//!   dictionary;
 //! - rebuilds fail exactly where the installed `FaultPlan` says, and the
 //!   failure counters, `RebuildFailed` events, snapshot counters and
 //!   per-dictionary byte reports equal the model's tallies.
@@ -576,10 +580,13 @@ impl<'c> Program<'c> {
     /// configured fraction of the dictionary's baseline.
     fn drifted(&self, s: usize) -> bool {
         let report = &self.store.stats()[s];
-        self.observed[s] >= self.cfg.min_observed_bytes
+        let drifted = self.observed[s] >= self.cfg.min_observed_bytes
             && report
                 .observed_cpr
-                .is_some_and(|cpr| cpr < self.cfg.degrade_ratio * report.baseline_cpr)
+                .is_some_and(|cpr| cpr < self.cfg.degrade_ratio * report.baseline_cpr);
+        let identity = self.cfg.scheme == Scheme::Identity;
+        assert!(!(identity && drifted), "{}: shard {s}: an identity dictionary drifted", self.at);
+        drifted
     }
 
     /// Force-rebuild every shard, or one shard two times in three.
@@ -756,6 +763,11 @@ impl<'c> Program<'c> {
         assert_eq!(failed.len() as u64, failures, "{at}: RebuildFailed events");
         assert!(failed.iter().all(|e| e.epoch == e.prev_epoch), "{at}: {failed:?}");
         for (s, report) in self.store.stats().iter().enumerate() {
+            if self.cfg.scheme == Scheme::Identity {
+                // Encodings are the keys: nothing compresses, nothing drifts.
+                let cpr = (report.baseline_cpr, report.observed_cpr.unwrap_or(1.0));
+                assert_eq!(cpr, (1.0, 1.0), "{at}: shard {s}'s identity CPR");
+            }
             let errors = t.counter(&format!("store.shard.{s}.rebuild_errors")).unwrap_or(0);
             assert_eq!(errors, self.failures[s], "{at}: shard {s}'s rebuild errors");
             let events = failed.iter().filter(|e| e.shard as usize == s).count() as u64;
@@ -800,11 +812,12 @@ impl<'c> Program<'c> {
 }
 
 /// Run `programs` programs in every scheme's cell of `backends` (the
-/// backend cycles with the program index), seeded apart by `salt`, and
-/// assert the coverage.
+/// backend cycles with the program index) — the paper's six and the
+/// uncompressed `Scheme::Identity` — seeded apart by `salt`, and assert
+/// the coverage.
 fn run_cells(backends: &[Backend], programs: u64, salt: u64) {
     let mut cov = Coverage::default();
-    for (i, scheme) in Scheme::ALL.into_iter().enumerate() {
+    for (i, scheme) in Scheme::ALL.into_iter().chain([Scheme::Identity]).enumerate() {
         for p in 0..programs {
             let backend = backends[p as usize % backends.len()];
             let seed = 0x5eed_0000 + 1_000 * salt + 100 * i as u64 + p;

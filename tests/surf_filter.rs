@@ -2,7 +2,7 @@
 //! contract (no false negatives, point and range), the Figure 10 height
 //! reduction, and the Figure 11 FPR improvement under compression.
 
-use hope::{HopeBuilder, Scheme};
+use hope::{EncodeScratch, HopeBuilder, Scheme};
 use hope_surf::{SuffixKind, Surf};
 use hope_workloads::{generate, sample_keys, Dataset};
 
@@ -17,6 +17,7 @@ fn encoded_sorted(hope: &hope::Hope, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
 fn no_false_negatives_for_point_and_range_queries() {
     let keys = generate(Dataset::Email, 3000, 61);
     let sample = sample_keys(&keys, 20.0, 1);
+    let mut scratch = EncodeScratch::new();
     for scheme in Scheme::ALL {
         let hope = HopeBuilder::new(scheme)
             .dictionary_entries(1 << 12)
@@ -30,9 +31,9 @@ fn no_false_negatives_for_point_and_range_queries() {
                 // Closed range [k, k+1-last-byte): must report maybe.
                 let mut hi = k.clone();
                 *hi.last_mut().unwrap() = hi.last().unwrap().saturating_add(1);
-                let (lo_e, hi_e) = hope.encode_range_bounds(k, &hi);
+                let (lo_e, hi_e) = hope.encode_range_bounds_to(k, &hi, &mut scratch).unwrap();
                 assert!(
-                    surf.range_may_contain(&lo_e, &hi_e),
+                    surf.range_may_contain(lo_e, hi_e),
                     "{scheme}/{kind:?}: range FN on [{k:?}, +1)"
                 );
             }
