@@ -17,11 +17,14 @@
 //! (required for HOPE-encoded keys), handled by a per-node terminator slot.
 //! The leaves are packed: leaf `i` is key `i` of one [`KeyRun`] — the keys
 //! back to back with a `u32` end each — and value `i` of one `Vec<V>`, so
-//! no key has an allocation of its own. A node is 40 bytes: its stored
-//! prefix inline, and a Node16's, Node48's or Node256's child arrays
-//! boxed. [`hope::OrderedIndex::load_sorted`] into an empty tree builds
-//! each node once from the sorted run, with the kind its fan-out needs —
-//! the very nodes inserting the run would leave. The tree is generic over
+//! no key has an allocation of its own. Each node class lives in an arena
+//! of its own, a node at its own size with its labels and children inline
+//! behind a 16-byte head (its stored prefix, path length and terminator):
+//! Node4 40 bytes, Node16 100, Node48 468, Node256 1 040. A node that
+//! grows moves one class up and leaves its slot on its arena's free list.
+//! [`hope::OrderedIndex::load_sorted`] into an empty tree builds each node
+//! once from the sorted run, in the class its fan-out needs — the very
+//! nodes inserting the run would leave. The tree is generic over
 //! its value payload (`Art<V>`, any [`hope::Value`]; defaults to `u64`
 //! record ids) and implements the [`hope::OrderedIndex<V>`] contract
 //! serving layers program against.
@@ -42,10 +45,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::mem::size_of;
 use std::ops::Range;
 
 use hope::axis::lcp_len;
-use hope::index::KeyRun;
+use hope::index::{eighth_octave_ceil, prefetch, KeyRun};
 use hope::{EncodedBytes, Probe};
 
 /// Maximum number of compressed-prefix bytes stored inline (the paper's
@@ -53,9 +57,14 @@ use hope::{EncodedBytes, Probe};
 pub const MAX_STORED_PREFIX: usize = 8;
 
 const LEAF_TAG: u32 = 0x8000_0000;
+/// A node pointer's class sits in the two bits below the leaf bit, and
+/// its slot in that class's arena in the 29 bits below them.
+const CLASS_SHIFT: u32 = 29;
+const SLOT_MASK: u32 = (1 << CLASS_SHIFT) - 1;
 const NONE_PTR: u32 = u32::MAX;
 
-/// Tagged pointer: leaf index or node index.
+/// Tagged pointer: a leaf index, or a node's class and its slot in that
+/// class's arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Ptr(u32);
 
@@ -67,9 +76,9 @@ impl Ptr {
         Ptr(i as u32 | LEAF_TAG)
     }
 
-    fn node(i: usize) -> Ptr {
-        debug_assert!((i as u32) < LEAF_TAG);
-        Ptr(i as u32)
+    fn node(class: usize, slot: usize) -> Ptr {
+        assert!(slot <= SLOT_MASK as usize, "an arena holds at most 2^29 nodes");
+        Ptr((class as u32) << CLASS_SHIFT | slot as u32)
     }
 
     fn is_none(self) -> bool {
@@ -80,33 +89,77 @@ impl Ptr {
         (self.0 != NONE_PTR && self.0 & LEAF_TAG != 0).then_some((self.0 & !LEAF_TAG) as usize)
     }
 
-    fn as_node(self) -> Option<usize> {
-        (self.0 != NONE_PTR && self.0 & LEAF_TAG == 0).then_some(self.0 as usize)
+    /// The node's class and slot.
+    fn as_node(self) -> Option<(usize, usize)> {
+        (self.0 & LEAF_TAG == 0)
+            .then_some(((self.0 >> CLASS_SHIFT) as usize, (self.0 & SLOT_MASK) as usize))
     }
 }
 
-/// A Node16's labels and children: boxed like Node48's and Node256's
-/// arrays, so that every node is 40 bytes (DESIGN.md "ART on a key run").
-#[derive(Debug)]
-struct Slots16 {
-    labels: [u8; 16],
-    ptrs: [Ptr; 16],
+/// What every node starts with: the stored head of its compressed path,
+/// the path's full length, and the leaf of a key that ends at the node.
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Head {
+    /// First `min(prefix_len, MAX_STORED_PREFIX)` bytes of the compressed
+    /// path (optimistic storage); the rest of the array is unused.
+    prefix: [u8; MAX_STORED_PREFIX],
+    /// Full compressed-path length in bytes (may exceed the stored bytes).
+    prefix_len: u32,
+    /// Leaf for a key ending exactly at this node (prefix-key support).
+    term: Ptr,
 }
 
-/// Adaptive children container (Node4 → Node16 → Node48 → Node256).
-#[derive(Debug)]
-enum Children {
-    N4 { count: u8, labels: [u8; 4], ptrs: [Ptr; 4] },
-    N16 { count: u8, slots: Box<Slots16> },
-    N48 { index: Box<[u8; 256]>, ptrs: Box<[Ptr; 48]>, count: u8 },
-    N256 { ptrs: Box<[Ptr; 256]> },
+/// The stored head of the compressed path `path`, and its full length.
+fn path_head(path: &[u8]) -> ([u8; MAX_STORED_PREFIX], u32) {
+    let mut head = [0; MAX_STORED_PREFIX];
+    let stored = path.len().min(MAX_STORED_PREFIX);
+    head[..stored].copy_from_slice(&path[..stored]);
+    (head, u32::try_from(path.len()).expect("a key is under 4 GiB"))
 }
 
-const NO_SLOT: u8 = 0xFF;
+impl Head {
+    /// The head of a node under the compressed path `path`, with no
+    /// terminator.
+    fn new(path: &[u8]) -> Head {
+        let (prefix, prefix_len) = path_head(path);
+        Head { prefix, prefix_len, term: Ptr::NONE }
+    }
 
-/// The child labelled `label` among sorted `labels`.
-fn find(labels: &[u8], ptrs: &[Ptr], label: u8) -> Option<Ptr> {
-    labels.iter().position(|&l| l == label).map(|i| ptrs[i])
+    /// The stored bytes of the compressed path.
+    fn stored_prefix(&self) -> &[u8] {
+        &self.prefix[..(self.prefix_len as usize).min(MAX_STORED_PREFIX)]
+    }
+}
+
+/// One node class: the head, then the labels and children inline, in an
+/// arena of its own (DESIGN.md "ART on a key run").
+trait Inner: Sized {
+    /// The class's tag in a [`Ptr`], 0 for Node4 up to 3 for Node256.
+    const CLASS: usize;
+    /// Whether an insert grows the class's arena to the next eighth of an
+    /// octave rather than as a `Vec` grows.
+    const EIGHTHS: bool;
+
+    /// A node with `head` and no children.
+    fn empty(head: Head) -> Self;
+
+    fn head(&self) -> &Head;
+
+    /// The child labelled `label`.
+    fn get(&self, label: u8) -> Option<Ptr>;
+
+    /// Insert or replace; false when `label` is new and every slot is
+    /// taken.
+    fn set(&mut self, label: u8, ptr: Ptr) -> bool;
+
+    /// Visit `(label, ptr)` in ascending label order starting at `from`;
+    /// the callback returns `false` to stop.
+    fn for_each_from(&self, from: u16, f: impl FnMut(u8, Ptr) -> bool);
+
+    /// Ask for the lines past the head that a child lookup may read,
+    /// whatever its label.
+    fn prefetch_children(&self) {}
 }
 
 /// Insert or replace `label` among the first `count` of sorted `labels`;
@@ -129,181 +182,405 @@ fn set_sorted(count: &mut u8, labels: &mut [u8], ptrs: &mut [Ptr], label: u8, pt
     true
 }
 
-impl Children {
-    fn new() -> Self {
-        Children::N4 { count: 0, labels: [0; 4], ptrs: [Ptr::NONE; 4] }
-    }
-
-    /// An empty container of the smallest kind that holds `fanout`
-    /// children.
-    fn for_fanout(fanout: usize) -> Self {
-        match fanout {
-            0..=4 => Children::new(),
-            5..=16 => Children::N16 {
-                count: 0,
-                slots: Box::new(Slots16 { labels: [0; 16], ptrs: [Ptr::NONE; 16] }),
-            },
-            17..=48 => Children::N48 {
-                index: Box::new([NO_SLOT; 256]),
-                ptrs: Box::new([Ptr::NONE; 48]),
-                count: 0,
-            },
-            _ => Children::N256 { ptrs: Box::new([Ptr::NONE; 256]) },
+/// [`Inner::for_each_from`] over sorted `labels` and their `ptrs`.
+fn sorted_from(labels: &[u8], ptrs: &[Ptr], from: u16, mut f: impl FnMut(u8, Ptr) -> bool) {
+    for (&l, &p) in labels.iter().zip(ptrs) {
+        if (l as u16) >= from && !f(l, p) {
+            return;
         }
     }
+}
 
-    /// Children this kind holds before it grows.
-    fn capacity(&self) -> usize {
-        match self {
-            Children::N4 { .. } => 4,
-            Children::N16 { .. } => 16,
-            Children::N48 { .. } => 48,
-            Children::N256 { .. } => 256,
-        }
+/// Up to 4 children, found by a linear search (40 B).
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Node4 {
+    head: Head,
+    ptrs: [Ptr; 4],
+    labels: [u8; 4],
+    count: u8,
+}
+
+impl Inner for Node4 {
+    const CLASS: usize = 0;
+    const EIGHTHS: bool = false;
+
+    fn empty(head: Head) -> Self {
+        Node4 { head, ptrs: [Ptr::NONE; 4], labels: [0; 4], count: 0 }
+    }
+
+    fn head(&self) -> &Head {
+        &self.head
     }
 
     fn get(&self, label: u8) -> Option<Ptr> {
-        match self {
-            Children::N4 { count, labels, ptrs } => find(&labels[..*count as usize], ptrs, label),
-            Children::N16 { count, slots } => {
-                find(&slots.labels[..*count as usize], &slots.ptrs, label)
-            }
-            Children::N48 { index, ptrs, .. } => {
-                let s = index[label as usize];
-                (s != NO_SLOT).then(|| ptrs[s as usize])
-            }
-            Children::N256 { ptrs } => {
-                let p = ptrs[label as usize];
-                (!p.is_none()).then_some(p)
-            }
+        let i = self.labels[..self.count as usize].iter().position(|&l| l == label)?;
+        Some(self.ptrs[i])
+    }
+
+    fn set(&mut self, label: u8, ptr: Ptr) -> bool {
+        set_sorted(&mut self.count, &mut self.labels, &mut self.ptrs, label, ptr)
+    }
+
+    fn for_each_from(&self, from: u16, f: impl FnMut(u8, Ptr) -> bool) {
+        sorted_from(&self.labels[..self.count as usize], &self.ptrs, from, f);
+    }
+
+    /// The node's last line, when it straddles two.
+    fn prefetch_children(&self) {
+        prefetch(std::slice::from_ref(&self.count));
+    }
+}
+
+/// The position of `label` among the first `count` of `labels`: a 16-bit
+/// match mask, cut to `count` bits, and its lowest set bit. Branch-free
+/// over all 16 labels, so LLVM compiles it to one vector compare.
+fn find16(labels: &[u8; 16], count: u8, label: u8) -> Option<usize> {
+    let mut mask = 0u32;
+    for (i, &l) in labels.iter().enumerate() {
+        mask |= u32::from(l == label) << i;
+    }
+    mask &= (1 << count) - 1;
+    (mask != 0).then(|| mask.trailing_zeros() as usize)
+}
+
+/// 5 to 16 children, found by a compare mask (100 B).
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Node16 {
+    head: Head,
+    labels: [u8; 16],
+    count: u8,
+    ptrs: [Ptr; 16],
+}
+
+impl Inner for Node16 {
+    const CLASS: usize = 1;
+    const EIGHTHS: bool = true;
+
+    fn empty(head: Head) -> Self {
+        Node16 { head, labels: [0; 16], count: 0, ptrs: [Ptr::NONE; 16] }
+    }
+
+    fn head(&self) -> &Head {
+        &self.head
+    }
+
+    fn get(&self, label: u8) -> Option<Ptr> {
+        find16(&self.labels, self.count, label).map(|i| self.ptrs[i])
+    }
+
+    fn set(&mut self, label: u8, ptr: Ptr) -> bool {
+        set_sorted(&mut self.count, &mut self.labels, &mut self.ptrs, label, ptr)
+    }
+
+    fn for_each_from(&self, from: u16, f: impl FnMut(u8, Ptr) -> bool) {
+        sorted_from(&self.labels[..self.count as usize], &self.ptrs, from, f);
+    }
+
+    /// The lines of `ptrs` past the head's: no two asked-for addresses are
+    /// more than a line apart.
+    fn prefetch_children(&self) {
+        prefetch(&self.ptrs[7..]);
+        prefetch(&self.ptrs[15..]);
+    }
+}
+
+const NO_SLOT: u8 = 0xFF;
+
+/// 17 to 48 children: a slot per label, then the child in that slot
+/// (468 B).
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Node48 {
+    head: Head,
+    ptrs: [Ptr; 48],
+    index: [u8; 256],
+    count: u8,
+}
+
+impl Inner for Node48 {
+    const CLASS: usize = 2;
+    const EIGHTHS: bool = true;
+
+    fn empty(head: Head) -> Self {
+        Node48 { head, ptrs: [Ptr::NONE; 48], index: [NO_SLOT; 256], count: 0 }
+    }
+
+    fn head(&self) -> &Head {
+        &self.head
+    }
+
+    fn get(&self, label: u8) -> Option<Ptr> {
+        let s = self.index[label as usize];
+        (s != NO_SLOT).then(|| self.ptrs[s as usize])
+    }
+
+    fn set(&mut self, label: u8, ptr: Ptr) -> bool {
+        let s = self.index[label as usize];
+        let c = self.count as usize;
+        if s != NO_SLOT {
+            self.ptrs[s as usize] = ptr;
+        } else if c < 48 {
+            self.index[label as usize] = self.count;
+            self.ptrs[c] = ptr;
+            self.count += 1;
         }
+        s != NO_SLOT || c < 48
     }
 
-    /// Insert or replace; grows the node layout when full.
-    fn set(&mut self, label: u8, ptr: Ptr) {
-        let room = match self {
-            Children::N4 { count, labels, ptrs } => set_sorted(count, labels, ptrs, label, ptr),
-            Children::N16 { count, slots } => {
-                let Slots16 { labels, ptrs } = &mut **slots;
-                set_sorted(count, labels, ptrs, label, ptr)
-            }
-            Children::N48 { index, ptrs, count } => {
-                let s = index[label as usize];
-                let c = *count as usize;
-                if s != NO_SLOT {
-                    ptrs[s as usize] = ptr;
-                } else if c < 48 {
-                    index[label as usize] = *count;
-                    ptrs[c] = ptr;
-                    *count += 1;
-                }
-                s != NO_SLOT || c < 48
-            }
-            Children::N256 { ptrs } => {
-                ptrs[label as usize] = ptr;
-                true
-            }
-        };
-        if !room {
-            self.grow_and_set(label, ptr);
-        }
-    }
-
-    /// Move the children into the next kind up, then set `label`.
-    fn grow_and_set(&mut self, label: u8, ptr: Ptr) {
-        let mut grown = Children::for_fanout(self.capacity() + 1);
-        self.for_each_from(0, |l, p| {
-            grown.set(l, p);
-            true
-        });
-        grown.set(label, ptr);
-        *self = grown;
-    }
-
-    /// Visit `(label, ptr)` in ascending label order starting at `from`;
-    /// the callback returns `false` to stop.
     fn for_each_from(&self, from: u16, mut f: impl FnMut(u8, Ptr) -> bool) {
-        let (labels, ptrs) = match self {
-            Children::N4 { count, labels, ptrs } => (&labels[..*count as usize], &ptrs[..]),
-            Children::N16 { count, slots } => (&slots.labels[..*count as usize], &slots.ptrs[..]),
-            Children::N48 { index, ptrs, .. } => {
-                for l in from..256 {
-                    let s = index[l as usize];
-                    if s != NO_SLOT && !f(l as u8, ptrs[s as usize]) {
-                        return;
-                    }
-                }
+        for l in from..256 {
+            let s = self.index[l as usize];
+            if s != NO_SLOT && !f(l as u8, self.ptrs[s as usize]) {
                 return;
             }
-            Children::N256 { ptrs } => {
-                for l in from..256 {
-                    let p = ptrs[l as usize];
-                    if !p.is_none() && !f(l as u8, p) {
-                        return;
-                    }
-                }
+        }
+    }
+
+    /// Every line of `ptrs`: which slot the label names is a second miss
+    /// (the `index` line), and the slot's line is then on its way.
+    fn prefetch_children(&self) {
+        for at in [0, 16, 32, 47] {
+            prefetch(&self.ptrs[at..]);
+        }
+    }
+}
+
+/// 49 to 256 children, one slot per label (1 040 B).
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Node256 {
+    head: Head,
+    ptrs: [Ptr; 256],
+}
+
+impl Inner for Node256 {
+    const CLASS: usize = 3;
+    const EIGHTHS: bool = true;
+
+    fn empty(head: Head) -> Self {
+        Node256 { head, ptrs: [Ptr::NONE; 256] }
+    }
+
+    fn head(&self) -> &Head {
+        &self.head
+    }
+
+    fn get(&self, label: u8) -> Option<Ptr> {
+        let p = self.ptrs[label as usize];
+        (!p.is_none()).then_some(p)
+    }
+
+    fn set(&mut self, label: u8, ptr: Ptr) -> bool {
+        self.ptrs[label as usize] = ptr;
+        true
+    }
+
+    fn for_each_from(&self, from: u16, mut f: impl FnMut(u8, Ptr) -> bool) {
+        for l in from..256 {
+            let p = self.ptrs[l as usize];
+            if !p.is_none() && !f(l as u8, p) {
                 return;
             }
-        };
-        for (&l, &p) in labels.iter().zip(ptrs) {
-            if (l as u16) >= from && !f(l, p) {
-                return;
-            }
+        }
+    }
+}
+
+/// One class's nodes, and the slots that growth has vacated.
+#[derive(Debug)]
+struct Arena<N> {
+    nodes: Vec<N>,
+    free: Vec<u32>,
+}
+
+impl<N> Default for Arena<N> {
+    fn default() -> Self {
+        Arena { nodes: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<N: Inner> Arena<N> {
+    /// Append `node` as the loader does, growing as a `Vec` grows; the
+    /// loader trims the arena once at the end.
+    fn push(&mut self, node: N) -> Ptr {
+        self.nodes.push(node);
+        Ptr::node(N::CLASS, self.nodes.len() - 1)
+    }
+
+    /// Place an inserted `node` in a vacated slot, or else at the end.
+    fn alloc(&mut self, node: N) -> Ptr {
+        if let Some(slot) = self.free.pop() {
+            self.nodes[slot as usize] = node;
+            return Ptr::node(N::CLASS, slot as usize);
+        }
+        let len = self.nodes.len();
+        if N::EIGHTHS && len == self.nodes.capacity() {
+            self.nodes.reserve_exact(eighth_octave_ceil(len + 1) - len);
+        }
+        self.push(node)
+    }
+
+    /// Set a child of the node in `slot`; when it is full, move it up into
+    /// `up`, free its slot, and return where it went.
+    fn set_or_grow<U: Inner>(
+        &mut self,
+        up: &mut Arena<U>,
+        slot: usize,
+        label: u8,
+        ptr: Ptr,
+    ) -> Ptr {
+        let node = &mut self.nodes[slot];
+        if node.set(label, ptr) {
+            return Ptr::node(N::CLASS, slot);
+        }
+        let mut grown = U::empty(*node.head());
+        node.for_each_from(0, |l, p| grown.set(l, p));
+        grown.set(label, ptr);
+        self.free.push(slot as u32);
+        up.alloc(grown)
+    }
+
+    /// Bytes as allocated: the slots at capacity and the free list.
+    fn bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<N>() + self.free.capacity() * size_of::<u32>()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.free.shrink_to_fit();
+    }
+}
+
+/// A node of any class, borrowed.
+#[derive(Clone, Copy)]
+enum NodeRef<'a> {
+    N4(&'a Node4),
+    N16(&'a Node16),
+    N48(&'a Node48),
+    N256(&'a Node256),
+}
+
+impl<'a> NodeRef<'a> {
+    fn head(self) -> &'a Head {
+        match self {
+            NodeRef::N4(n) => n.head(),
+            NodeRef::N16(n) => n.head(),
+            NodeRef::N48(n) => n.head(),
+            NodeRef::N256(n) => n.head(),
+        }
+    }
+
+    fn get(self, label: u8) -> Option<Ptr> {
+        match self {
+            NodeRef::N4(n) => n.get(label),
+            NodeRef::N16(n) => n.get(label),
+            NodeRef::N48(n) => n.get(label),
+            NodeRef::N256(n) => n.get(label),
+        }
+    }
+
+    fn for_each_from(self, from: u16, mut f: impl FnMut(u8, Ptr) -> bool) {
+        match self {
+            NodeRef::N4(n) => n.for_each_from(from, &mut f),
+            NodeRef::N16(n) => n.for_each_from(from, &mut f),
+            NodeRef::N48(n) => n.for_each_from(from, &mut f),
+            NodeRef::N256(n) => n.for_each_from(from, &mut f),
+        }
+    }
+
+    fn prefetch_children(self) {
+        match self {
+            NodeRef::N4(n) => n.prefetch_children(),
+            NodeRef::N16(n) => n.prefetch_children(),
+            NodeRef::N48(n) => n.prefetch_children(),
+            NodeRef::N256(n) => n.prefetch_children(),
         }
     }
 
     /// First child in label order.
-    fn first(&self) -> Option<(u8, Ptr)> {
+    fn first(self) -> Option<Ptr> {
         let mut out = None;
-        self.for_each_from(0, |l, p| {
-            out = Some((l, p));
+        self.for_each_from(0, |_, p| {
+            out = Some(p);
             false
         });
         out
     }
+}
 
-    /// Bytes of this kind's boxed arrays.
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            Children::N4 { .. } => 0,
-            Children::N16 { .. } => size_of::<Slots16>(),
-            Children::N48 { .. } => size_of::<[u8; 256]>() + size_of::<[Ptr; 48]>(),
-            Children::N256 { .. } => size_of::<[Ptr; 256]>(),
+/// The four arenas, one per node class, each node with its children
+/// inline.
+#[derive(Debug, Default)]
+struct Nodes {
+    n4: Arena<Node4>,
+    n16: Arena<Node16>,
+    n48: Arena<Node48>,
+    n256: Arena<Node256>,
+}
+
+impl Nodes {
+    /// The node `ptr` names; `None` for a leaf.
+    fn get(&self, ptr: Ptr) -> Option<NodeRef<'_>> {
+        let (class, slot) = ptr.as_node()?;
+        Some(match class {
+            Node4::CLASS => NodeRef::N4(&self.n4.nodes[slot]),
+            Node16::CLASS => NodeRef::N16(&self.n16.nodes[slot]),
+            Node48::CLASS => NodeRef::N48(&self.n48.nodes[slot]),
+            _ => NodeRef::N256(&self.n256.nodes[slot]),
+        })
+    }
+
+    /// The node `ptr` names, which must be one.
+    fn node(&self, ptr: Ptr) -> NodeRef<'_> {
+        self.get(ptr).expect("a node pointer")
+    }
+
+    fn head_mut(&mut self, ptr: Ptr) -> &mut Head {
+        let (class, slot) = ptr.as_node().expect("a node pointer");
+        match class {
+            Node4::CLASS => &mut self.n4.nodes[slot].head,
+            Node16::CLASS => &mut self.n16.nodes[slot].head,
+            Node48::CLASS => &mut self.n48.nodes[slot].head,
+            _ => &mut self.n256.nodes[slot].head,
         }
     }
-}
 
-#[derive(Debug)]
-struct Node {
-    /// First `min(prefix_len, MAX_STORED_PREFIX)` bytes of the compressed
-    /// path (optimistic storage); the rest of the array is unused.
-    prefix: [u8; MAX_STORED_PREFIX],
-    /// Full compressed-path length in bytes (may exceed the stored bytes).
-    prefix_len: u32,
-    /// Leaf for a key ending exactly at this node (prefix-key support).
-    term: Ptr,
-    children: Children,
-}
-
-/// The stored head of the compressed path `path`, and its full length.
-fn path_head(path: &[u8]) -> ([u8; MAX_STORED_PREFIX], u32) {
-    let mut head = [0; MAX_STORED_PREFIX];
-    let stored = path.len().min(MAX_STORED_PREFIX);
-    head[..stored].copy_from_slice(&path[..stored]);
-    (head, u32::try_from(path.len()).expect("a key is under 4 GiB"))
-}
-
-impl Node {
-    /// A node under the compressed path `path`, with no terminator.
-    fn new(path: &[u8], children: Children) -> Node {
-        let (prefix, prefix_len) = path_head(path);
-        Node { prefix, prefix_len, term: Ptr::NONE, children }
+    /// Set a child of node `ptr`; returns where the node is now, one class
+    /// up if it was full.
+    fn set_child(&mut self, ptr: Ptr, label: u8, child: Ptr) -> Ptr {
+        let (class, slot) = ptr.as_node().expect("a node pointer");
+        match class {
+            Node4::CLASS => self.n4.set_or_grow(&mut self.n16, slot, label, child),
+            Node16::CLASS => self.n16.set_or_grow(&mut self.n48, slot, label, child),
+            Node48::CLASS => self.n48.set_or_grow(&mut self.n256, slot, label, child),
+            _ => {
+                self.n256.nodes[slot].set(label, child);
+                ptr
+            }
+        }
     }
 
-    /// The stored bytes of the compressed path.
-    fn stored_prefix(&self) -> &[u8] {
-        &self.prefix[..(self.prefix_len as usize).min(MAX_STORED_PREFIX)]
+    /// Append an empty node of the smallest class that holds `fanout`
+    /// children, as the loader does.
+    fn push_for_fanout(&mut self, fanout: usize, head: Head) -> Ptr {
+        match fanout {
+            0..=4 => self.n4.push(Node4::empty(head)),
+            5..=16 => self.n16.push(Node16::empty(head)),
+            17..=48 => self.n48.push(Node48::empty(head)),
+            _ => self.n256.push(Node256::empty(head)),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.n4.bytes() + self.n16.bytes() + self.n48.bytes() + self.n256.bytes()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.n4.shrink_to_fit();
+        self.n16.shrink_to_fit();
+        self.n48.shrink_to_fit();
+        self.n256.shrink_to_fit();
     }
 }
 
@@ -311,16 +588,12 @@ impl Node {
 /// (default: `u64` ids).
 #[derive(Debug)]
 pub struct Art<V = u64> {
-    nodes: Vec<Node>,
+    nodes: Nodes,
     /// The leaves: leaf `i`'s key is key `i` of `keys` and its value
     /// `values[i]`, in insertion order — or in key order after a load.
     keys: KeyRun,
     values: Vec<V>,
     root: Option<Ptr>,
-    /// Heap bytes of the nodes' boxed child arrays, kept up to date as
-    /// nodes grow and as the loader builds them, so that
-    /// [`Art::memory_bytes`] walks nothing.
-    boxed_bytes: usize,
 }
 
 impl<V> Default for Art<V> {
@@ -332,13 +605,7 @@ impl<V> Default for Art<V> {
 impl<V> Art<V> {
     /// New empty tree.
     pub fn new() -> Self {
-        Art {
-            nodes: Vec::new(),
-            keys: KeyRun::default(),
-            values: Vec::new(),
-            root: None,
-            boxed_bytes: 0,
-        }
+        Art { nodes: Nodes::default(), keys: KeyRun::default(), values: Vec::new(), root: None }
     }
 
     /// Number of keys stored.
@@ -354,15 +621,13 @@ impl<V> Art<V> {
     /// Memory footprint, every buffer at capacity: the nodes plus the
     /// leaves' key run and values. O(1).
     pub fn memory_bytes(&self) -> usize {
-        self.node_memory_bytes()
-            + self.keys.heap_bytes()
-            + self.values.capacity() * std::mem::size_of::<V>()
+        self.node_memory_bytes() + self.keys.heap_bytes() + self.values.capacity() * size_of::<V>()
     }
 
     /// Memory of the inner structure only (leaf keys and values
-    /// excluded): the node array at capacity and the boxed child arrays.
+    /// excluded): the four node arenas at capacity and their free lists.
     pub fn node_memory_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>() + self.boxed_bytes
+        self.nodes.bytes()
     }
 
     /// Point lookup with final-key verification (OCPS makes intermediate
@@ -370,6 +635,7 @@ impl<V> Art<V> {
     /// the stored value: [`Art::seek`]'s descent, then the leaf's key.
     pub fn get_ref(&self, key: &[u8]) -> Option<&V> {
         let leaf = self.descend(&mut &*key)?;
+        prefetch(&self.values[leaf..]);
         (self.keys.get(leaf) == key).then(|| &self.values[leaf])
     }
 
@@ -405,31 +671,33 @@ impl<V> Art<V> {
     }
 
     /// The descent behind [`Art::get_ref`] and [`Art::seek`]: the leaf
-    /// `key` reaches, unchecked.
+    /// `key` reaches, unchecked. Each node's label-independent lines are
+    /// asked for with its head, before the key's next bytes are pulled.
     fn descend<K: EncodedBytes + ?Sized>(&self, key: &mut K) -> Option<usize> {
         let mut ptr = self.root?;
         let (mut bytes, mut whole): (&[u8], bool) = (&[], false);
         let mut pos = 0usize;
         loop {
-            if let Some(leaf) = ptr.as_leaf() {
-                return Some(leaf);
-            }
-            let node = &self.nodes[ptr.as_node()?];
+            let Some(node) = self.nodes.get(ptr) else {
+                return ptr.as_leaf();
+            };
+            node.prefetch_children();
+            let head = node.head();
             // The branch byte's position: the node reads up to it.
-            let branch = pos + node.prefix_len as usize;
+            let branch = pos + head.prefix_len as usize;
             if bytes.len() <= branch && !whole {
                 (bytes, whole) = key.at_least(branch + 1);
             }
-            let stored = node.stored_prefix();
+            let stored = head.stored_prefix();
             let known = stored.len().min(bytes.len() - pos);
             if bytes[pos..pos + known] != stored[..known] {
                 return None;
             }
             // The key ends inside the path, or at its end.
             let Some(&label) = bytes.get(branch) else {
-                return node.term.as_leaf().filter(|_| bytes.len() == branch);
+                return head.term.as_leaf().filter(|_| bytes.len() == branch);
             };
-            ptr = node.children.get(label)?;
+            ptr = node.get(label)?;
             pos = branch + 1;
         }
     }
@@ -456,43 +724,34 @@ impl<V> Art<V> {
         Ptr::leaf(self.values.len() - 1)
     }
 
-    /// Set a child of node `node`, counting the boxed bytes a growth
-    /// adds.
-    fn set_child(&mut self, node: usize, label: u8, ptr: Ptr) {
-        let children = &mut self.nodes[node].children;
-        let before = children.heap_bytes();
-        children.set(label, ptr);
-        self.boxed_bytes += children.heap_bytes() - before;
-    }
-
     /// Full bytes of a node's compressed path, recovered from the minimum
     /// leaf when the stored prefix was truncated (the standard OCPS trick:
     /// load the actual key from the record).
-    fn full_prefix(&self, node_idx: usize, depth: usize) -> &[u8] {
-        let node = &self.nodes[node_idx];
-        let pl = node.prefix_len as usize;
+    fn full_prefix(&self, ptr: Ptr, depth: usize) -> &[u8] {
+        let head = self.nodes.node(ptr).head();
+        let pl = head.prefix_len as usize;
         if pl <= MAX_STORED_PREFIX {
-            return &node.prefix[..pl];
+            return &head.prefix[..pl];
         }
-        &self.keys.get(self.min_leaf(Ptr::node(node_idx)))[depth..depth + pl]
+        &self.keys.get(self.min_leaf(ptr))[depth..depth + pl]
     }
 
     fn min_leaf(&self, ptr: Ptr) -> usize {
         let mut p = ptr;
         loop {
-            if let Some(l) = p.as_leaf() {
+            let Some(node) = self.nodes.get(p) else {
+                return p.as_leaf().expect("valid ptr");
+            };
+            if let Some(l) = node.head().term.as_leaf() {
                 return l;
             }
-            let node = &self.nodes[p.as_node().expect("valid ptr")];
-            if let Some(l) = node.term.as_leaf() {
-                return l;
-            }
-            p = node.children.first().expect("non-empty node").1;
+            p = node.first().expect("non-empty node");
         }
     }
 
     /// Insert under `ptr` (subtree rooted at key depth `pos`); returns the
-    /// possibly-new subtree pointer and any replaced value.
+    /// possibly-new subtree pointer and any replaced value: a node that
+    /// grows moves up a class.
     fn insert_rec(&mut self, ptr: Ptr, key: &[u8], pos: usize, value: V) -> (Ptr, Option<V>) {
         let rest = &key[pos..];
         if let Some(leaf_idx) = ptr.as_leaf() {
@@ -504,31 +763,30 @@ impl<V> Art<V> {
             let existing = &self.keys.get(leaf_idx)[pos..];
             let m = lcp_len(existing, rest);
             let existing_next = existing.get(m).copied();
-            let mut node = Node::new(&rest[..m], Children::new());
+            let mut node = Node4::empty(Head::new(&rest[..m]));
             let new_leaf = self.new_leaf(key, value);
             match existing_next {
                 None => {
-                    node.term = ptr;
-                    node.children.set(rest[m], new_leaf);
+                    node.head.term = ptr;
+                    node.set(rest[m], new_leaf);
                 }
                 Some(label) if rest.len() == m => {
-                    node.term = new_leaf;
-                    node.children.set(label, ptr);
+                    node.head.term = new_leaf;
+                    node.set(label, ptr);
                 }
                 Some(label) => {
-                    node.children.set(label, ptr);
-                    node.children.set(rest[m], new_leaf);
+                    node.set(label, ptr);
+                    node.set(rest[m], new_leaf);
                 }
             }
-            self.nodes.push(node);
-            return (Ptr::node(self.nodes.len() - 1), None);
+            return (self.nodes.n4.alloc(node), None);
         }
 
-        let node_idx = ptr.as_node().expect("valid ptr");
-        let pl = self.nodes[node_idx].prefix_len as usize;
+        let head = *self.nodes.node(ptr).head();
+        let pl = head.prefix_len as usize;
         // Pessimistic comparison against the *full* prefix (recovered from
         // a leaf if truncated) — required for correct splits.
-        let full = self.full_prefix(node_idx, pos);
+        let full = self.full_prefix(ptr, pos);
         let m = lcp_len(full, rest);
         if m < pl {
             // Split the compressed path at m: the old node keeps what
@@ -536,50 +794,47 @@ impl<V> Art<V> {
             let old_branch = full[m];
             let (tail, tail_len) = path_head(&full[m + 1..]);
             let new_leaf = self.new_leaf(key, value);
-            let mut parent = Node::new(&rest[..m], Children::new());
-            let old = &mut self.nodes[node_idx];
+            let mut parent = Node4::empty(Head::new(&rest[..m]));
+            let old = self.nodes.head_mut(ptr);
             (old.prefix, old.prefix_len) = (tail, tail_len);
-            parent.children.set(old_branch, ptr);
+            parent.set(old_branch, ptr);
             if rest.len() == m {
-                parent.term = new_leaf;
+                parent.head.term = new_leaf;
             } else {
-                parent.children.set(rest[m], new_leaf);
+                parent.set(rest[m], new_leaf);
             }
-            self.nodes.push(parent);
-            return (Ptr::node(self.nodes.len() - 1), None);
+            return (self.nodes.n4.alloc(parent), None);
         }
         let pos = pos + pl;
         if pos == key.len() {
-            let old_term = self.nodes[node_idx].term;
-            if let Some(t) = old_term.as_leaf() {
+            if let Some(t) = head.term.as_leaf() {
                 let old = std::mem::replace(&mut self.values[t], value);
                 return (ptr, Some(old));
             }
             let new_leaf = self.new_leaf(key, value);
-            self.nodes[node_idx].term = new_leaf;
+            self.nodes.head_mut(ptr).term = new_leaf;
             return (ptr, None);
         }
         let c = key[pos];
-        match self.nodes[node_idx].children.get(c) {
+        match self.nodes.node(ptr).get(c) {
             Some(child) => {
                 let (new_child, old) = self.insert_rec(child, key, pos + 1, value);
-                if new_child != child {
-                    self.set_child(node_idx, c, new_child);
-                }
+                let ptr =
+                    if new_child != child { self.nodes.set_child(ptr, c, new_child) } else { ptr };
                 (ptr, old)
             }
             None => {
                 let new_leaf = self.new_leaf(key, value);
-                self.set_child(node_idx, c, new_leaf);
-                (ptr, None)
+                (self.nodes.set_child(ptr, c, new_leaf), None)
             }
         }
     }
 
     /// Build the subtree of the loaded leaves `leaves` — consecutive keys
     /// of the run, sharing their first `depth` bytes — and return its
-    /// root. A node is pushed before its children (DFS pre-order) with
-    /// the kind its fan-out needs, so no node grows or moves.
+    /// root. A node is pushed before its children (DFS pre-order) into
+    /// the arena of the class its fan-out needs, so no node grows or
+    /// moves.
     fn load_subtree(&mut self, leaves: Range<usize>, depth: usize) -> Ptr {
         if leaves.len() == 1 {
             return Ptr::leaf(leaves.start);
@@ -597,21 +852,20 @@ impl<V> Art<V> {
             at = self.label_end(at..kids.end, d);
             fanout += 1;
         }
-        let mut node = Node::new(&first[depth..d], Children::for_fanout(fanout));
+        let mut head = Head::new(&first[depth..d]);
         if term {
-            node.term = Ptr::leaf(leaves.start);
+            head.term = Ptr::leaf(leaves.start);
         }
-        self.boxed_bytes += node.children.heap_bytes();
-        let id = self.nodes.len();
-        self.nodes.push(node);
+        let id = self.nodes.push_for_fanout(fanout, head);
         let mut at = kids.start;
         while at < kids.end {
             let (label, end) = (self.keys.get(at)[d], self.label_end(at..kids.end, d));
             let child = self.load_subtree(at..end, d + 1);
-            self.nodes[id].children.set(label, child);
+            let same = self.nodes.set_child(id, label, child);
+            debug_assert_eq!(same, id, "a loaded node never grows");
             at = end;
         }
-        Ptr::node(id)
+        id
     }
 
     /// End of the keys from `keys.start` on whose byte `d` is that of key
@@ -670,14 +924,13 @@ impl<V> Art<V> {
             let key = self.keys.get(leaf);
             return (bounded && key < start) || f(key, &self.values[leaf]);
         }
-        let node_idx = ptr.as_node().expect("valid ptr");
-        let node = &self.nodes[node_idx];
-        let pl = node.prefix_len as usize;
+        let node = self.nodes.node(ptr);
+        let pl = node.head().prefix_len as usize;
         let mut from: u16 = 0;
         let mut boundary_child = false;
         let mut include_term = true;
         if bounded {
-            let full = self.full_prefix(node_idx, depth);
+            let full = self.full_prefix(ptr, depth);
             let rest = if depth <= start.len() { &start[depth..] } else { &[][..] };
             let m = lcp_len(full, rest);
             if m < pl {
@@ -694,7 +947,7 @@ impl<V> Art<V> {
             }
             // else rest == full prefix: term is exactly start — include.
         }
-        if let Some(t) = node.term.as_leaf() {
+        if let Some(t) = node.head().term.as_leaf() {
             // On the boundary path the term may still lie below start.
             let in_range = include_term || self.keys.get(t) >= start;
             if in_range && !f(self.keys.get(t), &self.values[t]) {
@@ -702,7 +955,7 @@ impl<V> Art<V> {
             }
         }
         let mut keep_going = true;
-        node.children.for_each_from(from, |label, child| {
+        node.for_each_from(from, |label, child| {
             let child_bounded = boundary_child && (label as u16) == from;
             keep_going = self.scan_rec(child, depth + pl + 1, start, child_bounded, f);
             keep_going
@@ -718,15 +971,14 @@ impl<V> Art<V> {
         let mut sum = 0u64;
         let mut stack = vec![(self.root.expect("non-empty"), 0u32)];
         while let Some((ptr, d)) = stack.pop() {
-            if ptr.as_leaf().is_some() {
+            let Some(node) = self.nodes.get(ptr) else {
                 sum += d as u64;
                 continue;
-            }
-            let node = &self.nodes[ptr.as_node().expect("valid")];
-            if node.term.as_leaf().is_some() {
+            };
+            if node.head().term.as_leaf().is_some() {
                 sum += d as u64 + 1;
             }
-            node.children.for_each_from(0, |_, p| {
+            node.for_each_from(0, |_, p| {
                 stack.push((p, d + 1));
                 true
             });
@@ -1045,18 +1297,16 @@ mod tests {
         families
     }
 
-    /// Nodes per kind: Node4, Node16, Node48, Node256.
+    /// Live nodes per class, Node4 to Node256: the slots of each arena
+    /// less its free-listed ones.
     fn kinds(t: &Art) -> [usize; 4] {
-        let mut out = [0; 4];
-        for n in &t.nodes {
-            out[match n.children {
-                Children::N4 { .. } => 0,
-                Children::N16 { .. } => 1,
-                Children::N48 { .. } => 2,
-                Children::N256 { .. } => 3,
-            }] += 1;
-        }
-        out
+        let n = &t.nodes;
+        [
+            n.n4.nodes.len() - n.n4.free.len(),
+            n.n16.nodes.len() - n.n16.free.len(),
+            n.n48.nodes.len() - n.n48.free.len(),
+            n.n256.nodes.len() - n.n256.free.len(),
+        ]
     }
 
     #[test]
@@ -1076,19 +1326,41 @@ mod tests {
             for &i in &order {
                 inserted.insert(&keys[i], i as u64);
             }
-            assert_eq!(kinds(&loaded), kinds(&inserted), "{family}: nodes per kind");
+            assert_eq!(kinds(&loaded), kinds(&inserted), "{family}: nodes per class");
             assert_eq!(loaded.avg_depth(), inserted.avg_depth(), "{family}: avg_depth");
             for t in [&loaded, &inserted] {
-                let walked: usize = t.nodes.iter().map(|n| n.children.heap_bytes()).sum();
-                assert_eq!(t.boxed_bytes, walked, "{family}: boxed bytes");
+                // The node bytes are the arenas at capacity and their free
+                // lists, nothing else.
+                let n = &t.nodes;
+                let arenas = n.n4.nodes.capacity() * 40
+                    + n.n16.nodes.capacity() * 100
+                    + n.n48.nodes.capacity() * 468
+                    + n.n256.nodes.capacity() * 1040;
+                let free = n.n4.free.capacity()
+                    + n.n16.free.capacity()
+                    + n.n48.free.capacity()
+                    + n.n256.free.capacity();
+                assert_eq!(t.node_memory_bytes(), arenas + free * 4, "{family}: node bytes");
                 for (i, k) in keys.iter().enumerate() {
                     assert_eq!(t.get(k), Some(i as u64), "{family}: {k:?}");
                 }
                 assert_eq!(scan(t, b"", usize::MAX), (0..keys.len() as u64).collect::<Vec<_>>());
             }
-            assert!(loaded.keys.is_exact() && loaded.nodes.capacity() == loaded.nodes.len());
+            // A loaded tree's arenas are exact-size, with no free slot.
+            let n = &loaded.nodes;
+            assert!(loaded.keys.is_exact(), "{family}: loaded key run");
+            assert_eq!(
+                [n.n4.bytes(), n.n16.bytes(), n.n48.bytes(), n.n256.bytes()],
+                [
+                    n.n4.nodes.len() * 40,
+                    n.n16.nodes.len() * 100,
+                    n.n48.nodes.len() * 468,
+                    n.n256.nodes.len() * 1040
+                ],
+                "{family}: loaded arenas"
+            );
         }
-        // The families reach every node kind.
+        // The families reach every node class.
         let mut every = hostile_families().into_iter().find(|f| f.0 == "every fan-out").unwrap().1;
         every.sort();
         let mut t = Art::new();
@@ -1098,8 +1370,67 @@ mod tests {
 
     #[test]
     fn node_stays_small() {
-        assert_eq!(std::mem::size_of::<Children>(), 24);
-        assert_eq!(std::mem::size_of::<Node>(), 40);
+        assert_eq!(size_of::<Ptr>(), 4);
+        assert_eq!(size_of::<Head>(), 16);
+        assert_eq!(
+            [size_of::<Node4>(), size_of::<Node16>(), size_of::<Node48>(), size_of::<Node256>()],
+            [40, 100, 468, 1040]
+        );
+    }
+
+    /// The compare mask finds what a linear search over the first `count`
+    /// labels finds, for every count and label byte, whatever the labels
+    /// past `count` hold.
+    #[test]
+    fn node16_mask_search_matches_a_linear_search() {
+        let spread: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(5));
+        let mut stale = spread;
+        stale[8..].copy_from_slice(&spread[..8]);
+        for labels in [spread, stale, [0; 16], [0xff; 16]] {
+            for count in 0..=16u8 {
+                for label in 0..=u8::MAX {
+                    let linear = labels[..count as usize].iter().position(|&l| l == label);
+                    assert_eq!(find16(&labels, count, label), linear, "{labels:?}[..{count}]");
+                }
+            }
+        }
+    }
+
+    /// One node grown Node4 → Node16 → Node48 → Node256 by inserts leaves
+    /// one free slot in each of the lower three arenas, and the next node
+    /// of each class takes it without growing the arena.
+    #[test]
+    fn growth_frees_a_slot_that_the_next_node_of_its_class_takes() {
+        let mut art = Art::new();
+        for b in 0..=255u8 {
+            art.insert(&[b], u64::from(b));
+        }
+        let slots = |t: &Art| {
+            let n = &t.nodes;
+            [
+                (n.n4.nodes.len(), n.n4.nodes.capacity(), n.n4.free.len()),
+                (n.n16.nodes.len(), n.n16.nodes.capacity(), n.n16.free.len()),
+                (n.n48.nodes.len(), n.n48.nodes.capacity(), n.n48.free.len()),
+            ]
+        };
+        let grown = slots(&art);
+        assert!(grown.iter().all(|&(len, _, free)| len == 1 && free == 1), "{grown:?}");
+        assert_eq!(kinds(&art), [0, 0, 0, 1]);
+        // Key [0] becomes the terminator of a node under byte 0, which
+        // then grows through the classes as its children arrive.
+        for (class, children) in [(0, 1), (1, 5), (2, 17)] {
+            for b in 1..=children {
+                art.insert(&[0, b], 1000 + u64::from(b));
+            }
+            assert_eq!(slots(&art)[class], (1, grown[class].1, 0), "class {class}");
+        }
+        assert_eq!(kinds(&art), [0, 0, 1, 1]);
+        for b in 0..=255u8 {
+            assert_eq!(art.get(&[b]), Some(u64::from(b)));
+        }
+        for b in 1..=17u8 {
+            assert_eq!(art.get(&[0, b]), Some(1000 + u64::from(b)));
+        }
     }
 
     /// Two insert-built trees whose keys total the same bytes hold the

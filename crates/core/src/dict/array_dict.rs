@@ -68,18 +68,27 @@ impl SingleCharDict {
         SingleCharDict { codes: CodeArray::new(256, |b| codes[b]) }
     }
 
-    /// Encode a whole key: the storage form is matched once, not per byte.
+    /// [`super::Dict::encode_into`]: the storage form is matched once,
+    /// not per byte.
     #[inline]
-    pub(super) fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
-        match &self.codes {
-            CodeArray::Packed(t) => {
-                for &b in key {
-                    let e = t[b as usize];
-                    w.put_bits(e >> 8, (e & 0xFF) as u32);
-                }
-            }
-            CodeArray::Wide { .. } => super::encode_by_lookup(self, key, w),
+    pub(super) fn encode_into(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        w: &mut BitWriter,
+    ) -> usize {
+        let CodeArray::Packed(t) = &self.codes else {
+            return super::encode_by_lookup(self, key, from, min_bytes, w);
+        };
+        let stop = min_bytes.saturating_mul(8);
+        let mut at = from;
+        while at < key.len() && w.bit_len() < stop {
+            let e = t[key[at] as usize];
+            w.put_bits(e >> 8, (e & 0xFF) as u32);
+            at += 1;
         }
+        at
     }
 
     /// In-order `(symbol, code)` enumeration: slot `b` is symbol `[b]`.
@@ -144,23 +153,32 @@ impl DoubleCharDict {
         }
     }
 
-    /// Encode a whole key: the storage form is matched once, not per pair.
+    /// [`super::Dict::encode_into`]: the storage form is matched once,
+    /// not per pair.
     #[inline]
-    pub(super) fn encode_into(&self, key: &[u8], w: &mut BitWriter) {
-        match &self.codes {
-            CodeArray::Packed(t) => {
-                let mut chunks = key.chunks_exact(2);
-                for p in &mut chunks {
-                    let e = t[Self::slot(p)];
-                    w.put_bits(e >> 8, (e & 0xFF) as u32);
-                }
-                if let tail @ [_] = chunks.remainder() {
-                    let e = t[Self::slot(tail)];
-                    w.put_bits(e >> 8, (e & 0xFF) as u32);
-                }
-            }
-            CodeArray::Wide { .. } => super::encode_by_lookup(self, key, w),
+    pub(super) fn encode_into(
+        &self,
+        key: &[u8],
+        from: usize,
+        min_bytes: usize,
+        w: &mut BitWriter,
+    ) -> usize {
+        let CodeArray::Packed(t) = &self.codes else {
+            return super::encode_by_lookup(self, key, from, min_bytes, w);
+        };
+        let stop = min_bytes.saturating_mul(8);
+        let mut at = from;
+        while at + 1 < key.len() && w.bit_len() < stop {
+            let e = t[Self::slot(&key[at..at + 2])];
+            w.put_bits(e >> 8, (e & 0xFF) as u32);
+            at += 2;
         }
+        if at + 1 == key.len() && w.bit_len() < stop {
+            let e = t[Self::slot(&key[at..])];
+            w.put_bits(e >> 8, (e & 0xFF) as u32);
+            at += 1;
+        }
+        at
     }
 
     /// In-order `(symbol, code)` enumeration: per leading byte, its
@@ -238,12 +256,12 @@ mod tests {
         let double = DoubleCharDict::new(&fixed_codes(DOUBLE_CHAR_ENTRIES));
         for key in [b"".as_slice(), b"a", b"ab", b"abc", b"\x00\xff\x7f", b"com.gmail@user042"] {
             let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
-            single.encode_into(key, &mut got);
-            crate::dict::encode_by_lookup(&single, key, &mut want);
+            single.encode_into(key, 0, usize::MAX, &mut got);
+            crate::dict::encode_by_lookup(&single, key, 0, usize::MAX, &mut want);
             assert_eq!(got.finish(), want.finish(), "single: key {key:?}");
             let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
-            double.encode_into(key, &mut got);
-            crate::dict::encode_by_lookup(&double, key, &mut want);
+            double.encode_into(key, 0, usize::MAX, &mut got);
+            crate::dict::encode_by_lookup(&double, key, 0, usize::MAX, &mut want);
             assert_eq!(got.finish(), want.finish(), "double: key {key:?}");
         }
     }

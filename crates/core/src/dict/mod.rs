@@ -62,16 +62,24 @@ pub trait DictLookup {
 }
 
 /// The encode loop every structure without a denser one shares: one
-/// lookup per symbol.
+/// lookup per symbol, under [`Dict::encode_into`]'s bound.
 #[inline]
-fn encode_by_lookup(d: &impl DictLookup, key: &[u8], w: &mut BitWriter) {
-    let mut rest = key;
-    while !rest.is_empty() {
-        let (code, consumed) = d.lookup(rest);
-        debug_assert!(consumed >= 1 && consumed <= rest.len());
+fn encode_by_lookup(
+    d: &impl DictLookup,
+    key: &[u8],
+    from: usize,
+    min_bytes: usize,
+    w: &mut BitWriter,
+) -> usize {
+    let stop = min_bytes.saturating_mul(8);
+    let mut at = from;
+    while at < key.len() && w.bit_len() < stop {
+        let (code, consumed) = d.lookup(&key[at..]);
+        debug_assert!(consumed >= 1 && at + consumed <= key.len());
         w.put(code);
-        rest = &rest[consumed..];
+        at += consumed;
     }
+    at
 }
 
 /// Static-dispatch wrapper over the concrete dictionary structures (keeps
@@ -107,11 +115,10 @@ impl Dict {
     /// Encode `key` from byte `from` — a symbol boundary an earlier call
     /// returned, or 0 — appending its codes to `w` until `w` holds at
     /// least `min_bytes` whole bytes or the key ends; returns the position
-    /// reached. The one per-key encode loop: `min_bytes == usize::MAX`
-    /// runs the structure's own loop to the end of the key (the structure
-    /// is matched once per key, not once per symbol); a smaller bound runs
-    /// [`Dict::lookup`] per symbol and checks the bound after each, so a
-    /// point read can stop as soon as its index has seen enough bytes.
+    /// reached. The one per-key encode loop: the structure is matched once
+    /// per call, and its own loop checks the bound after each symbol, so a
+    /// whole encode (`min_bytes == usize::MAX`) and a point read that
+    /// stops as soon as its index has seen enough bytes run the same code.
     ///
     /// ```
     /// use hope::bitpack::BitWriter;
@@ -151,23 +158,13 @@ impl Dict {
         min_bytes: usize,
         w: &mut BitWriter,
     ) -> usize {
-        if min_bytes == usize::MAX {
-            match self {
-                Dict::Single(d) => d.encode_into(&key[from..], w),
-                Dict::Double(d) => d.encode_into(&key[from..], w),
-                Dict::Bitmap(d) => encode_by_lookup(d, &key[from..], w),
-                Dict::Art(d) => encode_by_lookup(d, &key[from..], w),
-                Dict::Sorted(d) => encode_by_lookup(d, &key[from..], w),
-            }
-            return key.len();
+        match self {
+            Dict::Single(d) => d.encode_into(key, from, min_bytes, w),
+            Dict::Double(d) => d.encode_into(key, from, min_bytes, w),
+            Dict::Bitmap(d) => encode_by_lookup(d, key, from, min_bytes, w),
+            Dict::Art(d) => encode_by_lookup(d, key, from, min_bytes, w),
+            Dict::Sorted(d) => encode_by_lookup(d, key, from, min_bytes, w),
         }
-        let mut at = from;
-        while at < key.len() && w.bit_len() / 8 < min_bytes {
-            let (code, consumed) = self.lookup(&key[at..]);
-            w.put(code);
-            at += consumed;
-        }
-        at
     }
 
     /// Call `f(symbol, code)` for every dictionary entry, in interval

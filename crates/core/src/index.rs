@@ -47,7 +47,7 @@ mod key_block;
 mod key_run;
 
 pub use key_block::KeyBlock;
-pub use key_run::KeyRun;
+pub use key_run::{eighth_octave_ceil, KeyRun};
 
 /// Ask for the cache line that holds `items[0]`, without waiting for it:
 /// a tree calls this on a node's buffers as soon as it has read the node,

@@ -102,8 +102,10 @@ impl KeyRun {
 }
 
 /// `n` rounded up to a multiple of 1/8 of the largest power of two not
-/// above it: the next size with at most four significant bits.
-fn eighth_octave_ceil(n: usize) -> usize {
+/// above it: the next size with at most four significant bits. The growth
+/// step of [`KeyRun::reserve_bytes`], and of `hope_art`'s arenas of nodes
+/// above Node4.
+pub fn eighth_octave_ceil(n: usize) -> usize {
     if n <= 16 {
         return n;
     }
