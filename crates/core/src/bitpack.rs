@@ -225,6 +225,17 @@ impl BitWriter {
         }
     }
 
+    /// Append whole bytes, each as its own 8-bit code: a copy when no
+    /// bits are staged.
+    #[inline]
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        if self.fill != 0 {
+            return bytes.iter().for_each(|&b| self.put_bits(b.into(), 8));
+        }
+        self.out.extend_from_slice(bytes);
+        self.total_bits += 8 * bytes.len();
+    }
+
     #[inline]
     fn spill(&mut self) {
         debug_assert_eq!(self.fill, 64);
@@ -293,38 +304,6 @@ impl BitWriter {
     }
 }
 
-/// Bit reader over an [`EncodedKey`], used by tests and diagnostics (the
-/// decoders walk raw padded bytes directly — see [`crate::decoder`]).
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    key: &'a EncodedKey,
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Read from the start of `key`.
-    pub fn new(key: &'a EncodedKey) -> Self {
-        BitReader { key, pos: 0 }
-    }
-
-    /// Number of unread bits.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.key.bit_len() - self.pos
-    }
-
-    /// Read the next bit, or `None` at end of stream.
-    #[inline]
-    pub fn next_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.key.bit_len() {
-            return None;
-        }
-        let b = self.key.bit(self.pos);
-        self.pos += 1;
-        Some(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +364,20 @@ mod tests {
         assert_eq!(k.bit_len(), 12);
     }
 
+    /// Whole bytes land as 8-bit codes would, on a byte boundary or off it.
+    #[test]
+    fn writer_put_bytes_matches_8_bit_codes() {
+        let bytes: Vec<u8> = (0..20u32).map(|i| (i * 37) as u8).collect();
+        for lead in [0, 3, 8, 40, 64] {
+            let (mut at_once, mut by_code) = (BitWriter::new(), BitWriter::new());
+            at_once.put_bits(0, lead);
+            by_code.put_bits(0, lead);
+            at_once.put_bytes(&bytes);
+            bytes.iter().for_each(|&b| by_code.put_bits(b.into(), 8));
+            assert_eq!(at_once.finish(), by_code.finish(), "after {lead} bits");
+        }
+    }
+
     #[test]
     fn writer_crosses_u64_boundary() {
         let mut w = BitWriter::new();
@@ -395,16 +388,10 @@ mod tests {
         let k = w.finish();
         assert_eq!(k.bit_len(), 130);
         assert_eq!(k.byte_len(), 17);
-        // Verify with the reader.
-        let mut r = BitReader::new(&k);
-        for i in 0..10u64 {
-            let mut v = 0u64;
-            for _ in 0..13 {
-                v = (v << 1) | r.next_bit().unwrap() as u64;
-            }
-            assert_eq!(v, i & 0x1FFF);
+        for i in 0..10 {
+            let v = (0..13).fold(0u64, |v, b| (v << 1) | k.bit(13 * i + b) as u64);
+            assert_eq!(v, i as u64);
         }
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The HOPE build pipeline (§4.1, Figure 5): Symbol Selector → Code
 //! Assigner → Dictionary → Encoder, with per-module timing (Figure 9).
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::bitpack::EncodedKey;
-use crate::code_assign::{codes_are_order_preserving, identity_codes, CodeAssigner};
+use crate::code_assign::{codes_are_order_preserving, CodeAssigner};
 use crate::decoder::{Decoder, FastDecoder};
 use crate::dict::Dict;
 use crate::encoder::Encoder;
@@ -159,33 +160,29 @@ impl HopeBuilder {
             return Err(HopeError::EmptySample);
         }
 
-        // Identity trains nothing: no test encoding, no code assigner.
-        let identity = self.scheme == Scheme::Identity;
+        // Identity trains nothing and builds no table.
+        if self.scheme == Scheme::Identity {
+            let (encoder, timings) = (Encoder::new(Dict::Identity), BuildTimings::default());
+            let scheme = self.scheme;
+            return Ok(Hope { scheme, encoder, timings, shared_decoder: OnceLock::new() });
+        }
 
         // Module 1: Symbol Selector (interval division + test encoding).
         let t0 = Instant::now();
         let set = selector::select_intervals(self.scheme, &sample, self.target_entries)?;
-        let weights = if identity { Vec::new() } else { selector::access_weights(&set, &sample) };
+        let weights = selector::access_weights(&set, &sample);
         let symbol_select = t0.elapsed();
 
         // Module 2: Code Assigner.
         let t1 = Instant::now();
-        let codes = if identity {
-            identity_codes()
-        } else if self.scheme.uses_hu_tucker() {
+        let codes = if self.scheme.uses_hu_tucker() {
             CodeAssigner::HuTucker.assign(&weights)
         } else {
             CodeAssigner::FixedLength.assign(&weights)
         };
         let code_assign = t1.elapsed();
         debug_assert!(codes_are_order_preserving(&codes));
-        if identity {
-            // Never padded, so the bytes are the key: strict order holds
-            // without the reserved all-zeros code.
-            debug_assert!(codes.iter().all(|c| c.len == 8), "identity codes are whole bytes");
-        } else {
-            debug_assert!(codes[0].bits != 0, "the all-zeros code is reserved");
-        }
+        debug_assert!(codes[0].bits != 0, "the all-zeros code is reserved");
 
         // Module 3: Dictionary.
         let t2 = Instant::now();
@@ -198,7 +195,7 @@ impl HopeBuilder {
             scheme: self.scheme,
             encoder: Encoder::new(dict),
             timings: BuildTimings { symbol_select, code_assign, dictionary_build },
-            shared_decoder: std::sync::OnceLock::new(),
+            shared_decoder: OnceLock::new(),
         })
     }
 }
@@ -214,7 +211,7 @@ pub struct Hope {
     timings: BuildTimings,
     /// Lazily built decoder backing [`Hope::decode_to`]; built at most
     /// once and shared across threads.
-    shared_decoder: std::sync::OnceLock<FastDecoder>,
+    shared_decoder: OnceLock<FastDecoder>,
 }
 
 impl Hope {
@@ -329,6 +326,9 @@ impl Hope {
     /// [`FastDecoder`]. The first call pays the decoder build; later calls
     /// share it across threads.
     ///
+    /// [`Scheme::Identity`] builds no decoder: its bytes are the key, and
+    /// a decode is a copy.
+    ///
     /// # Errors
     ///
     /// [`HopeError::CorruptEncoding`] on a corrupt stream, including one
@@ -339,6 +339,14 @@ impl Hope {
         bit_len: usize,
         scratch: &'s mut crate::decoder::DecodeScratch,
     ) -> Result<&'s [u8], HopeError> {
+        if let Dict::Identity = self.encoder.dict() {
+            // The bytes are the key: whole bytes, no more than `enc` holds.
+            let key = enc.get(..bit_len / 8).filter(|_| bit_len.is_multiple_of(8));
+            let key = key.ok_or(HopeError::CorruptEncoding { bit_len })?;
+            scratch.out.clear();
+            scratch.out.extend_from_slice(key);
+            return Ok(&scratch.out);
+        }
         self.shared_fast_decoder().decode_bits_to(enc, bit_len, scratch)
     }
 
@@ -392,7 +400,8 @@ impl Hope {
     /// Snapshot the codec's hot-path counters (see [`CodecStats`]).
     ///
     /// The decode counter is the shared decoder's, and zero until
-    /// [`Hope::decode_to`] / [`Hope::shared_fast_decoder`] first build it.
+    /// [`Hope::decode_to`] / [`Hope::shared_fast_decoder`] first build it
+    /// (so always zero for [`Scheme::Identity`], whose decode is a copy).
     pub fn codec_stats(&self) -> CodecStats {
         CodecStats {
             encode_keys: self.encoder.key_count(),

@@ -48,15 +48,6 @@ impl CodeAssigner {
     }
 }
 
-/// The codes of [`Scheme::Identity`](crate::Scheme::Identity): byte `b`
-/// is the 8-bit code `b`. No assigner runs and no sentinel is reserved, so
-/// byte 0x00 gets the all-zeros code; every code being exactly one byte
-/// long, an encoding is never padded and its bytes are the key, which
-/// orders strictly without the reserved code.
-pub(crate) fn identity_codes() -> Vec<Code> {
-    (0..=u8::MAX).map(|b| Code::new(u64::from(b), 8)).collect()
-}
-
 /// Verify the two structural properties order preservation rests on
 /// (§3.1): codes strictly increase in bitstring order, and no code is a
 /// prefix of its successor (with monotonicity this implies global

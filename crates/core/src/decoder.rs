@@ -69,7 +69,7 @@ const WINDOW_PAD: usize = 15;
 /// Returned slices are invalidated by the next call on the same scratch.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    out: Vec<u8>,
+    pub(crate) out: Vec<u8>,
     stream: Vec<u8>,
 }
 

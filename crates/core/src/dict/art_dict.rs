@@ -10,9 +10,9 @@
 //! 3. **leaves hold dictionary entries** — `(code, symbol length)` instead
 //!    of tuple pointers.
 //!
-//! **Layout.** The tree is three flat arrays: 24-byte plain nodes, one
-//! byte arena and one payload entry per interval. A node's children are
-//! allocated together, in label order, so the child of rank `r` is
+//! **Layout.** The tree is three flat arrays: 16-byte plain nodes, one
+//! byte arena and one 8-byte payload word per interval. A node's children
+//! are allocated together, in label order, so the child of rank `r` is
 //! `first_child + r` — no pointer array, no allocation per node. The arena
 //! holds each node's prefix followed by its child index: a *sparse* node
 //! (≤ 16 children) lists its sorted labels, and a byte's rank — the count
@@ -22,12 +22,19 @@
 //! *dense* node (17–256 children) holds 256 little-endian `u16`s of
 //! `rank << 1 | hit`, so a hit and a miss both cost one load. ART's four
 //! node kinds collapse into these two because the dictionary is read-only:
-//! there is no insert for a growable kind to amortise.
+//! there is no insert for a growable kind to amortise. A payload word is
+//! `bits << 16 | symbol length << 8 | code length`, the form the array
+//! dictionaries use; a code over 48 bits or a symbol over 255 bytes —
+//! possible only under extreme Hu-Tucker skew or in a hand-built set —
+//! escapes to a side list.
 //!
-//! **Floor rule.** Every node knows `lo..=hi`, the interval indices of its
-//! subtree, and intervals are contiguous, so the floor search tracks no
-//! last-resort entry; where the walk stops it reads the floor off the
-//! bounds:
+//! **Floor rule.** Every node's subtree holds the intervals `lo..=hi`, and
+//! intervals are contiguous, so the floor search tracks no last-resort
+//! entry; where the walk stops it reads the floor off the bounds. A node
+//! stores only `lo`: the walk carries `hi` down, since a child's `hi` is
+//! its next sibling's `lo − 1` (siblings are contiguous, so that read is
+//! almost always on a line already loaded), or its parent's `hi` for the
+//! last child, and the root's is the last interval.
 //!
 //! * the next byte is no label — the interval before the next sibling's
 //!   subtree (its `lo − 1`), or the node's `hi` when no label is greater;
@@ -43,28 +50,39 @@ use std::ops::Range;
 /// Most children a node lists as sorted labels; more get a rank table.
 const SPARSE: usize = 16;
 
+/// Longest code a payload word holds.
+const MAX_PACKED_LEN: u8 = 48;
+
+/// Code length of a payload word whose entry is in the side list, at the
+/// side-list index its `bits` hold.
+const WIDE: u64 = 0xFF;
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Node {
     /// Arena offset of the prefix (modification 2: never truncated), which
     /// the child index follows.
     at: u32,
-    prefix_len: u32,
-    /// First and last interval index of the subtree.
+    /// First interval index of the subtree.
     lo: u32,
-    hi: u32,
     first_child: u32,
-    /// Number of children, 0..=256.
-    count: u16,
-    /// Interval `lo`'s boundary ends at this node (modification 1).
-    term: bool,
+    /// Bytes of the prefix; a longer common run continues in a one-child
+    /// node below.
+    prefix_len: u16,
+    /// `count << 1 | term`: the number of children, 0..=256, and whether
+    /// interval `lo`'s boundary ends at this node (modification 1).
+    meta: u16,
 }
 
-/// One interval's payload (modification 3), read with a single load.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    bits: u64,
-    sym_len: u32,
-    len: u8,
+impl Node {
+    #[inline]
+    fn count(&self) -> usize {
+        (self.meta >> 1) as usize
+    }
+
+    #[inline]
+    fn term(&self) -> bool {
+        self.meta & 1 == 1
+    }
 }
 
 /// The ART-based dictionary.
@@ -72,7 +90,12 @@ struct Entry {
 pub struct ArtDict {
     nodes: Vec<Node>,
     bytes: Vec<u8>,
-    entries: Vec<Entry>,
+    /// One payload word per interval (modification 3), read with a single
+    /// load.
+    entries: Vec<u64>,
+    /// Codes over 48 bits or symbols over 255 bytes, with their symbol
+    /// lengths.
+    wide: Vec<(Code, usize)>,
 }
 
 fn u32_of(x: usize) -> u32 {
@@ -83,15 +106,24 @@ impl ArtDict {
     /// Build from an interval set and its assigned codes.
     pub fn build(set: &IntervalSet, codes: &[Code]) -> Self {
         assert_eq!(set.len(), codes.len());
+        let mut wide = Vec::new();
         let entries = codes
             .iter()
             .zip(set.iter())
-            .map(|(c, (_, sym_len))| Entry { bits: c.bits, len: c.len, sym_len: u32_of(sym_len) })
+            .map(|(&c, (_, sym_len))| {
+                if c.len <= MAX_PACKED_LEN && sym_len <= u8::MAX as usize {
+                    c.bits << 16 | (sym_len as u64) << 8 | u64::from(c.len)
+                } else {
+                    wide.push((c, sym_len));
+                    ((wide.len() - 1) as u64) << 16 | WIDE
+                }
+            })
             .collect();
-        let mut dict = ArtDict { nodes: vec![Node::default()], bytes: Vec::new(), entries };
+        let mut dict = ArtDict { nodes: vec![Node::default()], bytes: Vec::new(), entries, wide };
         dict.build_node(set, 0, 0..set.len(), 0);
         dict.nodes.shrink_to_fit();
         dict.bytes.shrink_to_fit();
+        dict.wide.shrink_to_fit();
         dict
     }
 
@@ -100,7 +132,10 @@ impl ArtDict {
     fn build_node(&mut self, set: &IntervalSet, id: usize, range: Range<usize>, depth: usize) {
         debug_assert!(!range.is_empty());
         let first = set.boundary(range.start);
-        let d = depth + lcp_len(&first[depth..], &set.boundary(range.end - 1)[depth..]);
+        let common = lcp_len(&first[depth..], &set.boundary(range.end - 1)[depth..]);
+        // A run past `u16::MAX` bytes ends in one child labelled by its next
+        // byte; the rest of the run is that child's prefix.
+        let d = depth + common.min(u16::MAX as usize);
         let term = first.len() == d;
         // (label, first interval) per child, in label order.
         let mut kids: Vec<(u8, usize)> = Vec::new();
@@ -126,12 +161,10 @@ impl ArtDict {
         self.nodes.resize(first_child + kids.len(), Node::default());
         self.nodes[id] = Node {
             at: u32_of(at),
-            prefix_len: u32_of(d - depth),
             lo: u32_of(range.start),
-            hi: u32_of(range.end - 1),
             first_child: u32_of(first_child),
-            count: kids.len() as u16,
-            term,
+            prefix_len: (d - depth) as u16,
+            meta: (kids.len() as u16) << 1 | term as u16,
         };
         for (r, &(_, start)) in kids.iter().enumerate() {
             let end = kids.get(r + 1).map_or(range.end, |k| k.1);
@@ -152,8 +185,8 @@ impl ArtDict {
     #[inline]
     fn rank(&self, n: &Node, c: u8) -> (usize, bool) {
         let index = self.index(n);
-        if n.count as usize <= SPARSE {
-            let labels = &index[..n.count as usize];
+        if n.count() <= SPARSE {
+            let labels = &index[..n.count()];
             let rank = labels.iter().position(|&l| l >= c).unwrap_or(labels.len());
             (rank, labels.get(rank) == Some(&c))
         } else {
@@ -162,9 +195,13 @@ impl ArtDict {
         }
     }
 
+    #[inline]
     fn payload(&self, i: u32) -> (Code, usize) {
-        let e = &self.entries[i as usize];
-        (Code { bits: e.bits, len: e.len }, e.sym_len as usize)
+        let e = self.entries[i as usize];
+        if e & 0xFF == WIDE {
+            return self.wide[(e >> 16) as usize];
+        }
+        (Code { bits: e >> 16, len: e as u8 }, (e >> 8) as u8 as usize)
     }
 
     /// In-order `(symbol, code)` enumeration: one DFS, the path to a
@@ -176,12 +213,12 @@ impl ArtDict {
     fn visit(&self, n: &Node, path: &mut Vec<u8>, f: &mut dyn FnMut(&[u8], Code)) {
         let mark = path.len();
         path.extend_from_slice(self.prefix(n));
-        if n.term {
+        if n.term() {
             let (code, sym_len) = self.payload(n.lo);
             f(&path[..sym_len], code);
         }
-        let labels: Vec<u8> = if n.count as usize <= SPARSE {
-            self.index(n)[..n.count as usize].to_vec()
+        let labels: Vec<u8> = if n.count() <= SPARSE {
+            self.index(n)[..n.count()].to_vec()
         } else {
             (0..=u8::MAX).filter(|&c| self.rank(n, c).1).collect()
         };
@@ -203,20 +240,25 @@ impl DictLookup for ArtDict {
     fn lookup(&self, src: &[u8]) -> (Code, usize) {
         debug_assert!(!src.is_empty());
         let mut n = &self.nodes[0];
+        let mut hi = u32_of(self.entries.len() - 1);
         let mut rest = src;
         let floor = loop {
             let prefix = self.prefix(n);
             let m = lcp_len(prefix, rest);
             if m < prefix.len() {
-                break if rest.get(m).is_some_and(|&c| c > prefix[m]) { n.hi } else { n.lo - 1 };
+                break if rest.get(m).is_some_and(|&c| c > prefix[m]) { hi } else { n.lo - 1 };
             }
             let Some((&c, tail)) = rest[m..].split_first() else {
-                break if n.term { n.lo } else { n.lo - 1 };
+                break if n.term() { n.lo } else { n.lo - 1 };
             };
             let (rank, hit) = self.rank(n, c);
             let next = n.first_child as usize + rank;
             if !hit {
-                break if rank < n.count as usize { self.nodes[next].lo - 1 } else { n.hi };
+                break if rank < n.count() { self.nodes[next].lo - 1 } else { hi };
+            }
+            // The child's subtree ends where its next sibling's begins.
+            if rank + 1 < n.count() {
+                hi = self.nodes[next + 1].lo - 1;
             }
             n = &self.nodes[next];
             rest = tail;
@@ -227,7 +269,8 @@ impl DictLookup for ArtDict {
     fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.bytes.len()
-            + self.entries.len() * std::mem::size_of::<Entry>()
+            + self.entries.len() * std::mem::size_of::<u64>()
+            + self.wide.len() * std::mem::size_of::<(Code, usize)>()
     }
 
     fn num_entries(&self) -> usize {
@@ -284,10 +327,15 @@ mod tests {
     fn adaptive_node_kinds() {
         // 256 single-byte boundaries: a dense root over 256 sparse leaves.
         let (art, _) = build_pair(&[]);
-        let dense = art.nodes.iter().filter(|n| n.count as usize > SPARSE).count();
-        assert_eq!((art.num_nodes(), dense, art.nodes[0].count), (257, 1, 256));
-        // One node per boundary plus the root; 24 B apiece.
-        assert_eq!(std::mem::size_of::<Node>(), 24);
+        let dense = art.nodes.iter().filter(|n| n.count() > SPARSE).count();
+        assert_eq!((art.num_nodes(), dense, art.nodes[0].count()), (257, 1, 256));
+        // One node per boundary plus the root, 16 B apiece; one 8 B payload
+        // word per interval; the arena is the root's 512 B rank table and
+        // no prefix byte.
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert!(art.wide.is_empty());
+        assert_eq!(art.bytes.len(), 512);
+        assert_eq!(art.memory_bytes(), 257 * 16 + 512 + 256 * 8);
     }
 
     #[test]
@@ -315,12 +363,67 @@ mod tests {
             let set = IntervalSet::from_parts(boundaries, vec![1; labels.len()]);
             let art = ArtDict::build(&set, &fixed_len_codes(set.len()));
             let root = &art.nodes[0];
-            assert_eq!((art.prefix(root), root.count as usize), (&b"a"[..], labels.len()));
+            assert_eq!((art.prefix(root), root.count()), (&b"a"[..], labels.len()));
             for c in 0..=u8::MAX {
                 let want = (labels.partition_point(|&l| l < c), labels.contains(&c));
                 assert_eq!(art.rank(root, c), want, "{} labels, byte {c}", labels.len());
             }
         }
+    }
+
+    /// Entries the payload word cannot hold — codes of 49–64 bits, a
+    /// 300-byte symbol — and a 70 000-byte common run, longer than a node's
+    /// prefix, read back as the binary-search reference reads them, and
+    /// list back in interval order.
+    #[test]
+    fn wide_entries_and_long_prefixes() {
+        let run = vec![b'q'; 70_000];
+        let long_symbol: Box<[u8]> = [&[b'm'][..], &[b'x'; 299]].concat().into();
+        let mut boundaries: Vec<Box<[u8]>> = (0..=u8::MAX).map(|b| [b].into()).collect();
+        let mut lens = vec![1u16; 256];
+        let m = boundaries.iter().position(|b| b[0] == b'm').unwrap();
+        // [m x^299, m x^298 y) is the 300-byte symbol's interval.
+        let above: Box<[u8]> = [&long_symbol[..299], b"y"].concat().into();
+        boundaries.splice(m + 1..m + 1, [long_symbol.clone(), above]);
+        lens.splice(m + 1..m + 1, [300, 1]);
+        // [q, q^70000) and [q^70000, q^70000 a) share "q"; the run's two
+        // intervals above it share the whole run.
+        let q = boundaries.iter().position(|b| b[0] == b'q').unwrap();
+        let tail = |t: &[u8]| -> Box<[u8]> { [&run[..], t].concat().into() };
+        boundaries.splice(q + 1..q + 1, [tail(b""), tail(b"a"), tail(b"b")]);
+        lens.splice(q + 1..q + 1, [1, 1, 1]);
+        let set = IntervalSet::from_parts(boundaries, lens);
+        set.validate().unwrap();
+        // Two codes in three are wide, the widest 64 bits; the long
+        // symbol's is short, so its length alone makes it wide.
+        let codes: Vec<Code> = (0..set.len())
+            .map(|i| match i % 3 {
+                _ if set.symbol_len(i) > 255 => Code::new(i as u64, 20),
+                0 => Code::new(i as u64, 49 + (i % 16) as u8),
+                1 => Code::new(i as u64, 20),
+                _ => Code::new(u64::MAX - i as u64, 64),
+            })
+            .collect();
+        let art = ArtDict::build(&set, &codes);
+        let base = SortedDict::build(&set, &codes);
+        assert!(art.nodes.iter().any(|n| n.prefix_len == u16::MAX), "the run is split");
+        let wide = (0..set.len()).filter(|&i| codes[i].len > 48 || set.symbol_len(i) > 255);
+        assert_eq!(art.wide.len(), wide.count());
+        assert!(art.wide.len() > set.len() / 2 && art.wide.len() < set.len());
+        let mut probes: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b]).collect();
+        probes.extend([long_symbol.to_vec(), [&long_symbol[..], b"zz"].concat()]);
+        probes.extend([b"mx".to_vec(), b"my".to_vec(), vec![b'q'; 69_999]]);
+        for t in [&b""[..], b"\x00", b"a", b"ab", b"b", b"c"] {
+            probes.push([&run[..], t].concat());
+            probes.push([&run[..69_999], b"r", t].concat());
+        }
+        for p in &probes {
+            assert_eq!(art.lookup(p), base.lookup(p), "probe of {} bytes", p.len());
+        }
+        let mut listed = Vec::new();
+        art.for_each_entry(&mut |symbol, code| listed.push((symbol.to_vec(), code)));
+        let want: Vec<_> = (0..set.len()).map(|i| (set.symbol(i).to_vec(), codes[i])).collect();
+        assert_eq!(listed, want);
     }
 
     proptest! {

@@ -7,12 +7,13 @@
 //! Table 1, plus a binary-search baseline used for testing and for the
 //! §4.2 ablation ("2.3× faster than binary-searching the entries"):
 //!
-//! * [`array_dict`] — O(1) arrays for Single-Char / Double-Char (and the
-//!   uncompressed Identity baseline);
+//! * [`array_dict`] — O(1) arrays for Single-Char / Double-Char;
 //! * [`bitmap_trie`] — succinct bitmap trie for 3-Grams / 4-Grams;
 //! * [`art_dict`] — ART variant for ALM / ALM-Improved (prefix keys, full
 //!   prefixes, leaves store codes);
-//! * [`sorted_dict`] — binary search over the boundary list (baseline).
+//! * [`sorted_dict`] — binary search over the boundary list (baseline);
+//! * no structure for the uncompressed Identity baseline, whose encode is
+//!   a copy ([`Dict::Identity`]).
 //!
 //! The built [`Dict`] is the only copy of the dictionary and the only
 //! thing the encoder walks: [`Dict::encode_into`] is the per-key loop
@@ -96,14 +97,20 @@ pub enum Dict {
     Art(ArtDict),
     /// Binary-search baseline.
     Sorted(SortedDict),
+    /// No table (Identity): byte `b` is the 8-bit code `b`, so an encode
+    /// is a copy of the key. Byte 0x00 has the all-zeros code, and order
+    /// still holds strictly because no encoding is ever padded.
+    Identity,
 }
 
 impl Dict {
-    /// Build the Table-1 dictionary structure for `scheme`.
+    /// Build the Table-1 dictionary structure for `scheme` (Identity reads
+    /// neither `set` nor `codes`).
     pub fn build(scheme: Scheme, set: &IntervalSet, codes: &[Code]) -> Dict {
         assert_eq!(set.len(), codes.len());
         match scheme {
-            Scheme::SingleChar | Scheme::Identity => Dict::Single(SingleCharDict::new(codes)),
+            Scheme::Identity => Dict::Identity,
+            Scheme::SingleChar => Dict::Single(SingleCharDict::new(codes)),
             Scheme::DoubleChar => Dict::Double(DoubleCharDict::new(codes)),
             Scheme::ThreeGrams | Scheme::FourGrams => {
                 Dict::Bitmap(BitmapTrieDict::build(set, codes))
@@ -119,6 +126,7 @@ impl Dict {
     /// per call, and its own loop checks the bound after each symbol, so a
     /// whole encode (`min_bytes == usize::MAX`) and a point read that
     /// stops as soon as its index has seen enough bytes run the same code.
+    /// Identity copies the rest of the key, whatever the bound.
     ///
     /// ```
     /// use hope::bitpack::BitWriter;
@@ -164,6 +172,10 @@ impl Dict {
             Dict::Bitmap(d) => encode_by_lookup(d, key, from, min_bytes, w),
             Dict::Art(d) => encode_by_lookup(d, key, from, min_bytes, w),
             Dict::Sorted(d) => encode_by_lookup(d, key, from, min_bytes, w),
+            Dict::Identity => {
+                w.put_bytes(&key[from..]);
+                key.len()
+            }
         }
     }
 
@@ -178,6 +190,7 @@ impl Dict {
             Dict::Bitmap(d) => d.for_each_entry(f),
             Dict::Art(d) => d.for_each_entry(f),
             Dict::Sorted(d) => d.for_each_entry(f),
+            Dict::Identity => (0..=u8::MAX).for_each(|b| f(&[b], Code::new(b.into(), 8))),
         }
     }
 
@@ -192,6 +205,7 @@ impl Dict {
             Dict::Bitmap(d) => d.lookup(src),
             Dict::Art(d) => d.lookup(src),
             Dict::Sorted(d) => d.lookup(src),
+            Dict::Identity => (Code { bits: src[0].into(), len: 8 }, 1),
         }
     }
 
@@ -203,6 +217,7 @@ impl Dict {
             Dict::Bitmap(d) => d.memory_bytes(),
             Dict::Art(d) => d.memory_bytes(),
             Dict::Sorted(d) => d.memory_bytes(),
+            Dict::Identity => 0,
         }
     }
 
@@ -214,6 +229,7 @@ impl Dict {
             Dict::Bitmap(d) => d.num_entries(),
             Dict::Art(d) => d.num_entries(),
             Dict::Sorted(d) => d.num_entries(),
+            Dict::Identity => 256,
         }
     }
 
@@ -233,6 +249,7 @@ impl Dict {
             Dict::Bitmap(_) => "Bitmap-Trie",
             Dict::Art(_) => "ART-based",
             Dict::Sorted(_) => "Sorted-Array",
+            Dict::Identity => "None",
         }
     }
 }

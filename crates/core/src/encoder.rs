@@ -6,12 +6,13 @@
 //! [`Dict::encode_into`] — the structure is matched once per key and its
 //! own loop runs: a packed-array load per symbol for Single-/Double-Char,
 //! the bitmap trie's automaton (trie walk on its fallback edges) for
-//! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved. See DESIGN.md,
-//! "One structure per scheme". A point read whose index can place a
-//! partial key encodes it lazily ([`Encoder::encode_lazily`]): the same
-//! call, bounded by the whole bytes the index's
-//! [`seek`](crate::OrderedIndex::seek) asks for and resumed where it
-//! stopped (DESIGN.md, "Point reads encode only what the index needs").
+//! 3-/4-Grams, the ART floor walk for ALM / ALM-Improved, a copy for
+//! Identity. See DESIGN.md, "One structure per scheme". A point read
+//! whose index can place a partial key encodes it lazily
+//! ([`Encoder::encode_lazily`]): the same call, bounded by the whole bytes
+//! the index's [`seek`](crate::OrderedIndex::seek) asks for and resumed
+//! where it stopped (DESIGN.md, "Point reads encode only what the index
+//! needs").
 //!
 //! Everything is allocation-free: codes are appended to a caller-supplied
 //! [`BitWriter`], and the `encode_into`-first API plus [`EncodeScratch`]
@@ -147,8 +148,15 @@ impl Encoder {
     /// encoded bytes (exact bit length via [`EncodeScratch::bit_len`]).
     #[inline]
     pub fn encode_to<'s>(&self, key: &[u8], scratch: &'s mut EncodeScratch) -> &'s [u8] {
-        self.dict.encode_into(key, 0, usize::MAX, &mut scratch.writer);
         self.count_key(scratch);
+        if let Dict::Identity = self.dict {
+            // The key is its own encoding: one copy, no writer.
+            scratch.lo.clear();
+            scratch.lo.extend_from_slice(key);
+            scratch.lo_bits = 8 * key.len();
+            return &scratch.lo;
+        }
+        self.dict.encode_into(key, 0, usize::MAX, &mut scratch.writer);
         scratch.lo_bits = scratch.writer.finish_into(&mut scratch.lo);
         &scratch.lo
     }
@@ -285,9 +293,7 @@ mod tests {
     fn build_both(scheme: Scheme, sample: &[Vec<u8>]) -> (Encoder, Encoder) {
         let set = selector::select_intervals(scheme, sample, 512).unwrap();
         let weights = selector::access_weights(&set, sample);
-        let codes = if scheme == Scheme::Identity {
-            crate::code_assign::identity_codes()
-        } else if scheme.uses_hu_tucker() {
+        let codes = if scheme.uses_hu_tucker() {
             CodeAssigner::HuTucker.assign(&weights)
         } else {
             CodeAssigner::FixedLength.assign(&weights)
@@ -299,7 +305,10 @@ mod tests {
     }
 
     fn build_encoder(scheme: Scheme, sample: &[Vec<u8>]) -> Encoder {
-        build_both(scheme, sample).0
+        match scheme {
+            Scheme::Identity => Encoder::new(Dict::Identity),
+            _ => build_both(scheme, sample).0,
+        }
     }
 
     fn sample() -> Vec<Vec<u8>> {
@@ -347,9 +356,10 @@ mod tests {
         for scheme in Scheme::ALL {
             let enc = build_encoder(scheme, &s);
             let kind = match scheme {
-                Scheme::SingleChar | Scheme::DoubleChar | Scheme::Identity => "Array",
+                Scheme::SingleChar | Scheme::DoubleChar => "Array",
                 Scheme::ThreeGrams | Scheme::FourGrams => "Bitmap-Trie",
                 Scheme::Alm | Scheme::AlmImproved => "ART-based",
+                Scheme::Identity => "None",
             };
             assert_eq!(enc.dict().kind(), kind, "{scheme}");
             // Only the bitmap trie carries a table beyond its own nodes.

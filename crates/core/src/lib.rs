@@ -38,8 +38,8 @@
 //! | [`Scheme::AlmImproved`] | VIVC | ART | Hu-Tucker |
 //!
 //! [`Scheme::Identity`] is the paper's *Uncompressed* baseline as a scheme
-//! of the same codec: Single-Char's 256-entry array with byte `b` coded
-//! as the 8 bits of `b`, so every encoding is the key itself.
+//! of the same codec: no table, byte `b` coded as the 8 bits of `b`, so
+//! every encoding is a copy of the key.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -57,8 +57,9 @@ pub enum Scheme {
     AlmImproved,
     /// The paper's *Uncompressed* baseline: Single-Char's 256 intervals,
     /// byte `b` coded as the 8 bits of `b`. Nothing is trained (an empty
-    /// sample builds it) and every encoding is the key itself, so a store
-    /// built with it is the same store with compression off.
+    /// sample builds it), no table is built, and every encoding is a copy
+    /// of the key, so a store built with it is the same store with
+    /// compression off.
     ///
     /// ```
     /// use hope::{DecodeScratch, EncodeScratch, HopeBuilder, Scheme};
@@ -127,9 +128,10 @@ impl Scheme {
     /// Dictionary data structure used for this scheme (Table 1).
     pub fn dictionary_kind(&self) -> &'static str {
         match self {
-            Scheme::SingleChar | Scheme::DoubleChar | Scheme::Identity => "Array",
+            Scheme::SingleChar | Scheme::DoubleChar => "Array",
             Scheme::ThreeGrams | Scheme::FourGrams => "Bitmap-Trie",
             Scheme::Alm | Scheme::AlmImproved => "ART-based",
+            Scheme::Identity => "None",
         }
     }
 }
@@ -206,7 +208,7 @@ mod tests {
         let identity = Scheme::Identity;
         assert_eq!((identity.name(), identity.category()), ("Identity", "FIFC"));
         assert_eq!((identity.fixed_dict_size(), identity.uses_hu_tucker()), (Some(256), false));
-        assert_eq!(identity.dictionary_kind(), "Array");
+        assert_eq!(identity.dictionary_kind(), "None");
         assert!(!Scheme::ALL.contains(&identity), "the six of the paper");
     }
 

@@ -48,10 +48,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Cap on an ART dictionary's bytes per entry: the flat layout holds
-/// 42–62 B across Email, URL and Wiki at 256, 4 K and 64 K entries;
-/// per-node allocation held 135–215 B.
-const ART_BYTES_PER_ENTRY: usize = 80;
+/// Cap on an ART dictionary's bytes per entry: the flat layout of 16 B
+/// nodes and 8 B payload words holds 26–41 B across Email, URL and Wiki
+/// at 256, 4 K and 64 K entries (24 B nodes and 16 B payloads held
+/// 42–62 B, per-node allocation 135–215 B).
+const ART_BYTES_PER_ENTRY: usize = 45;
 
 /// Bytes dropping `hope` returns to the allocator, which must be within
 /// 10 % of what it claimed to hold.
