@@ -5,7 +5,7 @@
 //! | Row | Reproduces | Gated (deterministic, in the `DIGEST`) | Recorded (never gated) |
 //! |---|---|---|---|
 //! | `table1` | Table 1 | every scheme's category, code assigner and dictionary equal the paper's | — |
-//! | `fig08` | Fig. 8: CPR / encode latency / dictionary memory over the dictionary-size sweep 2⁸ … 2¹⁶, 3 datasets × 6 schemes | CPR at each scheme's largest dictionary orders Single < Double < 3-Grams < 4-Grams < ALM-Improved; Single-/Double-Char dictionaries are exactly 2 KB / 514 KB | ns/char; the cells where CPR *drops* as the dictionary grows (`cpr_dips`) |
+//! | `fig08` | Fig. 8: CPR / encode latency / dictionary memory over the dictionary-size sweep 2⁸ … 2¹⁶, 3 datasets × 6 schemes | CPR at each scheme's largest dictionary orders Single < Double < 3-Grams < 4-Grams < ALM-Improved; Single-/Double-Char dictionaries are exactly 1 KB / 257 KB | ns/char; the cells where CPR *drops* as the dictionary grows (`cpr_dips`) |
 //! | `fig09` | Fig. 9: dictionary build time by module, Email | — (timing only; dictionary entries in the `DIGEST`) | the three module times |
 //! | `fig10` | Fig. 10: SuRF under YCSB C + range probes, 3 datasets × 7 configurations, and the §5 latency model | no false negatives; trie height and filter bytes below uncompressed under every configuration | point / range / build times, the model's prediction |
 //! | `fig11` | Fig. 11: SuRF false-positive rate, Email | FPR ≤ uncompressed for Single-/Double-Char and 3-/4-Grams on SuRF-Base and SuRF-Real8 | the ALM-Improved cells that *raise* the FPR (`alm_raises_fpr`) |
@@ -123,7 +123,7 @@ fn table1(_cfg: &BenchConfig, out: &mut ScenarioReport) {
 fn fig08(cfg: &BenchConfig, out: &mut ScenarioReport) {
     let sweep: Vec<usize> = (8..=16).step_by(2).map(|e| 1usize << e).collect();
     let (mut misordered, mut wrong_bytes, mut dips) = (Vec::new(), Vec::new(), Vec::new());
-    let fixed_bytes = [(Scheme::SingleChar, 2 << 10), (Scheme::DoubleChar, 514 << 10)];
+    let fixed_bytes = [(Scheme::SingleChar, 1 << 10), (Scheme::DoubleChar, 257 << 10)];
     for dataset in Dataset::ALL {
         let keys = load_dataset(dataset, cfg);
         let sample = cfg.sample(&keys);
@@ -173,7 +173,7 @@ fn fig08(cfg: &BenchConfig, out: &mut ScenarioReport) {
         ),
         every_cell(
             "fixed_dict_bytes",
-            "Single-Char dictionary exactly 2 KB, Double-Char exactly 514 KB",
+            "Single-Char dictionary exactly 1 KB, Double-Char exactly 257 KB",
             2 * Dataset::ALL.len(),
             &wrong_bytes,
         ),

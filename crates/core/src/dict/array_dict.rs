@@ -2,55 +2,71 @@
 //!
 //! The dictionary symbols and interval boundaries are implied by array
 //! offsets, so an entry stores only the code — in the form the bit writer
-//! consumes, `(code bits << 8) | code length` in one `u64`, so a symbol
+//! consumes, `(code bits << 5) | code length` in one `u32`, so a symbol
 //! costs one load, one shift and one mask. The paper's entry is 5 bytes
-//! (8-bit length + 32-bit code); these are 8 (DESIGN.md, "Known
-//! deviations") and hold codes up to 56 bits. If Hu-Tucker ever emits a
-//! longer code (possible only under extreme skew) the array falls back to
-//! parallel 64-bit `bits` / 8-bit `len` storage.
+//! (8-bit length + 32-bit code); these are 4 (DESIGN.md, "Known
+//! deviations") and hold codes up to 27 bits; Double-Char's longest on a
+//! 20 k URL sample are 25. A longer code escapes: its entry has length 0,
+//! and its bits index a side list of `Code`s.
 
 use super::DictLookup;
 use crate::bitpack::{BitWriter, Code};
 use crate::selector::double_char::{double_char_slot, DOUBLE_CHAR_ENTRIES};
 
-/// Longest code a packed `(bits << 8) | len` entry can hold.
-const MAX_PACKED_LEN: u8 = 56;
+/// Longest code an entry holds.
+const MAX_CODE_LEN: u8 = 27;
 
 /// Code storage shared by both array dictionaries.
 #[derive(Debug)]
-enum CodeArray {
-    /// One pack-ready `(bits << 8) | len` word per slot.
-    Packed(Box<[u64]>),
-    /// Some code exceeds 56 bits: parallel arrays.
-    Wide { bits: Box<[u64]>, len: Box<[u8]> },
+struct CodeArray {
+    /// `(bits << 5) | len` per slot; length 0 escapes to `wide[bits]`.
+    words: Box<[u32]>,
+    /// The codes over 27 bits, in slot order.
+    wide: Box<[Code]>,
 }
 
 impl CodeArray {
     /// Store `n` slots, slot `i` holding `at(i)`.
     fn new(n: usize, at: impl Fn(usize) -> Code) -> Self {
-        if (0..n).all(|i| at(i).len <= MAX_PACKED_LEN) {
-            CodeArray::Packed((0..n).map(|i| (at(i).bits << 8) | at(i).len as u64).collect())
-        } else {
-            CodeArray::Wide {
-                bits: (0..n).map(|i| at(i).bits).collect(),
-                len: (0..n).map(|i| at(i).len).collect(),
-            }
-        }
+        let mut wide = Vec::new();
+        let words = (0..n)
+            .map(|i| match at(i) {
+                c if (1..=MAX_CODE_LEN).contains(&c.len) => (c.bits as u32) << 5 | u32::from(c.len),
+                c => {
+                    wide.push(c);
+                    ((wide.len() - 1) as u32) << 5
+                }
+            })
+            .collect();
+        CodeArray { words, wide: wide.into_boxed_slice() }
     }
 
     #[inline]
     fn get(&self, i: usize) -> Code {
-        match self {
-            CodeArray::Packed(t) => Code { bits: t[i] >> 8, len: (t[i] & 0xFF) as u8 },
-            CodeArray::Wide { bits, len } => Code { bits: bits[i], len: len[i] },
+        match self.words[i] {
+            e if e & 0x1F == 0 => self.wide[(e >> 5) as usize],
+            e => Code { bits: u64::from(e >> 5), len: (e & 0x1F) as u8 },
         }
     }
 
-    fn memory_bytes(&self) -> usize {
-        match self {
-            CodeArray::Packed(t) => t.len() * 8,
-            CodeArray::Wide { bits, len } => bits.len() * 8 + len.len(),
+    /// Append slot `i`'s code to `w`. Inlined, with the escape out of
+    /// line: otherwise a hot-cache encode costs up to a fifth more.
+    #[inline(always)]
+    fn put(&self, i: usize, w: &mut BitWriter) {
+        let e = self.words[i];
+        if e & 0x1F == 0 {
+            return self.put_wide(e, w);
         }
+        w.put_bits(u64::from(e >> 5), e & 0x1F);
+    }
+
+    #[cold]
+    fn put_wide(&self, e: u32, w: &mut BitWriter) {
+        w.put(self.wide[(e >> 5) as usize]);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.wide)
     }
 }
 
@@ -68,8 +84,7 @@ impl SingleCharDict {
         SingleCharDict { codes: CodeArray::new(256, |b| codes[b]) }
     }
 
-    /// [`super::Dict::encode_into`]: the storage form is matched once,
-    /// not per byte.
+    /// [`super::Dict::encode_into`]: one slot per byte.
     #[inline]
     pub(super) fn encode_into(
         &self,
@@ -78,14 +93,10 @@ impl SingleCharDict {
         min_bytes: usize,
         w: &mut BitWriter,
     ) -> usize {
-        let CodeArray::Packed(t) = &self.codes else {
-            return super::encode_by_lookup(self, key, from, min_bytes, w);
-        };
         let stop = min_bytes.saturating_mul(8);
         let mut at = from;
         while at < key.len() && w.bit_len() < stop {
-            let e = t[key[at] as usize];
-            w.put_bits(e >> 8, (e & 0xFF) as u32);
+            self.codes.put(key[at] as usize, w);
             at += 1;
         }
         at
@@ -153,8 +164,7 @@ impl DoubleCharDict {
         }
     }
 
-    /// [`super::Dict::encode_into`]: the storage form is matched once,
-    /// not per pair.
+    /// [`super::Dict::encode_into`]: one slot per pair, or per odd tail.
     #[inline]
     pub(super) fn encode_into(
         &self,
@@ -163,22 +173,13 @@ impl DoubleCharDict {
         min_bytes: usize,
         w: &mut BitWriter,
     ) -> usize {
-        let CodeArray::Packed(t) = &self.codes else {
-            return super::encode_by_lookup(self, key, from, min_bytes, w);
-        };
         let stop = min_bytes.saturating_mul(8);
         let mut at = from;
-        while at + 1 < key.len() && w.bit_len() < stop {
-            let e = t[Self::slot(&key[at..at + 2])];
-            w.put_bits(e >> 8, (e & 0xFF) as u32);
+        while at < key.len() && w.bit_len() < stop {
+            self.codes.put(Self::slot(&key[at..]), w);
             at += 2;
         }
-        if at + 1 == key.len() && w.bit_len() < stop {
-            let e = t[Self::slot(&key[at..])];
-            w.put_bits(e >> 8, (e & 0xFF) as u32);
-            at += 1;
-        }
-        at
+        at.min(key.len())
     }
 
     /// In-order `(symbol, code)` enumeration: per leading byte, its
@@ -230,11 +231,11 @@ mod tests {
 
     #[test]
     fn memory_is_one_packed_word_per_entry() {
-        // One `(bits << 8) | len` u64 per slot — and nothing else: no
+        // One `(bits << 5) | len` u32 per slot — and nothing else: no
         // second table restating the same codes.
-        assert_eq!(SingleCharDict::new(&fixed_codes(256)).memory_bytes(), 256 * 8);
+        assert_eq!(SingleCharDict::new(&fixed_codes(256)).memory_bytes(), 256 * 4);
         let d = DoubleCharDict::new(&fixed_codes(DOUBLE_CHAR_ENTRIES));
-        assert_eq!(d.memory_bytes(), DOUBLE_CHAR_ENTRIES * 8);
+        assert_eq!(d.memory_bytes(), DOUBLE_CHAR_ENTRIES * 4);
     }
 
     #[test]
@@ -269,16 +270,19 @@ mod tests {
     #[test]
     fn wide_storage_kicks_in_for_long_codes() {
         let mut codes = fixed_codes(256);
+        codes[253] = Code::new(0x7FF_FFFF, 27);
+        assert_eq!(SingleCharDict::new(&codes).memory_bytes(), 256 * 4, "27 bits still pack");
         codes[254] = Code::new(0x1_FFFF_FFFF, 40);
-        assert_eq!(SingleCharDict::new(&codes).memory_bytes(), 256 * 8, "40 bits still pack");
         codes[255] = Code::new(u64::MAX >> 4, 60);
         let d = SingleCharDict::new(&codes);
-        assert_eq!(d.lookup(b"\xfe"), (codes[254], 1));
-        assert_eq!(d.lookup(b"\xff"), (codes[255], 1));
-        assert_eq!(d.memory_bytes(), 256 * 9);
+        for b in [253, 254, 255] {
+            assert_eq!(d.lookup(&[b]), (codes[b as usize], 1));
+        }
+        // Only the two escaped codes pay for a side-list `Code`.
+        assert_eq!(d.memory_bytes(), 256 * 4 + 2 * std::mem::size_of::<Code>());
     }
 
-    /// Codes over 56 bits cannot be packed; the wide array then serves
+    /// A code over 27 bits escapes to the side list, which then serves
     /// the key loop, the lookup and the enumeration — bit-identical to the
     /// binary-search reference over the same codes.
     #[test]
@@ -288,9 +292,10 @@ mod tests {
         // Keep the code set monotone: lengthen the last code only.
         let last = codes[DOUBLE_CHAR_ENTRIES - 1];
         codes[DOUBLE_CHAR_ENTRIES - 1] = Code::new(last.bits << 43, last.len + 43);
-        assert!(codes[DOUBLE_CHAR_ENTRIES - 1].len > MAX_PACKED_LEN);
+        assert!(codes[DOUBLE_CHAR_ENTRIES - 1].len > MAX_CODE_LEN);
         let wide = Dict::Double(DoubleCharDict::new(&codes));
-        assert_eq!(wide.memory_bytes(), DOUBLE_CHAR_ENTRIES * 9);
+        // The one escaped entry alone pays for a side-list `Code`.
+        assert_eq!(wide.memory_bytes(), DOUBLE_CHAR_ENTRIES * 4 + std::mem::size_of::<Code>());
         let reference = Dict::Sorted(SortedDict::build(&set, &codes));
         for key in [b"".as_slice(), b"a", b"ab", b"abc", b"\xff\xff", b"\xff\xff\xff", b"\x00"] {
             let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
@@ -304,5 +309,25 @@ mod tests {
             i += 1;
         });
         assert_eq!(i, DOUBLE_CHAR_ENTRIES);
+    }
+
+    /// Codes up to the 27-bit limit pack; one bit past it, and up to 64
+    /// bits, they escape. Both arrays look up, encode (whole and pulled)
+    /// and list such codes as the binary-search reference does.
+    #[test]
+    fn codes_past_the_packing_limit_escape() {
+        use crate::dict::tests::{check_against_reference, codes_around, probes_for};
+        use crate::selector::single_char::single_char_intervals;
+        let set = single_char_intervals();
+        let codes = codes_around(&[MAX_CODE_LEN], &set);
+        let single = SingleCharDict::new(&codes);
+        let escaped = codes.iter().filter(|c| c.len > MAX_CODE_LEN).count();
+        assert!(escaped > 0 && single.codes.wide.len() == escaped);
+        let single = Dict::Single(single);
+        check_against_reference("Single-Char", &single, &set, &codes, &probes_for(&set));
+        let set = double_char_intervals();
+        let codes = codes_around(&[MAX_CODE_LEN], &set);
+        let double = Dict::Double(DoubleCharDict::new(&codes));
+        check_against_reference("Double-Char", &double, &set, &codes, &probes_for(&set));
     }
 }

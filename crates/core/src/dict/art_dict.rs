@@ -11,7 +11,7 @@
 //!    of tuple pointers.
 //!
 //! **Layout.** The tree is three flat arrays: 16-byte plain nodes, one
-//! byte arena and one 8-byte payload word per interval. A node's children
+//! byte arena and one 4-byte payload word per interval. A node's children
 //! are allocated together, in label order, so the child of rank `r` is
 //! `first_child + r` — no pointer array, no allocation per node. The arena
 //! holds each node's prefix followed by its child index: a *sparse* node
@@ -23,9 +23,8 @@
 //! `rank << 1 | hit`, so a hit and a miss both cost one load. ART's four
 //! node kinds collapse into these two because the dictionary is read-only:
 //! there is no insert for a growable kind to amortise. A payload word is
-//! `bits << 16 | symbol length << 8 | code length`, the form the array
-//! dictionaries use; a code over 48 bits or a symbol over 255 bytes —
-//! possible only under extreme Hu-Tucker skew or in a hand-built set —
+//! `bits << 10 | symbol length << 5 | code length`, shared with the bitmap
+//! trie (`dict/payload.rs`); a code over 22 bits or a symbol over 31 bytes
 //! escapes to a side list.
 //!
 //! **Floor rule.** Every node's subtree holds the intervals `lo..=hi`, and
@@ -42,6 +41,7 @@
 //! * the source ends at the node — `lo` if a boundary ends there
 //!   (terminal), else `lo − 1`.
 
+use super::payload::Payloads;
 use super::DictLookup;
 use crate::axis::{lcp_len, IntervalSet};
 use crate::bitpack::Code;
@@ -49,13 +49,6 @@ use std::ops::Range;
 
 /// Most children a node lists as sorted labels; more get a rank table.
 const SPARSE: usize = 16;
-
-/// Longest code a payload word holds.
-const MAX_PACKED_LEN: u8 = 48;
-
-/// Code length of a payload word whose entry is in the side list, at the
-/// side-list index its `bits` hold.
-const WIDE: u64 = 0xFF;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Node {
@@ -92,10 +85,7 @@ pub struct ArtDict {
     bytes: Vec<u8>,
     /// One payload word per interval (modification 3), read with a single
     /// load.
-    entries: Vec<u64>,
-    /// Codes over 48 bits or symbols over 255 bytes, with their symbol
-    /// lengths.
-    wide: Vec<(Code, usize)>,
+    entries: Payloads,
 }
 
 fn u32_of(x: usize) -> u32 {
@@ -106,24 +96,11 @@ impl ArtDict {
     /// Build from an interval set and its assigned codes.
     pub fn build(set: &IntervalSet, codes: &[Code]) -> Self {
         assert_eq!(set.len(), codes.len());
-        let mut wide = Vec::new();
-        let entries = codes
-            .iter()
-            .zip(set.iter())
-            .map(|(&c, (_, sym_len))| {
-                if c.len <= MAX_PACKED_LEN && sym_len <= u8::MAX as usize {
-                    c.bits << 16 | (sym_len as u64) << 8 | u64::from(c.len)
-                } else {
-                    wide.push((c, sym_len));
-                    ((wide.len() - 1) as u64) << 16 | WIDE
-                }
-            })
-            .collect();
-        let mut dict = ArtDict { nodes: vec![Node::default()], bytes: Vec::new(), entries, wide };
+        let entries = Payloads::new(set, codes);
+        let mut dict = ArtDict { nodes: vec![Node::default()], bytes: Vec::new(), entries };
         dict.build_node(set, 0, 0..set.len(), 0);
         dict.nodes.shrink_to_fit();
         dict.bytes.shrink_to_fit();
-        dict.wide.shrink_to_fit();
         dict
     }
 
@@ -197,11 +174,7 @@ impl ArtDict {
 
     #[inline]
     fn payload(&self, i: u32) -> (Code, usize) {
-        let e = self.entries[i as usize];
-        if e & 0xFF == WIDE {
-            return self.wide[(e >> 16) as usize];
-        }
-        (Code { bits: e >> 16, len: e as u8 }, (e >> 8) as u8 as usize)
+        self.entries.get(i as usize)
     }
 
     /// In-order `(symbol, code)` enumeration: one DFS, the path to a
@@ -269,8 +242,7 @@ impl DictLookup for ArtDict {
     fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.bytes.len()
-            + self.entries.len() * std::mem::size_of::<u64>()
-            + self.wide.len() * std::mem::size_of::<(Code, usize)>()
+            + self.entries.memory_bytes()
     }
 
     fn num_entries(&self) -> usize {
@@ -281,6 +253,7 @@ impl DictLookup for ArtDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::payload::{MAX_CODE_LEN, MAX_SYMBOL_LEN};
     use crate::dict::sorted_dict::SortedDict;
     use crate::hu_tucker::fixed_len_codes;
     use proptest::prelude::*;
@@ -329,13 +302,13 @@ mod tests {
         let (art, _) = build_pair(&[]);
         let dense = art.nodes.iter().filter(|n| n.count() > SPARSE).count();
         assert_eq!((art.num_nodes(), dense, art.nodes[0].count()), (257, 1, 256));
-        // One node per boundary plus the root, 16 B apiece; one 8 B payload
+        // One node per boundary plus the root, 16 B apiece; one 4 B payload
         // word per interval; the arena is the root's 512 B rank table and
         // no prefix byte.
         assert_eq!(std::mem::size_of::<Node>(), 16);
-        assert!(art.wide.is_empty());
+        assert_eq!(art.entries.escaped(), 0);
         assert_eq!(art.bytes.len(), 512);
-        assert_eq!(art.memory_bytes(), 257 * 16 + 512 + 256 * 8);
+        assert_eq!(art.memory_bytes(), 257 * 16 + 512 + 256 * 4);
     }
 
     #[test]
@@ -398,7 +371,7 @@ mod tests {
         // symbol's is short, so its length alone makes it wide.
         let codes: Vec<Code> = (0..set.len())
             .map(|i| match i % 3 {
-                _ if set.symbol_len(i) > 255 => Code::new(i as u64, 20),
+                _ if set.symbol_len(i) > MAX_SYMBOL_LEN => Code::new(i as u64, 20),
                 0 => Code::new(i as u64, 49 + (i % 16) as u8),
                 1 => Code::new(i as u64, 20),
                 _ => Code::new(u64::MAX - i as u64, 64),
@@ -407,9 +380,10 @@ mod tests {
         let art = ArtDict::build(&set, &codes);
         let base = SortedDict::build(&set, &codes);
         assert!(art.nodes.iter().any(|n| n.prefix_len == u16::MAX), "the run is split");
-        let wide = (0..set.len()).filter(|&i| codes[i].len > 48 || set.symbol_len(i) > 255);
-        assert_eq!(art.wide.len(), wide.count());
-        assert!(art.wide.len() > set.len() / 2 && art.wide.len() < set.len());
+        let wide = (0..set.len())
+            .filter(|&i| codes[i].len > MAX_CODE_LEN || set.symbol_len(i) > MAX_SYMBOL_LEN);
+        assert_eq!(art.entries.escaped(), wide.count());
+        assert!(art.entries.escaped() > set.len() / 2 && art.entries.escaped() < set.len());
         let mut probes: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b]).collect();
         probes.extend([long_symbol.to_vec(), [&long_symbol[..], b"zz"].concat()]);
         probes.extend([b"mx".to_vec(), b"my".to_vec(), vec![b'q'; 69_999]]);
@@ -449,5 +423,30 @@ mod tests {
                 prop_assert_eq!(art.lookup(p), base.lookup(p), "probe {:?}", p);
             }
         }
+    }
+
+    /// Codes up to the payload word's 22 bits and symbols up to its 31
+    /// bytes pack; one past either escapes, codes up to 64 bits. The ART
+    /// looks up, encodes (whole and pulled) and lists them as the
+    /// binary-search reference does.
+    #[test]
+    fn payloads_past_the_word_escape() {
+        use crate::dict::tests::{check_against_reference, codes_around, probes_for};
+        use crate::dict::Dict;
+        let pats: Vec<Vec<u8>> = [30, 31, 32, 33]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| [&[b'a' + k as u8][..], &vec![b'x'; n - 1]].concat())
+            .chain([b"mid".to_vec(), b"q".to_vec()])
+            .collect();
+        let set = IntervalSet::from_patterns(&pats);
+        let lens: Vec<usize> = (0..set.len()).map(|i| set.symbol_len(i)).collect();
+        assert!(lens.contains(&MAX_SYMBOL_LEN) && lens.contains(&(MAX_SYMBOL_LEN + 1)));
+        let codes = codes_around(&[MAX_CODE_LEN], &set);
+        let art = ArtDict::build(&set, &codes);
+        let escaped = (0..set.len())
+            .filter(|&i| codes[i].len > MAX_CODE_LEN || set.symbol_len(i) > MAX_SYMBOL_LEN);
+        assert_eq!(art.entries.escaped(), escaped.count());
+        check_against_reference("ART", &Dict::Art(art), &set, &codes, &probes_for(&set));
     }
 }

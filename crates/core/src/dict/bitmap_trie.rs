@@ -18,6 +18,7 @@
 //! table is tested against.
 
 use super::automaton::{Automaton, AUTOMATON_STATE_BUDGET};
+use super::payload::Payloads;
 use super::DictLookup;
 use crate::axis::IntervalSet;
 use crate::bitpack::Code;
@@ -90,10 +91,8 @@ impl Node {
 pub struct BitmapTrieDict {
     nodes: Vec<Node>,
     /// Per-node first-child offsets are implicit in `child_base`; leaves are
-    /// the interval indices themselves, payload in the arrays below.
-    code_bits: Vec<u64>,
-    code_len: Vec<u8>,
-    sym_len: Vec<u8>,
+    /// the interval indices themselves, one payload word each.
+    payloads: Payloads,
     /// Gram length (trie depth): 3 or 4 in the paper, any >= 1 here.
     depth: usize,
     /// The floor search flattened into a transition table.
@@ -116,15 +115,7 @@ impl BitmapTrieDict {
         let depth = (0..set.len()).map(|i| set.boundary(i).len()).max().unwrap_or(1);
         let mut dict = BitmapTrieDict {
             nodes: Vec::new(),
-            code_bits: codes.iter().map(|c| c.bits).collect(),
-            code_len: codes.iter().map(|c| c.len).collect(),
-            sym_len: (0..set.len())
-                .map(|i| {
-                    let l = set.symbol_len(i);
-                    debug_assert!(l <= u8::MAX as usize);
-                    l as u8
-                })
-                .collect(),
+            payloads: Payloads::new(set, codes),
             depth,
             automaton: Automaton::build(set, codes, max_states),
         };
@@ -197,7 +188,7 @@ impl BitmapTrieDict {
 
     #[inline]
     fn payload(&self, i: usize) -> (Code, usize) {
-        (Code { bits: self.code_bits[i], len: self.code_len[i] }, self.sym_len[i] as usize)
+        self.payloads.get(i)
     }
 
     /// The trie floor walk: answers the automaton's fallback edges, and is
@@ -292,14 +283,12 @@ impl DictLookup for BitmapTrieDict {
 
     fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
-            + self.code_bits.len() * 8
-            + self.code_len.len()
-            + self.sym_len.len()
+            + self.payloads.memory_bytes()
             + self.automaton.memory_bytes()
     }
 
     fn num_entries(&self) -> usize {
-        self.code_bits.len()
+        self.payloads.len()
     }
 }
 
@@ -468,7 +457,39 @@ mod tests {
         let full = BitmapTrieDict::build(&set, &codes);
         let (states, _) = full.automaton_stats();
         assert!(states > 1);
-        // One 256-entry row plus one exhaust entry of 8 bytes per state.
-        assert_eq!(full.memory_bytes() - bare.memory_bytes(), (states - 1) * 257 * 8);
+        // One 256-entry row plus one exhaust entry of 4 bytes per state.
+        assert_eq!(full.memory_bytes() - bare.memory_bytes(), (states - 1) * 257 * 4);
+    }
+
+    /// The automaton's emit holds codes up to 23 bits and symbols up to 7
+    /// bytes, the trie's payload word 22 bits and 31 bytes; one past each
+    /// limit escapes, codes up to 64 bits. With its rows the automaton
+    /// answers every such symbol itself, and with none the trie walk does;
+    /// both look up, encode (whole and pulled) and list as the
+    /// binary-search reference does.
+    #[test]
+    fn emits_and_payloads_past_the_word_escape() {
+        use crate::dict::tests::{check_against_reference, codes_around, probes_for};
+        use crate::dict::Dict;
+        let pats: Vec<Vec<u8>> = [3, 6, 7, 8, 30, 31, 32, 33]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| [&[b'a' + k as u8][..], &vec![b'x'; n - 1]].concat())
+            .collect();
+        let set = IntervalSet::from_patterns(&pats);
+        let lens: Vec<usize> = (0..set.len()).map(|i| set.symbol_len(i)).collect();
+        for l in [7, 8, 31, 32] {
+            assert!(lens.contains(&l), "a {l}-byte symbol");
+        }
+        let codes = codes_around(&[22, 23], &set);
+        for budget in [AUTOMATON_STATE_BUDGET, 0] {
+            let trie = BitmapTrieDict::build_with_state_budget(&set, &codes, budget);
+            assert!(trie.payloads.escaped() > 0);
+            let dict = Dict::Bitmap(trie);
+            let what = format!("bitmap trie, budget {budget}");
+            check_against_reference(&what, &dict, &set, &codes, &probes_for(&set));
+            let takes = dict.automaton_fallback_takes();
+            assert_eq!(takes == 0, budget > 0, "{what}: {takes} symbols the trie walk answered");
+        }
     }
 }

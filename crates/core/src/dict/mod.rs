@@ -38,6 +38,7 @@ pub mod array_dict;
 pub mod art_dict;
 mod automaton;
 pub mod bitmap_trie;
+mod payload;
 pub mod sorted_dict;
 
 use crate::axis::IntervalSet;
@@ -394,6 +395,68 @@ mod tests {
         ] {
             check_entries(&format!("{} over the prefix chain", dict.kind()), &dict, &set, &codes);
         }
+    }
+
+    /// Hand-made codes for `set`'s entries, whose lengths cycle through one
+    /// bit below, at and one bit past each packing limit in `limits`, then
+    /// 1, 40, 63 and 64 bits; every other code is all ones, so a dropped
+    /// top bit shows. A symbol over 6 bytes gets a code at the lowest
+    /// limit instead, so that its length alone decides whether it escapes.
+    /// Not a prefix code: the structures map entries to codes and never
+    /// read them as one.
+    pub(super) fn codes_around(limits: &[u8], set: &IntervalSet) -> Vec<Code> {
+        let mut lens: Vec<u8> = limits.iter().flat_map(|&l| [l - 1, l, l + 1]).collect();
+        lens.extend([1, 40, 63, 64]);
+        let lowest = *limits.iter().min().expect("a packing limit");
+        (0..set.len())
+            .map(|i| {
+                let len = if set.symbol_len(i) > 6 { lowest } else { lens[i % lens.len()] };
+                let mask = u64::MAX >> (64 - len);
+                let bits =
+                    if i % 2 == 0 { mask } else { (i as u64).wrapping_mul(0x9E37_79B9) & mask };
+                Code::new(bits, len)
+            })
+            .collect()
+    }
+
+    /// Probes for a division: every boundary, alone and followed by 0xFF,
+    /// and one key that is every symbol in turn.
+    pub(super) fn probes_for(set: &IntervalSet) -> Vec<Vec<u8>> {
+        let mut probes: Vec<Vec<u8>> = set.iter().map(|(b, _)| b.to_vec()).collect();
+        probes.extend(set.iter().map(|(b, _)| [b, &[0xFF]].concat()));
+        probes.push((0..set.len()).flat_map(|i| set.symbol(i).to_vec()).collect());
+        probes.push(Vec::new());
+        probes
+    }
+
+    /// `dict` against the binary-search reference over the same division
+    /// and codes: each probe's lookup, each probe's encode — whole, and
+    /// pulled a byte at a time — and the entry listing.
+    pub(super) fn check_against_reference(
+        what: &str,
+        dict: &Dict,
+        set: &IntervalSet,
+        codes: &[Code],
+        probes: &[Vec<u8>],
+    ) {
+        let reference = Dict::Sorted(SortedDict::build(set, codes));
+        for p in probes.iter().filter(|p| !p.is_empty()) {
+            assert_eq!(dict.lookup(p), reference.lookup(p), "{what}: lookup({p:?})");
+        }
+        for key in probes {
+            let mut want = BitWriter::new();
+            reference.encode_into(key, 0, usize::MAX, &mut want);
+            let want = want.finish();
+            let mut whole = BitWriter::new();
+            assert_eq!(dict.encode_into(key, 0, usize::MAX, &mut whole), key.len());
+            assert_eq!(whole.finish(), want, "{what}: encode {key:?}");
+            let (mut pulled, mut at) = (BitWriter::new(), 0);
+            while at < key.len() {
+                at = dict.encode_into(key, at, pulled.bit_len() / 8 + 1, &mut pulled);
+            }
+            assert_eq!(pulled.finish(), want, "{what}: pulled encode {key:?}");
+        }
+        check_entries(what, dict, set, codes);
     }
 
     proptest! {

@@ -194,7 +194,10 @@ impl Encoder {
         scratch: &'s mut EncodeScratch,
     ) -> LazyEncode<'s> {
         self.count_key(scratch);
-        scratch.chunked.clear();
+        // Identity's pull copies the key straight out: no writer.
+        if !matches!(self.dict, Dict::Identity) {
+            scratch.chunked.clear();
+        }
         scratch.lo.clear();
         LazyEncode { encoder: self, key, scratch, at: 0, whole: false }
     }
@@ -264,17 +267,24 @@ impl LazyEncode<'_> {
 }
 
 impl EncodedBytes for LazyEncode<'_> {
-    /// Encode on until `n` whole bytes exist or the key ends.
+    /// Encode on until `n` whole bytes exist or the key ends. Identity's
+    /// encoding is the key, copied whole on the first pull.
     #[inline]
     fn at_least(&mut self, n: usize) -> (&[u8], bool) {
         if !self.whole {
             let s = &mut *self.scratch;
-            self.at = self.encoder.dict.encode_into(self.key, self.at, n, &mut s.chunked);
-            self.whole = self.at == self.key.len();
-            if self.whole {
-                s.lo_bits = s.chunked.finish_onto(&mut s.lo);
+            if let Dict::Identity = self.encoder.dict {
+                s.lo.extend_from_slice(self.key);
+                s.lo_bits = 8 * self.key.len();
+                self.whole = true;
             } else {
-                s.chunked.whole_bytes_onto(&mut s.lo);
+                self.at = self.encoder.dict.encode_into(self.key, self.at, n, &mut s.chunked);
+                self.whole = self.at == self.key.len();
+                if self.whole {
+                    s.lo_bits = s.chunked.finish_onto(&mut s.lo);
+                } else {
+                    s.chunked.whole_bytes_onto(&mut s.lo);
+                }
             }
         }
         (&self.scratch.lo, self.whole)
@@ -400,8 +410,8 @@ mod tests {
     /// bit length of its whole encode, with every pull's bytes a prefix
     /// of them; a key abandoned after one pull leaves the next whole
     /// encode unaffected; and each key counts once, however it ends, even
-    /// when nothing is pulled. Identity too, whose pulls end on a code
-    /// boundary every byte.
+    /// when nothing is pulled. Identity too, whose first pull copies the
+    /// whole key.
     #[test]
     fn chunked_encodes_match_whole_ones_and_count_once() {
         let s = sample();

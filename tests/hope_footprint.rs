@@ -2,8 +2,8 @@
 //! [`hope::Hope::memory_bytes`] *says*, and that is the Table-1 structure
 //! alone — no retained interval division, no code list, no second table
 //! restating the first. A counting global allocator measures the bytes
-//! dropping a freshly built compressor returns; a copy coming back (the
-//! parent commit held 3.2 MB for Double-Char's 526 KB array) fails here.
+//! dropping a freshly built compressor returns; a copy coming back (one
+//! once held 3.2 MB beside Double-Char's array) fails here.
 //! The same holds once the first `decode_to` has built the shared decoder,
 //! which is the sorted code list, the symbol bytes and one 64 KiB table —
 //! not a multi-megabyte automaton. The ALM schemes' ART is flat (one
@@ -49,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Cap on an ART dictionary's bytes per entry: the flat layout of 16 B
-/// nodes and 8 B payload words holds 26–41 B across Email, URL and Wiki
-/// at 256, 4 K and 64 K entries (24 B nodes and 16 B payloads held
-/// 42–62 B, per-node allocation 135–215 B).
-const ART_BYTES_PER_ENTRY: usize = 45;
+/// nodes and 4 B payload words holds 22–36.6 B across Email, URL and Wiki
+/// at 256, 4 K and 64 K entries, and the cap is that maximum + 10 %
+/// (8 B payloads held 26–41 B, 24 B nodes and 16 B payloads 42–62 B,
+/// per-node allocation 135–215 B).
+const ART_BYTES_PER_ENTRY: usize = 40;
 
 /// Bytes dropping `hope` returns to the allocator, which must be within
 /// 10 % of what it claimed to hold.
@@ -75,11 +76,13 @@ fn a_built_hope_holds_its_dictionary_once() {
         let dict = hope.dict_memory_bytes();
         let held = freed_by_drop(hope, scheme.name());
         let cap = match scheme {
-            Scheme::SingleChar => 8 << 10,
-            Scheme::DoubleChar => 640 << 10,
-            // 3-/4-Grams keep one table beyond the trie (its automaton),
-            // counted in `memory_bytes()` and bounded by the 10 % check.
-            Scheme::ThreeGrams | Scheme::FourGrams => usize::MAX,
+            // One 4-byte word per slot, and no code on this sample escapes.
+            Scheme::SingleChar => 1 << 10,
+            Scheme::DoubleChar => 257 << 10,
+            // 3-/4-Grams keep one table beyond the trie (its automaton of
+            // 1 KiB rows): 928 048 B and 5 796 608 B here, capped at + 10 %.
+            Scheme::ThreeGrams => 1_000 << 10,
+            Scheme::FourGrams => 6_250 << 10,
             // No table beyond the ART itself.
             _ => dict + dict / 10,
         };
